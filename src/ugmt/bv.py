@@ -18,17 +18,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln
 
 from .configuration import Configuration, SetSpec, section_set
 from .cylinder import (CylinderFunction, CylinderVectorField, normalize_field,
                        cyl_compose, mul_n, const)
 from .geometry import BoxDomain, DomainError
-from .hausdorff import CriticalLevelError, surface_functional_auto
+from .hausdorff import (CriticalLevelError, _outside_average, surface_functional_auto,
+                        surface_quad_orders)
 from .heat import LiftedHeatOperator, lifted_gradient_norm
-from .montecarlo import poisson_k_cutoff, poisson_pmf, poisson_stratified
+from .montecarlo import Strata, poisson_stratified
 from .productspace import ProductCylinder, ProductField, product_form, stratum_indicator
-from .rng import stream_rng
+from .rng import mean_and_stderr, stream_rng
 
 __all__ = [
     "TVBracket",
@@ -57,96 +57,68 @@ __all__ = [
 # Monte Carlo there.  The tanh tail beyond the sampled band is charged to the
 # error bar.
 
-
-def _smoothstep_vals(vals: np.ndarray, level: float, delta: float, strict: bool) -> np.ndarray:
-    return 0.5 * (1.0 + np.tanh((vals - level) / delta))
-
-
+_DELTA = 0.06             # smooth-step width, in level units
+_BAND_HALFWIDTH = 8.0     # sampled band around the sheet, in smooth-step widths
 _LEVELSET_ORDERS = {1: 192, 2: 96, 3: 48}
 
 
-def levelset_expectation(E: SetSpec, h, window: BoxDomain, *, delta: float = 0.06,
-                         band_halfwidth: float = 8.0, quad_k: int = 3,
-                         quad_orders: dict[int, int] | None = None,
-                         n_band: int = 60_000, mc_n: int = 20_000,
-                         K_max: int | None = None, seed: int = 0,
-                         sup_bound: float | None = None) -> tuple[float, float]:
+def _smoothstep_vals(vals: np.ndarray, level: float) -> np.ndarray:
+    return 0.5 * (1.0 + np.tanh((vals - level) / _DELTA))
+
+
+def _band_split(E: SetSpec, pf, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Samples of X inside the band around the sheet of E, and chi_E minus the
+    smooth step at those samples."""
+    gv = pf.value(X)
+    inband = np.abs(gv - E.level) <= _BAND_HALFWIDTH * _DELTA
+    gb = gv[inband]
+    chi = (gb > E.level) if E.strict else (gb >= E.level)
+    return inband, chi.astype(float) - _smoothstep_vals(gb, E.level)
+
+
+def levelset_expectation(E: SetSpec, h, window: BoxDomain, *, K_max: int | None = None,
+                         seed: int = 0) -> tuple[float, float]:
     """E_pi[ chi_E * h ] for a level-set spec E and vectorized integrand h.
 
     ``h(k, X)`` maps ordered tuples (m, k, n) to values (m,).  Returns
     (value, error); the error combines band Monte Carlo noise, a refinement
     estimate of the smooth-part quadrature error, per-stratum Monte Carlo
-    beyond the grid strata, the analytic smooth-step tail, and the Poisson
-    count truncation.
+    beyond the grid strata, and the analytic smooth-step tail.
     """
     if E.variant != "level_set":
         raise DomainError("levelset_expectation needs a level-set spec")
     pf = product_form(E.function)
-    lam = window.volume
-    if K_max is None:
-        K_max = poisson_k_cutoff(lam)
-    from .montecarlo import stratum_grid_points
-    orders = dict(_LEVELSET_ORDERS) if window.dim == 1 else {1: 48, 2: 16}
-    if quad_orders:
-        orders.update(quad_orders)
-    total = 0.0
-    err_sq = 0.0
-    # vacuum stratum
-    empty = Configuration(window=window, points=np.zeros((0, window.dim)))
-    if E.contains(empty):
-        total += poisson_pmf(0, lam) * float(np.asarray(h(0, np.zeros((1, 0, window.dim))))[0])
-    width = band_halfwidth * delta
-    for k in range(1, K_max + 1):
-        pk = poisson_pmf(k, lam)
-        if pk == 0.0:
-            continue
-        if E.count_equals is not None and k != E.count_equals:
-            continue
-        if k <= quad_k and k in orders:
-            def smooth_part(order):
-                pts, w = stratum_grid_points(window, k, order)
-                gvals = pf.value(pts)
-                smooth = _smoothstep_vals(gvals, E.level, delta, E.strict)
-                hv = np.asarray(h(k, pts))
-                return float(np.sum(w * smooth * hv)) / lam**k, hv
+    tailstep = 0.5 * (1.0 - np.tanh(_BAND_HALFWIDTH))
 
-            v_hi, hv = smooth_part(orders[k])
-            v_lo, _ = smooth_part(max(8, int(0.7 * orders[k])))
-            total += pk * v_hi
-            err_sq += (pk * abs(v_hi - v_lo)) ** 2
-            # band correction chi - smoothstep by MC
-            rng = stream_rng(seed, 500 + k)
-            X = rng.uniform(np.tile(window.lower, k), np.tile(window.upper, k),
-                            size=(n_band, k * window.dim)).reshape(n_band, k, window.dim)
-            gv = pf.value(X)
-            inband = np.abs(gv - E.level) <= width
-            corr = np.zeros(n_band)
-            if np.any(inband):
-                chi = (gv[inband] > E.level) if E.strict else (gv[inband] >= E.level)
-                step = _smoothstep_vals(gv[inband], E.level, delta, E.strict)
-                corr[inband] = (chi.astype(float) - step) * np.asarray(h(k, X[inband]))
-            mean = float(np.sum(corr) / n_band)
-            var = float(np.sum((corr - mean) ** 2) / max(n_band - 1, 1))
-            total += pk * mean
-            err_sq += (pk ** 2) * var / n_band
-            # tanh tail beyond the sampled band
-            tailstep = 0.5 * (1.0 - np.tanh(band_halfwidth))
-            hb = sup_bound if sup_bound is not None else float(np.max(np.abs(hv)) + 1e-300)
-            err_sq += (pk * tailstep * hb) ** 2
-        else:
-            rng = stream_rng(seed, 500 + k)
-            X = rng.uniform(np.tile(window.lower, k), np.tile(window.upper, k),
-                            size=(mc_n, k * window.dim)).reshape(mc_n, k, window.dim)
-            chi = stratum_indicator(E, k, X, window)
-            vals = chi * np.asarray(h(k, X))
-            mean = float(np.sum(vals) / mc_n)
-            var = float(np.sum((vals - mean) ** 2) / max(mc_n - 1, 1))
-            total += pk * mean
-            err_sq += (pk ** 2) * var / mc_n
-    if sup_bound is not None:
-        from scipy import stats
-        err_sq += (float(stats.poisson.sf(K_max, lam)) * sup_bound) ** 2
-    return total, float(np.sqrt(err_sq))
+    def term(s):
+        k = s.k
+        if s.order is None:
+            return [s.average(lambda X: stratum_indicator(E, k, X, window) * np.asarray(h(k, X)))]
+
+        def smooth_part(order):
+            pts, w = s.grid(order)
+            hv = np.asarray(h(k, pts))
+            return s.grid_mean(hv, w * _smoothstep_vals(pf.value(pts), E.level)), hv
+
+        v_hi, hv = smooth_part(s.order)
+        v_lo, _ = smooth_part(max(8, int(0.7 * s.order)))
+        # band correction chi - smoothstep by Monte Carlo
+        X = s.draw(60_000)
+        inband, chi_minus_step = _band_split(E, pf, X)
+        corr = np.zeros(X.shape[0])
+        if np.any(inband):
+            corr[inband] = chi_minus_step * np.asarray(h(k, X[inband]))
+        hb = float(np.max(np.abs(hv)) + 1e-300)
+        return [(v_hi, abs(v_hi - v_lo)), mean_and_stderr(corr), (0.0, tailstep * hb)]
+
+    strata = Strata(window, orders=_LEVELSET_ORDERS if window.dim == 1 else {1: 48, 2: 16},
+                    mc_n=20_000, seed=seed, stream_base=500, K_max=K_max,
+                    count_equals=E.count_equals)
+    empty = Configuration(window=window, points=np.zeros((0, window.dim)))
+    vacuum = (float(np.asarray(h(0, np.zeros((1, 0, window.dim))))[0])
+              if E.contains(empty) else None)
+    res = strata.integrate(term, empty=vacuum)
+    return res.value, res.error
 
 
 def _divergence_evaluator(V: CylinderVectorField):
@@ -255,62 +227,37 @@ class _VariationalObjective:
     """
 
     def __init__(self, F, family: list, window: BoxDomain, *, seed: int,
-                 n_band: int, mc_n: int, delta: float = 0.06,
-                 quad_orders: dict[int, int] | None = None, quad_k: int = 3):
+                 n_band: int, mc_n: int):
         if window.dim != 1:
             raise DomainError("the fast variational objective is 1-d")
-        from .montecarlo import stratum_grid_points
         self.family = family
         self.window = window
-        lam = window.volume
         self.batches = []  # (prefactor vector, F-weight vector, basis tensors)
-        orders = dict(_LEVELSET_ORDERS if isinstance(F, SetSpec) else
-                      {1: 64, 2: 48, 3: 28})
-        if quad_orders:
-            orders.update(quad_orders)
-        K_max = poisson_k_cutoff(lam)
         is_set = isinstance(F, SetSpec)
         pf = product_form(F.function) if is_set else product_form(F)
-        width = 8.0 * delta
-        for k in range(1, K_max + 1):
-            pk = poisson_pmf(k, lam)
-            if pk == 0.0:
-                continue
-            if is_set and F.count_equals is not None and k != F.count_equals:
-                continue
-            if k <= quad_k and k in orders:
-                pts, w = stratum_grid_points(window, k, orders[k])
-                if is_set:
-                    gv = pf.value(pts)
-                    smooth = _smoothstep_vals(gv, F.level, delta, F.strict)
-                    self.batches.append(("quad", 0, pk * w / lam**k, smooth,
-                                         self._basis(pts)))
-                    # band correction samples
-                    rng = stream_rng(seed, 700 + k)
-                    X = rng.uniform(window.lower[0], window.upper[0],
-                                    size=(n_band, k, 1))
-                    gb = pf.value(X)
-                    inband = np.abs(gb - F.level) <= width
-                    Xb = X[inband]
-                    if Xb.shape[0]:
-                        chi = (gb[inband] > F.level) if F.strict else (gb[inband] >= F.level)
-                        corr = chi.astype(float) - _smoothstep_vals(gb[inband], F.level,
-                                                                    delta, F.strict)
-                        pref = np.full(Xb.shape[0], pk / n_band)
-                        self.batches.append(("mc", n_band, pref, corr, self._basis(Xb)))
-                else:
-                    fv = pf.value(pts)
-                    self.batches.append(("quad", 0, pk * w / lam**k, fv,
-                                         self._basis(pts)))
-            else:
-                rng = stream_rng(seed, 700 + k)
-                X = rng.uniform(window.lower[0], window.upper[0], size=(mc_n, k, 1))
-                if is_set:
-                    weight = stratum_indicator(F, k, X, window)
-                else:
-                    weight = pf.value(X)
-                pref = np.full(mc_n, pk / mc_n)
+        strata = Strata(window, orders=_LEVELSET_ORDERS if is_set else {1: 64, 2: 48, 3: 28},
+                        mc_n=mc_n, seed=seed, stream_base=700,
+                        count_equals=F.count_equals if is_set else None)
+        for s in strata:
+            if s.order is None:
+                X = s.draw()
+                weight = stratum_indicator(F, s.k, X, window) if is_set else pf.value(X)
+                pref = np.full(mc_n, s.weight / mc_n)
                 self.batches.append(("mc", mc_n, pref, weight, self._basis(X)))
+                continue
+            pts, w = s.grid()
+            fv = pf.value(pts)
+            self.batches.append(("quad", 0, s.weight * w / window.volume ** s.k,
+                                 _smoothstep_vals(fv, F.level) if is_set else fv,
+                                 self._basis(pts)))
+            if not is_set:
+                continue
+            # band correction samples
+            X = s.draw(n_band)
+            inband, corr = _band_split(F, pf, X)
+            if np.any(inband):
+                pref = np.full(corr.size, s.weight / n_band)
+                self.batches.append(("mc", n_band, pref, corr, self._basis(X[inband])))
 
     def _basis(self, X: np.ndarray):
         m, k, _ = X.shape
@@ -517,14 +464,6 @@ def tv_bracket(F, op: LiftedHeatOperator, family: list, t_schedule, eps_schedule
 # perimeter measures and the surface battery
 
 
-def _sheet_strata(E: SetSpec, K_max: int):
-    if E.variant != "level_set":
-        raise DomainError("perimeter machinery needs level-set specs")
-    if E.count_equals is not None:
-        return [E.count_equals]
-    return list(range(1, K_max + 1))
-
-
 def surface_battery(E: SetSpec, window: BoxDomain, weights: dict, *, eps: float,
                     n_samples: int = 60_000, seed: int = 0,
                     K_max: int | None = None) -> dict:
@@ -535,27 +474,23 @@ def surface_battery(E: SetSpec, window: BoxDomain, weights: dict, *, eps: float,
     surface measure is wanted; ``None`` means the measure itself).  Returns
     name -> (value, err, per_k).
     """
-    from .hausdorff import surface_quad_orders
+    if E.variant != "level_set":
+        raise DomainError("perimeter machinery needs level-set specs")
     g = product_form(E.function)
     level = float(E.level)
-    lam = window.volume
-    if K_max is None:
-        K_max = poisson_k_cutoff(lam)
-    squad = surface_quad_orders(window.dim)
+    strata = Strata(window, orders=surface_quad_orders(window.dim), K_max=K_max,
+                    count_equals=E.count_equals)
     out = {}
     for name, weight in weights.items():
-        total, err_sq = 0.0, 0.0
-        per_k = {}
-        for k in _sheet_strata(E, K_max):
-            val, err, _ = surface_functional_auto(g, level, weight, window, k, eps=eps,
+        def term(s, weight=weight):
+            val, err, _ = surface_functional_auto(g, level, weight, window, s.k, eps=eps,
                                                   n_samples=n_samples, seed=seed,
-                                                  stream=900 + 13 * k,
-                                                  quad_order=squad.get(k))
-            w = float(np.exp(-lam - gammaln(k + 1)))
-            per_k[k] = w * val
-            total += w * val
-            err_sq += (w * err) ** 2
-        out[name] = (total, float(np.sqrt(err_sq)), per_k)
+                                                  stream=900 + 13 * s.k, quad_order=s.order)
+            volk = window.volume ** s.k
+            return [(val / volk, err / volk)]
+
+        res = strata.integrate(term)
+        out[name] = (res.value, res.error, res.per_k)
     return out
 
 
@@ -623,25 +558,15 @@ def _localized_perimeter(E: SetSpec, inner: BoxDomain, window: BoxDomain, *,
         res = surface_battery(sec, inner, {"__total__": None}, eps=eps,
                               n_samples=n_samples, seed=seed)
         return res["__total__"][0], res["__total__"][1]
-    shell = E.locality or window
-    rng = stream_rng(seed, 31)
-    vals = np.empty(n_eta)
-    errs = np.empty(n_eta)
-    for i in range(n_eta):
-        kk = rng.poisson(shell.volume)
-        pts = shell.sample_uniform(rng, kk)
-        keep = ~inner.contains(pts) if kk else np.zeros(0, dtype=bool)
-        eta = Configuration(window=shell, points=pts[keep] if kk else pts)
-        sec = section_set(E, eta, inner)
+    def estimate(sec, i):
         if sec.variant != "level_set":
-            vals[i], errs[i] = 0.0, 0.0
-            continue
+            return 0.0, 0.0
         res = surface_battery(sec, inner, {"__total__": None}, eps=eps,
                               n_samples=max(2_000, n_samples // 8), seed=seed + i)
-        vals[i], errs[i] = res["__total__"][0], res["__total__"][1]
-    mean = float(np.sum(vals) / n_eta)
-    var = float(np.sum((vals - mean) ** 2) / max(n_eta - 1, 1))
-    return mean, float(np.sqrt(var / n_eta + np.sum(errs ** 2) / n_eta ** 2))
+        return res["__total__"][:2]
+
+    return _outside_average(E, inner, E.locality or window, n_eta, stream_rng(seed, 31),
+                            estimate)
 
 
 # ---------------------------------------------------------------------------

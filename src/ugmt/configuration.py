@@ -11,6 +11,7 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import linear_sum_assignment
 
 from .geometry import BoxDomain, DomainError
 from .rng import stream_rng
@@ -203,7 +204,7 @@ def add(gamma: Configuration, eta: Configuration) -> Configuration:
 
 
 def hungarian(cost: np.ndarray) -> np.ndarray:
-    """Exact minimum-cost assignment (O(n^3) potentials form).
+    """Exact minimum-cost assignment of a square cost matrix.
 
     Returns col[i] = column assigned to row i.
     """
@@ -211,48 +212,7 @@ def hungarian(cost: np.ndarray) -> np.ndarray:
     n = cost.shape[0]
     if cost.shape != (n, n):
         raise ValueError("cost matrix must be square")
-    INF = float("inf")
-    u = np.zeros(n + 1)
-    v = np.zeros(n + 1)
-    p = np.zeros(n + 1, dtype=int)  # p[j] = row matched to column j (1-based)
-    way = np.zeros(n + 1, dtype=int)
-    for i in range(1, n + 1):
-        p[0] = i
-        j0 = 0
-        minv = np.full(n + 1, INF)
-        used = np.zeros(n + 1, dtype=bool)
-        while True:
-            used[j0] = True
-            i0 = p[j0]
-            delta = INF
-            j1 = 0
-            for j in range(1, n + 1):
-                if used[j]:
-                    continue
-                cur = cost[i0 - 1, j - 1] - u[i0] - v[j]
-                if cur < minv[j]:
-                    minv[j] = cur
-                    way[j] = j0
-                if minv[j] < delta:
-                    delta = minv[j]
-                    j1 = j
-            for j in range(n + 1):
-                if used[j]:
-                    u[p[j]] += delta
-                    v[j] -= delta
-                else:
-                    minv[j] -= delta
-            j0 = j1
-            if p[j0] == 0:
-                break
-        while j0:
-            j1 = way[j0]
-            p[j0] = p[j1]
-            j0 = j1
-    col = np.zeros(n, dtype=int)
-    for j in range(1, n + 1):
-        col[p[j] - 1] = j - 1
-    return col
+    return linear_sum_assignment(cost)[1]
 
 
 def quotient_distance(gamma: Configuration, eta: Configuration) -> float:

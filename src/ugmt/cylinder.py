@@ -501,10 +501,6 @@ class CylinderFunction:
                 out += dphi[i] * f.gradient(gamma.points)
         return out
 
-    def grad_norm_sq(self, gamma: Configuration) -> float:
-        g = self.gradient(gamma)
-        return float(np.sum(g * g))
-
     def locality(self) -> BoxDomain:
         box = self.inners[0].support
         for f in self.inners[1:]:
@@ -692,8 +688,8 @@ def tangent_norm_sq(V: CylinderVectorField, gamma: Configuration) -> float:
 
 
 def tangent_norm(V: CylinderVectorField, gamma: Configuration) -> float:
-    """Squared tangent norm |V|^2_T(gamma) (Gram form)."""
-    return V.tangent_norm_sq(gamma)
+    """Tangent norm |V|_T(gamma), the square root of the Gram form."""
+    return float(np.sqrt(V.tangent_norm_sq(gamma)))
 
 
 def tangent_norm_sq_cylinder(V: CylinderVectorField) -> CylinderFunction:

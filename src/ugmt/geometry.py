@@ -530,10 +530,6 @@ class SmoothVectorField:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         return np.stack([c.value(pts) for c in self.components], axis=-1)
 
-    def jacobian(self, points) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        return np.stack([c.gradient(pts) for c in self.components], axis=-2)
-
     def divergence(self, points) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         out = np.zeros(pts.shape[:-1])

@@ -3,7 +3,9 @@
 The k-particle stratum over a box is a quotient of the product box, so the
 codimension-m content of a set section splits as a sum over particle counts:
     total = e^{-vol} * sum_k per_k,
-    per_k = (1/k!) * H^{nk-m}( preimage of the k-section in the product box ).
+    per_k = (1/k!) * H^{nk-m}( preimage of the k-section in the product box ),
+which ``montecarlo.Strata`` assembles as the Poisson-weighted average of the
+section content over the product box.
 For m = 0 this reduces to the Poisson probability of the set.  For m = 1 the
 sections must be smooth level sets; their surface content is estimated by the
 coarea band estimator (1/2 eps) * integral of |grad g| over {|g - c| < eps}.
@@ -13,7 +15,7 @@ All spherical Hausdorff values carry the dimensional constant c(d) =
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import stats
@@ -21,9 +23,9 @@ from scipy.special import gammaln
 
 from .configuration import Configuration, MCEstimate, SetSpec, section_set
 from .geometry import BoxDomain, DomainError
-from .montecarlo import poisson_k_cutoff, poisson_pmf, stratum_grid_points
+from .montecarlo import Strata, stratum_grid_points, uniform_tuples
 from .productspace import product_form, stratum_indicator
-from .rng import stream_rng
+from .rng import mean_and_stderr, stream_rng
 
 __all__ = [
     "HausdorffEstimate",
@@ -77,29 +79,16 @@ class HausdorffEstimate:
 
 @dataclass(frozen=True)
 class CodimMeasureResult:
+    """Codim-m measure with its per-count breakdown: per_k[k] is (1/k!) times
+    the content of the k-section, so total = e^{-vol} * sum(per_k)."""
+
     m: int
     per_k: dict[int, float]
-    per_k_err: dict[int, float]
     k_truncation: int
     window: BoxDomain
+    total: float
+    total_err: float
     flags: tuple[str, ...] = ()
-
-    @property
-    def total(self) -> float:
-        w = float(np.exp(-self.window.volume))
-        return w * float(sum(self.per_k.values()))
-
-    @property
-    def total_err(self) -> float:
-        w = float(np.exp(-self.window.volume))
-        return w * float(np.sqrt(sum(e * e for e in self.per_k_err.values())))
-
-    def to_json(self) -> dict:
-        return {"m": self.m, "per_k": {str(k): v for k, v in self.per_k.items()},
-                "per_k_err": {str(k): v for k, v in self.per_k_err.items()},
-                "total": self.total, "total_err": self.total_err,
-                "k_truncation": self.k_truncation,
-                "window": self.window.descriptor(), "flags": list(self.flags)}
 
 
 # ---------------------------------------------------------------------------
@@ -109,14 +98,9 @@ class CodimMeasureResult:
 def band_integral_mc(h, window: BoxDomain, k: int, n_samples: int, seed: int,
                      stream: int) -> tuple[float, float]:
     """MC estimate of the integral of h over window^k (h vectorized on tuples)."""
-    rng = stream_rng(seed, stream)
-    X = rng.uniform(np.tile(window.lower, k), np.tile(window.upper, k),
-                    size=(n_samples, k * window.dim)).reshape(n_samples, k, window.dim)
-    vals = np.asarray(h(X))
+    mean, err = mean_and_stderr(h(uniform_tuples(window, k, n_samples, seed, stream)))
     volk = window.volume ** k
-    mean = float(np.sum(vals) / n_samples)
-    var = float(np.sum((vals - mean) ** 2) / max(n_samples - 1, 1))
-    return volk * mean, volk * float(np.sqrt(var / n_samples))
+    return volk * mean, volk * err
 
 
 def band_integral_quad(h, window: BoxDomain, k: int, order: int) -> float:
@@ -331,7 +315,7 @@ def _stratum_fraction_exact(A: SetSpec, k: int, window: BoxDomain) -> float | No
 
 
 def rho_m_on_box(A: SetSpec, m: int, window: BoxDomain, *, K_max: int | None = None,
-                 n_samples: int = 20_000, seed: int = 0, quad_k: int = 3,
+                 n_samples: int = 20_000, seed: int = 0,
                  eps: float | None = None) -> CodimMeasureResult:
     """Codimension-m Poisson measure of A on the configuration space over a box.
 
@@ -343,54 +327,41 @@ def rho_m_on_box(A: SetSpec, m: int, window: BoxDomain, *, K_max: int | None = N
     """
     if m not in (0, 1):
         raise DomainError("only m in {0, 1} is computed; use covering bounds beyond")
-    if K_max is None:
-        K_max = poisson_k_cutoff(window.volume)
-    per_k: dict[int, float] = {}
-    per_k_err: dict[int, float] = {}
-    flags: list[str] = []
-    vol = window.volume
-
     if m == 0:
+        strata = Strata(window, mc_n=n_samples, seed=seed, stream_base=60, K_max=K_max)
+
+        def term(s):
+            exact = _stratum_fraction_exact(A, s.k, window)
+            if exact is not None:
+                return [(exact, 0.0)]
+            return [s.average(lambda X: stratum_indicator(A, s.k, X, window))]
+
         # vacuum stratum: membership of the empty configuration
         empty = Configuration(window=window, points=np.zeros((0, window.dim)))
-        per_k[0] = 1.0 if A.contains(empty) else 0.0
-        per_k_err[0] = 0.0
-        for k in range(1, K_max + 1):
-            frac_exact = _stratum_fraction_exact(A, k, window)
-            if frac_exact is not None:
-                val, err = frac_exact * window.volume**k, 0.0
-            else:
-                def frac(X, k=k):
-                    return stratum_indicator(A, k, X, window)
-                val, err = band_integral_mc(frac, window, k, n_samples, seed, 60 + k)
-            # (1/k!) * integral over the ordered product space
-            logfact = gammaln(k + 1)
-            per_k[k] = float(np.exp(-logfact)) * val
-            per_k_err[k] = float(np.exp(-logfact)) * err
-        return CodimMeasureResult(m=0, per_k=per_k, per_k_err=per_k_err,
-                                  k_truncation=K_max, window=window, flags=tuple(flags))
+        res = strata.integrate(term, empty=1.0 if A.contains(empty) else 0.0)
+    else:
+        sections = _level_sections(A)
+        if sections is None:
+            raise DomainError("m = 1 requires a level-set description "
+                              "(covering upper bounds available separately)")
+        g, level = sections
+        if eps is None:
+            eps = 1e-2 * float(np.max(window.sides))
+        strata = Strata(window, orders=surface_quad_orders(window.dim), mc_n=n_samples,
+                        seed=seed, stream_base=80, K_max=K_max, count_equals=A.count_equals)
 
-    sections = _level_sections(A)
-    if sections is None:
-        raise DomainError("m = 1 requires a level-set description "
-                          "(covering upper bounds available separately)")
-    g, level = sections
-    if eps is None:
-        eps = 1e-2 * float(np.max(window.sides))
-    squad = surface_quad_orders(window.dim)
-    for k in range(1, K_max + 1):
-        if A.count_equals is not None and k != A.count_equals:
-            per_k[k] = 0.0
-            per_k_err[k] = 0.0
-            continue
-        val, err, _ = surface_functional_auto(g, level, None, window, k, eps=eps,
-                                              n_samples=n_samples, seed=seed,
-                                              stream=80 + k, quad_order=squad.get(k))
-        logfact = gammaln(k + 1)
-        per_k[k] = float(np.exp(-logfact)) * max(val, 0.0)
-        per_k_err[k] = float(np.exp(-logfact)) * err
-    return CodimMeasureResult(m=1, per_k=per_k, per_k_err=per_k_err,
-                              k_truncation=K_max, window=window, flags=tuple(flags))
+        def term(s):
+            val, err, _ = surface_functional_auto(g, level, None, window, s.k, eps=eps,
+                                                  n_samples=s.mc_n, seed=s.seed,
+                                                  stream=s.stream, quad_order=s.order)
+            volk = window.volume ** s.k
+            return [(max(val, 0.0) / volk, err / volk)]
+
+        res = strata.integrate(term)
+    scale = float(np.exp(window.volume))
+    return CodimMeasureResult(m=m, per_k={k: scale * v for k, v in res.per_k.items()},
+                              k_truncation=strata.K_max, window=window,
+                              total=res.value, total_err=res.error)
 
 
 def scaled_box(center, r: float, dim: int) -> BoxDomain:
@@ -429,9 +400,21 @@ def rho_m_localized(A: SetSpec, m: int, inner: BoxDomain, outer: BoxDomain, *,
         res = rho_m_on_box(sec, m, inner, n_samples=n_samples, seed=seed, K_max=K_max)
         return MCEstimate(mean=res.total, std_err=res.total_err, n_samples=n_samples,
                           seed=seed, name=A.name and f"rho{m}_loc({A.name})")
-    # sample eta on the locality shell outside the inner box
-    shell = A.locality
-    rng = stream_rng(seed, 7)
+    def estimate(sec, i):
+        res = rho_m_on_box(sec, m, inner, n_samples=max(2000, n_samples // 8),
+                           seed=seed + 1 + i, K_max=K_max)
+        return res.total, res.total_err
+
+    mean, err = _outside_average(A, inner, A.locality, n_eta, stream_rng(seed, 7), estimate)
+    return MCEstimate(mean=mean, std_err=err, n_samples=n_eta,
+                      seed=seed, name=A.name and f"rho{m}_loc({A.name})")
+
+
+def _outside_average(A: SetSpec, inner: BoxDomain, shell: BoxDomain, n_eta: int,
+                     rng: np.random.Generator, estimate) -> tuple[float, float]:
+    """Average of estimate(section of A at eta, i) over n_eta Poisson patterns
+    eta on the shell outside the inner box; the error adds the spread over
+    patterns and the per-pattern errors in quadrature."""
     vals = np.empty(n_eta)
     errs = np.empty(n_eta)
     for i in range(n_eta):
@@ -439,16 +422,9 @@ def rho_m_localized(A: SetSpec, m: int, inner: BoxDomain, outer: BoxDomain, *,
         pts = shell.sample_uniform(rng, k)
         keep = ~inner.contains(pts) if k else np.zeros(0, dtype=bool)
         eta = Configuration(window=shell, points=pts[keep] if k else pts)
-        sec = section_set(A, eta, inner)
-        res = rho_m_on_box(sec, m, inner, n_samples=max(2000, n_samples // 8),
-                           seed=seed + 1 + i, K_max=K_max)
-        vals[i] = res.total
-        errs[i] = res.total_err
-    mean = float(np.sum(vals) / n_eta)
-    var = float(np.sum((vals - mean) ** 2) / max(n_eta - 1, 1))
-    err = float(np.sqrt(var / n_eta + np.sum(errs**2) / n_eta**2))
-    return MCEstimate(mean=mean, std_err=err, n_samples=n_eta,
-                      seed=seed, name=A.name and f"rho{m}_loc({A.name})")
+        vals[i], errs[i] = estimate(section_set(A, eta, inner), i)
+    mean, spread = mean_and_stderr(vals)
+    return mean, float(np.sqrt(spread * spread + np.sum(errs**2) / n_eta**2))
 
 
 def rho_m_limit(A: SetSpec, m: int, boxes: list[BoxDomain], *, n_eta: int = 64,

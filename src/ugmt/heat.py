@@ -13,20 +13,19 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special, stats
+from scipy import special
 
-from .configuration import Configuration, MCEstimate, SetSpec
+from .configuration import Configuration, SetSpec
 from .cylinder import CylinderFunction, ExponentialCylinderFunction
 from .geometry import (BoxDomain, DomainError, HeatKernel1D, QuadratureError,
                        gauss_legendre, required_order)
-from .montecarlo import MCPlan, poisson_k_cutoff, poisson_pmf, sample_values
+from .montecarlo import MCPlan, Strata, StratumGrid, poisson_k_cutoff, poisson_stratified
 from .productspace import product_form
 from .rng import stream_rng
 
 __all__ = [
     "LiftedHeatOperator",
     "BesselOperator",
-    "StratumGrid",
     "lift_semigroup",
     "lifted_gradient_norm",
     "check_intertwining",
@@ -39,41 +38,6 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class StratumGrid:
-    """Tensor Gauss-Legendre grid on window^k with per-particle axes."""
-
-    window: BoxDomain
-    k: int
-    order: int
-    nodes: tuple[np.ndarray, ...]    # one per axis (n per particle)
-    weights: tuple[np.ndarray, ...]
-
-    @property
-    def axes(self) -> int:
-        return self.k * self.window.dim
-
-    def shape(self) -> tuple[int, ...]:
-        return (self.order,) * self.axes
-
-    def axis_mesh(self, axis: int) -> np.ndarray:
-        """Node values of one axis broadcast over the full grid shape."""
-        shp = [1] * self.axes
-        shp[axis] = self.order
-        return self.nodes[axis].reshape(shp)
-
-    def integrate(self, values: np.ndarray) -> float:
-        out = values
-        for w in reversed(self.weights):
-            out = np.tensordot(out, w, axes=([-1], [0]))
-        return float(out)
-
-    def tuples(self) -> np.ndarray:
-        """All grid points as ordered tuples, shape (order^(nk), k, n)."""
-        mesh = np.meshgrid(*self.nodes, indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=-1).reshape(-1, self.k, self.window.dim)
-
-
 def _eval_on_grid(F, grid: StratumGrid) -> np.ndarray:
     """Evaluate a configuration functional on the grid without materializing tuples.
 
@@ -81,22 +45,12 @@ def _eval_on_grid(F, grid: StratumGrid) -> np.ndarray:
     outer), product statistics, and level-set indicators; falls back to tuple
     evaluation otherwise.
     """
-    n = grid.window.dim
-    k = grid.k
     if isinstance(F, CylinderFunction):
-        stars = []
-        for f in F.inners:
-            per_particle = _particle_mesh(f, grid)
-            acc = np.zeros(grid.shape())
-            for j in range(k):
-                acc = acc + per_particle[j]
-            stars.append(acc)
-        u = np.stack(stars, axis=-1)
-        return F.outer.value(u)
+        return F.outer.value(_stars(F, grid))
     if isinstance(F, ExponentialCylinderFunction):
         out = np.ones(grid.shape())
-        for j in range(k):
-            out = out * (1.0 + _particle_mesh(F.f, grid)[j])
+        for pm in _particle_mesh(F.f, grid):
+            out = out * (1.0 + pm)
         return out
     if isinstance(F, SetSpec):
         if F.variant in ("level_set", "level_sheet"):
@@ -114,31 +68,29 @@ def _eval_on_grid(F, grid: StratumGrid) -> np.ndarray:
 
 def _particle_mesh(f, grid: StratumGrid) -> list[np.ndarray]:
     """f evaluated per particle, each broadcastable over the grid shape."""
-    n = grid.window.dim
     out = []
-    for j in range(k_ := grid.k):
-        axes = list(range(j * n, (j + 1) * n))
-        mesh = np.meshgrid(*[grid.nodes[a] for a in axes], indexing="ij")
-        pts = np.stack(mesh, axis=-1)
-        vals = f.value(pts)
-        shp = [1] * grid.axes
-        for i, a in enumerate(axes):
-            shp[a] = grid.order
-        out.append(vals.reshape(shp))
+    for j in range(grid.k):
+        pts, shape = grid.particle_points(j)
+        out.append(f.value(pts).reshape(shape))
     return out
 
 
 def _particle_mesh_grad(f, grid: StratumGrid, j: int) -> list[np.ndarray]:
     """Components of grad f at particle j, broadcastable over the grid shape."""
-    n = grid.window.dim
-    axes = list(range(j * n, (j + 1) * n))
-    mesh = np.meshgrid(*[grid.nodes[a] for a in axes], indexing="ij")
-    pts = np.stack(mesh, axis=-1)
+    pts, shape = grid.particle_points(j)
     g = f.gradient(pts)
-    shp = [1] * grid.axes
-    for a in axes:
-        shp[a] = grid.order
-    return [g[..., c].reshape(shp) for c in range(n)]
+    return [g[..., c].reshape(shape) for c in range(grid.window.dim)]
+
+
+def _stars(F: CylinderFunction, grid: StratumGrid) -> np.ndarray:
+    """The linear statistics of F on the grid, stacked along a last axis."""
+    stars = []
+    for f in F.inners:
+        acc = np.zeros(grid.shape())
+        for pm in _particle_mesh(f, grid):
+            acc = acc + pm
+        stars.append(acc)
+    return np.stack(stars, axis=-1)
 
 
 @dataclass
@@ -174,14 +126,7 @@ class LiftedHeatOperator:
             if k not in self.grid_orders:
                 raise DomainError(f"no grid order configured for k={k}")
             order = self.grid_orders[k]
-        nodes, weights = [], []
-        for j in range(k):
-            for a in range(self.window.dim):
-                nd, w = gauss_legendre(self.window.lower[a], self.window.upper[a], order)
-                nodes.append(nd)
-                weights.append(w)
-        return StratumGrid(window=self.window, k=k, order=order,
-                           nodes=tuple(nodes), weights=tuple(weights))
+        return StratumGrid.on(self.window, k, order)
 
     def _axis_kernel(self, t: float, axis_in_particle: int) -> HeatKernel1D:
         L = float(self.window.sides[axis_in_particle])
@@ -196,20 +141,12 @@ class LiftedHeatOperator:
         for axis in range(grid.axes):
             a = axis % n
             ker = self._axis_kernel(t, a)
-            lo = self.window.lower[a]
-            x = grid.nodes[axis] - lo
-            w = grid.weights[axis]
             if required_order(t, ker.L) > grid.order:
                 raise QuadratureError(
                     f"grid order {grid.order} cannot resolve the kernel at t={t}")
-            if kind == "neumann":
-                mats.append(ker.kernel(x[:, None], x[None, :]) * w[None, :])
-            elif kind == "dx":
-                mats.append(ker.kernel_dx(x[:, None], x[None, :]) * w[None, :])
-            elif kind == "dirichlet":
-                mats.append(ker.dirichlet(x[:, None], x[None, :]) * w[None, :])
-            else:
-                raise ValueError(kind)
+            build = {"neumann": ker.matrix, "dx": ker.matrix_dx,
+                     "dirichlet": ker.matrix_dirichlet}[kind]
+            mats.append(build(grid.nodes[axis] - self.window.lower[a], grid.weights[axis]))
         return mats
 
     def tensor_apply(self, values: np.ndarray, t: float, grid: StratumGrid,
@@ -255,53 +192,38 @@ def lift_semigroup(F, t: float, op: LiftedHeatOperator, k: int,
     return op.semigroup_on_stratum(F, t, k, order)
 
 
-def lifted_gradient_norm(F, t: float | None, op: LiftedHeatOperator, p: float = 1.0,
-                         sup_tail: float | None = None) -> tuple[float, float]:
+def lifted_gradient_norm(F, t: float | None, op: LiftedHeatOperator,
+                         p: float = 1.0) -> tuple[float, float]:
     """|| grad T_t F ||_p^p under the Poisson measure (t=None means grad F).
 
-    Grid strata are summed with Poisson weights; the truncated tail is charged
-    to the error bar using ``sup_tail`` (a bound on |grad T_t F|_T^p beyond the
-    grid strata) when provided, else the last stratum value is used as a
-    conservative proxy.
+    Grid strata are summed with Poisson weights; the last grid stratum's
+    contribution is charged to the error bar as a conservative proxy for the
+    truncated tail (no charge when F lives on a single stratum).
     """
-    lam = op.window.volume
-    total = 0.0
-    last_term = 0.0
     single = isinstance(F, SetSpec) and F.count_equals is not None
-    strata = [F.count_equals] if single else list(range(1, op.grid_k_max + 1))
-    for k in strata:
+    strata = Strata(op.window, orders=op.grid_orders, K_max=op.grid_k_max,
+                    count_equals=F.count_equals if single else None)
+
+    def term(s):
         if t is None:
-            grid = op.grid(k)
-            comps = _grad_grid(F, op, grid)
+            grid = op.grid(s.k, s.order)
             sq = np.zeros(grid.shape())
-            for c in comps:
+            for c in _grad_grid(F, op, grid):
                 sq += c * c
         else:
-            grid, G = op.gradient_of_semigroup(F, t, k)
+            grid, G = op.gradient_of_semigroup(F, t, s.k, s.order)
             sq = np.einsum("a...,a...->...", G, G)
-        integrand = sq ** (p / 2.0)
-        val = grid.integrate(integrand) / lam**k * poisson_pmf(k, lam)
-        total += val
-        last_term = val
-    if single:
-        tail_err = 0.0  # the set lives on one stratum; the others vanish
-    elif sup_tail is None:
-        tail_err = abs(last_term)
-    else:
-        tail_err = float(stats.poisson.sf(op.grid_k_max, lam)) * sup_tail
-    return total, tail_err
+        return [(grid.integrate(sq ** (p / 2.0)) / op.window.volume ** s.k, 0.0)]
+
+    res = strata.integrate(term)
+    tail_err = 0.0 if single else abs(res.per_k[max(res.per_k)])
+    return res.value, tail_err
 
 
 def _grad_grid(F, op: LiftedHeatOperator, grid: StratumGrid) -> list[np.ndarray]:
     """Components of the product-space gradient of F itself on the grid."""
     if isinstance(F, CylinderFunction):
-        stars = []
-        for f in F.inners:
-            acc = np.zeros(grid.shape())
-            for pm in _particle_mesh(f, grid):
-                acc = acc + pm
-            stars.append(acc)
-        u = np.stack(stars, axis=-1)
+        u = _stars(F, grid)
         comps = [np.zeros(grid.shape()) for _ in range(grid.axes)]
         n = grid.window.dim
         for i, f in enumerate(F.inners):
@@ -531,17 +453,6 @@ def regularization_slope(op: LiftedHeatOperator, t_grid, modes=range(1, 9),
     return slope, pairs
 
 
-def _lp_norm(F: CylinderFunction, op: LiftedHeatOperator, p: float) -> float:
-    lam = op.window.volume
-    total = poisson_pmf(0, lam) * abs(F.value(
-        Configuration(window=op.window, points=np.zeros((0, op.window.dim))))) ** p
-    for k in range(1, op.grid_k_max + 1):
-        grid = op.grid(k)
-        vals = np.abs(_eval_on_grid(F, grid)) ** p
-        total += grid.integrate(vals) / lam**k * poisson_pmf(k, lam)
-    return total ** (1 / p)
-
-
 # ---------------------------------------------------------------------------
 # Bessel operator and capacity upper bounds
 
@@ -642,9 +553,7 @@ def _semigroup_at(F, gamma: Configuration, t: float, op: LiftedHeatOperator,
 
 def capacity_upper_bound(E_sieve: list[Configuration], alpha: float, p: float,
                          candidates: list, B: BesselOperator | None,
-                         op: LiftedHeatOperator, *, quad_k: int = 4,
-                         quad_orders: dict[int, int] | None = None,
-                         seed: int = 0) -> tuple[float, dict]:
+                         op: LiftedHeatOperator) -> tuple[float, dict]:
     """Upper bound on the (alpha, p) capacity of the set represented by the sieve.
 
     Each nonnegative candidate F is scaled so that B F >= 1 on the sieve
@@ -661,7 +570,6 @@ def capacity_upper_bound(E_sieve: list[Configuration], alpha: float, p: float,
         raise DomainError("candidate list must be nonempty")
     if not E_sieve:
         return 0.0, {"note": "empty set"}
-    from .montecarlo import poisson_stratified
     best = float("inf")
     diag = {"candidates": []}
     for cand in candidates:
@@ -679,9 +587,7 @@ def capacity_upper_bound(E_sieve: list[Configuration], alpha: float, p: float,
             def Hk(k, X):
                 return np.abs(pf.value(X)) ** p
 
-            norm_p, _ = poisson_stratified(Hk, op.window, quad_k=quad_k,
-                                           quad_orders=quad_orders, seed=seed,
-                                           sup_bound=None, mc_n=20_000)
+            norm_p, _ = poisson_stratified(Hk, op.window, quad_k=4)
         bound = norm_p / m**p
         diag["candidates"].append({"sieve_min": m, "norm": norm_p, "bound": bound})
         best = min(best, bound)

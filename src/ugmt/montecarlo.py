@@ -3,23 +3,26 @@
 Two integration routes are provided and used as mutual oracles throughout:
 
 * plain Monte Carlo over sampled configurations (``integrate``), and
-* particle-count stratification (``poisson_stratified``): condition on k
-  points, weight by the Poisson probability of k, and integrate over the
-  k-fold product box by tensor Gauss-Legendre quadrature (exact up to the
-  count truncation) or per-stratum Monte Carlo for larger k.
+* particle-count stratification (``Strata``, the one particle-count loop of
+  the package): condition on k points, weight by the Poisson probability of
+  k, and integrate over the k-fold product box by tensor Gauss-Legendre
+  quadrature (exact up to the count truncation) or per-stratum Monte Carlo
+  for larger k.
 """
 
 from __future__ import annotations
 
+import functools
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 from scipy import stats
 
 from .configuration import Configuration, MCEstimate, SetSpec, _draw
 from .geometry import BoxDomain, gauss_legendre
-from .rng import stream_rng, worker_count
+from .rng import mean_and_stderr, stream_rng, worker_count
 
 __all__ = [
     "MCPlan",
@@ -31,6 +34,11 @@ __all__ = [
     "poisson_stratified",
     "stratum_grid_points",
     "default_stratum_orders",
+    "uniform_tuples",
+    "StratumGrid",
+    "Stratum",
+    "Strata",
+    "StratifiedSum",
 ]
 
 MIN_SAMPLES = 100
@@ -97,10 +105,8 @@ def sample_values(G, plan: MCPlan) -> np.ndarray:
 def integrate(G, plan: MCPlan, name: str = "") -> MCEstimate:
     """Sample mean and standard error of G under the Poisson measure."""
     values = sample_values(G, plan)
-    n = values.size
-    mean = float(np.sum(values) / n)
-    var = float(np.sum((values - mean) ** 2) / (n - 1))
-    return MCEstimate(mean=mean, std_err=float(np.sqrt(var / n)), n_samples=n,
+    mean, std_err = mean_and_stderr(values)
+    return MCEstimate(mean=mean, std_err=std_err, n_samples=values.size,
                       seed=plan.seed, name=name)
 
 
@@ -131,10 +137,9 @@ def integrate_disintegrated(G, split: tuple[BoxDomain, BoxDomain], plan: MCPlan,
         means[i] = np.sum(acc) / inner_samples
     if not np.all(np.isfinite(means)):
         raise ValueError("non-finite integrand value encountered")
-    mean = float(np.sum(means) / n_outer)
-    var = float(np.sum((means - mean) ** 2) / (n_outer - 1))
-    return MCEstimate(mean=mean, std_err=float(np.sqrt(var / n_outer)),
-                      n_samples=n_outer * inner_samples, seed=plan.seed, name=name)
+    mean, std_err = mean_and_stderr(means)
+    return MCEstimate(mean=mean, std_err=std_err, n_samples=n_outer * inner_samples,
+                      seed=plan.seed, name=name)
 
 
 def measure_of_set(A: SetSpec, plan: MCPlan, name: str = "") -> MCEstimate:
@@ -165,74 +170,185 @@ def default_stratum_orders(n_dim: int) -> dict[int, int]:
     return {1: 32, 2: 12}
 
 
+@dataclass(frozen=True)
+class StratumGrid:
+    """Tensor Gauss-Legendre grid on window^k with per-particle axes."""
+
+    window: BoxDomain
+    k: int
+    order: int
+    nodes: tuple[np.ndarray, ...]    # one per axis (n per particle)
+    weights: tuple[np.ndarray, ...]
+
+    @classmethod
+    def on(cls, window: BoxDomain, k: int, order: int) -> "StratumGrid":
+        rules = [gauss_legendre(window.lower[a], window.upper[a], order)
+                 for _ in range(k) for a in range(window.dim)]
+        return cls(window=window, k=k, order=order, nodes=tuple(nd for nd, _ in rules),
+                   weights=tuple(w for _, w in rules))
+
+    @property
+    def axes(self) -> int:
+        return self.k * self.window.dim
+
+    def shape(self) -> tuple[int, ...]:
+        return (self.order,) * self.axes
+
+    def integrate(self, values: np.ndarray) -> float:
+        out = values
+        for w in reversed(self.weights):
+            out = np.tensordot(out, w, axes=([-1], [0]))
+        return float(out)
+
+    def tuples(self) -> np.ndarray:
+        """All grid points as ordered tuples, shape (order^(nk), k, n)."""
+        mesh = np.meshgrid(*self.nodes, indexing="ij")
+        return np.stack([m.ravel() for m in mesh], axis=-1).reshape(-1, self.k, self.window.dim)
+
+    def particle_points(self, j: int) -> tuple[np.ndarray, list[int]]:
+        """Nodes of particle j, shape (order,)*n + (n,), and the shape that
+        broadcasts values there over the full grid."""
+        axes = range(j * self.window.dim, (j + 1) * self.window.dim)
+        pts = np.stack(np.meshgrid(*[self.nodes[a] for a in axes], indexing="ij"), axis=-1)
+        return pts, [self.order if a in axes else 1 for a in range(self.axes)]
+
+
 def stratum_grid_points(window: BoxDomain, k: int, order: int
                         ) -> tuple[np.ndarray, np.ndarray]:
     """Flattened tensor Gauss-Legendre rule on window^k.
 
     Returns (points, weights) with points of shape (order^(n k), k, n).
     """
-    n = window.dim
-    axes_nodes, axes_w = [], []
-    for j in range(k):
-        for a in range(n):
-            nd, w = gauss_legendre(window.lower[a], window.upper[a], order)
-            axes_nodes.append(nd)
-            axes_w.append(w)
-    mesh = np.meshgrid(*axes_nodes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=-1).reshape(-1, k, n)
-    wmesh = np.meshgrid(*axes_w, indexing="ij")
-    weights = np.ones(pts.shape[0])
-    for m in wmesh:
-        weights = weights * m.ravel()
-    return pts, weights
+    grid = StratumGrid.on(window, k, order)
+    return grid.tuples(), functools.reduce(np.multiply.outer, grid.weights).ravel()
 
 
-def poisson_stratified(Hk, window: BoxDomain, *, quad_k: int = 3,
-                       quad_orders: dict[int, int] | None = None,
-                       K_max: int | None = None, mc_n: int = 20_000,
-                       seed: int = 0, sup_bound: float | None = None,
-                       include_empty: bool = True) -> tuple[float, float]:
+def uniform_tuples(window: BoxDomain, k: int, n: int, seed: int, stream: int) -> np.ndarray:
+    """n uniform ordered k-tuples in the window, shape (n, k, dim), drawn on
+    the random stream (seed, stream)."""
+    rng = stream_rng(seed, stream)
+    return rng.uniform(np.tile(window.lower, k), np.tile(window.upper, k),
+                       size=(n, k * window.dim)).reshape(n, k, window.dim)
+
+
+@dataclass(frozen=True)
+class Stratum:
+    """The k-particle stratum: its Poisson weight and its integration route.
+
+    ``order`` is the per-axis Gauss-Legendre order of a grid stratum; ``None``
+    routes the stratum to ``mc_n`` uniform draws on stream (seed, stream).
+    """
+
+    window: BoxDomain
+    k: int
+    weight: float
+    order: int | None
+    mc_n: int
+    seed: int
+    stream: int
+
+    def grid(self, order: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+        return stratum_grid_points(self.window, self.k,
+                                   self.order if order is None else order)
+
+    def draw(self, n: int | None = None) -> np.ndarray:
+        return uniform_tuples(self.window, self.k, self.mc_n if n is None else n,
+                              self.seed, self.stream)
+
+    def grid_mean(self, values: np.ndarray, w: np.ndarray) -> float:
+        """Quadrature average over window^k of values at the grid points."""
+        return float(np.sum(w * values)) / self.window.volume ** self.k
+
+    def average(self, H: Callable[[np.ndarray], np.ndarray]) -> tuple[float, float]:
+        """(average, error) of H over window^k, H mapping tuples (m, k, n) to
+        (m,): exact on grid strata, mean and standard error on Monte Carlo ones."""
+        if self.order is not None:
+            pts, w = self.grid()
+            return self.grid_mean(np.asarray(H(pts)), w), 0.0
+        return mean_and_stderr(H(self.draw()))
+
+
+class StratifiedSum(NamedTuple):
+    value: float
+    error: float
+    per_k: dict[int, float]  # each stratum's weighted share of the value
+
+
+@dataclass
+class Strata:
+    """The particle-count strata k >= 1 of the Poisson measure on a box window.
+
+    Counts run from 1 to ``K_max`` (default: tail mass beyond it below 1e-10)
+    or are just ``count_equals``; counts of zero Poisson weight are skipped.
+    Stratum k is a grid stratum of order ``orders[k]`` when given, else a Monte
+    Carlo stratum of ``mc_n`` draws on stream (seed, stream_base + k).
+    """
+
+    window: BoxDomain
+    orders: dict[int, int] = field(default_factory=dict)
+    mc_n: int = 0
+    seed: int = 0
+    stream_base: int = 0
+    K_max: int | None = None
+    count_equals: int | None = None
+
+    def __post_init__(self):
+        if self.K_max is None:
+            self.K_max = poisson_k_cutoff(self.window.volume)
+
+    def __iter__(self) -> Iterator[Stratum]:
+        lam = self.window.volume
+        counts = range(1, self.K_max + 1) if self.count_equals is None else (self.count_equals,)
+        for k in counts:
+            pk = poisson_pmf(k, lam)
+            if pk == 0.0:
+                continue
+            yield Stratum(window=self.window, k=k, weight=pk, order=self.orders.get(k),
+                          mc_n=self.mc_n, seed=self.seed, stream=self.stream_base + k)
+
+    def integrate(self, term: Callable[[Stratum], Iterable[tuple[float, float]]], *,
+                  empty: float | None = None,
+                  sup_bound: float | None = None) -> StratifiedSum:
+        """Poisson expectation: the sum over strata of weight times average.
+
+        ``term(stratum)`` returns (average, error) pieces of the integrand's
+        average over window^k; weighted errors add in quadrature.  ``empty``
+        is the integrand on the empty configuration (omitted when None); the
+        tail beyond ``K_max`` is charged as its mass times ``sup_bound``.
+        """
+        lam = self.window.volume
+        total, err_sq, per_k = 0.0, 0.0, {}
+        if empty is not None:
+            per_k[0] = poisson_pmf(0, lam) * empty
+            total += per_k[0]
+        for s in self:
+            per_k[s.k] = 0.0
+            for mean, err in term(s):
+                total += s.weight * mean
+                per_k[s.k] += s.weight * mean
+                err_sq += (s.weight * err) ** 2
+        if sup_bound is not None:
+            err_sq += (float(stats.poisson.sf(self.K_max, lam)) * sup_bound) ** 2
+        return StratifiedSum(total, float(np.sqrt(err_sq)), per_k)
+
+
+def poisson_stratified(Hk, window: BoxDomain, *, quad_k: int = 3, mc_n: int = 20_000,
+                       seed: int = 0, sup_bound: float | None = None) -> tuple[float, float]:
     """E_pi[H] by conditioning on the particle count.
 
     ``Hk(k, X)`` evaluates the symmetric stratum function on ordered tuples,
     X of shape (m, k, n) -> (m,).  Strata up to ``quad_k`` use tensor
-    quadrature (deterministic); the rest up to ``K_max`` use per-stratum
-    Monte Carlo; the truncated tail is charged to the error using
+    quadrature (deterministic); the rest use per-stratum Monte Carlo on
+    streams 9000 + k; the truncated tail is charged to the error using
     ``sup_bound`` when supplied.
 
     Returns (value, error) where error combines Monte Carlo standard errors
     and the tail bound.
     """
-    lam = window.volume
-    if K_max is None:
-        K_max = poisson_k_cutoff(lam)
-    orders = dict(default_stratum_orders(window.dim))
-    if quad_orders:
-        orders.update(quad_orders)
-    total = 0.0
-    err_sq = 0.0
-    if include_empty:
-        empty = float(np.asarray(Hk(0, np.zeros((1, 0, window.dim))))[0])
-        total += poisson_pmf(0, lam) * empty
-    for k in range(1, K_max + 1):
-        pk = poisson_pmf(k, lam)
-        if pk == 0.0:
-            continue
-        if k <= quad_k and k in orders:
-            pts, w = stratum_grid_points(window, k, orders[k])
-            vals = np.asarray(Hk(k, pts))
-            mean = float(np.sum(w * vals)) / window.volume**k
-            total += pk * mean
-        else:
-            rng = stream_rng(seed, 9_000 + k)
-            pts = rng.uniform(np.tile(window.lower, k), np.tile(window.upper, k),
-                              size=(mc_n, k * window.dim)).reshape(mc_n, k, window.dim)
-            vals = np.asarray(Hk(k, pts))
-            mean = float(np.sum(vals) / mc_n)
-            var = float(np.sum((vals - mean) ** 2) / max(mc_n - 1, 1))
-            total += pk * mean
-            err_sq += (pk ** 2) * var / mc_n
-    if sup_bound is not None:
-        tail = float(stats.poisson.sf(K_max, lam))
-        err_sq += (tail * sup_bound) ** 2
-    return total, float(np.sqrt(err_sq))
+    orders = default_stratum_orders(window.dim)
+    strata = Strata(window, orders={k: o for k, o in orders.items() if k <= quad_k},
+                    mc_n=mc_n, seed=seed, stream_base=9_000)
+    empty = float(np.asarray(Hk(0, np.zeros((1, 0, window.dim))))[0])
+    res = strata.integrate(lambda s: [s.average(lambda X: Hk(s.k, X))], empty=empty,
+                           sup_bound=sup_bound)
+    return res.value, res.error

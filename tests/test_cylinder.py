@@ -178,7 +178,8 @@ def test_tangent_norm_evaluations():
     V = CylinderVectorField(((1.0, v),))
     x0 = 0.55
     g = conf([x0])
-    assert tangent_norm(V, g) == pytest.approx(float(v.value(np.array([[x0]]))[0, 0] ** 2))
+    assert tangent_norm(V, g) == pytest.approx(abs(float(v.value(np.array([[x0]]))[0, 0])))
+    assert tangent_norm(V, g) ** 2 == pytest.approx(tangent_norm_sq(V, g))
     assert tangent_norm_sq(V, EMPTY) == 0.0
     rng = np.random.default_rng(23)
     for _ in range(50):

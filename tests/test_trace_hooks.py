@@ -1,0 +1,48 @@
+"""The per-layer tracer in perfbench/tracer.py wraps these names by string.
+
+A rename would not fail any run: the tracer would just stop counting, and the
+per-layer counters would silently read zero.  This test pins the names and the
+leading parameters the tracer's hooks unpack.
+"""
+
+import inspect
+
+import pytest
+
+from ugmt import bv, configuration, geometry, hausdorff, heat, montecarlo
+
+HOOKED = [
+    (configuration, "_draw", ("window", "rng")),
+    (montecarlo, "stratum_grid_points", ()),
+    (hausdorff, "band_integral_mc", ("h", "window", "k", "n_samples")),
+    (hausdorff, "band_integral_quad", ()),
+    (hausdorff, "surface_functional_auto", ()),
+    (heat, "_semigroup_at", ()),
+    (heat, "_draw_configurations", ()),
+    (geometry, "gauss_legendre", ("lo", "hi", "order")),
+    (geometry, "neumann_kernel", ("a", "b", "t", "L", "M")),
+    (geometry, "_neumann_kernel_dx", ("a", "b", "t", "L", "M")),
+    (geometry, "_dirichlet_kernel", ("a", "b", "t", "L", "M")),
+]
+
+HOOKED_METHODS = [
+    (bv._VariationalObjective, ("value", "value_with_error", "_batch_div")),
+    (heat.LiftedHeatOperator, ("tensor_apply",)),
+    (geometry.SmoothFunction, ("value", "gradient", "laplacian")),
+]
+
+
+@pytest.mark.parametrize("module, name, leading", HOOKED,
+                         ids=[f"{m.__name__}.{n}" for m, n, _ in HOOKED])
+def test_traced_function_exists(module, name, leading):
+    fn = getattr(module, name)
+    assert fn.__module__ == module.__name__
+    params = list(inspect.signature(fn).parameters)
+    assert tuple(params[:len(leading)]) == leading
+
+
+@pytest.mark.parametrize("cls, methods", HOOKED_METHODS,
+                         ids=[c.__name__ for c, _ in HOOKED_METHODS])
+def test_traced_methods_exist(cls, methods):
+    for name in methods:
+        assert callable(vars(cls)[name]), name
