@@ -27,7 +27,7 @@ from .hausdorff import (CriticalLevelError, _outside_average, surface_functional
                         surface_quad_orders)
 from .heat import LiftedHeatOperator, lifted_gradient_norm
 from .montecarlo import Strata, poisson_stratified
-from .productspace import ProductCylinder, ProductField, product_form, stratum_indicator
+from .productspace import stratum_indicator
 from .rng import mean_and_stderr, stream_rng
 
 __all__ = [
@@ -66,14 +66,13 @@ def _smoothstep_vals(vals: np.ndarray, level: float) -> np.ndarray:
     return 0.5 * (1.0 + np.tanh((vals - level) / _DELTA))
 
 
-def _band_split(E: SetSpec, pf, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _band_split(E: SetSpec, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Samples of X inside the band around the sheet of E, and chi_E minus the
     smooth step at those samples."""
-    gv = pf.value(X)
+    gv = E.function.value(X)
     inband = np.abs(gv - E.level) <= _BAND_HALFWIDTH * _DELTA
     gb = gv[inband]
-    chi = (gb > E.level) if E.strict else (gb >= E.level)
-    return inband, chi.astype(float) - _smoothstep_vals(gb, E.level)
+    return inband, E.above_level(gb).astype(float) - _smoothstep_vals(gb, E.level)
 
 
 def levelset_expectation(E: SetSpec, h, window: BoxDomain, *, K_max: int | None = None,
@@ -87,7 +86,6 @@ def levelset_expectation(E: SetSpec, h, window: BoxDomain, *, K_max: int | None 
     """
     if E.variant != "level_set":
         raise DomainError("levelset_expectation needs a level-set spec")
-    pf = product_form(E.function)
     tailstep = 0.5 * (1.0 - np.tanh(_BAND_HALFWIDTH))
 
     def term(s):
@@ -98,13 +96,13 @@ def levelset_expectation(E: SetSpec, h, window: BoxDomain, *, K_max: int | None 
         def smooth_part(order):
             pts, w = s.grid(order)
             hv = np.asarray(h(k, pts))
-            return s.grid_mean(hv, w * _smoothstep_vals(pf.value(pts), E.level)), hv
+            return s.grid_mean(hv, w * _smoothstep_vals(E.function.value(pts), E.level)), hv
 
         v_hi, hv = smooth_part(s.order)
         v_lo, _ = smooth_part(max(8, int(0.7 * s.order)))
         # band correction chi - smoothstep by Monte Carlo
         X = s.draw(60_000)
-        inband, chi_minus_step = _band_split(E, pf, X)
+        inband, chi_minus_step = _band_split(E, X)
         corr = np.zeros(X.shape[0])
         if np.any(inband):
             corr[inband] = chi_minus_step * np.asarray(h(k, X[inband]))
@@ -119,31 +117,6 @@ def levelset_expectation(E: SetSpec, h, window: BoxDomain, *, K_max: int | None 
               if E.contains(empty) else None)
     res = strata.integrate(term, empty=vacuum)
     return res.value, res.error
-
-
-def _divergence_evaluator(V: CylinderVectorField):
-    """Vectorized adjoint divergence of V on ordered tuples: (k, X) -> (m,)."""
-    parts = []
-    for c, v in V.terms:
-        pc = c if isinstance(c, (int, float)) else ProductCylinder(c)
-        parts.append((pc, v))
-
-    def div(k: int, X: np.ndarray) -> np.ndarray:
-        m = X.shape[0]
-        if k == 0:
-            return np.zeros(m)
-        out = np.zeros(m)
-        for pc, v in parts:
-            divsum = np.sum(v.divergence(X), axis=-1)            # (m,)
-            if isinstance(pc, (int, float)):
-                out += float(pc) * (-divsum)
-            else:
-                cval = pc.value(X)
-                cgrad = pc.grad(X)                                # (m, k, n)
-                out += cval * (-divsum) - np.sum(cgrad * v.value(X), axis=(-2, -1))
-        return out
-
-    return div
 
 
 # ---------------------------------------------------------------------------
@@ -212,10 +185,6 @@ class VariationalLower:
     theta: tuple[float, ...]
     field: CylinderVectorField
 
-    @property
-    def lower_bound(self) -> float:
-        return self.value - 3.0 * self.error
-
 
 class _VariationalObjective:
     """Fast evaluator of theta -> E_pi[ F * div*( V_theta / (1 + |V_theta|^2/4) ) ].
@@ -234,19 +203,19 @@ class _VariationalObjective:
         self.window = window
         self.batches = []  # (prefactor vector, F-weight vector, basis tensors)
         is_set = isinstance(F, SetSpec)
-        pf = product_form(F.function) if is_set else product_form(F)
+        G = F.function if is_set else F
         strata = Strata(window, orders=_LEVELSET_ORDERS if is_set else {1: 64, 2: 48, 3: 28},
                         mc_n=mc_n, seed=seed, stream_base=700,
                         count_equals=F.count_equals if is_set else None)
         for s in strata:
             if s.order is None:
                 X = s.draw()
-                weight = stratum_indicator(F, s.k, X, window) if is_set else pf.value(X)
+                weight = stratum_indicator(F, s.k, X, window) if is_set else G.value(X)
                 pref = np.full(mc_n, s.weight / mc_n)
                 self.batches.append(("mc", mc_n, pref, weight, self._basis(X)))
                 continue
             pts, w = s.grid()
-            fv = pf.value(pts)
+            fv = G.value(pts)
             self.batches.append(("quad", 0, s.weight * w / window.volume ** s.k,
                                  _smoothstep_vals(fv, F.level) if is_set else fv,
                                  self._basis(pts)))
@@ -254,7 +223,7 @@ class _VariationalObjective:
                 continue
             # band correction samples
             X = s.draw(n_band)
-            inband, corr = _band_split(F, pf, X)
+            inband, corr = _band_split(F, X)
             if np.any(inband):
                 pref = np.full(corr.size, s.weight / n_band)
                 self.batches.append(("mc", n_band, pref, corr, self._basis(X[inband])))
@@ -273,9 +242,8 @@ class _VariationalObjective:
             Vd[a] = comp.gradient(X)[..., 0]
             Dv[a] = np.sum(Vd[a], axis=-1)
             if not isinstance(c, (int, float)):
-                pc = ProductCylinder(c)
-                C[a] = pc.value(X)
-                Cg[a] = pc.grad(X)[..., 0]
+                C[a] = c.value(X)
+                Cg[a] = c.gradient(X)[..., 0]
             else:
                 C[a] = float(c)
         return C, Cg, Vv, Vd, Dv
@@ -315,12 +283,9 @@ class _VariationalObjective:
             contrib = pref * weight * self._batch_div(th, basis)
             total += float(np.sum(contrib))
             if kind == "mc":
-                # zero-padded variance over the full sample count
-                v = contrib * n
-                s1 = float(np.sum(v))
-                s2 = float(np.sum(v * v))
-                var = max(s2 / n - (s1 / n) ** 2, 0.0)
-                err_sq += var / n
+                # band batches keep only their in-band samples; the rest add zero
+                _, se = mean_and_stderr(np.pad(contrib, (0, n - contrib.size)) * n)
+                err_sq += se * se
         return total, float(np.sqrt(err_sq))
 
 
@@ -387,10 +352,6 @@ class RelaxationUpper:
     eps_values: tuple[float, ...]
     norms: tuple[float, ...]
     smoothing_gap: float
-
-    @property
-    def upper_bound(self) -> float:
-        return self.value + self.error
 
 
 def tv_relaxation(F, op: LiftedHeatOperator, eps_schedule) -> RelaxationUpper:
@@ -476,7 +437,7 @@ def surface_battery(E: SetSpec, window: BoxDomain, weights: dict, *, eps: float,
     """
     if E.variant != "level_set":
         raise DomainError("perimeter machinery needs level-set specs")
-    g = product_form(E.function)
+    g = E.function
     level = float(E.level)
     strata = Strata(window, orders=surface_quad_orders(window.dim), K_max=K_max,
                     count_equals=E.count_equals)
@@ -528,9 +489,8 @@ def perimeter_measure(E: SetSpec, window: BoxDomain, *, r_boxes=None,
     weights = {"__total__": None}
     G_battery = G_battery or {}
     for name, G in G_battery.items():
-        pg = product_form(G)
-        weights[name] = (lambda X, grad, pg=pg:
-                         pg.value(X) * np.sqrt(np.sum(grad * grad, axis=(-2, -1))))
+        weights[name] = (lambda X, grad, G=G:
+                         G.value(X) * np.sqrt(np.sum(grad * grad, axis=(-2, -1))))
     res = surface_battery(E, window, weights, eps=eps, n_samples=n_samples,
                           seed=seed, K_max=K_max)
     total, total_err, per_k = res["__total__"]
@@ -604,12 +564,11 @@ def gauss_green_residual(E: SetSpec, V: CylinderVectorField, window: BoxDomain, 
     """
     if eps is None:
         eps = 1e-2 * float(np.max(window.sides))
-    div = _divergence_evaluator(V)
-    lhs, lhs_err = levelset_expectation(E, div, window, seed=seed, K_max=K_max)
-    pv = ProductField(V)
+    lhs, lhs_err = levelset_expectation(E, lambda k, X: V.divergence(X), window, seed=seed,
+                                        K_max=K_max)
 
     def weight(X, grad):
-        return np.sum(pv.value(X) * grad, axis=(-2, -1))
+        return np.sum(V.at_particles(X) * grad, axis=(-2, -1))
 
     res = surface_battery(E, window, {"gg": weight}, eps=eps, n_samples=n_samples,
                           seed=seed + 4099, K_max=K_max)
@@ -647,11 +606,11 @@ def coarea_check(F: CylinderFunction, G, t_grid, window: BoxDomain, *,
     if eps is None:
         eps = 1e-2 * float(np.max(window.sides))
     ts = sorted(float(t) for t in np.atleast_1d(t_grid))
-    pg = product_form(G) if not isinstance(G, (int, float)) else None
+    scalar_G = isinstance(G, (int, float))
 
     def weight(X, grad):
         gn = np.sqrt(np.sum(grad * grad, axis=(-2, -1)))
-        return gn if pg is None else pg.value(X) * gn
+        return gn if scalar_G else G.value(X) * gn
 
     per_t = []
     gaps = 0
@@ -674,11 +633,11 @@ def coarea_check(F: CylinderFunction, G, t_grid, window: BoxDomain, *,
     for (t0, v0, e0), (t1, v1, e1) in zip(tv, tv[1:]):
         lhs += 0.5 * (v0 + v1) * (t1 - t0)
         lhs_err_sq += (0.5 * (t1 - t0)) ** 2 * (e0 ** 2 + e1 ** 2)
-    pf = ProductCylinder(F)
 
     def Hk(k, X):
-        gn = pf.grad_norm(X)
-        return gn if pg is None else pg.value(X) * gn
+        g = F.gradient(X)
+        gn = np.sqrt(np.sum(g * g, axis=(-2, -1)))
+        return gn if scalar_G else G.value(X) * gn
 
     rhs, rhs_err = poisson_stratified(Hk, window, seed=seed + 7, mc_n=n_samples)
     return CoareaReport(lhs=lhs, lhs_err=float(np.sqrt(lhs_err_sq)), rhs=rhs,

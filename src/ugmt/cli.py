@@ -25,14 +25,13 @@ import numpy as np
 
 from . import batteries
 from .configuration import SetSpec
-from .geometry import BoxDomain, SmoothFunction, gauss_legendre, interval
+from .geometry import SmoothFunction, gauss_legendre
 from .heat import (BesselOperator, LiftedHeatOperator, bakry_emery_battery,
-                   capacity_upper_bound, check_intertwining, lift_semigroup,
-                   regularization_slope)
+                   capacity_upper_bound, check_intertwining, regularization_slope)
 from .hausdorff import rho_m_localized, rho_m_on_box, scaled_box
-from .montecarlo import MCPlan, integrate, measure_of_set
+from .montecarlo import MCPlan, integrate
 from .bv import (coarea_check, gauss_green_residual, perimeter_measure,
-                 sobolev_consistency, tv_bracket, tv_semigroup)
+                 sobolev_consistency, tv_bracket)
 from .rng import worker_count
 
 SCHEMA_VERSION = 1

@@ -314,11 +314,15 @@ class SetSpec:
         if self.count_equals is not None and gamma.count != self.count_equals:
             return False
         if self.variant == "level_set":
-            v = self.function.value(gamma)
-            return bool(v > self.level) if self.strict else bool(v >= self.level)
+            return bool(self.above_level(self.function.value(gamma)))
         if self.variant == "level_sheet":
             return bool(self.function.value(gamma) == self.level)
         raise ValueError(f"unknown variant {self.variant}")
+
+    def above_level(self, values):
+        """The super-level test of a level variant: values > level, or >= when
+        the set is not strict."""
+        return (values > self.level) if self.strict else (values >= self.level)
 
     def indicator(self, gamma: Configuration) -> float:
         return 1.0 if self.contains(gamma) else 0.0

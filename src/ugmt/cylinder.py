@@ -17,6 +17,7 @@ V = sum_i F_i v_i this gives
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -436,18 +437,22 @@ class OuterFunction:
     def value(self, u) -> np.ndarray:
         return self.root.eval(np.asarray(u, dtype=float))
 
+    @cached_property
+    def partials(self) -> tuple[Node, ...]:
+        """The first partial trees, differentiated once per instance."""
+        return tuple(self.root.diff(i) for i in range(self.arity))
+
     def partial(self, i: int) -> Node:
-        return self.root.diff(i)
+        return self.partials[i]
 
     def grad(self, u) -> np.ndarray:
         u = np.asarray(u, dtype=float)
-        return np.stack([self.root.diff(i).eval(u) for i in range(self.arity)], axis=-1)
+        return np.stack([d.eval(u) for d in self.partials], axis=-1)
 
     def hess(self, u) -> np.ndarray:
         u = np.asarray(u, dtype=float)
         rows = []
-        for i in range(self.arity):
-            di = self.root.diff(i)
+        for di in self.partials:
             rows.append(np.stack([di.diff(j).eval(u) for j in range(self.arity)], axis=-1))
         return np.stack(rows, axis=-2)
 
@@ -462,6 +467,21 @@ class OuterFunction:
 
 # ---------------------------------------------------------------------------
 # cylinder functions
+#
+# The evaluators take ordered tuples X of shape (..., k, n): the k-particle
+# stratum is the quotient of the product box by permutations, and cylinder
+# objects are symmetric, so one array formula serves every batch.  A
+# configuration is the batch of one: its (k, n) points run through the same
+# code, and scalar results come back as floats.  Empty tuples (k = 0) skip
+# the inner functions, whose values there are known.
+
+
+def _tuples(x) -> np.ndarray:
+    return x.points if isinstance(x, Configuration) else np.asarray(x, dtype=float)
+
+
+def _per_tuple(x, values):
+    return float(values) if isinstance(x, Configuration) else values
 
 
 @dataclass(frozen=True)
@@ -480,25 +500,27 @@ class CylinderFunction:
     def arity(self) -> int:
         return self.outer.arity
 
-    def stars(self, gamma: Configuration) -> np.ndarray:
-        if gamma.count == 0:
-            return np.zeros(self.arity)
-        return np.array([float(np.sum(f.value(gamma.points))) for f in self.inners])
+    def stars(self, x) -> np.ndarray:
+        """The linear statistics f_i star gamma, stacked on a last axis."""
+        X = _tuples(x)
+        u = np.zeros(X.shape[:-2] + (self.arity,))
+        if X.shape[-2]:
+            for i, f in enumerate(self.inners):
+                u[..., i] = f.value(X).sum(axis=-1)
+        return u
 
-    def value(self, gamma: Configuration) -> float:
-        return float(self.outer.value(self.stars(gamma)))
+    def value(self, x):
+        return _per_tuple(x, self.outer.value(self.stars(x)))
 
-    def gradient(self, gamma: Configuration) -> np.ndarray:
-        """Lifted gradient at gamma: one base-space vector per particle, (k, n)."""
-        k, n = gamma.count, gamma.dim
-        if k == 0:
-            return np.zeros((0, n))
-        u = self.stars(gamma)
-        dphi = self.outer.grad(u)
-        out = np.zeros((k, n))
+    def gradient(self, x) -> np.ndarray:
+        """Lifted gradient: one base-space vector per particle, (..., k, n)."""
+        X = _tuples(x)
+        out = np.zeros(X.shape)
+        if X.shape[-2] == 0:
+            return out
+        dphi = self.outer.grad(self.stars(X))
         for i, f in enumerate(self.inners):
-            if dphi[i] != 0.0:
-                out += dphi[i] * f.gradient(gamma.points)
+            out += dphi[..., i, None, None] * f.gradient(X)
         return out
 
     def locality(self) -> BoxDomain:
@@ -574,18 +596,19 @@ class ExponentialCylinderFunction:
         if bounds[0] >= 1.0 - 1e-12:
             raise DomainError("need -1 < f <= 0 for the product statistic")
 
-    def value(self, gamma: Configuration) -> float:
-        if gamma.count == 0:
-            return 1.0
-        return float(np.prod(1.0 + self.f.value(gamma.points)))
+    def value(self, x):
+        X = _tuples(x)
+        if X.shape[-2] == 0:
+            return _per_tuple(x, np.ones(X.shape[:-2]))
+        return _per_tuple(x, np.prod(1.0 + self.f.value(X), axis=-1))
 
-    def gradient(self, gamma: Configuration) -> np.ndarray:
-        k, n = gamma.count, gamma.dim
-        if k == 0:
-            return np.zeros((0, n))
-        vals = 1.0 + self.f.value(gamma.points)
-        total = float(np.prod(vals))
-        return (total / vals)[:, None] * self.f.gradient(gamma.points)
+    def gradient(self, x) -> np.ndarray:
+        X = _tuples(x)
+        if X.shape[-2] == 0:
+            return np.zeros(X.shape)
+        vals = 1.0 + self.f.value(X)
+        total = np.prod(vals, axis=-1)
+        return (total[..., None] / vals)[..., None] * self.f.gradient(X)
 
     def locality(self) -> BoxDomain:
         return self.f.support
@@ -616,21 +639,24 @@ class CylinderVectorField:
             box = box.hull(v.support)
         return box
 
+    @cached_property
+    def _support_in_window(self) -> bool:
+        return all(v.components[0].window is None
+                   or v.components[0].window.contains_box(v.support) for _, v in self.terms)
+
     def coefficients(self, gamma: Configuration) -> np.ndarray:
         return np.array([_coeff_value(c, gamma) for c, _ in self.terms])
 
-    def value(self, gamma: Configuration, points) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        co = self.coefficients(gamma)
-        out = np.zeros(pts.shape)
-        for a, (_, v) in enumerate(self.terms):
-            out += co[a] * v.value(pts)
+    def at_particles(self, x) -> np.ndarray:
+        """V(gamma, x_j) at every particle x_j, (..., k, n)."""
+        X = _tuples(x)
+        out = np.zeros(X.shape)
+        if X.shape[-2] == 0:
+            return out
+        for c, v in self.terms:
+            cv = float(c) if isinstance(c, (int, float)) else c.value(X)[..., None, None]
+            out += cv * v.value(X)
         return out
-
-    def at_particles(self, gamma: Configuration) -> np.ndarray:
-        if gamma.count == 0:
-            return np.zeros((0, self.dim))
-        return self.value(gamma, gamma.points)
 
     def tangent_norm_sq(self, gamma: Configuration) -> float:
         """Gram-form |V|^2_T(gamma) = sum_ij F_i F_j (v_i . v_j) star gamma."""
@@ -648,20 +674,26 @@ class CylinderVectorField:
         b = other.at_particles(gamma)
         return float(np.sum(a * b))
 
-    def divergence(self, gamma: Configuration) -> float:
-        """Adjoint divergence div* V; see the module docstring for the sign."""
-        out = 0.0
+    def divergence(self, x):
+        """Adjoint divergence div* V; see the module docstring for the sign.
+
+        Integration by parts drops no boundary term only for fields supported
+        inside their window, so other fields are rejected.
+        """
+        if not self._support_in_window:
+            raise DomainError("field support must stay inside the window interior")
+        X = _tuples(x)
+        out = np.zeros(X.shape[:-2])
+        if X.shape[-2] == 0:
+            return _per_tuple(x, out)
         for c, v in self.terms:
-            if not isinstance(c, (int, float)):
-                gradc = c.gradient(gamma)                # (k, n)
-                if gamma.count:
-                    out -= float(np.sum(gradc * v.value(gamma.points)))
-                cval = c.value(gamma)
+            divsum = np.sum(v.divergence(X), axis=-1)
+            if isinstance(c, (int, float)):
+                out += float(c) * (-divsum)
             else:
-                cval = float(c)
-            if gamma.count:
-                out += cval * float(np.sum(v.adjoint_divergence(gamma.points)))
-        return out
+                out += c.value(X) * (-divsum) - np.sum(c.gradient(X) * v.value(X),
+                                                       axis=(-2, -1))
+        return _per_tuple(x, out)
 
 
 def eval_star(f: SmoothFunction, gamma: Configuration) -> float:
@@ -676,10 +708,6 @@ def gradient(F: CylinderFunction, gamma: Configuration) -> np.ndarray:
 
 
 def divergence(V: CylinderVectorField, gamma: Configuration) -> float:
-    for _, v in V.terms:
-        win = v.components[0].window
-        if win is not None and not win.contains_box(v.support):
-            raise DomainError("field support must stay inside the window interior")
     return V.divergence(gamma)
 
 

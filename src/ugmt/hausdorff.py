@@ -24,7 +24,7 @@ from scipy.special import gammaln
 from .configuration import Configuration, MCEstimate, SetSpec, section_set
 from .geometry import BoxDomain, DomainError
 from .montecarlo import Strata, stratum_grid_points, uniform_tuples
-from .productspace import product_form, stratum_indicator
+from .productspace import stratum_indicator
 from .rng import mean_and_stderr, stream_rng
 
 __all__ = [
@@ -114,9 +114,10 @@ def surface_functional(g, level: float, weight, window: BoxDomain, k: int, *,
                        check_gradient: bool = True) -> tuple[float, float, float]:
     """Band estimate of int_{ {g = level} cap window^k } weight dH^{nk-1}.
 
-    ``g`` is a product-space function with value/grad; ``weight(X, grad)``
-    returns the surface density against H^{nk-1} with the |grad g| factor
-    already multiplied in; ``weight=None`` measures the surface itself.
+    ``g`` evaluates value/gradient on ordered tuples, as cylinder functions
+    do; ``weight(X, grad)`` returns the surface density against H^{nk-1}
+    with the |grad g| factor already multiplied in; ``weight=None`` measures
+    the surface itself.
 
     Two modes share the coarea identity: the hard band chi/(2 eps) with Monte
     Carlo (any k), and, when ``quad_order`` is given, a smooth Gaussian level
@@ -131,7 +132,7 @@ def surface_functional(g, level: float, weight, window: BoxDomain, k: int, *,
         mask = np.abs(vals - level) < cut
         out = np.zeros(X.shape[0])
         if np.any(mask):
-            grad = g.grad(X[mask])
+            grad = g.gradient(X[mask])
             gn = np.sqrt(np.sum(grad * grad, axis=(-2, -1)))
             incore = np.abs(vals[mask] - level) < core
             if np.any(incore):
@@ -213,10 +214,10 @@ def hausdorff_level_set(g, level: float, eps: float, window: BoxDomain, k: int, 
                         max_halvings: int = 4) -> HausdorffEstimate:
     """Consistent estimator of H^{nk-1}({g = level} cap window^k), codim 1.
 
-    ``g`` must expose vectorized value/grad on (m, k, n) tuples, for instance
-    a ProductCylinder.  The band width is halved until the estimate moves by
-    less than one combined standard error; a curvature-bias flag is raised if
-    halving moves it by more than three.
+    ``g`` must expose vectorized value/gradient on (m, k, n) tuples, for
+    instance a CylinderFunction.  The band width is halved until the estimate
+    moves by less than one combined standard error; a curvature-bias flag is
+    raised if halving moves it by more than three.
     """
     if eps <= 0:
         raise DomainError("band width must be positive")
@@ -295,12 +296,6 @@ def hausdorff_covering_upper(sampler, m: int, eps: float, ambient_dim: int, *,
 # codimension-m Poisson measures
 
 
-def _level_sections(A: SetSpec):
-    if A.variant not in ("level_set", "level_sheet"):
-        return None
-    return product_form(A.function), float(A.level)
-
-
 def _stratum_fraction_exact(A: SetSpec, k: int, window: BoxDomain) -> float | None:
     """Closed-form uniform fraction of the k-stratum section, when available.
 
@@ -340,11 +335,10 @@ def rho_m_on_box(A: SetSpec, m: int, window: BoxDomain, *, K_max: int | None = N
         empty = Configuration(window=window, points=np.zeros((0, window.dim)))
         res = strata.integrate(term, empty=1.0 if A.contains(empty) else 0.0)
     else:
-        sections = _level_sections(A)
-        if sections is None:
+        if A.variant not in ("level_set", "level_sheet"):
             raise DomainError("m = 1 requires a level-set description "
                               "(covering upper bounds available separately)")
-        g, level = sections
+        g, level = A.function, float(A.level)
         if eps is None:
             eps = 1e-2 * float(np.max(window.sides))
         strata = Strata(window, orders=surface_quad_orders(window.dim), mc_n=n_samples,

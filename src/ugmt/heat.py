@@ -20,7 +20,6 @@ from .cylinder import CylinderFunction, ExponentialCylinderFunction
 from .geometry import (BoxDomain, DomainError, HeatKernel1D, QuadratureError,
                        gauss_legendre, required_order)
 from .montecarlo import MCPlan, Strata, StratumGrid, poisson_k_cutoff, poisson_stratified
-from .productspace import product_form
 from .rng import stream_rng
 
 __all__ = [
@@ -42,8 +41,7 @@ def _eval_on_grid(F, grid: StratumGrid) -> np.ndarray:
     """Evaluate a configuration functional on the grid without materializing tuples.
 
     Works for cylinder functions (sums of per-particle statistics feed the
-    outer), product statistics, and level-set indicators; falls back to tuple
-    evaluation otherwise.
+    outer), product statistics, and level-set indicators.
     """
     if isinstance(F, CylinderFunction):
         return F.outer.value(_stars(F, grid))
@@ -59,11 +57,9 @@ def _eval_on_grid(F, grid: StratumGrid) -> np.ndarray:
             vals = _eval_on_grid(F.function, grid)
             if F.variant == "level_sheet":
                 return (vals == F.level).astype(float)
-            return (vals > F.level).astype(float) if F.strict else (vals >= F.level).astype(float)
+            return F.above_level(vals).astype(float)
         raise DomainError("grid path supports level-set specs only")
-    # generic: tuple evaluation (may be large)
-    pf = product_form(F)
-    return pf.value(grid.tuples()).reshape(grid.shape())
+    raise TypeError(f"no grid evaluation for {type(F)}")
 
 
 def _particle_mesh(f, grid: StratumGrid) -> list[np.ndarray]:
@@ -246,10 +242,6 @@ class IntertwiningReport:
     k: int
     max_residual: float
     refinement_residual: float
-
-    @property
-    def reliable(self) -> bool:
-        return self.max_residual <= 10.0 * self.refinement_residual + 1e-9
 
 
 def check_intertwining(f, t: float, op: LiftedHeatOperator, k: int = 1,
@@ -514,7 +506,7 @@ def _semigroup_at(F, gamma: Configuration, t: float, op: LiftedHeatOperator,
     """
     k = gamma.count
     if k == 0:
-        return float(product_form(F).value(np.zeros((1, 0, op.window.dim)))[0])
+        return F.value(gamma)
     if op.window.dim != 1:
         raise DomainError("per-sample semigroup evaluation is 1-d only")
     L = float(op.window.sides[0])
@@ -582,10 +574,8 @@ def capacity_upper_bound(E_sieve: list[Configuration], alpha: float, p: float,
         if norm_fn is not None:
             norm_p = float(norm_fn(p))
         else:
-            pf = product_form(F)
-
             def Hk(k, X):
-                return np.abs(pf.value(X)) ** p
+                return np.abs(F.value(X)) ** p
 
             norm_p, _ = poisson_stratified(Hk, op.window, quad_k=4)
         bound = norm_p / m**p

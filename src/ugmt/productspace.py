@@ -1,106 +1,19 @@
-"""Vectorized product-space forms of cylinder objects.
+"""Stratum membership of set specs on batches of ordered tuples.
 
 The k-particle stratum of the configuration space over a box is the quotient
-of the k-fold product box by permutations.  Cylinder functions and fields are
-symmetric, so they descend to the product space; these adapters evaluate them
-on batches of ordered tuples X of shape (m, k, n).
+of the k-fold product box by permutations.  Cylinder objects evaluate on
+ordered tuples X of shape (m, k, n) themselves; this module gives the
+matching membership of the k-stratum sections of a SetSpec.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .configuration import SetSpec
-from .cylinder import CylinderFunction, CylinderVectorField, ExponentialCylinderFunction
+from .configuration import Configuration, SetSpec
 from .geometry import BoxDomain
 
-__all__ = ["ProductCylinder", "ProductField", "stratum_indicator", "stratum_value"]
-
-
-class ProductCylinder:
-    """F(s_k x) and its product-space gradient for a cylinder function."""
-
-    def __init__(self, F: CylinderFunction):
-        self.F = F
-
-    def stars(self, X: np.ndarray) -> np.ndarray:
-        m, k, _ = X.shape
-        if k == 0:
-            return np.zeros((m, self.F.arity))
-        cols = [np.sum(f.value(X), axis=-1) for f in self.F.inners]
-        return np.stack(cols, axis=-1)
-
-    def value(self, X: np.ndarray) -> np.ndarray:
-        return self.F.outer.value(self.stars(X))
-
-    def grad(self, X: np.ndarray) -> np.ndarray:
-        """Gradient in R^{nk}, laid out as (m, k, n)."""
-        m, k, n = X.shape
-        if k == 0:
-            return np.zeros((m, 0, n))
-        u = self.stars(X)
-        out = np.zeros((m, k, n))
-        for i, f in enumerate(self.F.inners):
-            dphi = self.F.outer.partial(i).eval(u)
-            out += dphi[:, None, None] * f.gradient(X)
-        return out
-
-    def grad_norm(self, X: np.ndarray) -> np.ndarray:
-        g = self.grad(X)
-        return np.sqrt(np.sum(g * g, axis=(-2, -1)))
-
-
-class ProductExponential:
-    """Product statistic prod(1 + f(x_j)) on ordered tuples."""
-
-    def __init__(self, F: ExponentialCylinderFunction):
-        self.F = F
-
-    def value(self, X: np.ndarray) -> np.ndarray:
-        m, k, _ = X.shape
-        if k == 0:
-            return np.ones(m)
-        return np.prod(1.0 + self.F.f.value(X), axis=-1)
-
-    def grad(self, X: np.ndarray) -> np.ndarray:
-        m, k, n = X.shape
-        if k == 0:
-            return np.zeros((m, 0, n))
-        vals = 1.0 + self.F.f.value(X)
-        total = np.prod(vals, axis=-1)
-        return (total[:, None] / vals)[..., None] * self.F.f.gradient(X)
-
-
-def product_form(F):
-    if isinstance(F, CylinderFunction):
-        return ProductCylinder(F)
-    if isinstance(F, ExponentialCylinderFunction):
-        return ProductExponential(F)
-    raise TypeError(f"no product-space form for {type(F)}")
-
-
-class ProductField:
-    """V(s_k x, x_j) for a cylinder vector field, laid out as (m, k, n)."""
-
-    def __init__(self, V: CylinderVectorField):
-        self.V = V
-        self.coeffs = [(c if isinstance(c, (int, float)) else ProductCylinder(c), v)
-                       for c, v in V.terms]
-
-    def value(self, X: np.ndarray) -> np.ndarray:
-        m, k, n = X.shape
-        out = np.zeros((m, k, n))
-        for c, v in self.coeffs:
-            cv = float(c) if isinstance(c, (int, float)) else c.value(X)[:, None, None]
-            out += cv * v.value(X)
-        return out
-
-
-def stratum_value(F, k: int, X: np.ndarray) -> np.ndarray:
-    """Value of a configuration functional on the k-stratum (ordered tuples)."""
-    if k == 0:
-        X = X.reshape(X.shape[0], 0, X.shape[-1])
-    return product_form(F).value(X)
+__all__ = ["stratum_indicator"]
 
 
 def stratum_indicator(A: SetSpec, k: int, X: np.ndarray, window: BoxDomain) -> np.ndarray:
@@ -115,14 +28,11 @@ def stratum_indicator(A: SetSpec, k: int, X: np.ndarray, window: BoxDomain) -> n
     if A.variant in ("level_set", "level_sheet"):
         if A.count_equals is not None and k != A.count_equals:
             return np.zeros(m)
-        vals = stratum_value(A.function, k, X)
+        vals = A.function.value(X)
         if A.variant == "level_sheet":
             return (vals == A.level).astype(float)
-        if A.strict:
-            return (vals > A.level).astype(float)
-        return (vals >= A.level).astype(float)
+        return A.above_level(vals).astype(float)
     # generic predicate: per-tuple loop through Configuration objects
-    from .configuration import Configuration
     out = np.empty(m)
     for i in range(m):
         pts = X[i] if k else np.zeros((0, window.dim))

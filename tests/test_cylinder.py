@@ -1,9 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ugmt.configuration import Configuration, sample_poisson_batch
+from ugmt.configuration import Configuration, SetSpec, sample_poisson_batch
 from ugmt.cylinder import (CylinderFunction, CylinderVectorField,
                            ExponentialCylinderFunction, OuterFunction, add_n, const,
                            coord, cyl_compose, cyl_from_star, cyl_mul,
@@ -13,6 +15,7 @@ from ugmt.cylinder import (CylinderFunction, CylinderVectorField,
                            tangent_norm, tangent_norm_sq)
 from ugmt.geometry import DomainError, SmoothFunction, SmoothVectorField, interval
 from ugmt.montecarlo import MCPlan, integrate
+from ugmt.productspace import stratum_indicator
 
 UNIT = interval(0.0, 1.0)
 RNG = np.random.default_rng(7)
@@ -218,7 +221,7 @@ def test_normalize_field_properties():
     assert worst_cubic <= 1e-10
 
 
-def test_exponential_cylinder_product_form():
+def test_exponential_cylinder_product_statistic():
     c = SmoothFunction.constant(-0.3, UNIT)
     E = ExponentialCylinderFunction(f=c)
     for k in range(4):
@@ -236,3 +239,61 @@ def test_serialization_round_trips():
             0.5, 0.25, 1.0, window=UNIT),)))))
     V2 = field_from_text(field_to_text(V))
     assert V2.divergence(g) == pytest.approx(V.divergence(g), abs=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# a configuration is the batch of one
+
+
+def _stacked_cases(rng):
+    F = random_cylinder(rng)
+    E = ExponentialCylinderFunction(SmoothFunction.bump(0.5, 0.3, -0.6, window=UNIT))
+    V_const = CylinderVectorField(((1.5, SmoothVectorField((SmoothFunction.coordinate_bump(
+        0.5, 0.35, 0.8, window=UNIT),))),))
+    V_cyl = CylinderVectorField((random_field(rng).terms[0], (-0.5, SmoothVectorField((
+        SmoothFunction.bump(0.45, 0.3, 0.7, window=UNIT),)))))
+    specs = [SetSpec.level_set(F, 0.4), SetSpec.level_set(E, 0.8, strict=False),
+             SetSpec.count_at_least(interval(0.2, 0.6), 2)]
+    return (F, E), (V_const, V_cyl), specs
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 4])
+def test_tuple_batches_match_configurations(k):
+    rng = np.random.default_rng(100 + k)
+    functions, fields, specs = _stacked_cases(rng)
+    gams = [Configuration(window=UNIT, points=rng.uniform(0.0, 1.0, (k, 1)))
+            for _ in range(12)]
+    X = np.stack([g.points for g in gams])
+    perm = rng.permutation(k)
+    Xp = X[:, perm]
+    for F in functions:
+        vals, grads = F.value(X), F.gradient(X)
+        for i, g in enumerate(gams):
+            assert vals[i] == F.value(g)
+            assert np.array_equal(grads[i], F.gradient(g))
+        np.testing.assert_allclose(F.value(Xp), vals, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(F.gradient(Xp), grads[:, perm], rtol=1e-12, atol=1e-12)
+    for V in fields:
+        at, div = V.at_particles(X), V.divergence(X)
+        for i, g in enumerate(gams):
+            assert np.array_equal(at[i], V.at_particles(g))
+            assert div[i] == V.divergence(g)
+        np.testing.assert_allclose(V.at_particles(Xp), at[:, perm], rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(V.divergence(Xp), div, rtol=1e-12, atol=1e-12)
+    for A in specs:
+        ind = stratum_indicator(A, k, X, UNIT)
+        assert np.array_equal(ind, [A.indicator(g) for g in gams])
+        assert np.array_equal(stratum_indicator(A, k, Xp, UNIT), ind)
+
+
+def test_divergence_rejects_support_outside_window():
+    # the window is attached after construction, so the bump sticks out of it
+    leaky = replace(SmoothFunction.bump(0.9, 0.3, 1.0), window=UNIT)
+    V = CylinderVectorField(((1.0, SmoothVectorField((leaky,))),))
+    g = conf([0.7], [0.95])
+    with pytest.raises(DomainError):
+        V.divergence(g)
+    with pytest.raises(DomainError):
+        V.divergence(np.stack([g.points, g.points]))
+    with pytest.raises(DomainError):
+        divergence(V, g)

@@ -19,7 +19,7 @@ class CoordinateSum:
     def value(self, X):
         return X[:, :, 0].sum(axis=1)
 
-    def grad(self, X):
+    def gradient(self, X):
         g = np.zeros_like(X)
         g[:, :, 0] = 1.0
         return g
@@ -61,7 +61,7 @@ def test_critical_level_detected():
         def value(self, X):
             return np.full(X.shape[0], 0.3) + 1e-6 * X[:, :, 0].sum(axis=1)
 
-        def grad(self, X):
+        def gradient(self, X):
             return np.full_like(X, 1e-6)
 
     with pytest.raises(CriticalLevelError):

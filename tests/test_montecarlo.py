@@ -100,11 +100,8 @@ def test_measure_of_set_void():
 def test_stratified_against_mc():
     f = SmoothFunction.bump(0.5, 0.3, 1.0, window=UNIT)
     F = cyl_compose(lambda r: tanh_of(r), cyl_from_star(f))
-    from ugmt.productspace import ProductCylinder
-    pf = ProductCylinder(F)
-
     def Hk(k, X):
-        return pf.value(X)
+        return F.value(X)
 
     val, err = poisson_stratified(Hk, UNIT, seed=4, sup_bound=1.0)
     mc = integrate(F.value, PLAN)

@@ -2,10 +2,14 @@
 
 A rename would not fail any run: the tracer would just stop counting, and the
 per-layer counters would silently read zero.  This test pins the names and the
-leading parameters the tracer's hooks unpack.
+leading parameters the tracer's hooks unpack, and the modules it indexes as
+layers.
 """
 
+import ast
 import inspect
+import pathlib
+import sys
 
 import pytest
 
@@ -46,3 +50,17 @@ def test_traced_function_exists(module, name, leading):
 def test_traced_methods_exist(cls, methods):
     for name in methods:
         assert callable(vars(cls)[name]), name
+
+
+def _tracer_layers() -> tuple:
+    tree = ast.parse((pathlib.Path(__file__).parents[1] / "perfbench" / "tracer.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["LAYERS"]:
+            return ast.literal_eval(node.value)
+    raise AssertionError("perfbench/tracer.py defines no LAYERS")
+
+
+def test_tracer_layers_are_loaded_modules():
+    import ugmt.cli  # noqa: F401  (the traced runs import the package through the CLI)
+    for layer in _tracer_layers():
+        assert f"ugmt.{layer}" in sys.modules, layer
