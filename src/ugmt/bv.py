@@ -15,6 +15,7 @@ divergence convention of the cylinder calculus.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -189,10 +190,23 @@ class VariationalLower:
 class _VariationalObjective:
     """Fast evaluator of theta -> E_pi[ F * div*( V_theta / (1 + |V_theta|^2/4) ) ].
 
-    The basis data (coefficient values/gradients, field values/derivatives at
-    the particles of every quadrature tuple and band sample) do not depend on
-    theta, so they are assembled once and every objective evaluation is plain
-    array algebra.  One-dimensional windows only.
+    With V_theta = sum_a theta_a c_a v_a and D = 1 / (1 + |V_theta|^2/4), the
+    adjoint divergence of W = D V_theta at an ordered tuple is
+
+        div* W = -D (theta . S) - <grad D, V_theta>,
+        S_a = <grad c_a, v_a> + c_a sum_j v_a'(x_j).
+
+    S and the weighted fields c_a v_a, c_a v_a' do not depend on theta, so
+    each batch of quadrature tuples or band samples assembles them once
+    (``_basis``) and an evaluation is a few matrix products.  grad D needs the
+    lifted gradient of |V_theta|^2, whose coefficient part
+    sum_a theta_a <V_theta, v_a> grad c_a runs over the members with a
+    non-constant coefficient only (a constant has zero gradient).
+
+    ``value`` scores one theta (A,) or a stack (G, A) in one pass over the
+    batches, which it builds on first use and keeps.  ``value_with_error`` is
+    the final estimate, made once: it builds each stratum's batches, uses them
+    and drops them, so no basis is stored.  One-dimensional windows only.
     """
 
     def __init__(self, F, family: list, window: BoxDomain, *, seed: int,
@@ -201,86 +215,105 @@ class _VariationalObjective:
             raise DomainError("the fast variational objective is 1-d")
         self.family = family
         self.window = window
-        self.batches = []  # (prefactor vector, F-weight vector, basis tensors)
+        self.F = F
+        self.seed = seed
+        self.n_band = n_band
+        self.mc_n = mc_n
+        self._cyl = [a for a, (c, _) in enumerate(family) if not isinstance(c, (int, float))]
+
+    def _stream(self):
+        """The batches (kind, n, prefactor times F-weight, basis), stratum by stratum."""
+        F, window = self.F, self.window
         is_set = isinstance(F, SetSpec)
         G = F.function if is_set else F
         strata = Strata(window, orders=_LEVELSET_ORDERS if is_set else {1: 64, 2: 48, 3: 28},
-                        mc_n=mc_n, seed=seed, stream_base=700,
+                        mc_n=self.mc_n, seed=self.seed, stream_base=700,
                         count_equals=F.count_equals if is_set else None)
         for s in strata:
             if s.order is None:
                 X = s.draw()
                 weight = stratum_indicator(F, s.k, X, window) if is_set else G.value(X)
-                pref = np.full(mc_n, s.weight / mc_n)
-                self.batches.append(("mc", mc_n, pref, weight, self._basis(X)))
+                yield "mc", self.mc_n, np.full(self.mc_n, s.weight / self.mc_n) * weight, \
+                    self._basis(X)
                 continue
             pts, w = s.grid()
             fv = G.value(pts)
-            self.batches.append(("quad", 0, s.weight * w / window.volume ** s.k,
-                                 _smoothstep_vals(fv, F.level) if is_set else fv,
-                                 self._basis(pts)))
+            yield "quad", 0, s.weight * w / window.volume ** s.k * \
+                (_smoothstep_vals(fv, F.level) if is_set else fv), self._basis(pts)
             if not is_set:
                 continue
             # band correction samples
-            X = s.draw(n_band)
+            X = s.draw(self.n_band)
             inband, corr = _band_split(F, X)
             if np.any(inband):
-                pref = np.full(corr.size, s.weight / n_band)
-                self.batches.append(("mc", n_band, pref, corr, self._basis(X[inband])))
+                yield "mc", self.n_band, np.full(corr.size, s.weight / self.n_band) * corr, \
+                    self._basis(X[inband])
+
+    @functools.cached_property
+    def batches(self) -> list:
+        return list(self._stream())
 
     def _basis(self, X: np.ndarray):
+        """(c_a v_a, c_a v_a', S_a) of every member a and the stacked v_a and
+        grad c_a of the members with a non-constant coefficient, at the
+        particles of X."""
         m, k, _ = X.shape
         A = len(self.family)
         C = np.ones((A, m))
-        Cg = np.zeros((A, m, k))
-        Vv = np.zeros((A, m, k))
-        Vd = np.zeros((A, m, k))
-        Dv = np.zeros((A, m))
+        Vv = np.empty((A, m, k))
+        Vd = np.empty((A, m, k))
+        Cg = []
+        fields = {}  # members may share a field object; evaluate each once
         for a, (c, v) in enumerate(self.family):
-            comp = v.components[0]
-            Vv[a] = comp.value(X)
-            Vd[a] = comp.gradient(X)[..., 0]
-            Dv[a] = np.sum(Vd[a], axis=-1)
-            if not isinstance(c, (int, float)):
-                C[a] = c.value(X)
-                Cg[a] = c.gradient(X)[..., 0]
-            else:
+            if id(v) not in fields:
+                comp = v.components[0]
+                fields[id(v)] = comp.value(X), comp.gradient(X)[..., 0]
+            Vv[a], Vd[a] = fields[id(v)]
+            if isinstance(c, (int, float)):
                 C[a] = float(c)
-        return C, Cg, Vv, Vd, Dv
+            else:
+                C[a] = c.value(X)
+                Cg.append(c.gradient(X)[..., 0])
+        cyl = self._cyl
+        VCg = np.concatenate((Vv[cyl], np.reshape(Cg, (-1, m, k))))
+        S = C * np.sum(Vd, axis=-1)
+        S[cyl] += np.sum(VCg[:len(cyl)] * VCg[len(cyl):], axis=-1)
+        Vv *= C[..., None]
+        Vd *= C[..., None]
+        return Vv, Vd, S, VCg
 
     def _batch_div(self, th, basis):
-        C, Cg, Vv, Vd, Dv = basis
-        w_a = th[:, None] * C                                   # (A, m)
-        Vt = np.einsum("am,amk->mk", w_a, Vv)                   # V_theta at particles
-        dVt = np.einsum("am,amk->mk", w_a, Vd)                  # d/dx of the field part
-        Q = np.sum(Vt * Vt, axis=-1)                            # (m,)
-        D = 1.0 / (1.0 + 0.25 * Q)
-        # lifted gradient of Q: the field part moves with the particle and the
-        # coefficients feel the particle through their own gradients
-        inner_av = np.einsum("mk,amk->am", Vt, Vv)              # <V_theta, v_a>_T
-        gradQ = 2.0 * Vt * dVt \
-            + 2.0 * np.einsum("am,amk->mk", th[:, None] * inner_av, Cg)
-        gradD = (-0.25) * (D * D)[:, None] * gradQ
-        # div* W = sum_a theta_a [ -<grad(c_a D), v_a> - c_a D sum_j v_a'(x_j) ]
-        div = np.zeros(Q.shape)
-        for a in range(len(self.family)):
-            grad_caD = D[:, None] * Cg[a] + C[a][:, None] * gradD
-            div += th[a] * (-np.sum(grad_caD * Vv[a], axis=-1) - C[a] * D * Dv[a])
-        return div
+        """div* W_theta at the batch's tuples for each row of th (G, A): (G, m)."""
+        CVv, CVd, S, VCg = basis
+        A, m, k = CVv.shape
+        Vt = (th @ CVv.reshape(A, -1)).reshape(-1, m, k)        # V_theta at the particles
+        dVt = (th @ CVd.reshape(A, -1)).reshape(-1, m, k)       # d/dx of its field part
+        D = 1.0 / (1.0 + 0.25 * np.einsum("gmk,gmk->gm", Vt, Vt))
+        # <grad D, V_theta> = -D^2 T / 2 with T = <grad |V_theta|^2, V_theta> / 2:
+        # the field part moves with the particle and the coefficients feel it
+        # through their own gradients, <V_theta, v_a> <V_theta, grad c_a>
+        n = len(self._cyl)
+        pair = np.einsum("gmk,bmk->gbm", Vt, VCg, optimize=True)
+        T = np.einsum("gmk,gmk,gmk->gm", Vt, Vt, dVt) \
+            + np.einsum("ga,gam,gam->gm", th[:, self._cyl], pair[:, :n], pair[:, n:])
+        return D * (0.5 * D * T - th @ S)
 
-    def value(self, theta: np.ndarray) -> float:
+    def value(self, theta: np.ndarray) -> float | np.ndarray:
+        """The objective at theta (A,), a float, or at each row of a stack (G, A)."""
         th = np.asarray(theta, dtype=float)
-        total = 0.0
-        for _, _, pref, weight, basis in self.batches:
-            total += float(np.sum(pref * weight * self._batch_div(th, basis)))
-        return total
+        rows = np.atleast_2d(th)
+        total = np.zeros(len(rows))
+        for _, _, pw, basis in self.batches:
+            total += np.sum(pw * self._batch_div(rows, basis), axis=-1)
+        return float(total[0]) if th.ndim == 1 else total
 
     def value_with_error(self, theta: np.ndarray) -> tuple[float, float]:
-        th = np.asarray(theta, dtype=float)
+        th = np.asarray(theta, dtype=float)[None]
         total = 0.0
         err_sq = 0.0
-        for kind, n, pref, weight, basis in self.batches:
-            contrib = pref * weight * self._batch_div(th, basis)
+        for kind, n, pw, basis in self._stream():
+            contrib = pw * self._batch_div(th, basis)[0]
+            del basis  # before the next stratum's basis is built
             total += float(np.sum(contrib))
             if kind == "mc":
                 # band batches keep only their in-band samples; the rest add zero
@@ -326,12 +359,10 @@ def tv_variational(F, family: list, window: BoxDomain, *, iterations: int = 2,
         for a in range(len(family)):
             grid = theta_grid if sweep == 0 else tuple(
                 theta[a] + d for d in (-0.6, -0.3, -0.15, 0.0, 0.15, 0.3, 0.6))
-            vals = []
-            for g in grid:
-                trial = theta.copy()
-                trial[a] = g
-                vals.append(obj.value(trial))
-            theta[a] = grid[int(np.argmax(vals))]
+            trials = np.tile(theta, (len(grid), 1))
+            trials[:, a] = grid
+            theta[a] = grid[int(np.argmax(obj.value(trials)))]
+    del obj  # the search batches are not needed by the final estimate
     W = _build_normalized(family, theta)
     # final value re-evaluated at scale with an independent seed
     final_seed = eval_seed if eval_seed is not None else seed + 7919
@@ -610,7 +641,7 @@ def coarea_check(F: CylinderFunction, G, t_grid, window: BoxDomain, *,
 
     def weight(X, grad):
         gn = np.sqrt(np.sum(grad * grad, axis=(-2, -1)))
-        return gn if scalar_G else G.value(X) * gn
+        return gn * float(G) if scalar_G else G.value(X) * gn
 
     per_t = []
     gaps = 0
@@ -637,7 +668,7 @@ def coarea_check(F: CylinderFunction, G, t_grid, window: BoxDomain, *,
     def Hk(k, X):
         g = F.gradient(X)
         gn = np.sqrt(np.sum(g * g, axis=(-2, -1)))
-        return gn if scalar_G else G.value(X) * gn
+        return gn * float(G) if scalar_G else G.value(X) * gn
 
     rhs, rhs_err = poisson_stratified(Hk, window, seed=seed + 7, mc_n=n_samples)
     return CoareaReport(lhs=lhs, lhs_err=float(np.sqrt(lhs_err_sq)), rhs=rhs,

@@ -112,6 +112,7 @@ class LiftedHeatOperator:
         if self.K_max == 0:
             self.K_max = poisson_k_cutoff(self.window.volume, self.k_tail_tol)
         self._kernels: dict = {}
+        self._kernel_matrices: dict = {}
 
     @property
     def grid_k_max(self) -> int:
@@ -131,30 +132,34 @@ class LiftedHeatOperator:
             self._kernels[key] = HeatKernel1D(L=L, t=t)
         return self._kernels[key]
 
-    def _matrices(self, t: float, grid: StratumGrid, kind: str) -> list[np.ndarray]:
-        n = self.window.dim
-        mats = []
-        for axis in range(grid.axes):
-            a = axis % n
-            ker = self._axis_kernel(t, a)
-            if required_order(t, ker.L) > grid.order:
-                raise QuadratureError(
-                    f"grid order {grid.order} cannot resolve the kernel at t={t}")
+    def _matrix(self, t: float, grid: StratumGrid, kind: str, axis: int) -> np.ndarray:
+        """The 1-d kernel matrix of one grid axis, built once per operator.
+
+        The key is (t, kind, axis in the particle, order) and the grid's
+        interval on that axis, which fix the Gauss-Legendre nodes; the cached
+        matrices are read-only.
+        """
+        a = axis % self.window.dim
+        ker = self._axis_kernel(t, a)
+        if required_order(t, ker.L) > grid.order:
+            raise QuadratureError(f"grid order {grid.order} cannot resolve the kernel at t={t}")
+        key = (t, kind, a, grid.order, grid.window.lower[a], grid.window.upper[a])
+        if key not in self._kernel_matrices:
             build = {"neumann": ker.matrix, "dx": ker.matrix_dx,
                      "dirichlet": ker.matrix_dirichlet}[kind]
-            mats.append(build(grid.nodes[axis] - self.window.lower[a], grid.weights[axis]))
-        return mats
+            K = build(grid.nodes[axis] - self.window.lower[a], grid.weights[axis])
+            K.setflags(write=False)
+            self._kernel_matrices[key] = K
+        return self._kernel_matrices[key]
 
     def tensor_apply(self, values: np.ndarray, t: float, grid: StratumGrid,
                      special_axis: int | None = None,
                      special_kind: str = "dx") -> np.ndarray:
         """Apply the tensor kernel along every axis (one axis may use the
         differentiated or absorbing kernel)."""
-        mats = self._matrices(t, grid, "neumann")
-        if special_axis is not None:
-            mats[special_axis] = self._matrices(t, grid, special_kind)[special_axis]
         out = values
-        for axis, K in enumerate(mats):
+        for axis in range(grid.axes):
+            K = self._matrix(t, grid, special_kind if axis == special_axis else "neumann", axis)
             out = np.moveaxis(np.tensordot(K, out, axes=([1], [axis])), 0, axis)
         return out
 

@@ -3,13 +3,15 @@ import pytest
 
 from ugmt import batteries
 from ugmt.configuration import Configuration, SetSpec
-from ugmt.cylinder import CylinderVectorField, cyl_compose, cyl_from_star, const, mul_n
+from ugmt.cylinder import (CylinderVectorField, cyl_compose, cyl_from_star, const, mul_n,
+                           tanh_of)
 from ugmt.geometry import SmoothFunction, SmoothVectorField, interval
 from ugmt.heat import LiftedHeatOperator, lifted_gradient_norm
-from ugmt.bv import (coarea_check, gauss_green_residual, levelset_expectation,
-                     perimeter_measure, sobolev_consistency, tv_bracket,
-                     tv_relaxation, tv_semigroup, tv_variational)
+from ugmt.bv import (_VariationalObjective, coarea_check, gauss_green_residual,
+                     levelset_expectation, perimeter_measure, sobolev_consistency,
+                     tv_bracket, tv_relaxation, tv_semigroup, tv_variational)
 from ugmt.hausdorff import rho_m_on_box, scaled_box
+from ugmt.rng import mean_and_stderr
 
 UNIT = interval(0.0, 1.0)
 OP = LiftedHeatOperator(window=UNIT)
@@ -53,6 +55,109 @@ def test_tv_variational_zero_and_halfspace():
     var = tv_variational(HALF, fam, UNIT, seed=2)
     assert var.value <= E_INV + 3 * var.error + 1e-3
     assert var.value >= 0.9 * E_INV
+
+
+class _LoopObjective(_VariationalObjective):
+    """The objective as a loop over family members, one theta at a time: the
+    reference for the batched algebra (same samples, same weights)."""
+
+    def _basis(self, X):
+        m, k, _ = X.shape
+        A = len(self.family)
+        C = np.ones((A, m))
+        Cg = np.zeros((A, m, k))
+        Vv = np.zeros((A, m, k))
+        Vd = np.zeros((A, m, k))
+        Dv = np.zeros((A, m))
+        for a, (c, v) in enumerate(self.family):
+            comp = v.components[0]
+            Vv[a] = comp.value(X)
+            Vd[a] = comp.gradient(X)[..., 0]
+            Dv[a] = np.sum(Vd[a], axis=-1)
+            if not isinstance(c, (int, float)):
+                C[a] = c.value(X)
+                Cg[a] = c.gradient(X)[..., 0]
+            else:
+                C[a] = float(c)
+        return C, Cg, Vv, Vd, Dv
+
+    def _batch_div(self, th, basis):
+        C, Cg, Vv, Vd, Dv = basis
+        w_a = th[:, None] * C
+        Vt = np.einsum("am,amk->mk", w_a, Vv)
+        dVt = np.einsum("am,amk->mk", w_a, Vd)
+        Q = np.sum(Vt * Vt, axis=-1)
+        D = 1.0 / (1.0 + 0.25 * Q)
+        inner_av = np.einsum("mk,amk->am", Vt, Vv)
+        gradQ = 2.0 * Vt * dVt \
+            + 2.0 * np.einsum("am,amk->mk", th[:, None] * inner_av, Cg)
+        gradD = (-0.25) * (D * D)[:, None] * gradQ
+        div = np.zeros(Q.shape)
+        for a in range(len(self.family)):
+            grad_caD = D[:, None] * Cg[a] + C[a][:, None] * gradD
+            div += th[a] * (-np.sum(grad_caD * Vv[a], axis=-1) - C[a] * D * Dv[a])
+        return div
+
+    def value(self, theta):
+        th = np.asarray(theta, dtype=float)
+        return sum(float(np.sum(pw * self._batch_div(th, basis)))
+                   for _, _, pw, basis in self.batches)
+
+
+W_HALF = interval(0.0, 0.5)
+_TANH_BUMP = cyl_compose(lambda r: tanh_of(r),
+                         cyl_from_star(SmoothFunction.bump(0.25, 0.2, 1.0, window=W_HALF)))
+# constant and cylinder coefficients, even and odd fields
+_FAMILY = [
+    (1.0, SmoothVectorField((SmoothFunction.bump(0.25, 0.2, 1.0, window=W_HALF),))),
+    (_TANH_BUMP, SmoothVectorField((SmoothFunction.coordinate_bump(0.25, 0.22, 1.0,
+                                                                   window=W_HALF),))),
+    (0.5, SmoothVectorField((SmoothFunction.coordinate_bump(0.25, 0.15, 1.0,
+                                                            window=W_HALF),))),
+    (batteries.count_selector(2, window=W_HALF),
+     SmoothVectorField((SmoothFunction.bump(0.3, 0.18, 0.8, window=W_HALF),))),
+]
+_OBJECTIVE_CASES = {
+    "cylinder": _TANH_BUMP,
+    "level-set": SetSpec.level_set(cyl_from_star(SmoothFunction.linear(W_HALF)), 0.3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_OBJECTIVE_CASES))
+def test_objective_matches_member_loop(name):
+    F = _OBJECTIVE_CASES[name]
+    kw = dict(seed=11, n_band=2_000, mc_n=1_000)
+    obj = _VariationalObjective(F, _FAMILY, W_HALF, **kw)
+    ref = _LoopObjective(F, _FAMILY, W_HALF, **kw)
+    thetas = np.random.default_rng(5).uniform(-3.0, 3.0, size=(20, len(_FAMILY)))
+    thetas[0] = 0.0
+    thetas[1, [0, 2]] = 0.0   # cylinder coefficients only
+    thetas[2, [1, 3]] = 0.0   # constant coefficients only
+    rows = [obj.value(th) for th in thetas]
+    for th, v in zip(thetas, rows):
+        assert isinstance(v, float)
+        assert v == pytest.approx(ref.value(th), rel=1e-12, abs=1e-300)
+    # a (G, A) stack scores every row in one call
+    stacked = obj.value(thetas)
+    assert stacked.shape == (len(thetas),)
+    np.testing.assert_allclose(stacked, rows, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("name", sorted(_OBJECTIVE_CASES))
+def test_objective_final_estimate_streams(name):
+    F = _OBJECTIVE_CASES[name]
+    th = np.array([0.7, -0.4, 1.3, 0.9])
+    obj = _VariationalObjective(F, _FAMILY, W_HALF, seed=11, n_band=2_000, mc_n=1_000)
+    got = obj.value_with_error(th)
+    assert "batches" not in vars(obj)   # streamed: no basis kept
+    total, err_sq = 0.0, 0.0
+    for kind, n, pw, basis in obj.batches:
+        contrib = pw * obj._batch_div(th[None], basis)[0]
+        total += float(np.sum(contrib))
+        if kind == "mc":
+            _, se = mean_and_stderr(np.pad(contrib, (0, n - contrib.size)) * n)
+            err_sq += se * se
+    assert got == (total, float(np.sqrt(err_sq)))
 
 
 def test_tv_relaxation_smooth_and_indicator():
@@ -125,6 +230,17 @@ def test_coarea_constant_and_smooth():
     rep2 = coarea_check(F, 1.0, np.tanh(a * us), UNIT, seed=12, n_samples=30_000)
     assert rep2.deviation < 0.05
     assert rep2.gap_fraction <= 0.1
+
+
+def test_coarea_numeric_G_scales_both_sides():
+    F = cyl_compose(lambda r: tanh_of(r), cyl_from_star(
+        SmoothFunction.bump(0.5, 0.3, 1.0, window=UNIT)))
+    ts = [0.2, 0.4, 0.6]
+    one = coarea_check(F, 1.0, ts, UNIT, seed=11, n_samples=2_000)
+    two = coarea_check(F, 2.0, ts, UNIT, seed=11, n_samples=2_000)
+    assert one.lhs > 0.0 and one.rhs > 0.0
+    assert (two.lhs, two.rhs) == (2.0 * one.lhs, 2.0 * one.rhs)
+    assert (two.lhs_err, two.rhs_err) == (2.0 * one.lhs_err, 2.0 * one.rhs_err)
 
 
 def test_sobolev_consistency_density():

@@ -5,7 +5,7 @@ from ugmt.configuration import Configuration, SetSpec
 from ugmt.cylinder import (CylinderFunction, ExponentialCylinderFunction,
                            OuterFunction, add_n, const, coord, cyl_compose,
                            cyl_from_star, mul_n, smoothstep, tanh_of)
-from ugmt.geometry import DomainError, SmoothFunction, interval
+from ugmt.geometry import DomainError, QuadratureError, SmoothFunction, interval
 from ugmt.heat import (BesselOperator, LiftedHeatOperator, _semigroup_at,
                        bakry_emery_battery, bessel_apply, capacity_upper_bound,
                        check_bakry_emery, check_intertwining, lift_semigroup,
@@ -70,6 +70,34 @@ def test_semigroup_law_on_exponentials():
     two_step = OP.tensor_apply(two_step, t, grid)
     _, direct = lift_semigroup(E, s + t, OP, 2)
     assert np.max(np.abs(two_step - direct)) < 1e-6
+
+
+def test_kernel_matrix_cache_is_transparent():
+    # a warmed operator reuses its kernel matrices; results must not move a bit
+    f = SmoothFunction.bump(0.45, 0.3, 1.0, window=UNIT)
+    F = cyl_compose(lambda r: tanh_of(r), cyl_from_star(f))
+    warm = LiftedHeatOperator(window=UNIT)
+
+    def run(op):
+        out = []
+        for t in (0.01, 0.05):
+            for k in (1, 2):
+                grid, G = op().gradient_of_semigroup(F, t, k)
+                vals = np.cos(np.arange(G[0].size)).reshape(G[0].shape)
+                out += [G, op().tensor_apply(vals, t, grid),
+                        op().tensor_apply(vals, t, grid, special_axis=k - 1,
+                                          special_kind="dirichlet")]
+        return out
+
+    run(lambda: warm)
+    for a, b in zip(run(lambda: warm), run(lambda: LiftedHeatOperator(window=UNIT))):
+        assert np.array_equal(a, b)
+    # the resolution check runs on cached and uncached calls alike
+    t = 1e-4
+    fine = warm.grid(1, 160)
+    warm.tensor_apply(np.ones(fine.shape()), t, fine)
+    with pytest.raises(QuadratureError):
+        warm.tensor_apply(np.ones(warm.grid(1).shape()), t, warm.grid(1))
 
 
 def test_pi_symmetry_on_grids():
