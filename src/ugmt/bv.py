@@ -43,6 +43,7 @@ __all__ = [
     "perimeter_measure",
     "gauss_green_residual",
     "coarea_check",
+    "coarea_battery",
     "sobolev_consistency",
     "GaussGreenReport",
     "CoareaReport",
@@ -380,8 +381,6 @@ def tv_variational(F, family: list, window: BoxDomain, *, iterations: int = 2,
 class RelaxationUpper:
     value: float
     error: float
-    eps_values: tuple[float, ...]
-    norms: tuple[float, ...]
     smoothing_gap: float
 
 
@@ -394,25 +393,17 @@ def tv_relaxation(F, op: LiftedHeatOperator, eps_schedule) -> RelaxationUpper:
     sqrt(eps) trend of the schedule and reported in ``smoothing_gap`` (the
     bracketing tolerance absorbs it).
     """
+    if isinstance(F, CylinderFunction):
+        value, err = lifted_gradient_norm(F, None, op, p=1.0)
+        return RelaxationUpper(value=value, error=err, smoothing_gap=0.0)
     eps = sorted(float(e) for e in np.atleast_1d(eps_schedule))
-    norms = []
-    errs = []
-    for e in eps:
-        v, er = lifted_gradient_norm(F, e, op, p=1.0)
-        norms.append(v)
-        errs.append(er)
+    norms, errs = zip(*(lifted_gradient_norm(F, e, op, p=1.0) for e in eps))
     gap = 0.0
-    if isinstance(F, (CylinderFunction,)):
-        direct, derr = lifted_gradient_norm(F, None, op, p=1.0)
-        value, err = direct, derr
-    else:
-        value, err = norms[0], errs[0]
-        if len(eps) >= 2:
-            # the norms increase as eps decreases; extrapolate the deficiency
-            s = (norms[0] - norms[1]) / (np.sqrt(eps[1]) - np.sqrt(eps[0]) + 1e-300)
-            gap = max(0.0, float(s) * float(np.sqrt(eps[0])))
-    return RelaxationUpper(value=value, error=err, eps_values=tuple(eps),
-                           norms=tuple(norms), smoothing_gap=gap)
+    if len(eps) >= 2:
+        # the norms increase as eps decreases; extrapolate the deficiency
+        s = (norms[0] - norms[1]) / (np.sqrt(eps[1]) - np.sqrt(eps[0]) + 1e-300)
+        gap = max(0.0, float(s) * float(np.sqrt(eps[0])))
+    return RelaxationUpper(value=norms[0], error=errs[0], smoothing_gap=gap)
 
 
 # ---------------------------------------------------------------------------
@@ -463,8 +454,9 @@ def surface_battery(E: SetSpec, window: BoxDomain, weights: dict, *, eps: float,
 
     ``weights`` maps names to callables (X, grad) -> surface density against
     the band estimator (already including the |grad g| factor when the plain
-    surface measure is wanted; ``None`` means the measure itself).  Returns
-    name -> (value, err, per_k).
+    surface measure is wanted; ``None`` means the measure itself).  Each
+    stratum makes one ``surface_functional_auto`` call for the whole battery.
+    Returns name -> (value, err, per_k).
     """
     if E.variant != "level_set":
         raise DomainError("perimeter machinery needs level-set specs")
@@ -472,16 +464,17 @@ def surface_battery(E: SetSpec, window: BoxDomain, weights: dict, *, eps: float,
     level = float(E.level)
     strata = Strata(window, orders=surface_quad_orders(window.dim), K_max=K_max,
                     count_equals=E.count_equals)
+    # one band pass per stratum serves every weight
+    per_stratum = {}
+    for s in strata:
+        est = surface_functional_auto(g, level, weights, window, s.k, eps=eps,
+                                      n_samples=n_samples, seed=seed,
+                                      stream=900 + 13 * s.k, quad_order=s.order)
+        volk = window.volume ** s.k
+        per_stratum[s.k] = {name: (val / volk, err / volk) for name, (val, err, _) in est.items()}
     out = {}
-    for name, weight in weights.items():
-        def term(s, weight=weight):
-            val, err, _ = surface_functional_auto(g, level, weight, window, s.k, eps=eps,
-                                                  n_samples=n_samples, seed=seed,
-                                                  stream=900 + 13 * s.k, quad_order=s.order)
-            volk = window.volume ** s.k
-            return [(val / volk, err / volk)]
-
-        res = strata.integrate(term)
+    for name in weights:
+        res = strata.integrate(lambda s, name=name: [per_stratum[s.k][name]])
         out[name] = (res.value, res.error, res.per_k)
     return out
 
@@ -626,54 +619,73 @@ class CoareaReport:
         return abs(self.lhs - self.rhs) / scale
 
 
+def coarea_battery(F: CylinderFunction, G_battery: dict, t_grid, window: BoxDomain, *,
+                   eps: float | None = None, n_samples: int = 40_000, seed: int = 0,
+                   K_max: int | None = None) -> dict[str, CoareaReport]:
+    """Trapezoid in t of int G d||{F > t}|| against E_pi[ G |grad F| ], per G.
+
+    ``G_battery`` maps names to nonnegative cylinder functions or numbers.
+    Every member is integrated against the same level sheets: each level t
+    makes one ``surface_battery`` call for the whole battery, so the band
+    tuples are drawn once per (t, stratum).  Returns name -> CoareaReport.
+
+    Critical levels detected by the sheet oracle are skipped for every member
+    and reported in ``gap_fraction`` (fraction of the t-range lost to
+    exclusions).
+    """
+    if eps is None:
+        eps = 1e-2 * float(np.max(window.sides))
+    ts = sorted(float(t) for t in np.atleast_1d(t_grid))
+
+    def density(G):
+        """(X, grad F) -> G |grad F| on tuples."""
+        scalar_G = isinstance(G, (int, float))
+
+        def weight(X, grad):
+            gn = np.sqrt(np.sum(grad * grad, axis=(-2, -1)))
+            return gn * float(G) if scalar_G else G.value(X) * gn
+        return weight
+
+    weights = {name: density(G) for name, G in G_battery.items()}
+    levels = []  # per t: name -> (value, err, per_k), or None at a critical level
+    for i, t in enumerate(ts):
+        try:
+            levels.append(surface_battery(SetSpec.level_set(F, t), window, weights, eps=eps,
+                                          n_samples=n_samples, seed=seed + 17 * i,
+                                          K_max=K_max))
+        except CriticalLevelError:
+            levels.append(None)
+    gaps = sum(res is None for res in levels)
+    out = {}
+    for name, weight in weights.items():
+        per_t = [(t, np.nan if res is None else res[name][0]) for t, res in zip(ts, levels)]
+        errs = [np.nan if res is None else res[name][1] for res in levels]
+        # trapezoid over the valid values
+        tv = [(t, v, e) for (t, v), e in zip(per_t, errs) if np.isfinite(v)]
+        lhs = 0.0
+        lhs_err_sq = 0.0
+        for (t0, v0, e0), (t1, v1, e1) in zip(tv, tv[1:]):
+            lhs += 0.5 * (v0 + v1) * (t1 - t0)
+            lhs_err_sq += (0.5 * (t1 - t0)) ** 2 * (e0 ** 2 + e1 ** 2)
+        rhs, rhs_err = poisson_stratified(lambda k, X, weight=weight: weight(X, F.gradient(X)),
+                                          window, seed=seed + 7, mc_n=n_samples)
+        out[name] = CoareaReport(lhs=lhs, lhs_err=float(np.sqrt(lhs_err_sq)), rhs=rhs,
+                                 rhs_err=rhs_err, per_t=tuple(per_t),
+                                 gap_fraction=gaps / max(len(ts), 1))
+    return out
+
+
 def coarea_check(F: CylinderFunction, G, t_grid, window: BoxDomain, *,
                  eps: float | None = None, n_samples: int = 40_000,
                  seed: int = 0, K_max: int | None = None) -> CoareaReport:
     """Trapezoid in t of int G d||{F > t}|| against E_pi[ G |grad F| ].
 
-    Critical levels detected by the sheet oracle are skipped and reported in
-    ``gap_fraction`` (fraction of the t-range lost to exclusions).
+    The single-G call of the battery form: ``coarea_battery(F, {name: G, ...})``
+    integrates several G against the same level sheets, one band pass per
+    (t, stratum) for the whole battery, and returns one CoareaReport per name.
     """
-    if eps is None:
-        eps = 1e-2 * float(np.max(window.sides))
-    ts = sorted(float(t) for t in np.atleast_1d(t_grid))
-    scalar_G = isinstance(G, (int, float))
-
-    def weight(X, grad):
-        gn = np.sqrt(np.sum(grad * grad, axis=(-2, -1)))
-        return gn * float(G) if scalar_G else G.value(X) * gn
-
-    per_t = []
-    gaps = 0
-    err_sq_acc = []
-    for i, t in enumerate(ts):
-        E_t = SetSpec.level_set(F, t)
-        try:
-            res = surface_battery(E_t, window, {"w": weight}, eps=eps,
-                                  n_samples=n_samples, seed=seed + 17 * i, K_max=K_max)
-            val, er, _ = res["w"]
-        except CriticalLevelError:
-            gaps += 1
-            val, er = np.nan, np.nan
-        per_t.append((t, val))
-        err_sq_acc.append(er)
-    # trapezoid over the valid values
-    tv = [(t, v, e) for (t, v), e in zip(per_t, err_sq_acc) if np.isfinite(v)]
-    lhs = 0.0
-    lhs_err_sq = 0.0
-    for (t0, v0, e0), (t1, v1, e1) in zip(tv, tv[1:]):
-        lhs += 0.5 * (v0 + v1) * (t1 - t0)
-        lhs_err_sq += (0.5 * (t1 - t0)) ** 2 * (e0 ** 2 + e1 ** 2)
-
-    def Hk(k, X):
-        g = F.gradient(X)
-        gn = np.sqrt(np.sum(g * g, axis=(-2, -1)))
-        return gn * float(G) if scalar_G else G.value(X) * gn
-
-    rhs, rhs_err = poisson_stratified(Hk, window, seed=seed + 7, mc_n=n_samples)
-    return CoareaReport(lhs=lhs, lhs_err=float(np.sqrt(lhs_err_sq)), rhs=rhs,
-                        rhs_err=rhs_err, per_t=tuple(per_t),
-                        gap_fraction=gaps / max(len(ts), 1))
+    return coarea_battery(F, {"G": G}, t_grid, window, eps=eps, n_samples=n_samples,
+                          seed=seed, K_max=K_max)["G"]
 
 
 def sobolev_consistency(F: CylinderFunction, G_battery: dict, t_grid,
@@ -686,11 +698,10 @@ def sobolev_consistency(F: CylinderFunction, G_battery: dict, t_grid,
     optimized variational field direction is compared to grad F / |grad F| on
     samples where the gradient is not degenerate.
     """
-    out = {"densities": {}, "alignment": None}
-    for name, G in G_battery.items():
-        rep = coarea_check(F, G, t_grid, window, n_samples=n_samples, seed=seed)
-        out["densities"][name] = {"coarea": rep.lhs, "direct": rep.rhs,
-                                  "deviation": rep.deviation}
+    reps = coarea_battery(F, G_battery, t_grid, window, n_samples=n_samples, seed=seed)
+    out = {"densities": {name: {"coarea": rep.lhs, "direct": rep.rhs,
+                                "deviation": rep.deviation} for name, rep in reps.items()},
+           "alignment": None}
     if family:
         var = tv_variational(F, family, window, seed=seed)
         W = var.field

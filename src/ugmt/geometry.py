@@ -9,6 +9,7 @@ exact closed forms, not numerical derivatives.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -662,8 +663,18 @@ class HeatKernel1D:
 # 1-d semigroup application on a Gauss-Legendre grid
 
 
+@functools.lru_cache(maxsize=128)
+def _legendre_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Reference Gauss-Legendre rule on [-1, 1], built once per order; read-only."""
+    x, w = np.polynomial.legendre.leggauss(order)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
+
+
 def gauss_legendre(lo: float, hi: float, order: int) -> tuple[np.ndarray, np.ndarray]:
-    x, w = np.polynomial.legendre.leggauss(int(order))
+    """Gauss-Legendre nodes and weights on [lo, hi] (fresh arrays)."""
+    x, w = _legendre_rule(int(order))
     half = 0.5 * (hi - lo)
     return lo + half * (x + 1.0), half * w
 

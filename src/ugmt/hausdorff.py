@@ -96,50 +96,66 @@ class CodimMeasureResult:
 
 
 def band_integral_mc(h, window: BoxDomain, k: int, n_samples: int, seed: int,
-                     stream: int) -> tuple[float, float]:
-    """MC estimate of the integral of h over window^k (h vectorized on tuples)."""
-    mean, err = mean_and_stderr(h(uniform_tuples(window, k, n_samples, seed, stream)))
+                     stream: int) -> dict[str, tuple[float, float]]:
+    """MC estimates of the integrals over window^k of the densities h returns.
+
+    ``h`` maps tuples (m, k, n) to a dict name -> density (m,); one draw
+    serves every density.  Returns name -> (value, err).
+    """
+    densities = h(uniform_tuples(window, k, n_samples, seed, stream))
     volk = window.volume ** k
-    return volk * mean, volk * err
+    out = {}
+    for name, hv in densities.items():
+        mean, err = mean_and_stderr(hv)
+        out[name] = (volk * mean, volk * err)
+    return out
 
 
-def band_integral_quad(h, window: BoxDomain, k: int, order: int) -> float:
+def band_integral_quad(h, window: BoxDomain, k: int, order: int) -> dict[str, float]:
+    """Tensor quadrature over window^k of each density h returns (see band_integral_mc)."""
     pts, w = stratum_grid_points(window, k, order)
-    return float(np.sum(w * np.asarray(h(pts))))
+    return {name: float(np.sum(w * hv)) for name, hv in h(pts).items()}
 
 
-def surface_functional(g, level: float, weight, window: BoxDomain, k: int, *,
+def surface_functional(g, level: float, weights: dict, window: BoxDomain, k: int, *,
                        eps: float, n_samples: int = 20_000, seed: int = 0,
                        stream: int = 0, quad_order: int | None = None,
-                       check_gradient: bool = True) -> tuple[float, float, float]:
-    """Band estimate of int_{ {g = level} cap window^k } weight dH^{nk-1}.
+                       check_gradient: bool = True) -> dict[str, tuple[float, float, float]]:
+    """Band estimates of int_{ {g = level} cap window^k } weight dH^{nk-1}.
 
     ``g`` evaluates value/gradient on ordered tuples, as cylinder functions
-    do; ``weight(X, grad)`` returns the surface density against H^{nk-1}
-    with the |grad g| factor already multiplied in; ``weight=None`` measures
-    the surface itself.
+    do.  ``weights`` maps names to surface densities: ``weight(X, grad)``
+    returns the density against H^{nk-1} with the |grad g| factor already
+    multiplied in; ``None`` measures the surface itself.  The whole battery
+    shares one band pass: the Monte Carlo tuples are drawn (or the grid is
+    built) once, g is evaluated once per profile width, and every weight is
+    applied to that evaluation and reduced on its own.
 
     Two modes share the coarea identity: the hard band chi/(2 eps) with Monte
     Carlo (any k), and, when ``quad_order`` is given, a smooth Gaussian level
     profile with tensor quadrature (deterministic; the error bar is the move
-    under halving the profile width, a curvature-bias proxy).
-    Returns (value, err, min |grad g| seen near the sheet).
+    under halving the profile width, a curvature-bias proxy).  The critical
+    level check and the profile width depend on g only, never on a weight.
+    Returns name -> (value, err, min |grad g| seen near the sheet).
     """
     state = {"min_grad": np.inf, "max_grad": 0.0}
 
     def density(X, profile, cut, core):
         vals = g.value(X)
         mask = np.abs(vals - level) < cut
-        out = np.zeros(X.shape[0])
+        out = {name: np.zeros(X.shape[0]) for name in weights}
         if np.any(mask):
-            grad = g.gradient(X[mask])
+            Xm = X[mask]
+            grad = g.gradient(Xm)
             gn = np.sqrt(np.sum(grad * grad, axis=(-2, -1)))
             incore = np.abs(vals[mask] - level) < core
             if np.any(incore):
                 state["min_grad"] = min(state["min_grad"], float(np.min(gn[incore])))
                 state["max_grad"] = max(state["max_grad"], float(np.max(gn[incore])))
-            w = gn if weight is None else weight(X[mask], grad)
-            out[mask] = w * profile(vals[mask])
+            prof = profile(vals[mask])
+            for name, weight in weights.items():
+                w = gn if weight is None else weight(Xm, grad)
+                out[name][mask] = w * prof
         return out
 
     if quad_order is not None:
@@ -162,49 +178,51 @@ def surface_functional(g, level: float, weight, window: BoxDomain, k: int, *,
         if sig > 1.01 * sig0:
             v1 = run(sig)
         sigs = np.array([sig, sig * np.sqrt(2.0), sig * 2.0])
-        vals = np.array([v1, run(sigs[1]), run(sigs[2])])
+        runs = (v1, run(sigs[1]), run(sigs[2]))
         # Richardson in the profile width: sheets meeting the product-box
         # boundary bias the smeared estimate linearly in the width, smooth
         # weights quadratically; eliminate both orders and report the gap to
         # the linear extrapolation as the error proxy
         M = np.stack([np.ones(3), sigs, sigs ** 2], axis=1)
-        coef = np.linalg.solve(M, vals)
-        r_quad = float(coef[0])
-        r_lin = float(vals[0] + (vals[0] - vals[1]) / (np.sqrt(2.0) - 1.0))
-        val = r_quad
-        err = abs(r_quad - r_lin) * 0.5 + 1e-10 * abs(r_quad)
+        est = {}
+        for name in weights:
+            vals = np.array([r[name] for r in runs])
+            coef = np.linalg.solve(M, vals)
+            r_quad = float(coef[0])
+            r_lin = float(vals[0] + (vals[0] - vals[1]) / (np.sqrt(2.0) - 1.0))
+            est[name] = (r_quad, abs(r_quad - r_lin) * 0.5 + 1e-10 * abs(r_quad))
     else:
         def profile(vals):
             return (np.abs(vals - level) < eps) / (2.0 * eps)
 
-        val, err = band_integral_mc(lambda X: density(X, profile, eps, eps), window, k,
-                                    n_samples, seed, stream)
+        est = band_integral_mc(lambda X: density(X, profile, eps, eps), window, k,
+                               n_samples, seed, stream)
     if check_gradient and np.isfinite(state["min_grad"]) and state["min_grad"] < MIN_GRADIENT:
         raise CriticalLevelError(
             f"gradient {state['min_grad']:.2e} below {MIN_GRADIENT} on the level band; "
             "perturb the level")
-    return val, err, state["min_grad"]
+    return {name: (val, err, state["min_grad"]) for name, (val, err) in est.items()}
 
 
-def surface_functional_auto(g, level: float, weight, window: BoxDomain, k: int, *,
+def surface_functional_auto(g, level: float, weights: dict, window: BoxDomain, k: int, *,
                             eps: float, n_samples: int = 20_000, seed: int = 0,
                             stream: int = 0, quad_order: int | None = None
-                            ) -> tuple[float, float, float]:
+                            ) -> dict[str, tuple[float, float, float]]:
     """surface_functional preferring the smooth-profile quadrature.
 
     The wide profile needed on coarse grids can sweep over critical points of
-    steep level functions far from the sheet itself; in that case the
-    estimate falls back to the narrow hard-band Monte Carlo route, which
+    steep level functions far from the sheet itself; in that case the whole
+    battery falls back to the narrow hard-band Monte Carlo route, which
     still detects genuine critical levels.
     """
     if quad_order is not None:
         try:
-            return surface_functional(g, level, weight, window, k, eps=eps,
+            return surface_functional(g, level, weights, window, k, eps=eps,
                                       n_samples=n_samples, seed=seed, stream=stream,
                                       quad_order=quad_order)
         except CriticalLevelError:
             pass
-    return surface_functional(g, level, weight, window, k, eps=eps,
+    return surface_functional(g, level, weights, window, k, eps=eps,
                               n_samples=n_samples, seed=seed, stream=stream,
                               quad_order=None)
 
@@ -226,8 +244,9 @@ def hausdorff_level_set(g, level: float, eps: float, window: BoxDomain, k: int, 
     est = (0.0, 0.0)
     width = eps
     for i in range(max_halvings + 1):
-        val, err, _ = surface_functional(g, level, None, window, k, eps=width,
-                                         n_samples=n_samples, seed=seed, stream=40 + i)
+        val, err, _ = surface_functional(g, level, {"surface": None}, window, k, eps=width,
+                                         n_samples=n_samples, seed=seed,
+                                         stream=40 + i)["surface"]
         est = (val, err)
         if prev is not None:
             move = abs(val - prev[0])
@@ -345,9 +364,10 @@ def rho_m_on_box(A: SetSpec, m: int, window: BoxDomain, *, K_max: int | None = N
                         seed=seed, stream_base=80, K_max=K_max, count_equals=A.count_equals)
 
         def term(s):
-            val, err, _ = surface_functional_auto(g, level, None, window, s.k, eps=eps,
-                                                  n_samples=s.mc_n, seed=s.seed,
-                                                  stream=s.stream, quad_order=s.order)
+            val, err, _ = surface_functional_auto(g, level, {"surface": None}, window, s.k,
+                                                  eps=eps, n_samples=s.mc_n, seed=s.seed,
+                                                  stream=s.stream,
+                                                  quad_order=s.order)["surface"]
             volk = window.volume ** s.k
             return [(max(val, 0.0) / volk, err / volk)]
 

@@ -213,14 +213,21 @@ class StratumGrid:
         return pts, [self.order if a in axes else 1 for a in range(self.axes)]
 
 
+@functools.lru_cache(maxsize=32)
 def stratum_grid_points(window: BoxDomain, k: int, order: int
                         ) -> tuple[np.ndarray, np.ndarray]:
     """Flattened tensor Gauss-Legendre rule on window^k.
 
-    Returns (points, weights) with points of shape (order^(n k), k, n).
+    Returns (points, weights) with points of shape (order^(n k), k, n).  The
+    rule is built once per (window, k, order) and shared: both arrays are
+    read-only.
     """
     grid = StratumGrid.on(window, k, order)
-    return grid.tuples(), functools.reduce(np.multiply.outer, grid.weights).ravel()
+    pts = grid.tuples()
+    w = functools.reduce(np.multiply.outer, grid.weights).ravel()
+    pts.setflags(write=False)
+    w.setflags(write=False)
+    return pts, w
 
 
 def uniform_tuples(window: BoxDomain, k: int, n: int, seed: int, stream: int) -> np.ndarray:

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .configuration import Configuration, SetSpec
-from .geometry import BoxDomain
+from .configuration import Configuration, SetSpec, _canonical
+from .geometry import BoxDomain, DomainError
 
 __all__ = ["stratum_indicator"]
 
@@ -32,9 +32,16 @@ def stratum_indicator(A: SetSpec, k: int, X: np.ndarray, window: BoxDomain) -> n
         if A.variant == "level_sheet":
             return (vals == A.level).astype(float)
         return A.above_level(vals).astype(float)
-    # generic predicate: per-tuple loop through Configuration objects
+    # generic predicate: validate the whole batch as the Configuration
+    # constructor would, then ask the predicate tuple by tuple
+    if k and not np.all(window.contains(X.reshape(-1, window.dim), tol=1e-12)):
+        raise DomainError("points must lie in the window")
+    if k > 1:
+        same = np.all(X[:, :, None, :] == X[:, None, :, :], axis=-1)
+        if np.any(same & ~np.eye(k, dtype=bool)):
+            raise DomainError("multiplicity one violated: duplicate point")
     out = np.empty(m)
     for i in range(m):
-        pts = X[i] if k else np.zeros((0, window.dim))
-        out[i] = 1.0 if A.contains(Configuration(window=window, points=pts)) else 0.0
+        gamma = Configuration._unsafe(window, _canonical(X[i]))
+        out[i] = 1.0 if A.contains(gamma) else 0.0
     return out

@@ -7,10 +7,11 @@ from ugmt.cylinder import (CylinderVectorField, cyl_compose, cyl_from_star, cons
                            tanh_of)
 from ugmt.geometry import SmoothFunction, SmoothVectorField, interval
 from ugmt.heat import LiftedHeatOperator, lifted_gradient_norm
-from ugmt.bv import (_VariationalObjective, coarea_check, gauss_green_residual,
-                     levelset_expectation, perimeter_measure, sobolev_consistency,
-                     tv_bracket, tv_relaxation, tv_semigroup, tv_variational)
-from ugmt.hausdorff import rho_m_on_box, scaled_box
+from ugmt.bv import (_VariationalObjective, coarea_battery, coarea_check,
+                     gauss_green_residual, levelset_expectation, perimeter_measure,
+                     sobolev_consistency, surface_battery, tv_bracket, tv_relaxation,
+                     tv_semigroup, tv_variational)
+from ugmt.hausdorff import CriticalLevelError, rho_m_on_box, scaled_box, surface_functional
 from ugmt.rng import mean_and_stderr
 
 UNIT = interval(0.0, 1.0)
@@ -163,7 +164,8 @@ def test_objective_final_estimate_streams(name):
 def test_tv_relaxation_smooth_and_indicator():
     F = batteries.tanh_cos_function(0.8)
     rel = tv_relaxation(F, OP, [0.004, 0.008])
-    direct, _ = lifted_gradient_norm(F, None, OP, p=1.0)
+    direct, derr = lifted_gradient_norm(F, None, OP, p=1.0)
+    assert (rel.value, rel.error, rel.smoothing_gap) == (direct, derr, 0.0)
     assert rel.value <= direct * (1 + 1e-3) + 1e-9
     assert rel.value >= direct * (1 - 1e-3)
     relE = tv_relaxation(HALF, OP, [0.002, 0.004, 0.008])
@@ -249,3 +251,52 @@ def test_sobolev_consistency_density():
     G = {"unit": 1.0}
     rep = sobolev_consistency(F, G, np.tanh(0.35 * us), UNIT, seed=13, n_samples=30_000)
     assert rep["densities"]["unit"]["deviation"] < 0.05
+
+
+def _surface_weights():
+    G = cyl_compose(lambda r: tanh_of(r), cyl_from_star(
+        SmoothFunction.bump(0.4, 0.3, 1.0, window=UNIT)))
+    V = batteries.gg_fields()[0]
+    return {
+        "surface": None,
+        "G": lambda X, grad: G.value(X) * np.sqrt(np.sum(grad * grad, axis=(-2, -1))),
+        "normal": lambda X, grad: np.sum(V.at_particles(X) * grad, axis=(-2, -1)),
+    }
+
+
+@pytest.mark.parametrize("case", ["quadrature-and-mc", "fallback"])
+def test_surface_battery_matches_weight_by_weight(case):
+    # strata 1 and 2 take the quadrature route, 3 and 4 the Monte Carlo one;
+    # on the plateau the wide profile meets the flat top, so every quadrature
+    # stratum falls back to Monte Carlo
+    if case == "fallback":
+        top = SmoothFunction.plateau(interval(0.3, 0.7), 0.02, window=UNIT)
+        E = SetSpec.level_set(cyl_from_star(top), 0.97)
+    else:
+        E = HALF
+    weights = _surface_weights()
+    together = surface_battery(E, UNIT, weights, eps=0.01, n_samples=2_000, seed=3, K_max=4)
+    for name, weight in weights.items():
+        alone = surface_battery(E, UNIT, {name: weight}, eps=0.01, n_samples=2_000, seed=3,
+                                K_max=4)
+        assert together[name] == alone[name], name
+    if case == "fallback":
+        g = E.function
+        with pytest.raises(CriticalLevelError):
+            surface_functional(g, 0.97, weights, UNIT, 1, eps=0.01, quad_order=192)
+
+
+def test_coarea_battery_matches_G_by_G():
+    F = cyl_compose(lambda r: tanh_of(r), cyl_from_star(
+        SmoothFunction.bump(0.5, 0.3, 1.0, window=UNIT)))
+    G_bump = cyl_compose(lambda r: mul_n(const(0.5), tanh_of(r)) + const(0.6), cyl_from_star(
+        SmoothFunction.bump(0.45, 0.3, 1.0, window=UNIT)))
+    battery = {"unit": 1.0, "two": 2.0, "bump": G_bump}
+    # tanh(1) is a critical level: the k = 1 sheet passes the bump's peak
+    ts = [0.2, 0.5, float(np.tanh(1.0)), 0.9]
+    reps = coarea_battery(F, battery, ts, UNIT, seed=11, n_samples=2_000)
+    assert list(reps) == list(battery)
+    assert reps["unit"].gap_fraction == 0.25
+    for name, G in battery.items():
+        one = coarea_check(F, G, ts, UNIT, seed=11, n_samples=2_000)
+        assert repr(reps[name]) == repr(one), name  # repr: nan != nan in per_t

@@ -1,14 +1,18 @@
 import numpy as np
 import pytest
 
+from ugmt import batteries
 from ugmt.configuration import Configuration, SetSpec
 from ugmt.cylinder import cyl_from_star
-from ugmt.geometry import BoxDomain, DomainError, SmoothFunction, interval
+from ugmt.geometry import (BoxDomain, DomainError, SmoothFunction, _legendre_rule,
+                           gauss_legendre, interval)
 from ugmt.hausdorff import (CriticalLevelError, dimensional_constant,
                             hausdorff_covering_upper, hausdorff_level_set,
                             rho_m_limit, rho_m_localized, rho_m_on_box, scaled_box,
                             surface_functional)
-from ugmt.montecarlo import MCPlan, measure_of_set
+from ugmt.montecarlo import (MCPlan, StratumGrid, measure_of_set, stratum_grid_points,
+                             uniform_tuples)
+from ugmt.productspace import stratum_indicator
 
 UNIT = interval(0.0, 1.0)
 
@@ -48,11 +52,11 @@ def test_level_set_segment_and_antidiagonal():
 
 
 def test_level_set_quadrature_route():
-    v, e, _ = surface_functional(CoordinateSum(), 1.0, None, UNIT, 2,
-                                 eps=0.01, quad_order=96)
+    v, e, _ = surface_functional(CoordinateSum(), 1.0, {"s": None}, UNIT, 2,
+                                 eps=0.01, quad_order=96)["s"]
     assert v == pytest.approx(np.sqrt(2.0), abs=1e-4)
-    v1, e1, _ = surface_functional(CoordinateSum(), 0.5, None, UNIT, 1,
-                                   eps=0.01, quad_order=192)
+    v1, e1, _ = surface_functional(CoordinateSum(), 0.5, {"s": None}, UNIT, 1,
+                                   eps=0.01, quad_order=192)["s"]
     assert v1 == pytest.approx(1.0, abs=1e-4)
 
 
@@ -65,7 +69,7 @@ def test_critical_level_detected():
             return np.full_like(X, 1e-6)
 
     with pytest.raises(CriticalLevelError):
-        surface_functional(Flat(), 0.3, None, UNIT, 1, eps=0.05, n_samples=10_000)
+        surface_functional(Flat(), 0.3, {"s": None}, UNIT, 1, eps=0.05, n_samples=10_000)
 
 
 def test_covering_counting_and_empty():
@@ -153,3 +157,63 @@ def test_rho_limit_monotone_and_saturating():
         assert b >= a - 3 * (ea + eb)
     assert res.saturated
     assert res.limit == res.values[-1]
+
+
+@pytest.mark.parametrize("order", [1, 7, 32, 96, 192])
+def test_cached_rule_is_fresh_leggauss_and_read_only(order):
+    x, w = np.polynomial.legendre.leggauss(order)
+    cx, cw = _legendre_rule(order)
+    assert np.array_equal(cx, x) and np.array_equal(cw, w)
+    assert _legendre_rule(order)[0] is cx  # built once per order
+    with pytest.raises(ValueError):
+        cx[0] = 0.0
+    with pytest.raises(ValueError):
+        cw[0] = 0.0
+    # the affine map to [lo, hi] is the uncached one, bit for bit
+    lo, hi = 0.25, 1.75
+    nodes, weights = gauss_legendre(lo, hi, order)
+    half = 0.5 * (hi - lo)
+    assert np.array_equal(nodes, lo + half * (x + 1.0))
+    assert np.array_equal(weights, half * w)
+    nodes[0] = -1.0  # callers own the mapped arrays
+    assert np.array_equal(_legendre_rule(order)[0], x)
+
+
+@pytest.mark.parametrize("window, k, order", [
+    (UNIT, 1, 192), (UNIT, 2, 96), (interval(0.0, 0.5), 3, 12),
+    (BoxDomain((0.0, 0.0), (1.0, 2.0)), 2, 5)])
+def test_stratum_grid_is_memoized_read_only_and_fresh(window, k, order):
+    grid = StratumGrid.on(window, k, order)
+    w = grid.weights[0]
+    for wa in grid.weights[1:]:
+        w = np.multiply.outer(w, wa)
+    pts, weights = stratum_grid_points(window, k, order)
+    assert np.array_equal(pts, grid.tuples())
+    assert np.array_equal(weights, w.ravel())
+    again = stratum_grid_points(window, k, order)
+    assert again[0] is pts and again[1] is weights
+    with pytest.raises(ValueError):
+        pts[0, 0, 0] = 0.0
+    with pytest.raises(ValueError):
+        weights[0] = 0.0
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 4])
+def test_stratum_indicator_matches_configuration_reference(k):
+    X = uniform_tuples(UNIT, k, 3_000, seed=5, stream=k)
+    for name, A in batteries.rho0_sets().items():
+        ref = [1.0 if A.contains(Configuration(window=UNIT, points=x)) else 0.0 for x in X]
+        assert np.array_equal(stratum_indicator(A, k, X, UNIT), ref), name
+
+
+def test_stratum_indicator_rejects_invalid_tuples():
+    void = batteries.rho0_sets()["void-mid"]
+    X = uniform_tuples(UNIT, 2, 50, seed=6, stream=0)
+    out = X.copy()
+    out[17, 1, 0] = 1.5
+    with pytest.raises(DomainError):
+        stratum_indicator(void, 2, out, UNIT)
+    dup = X.copy()
+    dup[3, 1] = dup[3, 0]
+    with pytest.raises(DomainError):
+        stratum_indicator(void, 2, dup, UNIT)
