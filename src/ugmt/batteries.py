@@ -174,11 +174,12 @@ def monotone_sheets() -> dict[str, SetSpec]:
 
 def rho0_sets() -> dict[str, SetSpec]:
     f = SmoothFunction.bump(0.5, 0.3, 1.0, window=UNIT)
+    mid = interval(0.3, 0.7)
     return {
         "whole-space": SetSpec.count_at_least(UNIT, 0),
         "occupied-left": SetSpec.count_at_least(interval(0.0, 0.5), 1),
-        "void-mid": SetSpec.predicate(lambda g: g.count_in(interval(0.3, 0.7)) == 0,
-                                      locality=interval(0.3, 0.7), name="void-mid"),
+        "void-mid": SetSpec.predicate(lambda g: g.count_in(mid) == 0,
+                                      locality=mid, name="void-mid"),
         "bump-level": SetSpec.level_set(cyl_from_star(f), 0.8),
         "pair": SetSpec.count_at_least(interval(0.2, 0.9), 2),
     }

@@ -27,7 +27,7 @@ from .geometry import BoxDomain, DomainError
 from .hausdorff import (CriticalLevelError, _outside_average, surface_functional_auto,
                         surface_quad_orders)
 from .heat import LiftedHeatOperator, lifted_gradient_norm
-from .montecarlo import Strata, poisson_stratified
+from .montecarlo import Strata, poisson_stratified_battery
 from .productspace import stratum_indicator
 from .rng import mean_and_stderr, stream_rng
 
@@ -627,7 +627,9 @@ def coarea_battery(F: CylinderFunction, G_battery: dict, t_grid, window: BoxDoma
     ``G_battery`` maps names to nonnegative cylinder functions or numbers.
     Every member is integrated against the same level sheets: each level t
     makes one ``surface_battery`` call for the whole battery, so the band
-    tuples are drawn once per (t, stratum).  Returns name -> CoareaReport.
+    tuples are drawn once per (t, stratum), and the right side's strata are
+    drawn, and grad F evaluated on them, once for all members.  Returns
+    name -> CoareaReport.
 
     Critical levels detected by the sheet oracle are skipped for every member
     and reported in ``gap_fraction`` (fraction of the t-range lost to
@@ -647,6 +649,13 @@ def coarea_battery(F: CylinderFunction, G_battery: dict, t_grid, window: BoxDoma
         return weight
 
     weights = {name: density(G) for name, G in G_battery.items()}
+
+    def rhs_densities(k, X):
+        grad = F.gradient(X)
+        return {name: weight(X, grad) for name, weight in weights.items()}
+
+    # one pass over the (seed + 7, 9000 + k) strata serves every member
+    rhs = poisson_stratified_battery(rhs_densities, window, seed=seed + 7, mc_n=n_samples)
     levels = []  # per t: name -> (value, err, per_k), or None at a critical level
     for i, t in enumerate(ts):
         try:
@@ -657,7 +666,7 @@ def coarea_battery(F: CylinderFunction, G_battery: dict, t_grid, window: BoxDoma
             levels.append(None)
     gaps = sum(res is None for res in levels)
     out = {}
-    for name, weight in weights.items():
+    for name in weights:
         per_t = [(t, np.nan if res is None else res[name][0]) for t, res in zip(ts, levels)]
         errs = [np.nan if res is None else res[name][1] for res in levels]
         # trapezoid over the valid values
@@ -667,10 +676,8 @@ def coarea_battery(F: CylinderFunction, G_battery: dict, t_grid, window: BoxDoma
         for (t0, v0, e0), (t1, v1, e1) in zip(tv, tv[1:]):
             lhs += 0.5 * (v0 + v1) * (t1 - t0)
             lhs_err_sq += (0.5 * (t1 - t0)) ** 2 * (e0 ** 2 + e1 ** 2)
-        rhs, rhs_err = poisson_stratified(lambda k, X, weight=weight: weight(X, F.gradient(X)),
-                                          window, seed=seed + 7, mc_n=n_samples)
-        out[name] = CoareaReport(lhs=lhs, lhs_err=float(np.sqrt(lhs_err_sq)), rhs=rhs,
-                                 rhs_err=rhs_err, per_t=tuple(per_t),
+        out[name] = CoareaReport(lhs=lhs, lhs_err=float(np.sqrt(lhs_err_sq)), rhs=rhs[name][0],
+                                 rhs_err=rhs[name][1], per_t=tuple(per_t),
                                  gap_fraction=gaps / max(len(ts), 1))
     return out
 

@@ -29,7 +29,7 @@ from .geometry import SmoothFunction, gauss_legendre
 from .heat import (BesselOperator, LiftedHeatOperator, bakry_emery_battery,
                    capacity_upper_bound, check_intertwining, regularization_slope)
 from .hausdorff import rho_m_localized, rho_m_on_box, scaled_box
-from .montecarlo import MCPlan, integrate
+from .montecarlo import MCPlan, integrate_battery
 from .bv import (coarea_battery, gauss_green_residual, perimeter_measure,
                  sobolev_consistency, tv_bracket)
 from .rng import worker_count
@@ -185,16 +185,13 @@ def _suite_campbell(cfg: SuiteConfig) -> list[dict]:
     for tag, fams, window in (("1d", batteries.bump_family_1d(), batteries.UNIT),
                               ("2d", batteries.bump_family_2d(), batteries.UNIT2)):
         plan = MCPlan(n_samples=cfg.samples, seed=cfg.seed, window=window)
-        for i, f in enumerate(fams):
+        # exp of the linear statistic, on every k-particle stack of one draw
+        battery = {f"laplace-{tag}-{i}": lambda k, X, f=f: np.exp(np.sum(f.value(X), axis=-1))
+                   for i, f in enumerate(fams)}
+        for f, (name, est) in zip(fams, integrate_battery(battery, plan).items()):
             target = laplace_target(f)
-
-            def G(gamma, f=f):
-                return float(np.exp(np.sum(f.value(gamma.points)))) if gamma.count else 1.0
-
-            est = integrate(G, plan, name=f"laplace-{tag}-{i}")
             ok = est.within(target, 3.0)
-            records.append(record(f"laplace-{tag}-{i}", "Laplace functional",
-                                  est.mean, target, est.std_err, ok))
+            records.append(record(name, "Laplace functional", est.mean, target, est.std_err, ok))
     return records
 
 
@@ -234,8 +231,7 @@ def _suite_bakry_emery(cfg: SuiteConfig) -> list[dict]:
     plan = MCPlan(n_samples=cfg.samples, seed=cfg.seed, window=batteries.UNIT)
     ps = cfg.floats("p_values", [1.0, 2.0, 4.0])
     ts = cfg.floats("t_values", [0.01, 0.1])
-    for name, F in batteries.be_battery().items():
-        reports = bakry_emery_battery(F, ps, ts, op, plan)
+    for name, reports in bakry_emery_battery(batteries.be_battery(), ps, ts, op, plan).items():
         for rep in reports:
             records.append(record(f"pointwise-{name}-p{rep.p:g}-t{rep.t:g}",
                                   "Bakry-Emery p-inequality",

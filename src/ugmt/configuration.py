@@ -7,6 +7,7 @@ and hashing are well defined on the quotient by particle relabeling.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -145,14 +146,32 @@ class MCEstimate:
 # Poisson sampling (intensity = Lebesgue measure on the window)
 
 
+@functools.lru_cache(maxsize=64)
+def _sampler(window: BoxDomain) -> tuple[float, object, object, int]:
+    """(volume, low, high, dim) of the uniform draws in a window, once per window.
+
+    A cube's bounds are scalars: ``rng.uniform`` then skips its broadcasting
+    path and computes the same ``low + (high - low) * u`` per coordinate, so
+    the stream is unchanged.  Other boxes keep read-only bound arrays.
+    """
+    lo, hi = window.lower, window.upper
+    if len(set(lo)) == 1 and len(set(hi)) == 1:
+        low, high = lo[0], hi[0]
+    else:
+        low, high = np.array(lo), np.array(hi)
+        low.setflags(write=False)
+        high.setflags(write=False)
+    return window.volume, low, high, window.dim
+
+
 def _draw(window: BoxDomain, rng: np.random.Generator) -> np.ndarray:
-    k = rng.poisson(window.volume)
+    """Points of one Poisson configuration: N ~ Poisson(volume), then N uniform
+    points, redrawn while two of them coincide exactly."""
+    volume, low, high, dim = _sampler(window)
+    k = rng.poisson(volume)
     for _ in range(_SAMPLE_RETRIES):
-        pts = window.sample_uniform(rng, k)
-        if k < 2:
-            return pts
-        canon = _canonical(pts)
-        if not np.any(np.all(np.diff(canon, axis=0) == 0.0, axis=1)):
+        pts = rng.uniform(low, high, size=(k, dim))
+        if k < 2 or len(set(map(tuple, pts.tolist()))) == k:
             return pts
     raise CollisionError("exact point collision persisted; broken RNG?")
 

@@ -11,6 +11,7 @@ the differentiated integrand), never by finite differences.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Mapping
 
 import numpy as np
 from scipy import special
@@ -19,8 +20,8 @@ from .configuration import Configuration, SetSpec
 from .cylinder import CylinderFunction, ExponentialCylinderFunction
 from .geometry import (BoxDomain, DomainError, HeatKernel1D, QuadratureError,
                        gauss_legendre, required_order)
-from .montecarlo import MCPlan, Strata, StratumGrid, poisson_k_cutoff, poisson_stratified
-from .rng import stream_rng
+from .montecarlo import (MCPlan, Strata, StratumGrid, draw_by_count, poisson_k_cutoff,
+                         poisson_stratified)
 
 __all__ = [
     "LiftedHeatOperator",
@@ -306,33 +307,104 @@ class ViolationReport:
 
 
 _BE_ORDERS = {1: 64, 2: 48, 3: 24, 4: 16, 5: 12, 6: 12, 7: 9, 8: 8}
-_BE_CHUNK_FLOATS = 6_000_000
+_BE_CHUNK_FLOATS = 6_000_000   # floats of one chunk's contraction outputs
 
 
-def _draw_configurations(plan: MCPlan) -> list[np.ndarray]:
-    """Point arrays of the plan's samples, in stream order."""
-    out = []
-    S = plan.worker_streams
-    from .configuration import _draw
-    for j in range(S):
-        rng = stream_rng(plan.seed, j)
-        for _ in range(len(range(j, plan.n_samples, S))):
-            out.append(_draw(plan.window, rng))
-    return out
+def _draw_configurations(plan: MCPlan) -> dict[int, np.ndarray]:
+    """The plan's samples as (m_k, k, n) tuple stacks by particle count k, from
+    one draw of the plan (``montecarlo.draw_by_count``)."""
+    return {k: X for k, (_, X) in draw_by_count(plan).items()}
 
 
-def bakry_emery_battery(F: CylinderFunction, ps, ts, op: LiftedHeatOperator,
-                        plan: MCPlan, tolerance: float = 1e-8
-                        ) -> list[ViolationReport]:
+def _be_tensors(F: CylinderFunction, k: int, nodes: np.ndarray, lo: float,
+                ps: list[float]) -> tuple[np.ndarray, np.ndarray]:
+    """The grid tensors of F on the k-particle stratum, q nodes per particle.
+
+    Returns |grad F|^p for every p in ``ps``, shape (q, P, q^(k-1)), and the
+    gradient component of particle 0, shape (q, q^(k-1)).  Axis 0 runs over
+    particle 0's nodes and the last axis over the other particles' nodes, so
+    particle 0 contracts as one matrix product.  F is symmetric in its
+    particles: the component of particle j is that of particle 0 with the
+    axes of particles 0 and j swapped, and ``_be_contract`` swaps the kernel
+    vectors instead of storing it.  The tensors are built one node of
+    particle 0 at a time, so the scratch arrays are q times smaller than the
+    grid; every entry keeps the value the whole-grid computation gives.
+    """
+    q, P, l = nodes.size, len(ps), F.arity
+    pts_col = (nodes + lo)[:, None]
+    fvals = np.stack([f.value(pts_col) for f in F.inners], axis=-1)   # (q, l)
+    fgrads = np.stack([f.gradient(pts_col)[:, 0] for f in F.inners], axis=-1)
+    rest = (q,) * (k - 1)                       # the axes of particles 1..k-1
+    along = [[q if a == j else 1 for a in range(k - 1)] + [l] for j in range(k - 1)]
+    powers = np.empty((q, P) + rest)
+    g0 = np.empty((q,) + rest)
+    u = np.empty(rest + (l,))
+    sq, g, buf = np.empty(rest), np.empty(rest), np.empty(rest)
+    for a0 in range(q):
+        # the linear statistics, summed over the particles in order
+        u[...] = fvals[a0]
+        for j in range(k - 1):
+            u += fvals.reshape(along[j])
+        dphi = [F.outer.partial(i).eval(u) for i in range(l)]
+        for j in range(k):
+            gj = g0[a0, ...] if j == 0 else g
+            fg = fgrads[a0] if j == 0 else fgrads.reshape(along[j - 1])
+            np.multiply(dphi[0], fg[..., 0], out=gj)
+            for i in range(1, l):
+                np.multiply(dphi[i], fg[..., i], out=buf)
+                gj += buf
+            if j == 0:
+                np.multiply(gj, gj, out=sq)
+            else:
+                np.multiply(gj, gj, out=buf)
+                sq += buf
+        for i, p in enumerate(ps):
+            np.power(sq, p / 2.0, out=powers[a0, i, ...])
+    return powers.reshape(q, P, -1), g0.reshape(q, -1)
+
+
+def _be_contract(powers: np.ndarray, g0: np.ndarray, A: np.ndarray, D: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """The ``_be_tensors`` of F integrated against per-sample kernel vectors.
+
+    A and D hold the Neumann and absorbing kernel vectors, shape (b, k, q),
+    of b samples.  Returns the right sides, |grad F|^p with A on every
+    particle axis, shape (b, P), and the gradient components of the left
+    side, shape (b, k): component j takes D on particle j's axis and A on the
+    others.  It is g0 with the axes of particles 0 and j swapped, so it takes
+    D_j on axis 0 and A_0 on axis j.
+    """
+    b, k, q = A.shape
+    P = powers.shape[1]
+    # axis 0: matrix products with the tensors, not per-sample broadcasts
+    rhs = (A[:, 0] @ powers.reshape(q, -1)).reshape(b, P, -1)
+    lhs = (D.reshape(b * k, q) @ g0).reshape(b, k, -1)
+    for j in range(1, k):
+        rhs = np.einsum("bpqr,bq->bpr", rhs.reshape(b, P, q, -1), A[:, j])
+        vec = np.repeat(A[:, j, None], k, axis=1)                        # (b, k, q)
+        vec[:, j] = A[:, 0]
+        lhs = np.einsum("bjqr,bjq->bjr", lhs.reshape(b, k, q, -1), vec)
+    return rhs[:, :, 0], lhs[:, :, 0]
+
+
+def bakry_emery_battery(battery: Mapping[str, CylinderFunction], ps, ts,
+                        op: LiftedHeatOperator, plan: MCPlan, tolerance: float = 1e-8
+                        ) -> dict[str, list[ViolationReport]]:
     """Pointwise |grad T_t F|^p <= T_t |grad F|^p over sampled configurations.
 
     Both sides are quadratures over the same per-sample product grid: the
     right side contracts |grad F|^p with the Neumann kernel, the left side
     contracts the integrand gradient with the absorbing kernel (equal to the
-    differentiated Neumann kernel after integration by parts).  Samples are
-    batched by particle count, so one call evaluates all (p, t) pairs.
+    differentiated Neumann kernel after integration by parts).
+
+    ``battery`` maps names to cylinder functions.  The plan is drawn once and
+    its samples grouped by particle count k.  Per k, the kernel vectors of
+    every sample and t are built once for the battery; per (F, k), the grid
+    tensors of every p and of the gradient components are built once and
+    contracted against the vectors of all t in one pass, one F at a time.
     One-dimensional windows only; counts beyond the configured orders use a
-    coarse grid, which stays faithful because both sides share it.
+    coarse grid, which stays faithful because both sides share it.  Returns
+    name -> one ViolationReport per (p, t), p-major.
     """
     if op.window.dim != 1:
         raise DomainError("the pointwise check is implemented for 1-d windows")
@@ -340,76 +412,52 @@ def bakry_emery_battery(F: CylinderFunction, ps, ts, op: LiftedHeatOperator,
     ts = [float(t) for t in np.atleast_1d(ts)]
     if any(p < 1 for p in ps):
         raise DomainError("p must be at least 1")
-    points = _draw_configurations(plan)
-    by_k: dict[int, list[np.ndarray]] = {}
-    for pts in points:
-        by_k.setdefault(pts.shape[0], []).append(pts)
-    stats_acc = {(p, t): [0.0, 0] for p in ps for t in ts}
-    n_total = len(points)
+    P, nt = len(ps), len(ts)
+    # per name, the largest gap and the violation count, shape (P, nt)
+    worst = {name: np.zeros((P, nt)) for name in battery}
+    counts = {name: np.zeros((P, nt), dtype=int) for name in battery}
     L = float(op.window.sides[0])
     lo = op.window.lower[0]
-    for k, group in sorted(by_k.items()):
+    for k, X in _draw_configurations(plan).items():
         if k == 0:
             continue  # both sides vanish on the vacuum
         q = _BE_ORDERS.get(k, 8)
         nodes, w = gauss_legendre(0.0, L, q)
-        pts_col = (nodes + lo)[:, None]
-        fvals = np.stack([f.value(pts_col) for f in F.inners], axis=-1)   # (q, l)
-        fgrads = np.stack([f.gradient(pts_col)[:, 0] for f in F.inners], axis=-1)
-        shape = (q,) * k
-        u = np.zeros(shape + (F.arity,))
-        for j in range(k):
-            u = u + fvals.reshape([q if a == j else 1 for a in range(k)] + [F.arity])
-        dphi = np.stack([F.outer.partial(i).eval(u) for i in range(F.arity)], axis=-1)
-        per_j = []
-        sq = np.zeros(shape)
-        for j in range(k):
-            gj = np.zeros(shape)
-            for i in range(F.arity):
-                gshape = [q if a == j else 1 for a in range(k)]
-                gj = gj + dphi[..., i] * fgrads[:, i].reshape(gshape)
-            per_j.append(gj)
-            sq = sq + gj * gj
-        X = (np.stack(group)[:, :, 0] - lo)                              # (m, k)
-        chunk = max(1, _BE_CHUNK_FLOATS // (q ** k + 1))
-        for t in ts:
-            ker = op._axis_kernel(t, 0)
-            powers = {p: sq ** (p / 2.0) for p in ps}
-            for s in range(0, X.shape[0], chunk):
-                xs = X[s:s + chunk]
-                A = ker.kernel(xs[..., None], nodes[None, None, :]) * w    # (m,k,q)
-                D = ker.dirichlet(xs[..., None], nodes[None, None, :]) * w
-
-                def contract(vals, special_j=None):
-                    out = np.broadcast_to(vals, (xs.shape[0],) + vals.shape) \
-                        if vals.ndim == k else vals
-                    for j in range(k):
-                        vec = D[:, j] if j == special_j else A[:, j]
-                        out = np.einsum("mq...,mq->m...", out, vec)
-                    return out
-
-                lhs_sq = np.zeros(xs.shape[0])
+        xs = X[:, :, 0][..., None] - lo                                  # (m, k, 1)
+        kers = [op._axis_kernel(t, 0) for t in ts]
+        A = np.stack([ker.kernel(xs, nodes[None, None, :]) * w for ker in kers])    # (nt,m,k,q)
+        D = np.stack([ker.dirichlet(xs, nodes[None, None, :]) * w for ker in kers])
+        m = X.shape[0]
+        chunk = max(1, _BE_CHUNK_FLOATS // (nt * (P + k) * q ** (k - 1)))
+        for name, F in battery.items():
+            powers, g0 = _be_tensors(F, k, nodes, lo, ps)
+            for s in range(0, m, chunk):
+                mc = min(chunk, m - s)
+                rhs, comps = _be_contract(powers, g0, A[:, s:s + chunk].reshape(nt * mc, k, q),
+                                          D[:, s:s + chunk].reshape(nt * mc, k, q))
+                rhs, comps = rhs.reshape(nt, mc, P), comps.reshape(nt, mc, k)
+                lhs_sq = np.zeros((nt, mc))
                 for j in range(k):
-                    comp = contract(per_j[j], special_j=j)
-                    lhs_sq += comp * comp
-                for p in ps:
-                    rhs = contract(powers[p])
-                    gap = np.maximum(lhs_sq, 0.0) ** (p / 2.0) - rhs
-                    acc = stats_acc[(p, t)]
-                    acc[0] = max(acc[0], float(np.max(gap)))
-                    acc[1] += int(np.sum(gap > tolerance))
-    return [ViolationReport(p=p, t=t, n_samples=n_total,
-                            max_violation=stats_acc[(p, t)][0],
-                            violation_fraction=stats_acc[(p, t)][1] / max(n_total, 1),
-                            tolerance=tolerance)
-            for p in ps for t in ts]
+                    lhs_sq += comps[:, :, j] * comps[:, :, j]
+                for i, p in enumerate(ps):
+                    gap = np.maximum(lhs_sq, 0.0) ** (p / 2.0) - rhs[:, :, i]   # (nt, mc)
+                    worst[name][i] = np.maximum(worst[name][i], np.max(gap, axis=1))
+                    counts[name][i] += np.sum(gap > tolerance, axis=1)
+            del powers, g0   # one F's grid tensors alive at a time
+    n_total = plan.n_samples
+    return {name: [ViolationReport(p=p, t=t, n_samples=n_total,
+                                   max_violation=float(worst[name][i, ti]),
+                                   violation_fraction=int(counts[name][i, ti]) / max(n_total, 1),
+                                   tolerance=tolerance)
+                   for i, p in enumerate(ps) for ti, t in enumerate(ts)]
+            for name in battery}
 
 
 def check_bakry_emery(F: CylinderFunction, p: float, t: float,
                       op: LiftedHeatOperator, plan: MCPlan,
                       tolerance: float = 1e-8) -> ViolationReport:
     """Single (p, t) pointwise Bakry-Emery check; see bakry_emery_battery."""
-    return bakry_emery_battery(F, [p], [t], op, plan, tolerance)[0]
+    return bakry_emery_battery({"F": F}, [p], [t], op, plan, tolerance)["F"][0]
 
 
 def regularization_slope(op: LiftedHeatOperator, t_grid, modes=range(1, 9),

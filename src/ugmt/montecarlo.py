@@ -2,12 +2,20 @@
 
 Two integration routes are provided and used as mutual oracles throughout:
 
-* plain Monte Carlo over sampled configurations (``integrate``), and
+* plain Monte Carlo over sampled configurations.  ``draw_by_count`` draws
+  each sample of an ``MCPlan`` once, per configuration and on the plan's
+  streams, and groups the draws by particle count into ``(m_k, k, n)`` tuple
+  stacks that keep their sample indices.  ``integrate_battery`` evaluates
+  every member of a battery of stratum functions ``Hk(k, X)`` on those
+  stacks, puts the values back in sample order and reduces each member with
+  ``mean_and_stderr``; ``integrate`` is the same route for one functional of
+  a ``Configuration``, evaluated per configuration; and
 * particle-count stratification (``Strata``, the one particle-count loop of
   the package): condition on k points, weight by the Poisson probability of
   k, and integrate over the k-fold product box by tensor Gauss-Legendre
   quadrature (exact up to the count truncation) or per-stratum Monte Carlo
-  for larger k.
+  for larger k.  ``poisson_stratified_battery`` evaluates a battery once per
+  stratum and integrates each member.
 """
 
 from __future__ import annotations
@@ -15,7 +23,7 @@ from __future__ import annotations
 import functools
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 from scipy import stats
@@ -26,12 +34,15 @@ from .rng import mean_and_stderr, stream_rng, worker_count
 
 __all__ = [
     "MCPlan",
+    "draw_by_count",
     "integrate",
+    "integrate_battery",
     "integrate_disintegrated",
     "measure_of_set",
     "poisson_k_cutoff",
     "poisson_pmf",
     "poisson_stratified",
+    "poisson_stratified_battery",
     "stratum_grid_points",
     "default_stratum_orders",
     "uniform_tuples",
@@ -70,44 +81,86 @@ def _reflect(window: BoxDomain, points: np.ndarray) -> np.ndarray:
     return lo + hi - points
 
 
-def _stream_values(G, plan: MCPlan, stream: int, count: int) -> np.ndarray:
-    rng = stream_rng(plan.seed, stream)
-    out = np.empty(count)
-    for i in range(count):
-        pts = _draw(plan.window, rng)
-        gamma = Configuration._unsafe(plan.window, pts)
-        val = G(gamma)
+def draw_by_count(plan: MCPlan) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+    """Every configuration of the plan, drawn once and grouped by particle count.
+
+    Stream j of the plan's ``worker_streams`` S draws samples j, j + S, j + 2S,
+    ... in that order on the random stream (seed, j), one ``_draw`` per
+    configuration, so the points and the collision retries do not depend on
+    the grouping.  Streams run on ``worker_count()`` threads; the result does
+    not depend on that number.  Returns k -> (sample indices, tuples) for
+    every count drawn, k ascending: the tuples have shape (m_k, k, n) and are
+    in stream order.
+    """
+    S, n = plan.worker_streams, plan.n_samples
+
+    def stream(j: int) -> list[np.ndarray]:
+        rng = stream_rng(plan.seed, j)
+        return [_draw(plan.window, rng) for _ in range(j, n, S)]
+
+    workers = min(worker_count(), S)
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            chunks = list(pool.map(stream, range(S)))
+    else:
+        chunks = [stream(j) for j in range(S)]
+    groups: dict[int, tuple[list, list]] = {}
+    for j, chunk in enumerate(chunks):
+        for i, pts in zip(range(j, n, S), chunk):
+            idx, tuples = groups.setdefault(pts.shape[0], ([], []))
+            idx.append(i)
+            tuples.append(pts)
+    return {k: (np.array(idx), np.stack(tuples)) for k, (idx, tuples) in sorted(groups.items())}
+
+
+def _in_sample_order(Hk, draws: dict, plan: MCPlan) -> np.ndarray:
+    """Values of the stratum function Hk at the drawn samples, in sample order
+    (antithetic plans average each tuple with its reflection)."""
+    values = np.empty(plan.n_samples)
+    for k, (idx, X) in draws.items():
+        vals = np.asarray(Hk(k, X), dtype=float)
         if plan.antithetic:
-            mirrored = Configuration._unsafe(plan.window, _reflect(plan.window, pts))
-            val = 0.5 * (val + G(mirrored))
-        out[i] = val
-    if not np.all(np.isfinite(out)):
+            vals = 0.5 * (vals + np.asarray(Hk(k, _reflect(plan.window, X)), dtype=float))
+        values[idx] = vals
+    if not np.all(np.isfinite(values)):
         raise ValueError("non-finite integrand value encountered")
-    return out
+    return values
+
+
+def _per_configuration(G, window: BoxDomain):
+    """The stratum function of a functional G of one Configuration."""
+    def Hk(k, X):
+        return [G(Configuration._unsafe(window, pts)) for pts in X]
+    return Hk
+
+
+def _estimate(values: np.ndarray, plan: MCPlan, name: str) -> MCEstimate:
+    mean, std_err = mean_and_stderr(values)
+    return MCEstimate(mean=mean, std_err=std_err, n_samples=values.size,
+                      seed=plan.seed, name=name)
 
 
 def sample_values(G, plan: MCPlan) -> np.ndarray:
     """Per-sample values of G under the plan, in a worker-independent order."""
-    S = plan.worker_streams
-    counts = [len(range(j, plan.n_samples, S)) for j in range(S)]
-    workers = min(worker_count(), S)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(lambda j: _stream_values(G, plan, j, counts[j]), range(S)))
-    else:
-        chunks = [_stream_values(G, plan, j, counts[j]) for j in range(S)]
-    values = np.empty(plan.n_samples)
-    for j, chunk in enumerate(chunks):
-        values[j::S] = chunk
-    return values
+    return _in_sample_order(_per_configuration(G, plan.window), draw_by_count(plan), plan)
 
 
 def integrate(G, plan: MCPlan, name: str = "") -> MCEstimate:
     """Sample mean and standard error of G under the Poisson measure."""
-    values = sample_values(G, plan)
-    mean, std_err = mean_and_stderr(values)
-    return MCEstimate(mean=mean, std_err=std_err, n_samples=values.size,
-                      seed=plan.seed, name=name)
+    return _estimate(sample_values(G, plan), plan, name)
+
+
+def integrate_battery(battery: Mapping[str, Callable], plan: MCPlan) -> dict[str, MCEstimate]:
+    """Sample mean and standard error of every member, from one draw of the plan.
+
+    Members follow the ``Hk(k, X)`` convention of ``poisson_stratified``: X
+    holds the plan's k-particle configurations as tuples (m_k, k, n) and Hk
+    returns their (m_k,) values.  Each member's estimate equals ``integrate``
+    of the same functional bit for bit.  Returns name -> MCEstimate.
+    """
+    draws = draw_by_count(plan)
+    return {name: _estimate(_in_sample_order(Hk, draws, plan), plan, name)
+            for name, Hk in battery.items()}
 
 
 def integrate_disintegrated(G, split: tuple[BoxDomain, BoxDomain], plan: MCPlan,
@@ -266,13 +319,23 @@ class Stratum:
         """Quadrature average over window^k of values at the grid points."""
         return float(np.sum(w * values)) / self.window.volume ** self.k
 
-    def average(self, H: Callable[[np.ndarray], np.ndarray]) -> tuple[float, float]:
-        """(average, error) of H over window^k, H mapping tuples (m, k, n) to
-        (m,): exact on grid strata, mean and standard error on Monte Carlo ones."""
+    def averages(self, H: Callable[[np.ndarray], Mapping[str, np.ndarray]]
+                 ) -> dict[str, tuple[float, float]]:
+        """(average, error) over window^k of every member of a battery.
+
+        H maps tuples (m, k, n) to name -> (m,) values and runs once on the
+        stratum's grid or draw; each member is reduced on its own: exact on
+        grid strata, mean and standard error on Monte Carlo ones.
+        """
         if self.order is not None:
             pts, w = self.grid()
-            return self.grid_mean(np.asarray(H(pts)), w), 0.0
-        return mean_and_stderr(H(self.draw()))
+            return {name: (self.grid_mean(np.asarray(v), w), 0.0)
+                    for name, v in H(pts).items()}
+        return {name: mean_and_stderr(v) for name, v in H(self.draw()).items()}
+
+    def average(self, H: Callable[[np.ndarray], np.ndarray]) -> tuple[float, float]:
+        """(average, error) of H over window^k, H mapping tuples (m, k, n) to (m,)."""
+        return self.averages(lambda X: {"": H(X)})[""]
 
 
 class StratifiedSum(NamedTuple):
@@ -339,23 +402,43 @@ class Strata:
         return StratifiedSum(total, float(np.sqrt(err_sq)), per_k)
 
 
+def poisson_stratified_battery(Hk, window: BoxDomain, *, quad_k: int = 3,
+                               mc_n: int = 20_000, seed: int = 0,
+                               sup_bound: float | None = None
+                               ) -> dict[str, tuple[float, float]]:
+    """E_pi of every member of a battery, from one pass over the strata.
+
+    ``Hk(k, X)`` evaluates the symmetric stratum functions of all members on
+    ordered tuples X of shape (m, k, n) and returns name -> (m,) values, so
+    work shared by the members (draws, gradients) is done once per stratum.
+    Strata up to ``quad_k`` use tensor quadrature (deterministic); the rest use
+    per-stratum Monte Carlo on streams 9000 + k; the truncated tail is charged
+    to the error using ``sup_bound`` when supplied.
+
+    Returns name -> (value, error), where error combines Monte Carlo standard
+    errors and the tail bound.
+    """
+    orders = default_stratum_orders(window.dim)
+    strata = Strata(window, orders={k: o for k, o in orders.items() if k <= quad_k},
+                    mc_n=mc_n, seed=seed, stream_base=9_000)
+    empty = {name: float(np.asarray(v)[0])
+             for name, v in Hk(0, np.zeros((1, 0, window.dim))).items()}
+    per_stratum = {s.k: s.averages(lambda X, k=s.k: Hk(k, X)) for s in strata}
+    out = {}
+    for name in empty:
+        res = strata.integrate(lambda s, name=name: [per_stratum[s.k][name]],
+                               empty=empty[name], sup_bound=sup_bound)
+        out[name] = (res.value, res.error)
+    return out
+
+
 def poisson_stratified(Hk, window: BoxDomain, *, quad_k: int = 3, mc_n: int = 20_000,
                        seed: int = 0, sup_bound: float | None = None) -> tuple[float, float]:
     """E_pi[H] by conditioning on the particle count.
 
     ``Hk(k, X)`` evaluates the symmetric stratum function on ordered tuples,
-    X of shape (m, k, n) -> (m,).  Strata up to ``quad_k`` use tensor
-    quadrature (deterministic); the rest use per-stratum Monte Carlo on
-    streams 9000 + k; the truncated tail is charged to the error using
-    ``sup_bound`` when supplied.
-
-    Returns (value, error) where error combines Monte Carlo standard errors
-    and the tail bound.
+    X of shape (m, k, n) -> (m,).  The one-member call of
+    ``poisson_stratified_battery``; returns (value, error).
     """
-    orders = default_stratum_orders(window.dim)
-    strata = Strata(window, orders={k: o for k, o in orders.items() if k <= quad_k},
-                    mc_n=mc_n, seed=seed, stream_base=9_000)
-    empty = float(np.asarray(Hk(0, np.zeros((1, 0, window.dim))))[0])
-    res = strata.integrate(lambda s: [s.average(lambda X: Hk(s.k, X))], empty=empty,
-                           sup_bound=sup_bound)
-    return res.value, res.error
+    return poisson_stratified_battery(lambda k, X: {"": Hk(k, X)}, window, quad_k=quad_k,
+                                      mc_n=mc_n, seed=seed, sup_bound=sup_bound)[""]

@@ -221,7 +221,7 @@ def test_10_bakry_emery():
     worst = 0.0
     violations = 0
     for name, F in batteries.be_battery().items():
-        for rep in bakry_emery_battery(F, [1.0, 2.0, 4.0], [0.01, 0.1], op, plan):
+        for rep in bakry_emery_battery({name: F}, [1.0, 2.0, 4.0], [0.01, 0.1], op, plan)[name]:
             worst = max(worst, rep.max_violation)
             violations += int(rep.violation_fraction > 0.0)
     slope, _ = regularization_slope(op, np.geomspace(1e-3, 1e-1, 9))

@@ -4,8 +4,9 @@ import pytest
 from ugmt.configuration import Configuration, SetSpec
 from ugmt.cylinder import (CylinderFunction, ExponentialCylinderFunction,
                            OuterFunction, add_n, const, coord, cyl_compose,
-                           cyl_from_star, mul_n, smoothstep, tanh_of)
-from ugmt.geometry import DomainError, QuadratureError, SmoothFunction, interval
+                           cyl_from_star, cyl_mul, mul_n, smoothstep, tanh_of)
+from ugmt.geometry import (DomainError, QuadratureError, SmoothFunction, gauss_legendre,
+                           interval)
 from ugmt.heat import (BesselOperator, LiftedHeatOperator, _semigroup_at,
                        bakry_emery_battery, bessel_apply, capacity_upper_bound,
                        check_bakry_emery, check_intertwining, lift_semigroup,
@@ -207,7 +208,7 @@ def test_battery_runs_all_pairs():
     f = SmoothFunction.bump(0.45, 0.28, 1.0, window=UNIT)
     F = cyl_compose(lambda r: tanh_of(r), cyl_from_star(f))
     plan = MCPlan(n_samples=1000, seed=9, window=UNIT)
-    reports = bakry_emery_battery(F, [1.0, 2.0], [0.01, 0.1], OP, plan)
+    reports = bakry_emery_battery({"F": F}, [1.0, 2.0], [0.01, 0.1], OP, plan)["F"]
     assert len(reports) == 4
     assert all(r.violation_fraction == 0.0 for r in reports)
 
@@ -221,3 +222,119 @@ def test_gradient_norm_consistency():
     t = 0.02
     nt, _ = lifted_gradient_norm(F, t, OP, p=1.0)
     assert nt == pytest.approx(np.exp(-np.pi**2 * t) * n0, rel=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# the mapping form of the Bakry-Emery battery against the per-F einsum loop
+
+
+def _einsum_battery_reference(F, ps, ts, op, plan):
+    """The per-F loop the battery form replaced, kept as the reference.
+
+    It draws the plan per configuration, builds every particle's gradient
+    component and |grad F|^p per (k, t), the kernel vectors per chunk, and
+    contracts each particle axis with an einsum over the grid tensor
+    broadcast to every sample.  Returns the per-sample gaps
+    |grad T_t F|^p - T_t |grad F|^p of the samples with k > 0, per (p, t),
+    and the sample count.
+    """
+    from ugmt.configuration import _draw
+    from ugmt.heat import _BE_CHUNK_FLOATS, _BE_ORDERS
+    from ugmt.rng import stream_rng
+
+    points = []
+    S = plan.worker_streams
+    for j in range(S):
+        rng = stream_rng(plan.seed, j)
+        for _ in range(len(range(j, plan.n_samples, S))):
+            points.append(_draw(plan.window, rng))
+    by_k = {}
+    for pts in points:
+        by_k.setdefault(pts.shape[0], []).append(pts)
+    gaps = {(p, t): [] for p in ps for t in ts}
+    L = float(op.window.sides[0])
+    lo = op.window.lower[0]
+    for k, group in sorted(by_k.items()):
+        if k == 0:
+            continue
+        q = _BE_ORDERS.get(k, 8)
+        nodes, w = gauss_legendre(0.0, L, q)
+        pts_col = (nodes + lo)[:, None]
+        fvals = np.stack([f.value(pts_col) for f in F.inners], axis=-1)
+        fgrads = np.stack([f.gradient(pts_col)[:, 0] for f in F.inners], axis=-1)
+        shape = (q,) * k
+        u = np.zeros(shape + (F.arity,))
+        for j in range(k):
+            u = u + fvals.reshape([q if a == j else 1 for a in range(k)] + [F.arity])
+        dphi = np.stack([F.outer.partial(i).eval(u) for i in range(F.arity)], axis=-1)
+        per_j = []
+        sq = np.zeros(shape)
+        for j in range(k):
+            gj = np.zeros(shape)
+            for i in range(F.arity):
+                gshape = [q if a == j else 1 for a in range(k)]
+                gj = gj + dphi[..., i] * fgrads[:, i].reshape(gshape)
+            per_j.append(gj)
+            sq = sq + gj * gj
+        X = np.stack(group)[:, :, 0] - lo
+        chunk = max(1, _BE_CHUNK_FLOATS // (q ** k + 1))
+        for t in ts:
+            ker = op._axis_kernel(t, 0)
+            powers = {p: sq ** (p / 2.0) for p in ps}
+            for s in range(0, X.shape[0], chunk):
+                xs = X[s:s + chunk]
+                A = ker.kernel(xs[..., None], nodes[None, None, :]) * w
+                D = ker.dirichlet(xs[..., None], nodes[None, None, :]) * w
+
+                def contract(vals, special_j=None):
+                    out = np.broadcast_to(vals, (xs.shape[0],) + vals.shape)
+                    for j in range(k):
+                        vec = D[:, j] if j == special_j else A[:, j]
+                        out = np.einsum("mq...,mq->m...", out, vec)
+                    return out
+
+                lhs_sq = np.zeros(xs.shape[0])
+                for j in range(k):
+                    comp = contract(per_j[j], special_j=j)
+                    lhs_sq += comp * comp
+                for p in ps:
+                    gap = np.maximum(lhs_sq, 0.0) ** (p / 2.0) - contract(powers[p])
+                    gaps[(p, t)].append(gap)
+    return {key: np.concatenate(v) for key, v in gaps.items()}, len(points)
+
+
+BE_PLAN = MCPlan(n_samples=1500, seed=5, window=UNIT)   # particle counts up to 6
+BE_TOLERANCES = (1e-8, -0.6, -3.0, -300.0)   # the last three split the gaps
+
+
+def _be_members():
+    f1 = SmoothFunction.bump(0.45, 0.28, 1.0, window=UNIT)
+    f2 = SmoothFunction.neumann_mode((2,), UNIT, amplitude=0.6)
+    tanh_bump = cyl_compose(lambda r: tanh_of(r), cyl_from_star(f1))
+    return {"tanh-bump": tanh_bump,
+            "product": cyl_mul(tanh_bump, cyl_from_star(f2))}   # arity 2
+
+
+def test_battery_matches_per_F_einsum_reference():
+    from ugmt.montecarlo import draw_by_count
+
+    assert max(draw_by_count(BE_PLAN)) >= 5
+    members = _be_members()
+    ps, ts = [1.0, 2.0, 4.0], [0.01, 0.1]
+    refs = {name: _einsum_battery_reference(F, ps, ts, OP, BE_PLAN)
+            for name, F in members.items()}
+    seen_partial_counts = 0
+    for tol in BE_TOLERANCES:
+        got = bakry_emery_battery(members, ps, ts, OP, BE_PLAN, tolerance=tol)
+        assert list(got) == list(members)
+        for name, (gaps, n) in refs.items():
+            assert [(r.p, r.t) for r in got[name]] == [(p, t) for p in ps for t in ts]
+            for rep in got[name]:
+                gap = gaps[(rep.p, rep.t)]
+                count = int(np.sum(gap > tol))
+                seen_partial_counts += 0 < count < gap.size
+                assert rep.n_samples == n and rep.tolerance == tol
+                assert rep.violation_fraction == count / n
+                assert abs(rep.max_violation - max(0.0, float(np.max(gap)))) <= 1e-12
+    # the negative tolerances split the samples, so the counts see every gap
+    assert seen_partial_counts >= 10

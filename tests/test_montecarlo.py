@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
-from ugmt.configuration import Configuration, SetSpec
+from ugmt.configuration import CollisionError, Configuration, SetSpec
 from ugmt.cylinder import cyl_compose, cyl_from_star, tanh_of
-from ugmt.geometry import SmoothFunction, gauss_legendre, interval
-from ugmt.montecarlo import (MCPlan, integrate, integrate_disintegrated,
-                             measure_of_set, poisson_k_cutoff, poisson_stratified)
+from ugmt.geometry import BoxDomain, SmoothFunction, gauss_legendre, interval
+from ugmt.montecarlo import (MCPlan, draw_by_count, integrate, integrate_battery,
+                             integrate_disintegrated, measure_of_set, poisson_k_cutoff,
+                             poisson_stratified, poisson_stratified_battery)
+from ugmt.rng import mean_and_stderr, stream_rng
 
 UNIT = interval(0.0, 1.0)
 PLAN = MCPlan(n_samples=20_000, seed=90, window=UNIT)
@@ -124,3 +126,181 @@ def test_chebyshev_sanity():
         if abs(est.mean - 1.0) <= 3 * est.std_err:
             hits += 1
     assert hits >= 95
+
+
+# ---------------------------------------------------------------------------
+# one draw per plan, grouped by particle count
+
+
+def _reference_draw(window, rng):
+    """The per-configuration draw with bound tuples, a fresh window volume and
+    the sorted collision check, as ``configuration._draw`` had it."""
+    k = rng.poisson(window.volume)
+    for _ in range(10):
+        pts = window.sample_uniform(rng, k)
+        if k < 2:
+            return pts
+        canon = pts[np.lexsort(pts.T[::-1])]
+        if not np.any(np.all(np.diff(canon, axis=0) == 0.0, axis=1)):
+            return pts
+    raise CollisionError("exact point collision persisted")
+
+
+def _reference_plan_draws(plan, make_rng=stream_rng):
+    """Sample index -> points, drawn stream by stream in stream order."""
+    S, n = plan.worker_streams, plan.n_samples
+    out = {}
+    for j in range(S):
+        rng = make_rng(plan.seed, j)
+        for i in range(j, n, S):
+            out[i] = _reference_draw(plan.window, rng)
+    return out
+
+
+def _stream_order(plan, idx):
+    S = plan.worker_streams
+    return sorted(idx, key=lambda i: (i % S, i // S))
+
+
+WINDOWS = {"unit": UNIT, "unit2": BoxDomain((0.0, 0.0), (1.0, 1.0)),
+           "volume-12": BoxDomain((0.0, -1.0), (4.0, 2.0))}
+
+
+@pytest.mark.parametrize("window", WINDOWS.values(), ids=list(WINDOWS))
+def test_draw_by_count_reproduces_per_configuration_draws(window):
+    plan = MCPlan(n_samples=1000, seed=23, window=window, worker_streams=7)
+    ref = _reference_plan_draws(plan)
+    draws = draw_by_count(plan)
+    assert list(draws) == sorted(draws)
+    assert sum(len(idx) for idx, _ in draws.values()) == plan.n_samples
+    seen = set()
+    for k, (idx, X) in draws.items():
+        assert X.shape == (len(idx), k, window.dim)
+        assert list(idx) == _stream_order(plan, idx)
+        for i, pts in zip(idx, X):
+            assert np.array_equal(pts, ref[i])
+        seen.update(int(i) for i in idx)
+    assert seen == set(range(plan.n_samples))
+    if window.volume > 10:
+        assert max(draws) >= 8
+
+
+class _RepeatOnce:
+    """A generator whose first multi-point uniform draw repeats a point."""
+
+    def __init__(self, seed, stream):
+        self.rng = stream_rng(seed, stream)
+        self.repeated = False
+        self.uniform_calls = 0
+
+    def poisson(self, lam):
+        return self.rng.poisson(lam)
+
+    def uniform(self, low, high, size):
+        self.uniform_calls += 1
+        pts = self.rng.uniform(low, high, size=size)
+        if not self.repeated and size[0] >= 2:
+            self.repeated = True
+            pts[1] = pts[0]
+        return pts
+
+
+def test_draw_takes_the_collision_retry_path(monkeypatch):
+    from ugmt import montecarlo
+
+    plan = MCPlan(n_samples=200, seed=4, window=UNIT, worker_streams=3)
+    ref_rngs, new_rngs = [], []
+
+    def factory(store):
+        def make(seed, stream):
+            store.append(_RepeatOnce(seed, stream))
+            return store[-1]
+        return make
+
+    ref = _reference_plan_draws(plan, factory(ref_rngs))
+    monkeypatch.setattr(montecarlo, "stream_rng", factory(new_rngs))
+    draws = draw_by_count(plan)
+    assert all(r.repeated for r in new_rngs)
+    assert [r.uniform_calls for r in new_rngs] == [r.uniform_calls for r in ref_rngs]
+    assert sum(r.uniform_calls for r in new_rngs) == plan.n_samples + len(new_rngs)
+    for idx, X in draws.values():
+        for i, pts in zip(idx, X):
+            assert np.array_equal(pts, ref[i])
+            assert len(set(map(tuple, pts.tolist()))) == pts.shape[0]
+
+    class Stuck(_RepeatOnce):
+        def uniform(self, low, high, size):
+            self.repeated = False
+            return super().uniform(low, high, size)
+
+    monkeypatch.setattr(montecarlo, "stream_rng", Stuck)
+    with pytest.raises(CollisionError):
+        draw_by_count(MCPlan(n_samples=100, seed=4, window=BoxDomain((0.0,), (5.0,))))
+
+
+def _laplace_pair(f):
+    def G(g):
+        return float(np.exp(np.sum(f.value(g.points)))) if g.count else 1.0
+
+    def Hk(k, X):
+        return np.exp(np.sum(f.value(X), axis=-1))
+    return G, Hk
+
+
+def _reference_integrate(G, plan):
+    """(mean, std_err) of the per-configuration loop over the plan's draws."""
+    lo, hi = np.array(plan.window.lower), np.array(plan.window.upper)
+    values = np.empty(plan.n_samples)
+    for i, pts in _reference_plan_draws(plan).items():
+        val = G(Configuration._unsafe(plan.window, pts))
+        if plan.antithetic:
+            val = 0.5 * (val + G(Configuration._unsafe(plan.window, lo + hi - pts)))
+        values[i] = val
+    return mean_and_stderr(values)
+
+
+@pytest.mark.parametrize("antithetic", [False, True])
+@pytest.mark.parametrize("window", [UNIT, BoxDomain((0.0, 0.0), (1.0, 1.0))],
+                         ids=["unit", "unit2"])
+def test_integrate_battery_equals_integrate(window, antithetic):
+    fs = [SmoothFunction.bump((0.5,) * window.dim, 0.3, 1.0, window=window),
+          SmoothFunction.bump((0.4,) * window.dim, 0.35, -0.7, window=window)]
+    plan = MCPlan(n_samples=3000, seed=71, window=window, antithetic=antithetic)
+    pairs = {f"f{i}": _laplace_pair(f) for i, f in enumerate(fs)}
+    pairs["count"] = (lambda g: float(g.count), lambda k, X: np.full(X.shape[0], float(k)))
+    got = integrate_battery({name: Hk for name, (_, Hk) in pairs.items()}, plan)
+    assert list(got) == list(pairs)
+    for name, (G, _) in pairs.items():
+        est = integrate(G, plan, name=name)
+        assert (est.mean, est.std_err) == _reference_integrate(G, plan)
+        assert (got[name].mean, got[name].std_err) == (est.mean, est.std_err)
+        assert got[name] == est
+    with pytest.raises(ValueError):
+        integrate_battery({"nan": lambda k, X: np.full(X.shape[0], np.nan)}, plan)
+
+
+def test_workers_do_not_change_results(monkeypatch):
+    f = SmoothFunction.bump(0.5, 0.3, 1.0, window=UNIT)
+    G, Hk = _laplace_pair(f)
+    plan = MCPlan(n_samples=2000, seed=12, window=UNIT)
+    runs = []
+    for workers in ("1", "2"):
+        monkeypatch.setenv("UGMT_WORKERS", workers)
+        runs.append((draw_by_count(plan), integrate(G, plan), integrate_battery({"f": Hk}, plan)))
+    (d1, e1, b1), (d2, e2, b2) = runs
+    assert list(d1) == list(d2)
+    for k in d1:
+        assert np.array_equal(d1[k][0], d2[k][0]) and np.array_equal(d1[k][1], d2[k][1])
+    assert e1 == e2 and b1 == b2
+
+
+def test_stratified_battery_equals_member_calls():
+    f = SmoothFunction.bump(0.5, 0.3, 1.0, window=UNIT)
+    F = cyl_compose(lambda r: tanh_of(r), cyl_from_star(f))
+    members = {"value": lambda k, X: F.value(X),
+               "grad-sq": lambda k, X: np.sum(F.gradient(X) ** 2, axis=(-2, -1))}
+    got = poisson_stratified_battery(lambda k, X: {name: H(k, X) for name, H in members.items()},
+                                     UNIT, quad_k=2, mc_n=3000, seed=8, sup_bound=1.0)
+    for name, H in members.items():
+        assert got[name] == poisson_stratified(H, UNIT, quad_k=2, mc_n=3000, seed=8,
+                                               sup_bound=1.0)
