@@ -8,14 +8,13 @@ windows; configs reference them by name.
 from __future__ import annotations
 
 import numpy as np
-from scipy import stats
 
 from .configuration import Configuration, SetSpec
 from .cylinder import (CylinderFunction, CylinderVectorField, OuterFunction,
                        add_n, const, coord, cyl_compose, cyl_from_star, exp_neg,
                        mul_n, nonneg_hint, smoothstep, square, tanh_of)
 from .geometry import BoxDomain, SmoothFunction, SmoothVectorField, interval
-from .montecarlo import poisson_stratified
+from .montecarlo import poisson_pmf, poisson_stratified
 
 UNIT = interval(0.0, 1.0)
 UNIT2 = BoxDomain((0.0, 0.0), (1.0, 1.0))
@@ -230,7 +229,7 @@ def capacity_family(beta: float = 6.0):
             if ell == 0.0:
                 return base
             ks = np.arange(0, 80)
-            pmf = stats.poisson.pmf(ks, ell)
+            pmf = poisson_pmf(ks, ell)
             return base * float(np.sum(pmf * np.exp(-pp * beta * ks)))
 
         ambient = max(ell + 0.4, 12.0)

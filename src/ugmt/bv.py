@@ -38,8 +38,10 @@ __all__ = [
     "VariationalLower",
     "tv_semigroup",
     "tv_variational",
+    "tv_variational_battery",
     "tv_relaxation",
     "tv_bracket",
+    "tv_bracket_battery",
     "perimeter_measure",
     "gauss_green_residual",
     "coarea_check",
@@ -189,7 +191,8 @@ class VariationalLower:
 
 
 class _VariationalObjective:
-    """Fast evaluator of theta -> E_pi[ F * div*( V_theta / (1 + |V_theta|^2/4) ) ].
+    """Fast evaluator of theta -> E_pi[ F * div*( V_theta / (1 + |V_theta|^2/4) ) ]
+    for each member F of a battery.
 
     With V_theta = sum_a theta_a c_a v_a and D = 1 / (1 + |V_theta|^2/4), the
     adjoint divergence of W = D V_theta at an ordered tuple is
@@ -197,57 +200,68 @@ class _VariationalObjective:
         div* W = -D (theta . S) - <grad D, V_theta>,
         S_a = <grad c_a, v_a> + c_a sum_j v_a'(x_j).
 
-    S and the weighted fields c_a v_a, c_a v_a' do not depend on theta, so
-    each batch of quadrature tuples or band samples assembles them once
-    (``_basis``) and an evaluation is a few matrix products.  grad D needs the
-    lifted gradient of |V_theta|^2, whose coefficient part
-    sum_a theta_a <V_theta, v_a> grad c_a runs over the members with a
-    non-constant coefficient only (a constant has zero gradient).
+    S and the weighted fields c_a v_a, c_a v_a' depend neither on theta nor on
+    F, so each batch of quadrature tuples or band samples assembles them once
+    (``_basis``) for every member, and an evaluation is a few matrix products.
+    A batch is (kind, n, pw, basis): pw (M, m) holds one row per member, F's
+    value (or level-set weight) at the tuples times the quadrature or Monte
+    Carlo prefactor.  Cylinder functions share the strata, so any number of
+    them share one objective; a level-set spec needs one of its own, because
+    its strata and band samples depend on its sheet.  grad D needs the lifted
+    gradient of |V_theta|^2, whose coefficient part
+    sum_a theta_a <V_theta, v_a> grad c_a runs over the members of the family
+    with a non-constant coefficient only (a constant has zero gradient).
 
-    ``value`` scores one theta (A,) or a stack (G, A) in one pass over the
-    batches, which it builds on first use and keeps.  ``value_with_error`` is
-    the final estimate, made once: it builds each stratum's batches, uses them
-    and drops them, so no basis is stored.  One-dimensional windows only.
+    ``value`` scores one theta (A,) or a stack (G, A) for member i in one pass
+    over the batches, which it builds on first use and keeps.
+    ``value_with_error`` is the final estimate of every member, made once: it
+    builds each stratum's batches, applies every member's theta to them one
+    row at a time and drops them, so no basis is stored.  One-dimensional
+    windows only.
     """
 
-    def __init__(self, F, family: list, window: BoxDomain, *, seed: int,
+    def __init__(self, Fs: list, family: list, window: BoxDomain, *, seed: int,
                  n_band: int, mc_n: int):
         if window.dim != 1:
             raise DomainError("the fast variational objective is 1-d")
+        self.Fs = list(Fs)
+        self.is_set = any(isinstance(F, SetSpec) for F in self.Fs)
+        if self.is_set and len(self.Fs) != 1:
+            raise DomainError("a level-set spec needs a variational objective of its own")
         self.family = family
         self.window = window
-        self.F = F
         self.seed = seed
         self.n_band = n_band
         self.mc_n = mc_n
         self._cyl = [a for a, (c, _) in enumerate(family) if not isinstance(c, (int, float))]
 
     def _stream(self):
-        """The batches (kind, n, prefactor times F-weight, basis), stratum by stratum."""
-        F, window = self.F, self.window
-        is_set = isinstance(F, SetSpec)
-        G = F.function if is_set else F
+        """The batches (kind, n, prefactor times F-weights, basis), stratum by stratum."""
+        Fs, window, is_set = self.Fs, self.window, self.is_set
+        E = Fs[0]
         strata = Strata(window, orders=_LEVELSET_ORDERS if is_set else {1: 64, 2: 48, 3: 28},
                         mc_n=self.mc_n, seed=self.seed, stream_base=700,
-                        count_equals=F.count_equals if is_set else None)
+                        count_equals=E.count_equals if is_set else None)
         for s in strata:
             if s.order is None:
                 X = s.draw()
-                weight = stratum_indicator(F, s.k, X, window) if is_set else G.value(X)
-                yield "mc", self.mc_n, np.full(self.mc_n, s.weight / self.mc_n) * weight, \
-                    self._basis(X)
+                pre = np.full(self.mc_n, s.weight / self.mc_n)
+                weights = [stratum_indicator(E, s.k, X, window)] if is_set else \
+                    [F.value(X) for F in Fs]
+                yield "mc", self.mc_n, np.stack([pre * w for w in weights]), self._basis(X)
                 continue
             pts, w = s.grid()
-            fv = G.value(pts)
-            yield "quad", 0, s.weight * w / window.volume ** s.k * \
-                (_smoothstep_vals(fv, F.level) if is_set else fv), self._basis(pts)
+            pre = s.weight * w / window.volume ** s.k
+            weights = [_smoothstep_vals(E.function.value(pts), E.level)] if is_set else \
+                [F.value(pts) for F in Fs]
+            yield "quad", 0, np.stack([pre * fv for fv in weights]), self._basis(pts)
             if not is_set:
                 continue
             # band correction samples
             X = s.draw(self.n_band)
-            inband, corr = _band_split(F, X)
+            inband, corr = _band_split(E, X)
             if np.any(inband):
-                yield "mc", self.n_band, np.full(corr.size, s.weight / self.n_band) * corr, \
+                yield "mc", self.n_band, (np.full(corr.size, s.weight / self.n_band) * corr)[None], \
                     self._basis(X[inband])
 
     @functools.cached_property
@@ -299,28 +313,31 @@ class _VariationalObjective:
             + np.einsum("ga,gam,gam->gm", th[:, self._cyl], pair[:, :n], pair[:, n:])
         return D * (0.5 * D * T - th @ S)
 
-    def value(self, theta: np.ndarray) -> float | np.ndarray:
-        """The objective at theta (A,), a float, or at each row of a stack (G, A)."""
+    def value(self, theta: np.ndarray, i: int = 0) -> float | np.ndarray:
+        """Member i's objective at theta (A,), a float, or at each row of a
+        stack (G, A)."""
         th = np.asarray(theta, dtype=float)
         rows = np.atleast_2d(th)
         total = np.zeros(len(rows))
         for _, _, pw, basis in self.batches:
-            total += np.sum(pw * self._batch_div(rows, basis), axis=-1)
+            total += np.sum(pw[i] * self._batch_div(rows, basis), axis=-1)
         return float(total[0]) if th.ndim == 1 else total
 
-    def value_with_error(self, theta: np.ndarray) -> tuple[float, float]:
-        th = np.asarray(theta, dtype=float)[None]
-        total = 0.0
-        err_sq = 0.0
+    def value_with_error(self, thetas: np.ndarray) -> list[tuple[float, float]]:
+        """(value, error) of every member, member i at row i of thetas (M, A)."""
+        th = np.asarray(thetas, dtype=float)
+        totals = [0.0] * len(self.Fs)
+        err_sq = [0.0] * len(self.Fs)
         for kind, n, pw, basis in self._stream():
-            contrib = pw * self._batch_div(th, basis)[0]
+            for i in range(len(self.Fs)):
+                contrib = pw[i] * self._batch_div(th[i:i + 1], basis)[0]
+                totals[i] += float(np.sum(contrib))
+                if kind == "mc":
+                    # band batches keep only their in-band samples; the rest add zero
+                    _, se = mean_and_stderr(np.pad(contrib, (0, n - contrib.size)) * n)
+                    err_sq[i] += se * se
             del basis  # before the next stratum's basis is built
-            total += float(np.sum(contrib))
-            if kind == "mc":
-                # band batches keep only their in-band samples; the rest add zero
-                _, se = mean_and_stderr(np.pad(contrib, (0, n - contrib.size)) * n)
-                err_sq += se * se
-        return total, float(np.sqrt(err_sq))
+        return [(total, float(np.sqrt(e))) for total, e in zip(totals, err_sq)]
 
 
 def _build_normalized(family: list, theta) -> CylinderVectorField:
@@ -337,40 +354,72 @@ def _build_normalized(family: list, theta) -> CylinderVectorField:
     return normalize_field(CylinderVectorField(tuple(terms)), 0.25)
 
 
-def tv_variational(F, family: list, window: BoxDomain, *, iterations: int = 2,
-                   theta_grid=None, seed: int = 0,
-                   eval_seed: int | None = None) -> VariationalLower:
-    """Coordinate-ascent maximum of E_pi[F div* V] over normalized fields.
+def _coordinate_ascent(obj: _VariationalObjective, i: int, iterations: int,
+                       theta_grid) -> np.ndarray:
+    """Member i's theta: coordinate sweeps over the family, each trial grid
+    scored as one (G, A) stack."""
+    theta = np.zeros(len(obj.family))
+    for sweep in range(iterations):
+        for a in range(len(theta)):
+            grid = theta_grid if sweep == 0 else tuple(
+                theta[a] + d for d in (-0.6, -0.3, -0.15, 0.0, 0.15, 0.3, 0.6))
+            trials = np.tile(theta, (len(grid), 1))
+            trials[:, a] = grid
+            theta[a] = grid[int(np.argmax(obj.value(trials, i)))]
+    return theta
 
-    ``family`` lists basis terms (coefficient, SmoothVectorField); the search
-    runs over linear combinations, normalized through V/(1 + |V|^2/4) so the
-    tangent norm never exceeds one and the estimate is a genuine lower bound
-    for the variational total variation (minus the reported error).  The
-    search uses a coarse precomputed objective; the optimum is re-evaluated
-    through the independent symbolic route with a fresh seed, and that value
-    (with its error) is what is reported.
+
+def tv_variational_battery(Fs: dict, family: list, window: BoxDomain, *, iterations: int = 2,
+                           theta_grid=None, seed: int = 0,
+                           eval_seed: int | None = None) -> dict[str, VariationalLower]:
+    """Coordinate-ascent maximum of E_pi[F div* V] over normalized fields, per F.
+
+    ``Fs`` maps names to cylinder functions or level-set specs.  ``family``
+    lists basis terms (coefficient, SmoothVectorField); the search runs over
+    linear combinations, normalized through V/(1 + |V|^2/4) so the tangent
+    norm never exceeds one and the estimate is a genuine lower bound for the
+    variational total variation (minus the reported error).  The search uses
+    a coarse objective, member by member; the optimum is re-evaluated at scale
+    on an independent seed, and that value (with its error) is what is
+    reported.  The cylinder members share one objective in both passes, so
+    the field family is evaluated once per batch for all of them; each
+    level-set spec has its own.  Returns name -> VariationalLower.
     """
     if not family:
         raise DomainError("need a nonempty field family")
     if theta_grid is None:
         theta_grid = (-4.0, -2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0, 4.0)
-    obj = _VariationalObjective(F, family, window, seed=seed, n_band=8_000, mc_n=4_000)
-    theta = np.zeros(len(family))
-    for sweep in range(iterations):
-        for a in range(len(family)):
-            grid = theta_grid if sweep == 0 else tuple(
-                theta[a] + d for d in (-0.6, -0.3, -0.15, 0.0, 0.15, 0.3, 0.6))
-            trials = np.tile(theta, (len(grid), 1))
-            trials[:, a] = grid
-            theta[a] = grid[int(np.argmax(obj.value(trials)))]
-    del obj  # the search batches are not needed by the final estimate
-    W = _build_normalized(family, theta)
-    # final value re-evaluated at scale with an independent seed
     final_seed = eval_seed if eval_seed is not None else seed + 7919
-    accurate = _VariationalObjective(F, family, window, seed=final_seed,
-                                     n_band=60_000, mc_n=20_000)
-    value, err = accurate.value_with_error(theta)
-    return VariationalLower(value=value, error=err, theta=tuple(theta), field=W)
+    groups = [[name] for name, F in Fs.items() if isinstance(F, SetSpec)]
+    shared = [name for name, F in Fs.items() if not isinstance(F, SetSpec)]
+    if shared:
+        groups.append(shared)
+    out = {}
+    for names in groups:
+        members = [Fs[name] for name in names]
+        obj = _VariationalObjective(members, family, window, seed=seed, n_band=8_000,
+                                    mc_n=4_000)
+        thetas = np.array([_coordinate_ascent(obj, i, iterations, theta_grid)
+                           for i in range(len(names))])
+        del obj  # the search batches are not needed by the final estimate
+        accurate = _VariationalObjective(members, family, window, seed=final_seed,
+                                         n_band=60_000, mc_n=20_000)
+        for name, theta, (value, err) in zip(names, thetas, accurate.value_with_error(thetas)):
+            out[name] = VariationalLower(value=value, error=err, theta=tuple(theta),
+                                         field=_build_normalized(family, theta))
+    return {name: out[name] for name in Fs}
+
+
+def tv_variational(F, family: list, window: BoxDomain, *, iterations: int = 2,
+                   theta_grid=None, seed: int = 0,
+                   eval_seed: int | None = None) -> VariationalLower:
+    """Coordinate-ascent maximum of E_pi[F div* V] over normalized fields.
+
+    The one-member call of ``tv_variational_battery``, which scores several F
+    against one evaluation of the field family per batch.
+    """
+    return tv_variational_battery({"F": F}, family, window, iterations=iterations,
+                                  theta_grid=theta_grid, seed=seed, eval_seed=eval_seed)["F"]
 
 
 # ---------------------------------------------------------------------------
@@ -432,15 +481,34 @@ class TVBracket:
         return (self.relaxation_upper + self.smoothing_gap - self.variational_lower) / mid
 
 
+def tv_bracket_battery(members: dict, op: LiftedHeatOperator, family: list, *,
+                       seed: int = 0) -> dict[str, TVBracket]:
+    """The three-route bracket of every member.
+
+    ``members`` maps names to (F, t_schedule, eps_schedule): the semigroup
+    route runs on the t schedule and the relaxation route on the eps schedule
+    of each F, and the variational route scores the whole battery through one
+    ``tv_variational_battery`` call.  Returns name -> TVBracket.
+    """
+    variational = tv_variational_battery({name: F for name, (F, _, _) in members.items()},
+                                         family, op.window, seed=seed)
+    out = {}
+    for name, (F, t_schedule, eps_schedule) in members.items():
+        sg = tv_semigroup(F, op, t_schedule)
+        rel = tv_relaxation(F, op, eps_schedule)
+        var = variational[name]
+        out[name] = TVBracket(variational_lower=var.value, lower_err=var.error,
+                              relaxation_upper=rel.value, upper_err=rel.error,
+                              semigroup_value=sg.value, semigroup_err=sg.error,
+                              smoothing_gap=rel.smoothing_gap)
+    return out
+
+
 def tv_bracket(F, op: LiftedHeatOperator, family: list, t_schedule, eps_schedule,
                *, seed: int = 0) -> TVBracket:
-    sg = tv_semigroup(F, op, t_schedule)
-    var = tv_variational(F, family, op.window, seed=seed)
-    rel = tv_relaxation(F, op, eps_schedule)
-    return TVBracket(variational_lower=var.value, lower_err=var.error,
-                     relaxation_upper=rel.value, upper_err=rel.error,
-                     semigroup_value=sg.value, semigroup_err=sg.error,
-                     smoothing_gap=rel.smoothing_gap)
+    """The one-member call of ``tv_bracket_battery``."""
+    return tv_bracket_battery({"F": (F, t_schedule, eps_schedule)}, op, family,
+                              seed=seed)["F"]
 
 
 # ---------------------------------------------------------------------------

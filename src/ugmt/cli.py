@@ -31,7 +31,7 @@ from .heat import (BesselOperator, LiftedHeatOperator, bakry_emery_battery,
 from .hausdorff import rho_m_localized, rho_m_on_box, scaled_box
 from .montecarlo import MCPlan, integrate_battery
 from .bv import (coarea_battery, gauss_green_residual, perimeter_measure,
-                 sobolev_consistency, tv_bracket)
+                 sobolev_consistency, tv_bracket_battery)
 from .rng import worker_count
 
 SCHEMA_VERSION = 1
@@ -263,12 +263,11 @@ def _suite_tv_equivalence(cfg: SuiteConfig) -> list[dict]:
     records = []
     op = LiftedHeatOperator(window=batteries.UNIT)
     fam = batteries.field_family()
-    members = [("half-space", batteries.half_space_set(),
-                [0.001, 0.002, 0.004, 0.006], [0.002, 0.004])]
+    members = {"half-space": (batteries.half_space_set(),
+                              [0.001, 0.002, 0.004, 0.006], [0.002, 0.004])}
     for name, F in batteries.smooth_battery().items():
-        members.append((name, F, [0.004, 0.006, 0.01, 0.016], [0.004, 0.008]))
-    for name, F, ts, eps in members:
-        br = tv_bracket(F, op, fam, ts, eps, seed=cfg.seed)
+        members[name] = (F, [0.004, 0.006, 0.01, 0.016], [0.004, 0.008])
+    for name, br in tv_bracket_battery(members, op, fam, seed=cfg.seed).items():
         ok = br.consistent() and br.relative_width() <= 0.15
         records.append(record(f"bracket-{name}", "total variation equivalence",
                               br.semigroup_value, br.relaxation_upper,

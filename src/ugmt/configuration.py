@@ -12,7 +12,6 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .geometry import BoxDomain, DomainError
 from .rng import stream_rng
@@ -231,6 +230,7 @@ def hungarian(cost: np.ndarray) -> np.ndarray:
     n = cost.shape[0]
     if cost.shape != (n, n):
         raise ValueError("cost matrix must be square")
+    from scipy.optimize import linear_sum_assignment  # scipy.optimize is slow to import
     return linear_sum_assignment(cost)[1]
 
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 from scipy.special import gammaln
 
 from .configuration import Configuration, MCEstimate, SetSpec, section_set
@@ -325,6 +324,7 @@ def _stratum_fraction_exact(A: SetSpec, k: int, window: BoxDomain) -> float | No
         return None
     inter = A.region.intersect(window)
     p = (inter.volume / window.volume) if inter is not None else 0.0
+    from scipy import stats  # scipy.stats is slow to import
     return float(stats.binom.sf(A.threshold - 1, k, p))
 
 

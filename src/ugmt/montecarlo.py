@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .configuration import Configuration, MCEstimate, SetSpec, _draw
 from .geometry import BoxDomain, gauss_legendre
@@ -204,14 +204,17 @@ def measure_of_set(A: SetSpec, plan: MCPlan, name: str = "") -> MCEstimate:
 # particle-count stratification
 
 
-def poisson_pmf(k: int, lam: float) -> float:
-    return float(stats.poisson.pmf(k, lam))
+def poisson_pmf(k, lam: float):
+    """Poisson(lam) probability of k, elementwise over an array of counts (the
+    formula of ``scipy.stats.poisson.pmf``, without importing scipy.stats)."""
+    pmf = np.exp(special.xlogy(k, lam) - special.gammaln(np.add(k, 1)) - lam)
+    return float(pmf) if np.ndim(pmf) == 0 else pmf
 
 
 def poisson_k_cutoff(volume: float, tol: float = 1e-10) -> int:
     """Smallest K with Poisson(volume) tail mass beyond K below tol."""
     k = 0
-    while float(stats.poisson.sf(k, volume)) > tol and k < 10_000:
+    while float(special.pdtrc(k, volume)) > tol and k < 10_000:
         k += 1
     return k
 
@@ -398,7 +401,7 @@ class Strata:
                 per_k[s.k] += s.weight * mean
                 err_sq += (s.weight * err) ** 2
         if sup_bound is not None:
-            err_sq += (float(stats.poisson.sf(self.K_max, lam)) * sup_bound) ** 2
+            err_sq += (float(special.pdtrc(self.K_max, lam)) * sup_bound) ** 2
         return StratifiedSum(total, float(np.sqrt(err_sq)), per_k)
 
 

@@ -5,12 +5,13 @@ from ugmt import batteries
 from ugmt.configuration import Configuration, SetSpec
 from ugmt.cylinder import (CylinderVectorField, cyl_compose, cyl_from_star, const, mul_n,
                            tanh_of)
-from ugmt.geometry import SmoothFunction, SmoothVectorField, interval
+from ugmt.geometry import DomainError, SmoothFunction, SmoothVectorField, interval
 from ugmt.heat import LiftedHeatOperator, lifted_gradient_norm
 from ugmt.bv import (_VariationalObjective, coarea_battery, coarea_check,
                      gauss_green_residual, levelset_expectation, perimeter_measure,
                      sobolev_consistency, surface_battery, tv_bracket, tv_relaxation,
-                     tv_semigroup, tv_variational)
+                     tv_semigroup, tv_variational, tv_variational_battery)
+from ugmt.montecarlo import Strata
 from ugmt.hausdorff import CriticalLevelError, rho_m_on_box, scaled_box, surface_functional
 from ugmt.rng import mean_and_stderr
 
@@ -99,9 +100,9 @@ class _LoopObjective(_VariationalObjective):
             div += th[a] * (-np.sum(grad_caD * Vv[a], axis=-1) - C[a] * D * Dv[a])
         return div
 
-    def value(self, theta):
+    def value(self, theta, i=0):
         th = np.asarray(theta, dtype=float)
-        return sum(float(np.sum(pw * self._batch_div(th, basis)))
+        return sum(float(np.sum(pw[i] * self._batch_div(th, basis)))
                    for _, _, pw, basis in self.batches)
 
 
@@ -118,47 +119,98 @@ _FAMILY = [
     (batteries.count_selector(2, window=W_HALF),
      SmoothVectorField((SmoothFunction.bump(0.3, 0.18, 0.8, window=W_HALF),))),
 ]
+_SLOPE = cyl_compose(lambda r: mul_n(const(0.8), r), cyl_from_star(SmoothFunction.linear(W_HALF)))
+# one particle in the right half of W_HALF
+_HALF_OF_W = SetSpec.level_set(cyl_from_star(SmoothFunction.linear(W_HALF)), 0.25,
+                               count_equals=1)
+# the members one objective serves: cylinder functions share one, a level set has its own
 _OBJECTIVE_CASES = {
-    "cylinder": _TANH_BUMP,
-    "level-set": SetSpec.level_set(cyl_from_star(SmoothFunction.linear(W_HALF)), 0.3),
+    "cylinder": [_TANH_BUMP, _SLOPE],
+    "level-set": [SetSpec.level_set(cyl_from_star(SmoothFunction.linear(W_HALF)), 0.3)],
 }
 
 
 @pytest.mark.parametrize("name", sorted(_OBJECTIVE_CASES))
 def test_objective_matches_member_loop(name):
-    F = _OBJECTIVE_CASES[name]
+    Fs = _OBJECTIVE_CASES[name]
     kw = dict(seed=11, n_band=2_000, mc_n=1_000)
-    obj = _VariationalObjective(F, _FAMILY, W_HALF, **kw)
-    ref = _LoopObjective(F, _FAMILY, W_HALF, **kw)
+    obj = _VariationalObjective(Fs, _FAMILY, W_HALF, **kw)
+    ref = _LoopObjective(Fs, _FAMILY, W_HALF, **kw)
     thetas = np.random.default_rng(5).uniform(-3.0, 3.0, size=(20, len(_FAMILY)))
     thetas[0] = 0.0
     thetas[1, [0, 2]] = 0.0   # cylinder coefficients only
     thetas[2, [1, 3]] = 0.0   # constant coefficients only
-    rows = [obj.value(th) for th in thetas]
-    for th, v in zip(thetas, rows):
-        assert isinstance(v, float)
-        assert v == pytest.approx(ref.value(th), rel=1e-12, abs=1e-300)
-    # a (G, A) stack scores every row in one call
-    stacked = obj.value(thetas)
-    assert stacked.shape == (len(thetas),)
-    np.testing.assert_allclose(stacked, rows, rtol=1e-12, atol=0.0)
+    for i in range(len(Fs)):
+        rows = [obj.value(th, i) for th in thetas]
+        for th, v in zip(thetas, rows):
+            assert isinstance(v, float)
+            assert v == pytest.approx(ref.value(th, i), rel=1e-12, abs=1e-300)
+        # a (G, A) stack scores every row in one call
+        stacked = obj.value(thetas, i)
+        assert stacked.shape == (len(thetas),)
+        np.testing.assert_allclose(stacked, rows, rtol=1e-12, atol=0.0)
 
 
 @pytest.mark.parametrize("name", sorted(_OBJECTIVE_CASES))
 def test_objective_final_estimate_streams(name):
-    F = _OBJECTIVE_CASES[name]
-    th = np.array([0.7, -0.4, 1.3, 0.9])
-    obj = _VariationalObjective(F, _FAMILY, W_HALF, seed=11, n_band=2_000, mc_n=1_000)
-    got = obj.value_with_error(th)
+    Fs = _OBJECTIVE_CASES[name]
+    thetas = np.array([[0.7, -0.4, 1.3, 0.9], [-1.1, 0.5, 0.2, -0.6]])[:len(Fs)]
+    obj = _VariationalObjective(Fs, _FAMILY, W_HALF, seed=11, n_band=2_000, mc_n=1_000)
+    got = obj.value_with_error(thetas)
     assert "batches" not in vars(obj)   # streamed: no basis kept
-    total, err_sq = 0.0, 0.0
-    for kind, n, pw, basis in obj.batches:
-        contrib = pw * obj._batch_div(th[None], basis)[0]
-        total += float(np.sum(contrib))
-        if kind == "mc":
-            _, se = mean_and_stderr(np.pad(contrib, (0, n - contrib.size)) * n)
-            err_sq += se * se
-    assert got == (total, float(np.sqrt(err_sq)))
+    assert len(got) == len(Fs)
+    for i, th in enumerate(thetas):
+        total, err_sq = 0.0, 0.0
+        for kind, n, pw, basis in obj.batches:
+            contrib = pw[i] * obj._batch_div(th[None], basis)[0]
+            total += float(np.sum(contrib))
+            if kind == "mc":
+                _, se = mean_and_stderr(np.pad(contrib, (0, n - contrib.size)) * n)
+                err_sq += se * se
+        assert got[i] == (total, float(np.sqrt(err_sq)))
+
+
+def test_level_set_needs_its_own_objective():
+    with pytest.raises(DomainError):
+        _VariationalObjective([_HALF_OF_W, _TANH_BUMP], _FAMILY, W_HALF, seed=1, n_band=100,
+                              mc_n=100)
+
+
+_BATTERY = {"tanh-bump": _TANH_BUMP, "half": _HALF_OF_W, "slope": _SLOPE}
+
+
+def test_variational_battery_equals_member_calls():
+    together = tv_variational_battery(_BATTERY, _FAMILY, W_HALF, seed=5)
+    assert list(together) == list(_BATTERY)
+    for name, F in _BATTERY.items():
+        alone = tv_variational(F, _FAMILY, W_HALF, seed=5)
+        got = together[name]
+        assert (got.value, got.error, got.theta) == (alone.value, alone.error, alone.theta), name
+        assert got.value > 0.0 and any(got.theta)
+
+
+def test_variational_battery_builds_each_basis_once(monkeypatch):
+    built, batches = {}, {}
+    basis, stream = _VariationalObjective._basis, _VariationalObjective._stream
+
+    # keyed by seed: the search objective is dropped before the final one is made
+    def counting_basis(self, X):
+        built[self.seed] = built.get(self.seed, 0) + 1
+        return basis(self, X)
+
+    def counting_stream(self):
+        for batch in stream(self):
+            batches[self.seed] = batches.get(self.seed, 0) + 1
+            yield batch
+
+    monkeypatch.setattr(_VariationalObjective, "_basis", counting_basis)
+    monkeypatch.setattr(_VariationalObjective, "_stream", counting_stream)
+    cylinders = {"tanh-bump": _TANH_BUMP, "slope": _SLOPE}
+    tv_variational_battery(cylinders, _FAMILY, W_HALF, seed=5, iterations=1)
+    # one search and one final objective, each building one basis per batch,
+    # that is one per stratum, for both members
+    n_strata = len(list(Strata(W_HALF)))
+    assert built == batches == {5: n_strata, 5 + 7919: n_strata}
 
 
 def test_tv_relaxation_smooth_and_indicator():

@@ -40,8 +40,8 @@ def _variational():
         (TANH_BUMP, SmoothVectorField((SmoothFunction.coordinate_bump(0.25, 0.22, 1.0,
                                                                       window=W),))),
     ]
-    obj = _VariationalObjective(SUM_SET, family, W, seed=11, n_band=2_000, mc_n=1_000)
-    return obj.value_with_error(np.array([0.7, -0.4]))
+    obj = _VariationalObjective([SUM_SET], family, W, seed=11, n_band=2_000, mc_n=1_000)
+    return obj.value_with_error(np.array([[0.7, -0.4]]))[0]
 
 
 def _surface_quadrature():

@@ -1,12 +1,17 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+from scipy import special
 
 from ugmt.configuration import CollisionError, Configuration, SetSpec
 from ugmt.cylinder import cyl_compose, cyl_from_star, tanh_of
 from ugmt.geometry import BoxDomain, SmoothFunction, gauss_legendre, interval
 from ugmt.montecarlo import (MCPlan, draw_by_count, integrate, integrate_battery,
                              integrate_disintegrated, measure_of_set, poisson_k_cutoff,
-                             poisson_stratified, poisson_stratified_battery)
+                             poisson_pmf, poisson_stratified, poisson_stratified_battery)
 from ugmt.rng import mean_and_stderr, stream_rng
 
 UNIT = interval(0.0, 1.0)
@@ -304,3 +309,29 @@ def test_stratified_battery_equals_member_calls():
     for name, H in members.items():
         assert got[name] == poisson_stratified(H, UNIT, quad_k=2, mc_n=3000, seed=8,
                                                sup_bound=1.0)
+
+
+@pytest.mark.parametrize("lam", [0.25, 0.5, 1.0, 1.5, 2.0, 2.25, 3.0, 4.0, 6.0, 12.0])
+def test_poisson_pmf_and_tail_equal_scipy_stats(lam):
+    from scipy import stats
+    ks = np.arange(60)
+    assert np.array_equal(poisson_pmf(ks, lam), stats.poisson.pmf(ks, lam))
+    for k in ks:
+        assert poisson_pmf(int(k), lam) == float(stats.poisson.pmf(k, lam))
+    # the tail the count cutoff and the stratified error bar use
+    assert np.array_equal(special.pdtrc(ks, lam), stats.poisson.sf(ks, lam))
+    k = 0
+    while float(stats.poisson.sf(k, lam)) > 1e-10:
+        k += 1
+    assert poisson_k_cutoff(lam) == k
+
+
+def test_cli_import_leaves_out_scipy_stats_and_optimize():
+    import ugmt
+    src = os.path.dirname(os.path.dirname(ugmt.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, ugmt.cli; "
+         "print(sorted(m for m in ('scipy.stats', 'scipy.optimize') if m in sys.modules))"],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
