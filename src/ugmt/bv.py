@@ -27,7 +27,7 @@ from .geometry import BoxDomain, DomainError
 from .hausdorff import (CriticalLevelError, _outside_average, surface_functional_auto,
                         surface_quad_orders)
 from .heat import LiftedHeatOperator, lifted_gradient_norm
-from .montecarlo import Strata, poisson_stratified_battery
+from .montecarlo import Strata, poisson_stratified_battery, shared_draws
 from .productspace import stratum_indicator
 from .rng import mean_and_stderr, stream_rng
 
@@ -46,6 +46,7 @@ __all__ = [
     "gauss_green_residual",
     "coarea_check",
     "coarea_battery",
+    "coarea_family",
     "sobolev_consistency",
     "GaussGreenReport",
     "CoareaReport",
@@ -687,25 +688,41 @@ class CoareaReport:
         return abs(self.lhs - self.rhs) / scale
 
 
-def coarea_battery(F: CylinderFunction, G_battery: dict, t_grid, window: BoxDomain, *,
-                   eps: float | None = None, n_samples: int = 40_000, seed: int = 0,
-                   K_max: int | None = None) -> dict[str, CoareaReport]:
-    """Trapezoid in t of int G d||{F > t}|| against E_pi[ G |grad F| ], per G.
+def _trapezoid_report(ts, levels, name, rhs) -> CoareaReport:
+    """One member's CoareaReport from its per-t sheet results (None at a
+    critical level) and its right side (value, err)."""
+    per_t = [(t, np.nan if res is None else res[name][0]) for t, res in zip(ts, levels)]
+    errs = [np.nan if res is None else res[name][1] for res in levels]
+    # trapezoid over the valid values
+    tv = [(t, v, e) for (t, v), e in zip(per_t, errs) if np.isfinite(v)]
+    lhs = 0.0
+    lhs_err_sq = 0.0
+    for (t0, v0, e0), (t1, v1, e1) in zip(tv, tv[1:]):
+        lhs += 0.5 * (v0 + v1) * (t1 - t0)
+        lhs_err_sq += (0.5 * (t1 - t0)) ** 2 * (e0 ** 2 + e1 ** 2)
+    gaps = sum(res is None for res in levels)
+    return CoareaReport(lhs=lhs, lhs_err=float(np.sqrt(lhs_err_sq)), rhs=rhs[0],
+                        rhs_err=rhs[1], per_t=tuple(per_t),
+                        gap_fraction=gaps / max(len(ts), 1))
 
-    ``G_battery`` maps names to nonnegative cylinder functions or numbers.
-    Every member is integrated against the same level sheets: each level t
-    makes one ``surface_battery`` call for the whole battery, so the band
-    tuples are drawn once per (t, stratum), and the right side's strata are
-    drawn, and grad F evaluated on them, once for all members.  Returns
-    name -> CoareaReport.
 
-    Critical levels detected by the sheet oracle are skipped for every member
-    and reported in ``gap_fraction`` (fraction of the t-range lost to
-    exclusions).
+def coarea_family(members: dict, G_battery: dict, window: BoxDomain, *,
+                  eps: float | None = None, n_samples: int = 40_000, seed: int = 0,
+                  K_max: int | None = None) -> dict[str, dict[str, CoareaReport]]:
+    """Coarea checks of several F against one G battery, sharing every draw.
+
+    ``members`` maps names to (F, t_grid).  Each member's reports equal its
+    own ``coarea_battery`` call bit for bit: level index i of every member
+    uses the band streams (seed + 17 i, 900 + 13 k) and the right side the
+    strata (seed + 7, 9000 + k), whatever the member.  So the right sides of
+    all members are one ``poisson_stratified_battery`` pass, and the level
+    sheets are run level index first, each index inside one
+    ``montecarlo.shared_draws`` scope, so that a band draw is made once per
+    (level index, stratum) for the whole family and dropped after the index.
+    Returns name -> G name -> CoareaReport.
     """
     if eps is None:
         eps = 1e-2 * float(np.max(window.sides))
-    ts = sorted(float(t) for t in np.atleast_1d(t_grid))
 
     def density(G):
         """(X, grad F) -> G |grad F| on tuples."""
@@ -717,37 +734,55 @@ def coarea_battery(F: CylinderFunction, G_battery: dict, t_grid, window: BoxDoma
         return weight
 
     weights = {name: density(G) for name, G in G_battery.items()}
+    grids = {fname: sorted(float(t) for t in np.atleast_1d(t_grid))
+             for fname, (_, t_grid) in members.items()}
 
     def rhs_densities(k, X):
-        grad = F.gradient(X)
-        return {name: weight(X, grad) for name, weight in weights.items()}
+        out = {}
+        for fname, (F, _) in members.items():
+            grad = F.gradient(X)
+            out.update({(fname, name): weight(X, grad) for name, weight in weights.items()})
+        return out
 
-    # one pass over the (seed + 7, 9000 + k) strata serves every member
+    # one pass over the (seed + 7, 9000 + k) strata serves every (F, G)
     rhs = poisson_stratified_battery(rhs_densities, window, seed=seed + 7, mc_n=n_samples)
-    levels = []  # per t: name -> (value, err, per_k), or None at a critical level
-    for i, t in enumerate(ts):
-        try:
-            levels.append(surface_battery(SetSpec.level_set(F, t), window, weights, eps=eps,
-                                          n_samples=n_samples, seed=seed + 17 * i,
-                                          K_max=K_max))
-        except CriticalLevelError:
-            levels.append(None)
-    gaps = sum(res is None for res in levels)
-    out = {}
-    for name in weights:
-        per_t = [(t, np.nan if res is None else res[name][0]) for t, res in zip(ts, levels)]
-        errs = [np.nan if res is None else res[name][1] for res in levels]
-        # trapezoid over the valid values
-        tv = [(t, v, e) for (t, v), e in zip(per_t, errs) if np.isfinite(v)]
-        lhs = 0.0
-        lhs_err_sq = 0.0
-        for (t0, v0, e0), (t1, v1, e1) in zip(tv, tv[1:]):
-            lhs += 0.5 * (v0 + v1) * (t1 - t0)
-            lhs_err_sq += (0.5 * (t1 - t0)) ** 2 * (e0 ** 2 + e1 ** 2)
-        out[name] = CoareaReport(lhs=lhs, lhs_err=float(np.sqrt(lhs_err_sq)), rhs=rhs[name][0],
-                                 rhs_err=rhs[name][1], per_t=tuple(per_t),
-                                 gap_fraction=gaps / max(len(ts), 1))
-    return out
+    levels = {fname: [] for fname in members}  # per t: G name -> (value, err, per_k) or None
+    for i in range(max((len(ts) for ts in grids.values()), default=0)):
+        with shared_draws():
+            for fname, (F, _) in members.items():
+                if i >= len(grids[fname]):
+                    continue
+                try:
+                    res = surface_battery(SetSpec.level_set(F, grids[fname][i]), window,
+                                          weights, eps=eps, n_samples=n_samples,
+                                          seed=seed + 17 * i, K_max=K_max)
+                except CriticalLevelError:
+                    res = None
+                levels[fname].append(res)
+    return {fname: {name: _trapezoid_report(grids[fname], levels[fname], name,
+                                            rhs[(fname, name)])
+                    for name in weights}
+            for fname in members}
+
+
+def coarea_battery(F: CylinderFunction, G_battery: dict, t_grid, window: BoxDomain, *,
+                   eps: float | None = None, n_samples: int = 40_000, seed: int = 0,
+                   K_max: int | None = None) -> dict[str, CoareaReport]:
+    """Trapezoid in t of int G d||{F > t}|| against E_pi[ G |grad F| ], per G.
+
+    ``G_battery`` maps names to nonnegative cylinder functions or numbers.
+    Every member is integrated against the same level sheets: each level t
+    makes one ``surface_battery`` call for the whole battery, so the band
+    tuples are drawn once per (t, stratum), and the right side's strata are
+    drawn, and grad F evaluated on them, once for all members.  The
+    one-member call of ``coarea_family``.  Returns name -> CoareaReport.
+
+    Critical levels detected by the sheet oracle are skipped for every member
+    and reported in ``gap_fraction`` (fraction of the t-range lost to
+    exclusions).
+    """
+    return coarea_family({"F": (F, t_grid)}, G_battery, window, eps=eps,
+                         n_samples=n_samples, seed=seed, K_max=K_max)["F"]
 
 
 def coarea_check(F: CylinderFunction, G, t_grid, window: BoxDomain, *,

@@ -30,7 +30,7 @@ from .heat import (BesselOperator, LiftedHeatOperator, bakry_emery_battery,
                    capacity_upper_bound, check_intertwining, regularization_slope)
 from .hausdorff import rho_m_localized, rho_m_on_box, scaled_box
 from .montecarlo import MCPlan, integrate_battery
-from .bv import (coarea_battery, gauss_green_residual, perimeter_measure,
+from .bv import (coarea_family, gauss_green_residual, perimeter_measure,
                  sobolev_consistency, tv_bracket_battery)
 from .rng import worker_count
 
@@ -307,11 +307,12 @@ def _suite_coarea(cfg: SuiteConfig) -> list[dict]:
                                   batteries.mul_n(batteries.const(0.5), batteries.tanh_of(r))),
         batteries.cyl_from_star(SmoothFunction.bump(0.45, 0.3, 1.0, window=batteries.UNIT)))
     G_batt = {"unit": 1.0, "bump-cyl": G_bump}
-    for fname, a in (("tanh-sum-035", 0.35), ("tanh-sum-050", 0.50), ("tanh-sum-028", 0.28)):
-        F = batteries.tanh_sum_function(a, fname)
-        tg = np.tanh(a * us)
-        reps = coarea_battery(F, G_batt, tg, batteries.UNIT, seed=cfg.seed,
-                              n_samples=max(cfg.samples, 20_000))
+    members = {fname: (batteries.tanh_sum_function(a, fname), np.tanh(a * us))
+               for fname, a in (("tanh-sum-035", 0.35), ("tanh-sum-050", 0.50),
+                                ("tanh-sum-028", 0.28))}
+    family = coarea_family(members, G_batt, batteries.UNIT, seed=cfg.seed,
+                           n_samples=max(cfg.samples, 20_000))
+    for fname, reps in family.items():
         for gname, rep in reps.items():
             ok = rep.deviation < 0.05 and rep.gap_fraction <= 0.10
             records.append(record(f"coarea-{fname}-{gname}", "coarea formula",

@@ -231,7 +231,12 @@ class SmoothFunction:
 
     def _u(self, pts: np.ndarray) -> np.ndarray:
         d = pts - np.array(self.center)
-        return np.sum(d * d, axis=-1) / (self.width**2)
+        # axis by axis, in the order np.sum takes a 1-3 long last axis, without
+        # its strided reduction
+        sq = d[..., 0] * d[..., 0]
+        for a in range(1, d.shape[-1]):
+            sq += d[..., a] * d[..., a]
+        return sq / (self.width**2)
 
     def value(self, points) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))

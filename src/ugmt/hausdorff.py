@@ -116,6 +116,51 @@ def band_integral_quad(h, window: BoxDomain, k: int, order: int) -> dict[str, fl
     return {name: float(np.sum(w * hv)) for name, hv in h(pts).items()}
 
 
+class _LevelCache:
+    """g on one set of tuples: its values once, each gradient row at most once.
+
+    The quadrature route integrates the same grid under 3-4 profile widths;
+    each width evaluates the gradient only on the band rows no earlier width
+    needed.  Rows are evaluated independently, so the values equal a
+    per-width evaluation bit for bit.  The gradients are kept for the band
+    rows only (sorted by row), never for the whole grid or draw.
+    """
+
+    def __init__(self, g):
+        self.g = g
+        self.X = None
+
+    def values(self, X: np.ndarray) -> np.ndarray:
+        if self.X is not X:
+            self.X, self.vals = X, self.g.value(X)
+            self.rows = self.grad = self.gn = None
+        return self.vals
+
+    def gradient(self, rows: np.ndarray, Xm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(grad g, |grad g|) at the sorted rows of the last tuples, Xm being
+        those rows' tuples; read-only, as later widths reuse them."""
+        if self.rows is None:  # the first band, and the only one on Monte Carlo draws
+            self.rows, (self.grad, self.gn) = rows, self._of(Xm)
+            return self.grad, self.gn
+        new = np.setdiff1d(rows, self.rows, assume_unique=True)
+        if new.size:
+            grad, gn = self._of(self.X[new])
+            merged = np.concatenate([self.rows, new])
+            order = np.argsort(merged, kind="stable")
+            self.rows = merged[order]
+            self.grad = np.concatenate([self.grad, grad])[order]
+            self.gn = np.concatenate([self.gn, gn])[order]
+        at = np.searchsorted(self.rows, rows)
+        return self.grad[at], self.gn[at]
+
+    def _of(self, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        grad = self.g.gradient(Y)
+        gn = np.sqrt(np.sum(grad * grad, axis=(-2, -1)))
+        grad.setflags(write=False)
+        gn.setflags(write=False)
+        return grad, gn
+
+
 def surface_functional(g, level: float, weights: dict, window: BoxDomain, k: int, *,
                        eps: float, n_samples: int = 20_000, seed: int = 0,
                        stream: int = 0, quad_order: int | None = None,
@@ -127,8 +172,9 @@ def surface_functional(g, level: float, weights: dict, window: BoxDomain, k: int
     returns the density against H^{nk-1} with the |grad g| factor already
     multiplied in; ``None`` measures the surface itself.  The whole battery
     shares one band pass: the Monte Carlo tuples are drawn (or the grid is
-    built) once, g is evaluated once per profile width, and every weight is
-    applied to that evaluation and reduced on its own.
+    built) once, g is evaluated once on them and its gradient once per row
+    that any band needs (across every profile width of the quadrature
+    route), and every weight is applied per width and reduced on its own.
 
     Two modes share the coarea identity: the hard band chi/(2 eps) with Monte
     Carlo (any k), and, when ``quad_order`` is given, a smooth Gaussian level
@@ -138,23 +184,23 @@ def surface_functional(g, level: float, weights: dict, window: BoxDomain, k: int
     Returns name -> (value, err, min |grad g| seen near the sheet).
     """
     state = {"min_grad": np.inf, "max_grad": 0.0}
+    level_at = _LevelCache(g)
 
     def density(X, profile, cut, core):
-        vals = g.value(X)
-        mask = np.abs(vals - level) < cut
+        vals = level_at.values(X)
+        rows = np.flatnonzero(np.abs(vals - level) < cut)
         out = {name: np.zeros(X.shape[0]) for name in weights}
-        if np.any(mask):
-            Xm = X[mask]
-            grad = g.gradient(Xm)
-            gn = np.sqrt(np.sum(grad * grad, axis=(-2, -1)))
-            incore = np.abs(vals[mask] - level) < core
+        if rows.size:
+            Xm = X[rows]
+            grad, gn = level_at.gradient(rows, Xm)
+            incore = np.abs(vals[rows] - level) < core
             if np.any(incore):
                 state["min_grad"] = min(state["min_grad"], float(np.min(gn[incore])))
                 state["max_grad"] = max(state["max_grad"], float(np.max(gn[incore])))
-            prof = profile(vals[mask])
+            prof = profile(vals[rows])
             for name, weight in weights.items():
                 w = gn if weight is None else weight(Xm, grad)
-                out[name][mask] = w * prof
+                out[name][rows] = w * prof
         return out
 
     if quad_order is not None:

@@ -16,12 +16,20 @@ Two integration routes are provided and used as mutual oracles throughout:
   quadrature (exact up to the count truncation) or per-stratum Monte Carlo
   for larger k.  ``poisson_stratified_battery`` evaluates a battery once per
   stratum and integrates each member.
+
+Uniform k-tuples on a Monte Carlo stratum come from ``uniform_tuples``, one
+bulk draw on the counter-based stream (seed, stream).  Inside a
+``shared_draws`` scope a repeated (window, k, n, seed, stream) key returns the
+first draw's array instead of drawing again, so callers that integrate
+several functions on the same strata draw each stratum once.
 """
 
 from __future__ import annotations
 
 import functools
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
@@ -45,6 +53,7 @@ __all__ = [
     "poisson_stratified_battery",
     "stratum_grid_points",
     "default_stratum_orders",
+    "shared_draws",
     "uniform_tuples",
     "StratumGrid",
     "Stratum",
@@ -286,12 +295,53 @@ def stratum_grid_points(window: BoxDomain, k: int, order: int
     return pts, w
 
 
+def _box_tuples(rng: np.random.Generator, window: BoxDomain, k: int, n: int) -> np.ndarray:
+    """n uniform ordered k-tuples in the window, shape (n, k, dim), from rng.
+
+    One ``rng.random`` call for all n k dim coordinates, mapped in place to
+    ``lower + (upper - lower) u``: the same doubles, consumed in the same
+    order and combined by the same two roundings as ``rng.uniform`` on the
+    window bounds tiled k times, without its broadcasting path.
+    """
+    u = rng.random(size=(n, k, window.dim))
+    u *= np.subtract(window.upper, window.lower)
+    u += window.lower
+    return u
+
+
+_SHARED_DRAWS: ContextVar[dict | None] = ContextVar("_SHARED_DRAWS", default=None)
+
+
+@contextmanager
+def shared_draws():
+    """Scope in which ``uniform_tuples`` draws each (window, k, n, seed,
+    stream) key once.
+
+    Streams are counter-based, so a repeated key repeats the draw value for
+    value; inside the scope every caller of a key gets the one array, made
+    read-only.  The memo is dropped when the scope exits, which bounds the
+    memory it holds.
+    """
+    token = _SHARED_DRAWS.set({})
+    try:
+        yield
+    finally:
+        _SHARED_DRAWS.reset(token)
+
+
 def uniform_tuples(window: BoxDomain, k: int, n: int, seed: int, stream: int) -> np.ndarray:
     """n uniform ordered k-tuples in the window, shape (n, k, dim), drawn on
-    the random stream (seed, stream)."""
-    rng = stream_rng(seed, stream)
-    return rng.uniform(np.tile(window.lower, k), np.tile(window.upper, k),
-                       size=(n, k * window.dim)).reshape(n, k, window.dim)
+    the random stream (seed, stream); read-only and shared inside a
+    ``shared_draws`` scope."""
+    memo = _SHARED_DRAWS.get()
+    if memo is None:
+        return _box_tuples(stream_rng(seed, stream), window, k, n)
+    key = (window, k, n, seed, stream)
+    X = memo.get(key)
+    if X is None:
+        X = memo[key] = _box_tuples(stream_rng(seed, stream), window, k, n)
+        X.setflags(write=False)
+    return X
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ from ugmt.heat import (BesselOperator, LiftedHeatOperator, bakry_emery_battery,
 from ugmt.hausdorff import rho_m_localized, rho_m_on_box, scaled_box
 from ugmt.montecarlo import (MCPlan, integrate, integrate_battery, integrate_disintegrated,
                              measure_of_set)
-from ugmt.bv import (coarea_check, gauss_green_residual, perimeter_measure,
+from ugmt.bv import (coarea_family, gauss_green_residual, perimeter_measure,
                      sobolev_consistency, tv_bracket_battery, tv_semigroup)
 
 UNIT = interval(0.0, 1.0)
@@ -297,10 +297,11 @@ def test_14_coarea():
     G_bump = cyl_compose(lambda r: smoothstep(r, 0.2, 0.4),
                          cyl_from_star(SmoothFunction.bump(0.45, 0.3, 1.0, window=UNIT)))
     worst = 0.0
-    for a in (0.28, 0.35, 0.50):
-        F = batteries.tanh_sum_function(a)
-        for G in (1.0, G_bump):
-            rep = coarea_check(F, G, np.tanh(a * us), UNIT, seed=51, n_samples=40_000)
+    members = {a: (batteries.tanh_sum_function(a), np.tanh(a * us)) for a in (0.28, 0.35, 0.50)}
+    family = coarea_family(members, {"unit": 1.0, "bump": G_bump}, UNIT, seed=51,
+                           n_samples=40_000)
+    for reps in family.values():
+        for rep in reps.values():
             worst = max(worst, rep.deviation)
             assert rep.gap_fraction <= 0.10
     el = time.time() - t0

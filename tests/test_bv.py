@@ -1,17 +1,19 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from ugmt import batteries
+from ugmt import batteries, montecarlo
 from ugmt.configuration import Configuration, SetSpec
 from ugmt.cylinder import (CylinderVectorField, cyl_compose, cyl_from_star, const, mul_n,
                            tanh_of)
 from ugmt.geometry import DomainError, SmoothFunction, SmoothVectorField, interval
 from ugmt.heat import LiftedHeatOperator, lifted_gradient_norm
-from ugmt.bv import (_VariationalObjective, coarea_battery, coarea_check,
+from ugmt.bv import (_VariationalObjective, coarea_battery, coarea_check, coarea_family,
                      gauss_green_residual, levelset_expectation, perimeter_measure,
                      sobolev_consistency, surface_battery, tv_bracket, tv_relaxation,
                      tv_semigroup, tv_variational, tv_variational_battery)
-from ugmt.montecarlo import Strata
+from ugmt.montecarlo import Strata, poisson_k_cutoff
 from ugmt.hausdorff import CriticalLevelError, rho_m_on_box, scaled_box, surface_functional
 from ugmt.rng import mean_and_stderr
 
@@ -352,3 +354,57 @@ def test_coarea_battery_matches_G_by_G():
     for name, G in battery.items():
         one = coarea_check(F, G, ts, UNIT, seed=11, n_samples=2_000)
         assert repr(reps[name]) == repr(one), name  # repr: nan != nan in per_t
+
+
+def _coarea_members():
+    bump_F = cyl_compose(lambda r: tanh_of(r), cyl_from_star(
+        SmoothFunction.bump(0.5, 0.3, 1.0, window=UNIT)))
+    # tanh(1) is a critical level of bump_F only: its k = 1 sheet passes the peak
+    return {"bump": (bump_F, [0.2, 0.5, float(np.tanh(1.0)), 0.9]),
+            "tanh-sum-035": (batteries.tanh_sum_function(0.35),
+                             np.tanh(0.35 * np.array([0.1, 0.6, 1.2, 2.0]))),
+            "tanh-sum-050": (batteries.tanh_sum_function(0.50),
+                             np.tanh(0.50 * np.array([0.1, 0.7, 1.4])))}
+
+
+def _spy_draws(monkeypatch):
+    """Record (window, k, n, stream key, memo size) for every bulk draw."""
+    draws = []
+    real = montecarlo._box_tuples
+
+    def spy(rng, window, k, n):
+        key = tuple(int(v) for v in rng.bit_generator.state["state"]["key"])
+        memo = montecarlo._SHARED_DRAWS.get()
+        draws.append(((window, k, n, key), None if memo is None else len(memo)))
+        return real(rng, window, k, n)
+
+    monkeypatch.setattr(montecarlo, "_box_tuples", spy)
+    return draws
+
+
+def test_coarea_family_equals_member_calls_and_draws_once(monkeypatch):
+    members = _coarea_members()
+    G_bump = cyl_compose(lambda r: mul_n(const(0.5), tanh_of(r)) + const(0.6), cyl_from_star(
+        SmoothFunction.bump(0.45, 0.3, 1.0, window=UNIT)))
+    battery = {"unit": 1.0, "bump": G_bump}
+    draws = _spy_draws(monkeypatch)
+    alone = {name: coarea_battery(F, battery, ts, UNIT, seed=11, n_samples=2_000)
+             for name, (F, ts) in members.items()}
+    separate, draws[:] = list(draws), []
+    family = coarea_family(members, battery, UNIT, seed=11, n_samples=2_000)
+    assert montecarlo._SHARED_DRAWS.get() is None  # no memo outlives the call
+    assert list(family) == list(members)
+    for name in members:
+        assert list(family[name]) == list(battery)
+        for gname in battery:
+            assert repr(family[name][gname]) == repr(alone[name][gname]), (name, gname)
+    assert [alone[name]["unit"].gap_fraction for name in members] == [0.25, 0.0, 0.0]
+    # each (window, k, n, seed, stream) is drawn once for the whole family,
+    # where the member calls draw most keys once per member (131 draws of 51
+    # keys: the bump member stops at its critical level, and tanh-sum-050 has
+    # one level less)
+    keys = [key for key, _ in draws]
+    assert len(set(keys)) == len(keys) and set(keys) == {key for key, _ in separate}
+    assert len(separate) > 2.5 * len(keys)
+    # a scope holds one level index's strata only
+    assert max(size for _, size in draws if size is not None) < poisson_k_cutoff(UNIT.volume)

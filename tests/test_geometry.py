@@ -181,3 +181,26 @@ def test_function_descriptor_round_trip(f):
     g = SmoothFunction.from_descriptor(f.descriptor())
     pts = probe_points(f, 20)
     assert np.allclose(f.value(pts), g.value(pts))
+
+
+def _reduce_u(self, pts):
+    """The squared scaled distance by np.sum over the last axis (reference)."""
+    d = pts - np.array(self.center)
+    return np.sum(d * d, axis=-1) / (self.width**2)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_axis_by_axis_distance_equals_reduce_form(n, monkeypatch):
+    rng = np.random.default_rng(n)
+    center = tuple(rng.uniform(0.3, 0.7, n))
+    fs = [SmoothFunction.bump(center, 0.37, 1.3),
+          SmoothFunction.coordinate_bump(center, 0.37, 0.9, axis=n - 1)]
+    # points on tuple stacks of several shapes, many inside the support
+    stacks = [rng.uniform(0.0, 1.0, (2_000, n)), rng.uniform(0.1, 0.9, (500, 4, n)),
+              rng.uniform(0.2, 0.8, (3, 5, 7, n)), np.array(center)[None]]
+    got = [(f.value(X), f.gradient(X)) for f in fs for X in stacks]
+    monkeypatch.setattr(SmoothFunction, "_u", _reduce_u)
+    ref = [(f.value(X), f.gradient(X)) for f in fs for X in stacks]
+    assert any(np.count_nonzero(v) > 100 for v, _ in got)
+    for (v, g), (rv, rg) in zip(got, ref):
+        assert v.tobytes() == rv.tobytes() and g.tobytes() == rg.tobytes()

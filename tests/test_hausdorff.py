@@ -2,14 +2,15 @@ import numpy as np
 import pytest
 
 from ugmt import batteries
+from ugmt.bv import perimeter_measure
 from ugmt.configuration import Configuration, SetSpec
-from ugmt.cylinder import cyl_from_star
+from ugmt.cylinder import cyl_compose, cyl_from_star, tanh_of
 from ugmt.geometry import (BoxDomain, DomainError, SmoothFunction, _legendre_rule,
                            gauss_legendre, interval)
 from ugmt.hausdorff import (CriticalLevelError, dimensional_constant,
                             hausdorff_covering_upper, hausdorff_level_set,
                             rho_m_limit, rho_m_localized, rho_m_on_box, scaled_box,
-                            surface_functional)
+                            surface_functional, surface_functional_auto)
 from ugmt.montecarlo import (MCPlan, StratumGrid, measure_of_set, stratum_grid_points,
                              uniform_tuples)
 from ugmt.productspace import stratum_indicator
@@ -217,3 +218,148 @@ def test_stratum_indicator_rejects_invalid_tuples():
     dup[3, 1] = dup[3, 0]
     with pytest.raises(DomainError):
         stratum_indicator(void, 2, dup, UNIT)
+
+
+def _reference_quad_route(g, level, weights, window, k, eps, quad_order):
+    """The quadrature route of surface_functional with g evaluated afresh for
+    every profile width: g.value on the whole grid, g.gradient on the band."""
+    state = {"min_grad": np.inf, "max_grad": 0.0}
+    pts, w = stratum_grid_points(window, k, quad_order)
+    spacing = float(np.max(window.sides)) / quad_order
+
+    def run(sig):
+        vals = g.value(pts)
+        mask = np.abs(vals - level) < 5.0 * sig
+        dens = {name: np.zeros(pts.shape[0]) for name in weights}
+        if np.any(mask):
+            Xm = pts[mask]
+            grad = g.gradient(Xm)
+            gn = np.sqrt(np.sum(grad * grad, axis=(-2, -1)))
+            incore = np.abs(vals[mask] - level) < 2.0 * sig
+            if np.any(incore):
+                state["min_grad"] = min(state["min_grad"], float(np.min(gn[incore])))
+                state["max_grad"] = max(state["max_grad"], float(np.max(gn[incore])))
+            z = (vals[mask] - level) / sig
+            prof = np.exp(-0.5 * z * z) / (sig * np.sqrt(2.0 * np.pi))
+            for name, weight in weights.items():
+                dens[name][mask] = (gn if weight is None else weight(Xm, grad)) * prof
+        return {name: float(np.sum(w * d)) for name, d in dens.items()}
+
+    sig0 = max(eps, 4.0 * spacing)
+    v1 = run(sig0)
+    sig = max(sig0, 4.0 * spacing * min(state["max_grad"], 3.0))
+    if sig > 1.01 * sig0:
+        v1 = run(sig)
+    sigs = np.array([sig, sig * np.sqrt(2.0), sig * 2.0])
+    runs = (v1, run(sigs[1]), run(sigs[2]))
+    M = np.stack([np.ones(3), sigs, sigs ** 2], axis=1)
+    out = {}
+    for name in weights:
+        vals = np.array([r[name] for r in runs])
+        r_quad = float(np.linalg.solve(M, vals)[0])
+        r_lin = float(vals[0] + (vals[0] - vals[1]) / (np.sqrt(2.0) - 1.0))
+        out[name] = (r_quad, abs(r_quad - r_lin) * 0.5 + 1e-10 * abs(r_quad), state["min_grad"])
+    if np.isfinite(state["min_grad"]) and state["min_grad"] < 1e-3:
+        raise CriticalLevelError(f"gradient {state['min_grad']:.2e}")
+    return out
+
+
+class _Spy:
+    """A level function that counts value calls and keeps every gradient row."""
+
+    def __init__(self, g):
+        self.g, self.value_calls, self.rows = g, 0, []
+
+    def value(self, X):
+        self.value_calls += 1
+        return self.g.value(X)
+
+    def gradient(self, X):
+        self.rows.append(np.array(X))
+        return self.g.gradient(X)
+
+
+def _quad_case(name):
+    if name == "plateau-fallback":
+        top = SmoothFunction.plateau(interval(0.3, 0.7), 0.02, window=UNIT)
+        return cyl_from_star(top), 0.97, UNIT, 1, 192
+    if name == "tilted-2d":
+        sq = batteries.UNIT2
+        f = SmoothFunction.linear(sq, axis=1, amplitude=0.8, offset=0.1)
+        return cyl_compose(lambda r: tanh_of(r), cyl_from_star(f)), 0.35, sq, 1, 32
+    k, order = {"tanh-sum-k1": (1, 192), "tanh-sum-k2": (2, 96)}[name]
+    return batteries.tanh_sum_function(0.35), 0.3, UNIT, k, order
+
+
+@pytest.mark.parametrize("name", ["tanh-sum-k1", "tanh-sum-k2", "tilted-2d",
+                                  "plateau-fallback"])
+def test_quadrature_route_evaluates_g_once_per_grid(name):
+    g, level, window, k, order = _quad_case(name)
+    G = cyl_from_star(SmoothFunction.bump((0.45,) * window.dim, 0.3, 1.0, window=window))
+    weights = {"surface": None,
+               "G": lambda X, grad: G.value(X) * np.sqrt(np.sum(grad * grad, axis=(-2, -1))),
+               "tilt": lambda X, grad: X[:, 0, 0] * np.sum(grad, axis=(-2, -1))}
+    spy = _Spy(g)
+    try:
+        ref = _reference_quad_route(g, level, weights, window, k, 0.01, order)
+    except CriticalLevelError as exc:
+        ref = exc
+    if isinstance(ref, CriticalLevelError):
+        assert name == "plateau-fallback"
+        with pytest.raises(CriticalLevelError, match=str(ref)):
+            surface_functional(spy, level, weights, window, k, eps=0.01, quad_order=order)
+        mc = surface_functional(g, level, weights, window, k, eps=0.01, n_samples=3_000,
+                                seed=4, stream=9)
+        assert surface_functional_auto(g, level, weights, window, k, eps=0.01,
+                                       n_samples=3_000, seed=4, stream=9,
+                                       quad_order=order) == mc
+    else:
+        got = surface_functional(spy, level, weights, window, k, eps=0.01, quad_order=order)
+        assert got == ref
+        assert got["surface"][0] > 0.1
+    assert spy.value_calls == 1
+    rows = np.concatenate(spy.rows).reshape(-1, k * window.dim)
+    assert len(np.unique(rows, axis=0)) == len(rows)
+    # the wider profiles needed rows of their own, unless the first band held
+    # the whole grid
+    assert len(spy.rows) > 1 or len(rows) == order ** (k * window.dim)
+
+
+def test_band_gradients_are_read_only_for_weights():
+    # later profile widths reuse the gradients a weight receives
+    def writer(X, grad):
+        grad *= 2.0
+        return np.sum(grad, axis=(-2, -1))
+
+    F = batteries.tanh_sum_function(0.35)
+    for quad_order in (None, 192):
+        with pytest.raises(ValueError):
+            surface_functional(F, 0.3, {"w": writer}, UNIT, 1, eps=0.01, n_samples=2_000,
+                               quad_order=quad_order)
+
+
+def _bump_statistic_set(shift: float):
+    """Super-level set {sum of bump(x_i) > 1.37} on [shift, 1 + shift]."""
+    window = interval(shift, 1.0 + shift)
+    f = SmoothFunction.bump(0.5 + shift, 0.35, 1.0, window=window)
+    return SetSpec.level_set(cyl_from_star(f), 1.37, name="two-stack"), window
+
+
+def _poisson_measures(shift: float) -> list[tuple[float, float]]:
+    E, window = _bump_statistic_set(shift)
+    rho0 = rho_m_on_box(E, 0, window, n_samples=20_000, seed=3)
+    rho1 = rho_m_on_box(E.boundary_sheet(), 1, window, n_samples=20_000, seed=3)
+    per = perimeter_measure(E, window, n_samples=20_000, seed=3)
+    return [(rho0.total, rho0.total_err), (rho1.total, rho1.total_err),
+            (per.total, per.total_err)]
+
+
+@pytest.mark.parametrize("shift", [0.25, 3.0, -1.7])
+def test_poisson_measures_invariant_under_translating_the_window(shift):
+    # the set and its window move together; only the rounding of the shifted
+    # coordinates may differ
+    base = _poisson_measures(0.0)
+    assert base[0][0] > 0.05 and base[1][0] > 0.3 and base[2][0] > 0.3
+    for (v0, e0), (v1, e1) in zip(base, _poisson_measures(shift)):
+        assert v1 == pytest.approx(v0, rel=1e-12, abs=0.0)
+        assert e1 == pytest.approx(e0, rel=1e-12, abs=0.0)

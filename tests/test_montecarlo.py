@@ -9,9 +9,12 @@ from scipy import special
 from ugmt.configuration import CollisionError, Configuration, SetSpec
 from ugmt.cylinder import cyl_compose, cyl_from_star, tanh_of
 from ugmt.geometry import BoxDomain, SmoothFunction, gauss_legendre, interval
-from ugmt.montecarlo import (MCPlan, draw_by_count, integrate, integrate_battery,
+from ugmt import batteries, montecarlo
+from ugmt.hausdorff import scaled_box
+from ugmt.montecarlo import (MCPlan, _box_tuples, draw_by_count, integrate, integrate_battery,
                              integrate_disintegrated, measure_of_set, poisson_k_cutoff,
-                             poisson_pmf, poisson_stratified, poisson_stratified_battery)
+                             poisson_pmf, poisson_stratified, poisson_stratified_battery,
+                             shared_draws, uniform_tuples)
 from ugmt.rng import mean_and_stderr, stream_rng
 
 UNIT = interval(0.0, 1.0)
@@ -335,3 +338,55 @@ def test_cli_import_leaves_out_scipy_stats_and_optimize():
          "print(sorted(m for m in ('scipy.stats', 'scipy.optimize') if m in sys.modules))"],
         env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+_DRAW_WINDOWS = {
+    "unit": batteries.UNIT, "unit2": batteries.UNIT2, "mono": batteries.MONO_WINDOW,
+    "cap": batteries.CAP_WINDOW, **{f"scaled-{r}": scaled_box(0.0, r, 1) for r in (1, 1.5, 2, 3)},
+    "off-origin-2d": BoxDomain((0.3, -1.2), (1.7, 0.45)),
+}
+
+
+@pytest.mark.parametrize("k", [0, 1, 3, 7])
+@pytest.mark.parametrize("name", list(_DRAW_WINDOWS))
+def test_uniform_tuples_equal_tiled_uniform(name, k):
+    window = _DRAW_WINDOWS[name]
+    n, dim = 500, window.dim
+
+    def reference(rng):
+        return rng.uniform(np.tile(window.lower, k), np.tile(window.upper, k),
+                           size=(n, k * dim)).reshape(n, k, dim)
+
+    got = uniform_tuples(window, k, n, seed=17, stream=3 + k)
+    ref = reference(stream_rng(17, 3 + k))
+    assert got.shape == ref.shape == (n, k, dim)
+    assert got.tobytes() == ref.tobytes()
+    # the bulk kernel leaves the generator where the tiled draw does
+    rng, rng_ref = stream_rng(4, k), stream_rng(4, k)
+    assert _box_tuples(rng, window, k, n).tobytes() == reference(rng_ref).tobytes()
+    assert rng.random(7).tobytes() == rng_ref.random(7).tobytes()
+
+
+def test_shared_draws_scope_returns_one_read_only_draw_per_key():
+    fresh = uniform_tuples(UNIT, 3, 200, seed=5, stream=2)
+    assert fresh.flags.writeable
+    assert uniform_tuples(UNIT, 3, 200, seed=5, stream=2) is not fresh
+    with shared_draws():
+        X = uniform_tuples(UNIT, 3, 200, seed=5, stream=2)
+        assert np.array_equal(X, fresh) and not X.flags.writeable
+        with pytest.raises(ValueError):
+            X[0, 0, 0] = 0.5
+        assert uniform_tuples(UNIT, 3, 200, seed=5, stream=2) is X
+        with shared_draws():  # a nested scope keeps a memo of its own
+            inner = uniform_tuples(UNIT, 3, 200, seed=5, stream=2)
+            assert inner is not X and np.array_equal(inner, X)
+        assert uniform_tuples(UNIT, 3, 200, seed=5, stream=2) is X
+        # every part of the key counts
+        for other in [(interval(0.0, 2.0), 3, 200, 5, 2), (UNIT, 2, 200, 5, 2),
+                      (UNIT, 3, 100, 5, 2), (UNIT, 3, 200, 6, 2), (UNIT, 3, 200, 5, 3)]:
+            Y = uniform_tuples(*other)
+            assert Y is not X and Y.tobytes() == uniform_tuples(*other).tobytes()
+            assert not np.array_equal(Y, X)
+    assert montecarlo._SHARED_DRAWS.get() is None
+    after = uniform_tuples(UNIT, 3, 200, seed=5, stream=2)
+    assert after is not X and after.flags.writeable and np.array_equal(after, fresh)
