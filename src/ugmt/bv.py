@@ -355,14 +355,16 @@ def _build_normalized(family: list, theta) -> CylinderVectorField:
     return normalize_field(CylinderVectorField(tuple(terms)), 0.25)
 
 
-def _coordinate_ascent(obj: _VariationalObjective, i: int, iterations: int,
-                       theta_grid) -> np.ndarray:
+_THETA_GRID = (-4.0, -2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0, 4.0)
+
+
+def _coordinate_ascent(obj: _VariationalObjective, i: int, iterations: int) -> np.ndarray:
     """Member i's theta: coordinate sweeps over the family, each trial grid
     scored as one (G, A) stack."""
     theta = np.zeros(len(obj.family))
     for sweep in range(iterations):
         for a in range(len(theta)):
-            grid = theta_grid if sweep == 0 else tuple(
+            grid = _THETA_GRID if sweep == 0 else tuple(
                 theta[a] + d for d in (-0.6, -0.3, -0.15, 0.0, 0.15, 0.3, 0.6))
             trials = np.tile(theta, (len(grid), 1))
             trials[:, a] = grid
@@ -371,8 +373,7 @@ def _coordinate_ascent(obj: _VariationalObjective, i: int, iterations: int,
 
 
 def tv_variational_battery(Fs: dict, family: list, window: BoxDomain, *, iterations: int = 2,
-                           theta_grid=None, seed: int = 0,
-                           eval_seed: int | None = None) -> dict[str, VariationalLower]:
+                           seed: int = 0) -> dict[str, VariationalLower]:
     """Coordinate-ascent maximum of E_pi[F div* V] over normalized fields, per F.
 
     ``Fs`` maps names to cylinder functions or level-set specs.  ``family``
@@ -381,16 +382,13 @@ def tv_variational_battery(Fs: dict, family: list, window: BoxDomain, *, iterati
     norm never exceeds one and the estimate is a genuine lower bound for the
     variational total variation (minus the reported error).  The search uses
     a coarse objective, member by member; the optimum is re-evaluated at scale
-    on an independent seed, and that value (with its error) is what is
-    reported.  The cylinder members share one objective in both passes, so
-    the field family is evaluated once per batch for all of them; each
-    level-set spec has its own.  Returns name -> VariationalLower.
+    on the independent seed ``seed + 7919``, and that value (with its error)
+    is what is reported.  The cylinder members share one objective in both
+    passes, so the field family is evaluated once per batch for all of them;
+    each level-set spec has its own.  Returns name -> VariationalLower.
     """
     if not family:
         raise DomainError("need a nonempty field family")
-    if theta_grid is None:
-        theta_grid = (-4.0, -2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0, 4.0)
-    final_seed = eval_seed if eval_seed is not None else seed + 7919
     groups = [[name] for name, F in Fs.items() if isinstance(F, SetSpec)]
     shared = [name for name, F in Fs.items() if not isinstance(F, SetSpec)]
     if shared:
@@ -400,10 +398,10 @@ def tv_variational_battery(Fs: dict, family: list, window: BoxDomain, *, iterati
         members = [Fs[name] for name in names]
         obj = _VariationalObjective(members, family, window, seed=seed, n_band=8_000,
                                     mc_n=4_000)
-        thetas = np.array([_coordinate_ascent(obj, i, iterations, theta_grid)
+        thetas = np.array([_coordinate_ascent(obj, i, iterations)
                            for i in range(len(names))])
         del obj  # the search batches are not needed by the final estimate
-        accurate = _VariationalObjective(members, family, window, seed=final_seed,
+        accurate = _VariationalObjective(members, family, window, seed=seed + 7919,
                                          n_band=60_000, mc_n=20_000)
         for name, theta, (value, err) in zip(names, thetas, accurate.value_with_error(thetas)):
             out[name] = VariationalLower(value=value, error=err, theta=tuple(theta),
@@ -412,15 +410,14 @@ def tv_variational_battery(Fs: dict, family: list, window: BoxDomain, *, iterati
 
 
 def tv_variational(F, family: list, window: BoxDomain, *, iterations: int = 2,
-                   theta_grid=None, seed: int = 0,
-                   eval_seed: int | None = None) -> VariationalLower:
+                   seed: int = 0) -> VariationalLower:
     """Coordinate-ascent maximum of E_pi[F div* V] over normalized fields.
 
     The one-member call of ``tv_variational_battery``, which scores several F
     against one evaluation of the field family per batch.
     """
     return tv_variational_battery({"F": F}, family, window, iterations=iterations,
-                                  theta_grid=theta_grid, seed=seed, eval_seed=eval_seed)["F"]
+                                  seed=seed)["F"]
 
 
 # ---------------------------------------------------------------------------
@@ -555,7 +552,6 @@ class PerimeterMeasure:
     total: float
     total_err: float
     per_k: dict[int, float]
-    battery: dict[str, tuple[float, float]]
     r_values: tuple[tuple[float, float, float], ...]  # (r, total, err)
     eps: float
 
@@ -566,7 +562,7 @@ class PerimeterMeasure:
 
 
 def perimeter_measure(E: SetSpec, window: BoxDomain, *, r_boxes=None,
-                      G_battery: dict | None = None, eps: float | None = None,
+                      eps: float | None = None,
                       n_samples: int = 60_000, n_eta: int = 48, seed: int = 0,
                       K_max: int | None = None) -> PerimeterMeasure:
     """Perimeter measure of a level-set spec via the per-stratum sheet oracle.
@@ -574,20 +570,13 @@ def perimeter_measure(E: SetSpec, window: BoxDomain, *, r_boxes=None,
     The full-window measure weights each stratum sheet by e^{-vol}/k!.  When
     ``r_boxes`` are given, the localized measures are computed by averaging
     the sectioned sheets over outside patterns; they increase to the
-    full-window value.  ``G_battery`` maps names to nonnegative cylinder
-    functions integrated against the measure.
+    full-window value.
     """
     if eps is None:
         eps = 1e-2 * float(np.max(window.sides))
-    weights = {"__total__": None}
-    G_battery = G_battery or {}
-    for name, G in G_battery.items():
-        weights[name] = (lambda X, grad, G=G:
-                         G.value(X) * np.sqrt(np.sum(grad * grad, axis=(-2, -1))))
-    res = surface_battery(E, window, weights, eps=eps, n_samples=n_samples,
-                          seed=seed, K_max=K_max)
-    total, total_err, per_k = res["__total__"]
-    battery = {name: (res[name][0], res[name][1]) for name in G_battery}
+    total, total_err, per_k = surface_battery(E, window, {"__total__": None}, eps=eps,
+                                              n_samples=n_samples, seed=seed,
+                                              K_max=K_max)["__total__"]
     r_values = []
     if r_boxes:
         for i, box in enumerate(r_boxes):
@@ -596,8 +585,7 @@ def perimeter_measure(E: SetSpec, window: BoxDomain, *, r_boxes=None,
                                             n_eta=n_eta, seed=seed)
             r_values.append((float(np.max(box.sides)), val, err))
     return PerimeterMeasure(spec=E, window=window, total=total, total_err=total_err,
-                            per_k=per_k, battery=battery, r_values=tuple(r_values),
-                            eps=eps)
+                            per_k=per_k, r_values=tuple(r_values), eps=eps)
 
 
 def _localized_perimeter(E: SetSpec, inner: BoxDomain, window: BoxDomain, *,

@@ -25,14 +25,13 @@ import numpy as np
 
 from . import batteries
 from .configuration import SetSpec
-from .geometry import SmoothFunction, gauss_legendre
+from .geometry import SmoothFunction
 from .heat import (BesselOperator, LiftedHeatOperator, bakry_emery_battery,
                    capacity_upper_bound, check_intertwining, regularization_slope)
 from .hausdorff import rho_m_localized, rho_m_on_box, scaled_box
-from .montecarlo import MCPlan, integrate_battery
+from .montecarlo import MCPlan, integrate_battery, stratum_grid_points
 from .bv import (coarea_family, gauss_green_residual, perimeter_measure,
                  sobolev_consistency, tv_bracket_battery)
-from .rng import worker_count
 
 SCHEMA_VERSION = 1
 SUITES = ("campbell", "monotonicity", "bakry-emery", "intertwine", "tv-equivalence",
@@ -110,7 +109,7 @@ class Report:
             "schema_version": SCHEMA_VERSION,
             "suite": self.suite,
             "environment": {"package_version": _version(), "seed": self.seed,
-                            "samples": self.samples, "workers": worker_count()},
+                            "samples": self.samples},
             "records": self.records,
             "all_pass": self.passed,
             "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
@@ -168,15 +167,8 @@ def record(name: str, anchor: str, value: float, target: float, sigma: float,
 
 def laplace_target(f: SmoothFunction, order: int = 64) -> float:
     """Quadrature of exp( integral of (e^f - 1) ) over the support box."""
-    box = f.support
-    axes = [gauss_legendre(lo, hi, order) for lo, hi in zip(box.lower, box.upper)]
-    mesh = np.meshgrid(*[a[0] for a in axes], indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=-1)
-    wmesh = np.meshgrid(*[a[1] for a in axes], indexing="ij")
-    w = np.ones(pts.shape[0])
-    for m in wmesh:
-        w = w * m.ravel()
-    vals = np.exp(f.value(pts)) - 1.0
+    pts, w = stratum_grid_points(f.support, 1, order)
+    vals = np.exp(f.value(pts[:, 0])) - 1.0
     return float(np.exp(np.sum(w * vals)))
 
 

@@ -102,22 +102,6 @@ class Configuration:
     def __hash__(self) -> int:
         return hash((self.window, self.points.tobytes()))
 
-    # one-line record: "n k x11 .. x1n x21 .. | lo1 .. lon hi1 .. hin"
-    def serialize(self) -> str:
-        coords = " ".join(repr(float(v)) for v in self.points.ravel())
-        box = " ".join(repr(float(v)) for v in (*self.window.lower, *self.window.upper))
-        return f"{self.dim} {self.count} {coords} | {box}".replace("  ", " ")
-
-    @staticmethod
-    def deserialize(line: str) -> "Configuration":
-        head, box = line.split("|")
-        vals = head.split()
-        n, k = int(vals[0]), int(vals[1])
-        pts = np.array([float(v) for v in vals[2:2 + n * k]]).reshape(k, n)
-        bv = [float(v) for v in box.split()]
-        window = BoxDomain(tuple(bv[:n]), tuple(bv[n:]))
-        return Configuration(window=window, points=pts)
-
 
 @dataclass(frozen=True)
 class MCEstimate:
@@ -345,19 +329,6 @@ class SetSpec:
 
     def indicator(self, gamma: Configuration) -> float:
         return 1.0 if self.contains(gamma) else 0.0
-
-    def descriptor(self) -> str:
-        if self.variant == "count_at_least":
-            return f"count_at_least region={self.region.descriptor()} threshold={self.threshold}"
-        raise ValueError(f"variant {self.variant} has no flat descriptor")
-
-    @staticmethod
-    def from_descriptor(text: str) -> "SetSpec":
-        parts = text.split()
-        if parts[0] != "count_at_least":
-            raise ValueError(f"unknown descriptor kind {parts[0]}")
-        kv = dict(p.split("=", 1) for p in parts[1:])
-        return SetSpec.count_at_least(BoxDomain.from_descriptor(kv["region"]), int(kv["threshold"]))
 
 
 def section_set(spec: SetSpec, eta: Configuration, box: BoxDomain) -> SetSpec:

@@ -838,111 +838,3 @@ def directional_derivative_fd(F: CylinderFunction, v: SmoothVectorField,
     minus = Configuration(window=gamma.window, points=flow_map(v, gamma.points, -s))
     return (F.value(plus) - F.value(minus)) / (2.0 * s)
 
-
-# ---------------------------------------------------------------------------
-# structured-text serialization of outer trees, cylinder functions, and fields
-
-
-def node_to_text(node: Node) -> str:
-    if isinstance(node, Const):
-        return f"(c {node.c!r})"
-    if isinstance(node, Coord):
-        return f"(u {node.i})"
-    if isinstance(node, Add):
-        return "(+ " + " ".join(node_to_text(t) for t in node.terms) + ")"
-    if isinstance(node, Mul):
-        return "(* " + " ".join(node_to_text(f) for f in node.factors) + ")"
-    if isinstance(node, Tanh):
-        return f"(tanh {node_to_text(node.arg)})"
-    if isinstance(node, Exp):
-        return f"(exp {node_to_text(node.arg)})"
-    if isinstance(node, Sq):
-        return f"(sq {node_to_text(node.arg)})"
-    if isinstance(node, Inv1p):
-        return f"(inv1p {node_to_text(node.arg)})"
-    if isinstance(node, Poly):
-        coeffs = " ".join(repr(c) for c in node.coeffs)
-        return f"(poly {node_to_text(node.arg)} {coeffs})"
-    if isinstance(node, _NonnegWrap):
-        return f"(nn {node_to_text(node.inner)})"
-    raise TypeError(f"cannot serialize {type(node)}")
-
-
-def _tokenize(text: str) -> list[str]:
-    return text.replace("(", " ( ").replace(")", " ) ").split()
-
-
-def _parse(tokens: list[str], pos: int) -> tuple[Node, int]:
-    if tokens[pos] != "(":
-        raise ValueError(f"expected '(' at {pos}")
-    head = tokens[pos + 1]
-    pos += 2
-    args: list = []
-    while tokens[pos] != ")":
-        if tokens[pos] == "(":
-            sub, pos = _parse(tokens, pos)
-            args.append(sub)
-        else:
-            args.append(tokens[pos])
-            pos += 1
-    pos += 1
-    if head == "c":
-        return Const(float(args[0])), pos
-    if head == "u":
-        return Coord(int(args[0])), pos
-    if head == "+":
-        return add_n(*args), pos
-    if head == "*":
-        return mul_n(*args), pos
-    if head == "tanh":
-        return Tanh(args[0]), pos
-    if head == "exp":
-        return Exp(args[0]), pos
-    if head == "sq":
-        return Sq(args[0]), pos
-    if head == "inv1p":
-        return Inv1p(args[0]), pos
-    if head == "poly":
-        return Poly(args[0], tuple(float(c) for c in args[1:])), pos
-    if head == "nn":
-        return _NonnegWrap(args[0]), pos
-    raise ValueError(f"unknown node head {head!r}")
-
-
-def node_from_text(text: str) -> Node:
-    node, pos = _parse(_tokenize(text), 0)
-    return node
-
-
-def cylinder_to_text(F: CylinderFunction) -> str:
-    inners = " ;; ".join(f.descriptor() for f in F.inners)
-    return f"{node_to_text(F.outer.root)} :: {inners}"
-
-
-def cylinder_from_text(text: str) -> CylinderFunction:
-    outer_text, inner_text = text.split("::")
-    inners = tuple(SmoothFunction.from_descriptor(p.strip())
-                   for p in inner_text.split(";;"))
-    root = node_from_text(outer_text.strip())
-    return CylinderFunction(OuterFunction(root, len(inners)), inners)
-
-
-def field_to_text(V: CylinderVectorField) -> str:
-    parts = []
-    for c, v in V.terms:
-        coeff = repr(float(c)) if isinstance(c, (int, float)) else cylinder_to_text(c)
-        parts.append(f"{coeff} @@ {v.descriptor()}")
-    return " ||| ".join(parts)
-
-
-def field_from_text(text: str) -> CylinderVectorField:
-    terms = []
-    for part in text.split("|||"):
-        coeff_text, field_text = part.split("@@")
-        coeff_text = coeff_text.strip()
-        if "::" in coeff_text:
-            coeff = cylinder_from_text(coeff_text)
-        else:
-            coeff = float(coeff_text)
-        terms.append((coeff, SmoothVectorField.from_descriptor(field_text.strip())))
-    return CylinderVectorField(tuple(terms))

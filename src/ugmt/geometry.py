@@ -104,19 +104,6 @@ class BoxDomain:
     def sample_uniform(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return rng.uniform(self.lower, self.upper, size=(size, self.dim))
 
-    def descriptor(self) -> str:
-        lo = ",".join(repr(v) for v in self.lower)
-        hi = ",".join(repr(v) for v in self.upper)
-        return f"{lo};{hi}"
-
-    @staticmethod
-    def from_descriptor(text: str) -> "BoxDomain":
-        lo, hi = text.split(";")
-        return BoxDomain(
-            tuple(float(v) for v in lo.split(",")),
-            tuple(float(v) for v in hi.split(",")),
-        )
-
 
 def interval(lo: float, hi: float) -> BoxDomain:
     return BoxDomain((lo,), (hi,))
@@ -451,58 +438,6 @@ class SmoothFunction:
         lap_b = a / self.width**2 * (float((rho * lapn).max()) + 2.0 * float(dprof.max())) * margin
         return val_b, grad_b, lap_b
 
-    # -- serialization ------------------------------------------------------
-
-    def descriptor(self) -> str:
-        if self.kind == "bump" or self.kind == "coordinate_bump":
-            c = ",".join(repr(v) for v in self.center)
-            s = f"{self.kind} center={c} width={self.width!r} amp={self.amplitude!r}"
-            if self.kind == "coordinate_bump":
-                s += f" axis={self.axis}"
-            if self.window is not None:
-                s += f" window={self.window.descriptor()}"
-            return s
-        if self.kind == "constant":
-            return f"constant amp={self.amplitude!r} box={self.support.descriptor()}"
-        if self.kind == "neumann_mode":
-            m = ",".join(str(j) for j in self.modes)
-            return f"neumann_mode modes={m} amp={self.amplitude!r} box={self.support.descriptor()}"
-        if self.kind == "linear":
-            return (f"linear axis={self.axis} amp={self.amplitude!r} "
-                    f"offset={self.center[self.axis]!r} box={self.support.descriptor()}")
-        if self.kind == "plateau":
-            s = f"plateau region={self.region.descriptor()} tau={self.width!r} amp={self.amplitude!r}"
-            if self.window is not None:
-                s += f" window={self.window.descriptor()}"
-            return s
-        raise ValueError(f"kind {self.kind} has no flat descriptor")
-
-    @staticmethod
-    def from_descriptor(text: str) -> "SmoothFunction":
-        parts = text.split()
-        kind = parts[0]
-        kv = dict(p.split("=", 1) for p in parts[1:])
-        if kind in ("bump", "coordinate_bump"):
-            center = tuple(float(v) for v in kv["center"].split(","))
-            window = BoxDomain.from_descriptor(kv["window"]) if "window" in kv else None
-            if kind == "bump":
-                return SmoothFunction.bump(center, float(kv["width"]), float(kv["amp"]), window)
-            return SmoothFunction.coordinate_bump(center, float(kv["width"]), float(kv["amp"]),
-                                                  int(kv.get("axis", 0)), window)
-        if kind == "constant":
-            return SmoothFunction.constant(float(kv["amp"]), BoxDomain.from_descriptor(kv["box"]))
-        if kind == "neumann_mode":
-            modes = tuple(int(v) for v in kv["modes"].split(","))
-            return SmoothFunction.neumann_mode(modes, BoxDomain.from_descriptor(kv["box"]), float(kv["amp"]))
-        if kind == "linear":
-            return SmoothFunction.linear(BoxDomain.from_descriptor(kv["box"]),
-                                         int(kv["axis"]), float(kv["amp"]), float(kv["offset"]))
-        if kind == "plateau":
-            window = BoxDomain.from_descriptor(kv["window"]) if "window" in kv else None
-            return SmoothFunction.plateau(BoxDomain.from_descriptor(kv["region"]),
-                                          float(kv["tau"]), float(kv["amp"]), window)
-        raise ValueError(f"unknown descriptor kind {kind}")
-
 
 @dataclass(frozen=True)
 class SmoothVectorField:
@@ -546,14 +481,6 @@ class SmoothVectorField:
     def adjoint_divergence(self, points) -> np.ndarray:
         return -self.divergence(points)
 
-    def descriptor(self) -> str:
-        return " || ".join(c.descriptor() for c in self.components)
-
-    @staticmethod
-    def from_descriptor(text: str) -> "SmoothVectorField":
-        return SmoothVectorField(tuple(SmoothFunction.from_descriptor(p.strip())
-                                       for p in text.split("||")))
-
 
 # ---------------------------------------------------------------------------
 # Neumann heat kernel on an interval, by the method of images
@@ -575,6 +502,24 @@ def auto_image_order(t: float, L: float, tol: float = 1e-12) -> int:
     return M
 
 
+def _image_sum(a, b, t: float, L: float, M: int, term) -> np.ndarray:
+    """One kernel kind's truncated image sum on [0, L].
+
+    Over |m| <= M, ``out = term(out, z1, z2, e1, e2)`` accumulates the images
+    z1 = a - b - 2mL and z2 = a + b - 2mL with Gaussian factors
+    e = exp(-z^2 / 4t); the sum is scaled by 1/sqrt(4 pi t).
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    pref = 1.0 / np.sqrt(4.0 * np.pi * t)
+    out = np.zeros(np.broadcast(a, b).shape)
+    for m in range(-M, M + 1):
+        z1 = a - b - 2.0 * m * L
+        z2 = a + b - 2.0 * m * L
+        out = term(out, z1, z2, np.exp(-(z1 * z1) / (4.0 * t)), np.exp(-(z2 * z2) / (4.0 * t)))
+    return pref * out
+
+
 def neumann_kernel(a, b, t: float, L: float, M: int | None = None) -> np.ndarray:
     """Heat kernel with reflecting boundary on [0, L], truncated image sum.
 
@@ -590,40 +535,18 @@ def neumann_kernel(a, b, t: float, L: float, M: int | None = None) -> np.ndarray
         raise DomainError("kernel arguments must lie in [0, L]")
     if M is None:
         M = auto_image_order(t, L)
-    pref = 1.0 / np.sqrt(4.0 * np.pi * t)
-    out = np.zeros(np.broadcast(a, b).shape)
-    for m in range(-M, M + 1):
-        z1 = a - b - 2.0 * m * L
-        z2 = a + b - 2.0 * m * L
-        out = out + np.exp(-(z1 * z1) / (4.0 * t)) + np.exp(-(z2 * z2) / (4.0 * t))
-    return pref * out
+    return _image_sum(a, b, t, L, M, lambda out, z1, z2, e1, e2: out + e1 + e2)
 
 
 def _neumann_kernel_dx(a, b, t: float, L: float, M: int) -> np.ndarray:
     """d/da of the Neumann kernel (image sum differentiated termwise)."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    pref = 1.0 / np.sqrt(4.0 * np.pi * t)
-    out = np.zeros(np.broadcast(a, b).shape)
-    for m in range(-M, M + 1):
-        z1 = a - b - 2.0 * m * L
-        z2 = a + b - 2.0 * m * L
-        out = out + (-z1 / (2.0 * t)) * np.exp(-(z1 * z1) / (4.0 * t)) \
-                  + (-z2 / (2.0 * t)) * np.exp(-(z2 * z2) / (4.0 * t))
-    return pref * out
+    return _image_sum(a, b, t, L, M, lambda out, z1, z2, e1, e2:
+                      out + (-z1 / (2.0 * t)) * e1 + (-z2 / (2.0 * t)) * e2)
 
 
 def _dirichlet_kernel(a, b, t: float, L: float, M: int) -> np.ndarray:
     """Absorbing-boundary kernel on [0, L] (odd image sum); |k_D| <= k_N."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    pref = 1.0 / np.sqrt(4.0 * np.pi * t)
-    out = np.zeros(np.broadcast(a, b).shape)
-    for m in range(-M, M + 1):
-        z1 = a - b - 2.0 * m * L
-        z2 = a + b - 2.0 * m * L
-        out = out + np.exp(-(z1 * z1) / (4.0 * t)) - np.exp(-(z2 * z2) / (4.0 * t))
-    return pref * out
+    return _image_sum(a, b, t, L, M, lambda out, z1, z2, e1, e2: out + e1 - e2)
 
 
 @dataclass(frozen=True)

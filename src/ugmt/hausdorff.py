@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .configuration import Configuration, MCEstimate, SetSpec, section_set
+from .configuration import Configuration, MCEstimate, SetSpec, _draw, section_set
 from .geometry import BoxDomain, DomainError
 from .montecarlo import Strata, stratum_grid_points, uniform_tuples
 from .productspace import stratum_indicator
@@ -163,8 +163,8 @@ class _LevelCache:
 
 def surface_functional(g, level: float, weights: dict, window: BoxDomain, k: int, *,
                        eps: float, n_samples: int = 20_000, seed: int = 0,
-                       stream: int = 0, quad_order: int | None = None,
-                       check_gradient: bool = True) -> dict[str, tuple[float, float, float]]:
+                       stream: int = 0, quad_order: int | None = None
+                       ) -> dict[str, tuple[float, float, float]]:
     """Band estimates of int_{ {g = level} cap window^k } weight dH^{nk-1}.
 
     ``g`` evaluates value/gradient on ordered tuples, as cylinder functions
@@ -242,7 +242,7 @@ def surface_functional(g, level: float, weights: dict, window: BoxDomain, k: int
 
         est = band_integral_mc(lambda X: density(X, profile, eps, eps), window, k,
                                n_samples, seed, stream)
-    if check_gradient and np.isfinite(state["min_grad"]) and state["min_grad"] < MIN_GRADIENT:
+    if np.isfinite(state["min_grad"]) and state["min_grad"] < MIN_GRADIENT:
         raise CriticalLevelError(
             f"gradient {state['min_grad']:.2e} below {MIN_GRADIENT} on the level band; "
             "perturb the level")
@@ -273,14 +273,13 @@ def surface_functional_auto(g, level: float, weights: dict, window: BoxDomain, k
 
 
 def hausdorff_level_set(g, level: float, eps: float, window: BoxDomain, k: int, *,
-                        n_samples: int = 200_000, seed: int = 0,
-                        max_halvings: int = 4) -> HausdorffEstimate:
+                        n_samples: int = 200_000, seed: int = 0) -> HausdorffEstimate:
     """Consistent estimator of H^{nk-1}({g = level} cap window^k), codim 1.
 
     ``g`` must expose vectorized value/gradient on (m, k, n) tuples, for
-    instance a CylinderFunction.  The band width is halved until the estimate
-    moves by less than one combined standard error; a curvature-bias flag is
-    raised if halving moves it by more than three.
+    instance a CylinderFunction.  The band width is halved, at most four
+    times, until the estimate moves by less than one combined standard error;
+    a curvature-bias flag is raised if halving moves it by more than three.
     """
     if eps <= 0:
         raise DomainError("band width must be positive")
@@ -288,7 +287,7 @@ def hausdorff_level_set(g, level: float, eps: float, window: BoxDomain, k: int, 
     prev = None
     est = (0.0, 0.0)
     width = eps
-    for i in range(max_halvings + 1):
+    for i in range(5):
         val, err, _ = surface_functional(g, level, {"surface": None}, window, k, eps=width,
                                          n_samples=n_samples, seed=seed,
                                          stream=40 + i)["surface"]
@@ -478,10 +477,8 @@ def _outside_average(A: SetSpec, inner: BoxDomain, shell: BoxDomain, n_eta: int,
     vals = np.empty(n_eta)
     errs = np.empty(n_eta)
     for i in range(n_eta):
-        k = rng.poisson(shell.volume)
-        pts = shell.sample_uniform(rng, k)
-        keep = ~inner.contains(pts) if k else np.zeros(0, dtype=bool)
-        eta = Configuration(window=shell, points=pts[keep] if k else pts)
+        pts = _draw(shell, rng)
+        eta = Configuration(window=shell, points=pts[~inner.contains(pts)])
         vals[i], errs[i] = estimate(section_set(A, eta, inner), i)
     mean, spread = mean_and_stderr(vals)
     return mean, float(np.sqrt(spread * spread + np.sum(errs**2) / n_eta**2))

@@ -95,14 +95,13 @@ class LiftedHeatOperator:
     """Stratum-wise tensor Neumann semigroup over a box window.
 
     Grid-based operations are available for small particle counts (per-axis
-    orders shrink as k grows); the Poisson count truncation K_max is chosen
-    from the stated tail tolerance.
+    orders shrink as k grows); the Poisson count truncation K_max leaves a
+    tail mass below 1e-10.
     """
 
     window: BoxDomain
-    k_tail_tol: float = 1e-10
     grid_orders: dict[int, int] = field(default_factory=dict)
-    K_max: int = 0
+    K_max: int = field(init=False)
 
     def __post_init__(self):
         if not self.grid_orders:
@@ -110,8 +109,7 @@ class LiftedHeatOperator:
                 self.grid_orders = {1: 80, 2: 64, 3: 40, 4: 24}
             else:
                 self.grid_orders = {1: 24, 2: 10}
-        if self.K_max == 0:
-            self.K_max = poisson_k_cutoff(self.window.volume, self.k_tail_tol)
+        self.K_max = poisson_k_cutoff(self.window.volume)
         self._kernels: dict = {}
         self._kernel_matrices: dict = {}
 
@@ -268,11 +266,10 @@ def check_intertwining(f, t: float, op: LiftedHeatOperator, k: int = 1,
         grid = op.grid(k, order_)
         vals = _eval_on_grid(F, grid)
         worst = 0.0
-        n = op.window.dim
+        dvals = _grad_grid(F, op, grid)
         for ax in range(grid.axes):
             lhs = op.tensor_apply(vals, t, grid, special_axis=ax, special_kind="dx")
-            dvals = _grad_grid(F, op, grid)[ax]
-            rhs = op.tensor_apply(dvals, t, grid, special_axis=ax, special_kind="dirichlet")
+            rhs = op.tensor_apply(dvals[ax], t, grid, special_axis=ax, special_kind="dirichlet")
             worst = max(worst, float(np.max(np.abs(lhs - rhs))))
         return worst
 
@@ -507,12 +504,12 @@ class BesselOperator:
     """Gamma-weighted time average of the heat semigroup.
 
     B F = (1/Gamma(alpha/2)) * integral of e^{-t} t^{alpha/2-1} T_t F dt,
-    realized by generalized Gauss-Laguerre quadrature; exact on constants.
+    realized by 48-node generalized Gauss-Laguerre quadrature; exact on
+    constants.
     """
 
     alpha: float
     p: float
-    n_nodes: int = 48
 
     def __post_init__(self):
         if self.alpha <= 0 or not (1.0 <= self.p < np.inf):
@@ -524,7 +521,7 @@ class BesselOperator:
 
     def nodes_weights(self) -> tuple[np.ndarray, np.ndarray]:
         a = self.alpha / 2.0 - 1.0
-        x, w = special.roots_genlaguerre(self.n_nodes, a)
+        x, w = special.roots_genlaguerre(48, a)
         w = w / special.gamma(self.alpha / 2.0)
         return x, w
 
@@ -549,8 +546,7 @@ def bessel_apply(F, B: BesselOperator, op: LiftedHeatOperator,
     return out
 
 
-def _semigroup_at(F, gamma: Configuration, t: float, op: LiftedHeatOperator,
-                  q: int | None = None) -> float:
+def _semigroup_at(F, gamma: Configuration, t: float, op: LiftedHeatOperator) -> float:
     """T_t F(gamma) by per-particle kernel quadrature (1-d windows).
 
     Each particle's kernel is integrated over a localized sub-interval
@@ -564,8 +560,7 @@ def _semigroup_at(F, gamma: Configuration, t: float, op: LiftedHeatOperator,
         raise DomainError("per-sample semigroup evaluation is 1-d only")
     L = float(op.window.sides[0])
     lo = op.window.lower[0]
-    if q is None:
-        q = _BE_ORDERS.get(k, 8)
+    q = _BE_ORDERS.get(k, 8)
     ker = op._axis_kernel(t, 0)
     xs = gamma.points[:, 0] - lo
     reach = 7.0 * np.sqrt(2.0 * t)

@@ -27,7 +27,6 @@ several functions on the same strata draw each stratum once.
 from __future__ import annotations
 
 import functools
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
@@ -38,7 +37,7 @@ from scipy import special
 
 from .configuration import Configuration, MCEstimate, SetSpec, _draw
 from .geometry import BoxDomain, gauss_legendre
-from .rng import mean_and_stderr, stream_rng, worker_count
+from .rng import mean_and_stderr, stream_rng
 
 __all__ = [
     "MCPlan",
@@ -66,12 +65,14 @@ MIN_SAMPLES = 100
 
 @dataclass(frozen=True)
 class MCPlan:
-    """Deterministic Monte Carlo plan; identical plans give identical output."""
+    """Deterministic Monte Carlo plan; identical plans give identical output.
+
+    Sample i is drawn on the random stream (seed, i mod ``worker_streams``).
+    """
 
     n_samples: int
     seed: int
     window: BoxDomain
-    antithetic: bool = False
     worker_streams: int = 16
 
     def __post_init__(self):
@@ -81,13 +82,7 @@ class MCPlan:
             raise ValueError("worker_streams must be >= 1")
 
     def with_seed(self, seed: int) -> "MCPlan":
-        return MCPlan(self.n_samples, seed, self.window, self.antithetic, self.worker_streams)
-
-
-def _reflect(window: BoxDomain, points: np.ndarray) -> np.ndarray:
-    lo = np.array(window.lower)
-    hi = np.array(window.upper)
-    return lo + hi - points
+        return MCPlan(self.n_samples, seed, self.window, self.worker_streams)
 
 
 def draw_by_count(plan: MCPlan) -> dict[int, tuple[np.ndarray, np.ndarray]]:
@@ -96,26 +91,16 @@ def draw_by_count(plan: MCPlan) -> dict[int, tuple[np.ndarray, np.ndarray]]:
     Stream j of the plan's ``worker_streams`` S draws samples j, j + S, j + 2S,
     ... in that order on the random stream (seed, j), one ``_draw`` per
     configuration, so the points and the collision retries do not depend on
-    the grouping.  Streams run on ``worker_count()`` threads; the result does
-    not depend on that number.  Returns k -> (sample indices, tuples) for
-    every count drawn, k ascending: the tuples have shape (m_k, k, n) and are
-    in stream order.
+    the grouping.  Streams are drawn j = 0, ..., S - 1 in order.  Returns
+    k -> (sample indices, tuples) for every count drawn, k ascending: the
+    tuples have shape (m_k, k, n) and are in stream order.
     """
     S, n = plan.worker_streams, plan.n_samples
-
-    def stream(j: int) -> list[np.ndarray]:
-        rng = stream_rng(plan.seed, j)
-        return [_draw(plan.window, rng) for _ in range(j, n, S)]
-
-    workers = min(worker_count(), S)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(stream, range(S)))
-    else:
-        chunks = [stream(j) for j in range(S)]
     groups: dict[int, tuple[list, list]] = {}
-    for j, chunk in enumerate(chunks):
-        for i, pts in zip(range(j, n, S), chunk):
+    for j in range(S):
+        rng = stream_rng(plan.seed, j)
+        for i in range(j, n, S):
+            pts = _draw(plan.window, rng)
             idx, tuples = groups.setdefault(pts.shape[0], ([], []))
             idx.append(i)
             tuples.append(pts)
@@ -123,14 +108,10 @@ def draw_by_count(plan: MCPlan) -> dict[int, tuple[np.ndarray, np.ndarray]]:
 
 
 def _in_sample_order(Hk, draws: dict, plan: MCPlan) -> np.ndarray:
-    """Values of the stratum function Hk at the drawn samples, in sample order
-    (antithetic plans average each tuple with its reflection)."""
+    """Values of the stratum function Hk at the drawn samples, in sample order."""
     values = np.empty(plan.n_samples)
     for k, (idx, X) in draws.items():
-        vals = np.asarray(Hk(k, X), dtype=float)
-        if plan.antithetic:
-            vals = 0.5 * (vals + np.asarray(Hk(k, _reflect(plan.window, X)), dtype=float))
-        values[idx] = vals
+        values[idx] = np.asarray(Hk(k, X), dtype=float)
     if not np.all(np.isfinite(values)):
         raise ValueError("non-finite integrand value encountered")
     return values
@@ -150,7 +131,7 @@ def _estimate(values: np.ndarray, plan: MCPlan, name: str) -> MCEstimate:
 
 
 def sample_values(G, plan: MCPlan) -> np.ndarray:
-    """Per-sample values of G under the plan, in a worker-independent order."""
+    """Per-sample values of G under the plan, in sample order."""
     return _in_sample_order(_per_configuration(G, plan.window), draw_by_count(plan), plan)
 
 
@@ -172,35 +153,38 @@ def integrate_battery(battery: Mapping[str, Callable], plan: MCPlan) -> dict[str
             for name, Hk in battery.items()}
 
 
+INNER_SAMPLES = 32
+
+
 def integrate_disintegrated(G, split: tuple[BoxDomain, BoxDomain], plan: MCPlan,
-                            inner_samples: int = 32, name: str = "") -> MCEstimate:
+                            name: str = "") -> MCEstimate:
     """Nested estimate over a window partition: outer on N, inner on M.
 
-    For each outer pattern zeta on N, averages G(zeta + xi) over inner Poisson
-    patterns xi on M; the standard error is taken across outer samples, which
-    accounts for the inner noise as well.
+    For each outer pattern zeta on N, averages G(zeta + xi) over
+    ``INNER_SAMPLES`` inner Poisson patterns xi on M; the standard error is
+    taken across outer samples, which accounts for the inner noise as well.
     """
     M, N = split
     if not M.disjoint_interior(N):
         raise ValueError("split boxes must have disjoint interiors")
     if abs(M.volume + N.volume - plan.window.volume) > 1e-9 * plan.window.volume:
         raise ValueError("split must partition the window")
-    n_outer = max(plan.n_samples // inner_samples, MIN_SAMPLES)
+    n_outer = max(plan.n_samples // INNER_SAMPLES, MIN_SAMPLES)
     rng_o = stream_rng(plan.seed, 1)
     rng_i = stream_rng(plan.seed, 2)
     means = np.empty(n_outer)
     for i in range(n_outer):
         zeta = _draw(N, rng_o)
-        acc = np.empty(inner_samples)
-        for j in range(inner_samples):
+        acc = np.empty(INNER_SAMPLES)
+        for j in range(INNER_SAMPLES):
             xi = _draw(M, rng_i)
             merged = Configuration._unsafe(plan.window, np.vstack([zeta, xi]))
             acc[j] = G(merged)
-        means[i] = np.sum(acc) / inner_samples
+        means[i] = np.sum(acc) / INNER_SAMPLES
     if not np.all(np.isfinite(means)):
         raise ValueError("non-finite integrand value encountered")
     mean, std_err = mean_and_stderr(means)
-    return MCEstimate(mean=mean, std_err=std_err, n_samples=n_outer * inner_samples,
+    return MCEstimate(mean=mean, std_err=std_err, n_samples=n_outer * INNER_SAMPLES,
                       seed=plan.seed, name=name)
 
 

@@ -1,18 +1,16 @@
 """Counter-based random streams and deterministic reductions.
 
 Every stochastic routine in the package draws from a Philox generator keyed
-by (seed, stream index).  Streams are independent and addressable, so a
-computation split over any number of workers reproduces the single-threaded
-result bit for bit as long as per-stream outputs are reduced in stream order.
+by (seed, stream index).  Streams are independent and addressable: a draw
+depends only on its key, so results do not depend on the order in which
+streams are opened, only on the order in which their outputs are reduced.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-__all__ = ["stream_rng", "worker_count", "mean_and_stderr"]
+__all__ = ["stream_rng", "mean_and_stderr"]
 
 
 def stream_rng(seed: int, stream: int = 0) -> np.random.Generator:
@@ -21,23 +19,6 @@ def stream_rng(seed: int, stream: int = 0) -> np.random.Generator:
         raise ValueError("seed must be a nonnegative integer")
     key = np.array([np.uint64(seed), np.uint64(stream)], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
-
-
-def worker_count() -> int:
-    """Worker pool size from UGMT_WORKERS; 1 (sequential) when unset.
-
-    Results never depend on this value; it only controls how independent
-    streams are scheduled.  Stream evaluation is interpreter-bound, so a
-    thread pool only pays off when the integrand releases the interpreter
-    lock; it therefore must be requested explicitly.
-    """
-    env = os.environ.get("UGMT_WORKERS")
-    if env:
-        n = int(env)
-        if n < 1:
-            raise ValueError("UGMT_WORKERS must be >= 1")
-        return n
-    return 1
 
 
 def mean_and_stderr(values: np.ndarray) -> tuple[float, float]:

@@ -113,21 +113,3 @@ def test_list_batteries_cli(capsys):
     assert main(["list-batteries"]) == 0
     out = capsys.readouterr().out
     assert "battery entries" in out
-
-
-@pytest.mark.parametrize("argv", [["campbell", "--samples", "2000"], ["de-giorgi"]],
-                         ids=["campbell", "de-giorgi"])
-def test_reports_do_not_depend_on_the_worker_count(argv, tmp_path, monkeypatch):
-    suite = argv[0]
-    saved = {}
-    for workers in ("1", "2"):
-        monkeypatch.setenv("UGMT_WORKERS", workers)
-        out = tmp_path / workers
-        assert main(["run", *argv, "--out", str(out)]) == 0
-        text = (out / f"{suite}.json").read_bytes()
-        assert json.loads(text)["environment"]["workers"] == int(workers)
-        lines = [ln for ln in text.splitlines(keepends=True)
-                 if not ln.lstrip().startswith((b'"timestamp":', b'"workers":'))]
-        saved[workers] = (b"".join(lines), (out / f"{suite}.csv").read_bytes())
-    # byte for byte, apart from the timestamp and the recorded worker setting
-    assert saved["1"] == saved["2"]

@@ -158,16 +158,6 @@ def test_locality_spot_check():
         assert A.contains(g1) == A.contains(g2)
 
 
-def test_serialization_round_trip():
-    g = conf(BoxDomain((0.0, 0.0), (2.0, 1.0)), [0.5, 0.25], [1.5, 0.75])
-    assert Configuration.deserialize(g.serialize()) == g
-    empty = Configuration(window=UNIT, points=np.zeros((0, 1)))
-    assert Configuration.deserialize(empty.serialize()) == empty
-    A = SetSpec.count_at_least(interval(0.25, 0.5), 2)
-    B = SetSpec.from_descriptor(A.descriptor())
-    assert B.region == A.region and B.threshold == A.threshold
-
-
 def test_mc_estimate_contract():
     with pytest.raises(ValueError):
         MCEstimate(mean=0.0, std_err=-1.0, n_samples=10, seed=0)

@@ -9,8 +9,7 @@ from ugmt.configuration import Configuration, SetSpec, sample_poisson_batch
 from ugmt.cylinder import (CylinderFunction, CylinderVectorField,
                            ExponentialCylinderFunction, OuterFunction, add_n, const,
                            coord, cyl_compose, cyl_from_star, cyl_mul,
-                           cylinder_from_text, cylinder_to_text, directional_derivative_fd,
-                           divergence, eval_star, exp_neg, field_from_text, field_to_text,
+                           directional_derivative_fd, divergence, eval_star, exp_neg,
                            mul_n, normalize_field, poly, smoothstep, square, tanh_of,
                            tangent_norm, tangent_norm_sq)
 from ugmt.geometry import DomainError, SmoothFunction, SmoothVectorField, interval
@@ -233,18 +232,6 @@ def test_exponential_cylinder_product_statistic():
     for k in range(4):
         g = Configuration(window=UNIT, points=np.linspace(0.1, 0.9, k).reshape(k, 1))
         assert E.value(g) == pytest.approx(0.7**k, abs=1e-14)
-
-
-def test_serialization_round_trips():
-    F = random_cylinder(np.random.default_rng(4))
-    F2 = cylinder_from_text(cylinder_to_text(F))
-    g = conf([0.44], [0.52], [0.6])
-    assert F2.value(g) == F.value(g)
-    V = CylinderVectorField(((F, SmoothVectorField((SmoothFunction.coordinate_bump(
-        0.5, 0.3, 0.9, window=UNIT),))), (2.0, SmoothVectorField((SmoothFunction.bump(
-            0.5, 0.25, 1.0, window=UNIT),)))))
-    V2 = field_from_text(field_to_text(V))
-    assert V2.divergence(g) == pytest.approx(V.divergence(g), abs=1e-14)
 
 
 # ---------------------------------------------------------------------------

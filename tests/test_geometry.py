@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from ugmt.geometry import (BoxDomain, DomainError, HeatKernel1D, QuadratureError,
-                           SmoothFunction, SmoothVectorField, gauss_legendre,
-                           interval, neumann_kernel, neumann_kernel_tail_bound,
-                           semigroup_apply_1d)
+                           SmoothFunction, SmoothVectorField, _dirichlet_kernel,
+                           _neumann_kernel_dx, gauss_legendre, interval, neumann_kernel,
+                           neumann_kernel_tail_bound, semigroup_apply_1d)
 
 RNG = np.random.default_rng(20240901)
 
@@ -120,6 +120,63 @@ def test_kernel_truncation_bound_decreases():
     assert all(b2 < b1 for b1, b2 in zip(bounds, bounds[1:]))
 
 
+def _reference_image_loop(kind, a, b, t, L, M):
+    """The image sum of one kernel kind, written out per kind (reference)."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    pref = 1.0 / np.sqrt(4.0 * np.pi * t)
+    out = np.zeros(np.broadcast(a, b).shape)
+    for m in range(-M, M + 1):
+        z1 = a - b - 2.0 * m * L
+        z2 = a + b - 2.0 * m * L
+        e1 = np.exp(-(z1 * z1) / (4.0 * t))
+        e2 = np.exp(-(z2 * z2) / (4.0 * t))
+        if kind == "neumann":
+            out = out + e1 + e2
+        elif kind == "dx":
+            out = out + (-z1 / (2.0 * t)) * e1 + (-z2 / (2.0 * t)) * e2
+        else:
+            out = out + e1 - e2
+    return pref * out
+
+
+_KERNELS = {"neumann": neumann_kernel, "dx": _neumann_kernel_dx, "dirichlet": _dirichlet_kernel}
+
+
+@pytest.mark.parametrize("kind", sorted(_KERNELS))
+def test_kernels_equal_reference_image_loops(kind):
+    rng = np.random.default_rng(5)
+    for L in (1.0, 0.8, 2.5):
+        a = rng.uniform(0.0, L, (23, 1))
+        b = rng.uniform(0.0, L, (1, 19))
+        for t in (1e-3, 0.05, 0.7):
+            for M in (1, 3, 9):
+                got = _KERNELS[kind](a, b, t, L, M)
+                assert got.tobytes() == _reference_image_loop(kind, a, b, t, L, M).tobytes()
+
+
+@pytest.mark.parametrize("t", [1e-3, 0.05, 0.7])
+def test_kernel_dx_matches_central_differences(t):
+    L, M, h = 1.3, 6, 1e-6
+    a = np.linspace(0.01, L - 0.01, 41)[:, None]
+    b = np.linspace(0.0, L, 37)[None, :]
+    fd = (neumann_kernel(a + h, b, t, L, M) - neumann_kernel(a - h, b, t, L, M)) / (2.0 * h)
+    dx = _neumann_kernel_dx(a, b, t, L, M)
+    assert np.max(np.abs(fd - dx)) <= 1e-6 * np.max(np.abs(dx))
+
+
+@pytest.mark.parametrize("t", [1e-3, 0.05, 0.7])
+def test_dirichlet_kernel_dominated_and_absorbing(t):
+    ker = HeatKernel1D(L=1.0, t=t)
+    nodes = np.linspace(0.0, 1.0, 53)
+    kN = ker.kernel(nodes[:, None], nodes[None, :])
+    kD = ker.dirichlet(nodes[:, None], nodes[None, :])
+    assert np.all(np.abs(kD) <= kN * (1.0 + 1e-12))
+    # the odd image sum vanishes on the boundary up to its truncated images
+    edges = ker.dirichlet(np.array([[0.0], [1.0]]), nodes[None, :])
+    assert np.max(np.abs(edges)) <= ker.tail_bound() + 1e-12
+
+
 def test_approximate_identity():
     f = SmoothFunction.bump(0.5, 0.3, 1.0)
     vals = []
@@ -167,20 +224,11 @@ def test_semigroup_quadrature_guard():
         semigroup_apply_1d(lambda x: x, 0.1, 1.0, 8)
 
 
-def test_box_invariants_and_descriptors():
+def test_box_invariants():
     with pytest.raises(DomainError):
         BoxDomain((0.0, 0.0), (1.0, 0.0))
     b = BoxDomain((0.0, -1.0), (2.0, 3.0))
     assert b.volume == pytest.approx(8.0)
-    assert BoxDomain.from_descriptor(b.descriptor()) == b
-
-
-@pytest.mark.parametrize("f", [FAMILY[0], FAMILY[2], FAMILY[4], FAMILY[5], FAMILY[6]],
-                         ids=lambda f: f.kind)
-def test_function_descriptor_round_trip(f):
-    g = SmoothFunction.from_descriptor(f.descriptor())
-    pts = probe_points(f, 20)
-    assert np.allclose(f.value(pts), g.value(pts))
 
 
 def _reduce_u(self, pts):
