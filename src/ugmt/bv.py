@@ -20,12 +20,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .configuration import Configuration, SetSpec, section_set
+from .configuration import Configuration, SetSpec
 from .cylinder import (CylinderFunction, CylinderVectorField, normalize_field,
                        cyl_compose, mul_n, const)
 from .geometry import BoxDomain, DomainError
-from .hausdorff import (CriticalLevelError, _outside_average, surface_functional_auto,
-                        surface_quad_orders)
+from .hausdorff import CriticalLevelError, surface_functional_auto, surface_quad_orders
 from .heat import LiftedHeatOperator, lifted_gradient_norm
 from .montecarlo import Strata, poisson_stratified_battery, shared_draws
 from .productspace import stratum_indicator
@@ -552,62 +551,26 @@ class PerimeterMeasure:
     total: float
     total_err: float
     per_k: dict[int, float]
-    r_values: tuple[tuple[float, float, float], ...]  # (r, total, err)
     eps: float
 
-    def monotone_in_r(self, k_sigma: float = 3.0) -> bool:
-        vals = self.r_values
-        return all(vals[i + 1][1] >= vals[i][1] - k_sigma * (vals[i][2] + vals[i + 1][2])
-                   for i in range(len(vals) - 1))
 
-
-def perimeter_measure(E: SetSpec, window: BoxDomain, *, r_boxes=None,
-                      eps: float | None = None,
-                      n_samples: int = 60_000, n_eta: int = 48, seed: int = 0,
+def perimeter_measure(E: SetSpec, window: BoxDomain, *, eps: float | None = None,
+                      n_samples: int = 60_000, seed: int = 0,
                       K_max: int | None = None) -> PerimeterMeasure:
     """Perimeter measure of a level-set spec via the per-stratum sheet oracle.
 
-    The full-window measure weights each stratum sheet by e^{-vol}/k!.  When
-    ``r_boxes`` are given, the localized measures are computed by averaging
-    the sectioned sheets over outside patterns; they increase to the
-    full-window value.
+    The full-window measure weights each stratum sheet by e^{-vol}/k!.  By
+    De Giorgi it is rho_1 of the reduced boundary, so the localized perimeter
+    on a box is ``hausdorff.rho_m_localized(E.boundary_sheet(), 1, ...)``,
+    and ``hausdorff.rho_m_limit`` checks that it increases to this value.
     """
     if eps is None:
         eps = 1e-2 * float(np.max(window.sides))
     total, total_err, per_k = surface_battery(E, window, {"__total__": None}, eps=eps,
                                               n_samples=n_samples, seed=seed,
                                               K_max=K_max)["__total__"]
-    r_values = []
-    if r_boxes:
-        for i, box in enumerate(r_boxes):
-            val, err = _localized_perimeter(E, box, window, eps=eps,
-                                            n_samples=max(8_000, n_samples // 8),
-                                            n_eta=n_eta, seed=seed)
-            r_values.append((float(np.max(box.sides)), val, err))
     return PerimeterMeasure(spec=E, window=window, total=total, total_err=total_err,
-                            per_k=per_k, r_values=tuple(r_values), eps=eps)
-
-
-def _localized_perimeter(E: SetSpec, inner: BoxDomain, window: BoxDomain, *,
-                         eps: float, n_samples: int, n_eta: int,
-                         seed: int) -> tuple[float, float]:
-    """Localized perimeter: average over outside patterns of the sectioned
-    sheet measure on the inner box."""
-    if inner.contains_box(E.locality or inner):
-        empty = Configuration(window=window, points=np.zeros((0, window.dim)))
-        sec = section_set(E, empty, inner)
-        res = surface_battery(sec, inner, {"__total__": None}, eps=eps,
-                              n_samples=n_samples, seed=seed)
-        return res["__total__"][0], res["__total__"][1]
-    def estimate(sec, i):
-        if sec.variant != "level_set":
-            return 0.0, 0.0
-        res = surface_battery(sec, inner, {"__total__": None}, eps=eps,
-                              n_samples=max(2_000, n_samples // 8), seed=seed + i)
-        return res["__total__"][:2]
-
-    return _outside_average(E, inner, E.locality or window, n_eta, stream_rng(seed, 31),
-                            estimate)
+                            per_k=per_k, eps=eps)
 
 
 # ---------------------------------------------------------------------------

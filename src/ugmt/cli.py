@@ -28,7 +28,7 @@ from .configuration import SetSpec
 from .geometry import SmoothFunction
 from .heat import (BesselOperator, LiftedHeatOperator, bakry_emery_battery,
                    capacity_upper_bound, check_intertwining, regularization_slope)
-from .hausdorff import rho_m_localized, rho_m_on_box, scaled_box
+from .hausdorff import rho_m_limit, rho_m_on_box, scaled_box
 from .montecarlo import MCPlan, integrate_battery, stratum_grid_points
 from .bv import (coarea_family, gauss_green_residual, perimeter_measure,
                  sobolev_consistency, tv_bracket_battery)
@@ -79,13 +79,6 @@ class SuiteConfig:
         if "suite" not in fields:
             raise ConfigError("config must name a suite")
         return SuiteConfig(**fields)
-
-    def to_text(self) -> str:
-        lines = [f"suite = {self.suite}", f"seed = {self.seed}",
-                 f"samples = {self.samples}", f"out = {self.out_dir}"]
-        for k, v in sorted(self.options.items()):
-            lines.append(f"{k} = {v}")
-        return "\n".join(lines) + "\n"
 
     def floats(self, key: str, default: list[float]) -> list[float]:
         if key not in self.options:
@@ -189,31 +182,20 @@ def _suite_campbell(cfg: SuiteConfig) -> list[dict]:
 
 def _suite_monotonicity(cfg: SuiteConfig) -> list[dict]:
     records = []
-    sheets = batteries.monotone_sheets()
     r_values = cfg.floats("r_schedule", [1.0, 1.5, 2.0, 3.0])
-    outer = batteries.MONO_WINDOW
-    for name, spec in sheets.items():
-        vals, sigs = [], []
-        for r in r_values:
-            inner = scaled_box(0.0, r, 1)
-            est = rho_m_localized(spec, 1, inner, outer, seed=cfg.seed,
-                                  n_samples=max(4000, cfg.samples // 4), n_eta=48)
-            vals.append(est.mean)
-            sigs.append(est.std_err)
-        mono = all(vals[i + 1] >= vals[i] - 3.0 * (sigs[i] + sigs[i + 1])
-                   for i in range(len(vals) - 1))
+    boxes = [scaled_box(0.0, r, 1) for r in r_values]
+    for name, spec in batteries.monotone_sheets().items():
+        res = rho_m_limit(spec, 1, boxes, seed=cfg.seed,
+                          n_samples=max(4000, cfg.samples // 4), n_eta=48)
         series = {"columns": ["r", "rho1_r", "sigma", "monotone"],
-                  "rows": [[r, v, s, mono] for r, v, s in zip(r_values, vals, sigs)]}
+                  "rows": [[r, v, s, res.monotone]
+                           for r, v, s in zip(r_values, res.values, res.errors)]}
         records.append(record(f"monotone-{name}", "monotone localization",
-                              vals[-1], vals[-1], sigs[-1], mono, series))
-        loc_scale = float(np.max(spec.locality.sides))
-        saturated = [v for r, v in zip(r_values, vals) if r >= loc_scale + 1e-9]
-        satsig = [s for r, s in zip(r_values, sigs) if r >= loc_scale + 1e-9]
-        if len(saturated) >= 2:
-            const_ok = abs(saturated[-1] - saturated[0]) <= 3.0 * (satsig[0] + satsig[-1]) + 1e-9
+                              res.limit, res.limit, res.limit_err, res.monotone, series))
+        if res.saturated is not None:
+            gap, sigma = res.saturation
             records.append(record(f"saturation-{name}", "monotone localization",
-                                  saturated[-1] - saturated[0], 0.0,
-                                  satsig[0] + satsig[-1], const_ok))
+                                  gap, 0.0, sigma, res.saturated))
     return records
 
 

@@ -23,7 +23,6 @@ __all__ = [
     "CollisionError",
     "sample_poisson",
     "sample_poisson_batch",
-    "restrict",
     "add",
     "quotient_distance",
     "section_set",
@@ -173,15 +172,7 @@ def sample_poisson_batch(window: BoxDomain, seed: int, n: int,
 
 
 # ---------------------------------------------------------------------------
-# restriction, sum, sections
-
-
-def restrict(gamma: Configuration, box: BoxDomain) -> Configuration:
-    """Points of gamma inside box, with box as the new window."""
-    if gamma.count == 0:
-        return Configuration(window=box, points=np.zeros((0, box.dim)))
-    keep = box.contains(gamma.points)
-    return Configuration(window=box, points=gamma.points[keep])
+# sums and sections
 
 
 def _merge(gamma: Configuration, eta: Configuration) -> Configuration:
@@ -354,12 +345,12 @@ def section_set(spec: SetSpec, eta: Configuration, box: BoxDomain) -> SetSpec:
     if spec.variant in ("level_set", "level_sheet") and spec.function is not None:
         # shifting the outside pattern only offsets the linear statistics
         shifted = spec.function.shift_by(eta)
+        # eta's points use up a count constraint; once they exceed it the
+        # count is negative, a stratum of zero Poisson weight: the section and
+        # its sheet are empty on every route
         count_eq = spec.count_equals
         if count_eq is not None:
             count_eq = count_eq - eta.count
-            if count_eq < 0:
-                return SetSpec.predicate(lambda g: False, locality=locality,
-                                         name=f"{spec.name}|section" if spec.name else "")
         return SetSpec(variant=spec.variant, function=shifted, level=spec.level,
                        strict=spec.strict, locality=locality, count_equals=count_eq,
                        name=f"{spec.name}|section" if spec.name else "")

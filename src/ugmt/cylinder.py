@@ -2,10 +2,10 @@
 
 Outer functions are expression trees over a closed set of smooth primitives
 (constants, coordinates, sums, products, tanh, exponentials of certified
-nonpositive arguments, squares, polynomials, and reciprocals 1/(1+x) of
-certified nonnegative arguments), so first and second partials are exact
-symbolic trees rather than numerical derivatives, and boundedness can be
-certified by interval propagation.
+nonpositive arguments, squares, and reciprocals 1/(1+x) of certified
+nonnegative arguments), so first partials are exact symbolic trees rather
+than numerical derivatives, and boundedness can be certified by interval
+propagation.
 
 Sign convention: the divergence is the L2 adjoint of the lifted gradient,
     int <V, grad F> dpi = int F (div* V) dpi,
@@ -26,11 +26,11 @@ from .geometry import BoxDomain, DomainError, SmoothFunction, SmoothVectorField
 
 __all__ = [
     "Node", "const", "coord", "add_n", "mul_n", "tanh_of", "exp_neg", "square",
-    "inv_one_plus", "poly", "smoothstep",
+    "inv_one_plus", "smoothstep",
     "nonneg_hint",
     "OuterFunction", "CylinderFunction", "ExponentialCylinderFunction",
     "CylinderVectorField",
-    "eval_star", "gradient", "divergence", "tangent_norm", "tangent_norm_sq",
+    "eval_star", "gradient", "divergence", "tangent_norm_sq",
     "normalize_field", "cyl_from_star", "cyl_compose", "cyl_mul",
     "flow_map", "directional_derivative_fd",
 ]
@@ -311,45 +311,6 @@ class Inv1p(Node):
         return self.arg.max_coord()
 
 
-@dataclass(frozen=True)
-class Poly(Node):
-    arg: Node
-    coeffs: tuple  # c_0 + c_1 x + ...
-
-    def eval(self, u):
-        x = self.arg.eval(u)
-        out = np.full(np.shape(x), 0.0)
-        for c in reversed(self.coeffs):
-            out = out * x + c
-        return out
-
-    def diff(self, i):
-        da = self.arg.diff(i)
-        if isinstance(da, Const) and da.c == 0.0:
-            return Const(0.0)
-        dcoef = tuple(k * c for k, c in enumerate(self.coeffs))[1:]
-        if not dcoef:
-            return Const(0.0)
-        return mul_n(Poly(self.arg, dcoef), da)
-
-    def bound(self):
-        lo, hi = self.arg.bound()
-        if not (np.isfinite(lo) and np.isfinite(hi)):
-            return (-_INF, _INF)
-        xs = np.linspace(lo, hi, 2001)
-        out = np.full(xs.shape, 0.0)
-        for c in reversed(self.coeffs):
-            out = out * xs + c
-        pad = 1e-9 + 1e-9 * np.max(np.abs(out))
-        return (float(out.min() - pad), float(out.max() + pad))
-
-    def shift(self, offsets):
-        return Poly(self.arg.shift(offsets), self.coeffs)
-
-    def max_coord(self):
-        return self.arg.max_coord()
-
-
 def const(c: float) -> Node:
     return Const(float(c))
 
@@ -409,10 +370,6 @@ def inv_one_plus(x: Node) -> Node:
     return Inv1p(_as_node(x))
 
 
-def poly(x: Node, coeffs) -> Node:
-    return Poly(_as_node(x), tuple(float(c) for c in coeffs))
-
-
 def smoothstep(x: Node, center: float, width: float) -> Node:
     """0.5 (1 + tanh((x - center)/width)); smooth plateau transition."""
     return add_n(const(0.5), mul_n(const(0.5), tanh_of(mul_n(const(1.0 / width),
@@ -425,7 +382,7 @@ def smoothstep(x: Node, center: float, width: float) -> Node:
 
 @dataclass(frozen=True)
 class OuterFunction:
-    """Expression tree in k coordinates with exact first and second partials."""
+    """Expression tree in k coordinates with exact first partials."""
 
     root: Node
     arity: int
@@ -449,20 +406,9 @@ class OuterFunction:
         u = np.asarray(u, dtype=float)
         return np.stack([d.eval(u) for d in self.partials], axis=-1)
 
-    def hess(self, u) -> np.ndarray:
-        u = np.asarray(u, dtype=float)
-        rows = []
-        for di in self.partials:
-            rows.append(np.stack([di.diff(j).eval(u) for j in range(self.arity)], axis=-1))
-        return np.stack(rows, axis=-2)
-
     def sup_bound(self) -> float:
         lo, hi = self.root.bound()
         return max(abs(lo), abs(hi))
-
-    @property
-    def is_bounded(self) -> bool:
-        return np.isfinite(self.sup_bound())
 
 
 # ---------------------------------------------------------------------------
@@ -567,8 +513,6 @@ def _remap(node: Node, offset: int) -> Node:
         return Sq(_remap(node.arg, offset))
     if isinstance(node, Inv1p):
         return Inv1p(_remap(node.arg, offset))
-    if isinstance(node, Poly):
-        return Poly(_remap(node.arg, offset), node.coeffs)
     if isinstance(node, _NonnegWrap):
         return _NonnegWrap(_remap(node.inner, offset))
     raise TypeError(f"unknown node {type(node)}")
@@ -667,13 +611,6 @@ class CylinderVectorField:
         gram = np.einsum("akn,bkn->ab", vals, vals)
         return float(co @ gram @ co)
 
-    def tangent_inner(self, other: "CylinderVectorField", gamma: Configuration) -> float:
-        if gamma.count == 0:
-            return 0.0
-        a = self.at_particles(gamma)
-        b = other.at_particles(gamma)
-        return float(np.sum(a * b))
-
     def divergence(self, x):
         """Adjoint divergence div* V; see the module docstring for the sign.
 
@@ -713,11 +650,6 @@ def divergence(V: CylinderVectorField, gamma: Configuration) -> float:
 
 def tangent_norm_sq(V: CylinderVectorField, gamma: Configuration) -> float:
     return V.tangent_norm_sq(gamma)
-
-
-def tangent_norm(V: CylinderVectorField, gamma: Configuration) -> float:
-    """Tangent norm |V|_T(gamma), the square root of the Gram form."""
-    return float(np.sqrt(V.tangent_norm_sq(gamma)))
 
 
 def tangent_norm_sq_cylinder(V: CylinderVectorField) -> CylinderFunction:

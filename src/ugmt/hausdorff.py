@@ -31,7 +31,6 @@ __all__ = [
     "CodimMeasureResult",
     "RhoLimitResult",
     "dimensional_constant",
-    "hausdorff_level_set",
     "hausdorff_covering_upper",
     "rho_m_on_box",
     "rho_m_localized",
@@ -67,7 +66,7 @@ def dimensional_constant(d: int) -> float:
 @dataclass(frozen=True)
 class HausdorffEstimate:
     value: float
-    method: str  # level_set_oracle | covering_upper_bound | counting
+    method: str  # covering_upper_bound | counting
     error_bar: float = 0.0
     flags: tuple[str, ...] = ()
 
@@ -272,39 +271,6 @@ def surface_functional_auto(g, level: float, weights: dict, window: BoxDomain, k
                               quad_order=None)
 
 
-def hausdorff_level_set(g, level: float, eps: float, window: BoxDomain, k: int, *,
-                        n_samples: int = 200_000, seed: int = 0) -> HausdorffEstimate:
-    """Consistent estimator of H^{nk-1}({g = level} cap window^k), codim 1.
-
-    ``g`` must expose vectorized value/gradient on (m, k, n) tuples, for
-    instance a CylinderFunction.  The band width is halved, at most four
-    times, until the estimate moves by less than one combined standard error;
-    a curvature-bias flag is raised if halving moves it by more than three.
-    """
-    if eps <= 0:
-        raise DomainError("band width must be positive")
-    flags: list[str] = []
-    prev = None
-    est = (0.0, 0.0)
-    width = eps
-    for i in range(5):
-        val, err, _ = surface_functional(g, level, {"surface": None}, window, k, eps=width,
-                                         n_samples=n_samples, seed=seed,
-                                         stream=40 + i)["surface"]
-        est = (val, err)
-        if prev is not None:
-            move = abs(val - prev[0])
-            comb = np.sqrt(err ** 2 + prev[1] ** 2) + 1e-300
-            if move > 3.0 * comb:
-                flags.append("curvature_bias")
-            if move < comb:
-                break
-        prev = est
-        width *= 0.5
-    return HausdorffEstimate(value=est[0], method="level_set_oracle",
-                             error_bar=est[1], flags=tuple(flags))
-
-
 # ---------------------------------------------------------------------------
 # greedy covering upper bound
 
@@ -430,12 +396,48 @@ def scaled_box(center, r: float, dim: int) -> BoxDomain:
 
 @dataclass(frozen=True)
 class RhoLimitResult:
+    """Localized measures on increasing boxes and the two verdicts of the
+    monotone localization: the measures increase, and they stop moving once
+    the box holds the set's locality."""
+
     values: tuple[float, ...]
     errors: tuple[float, ...]
     boxes: tuple[BoxDomain, ...]
-    limit: float
-    limit_err: float
-    saturated: bool
+    locality: BoxDomain
+
+    @property
+    def limit(self) -> float:
+        return self.values[-1]
+
+    @property
+    def limit_err(self) -> float:
+        return self.errors[-1]
+
+    @property
+    def monotone(self) -> bool:
+        """No step falls by more than 3 sqrt(s_i^2 + s_{i+1}^2)."""
+        v, s = self.values, self.errors
+        return all(v[i + 1] >= v[i] - 3.0 * np.sqrt(s[i] ** 2 + s[i + 1] ** 2)
+                   for i in range(len(v) - 1))
+
+    @property
+    def saturation(self) -> tuple[float, float] | None:
+        """(last - first value, s_first + s_last) over the boxes that hold the
+        locality in their interior; None with fewer than two such boxes."""
+        inside = [i for i, b in enumerate(self.boxes)
+                  if np.all(np.less(b.lower, self.locality.lower))
+                  and np.all(np.greater(b.upper, self.locality.upper))]
+        if len(inside) < 2:
+            return None
+        first, last = inside[0], inside[-1]
+        return self.values[last] - self.values[first], self.errors[first] + self.errors[last]
+
+    @property
+    def saturated(self) -> bool | None:
+        """The first and last boxes holding the locality agree within
+        3 (s_first + s_last); None when undecided."""
+        sat = self.saturation
+        return None if sat is None else bool(abs(sat[0]) <= 3.0 * sat[1] + 1e-9)
 
 
 def rho_m_localized(A: SetSpec, m: int, inner: BoxDomain, outer: BoxDomain, *,
@@ -459,58 +461,41 @@ def rho_m_localized(A: SetSpec, m: int, inner: BoxDomain, outer: BoxDomain, *,
         res = rho_m_on_box(sec, m, inner, n_samples=n_samples, seed=seed, K_max=K_max)
         return MCEstimate(mean=res.total, std_err=res.total_err, n_samples=n_samples,
                           seed=seed, name=A.name and f"rho{m}_loc({A.name})")
-    def estimate(sec, i):
-        res = rho_m_on_box(sec, m, inner, n_samples=max(2000, n_samples // 8),
-                           seed=seed + 1 + i, K_max=K_max)
-        return res.total, res.total_err
-
-    mean, err = _outside_average(A, inner, A.locality, n_eta, stream_rng(seed, 7), estimate)
+    # Poisson patterns eta on the locality outside the inner box; the error
+    # adds the spread over patterns and the per-pattern errors in quadrature
+    rng = stream_rng(seed, 7)
+    vals, errs = np.empty(n_eta), np.empty(n_eta)
+    for i in range(n_eta):
+        pts = _draw(A.locality, rng)
+        eta = Configuration(window=A.locality, points=pts[~inner.contains(pts)])
+        res = rho_m_on_box(section_set(A, eta, inner), m, inner,
+                           n_samples=max(2000, n_samples // 8), seed=seed + 1 + i, K_max=K_max)
+        vals[i], errs[i] = res.total, res.total_err
+    mean, spread = mean_and_stderr(vals)
+    err = float(np.sqrt(spread * spread + np.sum(errs**2) / n_eta**2))
     return MCEstimate(mean=mean, std_err=err, n_samples=n_eta,
                       seed=seed, name=A.name and f"rho{m}_loc({A.name})")
 
 
-def _outside_average(A: SetSpec, inner: BoxDomain, shell: BoxDomain, n_eta: int,
-                     rng: np.random.Generator, estimate) -> tuple[float, float]:
-    """Average of estimate(section of A at eta, i) over n_eta Poisson patterns
-    eta on the shell outside the inner box; the error adds the spread over
-    patterns and the per-pattern errors in quadrature."""
-    vals = np.empty(n_eta)
-    errs = np.empty(n_eta)
-    for i in range(n_eta):
-        pts = _draw(shell, rng)
-        eta = Configuration(window=shell, points=pts[~inner.contains(pts)])
-        vals[i], errs[i] = estimate(section_set(A, eta, inner), i)
-    mean, spread = mean_and_stderr(vals)
-    return mean, float(np.sqrt(spread * spread + np.sum(errs**2) / n_eta**2))
-
-
 def rho_m_limit(A: SetSpec, m: int, boxes: list[BoxDomain], *, n_eta: int = 64,
                 n_samples: int = 20_000, seed: int = 0) -> RhoLimitResult:
-    """Increasing-box sequence of localized measures and its limit proxy.
+    """Localized measures of A on increasing boxes, with their verdicts.
 
-    The sequence must be monotone within errors (this is a theorem, so a
-    decrease beyond 3 sigma signals an implementation bug and raises).
-    Saturation is flagged when consecutive increments fall below one sigma.
+    The localized measures increase to rho_m, so the result states whether
+    no step falls by more than 3 sqrt(s_i^2 + s_{i+1}^2) (``monotone``) and
+    whether the boxes holding the locality agree (``saturated``); a failed
+    verdict is returned, not raised.  Every box is measured inside the last
+    box's hull with the locality on the same seed: common random numbers
+    across the schedule keep the sequence smooth.
     """
     if len(boxes) < 3:
         raise DomainError("schedule must contain at least 3 boxes")
     for small, big in zip(boxes, boxes[1:]):
         if not big.contains_box(small):
             raise DomainError("boxes must be increasing")
-    vals, errs = [], []
-    for b in boxes:
-        # common random numbers across the schedule keep the sequence smooth
-        est = rho_m_localized(A, m, b, boxes[-1].hull(A.locality or b), n_eta=n_eta,
-                              n_samples=n_samples, seed=seed)
-        vals.append(est.mean)
-        errs.append(est.std_err)
-    for i in range(1, len(vals)):
-        comb = float(np.sqrt(errs[i] ** 2 + errs[i - 1] ** 2))
-        if vals[i] < vals[i - 1] - 3.0 * comb - 1e-12:
-            raise RuntimeError(
-                f"localized measure decreased from {vals[i-1]:.6g} to {vals[i]:.6g} "
-                "beyond 3 sigma; monotonicity violated")
-    increments = [vals[i] - vals[i - 1] for i in range(1, len(vals))]
-    sat = bool(abs(increments[-1]) < errs[-1] + errs[-2])
-    return RhoLimitResult(values=tuple(vals), errors=tuple(errs), boxes=tuple(boxes),
-                          limit=vals[-1], limit_err=errs[-1], saturated=sat)
+    outer = boxes[-1].hull(A.locality or boxes[-1])
+    ests = [rho_m_localized(A, m, b, outer, n_eta=n_eta, n_samples=n_samples, seed=seed)
+            for b in boxes]
+    return RhoLimitResult(values=tuple(e.mean for e in ests),
+                          errors=tuple(e.std_err for e in ests),
+                          boxes=tuple(boxes), locality=A.locality)

@@ -515,10 +515,6 @@ class BesselOperator:
         if self.alpha <= 0 or not (1.0 <= self.p < np.inf):
             raise DomainError("need alpha > 0 and p in [1, inf)")
 
-    @property
-    def underresolved(self) -> bool:
-        return self.alpha < 0.2
-
     def nodes_weights(self) -> tuple[np.ndarray, np.ndarray]:
         a = self.alpha / 2.0 - 1.0
         x, w = special.roots_genlaguerre(48, a)

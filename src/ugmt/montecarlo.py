@@ -67,35 +67,35 @@ MIN_SAMPLES = 100
 class MCPlan:
     """Deterministic Monte Carlo plan; identical plans give identical output.
 
-    Sample i is drawn on the random stream (seed, i mod ``worker_streams``).
+    Sample i is drawn on the random stream (seed, i mod ``streams``).
     """
 
     n_samples: int
     seed: int
     window: BoxDomain
-    worker_streams: int = 16
+    streams: int = 16
 
     def __post_init__(self):
         if self.n_samples < MIN_SAMPLES:
             raise ValueError(f"n_samples must be at least {MIN_SAMPLES}")
-        if self.worker_streams < 1:
-            raise ValueError("worker_streams must be >= 1")
+        if self.streams < 1:
+            raise ValueError("streams must be >= 1")
 
     def with_seed(self, seed: int) -> "MCPlan":
-        return MCPlan(self.n_samples, seed, self.window, self.worker_streams)
+        return MCPlan(self.n_samples, seed, self.window, self.streams)
 
 
 def draw_by_count(plan: MCPlan) -> dict[int, tuple[np.ndarray, np.ndarray]]:
     """Every configuration of the plan, drawn once and grouped by particle count.
 
-    Stream j of the plan's ``worker_streams`` S draws samples j, j + S, j + 2S,
+    Stream j of the plan's ``streams`` S draws samples j, j + S, j + 2S,
     ... in that order on the random stream (seed, j), one ``_draw`` per
     configuration, so the points and the collision retries do not depend on
     the grouping.  Streams are drawn j = 0, ..., S - 1 in order.  Returns
     k -> (sample indices, tuples) for every count drawn, k ascending: the
     tuples have shape (m_k, k, n) and are in stream order.
     """
-    S, n = plan.worker_streams, plan.n_samples
+    S, n = plan.streams, plan.n_samples
     groups: dict[int, tuple[list, list]] = {}
     for j in range(S):
         rng = stream_rng(plan.seed, j)

@@ -20,7 +20,7 @@ from ugmt.geometry import BoxDomain, SmoothFunction, SmoothVectorField, interval
 from ugmt.heat import (BesselOperator, LiftedHeatOperator, bakry_emery_battery,
                        capacity_upper_bound, check_intertwining, lift_semigroup,
                        lifted_gradient_norm, regularization_slope)
-from ugmt.hausdorff import rho_m_localized, rho_m_on_box, scaled_box
+from ugmt.hausdorff import rho_m_limit, rho_m_localized, rho_m_on_box, scaled_box
 from ugmt.montecarlo import (MCPlan, integrate, integrate_battery, integrate_disintegrated,
                              measure_of_set)
 from ugmt.bv import (coarea_family, gauss_green_residual, perimeter_measure,
@@ -130,25 +130,12 @@ def test_05_half_space_perimeter():
 
 def test_06_monotone_localization():
     t0 = time.time()
-    sheets = batteries.monotone_sheets()
-    outer = batteries.MONO_WINDOW
-    r_values = [1.0, 1.5, 2.0, 3.0]
+    boxes = [scaled_box(0.0, r, 1) for r in (1.0, 1.5, 2.0, 3.0)]
     mono_fail = const_fail = 0
-    for name, spec in sheets.items():
-        vals, sigs = [], []
-        for r in r_values:
-            est = rho_m_localized(spec, 1, scaled_box(0.0, r, 1), outer, seed=7,
-                                  n_samples=6000, n_eta=48)
-            vals.append(est.mean)
-            sigs.append(est.std_err)
-        if not all(vals[i + 1] >= vals[i] - 3 * (sigs[i] + sigs[i + 1])
-                   for i in range(3)):
-            mono_fail += 1
-        loc = float(np.max(spec.locality.sides))
-        sat = [(v, s) for r, v, s in zip(r_values, vals, sigs) if r >= loc]
-        if len(sat) >= 2:
-            if abs(sat[-1][0] - sat[0][0]) > 3 * (sat[0][1] + sat[-1][1]) + 1e-9:
-                const_fail += 1
+    for name, spec in batteries.monotone_sheets().items():
+        res = rho_m_limit(spec, 1, boxes, seed=7, n_samples=6000, n_eta=48)
+        mono_fail += not res.monotone
+        const_fail += res.saturated is False
     el = time.time() - t0
     emit(6, "localized measures nondecreasing and saturating",
          mono_fail == 0 and const_fail == 0 and el < 120.0,

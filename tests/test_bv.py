@@ -14,7 +14,8 @@ from ugmt.bv import (_VariationalObjective, coarea_battery, coarea_check, coarea
                      sobolev_consistency, surface_battery, tv_bracket, tv_relaxation,
                      tv_semigroup, tv_variational, tv_variational_battery)
 from ugmt.montecarlo import Strata, poisson_k_cutoff
-from ugmt.hausdorff import CriticalLevelError, rho_m_on_box, scaled_box, surface_functional
+from ugmt.hausdorff import (CriticalLevelError, rho_m_limit, rho_m_on_box, scaled_box,
+                            surface_functional)
 from ugmt.rng import mean_and_stderr
 
 UNIT = interval(0.0, 1.0)
@@ -246,9 +247,11 @@ def test_perimeter_halfspace_and_full_space():
 
 def test_perimeter_monotone_in_r():
     boxes = [scaled_box(0.5, r, 1) for r in (0.4, 0.7, 1.0)]
-    pm = perimeter_measure(HALF, UNIT, r_boxes=boxes, seed=7, n_samples=20_000)
-    assert pm.monotone_in_r()
-    assert pm.r_values[-1][1] == pytest.approx(pm.total, abs=3 * pm.r_values[-1][2] + 1e-3)
+    pm = perimeter_measure(HALF, UNIT, seed=7, n_samples=20_000)
+    # De Giorgi: the localized perimeter is the localized rho_1 of the boundary sheet
+    res = rho_m_limit(HALF.boundary_sheet(), 1, boxes, seed=7, n_samples=20_000)
+    assert res.monotone
+    assert res.limit == pytest.approx(pm.total, abs=3 * res.limit_err + 1e-3)
 
 
 def test_de_giorgi_identity_small():

@@ -3,14 +3,14 @@ import pytest
 
 from ugmt import batteries
 from ugmt.bv import perimeter_measure
-from ugmt.configuration import Configuration, SetSpec
+from ugmt.configuration import Configuration, SetSpec, section_set
 from ugmt.cylinder import cyl_compose, cyl_from_star, tanh_of
 from ugmt.geometry import (BoxDomain, DomainError, SmoothFunction, _legendre_rule,
                            gauss_legendre, interval)
-from ugmt.hausdorff import (CriticalLevelError, dimensional_constant,
-                            hausdorff_covering_upper, hausdorff_level_set,
-                            rho_m_limit, rho_m_localized, rho_m_on_box, scaled_box,
-                            surface_functional, surface_functional_auto)
+from ugmt.hausdorff import (CriticalLevelError, RhoLimitResult, dimensional_constant,
+                            hausdorff_covering_upper, rho_m_limit, rho_m_localized,
+                            rho_m_on_box, scaled_box, surface_functional,
+                            surface_functional_auto)
 from ugmt.montecarlo import (MCPlan, StratumGrid, measure_of_set, stratum_grid_points,
                              uniform_tuples)
 from ugmt.productspace import stratum_indicator
@@ -37,19 +37,19 @@ def test_dimensional_constants():
 
 
 def test_level_set_point_slice():
-    est = hausdorff_level_set(CoordinateSum(), 0.5, 0.01, UNIT, 1,
-                              n_samples=200_000, seed=3)
-    assert abs(est.value - 1.0) <= 3 * est.error_bar + 5e-3
+    v, e, _ = surface_functional(CoordinateSum(), 0.5, {"s": None}, UNIT, 1, eps=0.01,
+                                 n_samples=200_000, seed=3, quad_order=None)["s"]
+    assert abs(v - 1.0) <= 3 * e + 5e-3
 
 
 def test_level_set_segment_and_antidiagonal():
     sq = BoxDomain((0.0, 0.0), (1.0, 1.0))
-    est = hausdorff_level_set(CoordinateSum(), 0.5, 0.01, sq, 1,
-                              n_samples=300_000, seed=5)
-    assert abs(est.value - 1.0) <= 3 * est.error_bar + 0.01  # segment length
-    est2 = hausdorff_level_set(CoordinateSum(), 1.0, 0.01, UNIT, 2,
-                               n_samples=300_000, seed=6)
-    assert abs(est2.value - np.sqrt(2.0)) <= 3 * est2.error_bar + 0.02
+    v, e, _ = surface_functional(CoordinateSum(), 0.5, {"s": None}, sq, 1, eps=0.01,
+                                 n_samples=300_000, seed=5, quad_order=None)["s"]
+    assert abs(v - 1.0) <= 3 * e + 0.01  # segment length
+    v2, e2, _ = surface_functional(CoordinateSum(), 1.0, {"s": None}, UNIT, 2, eps=0.01,
+                                   n_samples=300_000, seed=6, quad_order=None)["s"]
+    assert abs(v2 - np.sqrt(2.0)) <= 3 * e2 + 0.02
 
 
 def test_level_set_quadrature_route():
@@ -156,8 +156,56 @@ def test_rho_limit_monotone_and_saturating():
     res = rho_m_limit(sheet, 1, boxes, seed=11, n_samples=8000, n_eta=32)
     for a, b, ea, eb in zip(res.values, res.values[1:], res.errors, res.errors[1:]):
         assert b >= a - 3 * (ea + eb)
+    assert res.monotone
     assert res.saturated
     assert res.limit == res.values[-1]
+
+
+def _limit_result(values, errors, rs=(1.0, 1.5, 2.0, 3.0), locality=interval(-0.6, 0.6)):
+    return RhoLimitResult(values=tuple(values), errors=tuple(errors),
+                          boxes=tuple(scaled_box(0.0, r, 1) for r in rs), locality=locality)
+
+
+def test_rho_limit_monotone_verdict_uses_the_quadrature_margin():
+    # a step down of 5: inside the summed margin 3 (s_i + s_j) = 6, outside
+    # the quadrature margin 3 sqrt(s_i^2 + s_j^2) = 4.24
+    res = _limit_result([1.0, 1.0, -4.0, -4.0], [1.0, 1.0, 1.0, 1.0])
+    assert res.values[2] >= res.values[1] - 3 * (res.errors[1] + res.errors[2])
+    assert res.monotone is False
+    assert _limit_result([1.0, 1.0, -3.0, -3.0], [1.0] * 4).monotone is True
+
+
+def test_rho_limit_returns_a_failed_verdict_instead_of_raising():
+    # a far decrease gives a verdict; the estimates behind it are kept
+    res = _limit_result([0.5, 0.1, 0.1, 0.1], [0.01, 0.01, 0.01, 0.01])
+    assert res.monotone is False
+    assert res.values == (0.5, 0.1, 0.1, 0.1)
+    assert res.saturated is True  # the boxes r >= 1.5 hold the locality and agree
+
+
+def test_rho_limit_saturation_needs_two_boxes_holding_the_locality():
+    # only r = 3 holds [-1, 1] in its interior; the r = 2 box ends at its edge
+    res = _limit_result([0.1, 0.2, 0.3, 0.9], [0.01] * 4, locality=interval(-1.0, 1.0))
+    assert res.saturation is None and res.saturated is None
+    res = _limit_result([0.1, 0.2, 0.3, 0.9], [0.01] * 4, locality=interval(-0.9, 0.9))
+    assert res.saturation == pytest.approx((0.6, 0.02))
+    assert res.saturated is False
+
+
+def test_localized_sheet_of_a_count_constrained_set():
+    # outside patterns with two or more points exceed count_equals = 1: their
+    # sections are empty and contribute (0, 0) instead of raising
+    E = batteries.half_space_set()
+    inner = scaled_box(0.5, 0.4, 1)
+    eta = Configuration(window=UNIT, points=np.array([[0.05], [0.95]]))
+    res = rho_m_on_box(section_set(E.boundary_sheet(), eta, inner), 1, inner)
+    assert (res.total, res.total_err) == (0.0, 0.0)
+    ests = [rho_m_localized(E.boundary_sheet(), 1, scaled_box(0.5, r, 1), UNIT, seed=7,
+                            n_samples=20_000) for r in (0.4, 0.7, 1.0)]
+    for est in ests[:2]:
+        assert est.mean == pytest.approx(np.exp(-1.0), abs=3 * est.std_err)
+    # the box that holds the locality is the full-window perimeter, bit for bit
+    assert ests[-1].mean == perimeter_measure(E, UNIT, seed=7, n_samples=20_000).total
 
 
 @pytest.mark.parametrize("order", [1, 7, 32, 96, 192])

@@ -153,7 +153,7 @@ def _reference_draw(window, rng):
 
 def _reference_plan_draws(plan, make_rng=stream_rng):
     """Sample index -> points, drawn stream by stream in stream order."""
-    S, n = plan.worker_streams, plan.n_samples
+    S, n = plan.streams, plan.n_samples
     out = {}
     for j in range(S):
         rng = make_rng(plan.seed, j)
@@ -163,7 +163,7 @@ def _reference_plan_draws(plan, make_rng=stream_rng):
 
 
 def _stream_order(plan, idx):
-    S = plan.worker_streams
+    S = plan.streams
     return sorted(idx, key=lambda i: (i % S, i // S))
 
 
@@ -173,7 +173,7 @@ WINDOWS = {"unit": UNIT, "unit2": BoxDomain((0.0, 0.0), (1.0, 1.0)),
 
 @pytest.mark.parametrize("window", WINDOWS.values(), ids=list(WINDOWS))
 def test_draw_by_count_reproduces_per_configuration_draws(window):
-    plan = MCPlan(n_samples=1000, seed=23, window=window, worker_streams=7)
+    plan = MCPlan(n_samples=1000, seed=23, window=window, streams=7)
     ref = _reference_plan_draws(plan)
     draws = draw_by_count(plan)
     assert list(draws) == sorted(draws)
@@ -213,7 +213,7 @@ class _RepeatOnce:
 def test_draw_takes_the_collision_retry_path(monkeypatch):
     from ugmt import montecarlo
 
-    plan = MCPlan(n_samples=200, seed=4, window=UNIT, worker_streams=3)
+    plan = MCPlan(n_samples=200, seed=4, window=UNIT, streams=3)
     ref_rngs, new_rngs = [], []
 
     def factory(store):
