@@ -192,32 +192,45 @@ class VariationalLower:
 
 class _VariationalObjective:
     """Fast evaluator of theta -> E_pi[ F * div*( V_theta / (1 + |V_theta|^2/4) ) ]
-    for each member F of a battery.
+    for each member F of a battery, along one coordinate line at a time.
 
     With V_theta = sum_a theta_a c_a v_a and D = 1 / (1 + |V_theta|^2/4), the
     adjoint divergence of W = D V_theta at an ordered tuple is
 
-        div* W = -D (theta . S) - <grad D, V_theta>,
-        S_a = <grad c_a, v_a> + c_a sum_j v_a'(x_j).
+        div* W = D (D T / 2 - theta . S),
+        S_a = <grad c_a, v_a> + c_a sum_j v_a'(x_j),
+        T = <grad |V_theta|^2, V_theta> / 2
+          = sum_j |V_theta|^2 V_theta'(x_j) + sum_c theta_c <V_theta, v_c> <V_theta, grad c_c>.
 
-    S and the weighted fields c_a v_a, c_a v_a' depend neither on theta nor on
-    F, so each batch of quadrature tuples or band samples assembles them once
-    (``_basis``) for every member, and an evaluation is a few matrix products.
-    A batch is (kind, n, pw, basis): pw (M, m) holds one row per member, F's
-    value (or level-set weight) at the tuples times the quadrature or Monte
-    Carlo prefactor.  Cylinder functions share the strata, so any number of
-    them share one objective; a level-set spec needs one of its own, because
-    its strata and band samples depend on its sheet.  grad D needs the lifted
-    gradient of |V_theta|^2, whose coefficient part
-    sum_a theta_a <V_theta, v_a> grad c_a runs over the members of the family
-    with a non-constant coefficient only (a constant has zero gradient).
+    The field part of T moves with the particle; the coefficients feel it
+    through their own gradients, so the last sum runs over the members c with
+    a non-constant coefficient only (a constant has zero gradient).  S and the
+    weighted fields c_a v_a, c_a v_a' depend neither on theta nor on F, so
+    each batch of quadrature tuples or band samples assembles them once
+    (``_basis``) for every member.  A batch is (kind, n, pw, basis): pw (M, m)
+    holds one row per member, F's value (or level-set weight) at the tuples
+    times the quadrature or Monte Carlo prefactor.  Cylinder functions share
+    the strata, so any number of them share one objective; a level-set spec
+    needs one of its own, because its strata and band samples depend on its
+    sheet.
 
-    ``value`` scores one theta (A,) or a stack (G, A) for member i in one pass
-    over the batches, which it builds on first use and keeps.
-    ``value_with_error`` is the final estimate of every member, made once: it
-    builds each stratum's batches, applies every member's theta to them one
-    row at a time and drops them, so no basis is stored.  One-dimensional
-    windows only.
+    A coordinate search moves theta along a line theta + d e_a, on which
+    V_theta gains d U with U = c_a v_a.  Per tuple, with V = V_theta,
+    P_c = <V, v_c>, R_c = <V, grad c_c>, p_c = <U, v_c>, r_c = <U, grad c_c>
+    and the sums over particles j implied,
+
+        |V + d U|^2 = |V|^2 + 2 d <V, U> + d^2 |U|^2,
+        T(d) = V^2 V' + d (2 V U V' + V^2 U') + d^2 (U^2 V' + 2 V U U') + d^3 U^2 U'
+               + sum_c (theta_c + d [c = a]) (P_c + d p_c) (R_c + d r_c),
+
+    and theta . S gains d S_a.  ``_batch_div`` computes these coefficients
+    in one O(A m k) pass over a batch and scores every step d at O(m).
+    ``value(theta, i, a, steps)`` is member i's objective at theta + d e_a
+    for each step, in one pass over the batches, which it builds on first use
+    and keeps.  ``value_with_error`` is the final estimate of every member at
+    its own theta (the step 0), made once: it builds each stratum's batches,
+    scores every member on them and drops them, so no basis is stored.
+    One-dimensional windows only.
     """
 
     def __init__(self, Fs: list, family: list, window: BoxDomain, *, seed: int,
@@ -266,62 +279,112 @@ class _VariationalObjective:
 
     @functools.cached_property
     def batches(self) -> list:
-        return list(self._stream())
+        """The search batches, kept: each carries the theta-independent
+        contractions <c_a v_a, v_c> and <c_a v_a, grad c_c> (A, B, m) in place
+        of the stacked fields, so that a search step reads no field twice."""
+        return [(kind, n, pw, (CVv, CVd, S, None, np.einsum("amk,bmk->abm", CVv, VCg)))
+                for kind, n, pw, (CVv, CVd, S, VCg, _) in self._stream()]
 
     def _basis(self, X: np.ndarray):
         """(c_a v_a, c_a v_a', S_a) of every member a and the stacked v_a and
-        grad c_a of the members with a non-constant coefficient, at the
-        particles of X."""
+        grad c_a (B = 2 n, m, k) of the n members with a non-constant
+        coefficient, at the particles of X.  The last slot, the contractions
+        of the first with the fourth, is filled in the kept ``batches`` only."""
         m, k, _ = X.shape
         A = len(self.family)
         C = np.ones((A, m))
         Vv = np.empty((A, m, k))
         Vd = np.empty((A, m, k))
         Cg = []
-        fields = {}  # members may share a field object; evaluate each once
+        # inner functions by value: fields and coefficients share them (the
+        # count selectors' counters are equal), and each is evaluated once
+        evals = {}
+
+        def inner(f):
+            if f not in evals:
+                evals[f] = f.value(X), f.gradient(X)
+            return evals[f]
+
         for a, (c, v) in enumerate(self.family):
-            if id(v) not in fields:
-                comp = v.components[0]
-                fields[id(v)] = comp.value(X), comp.gradient(X)[..., 0]
-            Vv[a], Vd[a] = fields[id(v)]
+            vv, vg = inner(v.components[0])
+            Vv[a], Vd[a] = vv, vg[..., 0]
             if isinstance(c, (int, float)):
                 C[a] = float(c)
             else:
-                C[a] = c.value(X)
-                Cg.append(c.gradient(X)[..., 0])
+                C[a], cg = c.value_and_gradient(X, inner)
+                Cg.append(cg[..., 0])
         cyl = self._cyl
         VCg = np.concatenate((Vv[cyl], np.reshape(Cg, (-1, m, k))))
         S = C * np.sum(Vd, axis=-1)
         S[cyl] += np.sum(VCg[:len(cyl)] * VCg[len(cyl):], axis=-1)
         Vv *= C[..., None]
         Vd *= C[..., None]
-        return Vv, Vd, S, VCg
+        return Vv, Vd, S, VCg, None
 
-    def _batch_div(self, th, basis):
-        """div* W_theta at the batch's tuples for each row of th (G, A): (G, m)."""
-        CVv, CVd, S, VCg = basis
+    def _batch_div(self, theta, a, steps, basis):
+        """div* W at the batch's tuples for theta + d e_a, one row per step d: (G, m)."""
+        CVv, CVd, S, VCg, UVCg = basis
         A, m, k = CVv.shape
-        Vt = (th @ CVv.reshape(A, -1)).reshape(-1, m, k)        # V_theta at the particles
-        dVt = (th @ CVd.reshape(A, -1)).reshape(-1, m, k)       # d/dx of its field part
-        D = 1.0 / (1.0 + 0.25 * np.einsum("gmk,gmk->gm", Vt, Vt))
-        # <grad D, V_theta> = -D^2 T / 2 with T = <grad |V_theta|^2, V_theta> / 2:
-        # the field part moves with the particle and the coefficients feel it
-        # through their own gradients, <V_theta, v_a> <V_theta, grad c_a>
-        n = len(self._cyl)
-        pair = np.einsum("gmk,bmk->gbm", Vt, VCg, optimize=True)
-        T = np.einsum("gmk,gmk,gmk->gm", Vt, Vt, dVt) \
-            + np.einsum("ga,gam,gam->gm", th[:, self._cyl], pair[:, :n], pair[:, n:])
-        return D * (0.5 * D * T - th @ S)
+        n, cyl = len(self._cyl), self._cyl
+        th = theta[None]
+        # the d^0 coefficients, from V_theta, its derivative and the pairs
+        # <V_theta, v_c>, <V_theta, grad c_c> at the particles
+        Vt = (th @ CVv.reshape(A, -1)).reshape(-1, m, k)
+        dVt = (th @ CVd.reshape(A, -1)).reshape(-1, m, k)
+        if UVCg is None:   # a streamed batch contracts with the fields here
+            pair = np.einsum("gmk,bmk->gbm", Vt, VCg, optimize=True)
+            line = np.einsum("mk,bmk->bm", CVv[a], VCg)
+        else:
+            pair = (th @ UVCg.reshape(A, -1)).reshape(1, -1, m)
+            line = UVCg[a]
+        q0 = np.einsum("gmk,gmk->gm", Vt, Vt)[0]
+        t0 = (np.einsum("gmk,gmk,gmk->gm", Vt, Vt, dVt)
+              + np.einsum("ga,gam,gam->gm", th[:, cyl], pair[:, :n], pair[:, n:]))[0]
+        # the higher ones, from the moving term U = c_a v_a: the pairs gain
+        # d <U, v_c> and d <U, grad c_c>
+        Vt, dVt, U, dU = Vt[0], dVt[0], CVv[a], CVd[a]
+        (P, R), (p, r) = np.split(pair[0], 2), np.split(line, 2)
+        VtU, UU = Vt * U, U * U
+        q1 = 2.0 * np.einsum("mk->m", VtU)
+        q2 = np.einsum("mk->m", UU)
+        t1 = 2.0 * np.einsum("mk,mk->m", VtU, dVt) + np.einsum("mk,mk,mk->m", Vt, Vt, dU) \
+            + theta[cyl] @ (P * r + p * R)
+        t2 = np.einsum("mk,mk->m", UU, dVt) + 2.0 * np.einsum("mk,mk->m", VtU, dU) \
+            + theta[cyl] @ (p * r)
+        t3 = np.einsum("mk,mk->m", UU, dU)
+        if a in cyl:   # theta_a itself moves in its pair term
+            j = cyl.index(a)
+            t1 += P[j] * R[j]
+            t2 += P[j] * r[j] + p[j] * R[j]
+            t3 += p[j] * r[j]
+        # every step at O(m), by Horner's rule in place; the step 0 reproduces
+        # D (D T / 2 - theta . S) operation for operation
+        s0, out = (th @ S)[0], np.empty((len(steps), m))
+        for D, d in zip(out, steps):
+            np.multiply(q2, d, out=D)
+            D += q1
+            D *= d
+            D += q0
+            D *= 0.25
+            D += 1.0
+            np.reciprocal(D, out=D)
+            T = t3 * d + t2
+            for t in (t1, t0):
+                T *= d
+                T += t
+            T *= D
+            T *= 0.5
+            T -= s0 + d * S[a]
+            D *= T
+        return out
 
-    def value(self, theta: np.ndarray, i: int = 0) -> float | np.ndarray:
-        """Member i's objective at theta (A,), a float, or at each row of a
-        stack (G, A)."""
+    def value(self, theta: np.ndarray, i: int, a: int, steps) -> np.ndarray:
+        """Member i's objective at theta + d e_a for each step d, shape (G,)."""
         th = np.asarray(theta, dtype=float)
-        rows = np.atleast_2d(th)
-        total = np.zeros(len(rows))
+        total = np.zeros(len(steps))
         for _, _, pw, basis in self.batches:
-            total += np.sum(pw[i] * self._batch_div(rows, basis), axis=-1)
-        return float(total[0]) if th.ndim == 1 else total
+            total += self._batch_div(th, a, steps, basis) @ pw[i]
+        return total
 
     def value_with_error(self, thetas: np.ndarray) -> list[tuple[float, float]]:
         """(value, error) of every member, member i at row i of thetas (M, A)."""
@@ -330,7 +393,7 @@ class _VariationalObjective:
         err_sq = [0.0] * len(self.Fs)
         for kind, n, pw, basis in self._stream():
             for i in range(len(self.Fs)):
-                contrib = pw[i] * self._batch_div(th[i:i + 1], basis)[0]
+                contrib = pw[i] * self._batch_div(th[i], 0, (0.0,), basis)[0]
                 totals[i] += float(np.sum(contrib))
                 if kind == "mc":
                     # band batches keep only their in-band samples; the rest add zero
@@ -355,19 +418,17 @@ def _build_normalized(family: list, theta) -> CylinderVectorField:
 
 
 _THETA_GRID = (-4.0, -2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0, 4.0)
+_REFINE_STEPS = (-0.6, -0.3, -0.15, 0.0, 0.15, 0.3, 0.6)
 
 
 def _coordinate_ascent(obj: _VariationalObjective, i: int, iterations: int) -> np.ndarray:
-    """Member i's theta: coordinate sweeps over the family, each trial grid
-    scored as one (G, A) stack."""
+    """Member i's theta: coordinate sweeps over the family from theta = 0,
+    each coordinate's trial steps scored along its line in one call."""
     theta = np.zeros(len(obj.family))
     for sweep in range(iterations):
+        steps = _THETA_GRID if sweep == 0 else _REFINE_STEPS
         for a in range(len(theta)):
-            grid = _THETA_GRID if sweep == 0 else tuple(
-                theta[a] + d for d in (-0.6, -0.3, -0.15, 0.0, 0.15, 0.3, 0.6))
-            trials = np.tile(theta, (len(grid), 1))
-            trials[:, a] = grid
-            theta[a] = grid[int(np.argmax(obj.value(trials, i)))]
+            theta[a] += steps[int(np.argmax(obj.value(theta, i, a, steps)))]
     return theta
 
 

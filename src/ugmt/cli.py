@@ -71,7 +71,10 @@ class SuiteConfig:
             if key in ("suite", "out"):
                 fields["out_dir" if key == "out" else key] = val
             elif key in ("seed", "samples"):
-                fields[key] = int(val)
+                try:
+                    fields[key] = int(val)
+                except ValueError:
+                    raise ConfigError(f"{key} must be an integer, not {val!r}") from None
             else:
                 fields["options"][key] = val
         if suite:
@@ -83,7 +86,11 @@ class SuiteConfig:
     def floats(self, key: str, default: list[float]) -> list[float]:
         if key not in self.options:
             return default
-        return [float(v) for v in str(self.options[key]).split(",")]
+        try:
+            return [float(v) for v in str(self.options[key]).split(",")]
+        except ValueError:
+            raise ConfigError(f"{key} must be a comma-separated list of numbers, "
+                              f"not {self.options[key]!r}") from None
 
 
 @dataclass
@@ -183,6 +190,9 @@ def _suite_campbell(cfg: SuiteConfig) -> list[dict]:
 def _suite_monotonicity(cfg: SuiteConfig) -> list[dict]:
     records = []
     r_values = cfg.floats("r_schedule", [1.0, 1.5, 2.0, 3.0])
+    if len(r_values) < 3 or not all(0.0 < r < s for r, s in zip(r_values, r_values[1:])):
+        raise ConfigError(f"r_schedule must hold at least 3 increasing positive sides, "
+                          f"not {r_values}")
     boxes = [scaled_box(0.0, r, 1) for r in r_values]
     for name, spec in batteries.monotone_sheets().items():
         res = rho_m_limit(spec, 1, boxes, seed=cfg.seed,
@@ -460,11 +470,12 @@ def main(argv: list[str] | None = None) -> int:
             cfg.samples = args.samples
         if args.out is not None:
             cfg.out_dir = args.out
+        # a suite reads its own options, and checks them before it runs
+        report = run_suite(cfg)
     except (ConfigError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
 
-    report = run_suite(cfg)
     jpath, cpath = report.save(cfg.out_dir)
     for rec in report.records:
         status = "pass" if rec["pass"] else "FAIL"

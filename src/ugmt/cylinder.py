@@ -464,9 +464,25 @@ class CylinderFunction:
         out = np.zeros(X.shape)
         if X.shape[-2] == 0:
             return out
-        dphi = self.outer.grad(self.stars(X))
+        return self._lift(self.stars(X), lambda f: f.gradient(X), out)
+
+    def value_and_gradient(self, X: np.ndarray, inner) -> tuple[np.ndarray, np.ndarray]:
+        """F and its lifted gradient at tuples X (..., k, n), from one star per
+        inner function.  ``inner(f)`` is (f.value(X), f.gradient(X)): a caller
+        evaluating several cylinder objects on one batch shares it between
+        them, so an inner function they have in common is evaluated once."""
+        out = np.zeros(X.shape)
+        if X.shape[-2] == 0:
+            return self.outer.value(self.stars(X)), out
+        u = np.stack([inner(f)[0].sum(axis=-1) for f in self.inners], axis=-1)
+        return self.outer.value(u), self._lift(u, lambda f: inner(f)[1], out)
+
+    def _lift(self, u, gradient, out) -> np.ndarray:
+        """Adds sum_i dPhi/du_i grad f_i to out, at stars u; ``gradient(f)``
+        is f's gradient at the tuples, dropped after its term is added."""
+        dphi = self.outer.grad(u)
         for i, f in enumerate(self.inners):
-            out += dphi[..., i, None, None] * f.gradient(X)
+            out += dphi[..., i, None, None] * gradient(f)
         return out
 
     def locality(self) -> BoxDomain:

@@ -1,3 +1,4 @@
+import functools
 from collections import Counter
 
 import numpy as np
@@ -9,7 +10,8 @@ from ugmt.cylinder import (CylinderVectorField, cyl_compose, cyl_from_star, cons
                            tanh_of)
 from ugmt.geometry import DomainError, SmoothFunction, SmoothVectorField, interval
 from ugmt.heat import LiftedHeatOperator, lifted_gradient_norm
-from ugmt.bv import (_VariationalObjective, coarea_battery, coarea_check, coarea_family,
+from ugmt.bv import (_REFINE_STEPS, _THETA_GRID, _VariationalObjective, _coordinate_ascent,
+                     coarea_battery, coarea_check, coarea_family,
                      gauss_green_residual, levelset_expectation, perimeter_measure,
                      sobolev_consistency, surface_battery, tv_bracket, tv_relaxation,
                      tv_semigroup, tv_variational, tv_variational_battery)
@@ -103,6 +105,10 @@ class _LoopObjective(_VariationalObjective):
             div += th[a] * (-np.sum(grad_caD * Vv[a], axis=-1) - C[a] * D * Dv[a])
         return div
 
+    @functools.cached_property
+    def batches(self):
+        return list(self._stream())
+
     def value(self, theta, i=0):
         th = np.asarray(theta, dtype=float)
         return sum(float(np.sum(pw[i] * self._batch_div(th, basis)))
@@ -133,25 +139,86 @@ _OBJECTIVE_CASES = {
 }
 
 
+_STEPS = (-4.0, -0.6, 0.0, 0.3, 1.0, 4.0)
+
+
 @pytest.mark.parametrize("name", sorted(_OBJECTIVE_CASES))
 def test_objective_matches_member_loop(name):
+    # the line form theta + d e_a against the loop at every trial theta, for
+    # every coordinate (constant coefficients at a = 0, 2, cylinder ones at 1, 3)
     Fs = _OBJECTIVE_CASES[name]
     kw = dict(seed=11, n_band=2_000, mc_n=1_000)
     obj = _VariationalObjective(Fs, _FAMILY, W_HALF, **kw)
     ref = _LoopObjective(Fs, _FAMILY, W_HALF, **kw)
-    thetas = np.random.default_rng(5).uniform(-3.0, 3.0, size=(20, len(_FAMILY)))
+    thetas = np.random.default_rng(5).uniform(-3.0, 3.0, size=(4, len(_FAMILY)))
     thetas[0] = 0.0
     thetas[1, [0, 2]] = 0.0   # cylinder coefficients only
     thetas[2, [1, 3]] = 0.0   # constant coefficients only
     for i in range(len(Fs)):
-        rows = [obj.value(th, i) for th in thetas]
-        for th, v in zip(thetas, rows):
-            assert isinstance(v, float)
-            assert v == pytest.approx(ref.value(th, i), rel=1e-12, abs=1e-300)
-        # a (G, A) stack scores every row in one call
-        stacked = obj.value(thetas, i)
-        assert stacked.shape == (len(thetas),)
-        np.testing.assert_allclose(stacked, rows, rtol=1e-12, atol=0.0)
+        lines = []   # (theta, a, loop values)
+        for theta in thetas:
+            for a in range(len(_FAMILY)):
+                trials = np.tile(theta, (len(_STEPS), 1))
+                trials[:, a] += _STEPS
+                lines.append((theta, a, trials, [ref.value(trial, i) for trial in trials]))
+        # rounding is relative to the objective's scale: a line whose values
+        # cancel to nearly zero (theta = 0) keeps only that absolute accuracy
+        tol = dict(rtol=1e-12, atol=1e-12 * max(np.max(np.abs(w)) for *_, w in lines))
+        for theta, a, trials, want in lines:
+            got = obj.value(theta, i, a, _STEPS)
+            assert got.shape == (len(_STEPS),)
+            np.testing.assert_allclose(got, want, **tol)
+            # the same line from another point of it
+            np.testing.assert_allclose(obj.value(trials[-1], i, a, np.subtract(_STEPS, _STEPS[-1])),
+                                       got, **tol)
+
+
+@pytest.mark.parametrize("name", sorted(_OBJECTIVE_CASES))
+def test_search_picks_the_brute_force_theta(name):
+    Fs = _OBJECTIVE_CASES[name]
+    kw = dict(seed=11, n_band=2_000, mc_n=1_000)
+    obj = _VariationalObjective(Fs, _FAMILY, W_HALF, **kw)
+    ref = _LoopObjective(Fs, _FAMILY, W_HALF, **kw)
+    for i in range(len(Fs)):
+        theta = np.zeros(len(_FAMILY))
+        for steps in (_THETA_GRID, _REFINE_STEPS):
+            for a in range(len(theta)):
+                rows = np.tile(theta, (len(steps), 1))
+                rows[:, a] += steps
+                theta = rows[int(np.argmax([ref.value(row, i) for row in rows]))]
+        assert np.array_equal(_coordinate_ascent(obj, i, 2), theta)
+
+
+def test_basis_evaluates_each_inner_function_once(monkeypatch):
+    # the three count selectors' counters are equal, and a coefficient's stars
+    # serve its value and its gradient
+    fam = batteries.field_family()
+    obj = _VariationalObjective([HALF], fam, UNIT, seed=1, n_band=100, mc_n=100)
+    X = np.random.default_rng(3).uniform(0.0, 1.0, size=(50, 3, 1))
+    C, Cg, Vv, Vd, _ = _LoopObjective([HALF], fam, UNIT, seed=1, n_band=100,
+                                      mc_n=100)._basis(X)
+    calls = Counter()
+    value, gradient = SmoothFunction.value, SmoothFunction.gradient
+
+    def counted(name, fn):
+        def wrapper(self, x):
+            calls[name] += 1
+            return fn(self, x)
+        return wrapper
+
+    monkeypatch.setattr(SmoothFunction, "value", counted("value", value))
+    monkeypatch.setattr(SmoothFunction, "gradient", counted("gradient", gradient))
+    CVv, CVd, S, VCg, contractions = obj._basis(X)
+    assert calls == {"value": 7, "gradient": 7}
+    # bit for bit the member-by-member evaluation
+    cyl = obj._cyl
+    expect_S = C * np.sum(Vd, axis=-1)
+    expect_S[cyl] += np.sum(Vv[cyl] * Cg[cyl], axis=-1)
+    np.testing.assert_array_equal(CVv, Vv * C[..., None])
+    np.testing.assert_array_equal(CVd, Vd * C[..., None])
+    np.testing.assert_array_equal(S, expect_S)
+    np.testing.assert_array_equal(VCg, np.concatenate((Vv[cyl], Cg[cyl])))
+    assert contractions is None
 
 
 @pytest.mark.parametrize("name", sorted(_OBJECTIVE_CASES))
@@ -164,13 +231,15 @@ def test_objective_final_estimate_streams(name):
     assert len(got) == len(Fs)
     for i, th in enumerate(thetas):
         total, err_sq = 0.0, 0.0
-        for kind, n, pw, basis in obj.batches:
-            contrib = pw[i] * obj._batch_div(th[None], basis)[0]
+        for kind, n, pw, basis in obj._stream():
+            contrib = pw[i] * obj._batch_div(th, 0, (0.0,), basis)[0]
             total += float(np.sum(contrib))
             if kind == "mc":
                 _, se = mean_and_stderr(np.pad(contrib, (0, n - contrib.size)) * n)
                 err_sq += se * se
         assert got[i] == (total, float(np.sqrt(err_sq)))
+        # the kept search batches score the same theta within rounding
+        assert obj.value(th, i, 0, (0.0,))[0] == pytest.approx(total, rel=1e-12)
 
 
 def test_level_set_needs_its_own_objective():

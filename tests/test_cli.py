@@ -29,6 +29,22 @@ def test_config_errors():
         SuiteConfig.from_text("samples = 100\n")  # no suite named
 
 
+@pytest.mark.parametrize("text, key", [
+    ("r_schedule = 1.0,x\n", "r_schedule"),      # not a number
+    ("r_schedule = 1.0,2.0\n", "r_schedule"),    # fewer than 3 boxes
+    ("r_schedule = 1.0,3.0,2.0\n", "r_schedule"),
+    ("seed = x\n", "seed"),
+])
+def test_bad_config_values_exit_2(tmp_path, capsys, text, key):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("suite = monotonicity\n" + text)
+    assert main(["run", "monotonicity", "--config", str(bad),
+                 "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and key in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_laplace_target_against_closed_form():
     # constant statistic: exp(vol (e^c - 1)) exactly
     c = SmoothFunction.constant(0.3, interval(0.0, 1.0))
