@@ -92,6 +92,12 @@ class SuiteConfig:
             raise ConfigError(f"{key} must be a comma-separated list of numbers, "
                               f"not {self.options[key]!r}") from None
 
+    def number(self, key: str, default: float) -> float:
+        values = self.floats(key, [default])
+        if len(values) != 1:
+            raise ConfigError(f"{key} must be one number, not {self.options[key]!r}")
+        return values[0]
+
 
 @dataclass
 class Report:
@@ -211,10 +217,14 @@ def _suite_monotonicity(cfg: SuiteConfig) -> list[dict]:
 
 def _suite_bakry_emery(cfg: SuiteConfig) -> list[dict]:
     records = []
-    op = LiftedHeatOperator(window=batteries.UNIT)
-    plan = MCPlan(n_samples=cfg.samples, seed=cfg.seed, window=batteries.UNIT)
     ps = cfg.floats("p_values", [1.0, 2.0, 4.0])
     ts = cfg.floats("t_values", [0.01, 0.1])
+    if not all(1.0 <= p < np.inf for p in ps):
+        raise ConfigError(f"p_values must lie in [1, inf), not {ps}")
+    if not all(0.0 < t < np.inf for t in ts):
+        raise ConfigError(f"t_values must be positive and finite, not {ts}")
+    op = LiftedHeatOperator(window=batteries.UNIT)
+    plan = MCPlan(n_samples=cfg.samples, seed=cfg.seed, window=batteries.UNIT)
     for name, reports in bakry_emery_battery(batteries.be_battery(), ps, ts, op, plan).items():
         for rep in reports:
             records.append(record(f"pointwise-{name}-p{rep.p:g}-t{rep.t:g}",
@@ -233,7 +243,9 @@ def _suite_bakry_emery(cfg: SuiteConfig) -> list[dict]:
 def _suite_intertwine(cfg: SuiteConfig) -> list[dict]:
     records = []
     op = LiftedHeatOperator(window=batteries.UNIT)
-    t = float(cfg.options.get("t", 0.05))
+    t = cfg.number("t", 0.05)
+    if not 0.0 < t < np.inf:
+        raise ConfigError(f"t must be positive and finite, not {t}")
     for i, f in enumerate(batteries.intertwine_bumps()):
         for k in (1, 2):
             rep = check_intertwining(f, t, op, k=k)
@@ -321,8 +333,12 @@ def _suite_gauss_green(cfg: SuiteConfig) -> list[dict]:
 
 def _suite_capacity(cfg: SuiteConfig) -> list[dict]:
     records = []
-    alpha = float(cfg.options.get("alpha", 0.6))
-    p = float(cfg.options.get("p", 2.0))
+    alpha = cfg.number("alpha", 0.6)
+    p = cfg.number("p", 2.0)
+    if not 0.0 < alpha < np.inf:
+        raise ConfigError(f"alpha must be positive and finite, not {alpha}")
+    if not 1.0 <= p < np.inf:
+        raise ConfigError(f"p must lie in [1, inf), not {p}")
     W, S_box, sheet, members = batteries.capacity_family()
     op = LiftedHeatOperator(window=W)
     B = BesselOperator(alpha=alpha, p=p)

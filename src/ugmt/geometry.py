@@ -502,22 +502,40 @@ def auto_image_order(t: float, L: float, tol: float = 1e-12) -> int:
     return M
 
 
-def _image_sum(a, b, t: float, L: float, M: int, term) -> np.ndarray:
-    """One kernel kind's truncated image sum on [0, L].
+def _image_sum(a, b, t: float, L: float, M: int, *terms) -> tuple[np.ndarray, ...]:
+    """Truncated image sums on [0, L], one per kernel kind in ``terms``.
 
-    Over |m| <= M, ``out = term(out, z1, z2, e1, e2)`` accumulates the images
-    z1 = a - b - 2mL and z2 = a + b - 2mL with Gaussian factors
-    e = exp(-z^2 / 4t); the sum is scaled by 1/sqrt(4 pi t).
+    Over |m| <= M, each ``out = term(out, z1, z2, e1, e2)`` accumulates the
+    images z1 = a - b - 2mL and z2 = a + b - 2mL with Gaussian factors
+    e = exp(-z^2 / 4t), which all terms share; each sum is scaled by
+    1/sqrt(4 pi t).
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     pref = 1.0 / np.sqrt(4.0 * np.pi * t)
-    out = np.zeros(np.broadcast(a, b).shape)
+    outs = [np.zeros(np.broadcast(a, b).shape) for _ in terms]
     for m in range(-M, M + 1):
         z1 = a - b - 2.0 * m * L
         z2 = a + b - 2.0 * m * L
-        out = term(out, z1, z2, np.exp(-(z1 * z1) / (4.0 * t)), np.exp(-(z2 * z2) / (4.0 * t)))
-    return pref * out
+        e1 = np.exp(-(z1 * z1) / (4.0 * t))
+        e2 = np.exp(-(z2 * z2) / (4.0 * t))
+        outs = [term(out, z1, z2, e1, e2) for term, out in zip(terms, outs)]
+    return tuple(pref * out for out in outs)
+
+
+def _neumann_term(out, z1, z2, e1, e2):
+    return out + e1 + e2
+
+
+def _dirichlet_term(out, z1, z2, e1, e2):
+    return out + e1 - e2
+
+
+def _check_kernel_args(a: np.ndarray, b: np.ndarray, t: float, L: float) -> None:
+    if t <= 0:
+        raise DomainError("t must be positive")
+    if np.any(a < -1e-12) or np.any(a > L + 1e-12) or np.any(b < -1e-12) or np.any(b > L + 1e-12):
+        raise DomainError("kernel arguments must lie in [0, L]")
 
 
 def neumann_kernel(a, b, t: float, L: float, M: int | None = None) -> np.ndarray:
@@ -529,24 +547,31 @@ def neumann_kernel(a, b, t: float, L: float, M: int | None = None) -> np.ndarray
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    if t <= 0:
-        raise DomainError("t must be positive")
-    if np.any(a < -1e-12) or np.any(a > L + 1e-12) or np.any(b < -1e-12) or np.any(b > L + 1e-12):
-        raise DomainError("kernel arguments must lie in [0, L]")
+    _check_kernel_args(a, b, t, L)
     if M is None:
         M = auto_image_order(t, L)
-    return _image_sum(a, b, t, L, M, lambda out, z1, z2, e1, e2: out + e1 + e2)
+    return _image_sum(a, b, t, L, M, _neumann_term)[0]
 
 
 def _neumann_kernel_dx(a, b, t: float, L: float, M: int) -> np.ndarray:
     """d/da of the Neumann kernel (image sum differentiated termwise)."""
     return _image_sum(a, b, t, L, M, lambda out, z1, z2, e1, e2:
-                      out + (-z1 / (2.0 * t)) * e1 + (-z2 / (2.0 * t)) * e2)
+                      out + (-z1 / (2.0 * t)) * e1 + (-z2 / (2.0 * t)) * e2)[0]
 
 
 def _dirichlet_kernel(a, b, t: float, L: float, M: int) -> np.ndarray:
     """Absorbing-boundary kernel on [0, L] (odd image sum); |k_D| <= k_N."""
-    return _image_sum(a, b, t, L, M, lambda out, z1, z2, e1, e2: out + e1 - e2)
+    return _image_sum(a, b, t, L, M, _dirichlet_term)[0]
+
+
+def _neumann_dirichlet_kernels(a, b, t: float, L: float, M: int
+                               ) -> tuple[np.ndarray, np.ndarray]:
+    """The Neumann and absorbing kernels at the same arguments, from one image
+    pass; each equals its own function's value bit for bit."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    _check_kernel_args(a, b, t, L)
+    return _image_sum(a, b, t, L, M, _neumann_term, _dirichlet_term)
 
 
 @dataclass(frozen=True)
@@ -575,6 +600,10 @@ class HeatKernel1D:
 
     def dirichlet(self, a, b) -> np.ndarray:
         return _dirichlet_kernel(np.asarray(a), np.asarray(b), self.t, self.L, self.M)
+
+    def kernel_and_dirichlet(self, a, b) -> tuple[np.ndarray, np.ndarray]:
+        """(kernel(a, b), dirichlet(a, b)) from one pass over the images."""
+        return _neumann_dirichlet_kernels(a, b, self.t, self.L, self.M)
 
     def matrix(self, nodes: np.ndarray, weights: np.ndarray) -> np.ndarray:
         """Row-stochastic (up to tail) operator matrix K[i,j] = k(x_i, x_j) w_j."""

@@ -304,7 +304,6 @@ class ViolationReport:
 
 
 _BE_ORDERS = {1: 64, 2: 48, 3: 24, 4: 16, 5: 12, 6: 12, 7: 9, 8: 8}
-_BE_CHUNK_FLOATS = 6_000_000   # floats of one chunk's contraction outputs
 
 
 def _draw_configurations(plan: MCPlan) -> dict[int, np.ndarray]:
@@ -313,38 +312,77 @@ def _draw_configurations(plan: MCPlan) -> dict[int, np.ndarray]:
     return {k: X for k, (_, X) in draw_by_count(plan).items()}
 
 
-def _be_tensors(F: CylinderFunction, k: int, nodes: np.ndarray, lo: float,
-                ps: list[float]) -> tuple[np.ndarray, np.ndarray]:
-    """The grid tensors of F on the k-particle stratum, q nodes per particle.
+def _contract_slab(slab: np.ndarray, first: np.ndarray, rest: np.ndarray) -> np.ndarray:
+    """A slab of grid values integrated over every particle, row by row.
 
-    Returns |grad F|^p for every p in ``ps``, shape (q, P, q^(k-1)), and the
-    gradient component of particle 0, shape (q, q^(k-1)).  Axis 0 runs over
-    particle 0's nodes and the last axis over the other particles' nodes, so
-    particle 0 contracts as one matrix product.  F is symmetric in its
-    particles: the component of particle j is that of particle 0 with the
-    axes of particles 0 and j swapped, and ``_be_contract`` swaps the kernel
-    vectors instead of storing it.  The tensors are built one node of
-    particle 0 at a time, so the scratch arrays are q times smaller than the
-    grid; every entry keeps the value the whole-grid computation gives.
+    ``slab`` (S, B, q^(k-1)) holds S grid functions on B nodes of particle 0
+    and every node of particles 1..k-1, shared by all rows.  ``first`` (n, B)
+    holds each row's particle-0 weights on those B nodes, and ``rest``
+    (k-1, n, q) each row's kernel vectors of particles 1..k-1.  Returns
+    (n, S).  Particle 1 contracts as one matrix product with the shared slab,
+    the later particles and then particle 0 as per-row sums.
+    """
+    r, n, q = rest.shape
+    S, B = slab.shape[:2]
+    if r == 0:
+        return first @ slab.reshape(S, B).T
+    out = np.tensordot(rest[0], slab.reshape(S, B, q, -1), axes=([1], [2]))  # (n, S, B, q^(k-2))
+    for j in range(1, r):
+        out = np.einsum("nsbqr,nq->nsbr", out.reshape(n, S, B, q, -1), rest[j])
+    return np.einsum("nsb,nb->ns", out.reshape(n, S, B), first)
+
+
+def _be_integrate(F: CylinderFunction, k: int, nodes: np.ndarray, lo: float,
+                  ps: list[float], A: np.ndarray, D: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """Both sides of the pointwise check for F on the k-particle stratum.
+
+    A and D hold the Neumann and absorbing kernel vectors, shape (b, k, q), of
+    b samples over the q nodes per particle.  Returns the right sides,
+    |grad F|^p integrated with A on every particle, shape (b, P), and the
+    gradient components of the left side, shape (b, k): component j is the
+    gradient of F along particle j integrated with D on particle j and A on
+    the others.
+
+    The grid is swept in slabs, one node of particle 0 at a time.  Each
+    slab, |grad F|^p for every p and particle 0's gradient component over the
+    other particles' nodes, is integrated against all b samples and
+    accumulated, so no whole-grid tensor is built (memory O((P + k) q^(k-1))
+    per F).  With one or two particles the grid has at most q^2 points and
+    is a single slab: one-node slabs would re-read every sample's vectors
+    once per node.  F is symmetric in its particles: the component of
+    particle j is that of particle 0 with the axes of particles 0 and j
+    swapped, so it takes D_j on particle 0's axis and A_0 on particle j's.
     """
     q, P, l = nodes.size, len(ps), F.arity
+    b = A.shape[0]
+    B = q if k <= 2 else 1                      # nodes of particle 0 per slab
     pts_col = (nodes + lo)[:, None]
     fvals = np.stack([f.value(pts_col) for f in F.inners], axis=-1)   # (q, l)
     fgrads = np.stack([f.gradient(pts_col)[:, 0] for f in F.inners], axis=-1)
     rest = (q,) * (k - 1)                       # the axes of particles 1..k-1
     along = [[q if a == j else 1 for a in range(k - 1)] + [l] for j in range(k - 1)]
-    powers = np.empty((q, P) + rest)
-    g0 = np.empty((q,) + rest)
+    A_rest = np.ascontiguousarray(A[:, 1:].transpose(1, 0, 2))         # (k-1, b, q)
+    # per component, the vectors of particles 1..k-1 (A_0 in place of A_j)
+    vecs = np.repeat(A_rest[:, :, None], k, axis=2)                    # (k-1, b, k, q)
+    for j in range(1, k):
+        vecs[j - 1, :, j] = A[:, 0]
+    vecs = vecs.reshape(k - 1, b * k, q)
+    D_rows = D.reshape(b * k, q)
+    powers = np.empty((P, B) + rest)
+    g0 = np.empty((1, B) + rest)
     u = np.empty(rest + (l,))
     sq, g, buf = np.empty(rest), np.empty(rest), np.empty(rest)
+    rhs, comps = np.zeros((b, P)), np.zeros((b * k, 1))
     for a0 in range(q):
+        s = a0 % B
         # the linear statistics, summed over the particles in order
         u[...] = fvals[a0]
         for j in range(k - 1):
             u += fvals.reshape(along[j])
         dphi = [F.outer.partial(i).eval(u) for i in range(l)]
         for j in range(k):
-            gj = g0[a0, ...] if j == 0 else g
+            gj = g0[0, s, ...] if j == 0 else g
             fg = fgrads[a0] if j == 0 else fgrads.reshape(along[j - 1])
             np.multiply(dphi[0], fg[..., 0], out=gj)
             for i in range(1, l):
@@ -356,32 +394,12 @@ def _be_tensors(F: CylinderFunction, k: int, nodes: np.ndarray, lo: float,
                 np.multiply(gj, gj, out=buf)
                 sq += buf
         for i, p in enumerate(ps):
-            np.power(sq, p / 2.0, out=powers[a0, i, ...])
-    return powers.reshape(q, P, -1), g0.reshape(q, -1)
-
-
-def _be_contract(powers: np.ndarray, g0: np.ndarray, A: np.ndarray, D: np.ndarray
-                 ) -> tuple[np.ndarray, np.ndarray]:
-    """The ``_be_tensors`` of F integrated against per-sample kernel vectors.
-
-    A and D hold the Neumann and absorbing kernel vectors, shape (b, k, q),
-    of b samples.  Returns the right sides, |grad F|^p with A on every
-    particle axis, shape (b, P), and the gradient components of the left
-    side, shape (b, k): component j takes D on particle j's axis and A on the
-    others.  It is g0 with the axes of particles 0 and j swapped, so it takes
-    D_j on axis 0 and A_0 on axis j.
-    """
-    b, k, q = A.shape
-    P = powers.shape[1]
-    # axis 0: matrix products with the tensors, not per-sample broadcasts
-    rhs = (A[:, 0] @ powers.reshape(q, -1)).reshape(b, P, -1)
-    lhs = (D.reshape(b * k, q) @ g0).reshape(b, k, -1)
-    for j in range(1, k):
-        rhs = np.einsum("bpqr,bq->bpr", rhs.reshape(b, P, q, -1), A[:, j])
-        vec = np.repeat(A[:, j, None], k, axis=1)                        # (b, k, q)
-        vec[:, j] = A[:, 0]
-        lhs = np.einsum("bjqr,bjq->bjr", lhs.reshape(b, k, q, -1), vec)
-    return rhs[:, :, 0], lhs[:, :, 0]
+            np.power(sq, p / 2.0, out=powers[i, s, ...])
+        if s == B - 1:
+            block = slice(a0 + 1 - B, a0 + 1)
+            rhs += _contract_slab(powers.reshape(P, B, -1), A[:, 0, block], A_rest)
+            comps += _contract_slab(g0.reshape(1, B, -1), D_rows[:, block], vecs)
+    return rhs, comps.reshape(b, k)
 
 
 def bakry_emery_battery(battery: Mapping[str, CylinderFunction], ps, ts,
@@ -395,13 +413,16 @@ def bakry_emery_battery(battery: Mapping[str, CylinderFunction], ps, ts,
     differentiated Neumann kernel after integration by parts).
 
     ``battery`` maps names to cylinder functions.  The plan is drawn once and
-    its samples grouped by particle count k.  Per k, the kernel vectors of
-    every sample and t are built once for the battery; per (F, k), the grid
-    tensors of every p and of the gradient components are built once and
-    contracted against the vectors of all t in one pass, one F at a time.
-    One-dimensional windows only; counts beyond the configured orders use a
-    coarse grid, which stays faithful because both sides share it.  Returns
-    name -> one ViolationReport per (p, t), p-major.
+    its samples grouped by particle count k.  Per (k, t), one pass over the
+    kernel images gives the Neumann and absorbing vectors of every sample.
+    Per (F, k), the grid is streamed in slabs, one node of particle 0 at a
+    time: each slab holds |grad F|^p for every p and a gradient component,
+    and is integrated against the vectors of every sample and t before the
+    next is built, so memory is O((P + k) q^(k-1)) per F rather than the
+    q^k of the whole grid (see ``_be_integrate``).  One-dimensional windows
+    only; counts beyond the configured orders use a coarse grid, which stays
+    faithful because both sides share it.  Returns name -> one
+    ViolationReport per (p, t), p-major.
     """
     if op.window.dim != 1:
         raise DomainError("the pointwise check is implemented for 1-d windows")
@@ -421,26 +442,21 @@ def bakry_emery_battery(battery: Mapping[str, CylinderFunction], ps, ts,
         q = _BE_ORDERS.get(k, 8)
         nodes, w = gauss_legendre(0.0, L, q)
         xs = X[:, :, 0][..., None] - lo                                  # (m, k, 1)
-        kers = [op._axis_kernel(t, 0) for t in ts]
-        A = np.stack([ker.kernel(xs, nodes[None, None, :]) * w for ker in kers])    # (nt,m,k,q)
-        D = np.stack([ker.dirichlet(xs, nodes[None, None, :]) * w for ker in kers])
+        pairs = [op._axis_kernel(t, 0).kernel_and_dirichlet(xs, nodes[None, None, :])
+                 for t in ts]
         m = X.shape[0]
-        chunk = max(1, _BE_CHUNK_FLOATS // (nt * (P + k) * q ** (k - 1)))
+        A = np.stack([kn * w for kn, _ in pairs]).reshape(nt * m, k, q)
+        D = np.stack([kd * w for _, kd in pairs]).reshape(nt * m, k, q)
         for name, F in battery.items():
-            powers, g0 = _be_tensors(F, k, nodes, lo, ps)
-            for s in range(0, m, chunk):
-                mc = min(chunk, m - s)
-                rhs, comps = _be_contract(powers, g0, A[:, s:s + chunk].reshape(nt * mc, k, q),
-                                          D[:, s:s + chunk].reshape(nt * mc, k, q))
-                rhs, comps = rhs.reshape(nt, mc, P), comps.reshape(nt, mc, k)
-                lhs_sq = np.zeros((nt, mc))
-                for j in range(k):
-                    lhs_sq += comps[:, :, j] * comps[:, :, j]
-                for i, p in enumerate(ps):
-                    gap = np.maximum(lhs_sq, 0.0) ** (p / 2.0) - rhs[:, :, i]   # (nt, mc)
-                    worst[name][i] = np.maximum(worst[name][i], np.max(gap, axis=1))
-                    counts[name][i] += np.sum(gap > tolerance, axis=1)
-            del powers, g0   # one F's grid tensors alive at a time
+            rhs, comps = _be_integrate(F, k, nodes, lo, ps, A, D)
+            rhs, comps = rhs.reshape(nt, m, P), comps.reshape(nt, m, k)
+            lhs_sq = np.zeros((nt, m))
+            for j in range(k):
+                lhs_sq += comps[:, :, j] * comps[:, :, j]
+            for i, p in enumerate(ps):
+                gap = np.maximum(lhs_sq, 0.0) ** (p / 2.0) - rhs[:, :, i]   # (nt, m)
+                worst[name][i] = np.maximum(worst[name][i], np.max(gap, axis=1))
+                counts[name][i] += np.sum(gap > tolerance, axis=1)
     n_total = plan.n_samples
     return {name: [ViolationReport(p=p, t=t, n_samples=n_total,
                                    max_violation=float(worst[name][i, ti]),

@@ -29,17 +29,26 @@ def test_config_errors():
         SuiteConfig.from_text("samples = 100\n")  # no suite named
 
 
-@pytest.mark.parametrize("text, key", [
-    ("r_schedule = 1.0,x\n", "r_schedule"),      # not a number
-    ("r_schedule = 1.0,2.0\n", "r_schedule"),    # fewer than 3 boxes
-    ("r_schedule = 1.0,3.0,2.0\n", "r_schedule"),
-    ("seed = x\n", "seed"),
-])
-def test_bad_config_values_exit_2(tmp_path, capsys, text, key):
+_BAD_CONFIGS = [
+    ("monotonicity", "r_schedule = 1.0,x\n", "r_schedule"),      # not a number
+    ("monotonicity", "r_schedule = 1.0,2.0\n", "r_schedule"),    # fewer than 3 boxes
+    ("monotonicity", "r_schedule = 1.0,3.0,2.0\n", "r_schedule"),
+    ("monotonicity", "seed = x\n", "seed"),
+    ("bakry-emery", "p_values = 0.5, 2.0\n", "p_values"),       # p < 1
+    ("bakry-emery", "t_values = 0.0, 0.1\n", "t_values"),       # t = 0
+    ("capacity", "alpha = x\n", "alpha"),
+    ("capacity", "alpha = -1\n", "alpha"),
+    ("intertwine", "t = 0.05, 0.1\n", "t"),                   # not one number
+]
+
+
+@pytest.mark.parametrize("suite, text, key", _BAD_CONFIGS,
+                         ids=[f"{text}-{key}" for _, text, key in _BAD_CONFIGS])
+def test_bad_config_values_exit_2(tmp_path, capsys, suite, text, key):
+    # each suite rejects its options before it starts any work
     bad = tmp_path / "bad.cfg"
-    bad.write_text("suite = monotonicity\n" + text)
-    assert main(["run", "monotonicity", "--config", str(bad),
-                 "--out", str(tmp_path / "o")]) == 2
+    bad.write_text(f"suite = {suite}\n" + text)
+    assert main(["run", suite, "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("configuration error:") and key in err
     assert not (tmp_path / "o").exists()

@@ -3,8 +3,9 @@ import pytest
 
 from ugmt.geometry import (BoxDomain, DomainError, HeatKernel1D, QuadratureError,
                            SmoothFunction, SmoothVectorField, _dirichlet_kernel,
-                           _neumann_kernel_dx, gauss_legendre, interval, neumann_kernel,
-                           neumann_kernel_tail_bound, semigroup_apply_1d)
+                           _neumann_dirichlet_kernels, _neumann_kernel_dx, gauss_legendre,
+                           interval, neumann_kernel, neumann_kernel_tail_bound,
+                           semigroup_apply_1d)
 
 RNG = np.random.default_rng(20240901)
 
@@ -153,6 +154,28 @@ def test_kernels_equal_reference_image_loops(kind):
             for M in (1, 3, 9):
                 got = _KERNELS[kind](a, b, t, L, M)
                 assert got.tobytes() == _reference_image_loop(kind, a, b, t, L, M).tobytes()
+
+
+@pytest.mark.parametrize("t", [1e-3, 0.01, 0.1, 1.0])
+def test_kernel_pair_equals_each_kernel(t):
+    # one image pass for both kinds, on the battery's (m, k, 1) x (1, 1, q) layout
+    rng = np.random.default_rng(11)
+    L = 1.0
+    a = rng.uniform(0.0, L, (7, 3, 1))
+    b = gauss_legendre(0.0, L, 12)[0][None, None, :]
+    ker = HeatKernel1D(L=L, t=t)
+    kn, kd = ker.kernel_and_dirichlet(a, b)
+    assert kn.shape == kd.shape == (7, 3, 12)
+    assert np.array_equal(kn, _KERNELS["neumann"](a, b, t, L, ker.M))
+    assert np.array_equal(kd, _KERNELS["dirichlet"](a, b, t, L, ker.M))
+
+
+def test_kernel_pair_domain_errors():
+    for a, b, t in ((-0.1, 0.5, 0.1), (0.5, 1.2, 0.1), (0.5, 0.5, 0.0), (0.5, 0.5, -0.1)):
+        with pytest.raises(DomainError):
+            _neumann_dirichlet_kernels(a, b, t, 1.0, 3)
+    with pytest.raises(DomainError):
+        HeatKernel1D(L=1.0, t=0.1).kernel_and_dirichlet(np.array([[0.2], [1.5]]), 0.5)
 
 
 @pytest.mark.parametrize("t", [1e-3, 0.05, 0.7])

@@ -227,6 +227,9 @@ def test_gradient_norm_consistency():
 # the mapping form of the Bakry-Emery battery against the per-F einsum loop
 
 
+_REFERENCE_CHUNK_FLOATS = 6_000_000   # floats of one chunk's broadcast grid tensor
+
+
 def _einsum_battery_reference(F, ps, ts, op, plan):
     """The per-F loop the battery form replaced, kept as the reference.
 
@@ -238,7 +241,7 @@ def _einsum_battery_reference(F, ps, ts, op, plan):
     and the sample count.
     """
     from ugmt.configuration import _draw
-    from ugmt.heat import _BE_CHUNK_FLOATS, _BE_ORDERS
+    from ugmt.heat import _BE_ORDERS
     from ugmt.rng import stream_rng
 
     points = []
@@ -276,7 +279,7 @@ def _einsum_battery_reference(F, ps, ts, op, plan):
             per_j.append(gj)
             sq = sq + gj * gj
         X = np.stack(group)[:, :, 0] - lo
-        chunk = max(1, _BE_CHUNK_FLOATS // (q ** k + 1))
+        chunk = max(1, _REFERENCE_CHUNK_FLOATS // (q ** k + 1))
         for t in ts:
             ker = op._axis_kernel(t, 0)
             powers = {p: sq ** (p / 2.0) for p in ps}
@@ -337,3 +340,24 @@ def test_battery_matches_per_F_einsum_reference():
                 assert abs(rep.max_violation - max(0.0, float(np.max(gap)))) <= 1e-12
     # the negative tolerances split the samples, so the counts see every gap
     assert seen_partial_counts >= 10
+
+
+def test_battery_memory_stays_below_the_whole_grid():
+    import tracemalloc
+
+    from ugmt.heat import _BE_ORDERS
+    from ugmt.montecarlo import draw_by_count
+
+    members = _be_members()
+    k = max(draw_by_count(BE_PLAN))
+    q = _BE_ORDERS[k]
+    assert (k, q) == (6, 12)
+    # half of the largest stratum's whole-grid |grad F|^p tensor (3 p values)
+    budget = 3 * q ** k * 8 / 2
+    tracemalloc.start()
+    try:
+        bakry_emery_battery(members, [1, 2, 4], [0.01, 0.1], OP, BE_PLAN)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < budget, f"peak {peak / 1e6:.1f} MB against a budget of {budget / 1e6:.1f} MB"
