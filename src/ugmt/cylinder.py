@@ -23,6 +23,7 @@ import numpy as np
 
 from .configuration import Configuration
 from .geometry import BoxDomain, DomainError, SmoothFunction, SmoothVectorField
+from .montecarlo import scope_memo
 
 __all__ = [
     "Node", "const", "coord", "add_n", "mul_n", "tanh_of", "exp_neg", "square",
@@ -426,6 +427,34 @@ def _tuples(x) -> np.ndarray:
     return x.points if isinstance(x, Configuration) else np.asarray(x, dtype=float)
 
 
+def _particle_sum(V: np.ndarray) -> np.ndarray:
+    """V.sum(axis=-1) bit for bit, without a reduction per row.
+
+    numpy adds fewer than 8 elements one by one from 0.0, and 8 or more
+    pairwise in blocks of 8.  Rows shorter than 8 are added column by column
+    in numpy's order; longer rows are left to numpy.
+    """
+    if V.shape[-1] >= 8:
+        return V.sum(axis=-1)
+    out = np.zeros(V.shape[:-1])
+    for j in range(V.shape[-1]):
+        out += V[..., j]
+    return out
+
+
+def _star(f: SmoothFunction, X: np.ndarray, memo: dict | None) -> np.ndarray:
+    """f star X over the particle axis; once per (f, X) when memoized.  The
+    memo maps (f, id(X)) -> (X, f star X): the entry holds X, so no other
+    array can take its id meanwhile."""
+    if memo is None:
+        return _particle_sum(f.value(X))
+    key = (f, id(X))
+    hit = memo.get(key)
+    if hit is None:
+        hit = memo[key] = (X, _particle_sum(f.value(X)))
+    return hit[1]
+
+
 def _per_tuple(x, values):
     return float(values) if isinstance(x, Configuration) else values
 
@@ -447,12 +476,18 @@ class CylinderFunction:
         return self.outer.arity
 
     def stars(self, x) -> np.ndarray:
-        """The linear statistics f_i star gamma, stacked on a last axis."""
+        """The linear statistics f_i star gamma, stacked on a last axis.
+
+        Inside a ``montecarlo.shared_draws`` scope, f_i star X is computed
+        once per inner function and read-only tuple array X (shared draws,
+        quadrature grids), for every cylinder function of the scope.
+        """
         X = _tuples(x)
         u = np.zeros(X.shape[:-2] + (self.arity,))
         if X.shape[-2]:
+            memo = None if X.flags.writeable else scope_memo()
             for i, f in enumerate(self.inners):
-                u[..., i] = f.value(X).sum(axis=-1)
+                u[..., i] = _star(f, X, memo)
         return u
 
     def value(self, x):
@@ -474,7 +509,7 @@ class CylinderFunction:
         out = np.zeros(X.shape)
         if X.shape[-2] == 0:
             return self.outer.value(self.stars(X)), out
-        u = np.stack([inner(f)[0].sum(axis=-1) for f in self.inners], axis=-1)
+        u = np.stack([_particle_sum(inner(f)[0]) for f in self.inners], axis=-1)
         return self.outer.value(u), self._lift(u, lambda f: inner(f)[1], out)
 
     def _lift(self, u, gradient, out) -> np.ndarray:

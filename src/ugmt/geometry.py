@@ -120,12 +120,20 @@ def interval(lo: float, hi: float) -> BoxDomain:
 _U_CLIP = 1.0 - 1e-12
 
 
-def _profile(u: np.ndarray) -> np.ndarray:
-    u = np.minimum(u, _U_CLIP)
-    inside = u < 1.0
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        val = np.exp(1.0 - 1.0 / (1.0 - u))
-    return np.where(inside, val, 0.0)
+def _profile(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """phi(min(u, _U_CLIP)), written to ``out`` (u itself is allowed).
+
+    After the clip every u is below 1, so the profile needs no mask.
+    """
+    out = np.minimum(u, _U_CLIP, out=out)
+    return _profile_of_gap(np.subtract(1.0, out, out=out))
+
+
+def _profile_of_gap(t: np.ndarray) -> np.ndarray:
+    """exp(1 - 1/t) in place, t = 1 - min(u, _U_CLIP)."""
+    np.divide(1.0, t, out=t)
+    np.subtract(1.0, t, out=t)
+    return np.exp(t, out=t)
 
 
 @dataclass(frozen=True)
@@ -219,23 +227,34 @@ class SmoothFunction:
     def _u(self, pts: np.ndarray) -> np.ndarray:
         d = pts - np.array(self.center)
         # axis by axis, in the order np.sum takes a 1-3 long last axis, without
-        # its strided reduction
-        sq = d[..., 0] * d[..., 0]
+        # its strided reduction; a fresh contiguous array the caller may reuse
+        d *= d
+        sq = d[..., 0] if d.shape[-1] == 1 else d[..., 0].copy()
         for a in range(1, d.shape[-1]):
-            sq += d[..., a] * d[..., a]
-        return sq / (self.width**2)
+            sq += d[..., a]
+        sq /= self.width**2
+        return sq
 
     def value(self, points) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
+        # the bump kernels run a * phi(u) and (a s) phi(u) in place, operation
+        # for operation (products commute exactly)
         if self.kind == "bump":
-            out = self.amplitude * _profile(self._u(pts))
+            u = self._u(pts)
+            out = _profile(u, out=u)
+            out *= self.amplitude
         elif self.kind == "coordinate_bump":
-            s = (pts[..., self.axis] - self.center[self.axis]) / self.width
-            out = self.amplitude * s * _profile(self._u(pts))
+            s = pts[..., self.axis] - self.center[self.axis]
+            s /= self.width
+            s *= self.amplitude
+            u = self._u(pts)
+            out = _profile(u, out=u)
+            out *= s
         elif self.kind == "constant":
             out = np.full(pts.shape[:-1], self.amplitude)
         elif self.kind == "linear":
-            out = self.amplitude * (pts[..., self.axis] - self.center[self.axis])
+            out = pts[..., self.axis] - self.center[self.axis]
+            out *= self.amplitude
         elif self.kind == "neumann_mode":
             lo = np.array(self.support.lower)
             sides = self.support.sides
@@ -259,21 +278,33 @@ class SmoothFunction:
 
     def gradient(self, points) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        if self.kind == "bump":
-            u = self._u(pts)
-            val = self.amplitude * _profile(u)
-            h = -1.0 / (1.0 - np.minimum(u, _U_CLIP)) ** 2
+        if self.kind in ("bump", "coordinate_bump"):
+            # ((((a s) phi) h) 2 / w^2) d, with s = 1 for a plain bump, plus
+            # (a phi) / w on a coordinate bump's odd axis, in place and in that
+            # order; h = -1/t^2 and phi = exp(1 - 1/t) share t = 1 - min(u, _U_CLIP)
+            t = self._u(pts)
+            np.minimum(t, _U_CLIP, out=t)
+            np.subtract(1.0, t, out=t)
+            h = np.square(t)
+            np.divide(-1.0, h, out=h)
+            prof = _profile_of_gap(t)
             d = pts - np.array(self.center)
-            return (val * h * 2.0 / self.width**2)[..., None] * d
-        if self.kind == "coordinate_bump":
-            u = self._u(pts)
-            prof = _profile(u)
-            h = -1.0 / (1.0 - np.minimum(u, _U_CLIP)) ** 2
-            d = pts - np.array(self.center)
-            s = d[..., self.axis] / self.width
-            grad = (self.amplitude * s * prof * h * 2.0 / self.width**2)[..., None] * d
-            grad[..., self.axis] += self.amplitude * prof / self.width
-            return grad
+            if self.kind == "bump":
+                scale = prof
+                scale *= self.amplitude
+            else:
+                scale = d[..., self.axis] / self.width
+                scale *= self.amplitude
+                scale *= prof
+            scale *= h
+            scale *= 2.0
+            scale /= self.width**2
+            d *= scale[..., None]
+            if self.kind == "coordinate_bump":
+                prof *= self.amplitude
+                prof /= self.width
+                d[..., self.axis] += prof
+            return d
         if self.kind == "constant":
             return np.zeros(pts.shape)
         if self.kind == "linear":

@@ -121,8 +121,10 @@ class _LevelCache:
     The quadrature route integrates the same grid under 3-4 profile widths;
     each width evaluates the gradient only on the band rows no earlier width
     needed.  Rows are evaluated independently, so the values equal a
-    per-width evaluation bit for bit.  The gradients are kept for the band
-    rows only (sorted by row), never for the whole grid or draw.
+    per-width evaluation bit for bit.  The first band's gradients are kept
+    as they are; a second band (quadrature only, never a Monte Carlo draw)
+    moves them into buffers over the whole grid, with a mask of the rows
+    already evaluated.
     """
 
     def __init__(self, g):
@@ -132,25 +134,29 @@ class _LevelCache:
     def values(self, X: np.ndarray) -> np.ndarray:
         if self.X is not X:
             self.X, self.vals = X, self.g.value(X)
-            self.rows = self.grad = self.gn = None
+            self.grad = self.gn = self.done = None
         return self.vals
 
     def gradient(self, rows: np.ndarray, Xm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(grad g, |grad g|) at the sorted rows of the last tuples, Xm being
-        those rows' tuples; read-only, as later widths reuse them."""
-        if self.rows is None:  # the first band, and the only one on Monte Carlo draws
-            self.rows, (self.grad, self.gn) = rows, self._of(Xm)
+        those rows' tuples; the first band's are read-only, as later widths
+        reuse them."""
+        if self.grad is None:  # the first band, and the only one on Monte Carlo draws
+            self.grad, self.gn = self._of(Xm)
+            self.rows = rows
             return self.grad, self.gn
-        new = np.setdiff1d(rows, self.rows, assume_unique=True)
+        if self.done is None:
+            self.done = np.zeros(self.X.shape[0], dtype=bool)
+            self.done[self.rows] = True
+            grad, gn = self.grad, self.gn
+            self.grad = np.empty(self.X.shape)
+            self.gn = np.empty(self.X.shape[0])
+            self.grad[self.rows], self.gn[self.rows] = grad, gn
+        new = rows[~self.done[rows]]
         if new.size:
-            grad, gn = self._of(self.X[new])
-            merged = np.concatenate([self.rows, new])
-            order = np.argsort(merged, kind="stable")
-            self.rows = merged[order]
-            self.grad = np.concatenate([self.grad, grad])[order]
-            self.gn = np.concatenate([self.gn, gn])[order]
-        at = np.searchsorted(self.rows, rows)
-        return self.grad[at], self.gn[at]
+            self.grad[new], self.gn[new] = self._of(self.X[new])
+            self.done[new] = True
+        return self.grad[rows], self.gn[rows]
 
     def _of(self, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         grad = self.g.gradient(Y)
@@ -190,13 +196,13 @@ def surface_functional(g, level: float, weights: dict, window: BoxDomain, k: int
         rows = np.flatnonzero(np.abs(vals - level) < cut)
         out = {name: np.zeros(X.shape[0]) for name in weights}
         if rows.size:
-            Xm = X[rows]
+            Xm, band = X[rows], vals[rows]
             grad, gn = level_at.gradient(rows, Xm)
-            incore = np.abs(vals[rows] - level) < core
+            incore = np.abs(band - level) < core
             if np.any(incore):
                 state["min_grad"] = min(state["min_grad"], float(np.min(gn[incore])))
                 state["max_grad"] = max(state["max_grad"], float(np.max(gn[incore])))
-            prof = profile(vals[rows])
+            prof = profile(band)
             for name, weight in weights.items():
                 w = gn if weight is None else weight(Xm, grad)
                 out[name][rows] = w * prof

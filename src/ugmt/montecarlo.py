@@ -294,23 +294,32 @@ def _box_tuples(rng: np.random.Generator, window: BoxDomain, k: int, n: int) -> 
 
 
 _SHARED_DRAWS: ContextVar[dict | None] = ContextVar("_SHARED_DRAWS", default=None)
+_SCOPE_MEMO: ContextVar[dict | None] = ContextVar("_SCOPE_MEMO", default=None)
 
 
 @contextmanager
 def shared_draws():
     """Scope in which ``uniform_tuples`` draws each (window, k, n, seed,
-    stream) key once.
+    stream) key once, and ``scope_memo`` hands out one memo dict.
 
     Streams are counter-based, so a repeated key repeats the draw value for
     value; inside the scope every caller of a key gets the one array, made
-    read-only.  The memo is dropped when the scope exits, which bounds the
-    memory it holds.
+    read-only.  Both memos are dropped when the scope exits, which bounds
+    the memory they hold.
     """
     token = _SHARED_DRAWS.set({})
+    memo_token = _SCOPE_MEMO.set({})
     try:
         yield
     finally:
+        _SCOPE_MEMO.reset(memo_token)
         _SHARED_DRAWS.reset(token)
+
+
+def scope_memo() -> dict | None:
+    """The open ``shared_draws`` scope's memo for values derived from its
+    read-only arrays, or None outside a scope.  Callers own their keys."""
+    return _SCOPE_MEMO.get()
 
 
 def uniform_tuples(window: BoxDomain, k: int, n: int, seed: int, stream: int) -> np.ndarray:

@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 
 from ugmt import batteries, montecarlo
-from ugmt.configuration import Configuration, SetSpec
+from ugmt.configuration import Configuration, SetSpec, _draw
 from ugmt.cylinder import (CylinderVectorField, cyl_compose, cyl_from_star, const, mul_n,
-                           tanh_of)
+                           normalize_field, tanh_of)
 from ugmt.geometry import DomainError, SmoothFunction, SmoothVectorField, interval
 from ugmt.heat import LiftedHeatOperator, lifted_gradient_norm
-from ugmt.bv import (_REFINE_STEPS, _THETA_GRID, _VariationalObjective, _coordinate_ascent,
+from ugmt.bv import (_REFINE_STEPS, _THETA_GRID, _VariationalObjective, _alignment_cosines,
+                     _coordinate_ascent,
                      coarea_battery, coarea_check, coarea_family,
                      gauss_green_residual, levelset_expectation, perimeter_measure,
                      sobolev_consistency, surface_battery, tv_bracket, tv_relaxation,
@@ -18,7 +19,7 @@ from ugmt.bv import (_REFINE_STEPS, _THETA_GRID, _VariationalObjective, _coordin
 from ugmt.montecarlo import Strata, poisson_k_cutoff
 from ugmt.hausdorff import (CriticalLevelError, rho_m_limit, rho_m_on_box, scaled_box,
                             surface_functional)
-from ugmt.rng import mean_and_stderr
+from ugmt.rng import mean_and_stderr, stream_rng
 
 UNIT = interval(0.0, 1.0)
 OP = LiftedHeatOperator(window=UNIT)
@@ -371,6 +372,39 @@ def test_coarea_numeric_G_scales_both_sides():
     assert (two.lhs_err, two.rhs_err) == (2.0 * one.lhs_err, 2.0 * one.rhs_err)
 
 
+def _reference_cosines(F, W, window, seed):
+    """The alignment loop, one Configuration at a time."""
+    rng = stream_rng(seed, 77)
+    cosines = []
+    for _ in range(400):
+        gamma = Configuration(window=window, points=_draw(window, rng))
+        g = F.gradient(gamma)
+        gn = float(np.sqrt(np.sum(g * g)))
+        if gn <= 0.1:
+            continue
+        wv = W.at_particles(gamma)
+        wn = float(np.sqrt(np.sum(wv * wv)))
+        if wn < 1e-12:
+            continue
+        cosines.append(float(np.sum(g * wv)) / (gn * wn))
+    return cosines
+
+
+@pytest.mark.parametrize("seed", [3, 61, 20240901])
+def test_alignment_cosines_equal_configuration_loop(seed):
+    window = interval(0.0, 3.0)  # counts up to 12 particles, past numpy's blocks of 8
+    F = batteries.tanh_sum_function(0.35)
+    coeff = cyl_compose(lambda r: tanh_of(r), cyl_from_star(
+        SmoothFunction.bump(1.5, 0.9, 1.0, window=window)))
+    W = normalize_field(CylinderVectorField((
+        (1.0, SmoothVectorField((SmoothFunction.coordinate_bump(1.4, 1.2, 0.8, window=window),))),
+        (coeff, SmoothVectorField((SmoothFunction.bump(1.6, 1.3, -0.6, window=window),))))),
+        0.25)
+    got = _alignment_cosines(F, W, window, seed)
+    ref = _reference_cosines(F, W, window, seed)
+    assert len(ref) > 150 and got.tobytes() == np.array(ref).tobytes()
+
+
 def test_sobolev_consistency_density():
     F = batteries.tanh_sum_function(0.35)
     us = np.concatenate([np.linspace(0.02, 2.0, 12), np.linspace(2.4, 6.0, 5)])
@@ -454,17 +488,46 @@ def _spy_draws(monkeypatch):
     return draws
 
 
+def _spy_whole_values(monkeypatch):
+    """Record (scope memo, f, tuples) for every SmoothFunction.value call on a
+    whole draw or grid (read-only tuples) inside a shared_draws scope."""
+    calls = []
+    real = SmoothFunction.value
+
+    def spy(self, points):
+        memo = montecarlo.scope_memo()
+        if memo is not None and getattr(points, "ndim", 0) == 3 and not points.flags.writeable:
+            calls.append((memo, self, points))
+        return real(self, points)
+
+    monkeypatch.setattr(SmoothFunction, "value", spy)
+    return calls
+
+
 def test_coarea_family_equals_member_calls_and_draws_once(monkeypatch):
     members = _coarea_members()
     G_bump = cyl_compose(lambda r: mul_n(const(0.5), tanh_of(r)) + const(0.6), cyl_from_star(
         SmoothFunction.bump(0.45, 0.3, 1.0, window=UNIT)))
     battery = {"unit": 1.0, "bump": G_bump}
     draws = _spy_draws(monkeypatch)
+    values = _spy_whole_values(monkeypatch)
     alone = {name: coarea_battery(F, battery, ts, UNIT, seed=11, n_samples=2_000)
              for name, (F, ts) in members.items()}
     separate, draws[:] = list(draws), []
+    separate_values, values[:] = list(values), []
     family = coarea_family(members, battery, UNIT, seed=11, n_samples=2_000)
-    assert montecarlo._SHARED_DRAWS.get() is None  # no memo outlives the call
+    # no memo outlives the call
+    assert montecarlo._SHARED_DRAWS.get() is None and montecarlo.scope_memo() is None
+    # the two tanh-sum members have equal linear inners: on every whole draw
+    # or grid, each inner is evaluated once per (level index, stratum)
+    linear = members["tanh-sum-035"][0].inners[0]
+    assert linear == members["tanh-sum-050"][0].inners[0]
+    assert len({id(memo) for memo, _, _ in values}) == 4  # one scope per level index
+    evaluated = [(id(memo), f, id(X)) for memo, f, X in values]
+    assert len(set(evaluated)) == len(evaluated)
+    K = poisson_k_cutoff(UNIT.volume)
+    assert sum(f == linear for _, f, _ in values) == 4 * K
+    assert sum(f == linear for _, f, _ in separate_values) == (4 + 3) * K
     assert list(family) == list(members)
     for name in members:
         assert list(family[name]) == list(battery)

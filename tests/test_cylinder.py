@@ -13,7 +13,7 @@ from ugmt.cylinder import (CylinderFunction, CylinderVectorField,
                            mul_n, normalize_field, smoothstep, square, tanh_of,
                            tangent_norm_sq)
 from ugmt.geometry import DomainError, SmoothFunction, SmoothVectorField, interval
-from ugmt.montecarlo import MCPlan, integrate
+from ugmt.montecarlo import MCPlan, integrate, shared_draws
 from ugmt.productspace import stratum_indicator
 
 UNIT = interval(0.0, 1.0)
@@ -281,3 +281,33 @@ def test_divergence_rejects_support_outside_window():
         V.divergence(np.stack([g.points, g.points]))
     with pytest.raises(DomainError):
         divergence(V, g)
+
+
+@pytest.mark.parametrize("k", range(13))
+def test_stars_equal_numpy_particle_sums(k):
+    # numpy sums fewer than 8 elements in order from 0.0 and more pairwise:
+    # stars must give f.value(X).sum(axis=-1) bit for bit on either side of
+    # k = 8, on rows of -0.0 (whose sum is +0.0), for a configuration, and
+    # from the memo of a shared_draws scope
+    rng = np.random.default_rng(300 + k)
+    inners = (SmoothFunction.bump(0.5, 0.3, -1.3, window=UNIT),
+              SmoothFunction.coordinate_bump(0.45, 0.4, 0.9, window=UNIT),
+              SmoothFunction.linear(UNIT, amplitude=-0.7, offset=0.5))
+    F = CylinderFunction(OuterFunction(add_n(coord(0), coord(1), coord(2)), 3), inners)
+    X = rng.uniform(0.0, 1.0, (400, k, 1)) * np.exp(rng.uniform(-8.0, 0.0, (400, k, 1)))
+    X[:3] = 0.5    # the linear inner is -0.0 at every particle
+    X[3:6] = 0.95  # the negative bump is -0.0 outside its support
+    ref = np.stack([f.value(X).sum(axis=-1) for f in inners], axis=-1)
+    assert ref.shape == (400, 3) and F.stars(X).tobytes() == ref.tobytes()
+    if k:
+        assert np.all(np.signbit(inners[2].value(X[:3])))
+        assert np.all(np.signbit(inners[0].value(X[3:6])))
+        zeros = np.concatenate([ref[:3, 2], ref[3:6, 0]])
+        assert np.all(zeros == 0.0) and not np.any(np.signbit(zeros))
+    X.setflags(write=False)
+    with shared_draws():
+        assert F.stars(X).tobytes() == ref.tobytes()
+        assert F.stars(X).tobytes() == ref.tobytes()  # from the memo
+    gamma = Configuration(window=UNIT, points=np.sort(rng.uniform(0.0, 1.0, k))[:, None])
+    ref = np.array([f.value(gamma.points).sum(axis=-1) for f in inners])
+    assert F.stars(gamma).tobytes() == ref.tobytes()

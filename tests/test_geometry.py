@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ugmt.geometry import (BoxDomain, DomainError, HeatKernel1D, QuadratureError,
                            SmoothFunction, SmoothVectorField, _dirichlet_kernel,
@@ -275,3 +277,75 @@ def test_axis_by_axis_distance_equals_reduce_form(n, monkeypatch):
     assert any(np.count_nonzero(v) > 100 for v, _ in got)
     for (v, g), (rv, rg) in zip(got, ref):
         assert v.tobytes() == rv.tobytes() and g.tobytes() == rg.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the in-place bump kernels against the formulas they replaced
+
+_CLIP = 1.0 - 1e-12
+
+
+def _reference_profile(u):
+    u = np.minimum(u, _CLIP)
+    inside = u < 1.0
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        val = np.exp(1.0 - 1.0 / (1.0 - u))
+    return np.where(inside, val, 0.0)
+
+
+def _reference_u(f, pts):
+    d = pts - np.array(f.center)
+    sq = d[..., 0] * d[..., 0]
+    for a in range(1, d.shape[-1]):
+        sq += d[..., a] * d[..., a]
+    return sq / (f.width**2)
+
+
+def _reference_value(f, pts):
+    if f.kind == "bump":
+        return f.amplitude * _reference_profile(_reference_u(f, pts))
+    s = (pts[..., f.axis] - f.center[f.axis]) / f.width
+    return f.amplitude * s * _reference_profile(_reference_u(f, pts))
+
+
+def _reference_gradient(f, pts):
+    u = _reference_u(f, pts)
+    h = -1.0 / (1.0 - np.minimum(u, _CLIP)) ** 2
+    d = pts - np.array(f.center)
+    if f.kind == "bump":
+        val = f.amplitude * _reference_profile(u)
+        return (val * h * 2.0 / f.width**2)[..., None] * d
+    prof = _reference_profile(u)
+    s = d[..., f.axis] / f.width
+    grad = (f.amplitude * s * prof * h * 2.0 / f.width**2)[..., None] * d
+    grad[..., f.axis] += f.amplitude * prof / f.width
+    return grad
+
+
+# squared scaled radii: inside, at the clip, just inside the support edge
+# (1 - 1e-12 < u < 1), on it and outside
+_RADII = st.one_of(st.floats(0.0, 0.999), st.sampled_from([0.0, 1.0 - 5e-13, 1.0 - 1e-13,
+                                                           1.0 - 1e-15, 1.0, 1.0 + 1e-15]),
+                   st.floats(1.0, 4.0))
+
+
+@given(n=st.sampled_from([1, 2]), kind=st.sampled_from(["bump", "coordinate_bump"]),
+       center=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+       width=st.floats(0.05, 1.0),
+       amplitude=st.one_of(st.floats(-2.0, 2.0), st.sampled_from([-1.0, -0.0, 0.0])),
+       axis=st.integers(0, 1),
+       rows=st.lists(st.tuples(_RADII, st.floats(0.0, 2.0 * np.pi)), min_size=1, max_size=24))
+def test_bump_kernels_equal_reference_formulas(n, kind, center, width, amplitude, axis, rows):
+    c = np.array(center[:n])
+    extra = {} if kind == "bump" else {"axis": axis % n}
+    f = getattr(SmoothFunction, kind)(tuple(c), width, amplitude, **extra)
+    u = np.array([r for r, _ in rows])
+    theta = np.array([t for _, t in rows])
+    dirs = (np.stack([np.cos(theta), np.sin(theta)], axis=-1)[:, :n] if n == 2
+            else np.where(theta < np.pi, 1.0, -1.0)[:, None])
+    pts = c + width * np.sqrt(u)[:, None] * dirs
+    for X in (pts, pts[:, None, :], pts.reshape(-1, 1, 1, n)):
+        got, ref = f.value(X), _reference_value(f, X)
+        assert got.shape == ref.shape and got.tobytes() == ref.tobytes()  # signbit included
+        got, ref = f.gradient(X), _reference_gradient(f, X)
+        assert got.shape == ref.shape and got.tobytes() == ref.tobytes()

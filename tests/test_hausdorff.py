@@ -7,9 +7,9 @@ from ugmt.configuration import Configuration, SetSpec, section_set
 from ugmt.cylinder import cyl_compose, cyl_from_star, tanh_of
 from ugmt.geometry import (BoxDomain, DomainError, SmoothFunction, _legendre_rule,
                            gauss_legendre, interval)
-from ugmt.hausdorff import (CriticalLevelError, RhoLimitResult, dimensional_constant,
-                            hausdorff_covering_upper, rho_m_limit, rho_m_localized,
-                            rho_m_on_box, scaled_box, surface_functional,
+from ugmt.hausdorff import (CriticalLevelError, RhoLimitResult, _LevelCache,
+                            dimensional_constant, hausdorff_covering_upper, rho_m_limit,
+                            rho_m_localized, rho_m_on_box, scaled_box, surface_functional,
                             surface_functional_auto)
 from ugmt.montecarlo import (MCPlan, StratumGrid, measure_of_set, stratum_grid_points,
                              uniform_tuples)
@@ -371,6 +371,28 @@ def test_quadrature_route_evaluates_g_once_per_grid(name):
     # the wider profiles needed rows of their own, unless the first band held
     # the whole grid
     assert len(spy.rows) > 1 or len(rows) == order ** (k * window.dim)
+
+
+@pytest.mark.parametrize("k, order", [(1, 192), (2, 48)])
+def test_level_cache_gradients_equal_fresh_evaluations(k, order):
+    # bands that grow and then shrink: every width's gradients equal a fresh
+    # evaluation on its rows, and no row is evaluated twice
+    g = batteries.tanh_sum_function(0.35)
+    spy = _Spy(g)
+    pts, _ = stratum_grid_points(UNIT, k, order)
+    cache = _LevelCache(spy)
+    vals = cache.values(pts)
+    for i, cut in enumerate((0.02, 0.1, 0.3, 0.05, 0.2, 0.01, 0.3)):
+        rows = np.flatnonzero(np.abs(vals - 0.3) < cut)
+        grad, gn = cache.gradient(rows, pts[rows])
+        ref = g.gradient(pts[rows])
+        assert grad.tobytes() == ref.tobytes()
+        assert gn.tobytes() == np.sqrt(np.sum(ref * ref, axis=(-2, -1))).tobytes()
+        # the whole-grid buffers come with the second band, never the first
+        assert (cache.done is None) == (i == 0)
+    assert spy.value_calls == 1
+    evaluated = np.concatenate(spy.rows).reshape(-1, k)
+    assert len(np.unique(evaluated, axis=0)) == len(evaluated) == len(rows)
 
 
 def test_band_gradients_are_read_only_for_weights():
