@@ -112,6 +112,22 @@ def tanh_sum_function(a: float = 0.35, name: str = "tanh-sum") -> CylinderFuncti
     return cyl_compose(lambda r: tanh_of(mul_n(const(a), r)), cyl_from_star(lin), name=name)
 
 
+def tanh_sum_members(us) -> dict[str, tuple[CylinderFunction, np.ndarray]]:
+    """Coarea and Sobolev members: name -> (tanh(a sum x), levels tanh(a us))
+    for three slopes a."""
+    return {name: (tanh_sum_function(a, name), np.tanh(a * us))
+            for name, a in (("tanh-sum-035", 0.35), ("tanh-sum-050", 0.50),
+                            ("tanh-sum-028", 0.28))}
+
+
+def coarea_weights() -> dict:
+    """The G battery of the coarea and Sobolev checks: the bare gradient mass
+    and a bump-statistic weight with values in (0.1, 1.1)."""
+    G_bump = cyl_compose(lambda r: add_n(const(0.6), mul_n(const(0.5), tanh_of(r))),
+                         cyl_from_star(SmoothFunction.bump(0.45, 0.3, 1.0, window=UNIT)))
+    return {"unit": 1.0, "bump-cyl": G_bump}
+
+
 def tanh_sum_set(a: float = 0.35, level: float = 0.45) -> SetSpec:
     return SetSpec.level_set(tanh_sum_function(a), level, name="tanh-sum-set")
 

@@ -11,6 +11,12 @@ integrals over smooth level sheets in the product box, estimated by the
 coarea band estimator.  The Gauss-Green orientation uses the inward normal
 sigma = grad g / |grad g| of the super-level set, matching the adjoint
 divergence convention of the cylinder calculus.
+
+``coarea_family`` is the one coarea route: the trapezoid in t of
+int G d||{F > t}|| against E_pi[ G |grad F| ], for a family of F and a
+battery of G in one pass.  The Sobolev-BV consistency |DF| = |grad F| pi is
+checked through it (the densities) and through ``sobolev_alignment`` (the
+direction of the optimal variational field against grad F / |grad F|).
 """
 
 from __future__ import annotations
@@ -44,9 +50,8 @@ __all__ = [
     "perimeter_measure",
     "gauss_green_residual",
     "coarea_check",
-    "coarea_battery",
     "coarea_family",
-    "sobolev_consistency",
+    "sobolev_alignment",
     "GaussGreenReport",
     "CoareaReport",
 ]
@@ -578,11 +583,11 @@ def surface_battery(E: SetSpec, window: BoxDomain, weights: dict, *, eps: float,
                     K_max: int | None = None) -> dict:
     """Surface integrals over the reduced boundary of E for several densities.
 
-    ``weights`` maps names to callables (X, grad) -> surface density against
-    the band estimator (already including the |grad g| factor when the plain
-    surface measure is wanted; ``None`` means the measure itself).  Each
-    stratum makes one ``surface_functional_auto`` call for the whole battery.
-    Returns name -> (value, err, per_k).
+    ``weights`` maps names to callables (X, grad g, |grad g|) -> surface
+    density against the band estimator (already including the |grad g| factor
+    when the plain surface measure is wanted; ``None`` means the measure
+    itself).  Each stratum makes one ``surface_functional_auto`` call for the
+    whole battery.  Returns name -> (value, err, per_k).
     """
     if E.variant != "level_set":
         raise DomainError("perimeter machinery needs level-set specs")
@@ -672,7 +677,7 @@ def gauss_green_residual(E: SetSpec, V: CylinderVectorField, window: BoxDomain, 
     lhs, lhs_err = levelset_expectation(E, lambda k, X: V.divergence(X), window, seed=seed,
                                         K_max=K_max)
 
-    def weight(X, grad):
+    def weight(X, grad, gn):
         return np.sum(V.at_particles(X) * grad, axis=(-2, -1))
 
     res = surface_battery(E, window, {"gg": weight}, eps=eps, n_samples=n_samples,
@@ -699,6 +704,10 @@ class CoareaReport:
         scale = max(abs(self.rhs), 1e-300)
         return abs(self.lhs - self.rhs) / scale
 
+    @property
+    def combined_sigma(self) -> float:
+        return float(np.sqrt(self.lhs_err ** 2 + self.rhs_err ** 2))
+
 
 def _trapezoid_report(ts, levels, name, rhs) -> CoareaReport:
     """One member's CoareaReport from its per-t sheet results (None at a
@@ -723,25 +732,27 @@ def coarea_family(members: dict, G_battery: dict, window: BoxDomain, *,
                   K_max: int | None = None) -> dict[str, dict[str, CoareaReport]]:
     """Coarea checks of several F against one G battery, sharing every draw.
 
-    ``members`` maps names to (F, t_grid).  Each member's reports equal its
-    own ``coarea_battery`` call bit for bit: level index i of every member
+    ``members`` maps names to (F, t_grid), and ``G_battery`` maps names to
+    nonnegative cylinder functions or numbers.  Every G is integrated against
+    the same level sheets and right-side draws.  Each member's reports equal
+    its own one-member call's bit for bit: level index i of every member
     uses the band streams (seed + 17 i, 900 + 13 k) and the right side the
     strata (seed + 7, 9000 + k), whatever the member.  So the right sides of
     all members are one ``poisson_stratified_battery`` pass, and the level
     sheets are run level index first, each index inside one
     ``montecarlo.shared_draws`` scope, so that a band draw is made once per
     (level index, stratum) for the whole family and dropped after the index.
-    Returns name -> G name -> CoareaReport.
+    Critical levels that the sheet oracle detects are skipped for every G and
+    counted in ``gap_fraction``.  Returns name -> G name -> CoareaReport.
     """
     if eps is None:
         eps = 1e-2 * float(np.max(window.sides))
 
     def density(G):
-        """(X, grad F) -> G |grad F| on tuples."""
+        """(X, grad F, |grad F|) -> G |grad F| on tuples."""
         scalar_G = isinstance(G, (int, float))
 
-        def weight(X, grad):
-            gn = np.sqrt(np.sum(grad * grad, axis=(-2, -1)))
+        def weight(X, grad, gn):
             return gn * float(G) if scalar_G else G.value(X) * gn
         return weight
 
@@ -753,7 +764,8 @@ def coarea_family(members: dict, G_battery: dict, window: BoxDomain, *,
         out = {}
         for fname, (F, _) in members.items():
             grad = F.gradient(X)
-            out.update({(fname, name): weight(X, grad) for name, weight in weights.items()})
+            gn = np.sqrt(np.sum(grad * grad, axis=(-2, -1)))
+            out.update({(fname, name): weight(X, grad, gn) for name, weight in weights.items()})
         return out
 
     # one pass over the (seed + 7, 9000 + k) strata serves every (F, G)
@@ -777,37 +789,15 @@ def coarea_family(members: dict, G_battery: dict, window: BoxDomain, *,
             for fname in members}
 
 
-def coarea_battery(F: CylinderFunction, G_battery: dict, t_grid, window: BoxDomain, *,
-                   eps: float | None = None, n_samples: int = 40_000, seed: int = 0,
-                   K_max: int | None = None) -> dict[str, CoareaReport]:
-    """Trapezoid in t of int G d||{F > t}|| against E_pi[ G |grad F| ], per G.
-
-    ``G_battery`` maps names to nonnegative cylinder functions or numbers.
-    Every member is integrated against the same level sheets: each level t
-    makes one ``surface_battery`` call for the whole battery, so the band
-    tuples are drawn once per (t, stratum), and the right side's strata are
-    drawn, and grad F evaluated on them, once for all members.  The
-    one-member call of ``coarea_family``.  Returns name -> CoareaReport.
-
-    Critical levels detected by the sheet oracle are skipped for every member
-    and reported in ``gap_fraction`` (fraction of the t-range lost to
-    exclusions).
-    """
-    return coarea_family({"F": (F, t_grid)}, G_battery, window, eps=eps,
-                         n_samples=n_samples, seed=seed, K_max=K_max)["F"]
-
-
 def coarea_check(F: CylinderFunction, G, t_grid, window: BoxDomain, *,
                  eps: float | None = None, n_samples: int = 40_000,
                  seed: int = 0, K_max: int | None = None) -> CoareaReport:
     """Trapezoid in t of int G d||{F > t}|| against E_pi[ G |grad F| ].
 
-    The single-G call of the battery form: ``coarea_battery(F, {name: G, ...})``
-    integrates several G against the same level sheets, one band pass per
-    (t, stratum) for the whole battery, and returns one CoareaReport per name.
+    The one-member, single-G call of ``coarea_family``.
     """
-    return coarea_battery(F, {"G": G}, t_grid, window, eps=eps, n_samples=n_samples,
-                          seed=seed, K_max=K_max)["G"]
+    return coarea_family({"F": (F, t_grid)}, {"G": G}, window, eps=eps, n_samples=n_samples,
+                         seed=seed, K_max=K_max)["F"]["G"]
 
 
 def _alignment_cosines(F: CylinderFunction, W: CylinderVectorField, window: BoxDomain,
@@ -834,23 +824,14 @@ def _alignment_cosines(F: CylinderFunction, W: CylinderVectorField, window: BoxD
     return cosines[kept]
 
 
-def sobolev_consistency(F: CylinderFunction, G_battery: dict, t_grid,
-                        window: BoxDomain, *, family: list | None = None,
-                        n_samples: int = 40_000, seed: int = 0) -> dict:
-    """Density check |DF| = |grad F| pi for smooth cylinder F.
+def sobolev_alignment(F: CylinderFunction, family: list, window: BoxDomain, *,
+                      seed: int = 0) -> tuple[float, float]:
+    """Direction half of |DF| = |grad F| pi for smooth cylinder F.
 
-    For each battery member G, the coarea route to int G d|DF| is compared to
-    the direct E_pi[G |grad F|]; when a field family is supplied, the
-    optimized variational field direction is compared to grad F / |grad F| on
-    samples where the gradient is not degenerate.
+    The optimized variational field (``tv_variational``) is compared to
+    grad F / |grad F| on the configurations of ``_alignment_cosines``.
+    Returns the mean cosine and its standard error.  The density half is the
+    coarea check: ``coarea_family`` with the same G battery.
     """
-    reps = coarea_battery(F, G_battery, t_grid, window, n_samples=n_samples, seed=seed)
-    out = {"densities": {name: {"coarea": rep.lhs, "direct": rep.rhs,
-                                "deviation": rep.deviation} for name, rep in reps.items()},
-           "alignment": None}
-    if family:
-        var = tv_variational(F, family, window, seed=seed)
-        cosines = _alignment_cosines(F, var.field, window, seed)
-        out["alignment"] = float(np.mean(cosines)) if cosines.size else None
-        out["variational"] = var
-    return out
+    var = tv_variational(F, family, window, seed=seed)
+    return mean_and_stderr(_alignment_cosines(F, var.field, window, seed))

@@ -31,7 +31,7 @@ from .heat import (BesselOperator, LiftedHeatOperator, bakry_emery_battery,
 from .hausdorff import rho_m_limit, rho_m_on_box, scaled_box
 from .montecarlo import MCPlan, integrate_battery, stratum_grid_points
 from .bv import (coarea_family, gauss_green_residual, perimeter_measure,
-                 sobolev_consistency, tv_bracket_battery)
+                 sobolev_alignment, tv_bracket_battery)
 
 SCHEMA_VERSION = 1
 SUITES = ("campbell", "monotonicity", "bakry-emery", "intertwine", "tv-equivalence",
@@ -298,22 +298,13 @@ def _suite_de_giorgi(cfg: SuiteConfig) -> list[dict]:
 def _suite_coarea(cfg: SuiteConfig) -> list[dict]:
     records = []
     us = np.concatenate([np.linspace(0.02, 2.0, 14), np.linspace(2.4, 6.0, 6)])
-    G_bump = batteries.cyl_compose(
-        lambda r: batteries.add_n(batteries.const(0.6),
-                                  batteries.mul_n(batteries.const(0.5), batteries.tanh_of(r))),
-        batteries.cyl_from_star(SmoothFunction.bump(0.45, 0.3, 1.0, window=batteries.UNIT)))
-    G_batt = {"unit": 1.0, "bump-cyl": G_bump}
-    members = {fname: (batteries.tanh_sum_function(a, fname), np.tanh(a * us))
-               for fname, a in (("tanh-sum-035", 0.35), ("tanh-sum-050", 0.50),
-                                ("tanh-sum-028", 0.28))}
-    family = coarea_family(members, G_batt, batteries.UNIT, seed=cfg.seed,
-                           n_samples=max(cfg.samples, 20_000))
+    family = coarea_family(batteries.tanh_sum_members(us), batteries.coarea_weights(),
+                           batteries.UNIT, seed=cfg.seed, n_samples=max(cfg.samples, 20_000))
     for fname, reps in family.items():
         for gname, rep in reps.items():
             ok = rep.deviation < 0.05 and rep.gap_fraction <= 0.10
             records.append(record(f"coarea-{fname}-{gname}", "coarea formula",
-                                  rep.lhs, rep.rhs,
-                                  float(np.sqrt(rep.lhs_err**2 + rep.rhs_err**2)), ok))
+                                  rep.lhs, rep.rhs, rep.combined_sigma, ok))
     return records
 
 
@@ -368,29 +359,22 @@ def _suite_capacity(cfg: SuiteConfig) -> list[dict]:
 
 
 def _suite_sobolev(cfg: SuiteConfig) -> list[dict]:
+    """The density half is the coarea check on its own level grid, one pass
+    for the whole family; the direction half runs on tanh-sum-035 only."""
     records = []
     us = np.concatenate([np.linspace(0.02, 2.0, 12), np.linspace(2.4, 6.0, 5)])
-    G_batt = {"unit": 1.0,
-              "bump-cyl": batteries.cyl_compose(
-                  lambda r: batteries.add_n(batteries.const(0.6),
-                                            batteries.mul_n(batteries.const(0.5),
-                                                            batteries.tanh_of(r))),
-                  batteries.cyl_from_star(SmoothFunction.bump(0.45, 0.3, 1.0,
-                                                              window=batteries.UNIT)))}
-    fam = batteries.field_family()
-    for fname, a in (("tanh-sum-035", 0.35), ("tanh-sum-050", 0.50), ("tanh-sum-028", 0.28)):
-        F = batteries.tanh_sum_function(a, fname)
-        tg = np.tanh(a * us)
-        rep = sobolev_consistency(F, G_batt, tg, batteries.UNIT, seed=cfg.seed,
-                                  family=fam if fname == "tanh-sum-035" else None,
-                                  n_samples=max(cfg.samples, 20_000))
-        for gname, d in rep["densities"].items():
-            ok = d["deviation"] < 0.05
+    members = batteries.tanh_sum_members(us)
+    family = coarea_family(members, batteries.coarea_weights(), batteries.UNIT,
+                           seed=cfg.seed, n_samples=max(cfg.samples, 20_000))
+    for fname, reps in family.items():
+        for gname, rep in reps.items():
             records.append(record(f"sobolev-{fname}-{gname}", "Sobolev-BV consistency",
-                                  d["coarea"], d["direct"], 0.0, ok))
-        if rep["alignment"] is not None:
+                                  rep.lhs, rep.rhs, rep.combined_sigma, rep.deviation < 0.05))
+        if fname == "tanh-sum-035":
+            align, err = sobolev_alignment(members[fname][0], batteries.field_family(),
+                                           batteries.UNIT, seed=cfg.seed)
             records.append(record(f"alignment-{fname}", "Sobolev-BV consistency",
-                                  rep["alignment"], 1.0, 0.0, rep["alignment"] >= 0.9))
+                                  align, 1.0, err, align >= 0.9))
     return records
 
 

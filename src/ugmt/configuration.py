@@ -23,7 +23,6 @@ __all__ = [
     "CollisionError",
     "sample_poisson",
     "sample_poisson_batch",
-    "add",
     "quotient_distance",
     "section_set",
     "hungarian",
@@ -183,13 +182,6 @@ def _merge(gamma: Configuration, eta: Configuration) -> Configuration:
         if np.any(np.all(np.diff(canon, axis=0) == 0.0, axis=1)):
             raise CollisionError("superposition collides: multiplicity one violated")
     return Configuration(window=window, points=pts)
-
-
-def add(gamma: Configuration, eta: Configuration) -> Configuration:
-    """Superposition of configurations on interior-disjoint windows."""
-    if not gamma.window.disjoint_interior(eta.window):
-        raise DomainError("windows must have disjoint interiors")
-    return _merge(gamma, eta)
 
 
 # ---------------------------------------------------------------------------

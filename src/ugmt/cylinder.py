@@ -31,7 +31,7 @@ __all__ = [
     "nonneg_hint",
     "OuterFunction", "CylinderFunction", "ExponentialCylinderFunction",
     "CylinderVectorField",
-    "eval_star", "gradient", "divergence", "tangent_norm_sq",
+    "eval_star",
     "normalize_field", "cyl_from_star", "cyl_compose", "cyl_mul",
     "flow_map", "directional_derivative_fd",
 ]
@@ -689,18 +689,6 @@ def eval_star(f: SmoothFunction, gamma: Configuration) -> float:
     if gamma.count == 0:
         return 0.0
     return float(np.sum(f.value(gamma.points)))
-
-
-def gradient(F: CylinderFunction, gamma: Configuration) -> np.ndarray:
-    return F.gradient(gamma)
-
-
-def divergence(V: CylinderVectorField, gamma: Configuration) -> float:
-    return V.divergence(gamma)
-
-
-def tangent_norm_sq(V: CylinderVectorField, gamma: Configuration) -> float:
-    return V.tangent_norm_sq(gamma)
 
 
 def tangent_norm_sq_cylinder(V: CylinderVectorField) -> CylinderFunction:

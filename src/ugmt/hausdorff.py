@@ -173,13 +173,14 @@ def surface_functional(g, level: float, weights: dict, window: BoxDomain, k: int
     """Band estimates of int_{ {g = level} cap window^k } weight dH^{nk-1}.
 
     ``g`` evaluates value/gradient on ordered tuples, as cylinder functions
-    do.  ``weights`` maps names to surface densities: ``weight(X, grad)``
+    do.  ``weights`` maps names to surface densities: ``weight(X, grad, gn)``
     returns the density against H^{nk-1} with the |grad g| factor already
-    multiplied in; ``None`` measures the surface itself.  The whole battery
-    shares one band pass: the Monte Carlo tuples are drawn (or the grid is
-    built) once, g is evaluated once on them and its gradient once per row
-    that any band needs (across every profile width of the quadrature
-    route), and every weight is applied per width and reduced on its own.
+    multiplied in, gn being |grad g| at the rows of X; ``None`` measures the
+    surface itself.  The whole battery shares one band pass: the Monte Carlo
+    tuples are drawn (or the grid is built) once, g is evaluated once on them
+    and its gradient (with its norm) once per row that any band needs (across
+    every profile width of the quadrature route), and every weight is applied
+    per width and reduced on its own.
 
     Two modes share the coarea identity: the hard band chi/(2 eps) with Monte
     Carlo (any k), and, when ``quad_order`` is given, a smooth Gaussian level
@@ -204,7 +205,7 @@ def surface_functional(g, level: float, weights: dict, window: BoxDomain, k: int
                 state["max_grad"] = max(state["max_grad"], float(np.max(gn[incore])))
             prof = profile(band)
             for name, weight in weights.items():
-                w = gn if weight is None else weight(Xm, grad)
+                w = gn if weight is None else weight(Xm, grad, gn)
                 out[name][rows] = w * prof
         return out
 

@@ -162,12 +162,6 @@ class LiftedHeatOperator:
             out = np.moveaxis(np.tensordot(K, out, axes=([1], [axis])), 0, axis)
         return out
 
-    def semigroup_on_stratum(self, F, t: float, k: int,
-                             order: int | None = None) -> tuple[StratumGrid, np.ndarray]:
-        grid = self.grid(k, order)
-        vals = _eval_on_grid(F, grid)
-        return grid, self.tensor_apply(vals, t, grid)
-
     def gradient_of_semigroup(self, F, t: float, k: int,
                               order: int | None = None) -> tuple[StratumGrid, np.ndarray]:
         """Full product-space gradient of T_t F on the k-stratum grid.
@@ -189,7 +183,8 @@ def lift_semigroup(F, t: float, op: LiftedHeatOperator, k: int,
         raise DomainError("t must be positive")
     if k > op.K_max:
         raise DomainError(f"stratum {k} exceeds the count truncation {op.K_max}")
-    return op.semigroup_on_stratum(F, t, k, order)
+    grid = op.grid(k, order)
+    return grid, op.tensor_apply(_eval_on_grid(F, grid), t, grid)
 
 
 def lifted_gradient_norm(F, t: float | None, op: LiftedHeatOperator,

@@ -24,7 +24,7 @@ from ugmt.hausdorff import rho_m_limit, rho_m_localized, rho_m_on_box, scaled_bo
 from ugmt.montecarlo import (MCPlan, integrate, integrate_battery, integrate_disintegrated,
                              measure_of_set)
 from ugmt.bv import (coarea_family, gauss_green_residual, perimeter_measure,
-                     sobolev_consistency, tv_bracket_battery, tv_semigroup)
+                     sobolev_alignment, tv_bracket_battery, tv_semigroup)
 
 UNIT = interval(0.0, 1.0)
 E_INV = float(np.exp(-1.0))
@@ -303,19 +303,12 @@ def test_15_sobolev_consistency():
               "bump-cyl": cyl_compose(lambda r: smoothstep(r, 0.2, 0.4),
                                       cyl_from_star(SmoothFunction.bump(
                                           0.45, 0.3, 1.0, window=UNIT)))}
-    fam = batteries.field_family()
-    worst = 0.0
-    align = None
-    for i, a in enumerate((0.28, 0.35, 0.50)):
-        F = batteries.tanh_sum_function(a)
-        rep = sobolev_consistency(F, G_batt, np.tanh(a * us), UNIT, seed=61,
-                                  family=fam if i == 1 else None, n_samples=30_000)
-        for d in rep["densities"].values():
-            worst = max(worst, d["deviation"])
-        if rep["alignment"] is not None:
-            align = rep["alignment"]
+    members = {a: (batteries.tanh_sum_function(a), np.tanh(a * us)) for a in (0.28, 0.35, 0.50)}
+    family = coarea_family(members, G_batt, UNIT, seed=61, n_samples=30_000)
+    worst = max(rep.deviation for reps in family.values() for rep in reps.values())
+    align, _ = sobolev_alignment(members[0.35][0], batteries.field_family(), UNIT, seed=61)
     el = time.time() - t0
-    ok = worst < 0.05 and (align is None or align >= 0.9) and el < 120.0
+    ok = worst < 0.05 and align >= 0.9 and el < 120.0
     emit(15, "total variation density matches the gradient norm", ok,
          f"worst deviation {worst:.2%}, alignment {align}, {el:.1f}s")
 

@@ -4,7 +4,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from ugmt import batteries, montecarlo
+from ugmt import batteries, bv, cli, montecarlo
 from ugmt.configuration import Configuration, SetSpec, _draw
 from ugmt.cylinder import (CylinderVectorField, cyl_compose, cyl_from_star, const, mul_n,
                            normalize_field, tanh_of)
@@ -12,9 +12,9 @@ from ugmt.geometry import DomainError, SmoothFunction, SmoothVectorField, interv
 from ugmt.heat import LiftedHeatOperator, lifted_gradient_norm
 from ugmt.bv import (_REFINE_STEPS, _THETA_GRID, _VariationalObjective, _alignment_cosines,
                      _coordinate_ascent,
-                     coarea_battery, coarea_check, coarea_family,
+                     coarea_check, coarea_family,
                      gauss_green_residual, levelset_expectation, perimeter_measure,
-                     sobolev_consistency, surface_battery, tv_bracket, tv_relaxation,
+                     surface_battery, tv_bracket, tv_relaxation,
                      tv_semigroup, tv_variational, tv_variational_battery)
 from ugmt.montecarlo import Strata, poisson_k_cutoff
 from ugmt.hausdorff import (CriticalLevelError, rho_m_limit, rho_m_on_box, scaled_box,
@@ -406,11 +406,12 @@ def test_alignment_cosines_equal_configuration_loop(seed):
 
 
 def test_sobolev_consistency_density():
+    # the density half of |DF| = |grad F| pi is the coarea check
     F = batteries.tanh_sum_function(0.35)
     us = np.concatenate([np.linspace(0.02, 2.0, 12), np.linspace(2.4, 6.0, 5)])
     G = {"unit": 1.0}
-    rep = sobolev_consistency(F, G, np.tanh(0.35 * us), UNIT, seed=13, n_samples=30_000)
-    assert rep["densities"]["unit"]["deviation"] < 0.05
+    rep = coarea_family({"F": (F, np.tanh(0.35 * us))}, G, UNIT, seed=13, n_samples=30_000)
+    assert rep["F"]["unit"].deviation < 0.05
 
 
 def _surface_weights():
@@ -419,8 +420,8 @@ def _surface_weights():
     V = batteries.gg_fields()[0]
     return {
         "surface": None,
-        "G": lambda X, grad: G.value(X) * np.sqrt(np.sum(grad * grad, axis=(-2, -1))),
-        "normal": lambda X, grad: np.sum(V.at_particles(X) * grad, axis=(-2, -1)),
+        "G": lambda X, grad, gn: G.value(X) * gn,
+        "normal": lambda X, grad, gn: np.sum(V.at_particles(X) * grad, axis=(-2, -1)),
     }
 
 
@@ -446,7 +447,7 @@ def test_surface_battery_matches_weight_by_weight(case):
             surface_functional(g, 0.97, weights, UNIT, 1, eps=0.01, quad_order=192)
 
 
-def test_coarea_battery_matches_G_by_G():
+def test_coarea_family_matches_G_by_G():
     F = cyl_compose(lambda r: tanh_of(r), cyl_from_star(
         SmoothFunction.bump(0.5, 0.3, 1.0, window=UNIT)))
     G_bump = cyl_compose(lambda r: mul_n(const(0.5), tanh_of(r)) + const(0.6), cyl_from_star(
@@ -454,7 +455,7 @@ def test_coarea_battery_matches_G_by_G():
     battery = {"unit": 1.0, "two": 2.0, "bump": G_bump}
     # tanh(1) is a critical level: the k = 1 sheet passes the bump's peak
     ts = [0.2, 0.5, float(np.tanh(1.0)), 0.9]
-    reps = coarea_battery(F, battery, ts, UNIT, seed=11, n_samples=2_000)
+    reps = coarea_family({"F": (F, ts)}, battery, UNIT, seed=11, n_samples=2_000)["F"]
     assert list(reps) == list(battery)
     assert reps["unit"].gap_fraction == 0.25
     for name, G in battery.items():
@@ -511,7 +512,8 @@ def test_coarea_family_equals_member_calls_and_draws_once(monkeypatch):
     battery = {"unit": 1.0, "bump": G_bump}
     draws = _spy_draws(monkeypatch)
     values = _spy_whole_values(monkeypatch)
-    alone = {name: coarea_battery(F, battery, ts, UNIT, seed=11, n_samples=2_000)
+    alone = {name: coarea_family({name: (F, ts)}, battery, UNIT, seed=11,
+                                 n_samples=2_000)[name]
              for name, (F, ts) in members.items()}
     separate, draws[:] = list(draws), []
     separate_values, values[:] = list(values), []
@@ -543,3 +545,25 @@ def test_coarea_family_equals_member_calls_and_draws_once(monkeypatch):
     assert len(separate) > 2.5 * len(keys)
     # a scope holds one level index's strata only
     assert max(size for _, size in draws if size is not None) < poisson_k_cutoff(UNIT.volume)
+
+
+def test_sobolev_suite_is_one_coarea_pass(monkeypatch):
+    calls, real = [], bv.coarea_family
+
+    def spy(*args, **kwargs):
+        calls.append(real(*args, **kwargs))
+        return calls[-1]
+
+    monkeypatch.setattr(bv, "coarea_family", spy)
+    monkeypatch.setattr(cli, "coarea_family", spy)
+    draws = _spy_draws(monkeypatch)
+    records = cli.run_suite(cli.SuiteConfig("sobolev", samples=2000)).records
+    # one pass for the three members: every (window, k, n, seed, stream) key,
+    # the band draws of each level index included, is drawn once
+    assert len(calls) == 1
+    keys = [key for key, _ in draws]
+    assert len(set(keys)) == len(keys)
+    densities = {r["name"]: (r["value"], r["target"], r["sigma"]) for r in records
+                 if r["name"].startswith("sobolev-")}
+    assert densities == {f"sobolev-{fname}-{gname}": (rep.lhs, rep.rhs, rep.combined_sigma)
+                         for fname, reps in calls[0].items() for gname, rep in reps.items()}

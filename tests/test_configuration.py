@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from ugmt.configuration import (CollisionError, Configuration, MCEstimate, SetSpec,
-                                add, brute_force_distance, hungarian,
+                                brute_force_distance, hungarian,
                                 quotient_distance, sample_poisson,
                                 sample_poisson_batch, section_set)
 from ugmt.geometry import BoxDomain, DomainError, interval
@@ -49,19 +49,6 @@ def test_sampler_reproducible():
     b = sample_poisson(UNIT, seed=42, stream=3)
     assert a == b
     assert a != sample_poisson(UNIT, seed=42, stream=4) or a.count == 0
-
-
-def test_sum_of_configurations():
-    left = conf(interval(0.0, 0.5), [0.2])
-    right = conf(interval(0.5, 1.0), [0.8])
-    s = add(left, right)
-    assert np.allclose(s.points.ravel(), [0.2, 0.8])
-    empty = Configuration(window=interval(0.5, 1.0), points=np.zeros((0, 1)))
-    assert np.allclose(add(left, empty).points, left.points)
-    # keeping the points in one summand's window gives that summand back
-    assert np.array_equal(s.points[left.window.contains(s.points)], left.points)
-    with pytest.raises(DomainError):
-        add(conf(UNIT, [0.2]), conf(UNIT, [0.8]))
 
 
 def test_quotient_distance_examples():

@@ -9,9 +9,8 @@ from ugmt.configuration import Configuration, SetSpec, sample_poisson_batch
 from ugmt.cylinder import (CylinderFunction, CylinderVectorField,
                            ExponentialCylinderFunction, OuterFunction, add_n, const,
                            coord, cyl_compose, cyl_from_star, cyl_mul,
-                           directional_derivative_fd, divergence, eval_star, exp_neg,
-                           mul_n, normalize_field, smoothstep, square, tanh_of,
-                           tangent_norm_sq)
+                           directional_derivative_fd, eval_star, exp_neg, mul_n,
+                           normalize_field, smoothstep, square, tanh_of)
 from ugmt.geometry import DomainError, SmoothFunction, SmoothVectorField, interval
 from ugmt.montecarlo import MCPlan, integrate, shared_draws
 from ugmt.productspace import stratum_indicator
@@ -147,8 +146,8 @@ def test_divergence_pure_field():
     v = SmoothVectorField((SmoothFunction.bump(0.5, 0.3, 0.8, window=UNIT),))
     V = CylinderVectorField(((1.0, v),))
     g = conf([0.42], [0.61])
-    assert divergence(V, g) == pytest.approx(float(np.sum(-v.divergence(g.points))))
-    assert divergence(V, EMPTY) == 0.0
+    assert V.divergence(g) == pytest.approx(float(np.sum(-v.divergence(g.points))))
+    assert V.divergence(EMPTY) == 0.0
 
 
 def test_integration_by_parts_adjoint():
@@ -177,14 +176,14 @@ def test_tangent_norm_evaluations():
     V = CylinderVectorField(((1.0, v),))
     x0 = 0.55
     g = conf([x0])
-    assert np.sqrt(tangent_norm_sq(V, g)) == pytest.approx(
+    assert np.sqrt(V.tangent_norm_sq(g)) == pytest.approx(
         abs(float(v.value(np.array([[x0]]))[0, 0])))
-    assert tangent_norm_sq(V, EMPTY) == 0.0
+    assert V.tangent_norm_sq(EMPTY) == 0.0
     rng = np.random.default_rng(23)
     for _ in range(50):
         g = Configuration(window=UNIT, points=rng.uniform(0, 1, (rng.integers(1, 5), 1)))
         direct = float(np.sum(V.at_particles(g) ** 2))
-        assert tangent_norm_sq(V, g) == pytest.approx(direct, abs=1e-12)
+        assert V.tangent_norm_sq(g) == pytest.approx(direct, abs=1e-12)
 
 
 @settings(max_examples=40, deadline=None)
@@ -195,7 +194,7 @@ def test_cauchy_schwarz(seed):
     W = random_field(rng)
     g = Configuration(window=UNIT, points=rng.uniform(0, 1, (rng.integers(0, 5), 1)))
     lhs = np.sum(V.at_particles(g) * W.at_particles(g)) ** 2
-    assert lhs <= tangent_norm_sq(V, g) * tangent_norm_sq(W, g) + 1e-12
+    assert lhs <= V.tangent_norm_sq(g) * W.tangent_norm_sq(g) + 1e-12
 
 
 def test_normalize_field_properties():
@@ -206,8 +205,8 @@ def test_normalize_field_properties():
     cap = 1.0 / (2.0 * np.sqrt(eps))
     worst_cubic = 0.0
     for g in sample_poisson_batch(UNIT, seed=41, n=2000):
-        nv = np.sqrt(tangent_norm_sq(V, g))
-        nw = np.sqrt(tangent_norm_sq(W, g))
+        nv = np.sqrt(V.tangent_norm_sq(g))
+        nw = np.sqrt(W.tangent_norm_sq(g))
         assert nw <= cap + 1e-9
         if nv == 0.0:
             assert nw == pytest.approx(0.0, abs=1e-12)
@@ -280,7 +279,7 @@ def test_divergence_rejects_support_outside_window():
     with pytest.raises(DomainError):
         V.divergence(np.stack([g.points, g.points]))
     with pytest.raises(DomainError):
-        divergence(V, g)
+        V.divergence(g)
 
 
 @pytest.mark.parametrize("k", range(13))

@@ -290,7 +290,7 @@ def _reference_quad_route(g, level, weights, window, k, eps, quad_order):
             z = (vals[mask] - level) / sig
             prof = np.exp(-0.5 * z * z) / (sig * np.sqrt(2.0 * np.pi))
             for name, weight in weights.items():
-                dens[name][mask] = (gn if weight is None else weight(Xm, grad)) * prof
+                dens[name][mask] = (gn if weight is None else weight(Xm, grad, gn)) * prof
         return {name: float(np.sum(w * d)) for name, d in dens.items()}
 
     sig0 = max(eps, 4.0 * spacing)
@@ -345,8 +345,8 @@ def test_quadrature_route_evaluates_g_once_per_grid(name):
     g, level, window, k, order = _quad_case(name)
     G = cyl_from_star(SmoothFunction.bump((0.45,) * window.dim, 0.3, 1.0, window=window))
     weights = {"surface": None,
-               "G": lambda X, grad: G.value(X) * np.sqrt(np.sum(grad * grad, axis=(-2, -1))),
-               "tilt": lambda X, grad: X[:, 0, 0] * np.sum(grad, axis=(-2, -1))}
+               "G": lambda X, grad, gn: G.value(X) * gn,
+               "tilt": lambda X, grad, gn: X[:, 0, 0] * np.sum(grad, axis=(-2, -1))}
     spy = _Spy(g)
     try:
         ref = _reference_quad_route(g, level, weights, window, k, 0.01, order)
@@ -397,7 +397,7 @@ def test_level_cache_gradients_equal_fresh_evaluations(k, order):
 
 def test_band_gradients_are_read_only_for_weights():
     # later profile widths reuse the gradients a weight receives
-    def writer(X, grad):
+    def writer(X, grad, gn):
         grad *= 2.0
         return np.sum(grad, axis=(-2, -1))
 
