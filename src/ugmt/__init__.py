@@ -9,17 +9,17 @@ independent Monte Carlo and quadrature oracles.
 """
 
 from .configuration import Configuration, MCEstimate, SetSpec
-from .geometry import (BoxDomain, GridFunction1D, HeatKernel1D, SmoothFunction,
-                       SmoothVectorField, interval, neumann_kernel, semigroup_apply_1d)
+from .geometry import (BoxDomain, HeatKernel1D, SmoothFunction, SmoothVectorField,
+                       interval, neumann_kernel)
 from .cylinder import (CylinderFunction, CylinderVectorField,
                        ExponentialCylinderFunction, OuterFunction)
 from .montecarlo import MCPlan
 
 __all__ = [
     "BoxDomain", "Configuration", "CylinderFunction", "CylinderVectorField",
-    "ExponentialCylinderFunction", "GridFunction1D", "HeatKernel1D", "MCEstimate",
-    "MCPlan", "OuterFunction", "SetSpec", "SmoothFunction", "SmoothVectorField",
-    "interval", "neumann_kernel", "semigroup_apply_1d",
+    "ExponentialCylinderFunction", "HeatKernel1D", "MCEstimate", "MCPlan",
+    "OuterFunction", "SetSpec", "SmoothFunction", "SmoothVectorField",
+    "interval", "neumann_kernel",
 ]
 
 __version__ = "0.1.0"

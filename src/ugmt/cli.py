@@ -36,6 +36,9 @@ from .bv import (coarea_family, gauss_green_residual, perimeter_measure,
 SCHEMA_VERSION = 1
 SUITES = ("campbell", "monotonicity", "bakry-emery", "intertwine", "tv-equivalence",
           "de-giorgi", "coarea", "gauss-green", "capacity", "sobolev")
+# the surface-measure suites draw at least this many samples
+SAMPLES_FLOOR = 20_000
+FLOORED_SUITES = ("de-giorgi", "coarea", "gauss-green", "capacity", "sobolev")
 
 
 class ConfigError(ValueError):
@@ -82,6 +85,12 @@ class SuiteConfig:
         if "suite" not in fields:
             raise ConfigError("config must name a suite")
         return SuiteConfig(**fields)
+
+    @property
+    def drawn_samples(self) -> int:
+        """The sample count the report records: ``samples``, raised to the
+        floor for the suites that draw at least ``SAMPLES_FLOOR``."""
+        return max(self.samples, SAMPLES_FLOOR) if self.suite in FLOORED_SUITES else self.samples
 
     def floats(self, key: str, default: list[float]) -> list[float]:
         if key not in self.options:
@@ -283,7 +292,7 @@ def _degiorgi_sets() -> list[tuple[str, SetSpec]]:
 
 def _suite_de_giorgi(cfg: SuiteConfig) -> list[dict]:
     records = []
-    n = max(cfg.samples, 20_000)
+    n = cfg.drawn_samples
     for name, E in _degiorgi_sets():
         pm = perimeter_measure(E, batteries.UNIT, n_samples=n, seed=cfg.seed)
         sheet = E.boundary_sheet()
@@ -299,7 +308,7 @@ def _suite_coarea(cfg: SuiteConfig) -> list[dict]:
     records = []
     us = np.concatenate([np.linspace(0.02, 2.0, 14), np.linspace(2.4, 6.0, 6)])
     family = coarea_family(batteries.tanh_sum_members(us), batteries.coarea_weights(),
-                           batteries.UNIT, seed=cfg.seed, n_samples=max(cfg.samples, 20_000))
+                           batteries.UNIT, seed=cfg.seed, n_samples=cfg.drawn_samples)
     for fname, reps in family.items():
         for gname, rep in reps.items():
             ok = rep.deviation < 0.05 and rep.gap_fraction <= 0.10
@@ -315,7 +324,7 @@ def _suite_gauss_green(cfg: SuiteConfig) -> list[dict]:
     pairs = [(sname, E, i, V) for (sname, E) in sets for i, V in enumerate(fields)]
     for sname, E, i, V in pairs[:6]:
         rep = gauss_green_residual(E, V, batteries.UNIT, seed=cfg.seed + 31 * i,
-                                   n_samples=max(cfg.samples, 20_000))
+                                   n_samples=cfg.drawn_samples)
         ok = rep.passed()
         records.append(record(f"gauss-green-{sname}-V{i}", "Gauss-Green formula",
                               rep.lhs, rep.rhs, rep.combined_sigma, ok))
@@ -333,7 +342,7 @@ def _suite_capacity(cfg: SuiteConfig) -> list[dict]:
     W, S_box, sheet, members = batteries.capacity_family()
     op = LiftedHeatOperator(window=W)
     B = BesselOperator(alpha=alpha, p=p)
-    base = rho_m_on_box(sheet, 1, S_box, n_samples=max(cfg.samples, 20_000),
+    base = rho_m_on_box(sheet, 1, S_box, n_samples=cfg.drawn_samples,
                         seed=cfg.seed)
     caps, rhos = [], []
     rows = []
@@ -365,7 +374,7 @@ def _suite_sobolev(cfg: SuiteConfig) -> list[dict]:
     us = np.concatenate([np.linspace(0.02, 2.0, 12), np.linspace(2.4, 6.0, 5)])
     members = batteries.tanh_sum_members(us)
     family = coarea_family(members, batteries.coarea_weights(), batteries.UNIT,
-                           seed=cfg.seed, n_samples=max(cfg.samples, 20_000))
+                           seed=cfg.seed, n_samples=cfg.drawn_samples)
     for fname, reps in family.items():
         for gname, rep in reps.items():
             records.append(record(f"sobolev-{fname}-{gname}", "Sobolev-BV consistency",
@@ -394,7 +403,7 @@ _SUITE_FNS = {
 
 def run_suite(cfg: SuiteConfig) -> Report:
     records = _SUITE_FNS[cfg.suite](cfg)
-    return Report(suite=cfg.suite, records=records, seed=cfg.seed, samples=cfg.samples)
+    return Report(suite=cfg.suite, records=records, seed=cfg.seed, samples=cfg.drawn_samples)
 
 
 def list_batteries_text() -> str:

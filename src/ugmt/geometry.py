@@ -19,14 +19,12 @@ __all__ = [
     "SmoothFunction",
     "SmoothVectorField",
     "HeatKernel1D",
-    "GridFunction1D",
     "DomainError",
     "QuadratureError",
     "neumann_kernel",
     "neumann_kernel_tail_bound",
     "auto_image_order",
     "gauss_legendre",
-    "semigroup_apply_1d",
 ]
 
 
@@ -648,7 +646,7 @@ class HeatKernel1D:
 
 
 # ---------------------------------------------------------------------------
-# 1-d semigroup application on a Gauss-Legendre grid
+# Gauss-Legendre rules and the kernel resolution rule
 
 
 @functools.lru_cache(maxsize=128)
@@ -667,51 +665,6 @@ def gauss_legendre(lo: float, hi: float, order: int) -> tuple[np.ndarray, np.nda
     return lo + half * (x + 1.0), half * w
 
 
-@dataclass(frozen=True)
-class GridFunction1D:
-    """Function values on a Gauss-Legendre grid over [0, L]."""
-
-    nodes: np.ndarray
-    weights: np.ndarray
-    values: np.ndarray
-    L: float
-
-    def integral(self) -> float:
-        return float(np.sum(self.weights * self.values))
-
-    def sup(self) -> float:
-        return float(np.max(np.abs(self.values)))
-
-
 def required_order(t: float, L: float) -> int:
     # the kernel varies on scale sqrt(2t); demand at least two nodes per scale
     return int(np.ceil(2.0 * L / np.sqrt(2.0 * t)))
-
-
-def semigroup_apply_1d(f, t: float, L: float, quad_order: int = 64) -> GridFunction1D:
-    """Apply the Neumann semigroup at time t to f on [0, L].
-
-    ``f`` may be a callable on [0, L], a SmoothFunction of dimension 1, or a
-    GridFunction1D on the same grid.  Raises QuadratureError when the grid
-    cannot resolve the kernel at this t.
-    """
-    if t <= 0:
-        raise DomainError("t must be positive")
-    if quad_order < 16:
-        raise QuadratureError("quad_order must be at least 16")
-    need = required_order(t, L)
-    if quad_order < need:
-        raise QuadratureError(
-            f"quadrature order {quad_order} too small for t={t} (need >= {need})")
-    nodes, weights = gauss_legendre(0.0, L, quad_order)
-    if isinstance(f, GridFunction1D):
-        if f.nodes.shape != nodes.shape or not np.allclose(f.nodes, nodes):
-            raise QuadratureError("grid function lives on a different grid")
-        fv = f.values
-    elif isinstance(f, SmoothFunction):
-        fv = f.value(nodes[:, None])
-    else:
-        fv = np.asarray([float(f(x)) for x in nodes])
-    ker = HeatKernel1D(L=L, t=t)
-    out = ker.matrix(nodes, weights) @ fv
-    return GridFunction1D(nodes=nodes, weights=weights, values=out, L=L)

@@ -10,6 +10,8 @@ the differentiated integrand), never by finite differences.
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -298,6 +300,8 @@ class ViolationReport:
                 "tolerance": self.tolerance}
 
 
+# nodes per particle on the k-particle stratum; the battery's grid is q nodes of
+# particle 0 by the R = C(q + k - 2, k - 1) multisets of the others' nodes
 _BE_ORDERS = {1: 64, 2: 48, 3: 24, 4: 16, 5: 12, 6: 12, 7: 9, 8: 8}
 
 
@@ -307,94 +311,113 @@ def _draw_configurations(plan: MCPlan) -> dict[int, np.ndarray]:
     return {k: X for k, (_, X) in draw_by_count(plan).items()}
 
 
-def _contract_slab(slab: np.ndarray, first: np.ndarray, rest: np.ndarray) -> np.ndarray:
-    """A slab of grid values integrated over every particle, row by row.
+@functools.lru_cache(maxsize=None)
+def _multisets(q: int, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """The R = C(q + r - 1, r) multisets of r nodes out of q as sorted rows
+    (R, r), and ``up`` (q, R_{r-1}): ``up[x, i]`` is the row of multiset i of
+    r - 1 nodes with node x added (empty when r = 0).  Cached; read-only."""
+    combos = list(itertools.combinations_with_replacement(range(q), r))
+    rows = np.array(combos, dtype=np.intp).reshape(len(combos), r)
+    up = np.empty((q, 0), dtype=np.intp)
+    if r:
+        index = {row: i for i, row in enumerate(map(tuple, rows.tolist()))}
+        smaller = _multisets(q, r - 1)[0].tolist()
+        up = np.array([[index[tuple(sorted(M + [x]))] for M in smaller] for x in range(q)],
+                      dtype=np.intp)
+    rows.setflags(write=False)
+    up.setflags(write=False)
+    return rows, up
 
-    ``slab`` (S, B, q^(k-1)) holds S grid functions on B nodes of particle 0
-    and every node of particles 1..k-1, shared by all rows.  ``first`` (n, B)
-    holds each row's particle-0 weights on those B nodes, and ``rest``
-    (k-1, n, q) each row's kernel vectors of particles 1..k-1.  Returns
-    (n, S).  Particle 1 contracts as one matrix product with the shared slab,
-    the later particles and then particle 0 as per-row sums.
+
+def _fold(vecs: np.ndarray) -> np.ndarray:
+    """W (R, n): W[M] sums prod_s vecs[s, a_s] over the ordered node tuples
+    (a_1, ..., a_r) with multiset M, for n rows of r slots of q node weights.
+
+    Slot by slot, W_{s+1}[M] = sum over the distinct x in M of
+    W_s[M - x] vecs[s, x], so no array of q^r entries per row is made.
     """
-    r, n, q = rest.shape
-    S, B = slab.shape[:2]
-    if r == 0:
-        return first @ slab.reshape(S, B).T
-    out = np.tensordot(rest[0], slab.reshape(S, B, q, -1), axes=([1], [2]))  # (n, S, B, q^(k-2))
-    for j in range(1, r):
-        out = np.einsum("nsbqr,nq->nsbr", out.reshape(n, S, B, q, -1), rest[j])
-    return np.einsum("nsb,nb->ns", out.reshape(n, S, B), first)
+    r, q, n = vecs.shape
+    W = np.ones((1, n))
+    for s in range(r):
+        rows, up = _multisets(q, s + 1)
+        grown = np.zeros((rows.shape[0], n))
+        for x in range(q):
+            grown[up[x]] += W * vecs[s, x]
+        W = grown
+    return W
 
 
-def _be_integrate(F: CylinderFunction, k: int, nodes: np.ndarray, lo: float,
-                  ps: list[float], A: np.ndarray, D: np.ndarray
+def _bilinear(left: np.ndarray, table: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """sum over a, M of left[i, a] table[s, a, M] W[M, i], shape (n, S).
+
+    The longer of the q and R axes is contracted by the matrix product, so
+    the temporary has n * S * min(q, R) entries.
+    """
+    S, q, R = table.shape
+    if R <= q:
+        mid = left @ table.transpose(1, 0, 2).reshape(q, S * R)
+        return np.einsum("isr,ri->is", mid.reshape(-1, S, R), W)
+    mid = table.reshape(S * q, R) @ W
+    return np.einsum("sai,ia->is", mid.reshape(S, q, -1), left)
+
+
+def _be_weights(A: np.ndarray) -> np.ndarray:
+    """The Neumann vectors A (b, k, q) of particles 1..k-1 folded onto
+    multisets, shape (R, k * b); row j * b + i serves gradient component j
+    of sample i.  F is symmetric in its particles, so component j is that of
+    particle 0 with particles 0 and j swapped: A_0 goes in slot j (and D_j on
+    particle 0).  The rows of component 0 serve the right side too.
+    """
+    b, k, q = A.shape
+    At = A.transpose(1, 2, 0)                                  # (k, q, b)
+    vecs = np.repeat(At[1:, :, None, :], k, axis=2)            # (k-1, q, k, b)
+    for s in range(1, k):
+        vecs[s - 1, :, s] = At[0]
+    return _fold(vecs.reshape(k - 1, q, k * b))
+
+
+def _be_integrate(F: CylinderFunction, nodes: np.ndarray, lo: float, ps: list[float],
+                  A: np.ndarray, D: np.ndarray, W: np.ndarray
                   ) -> tuple[np.ndarray, np.ndarray]:
     """Both sides of the pointwise check for F on the k-particle stratum.
 
     A and D hold the Neumann and absorbing kernel vectors, shape (b, k, q), of
-    b samples over the q nodes per particle.  Returns the right sides,
-    |grad F|^p integrated with A on every particle, shape (b, P), and the
-    gradient components of the left side, shape (b, k): component j is the
-    gradient of F along particle j integrated with D on particle j and A on
-    the others.
+    b samples over the q nodes per particle, and W their folds
+    (``_be_weights``).  Returns the right sides, |grad F|^p integrated with A
+    on every particle, shape (b, P), and the gradient components of the left
+    side, shape (b, k): component j is the gradient of F along particle j
+    integrated with D on particle j and A on the others.
 
-    The grid is swept in slabs, one node of particle 0 at a time.  Each
-    slab, |grad F|^p for every p and particle 0's gradient component over the
-    other particles' nodes, is integrated against all b samples and
-    accumulated, so no whole-grid tensor is built (memory O((P + k) q^(k-1))
-    per F).  With one or two particles the grid has at most q^2 points and
-    is a single slab: one-node slabs would re-read every sample's vectors
-    once per node.  F is symmetric in its particles: the component of
-    particle j is that of particle 0 with the axes of particles 0 and j
-    swapped, so it takes D_j on particle 0's axis and A_0 on particle j's.
+    Both integrands are evaluated once per node of particle 0 and multiset
+    of the others' nodes (a q x R table), and each side is one bilinear
+    contraction of that table with the sample weights.
     """
-    q, P, l = nodes.size, len(ps), F.arity
-    b = A.shape[0]
-    B = q if k <= 2 else 1                      # nodes of particle 0 per slab
+    b, k, q = A.shape
+    rows = _multisets(q, k - 1)[0]
     pts_col = (nodes + lo)[:, None]
     fvals = np.stack([f.value(pts_col) for f in F.inners], axis=-1)   # (q, l)
     fgrads = np.stack([f.gradient(pts_col)[:, 0] for f in F.inners], axis=-1)
-    rest = (q,) * (k - 1)                       # the axes of particles 1..k-1
-    along = [[q if a == j else 1 for a in range(k - 1)] + [l] for j in range(k - 1)]
-    A_rest = np.ascontiguousarray(A[:, 1:].transpose(1, 0, 2))         # (k-1, b, q)
-    # per component, the vectors of particles 1..k-1 (A_0 in place of A_j)
-    vecs = np.repeat(A_rest[:, :, None], k, axis=2)                    # (k-1, b, k, q)
-    for j in range(1, k):
-        vecs[j - 1, :, j] = A[:, 0]
-    vecs = vecs.reshape(k - 1, b * k, q)
-    D_rows = D.reshape(b * k, q)
-    powers = np.empty((P, B) + rest)
-    g0 = np.empty((1, B) + rest)
-    u = np.empty(rest + (l,))
-    sq, g, buf = np.empty(rest), np.empty(rest), np.empty(rest)
-    rhs, comps = np.zeros((b, P)), np.zeros((b * k, 1))
-    for a0 in range(q):
-        s = a0 % B
-        # the linear statistics, summed over the particles in order
-        u[...] = fvals[a0]
-        for j in range(k - 1):
-            u += fvals.reshape(along[j])
-        dphi = [F.outer.partial(i).eval(u) for i in range(l)]
-        for j in range(k):
-            gj = g0[0, s, ...] if j == 0 else g
-            fg = fgrads[a0] if j == 0 else fgrads.reshape(along[j - 1])
-            np.multiply(dphi[0], fg[..., 0], out=gj)
-            for i in range(1, l):
-                np.multiply(dphi[i], fg[..., i], out=buf)
-                gj += buf
-            if j == 0:
-                np.multiply(gj, gj, out=sq)
-            else:
-                np.multiply(gj, gj, out=buf)
-                sq += buf
-        for i, p in enumerate(ps):
-            np.power(sq, p / 2.0, out=powers[i, s, ...])
-        if s == B - 1:
-            block = slice(a0 + 1 - B, a0 + 1)
-            rhs += _contract_slab(powers.reshape(P, B, -1), A[:, 0, block], A_rest)
-            comps += _contract_slab(g0.reshape(1, B, -1), D_rows[:, block], vecs)
-    return rhs, comps.reshape(b, k)
+    # the linear statistics, summed over the particles in order
+    u = np.repeat(fvals[:, None, :], rows.shape[0], axis=1)          # (q, R, l)
+    for c in range(k - 1):
+        u += fvals[rows[:, c]]
+    dphi = [F.outer.partial(i).eval(u) for i in range(F.arity)]
+
+    def along(fg):
+        """The gradient component of a particle whose inner gradients are fg."""
+        g = dphi[0] * fg[..., 0]
+        for i in range(1, F.arity):
+            g += dphi[i] * fg[..., i]
+        return g
+
+    g0 = along(fgrads[:, None, :])
+    sq = g0 * g0
+    for c in range(k - 1):
+        sq += along(fgrads[rows[:, c]]) ** 2
+    powers = np.stack([sq ** (p / 2.0) for p in ps])                  # (P, q, R)
+    rhs = _bilinear(A[:, 0], powers, W[:, :b])
+    comps = _bilinear(D.transpose(1, 0, 2).reshape(k * b, q), g0[None], W)
+    return rhs, comps.reshape(k, b).T
 
 
 def bakry_emery_battery(battery: Mapping[str, CylinderFunction], ps, ts,
@@ -410,11 +433,13 @@ def bakry_emery_battery(battery: Mapping[str, CylinderFunction], ps, ts,
     ``battery`` maps names to cylinder functions.  The plan is drawn once and
     its samples grouped by particle count k.  Per (k, t), one pass over the
     kernel images gives the Neumann and absorbing vectors of every sample.
-    Per (F, k), the grid is streamed in slabs, one node of particle 0 at a
-    time: each slab holds |grad F|^p for every p and a gradient component,
-    and is integrated against the vectors of every sample and t before the
-    next is built, so memory is O((P + k) q^(k-1)) per F rather than the
-    q^k of the whole grid (see ``_be_integrate``).  One-dimensional windows
+    Configurations are unordered, so the grid is the quotient of the q^k
+    ordered node tuples by particle swaps: q nodes of particle 0 by the
+    R = C(q + k - 2, k - 1) multisets of the others' nodes.  Per k, every
+    sample's vectors are folded onto those multisets once (``_be_weights``);
+    per (F, k), both integrands are evaluated on the q x R table and
+    contracted with the folds by two matrix products, so memory is
+    O(b k R + P q R) for b samples and times.  One-dimensional windows
     only; counts beyond the configured orders use a coarse grid, which stays
     faithful because both sides share it.  Returns name -> one
     ViolationReport per (p, t), p-major.
@@ -442,8 +467,9 @@ def bakry_emery_battery(battery: Mapping[str, CylinderFunction], ps, ts,
         m = X.shape[0]
         A = np.stack([kn * w for kn, _ in pairs]).reshape(nt * m, k, q)
         D = np.stack([kd * w for _, kd in pairs]).reshape(nt * m, k, q)
+        W = _be_weights(A)
         for name, F in battery.items():
-            rhs, comps = _be_integrate(F, k, nodes, lo, ps, A, D)
+            rhs, comps = _be_integrate(F, nodes, lo, ps, A, D, W)
             rhs, comps = rhs.reshape(nt, m, P), comps.reshape(nt, m, k)
             lhs_sq = np.zeros((nt, m))
             for j in range(k):

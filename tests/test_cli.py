@@ -110,6 +110,19 @@ def test_main_exit_codes(tmp_path, monkeypatch):
     assert main(["run", "campbell", "--out", str(tmp_path / "f")]) == 1
 
 
+def test_reports_record_the_sample_count_drawn(tmp_path):
+    # de-giorgi draws at least the floor, and its report says so
+    reports = {}
+    for samples in ("2000", "20000"):
+        out = str(tmp_path / samples)
+        assert main(["run", "de-giorgi", "--samples", samples, "--out", out]) == 0
+        reports[samples] = json.load(open(os.path.join(out, "de-giorgi.json")))
+    assert reports["2000"]["environment"]["samples"] == 20000
+    assert reports["2000"]["records"] == reports["20000"]["records"]
+    # a suite without the floor draws the count asked for
+    assert SuiteConfig(suite="campbell", samples=1000).drawn_samples == 1000
+
+
 def test_plot_data_emission(tmp_path):
     payload = {
         "schema_version": 1, "suite": "demo", "environment": {},

@@ -6,8 +6,7 @@ from hypothesis import strategies as st
 from ugmt.geometry import (BoxDomain, DomainError, HeatKernel1D, QuadratureError,
                            SmoothFunction, SmoothVectorField, _dirichlet_kernel,
                            _neumann_dirichlet_kernels, _neumann_kernel_dx, gauss_legendre,
-                           interval, neumann_kernel, neumann_kernel_tail_bound,
-                           semigroup_apply_1d)
+                           interval, neumann_kernel, neumann_kernel_tail_bound)
 
 RNG = np.random.default_rng(20240901)
 
@@ -212,41 +211,6 @@ def test_approximate_identity():
     errs = [abs(v - f.value(np.array([[0.5]]))[0]) for v in vals]
     # T_t f - f ~ t lap f; the bump's Laplacian at the center is ~ -22 a / w^2
     assert errs[-1] < 5e-3 and errs[-1] < errs[0]
-
-
-def test_cosine_eigenfunction_decay():
-    g = semigroup_apply_1d(lambda x: np.cos(np.pi * x), 0.01, 1.0, 64)
-    exact = np.exp(-np.pi**2 * 0.01) * np.cos(np.pi * g.nodes)
-    assert np.max(np.abs(g.values - exact)) < 1e-12
-    # probe against the cosine mode's exact decay at x = 0.3
-    probe = np.exp(-np.pi**2 * 0.01) * np.cos(0.3 * np.pi)
-    assert abs(probe - 0.53254) < 5e-5
-
-
-def test_semigroup_constant_and_mode():
-    g = semigroup_apply_1d(lambda x: 3.0, 0.5, 1.0, 64)
-    assert np.max(np.abs(g.values - 3.0)) < 1e-10
-    L = 2.0
-    g2 = semigroup_apply_1d(lambda x: np.cos(2 * np.pi * x / L), 0.05, L, 128)
-    exact = np.exp(-((2 * np.pi / L) ** 2) * 0.05) * np.cos(2 * np.pi * g2.nodes / L)
-    assert np.max(np.abs(g2.values - exact)) < 1e-10
-
-
-def test_semigroup_property_and_contraction():
-    f = SmoothFunction.bump(0.5, 0.25, 1.3)
-    g1 = semigroup_apply_1d(f, 0.02, 1.0, 96)
-    g2 = semigroup_apply_1d(g1, 0.03, 1.0, 96)
-    direct = semigroup_apply_1d(f, 0.05, 1.0, 96)
-    assert np.max(np.abs(g2.values - direct.values)) < 1e-8
-    assert direct.sup() <= 1.3 + 1e-12
-    assert np.all(direct.values >= -1e-12)
-
-
-def test_semigroup_quadrature_guard():
-    with pytest.raises(QuadratureError):
-        semigroup_apply_1d(lambda x: x, 1e-5, 1.0, 64)
-    with pytest.raises(QuadratureError):
-        semigroup_apply_1d(lambda x: x, 0.1, 1.0, 8)
 
 
 def test_box_invariants():

@@ -23,6 +23,55 @@ def shifted_mode(amp=-0.2):
     return SmoothFunction(kind="sum", support=UNIT, factors=(c, m), window=UNIT)
 
 
+def _one_particle(L: float, order: int):
+    """The operator on [0, L], its k = 1 grid of the given order, and the nodes."""
+    op = LiftedHeatOperator(window=interval(0.0, L))
+    grid = op.grid(1, order)
+    return op, grid, grid.nodes[0]
+
+
+def test_cosine_eigenfunction_decay():
+    op, grid, x = _one_particle(1.0, 64)
+    g = op.tensor_apply(np.cos(np.pi * x), 0.01, grid)
+    exact = np.exp(-np.pi**2 * 0.01) * np.cos(np.pi * x)
+    assert np.max(np.abs(g - exact)) < 1e-12
+    # probe against the cosine mode's exact decay at x = 0.3
+    probe = np.exp(-np.pi**2 * 0.01) * np.cos(0.3 * np.pi)
+    assert abs(probe - 0.53254) < 5e-5
+
+
+def test_semigroup_constant_and_mode():
+    op, grid, x = _one_particle(1.0, 64)
+    g = op.tensor_apply(np.full(x.shape, 3.0), 0.5, grid)
+    assert np.max(np.abs(g - 3.0)) < 1e-10
+    L = 2.0
+    op2, grid2, x2 = _one_particle(L, 128)
+    g2 = op2.tensor_apply(np.cos(2 * np.pi * x2 / L), 0.05, grid2)
+    exact = np.exp(-((2 * np.pi / L) ** 2) * 0.05) * np.cos(2 * np.pi * x2 / L)
+    assert np.max(np.abs(g2 - exact)) < 1e-10
+
+
+def test_semigroup_property_and_contraction():
+    f = SmoothFunction.bump(0.5, 0.25, 1.3)
+    op, grid, x = _one_particle(1.0, 96)
+    fv = f.value(x[:, None])
+    g2 = op.tensor_apply(op.tensor_apply(fv, 0.02, grid), 0.03, grid)
+    direct = op.tensor_apply(fv, 0.05, grid)
+    assert np.max(np.abs(g2 - direct)) < 1e-8
+    assert np.max(np.abs(direct)) <= 1.3 + 1e-12
+    assert np.all(direct >= -1e-12)
+
+
+def test_semigroup_quadrature_guard():
+    op, grid, x = _one_particle(1.0, 64)
+    with pytest.raises(QuadratureError):
+        op.tensor_apply(x, 1e-5, grid)
+    # 8 nodes cannot resolve the kernel at t = 0.01 (two nodes per sqrt(2t))
+    op, grid, x = _one_particle(1.0, 8)
+    with pytest.raises(QuadratureError):
+        op.tensor_apply(x, 0.01, grid)
+
+
 def test_conservative_on_constants():
     f = SmoothFunction.bump(0.5, 0.3, 1.0, window=UNIT)
     Fc = cyl_compose(lambda r: mul_n(const(0.0), r) + const(1.0), cyl_from_star(f))
@@ -361,3 +410,118 @@ def test_battery_memory_stays_below_the_whole_grid():
     finally:
         tracemalloc.stop()
     assert peak < budget, f"peak {peak / 1e6:.1f} MB against a budget of {budget / 1e6:.1f} MB"
+
+
+# ---------------------------------------------------------------------------
+# the quotient grid: node multisets in place of ordered node tuples
+
+
+@pytest.mark.parametrize("q", [1, 2, 3, 4, 5])
+def test_multisets_count_and_cover_the_ordered_tuples(q):
+    import itertools
+    from math import comb
+
+    from ugmt.heat import _multisets
+
+    for r in range(6):
+        rows, up = _multisets(q, r)
+        assert rows.shape == (comb(q + r - 1, r), r)
+        index = {tuple(row): i for i, row in enumerate(rows.tolist())}
+        assert len(index) == rows.shape[0]
+        hits = np.zeros(rows.shape[0], dtype=int)
+        for a in itertools.product(range(q), repeat=r):
+            hits[index[tuple(sorted(a))]] += 1
+        # each ordered tuple lands on one multiset, each multiset is reached
+        assert hits.sum() == q ** r and np.all(hits > 0)
+        if r:
+            smaller = _multisets(q, r - 1)[0].tolist()
+            for x in range(q):
+                assert [rows[i].tolist() for i in up[x]] == [sorted(M + [x]) for M in smaller]
+
+
+@pytest.mark.parametrize("q,r", [(1, 3), (2, 4), (3, 3), (4, 5), (5, 2)])
+def test_fold_equals_the_sum_over_ordered_tuples(q, r):
+    import itertools
+
+    from ugmt.heat import _fold, _multisets
+
+    n = 7
+    vecs = np.random.default_rng(10 * q + r).uniform(0.1, 1.0, size=(r, q, n))
+    rows = _multisets(q, r)[0]
+    index = {tuple(row): i for i, row in enumerate(rows.tolist())}
+    ref = np.zeros((rows.shape[0], n))
+    for a in itertools.product(range(q), repeat=r):
+        ref[index[tuple(sorted(a))]] += np.prod(vecs[np.arange(r), list(a)], axis=0)
+    got = _fold(vecs)
+    assert got.shape == ref.shape
+    assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-13
+
+
+def _ordered_grid_sides(F, nodes, ps, A, D):
+    """Both battery sides by brute force over the q^k ordered node tuples:
+    F's lifted gradient at every tuple, contracted axis by axis per sample."""
+    b, k, q = A.shape
+    X = np.stack(np.meshgrid(*[nodes] * k, indexing="ij"), axis=-1).reshape(-1, k, 1)
+    G = F.gradient(X)[..., 0].reshape((q,) * k + (k,))
+    sq = np.sum(G * G, axis=-1)
+
+    def contract(vals, vectors):
+        out = vals
+        for vec in vectors:
+            out = np.tensordot(vec, out, axes=([0], [0]))
+        return float(out)
+
+    rhs = np.array([[contract(sq ** (p / 2.0), A[i]) for p in ps] for i in range(b)])
+    comps = np.array([[contract(G[..., j], [D[i, a] if a == j else A[i, a] for a in range(k)])
+                       for j in range(k)] for i in range(b)])
+    return rhs, comps
+
+
+def _k7_setup():
+    k, q = 7, 4
+    X = np.random.default_rng(77).uniform(0.0, 1.0, size=(3, k, 1))
+    nodes, w = gauss_legendre(0.0, 1.0, q)
+    ts = [0.05, 0.1]
+    pairs = [OP._axis_kernel(t, 0).kernel_and_dirichlet(X, nodes[None, None, :]) for t in ts]
+    A = np.stack([kn * w for kn, _ in pairs]).reshape(-1, k, q)
+    D = np.stack([kd * w for _, kd in pairs]).reshape(-1, k, q)
+    return X, nodes, ts, A, D
+
+
+def test_quotient_grid_matches_the_ordered_grid_at_k7():
+    from ugmt.heat import _be_integrate, _be_weights
+
+    _, nodes, _, A, D = _k7_setup()
+    ps = [1.0, 2.0, 4.0]
+    W = _be_weights(A)
+    for F in _be_members().values():
+        ref_rhs, ref_comps = _ordered_grid_sides(F, nodes, ps, A, D)
+        rhs, comps = _be_integrate(F, nodes, 0.0, ps, A, D, W)
+        assert np.max(np.abs(rhs - ref_rhs) / ref_rhs) <= 1e-12
+        # the components cancel; compare them against T_t |grad F|
+        assert np.max(np.abs(comps - ref_comps) / ref_rhs[:, :1]) <= 1e-12
+
+
+def test_battery_matches_the_ordered_grid_at_k7(monkeypatch):
+    import ugmt.heat as heat
+
+    X, nodes, ts, A, D = _k7_setup()
+    ps = [1.0, 2.0]
+    members = _be_members()
+    gaps = {}
+    for name, F in members.items():
+        rhs, comps = _ordered_grid_sides(F, nodes, ps, A, D)
+        lhs_sq = np.sum(comps * comps, axis=1).reshape(len(ts), -1)
+        gaps[name] = {(p, t): lhs_sq[ti] ** (p / 2.0) - rhs.reshape(len(ts), -1, len(ps))[ti, :, i]
+                      for i, p in enumerate(ps) for ti, t in enumerate(ts)}
+    monkeypatch.setattr(heat, "_BE_ORDERS", {7: 4})
+    monkeypatch.setattr(heat, "_draw_configurations", lambda plan: {7: X})
+    plan = MCPlan(n_samples=100, seed=1, window=UNIT)   # the fractions count per 100
+    # tolerances halfway between the sorted gaps split the samples every way
+    every = np.sort(np.concatenate([g for per in gaps.values() for g in per.values()]))
+    for tol in (every[1:] + every[:-1]) / 2.0:
+        got = bakry_emery_battery(members, ps, ts, OP, plan, tolerance=tol)
+        for name, reports in got.items():
+            for rep in reports:
+                count = int(np.sum(gaps[name][(rep.p, rep.t)] > tol))
+                assert rep.violation_fraction == count / 100
