@@ -22,7 +22,7 @@ direction of the optimal variational field against grad F / |grad F|).
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,7 +30,7 @@ from .configuration import Configuration, SetSpec, _draw
 from .cylinder import (CylinderFunction, CylinderVectorField, normalize_field,
                        cyl_compose, mul_n, const)
 from .geometry import BoxDomain, DomainError
-from .hausdorff import CriticalLevelError, surface_functional_auto, surface_quad_orders
+from .hausdorff import CodimMeasureResult, CriticalLevelError, sheet_integrals
 from .heat import LiftedHeatOperator, lifted_gradient_norm
 from .montecarlo import Strata, poisson_stratified_battery, shared_draws
 from .productspace import stratum_indicator
@@ -38,18 +38,15 @@ from .rng import mean_and_stderr, stream_rng
 
 __all__ = [
     "TVBracket",
-    "PerimeterMeasure",
     "SemigroupTV",
     "VariationalLower",
     "tv_semigroup",
     "tv_variational",
     "tv_variational_battery",
     "tv_relaxation",
-    "tv_bracket",
     "tv_bracket_battery",
     "perimeter_measure",
     "gauss_green_residual",
-    "coarea_check",
     "coarea_family",
     "sobolev_alignment",
     "GaussGreenReport",
@@ -567,62 +564,15 @@ def tv_bracket_battery(members: dict, op: LiftedHeatOperator, family: list, *,
     return out
 
 
-def tv_bracket(F, op: LiftedHeatOperator, family: list, t_schedule, eps_schedule,
-               *, seed: int = 0) -> TVBracket:
-    """The one-member call of ``tv_bracket_battery``."""
-    return tv_bracket_battery({"F": (F, t_schedule, eps_schedule)}, op, family,
-                              seed=seed)["F"]
-
-
 # ---------------------------------------------------------------------------
-# perimeter measures and the surface battery
+# perimeter measures
+
+# stratum k of every sheet integral below draws its bands on stream 900 + 13 k
+_SHEET_STREAMS = (900, 13)
 
 
-def surface_battery(E: SetSpec, window: BoxDomain, weights: dict, *, eps: float,
-                    n_samples: int = 60_000, seed: int = 0,
-                    K_max: int | None = None) -> dict:
-    """Surface integrals over the reduced boundary of E for several densities.
-
-    ``weights`` maps names to callables (X, grad g, |grad g|) -> surface
-    density against the band estimator (already including the |grad g| factor
-    when the plain surface measure is wanted; ``None`` means the measure
-    itself).  Each stratum makes one ``surface_functional_auto`` call for the
-    whole battery.  Returns name -> (value, err, per_k).
-    """
-    if E.variant != "level_set":
-        raise DomainError("perimeter machinery needs level-set specs")
-    g = E.function
-    level = float(E.level)
-    strata = Strata(window, orders=surface_quad_orders(window.dim), K_max=K_max,
-                    count_equals=E.count_equals)
-    # one band pass per stratum serves every weight
-    per_stratum = {}
-    for s in strata:
-        est = surface_functional_auto(g, level, weights, window, s.k, eps=eps,
-                                      n_samples=n_samples, seed=seed,
-                                      stream=900 + 13 * s.k, quad_order=s.order)
-        volk = window.volume ** s.k
-        per_stratum[s.k] = {name: (val / volk, err / volk) for name, (val, err, _) in est.items()}
-    out = {}
-    for name in weights:
-        res = strata.integrate(lambda s, name=name: [per_stratum[s.k][name]])
-        out[name] = (res.value, res.error, res.per_k)
-    return out
-
-
-@dataclass(frozen=True)
-class PerimeterMeasure:
-    spec: SetSpec
-    window: BoxDomain
-    total: float
-    total_err: float
-    per_k: dict[int, float]
-    eps: float
-
-
-def perimeter_measure(E: SetSpec, window: BoxDomain, *, eps: float | None = None,
-                      n_samples: int = 60_000, seed: int = 0,
-                      K_max: int | None = None) -> PerimeterMeasure:
+def perimeter_measure(E: SetSpec, window: BoxDomain, *, n_samples: int = 60_000,
+                      seed: int = 0, K_max: int | None = None) -> CodimMeasureResult:
     """Perimeter measure of a level-set spec via the per-stratum sheet oracle.
 
     The full-window measure weights each stratum sheet by e^{-vol}/k!.  By
@@ -630,13 +580,12 @@ def perimeter_measure(E: SetSpec, window: BoxDomain, *, eps: float | None = None
     on a box is ``hausdorff.rho_m_localized(E.boundary_sheet(), 1, ...)``,
     and ``hausdorff.rho_m_limit`` checks that it increases to this value.
     """
-    if eps is None:
-        eps = 1e-2 * float(np.max(window.sides))
-    total, total_err, per_k = surface_battery(E, window, {"__total__": None}, eps=eps,
-                                              n_samples=n_samples, seed=seed,
-                                              K_max=K_max)["__total__"]
-    return PerimeterMeasure(spec=E, window=window, total=total, total_err=total_err,
-                            per_k=per_k, eps=eps)
+    if E.variant != "level_set":
+        raise DomainError("perimeter machinery needs level-set specs")
+    res = sheet_integrals(E.function, E.level, {"perimeter": None}, window,
+                          streams=_SHEET_STREAMS, n_samples=n_samples, seed=seed,
+                          K_max=K_max, count_equals=E.count_equals)["perimeter"]
+    return CodimMeasureResult.of(res, window, K_max)
 
 
 # ---------------------------------------------------------------------------
@@ -663,8 +612,8 @@ class GaussGreenReport:
 
 
 def gauss_green_residual(E: SetSpec, V: CylinderVectorField, window: BoxDomain, *,
-                         eps: float | None = None, n_samples: int = 60_000,
-                         seed: int = 0, K_max: int | None = None) -> GaussGreenReport:
+                         n_samples: int = 60_000, seed: int = 0,
+                         K_max: int | None = None) -> GaussGreenReport:
     """Both sides of int_E div* V dpi = int <V, sigma> d||E||.
 
     The left side integrates the adjoint divergence over the super-level set
@@ -672,18 +621,16 @@ def gauss_green_residual(E: SetSpec, V: CylinderVectorField, window: BoxDomain, 
     integral of <V, grad g>/|grad g| with an independent seed.  With the
     adjoint convention the normal is sigma = grad g / |grad g|.
     """
-    if eps is None:
-        eps = 1e-2 * float(np.max(window.sides))
     lhs, lhs_err = levelset_expectation(E, lambda k, X: V.divergence(X), window, seed=seed,
                                         K_max=K_max)
 
     def weight(X, grad, gn):
         return np.sum(V.at_particles(X) * grad, axis=(-2, -1))
 
-    res = surface_battery(E, window, {"gg": weight}, eps=eps, n_samples=n_samples,
-                          seed=seed + 4099, K_max=K_max)
-    rhs, rhs_err, _ = res["gg"]
-    return GaussGreenReport(lhs=lhs, lhs_err=lhs_err, rhs=rhs, rhs_err=rhs_err)
+    rhs = sheet_integrals(E.function, E.level, {"gg": weight}, window, streams=_SHEET_STREAMS,
+                          n_samples=n_samples, seed=seed + 4099, K_max=K_max,
+                          count_equals=E.count_equals)["gg"]
+    return GaussGreenReport(lhs=lhs, lhs_err=lhs_err, rhs=rhs.value, rhs_err=rhs.error)
 
 
 # ---------------------------------------------------------------------------
@@ -712,8 +659,8 @@ class CoareaReport:
 def _trapezoid_report(ts, levels, name, rhs) -> CoareaReport:
     """One member's CoareaReport from its per-t sheet results (None at a
     critical level) and its right side (value, err)."""
-    per_t = [(t, np.nan if res is None else res[name][0]) for t, res in zip(ts, levels)]
-    errs = [np.nan if res is None else res[name][1] for res in levels]
+    per_t = [(t, np.nan if res is None else res[name].value) for t, res in zip(ts, levels)]
+    errs = [np.nan if res is None else res[name].error for res in levels]
     # trapezoid over the valid values
     tv = [(t, v, e) for (t, v), e in zip(per_t, errs) if np.isfinite(v)]
     lhs = 0.0
@@ -728,7 +675,7 @@ def _trapezoid_report(ts, levels, name, rhs) -> CoareaReport:
 
 
 def coarea_family(members: dict, G_battery: dict, window: BoxDomain, *,
-                  eps: float | None = None, n_samples: int = 40_000, seed: int = 0,
+                  n_samples: int = 40_000, seed: int = 0,
                   K_max: int | None = None) -> dict[str, dict[str, CoareaReport]]:
     """Coarea checks of several F against one G battery, sharing every draw.
 
@@ -745,9 +692,6 @@ def coarea_family(members: dict, G_battery: dict, window: BoxDomain, *,
     Critical levels that the sheet oracle detects are skipped for every G and
     counted in ``gap_fraction``.  Returns name -> G name -> CoareaReport.
     """
-    if eps is None:
-        eps = 1e-2 * float(np.max(window.sides))
-
     def density(G):
         """(X, grad F, |grad F|) -> G |grad F| on tuples."""
         scalar_G = isinstance(G, (int, float))
@@ -770,15 +714,15 @@ def coarea_family(members: dict, G_battery: dict, window: BoxDomain, *,
 
     # one pass over the (seed + 7, 9000 + k) strata serves every (F, G)
     rhs = poisson_stratified_battery(rhs_densities, window, seed=seed + 7, mc_n=n_samples)
-    levels = {fname: [] for fname in members}  # per t: G name -> (value, err, per_k) or None
+    levels = {fname: [] for fname in members}  # per t: G name -> StratifiedSum or None
     for i in range(max((len(ts) for ts in grids.values()), default=0)):
         with shared_draws():
             for fname, (F, _) in members.items():
                 if i >= len(grids[fname]):
                     continue
                 try:
-                    res = surface_battery(SetSpec.level_set(F, grids[fname][i]), window,
-                                          weights, eps=eps, n_samples=n_samples,
+                    res = sheet_integrals(F, grids[fname][i], weights, window,
+                                          streams=_SHEET_STREAMS, n_samples=n_samples,
                                           seed=seed + 17 * i, K_max=K_max)
                 except CriticalLevelError:
                     res = None
@@ -787,17 +731,6 @@ def coarea_family(members: dict, G_battery: dict, window: BoxDomain, *,
                                             rhs[(fname, name)])
                     for name in weights}
             for fname in members}
-
-
-def coarea_check(F: CylinderFunction, G, t_grid, window: BoxDomain, *,
-                 eps: float | None = None, n_samples: int = 40_000,
-                 seed: int = 0, K_max: int | None = None) -> CoareaReport:
-    """Trapezoid in t of int G d||{F > t}|| against E_pi[ G |grad F| ].
-
-    The one-member, single-G call of ``coarea_family``.
-    """
-    return coarea_family({"F": (F, t_grid)}, {"G": G}, window, eps=eps, n_samples=n_samples,
-                         seed=seed, K_max=K_max)["F"]["G"]
 
 
 def _alignment_cosines(F: CylinderFunction, W: CylinderVectorField, window: BoxDomain,

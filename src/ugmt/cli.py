@@ -89,7 +89,10 @@ class SuiteConfig:
     @property
     def drawn_samples(self) -> int:
         """The sample count the report records: ``samples``, raised to the
-        floor for the suites that draw at least ``SAMPLES_FLOOR``."""
+        floor for the suites that draw at least ``SAMPLES_FLOOR``, and a
+        quarter of it (at least 4,000) per box of the monotonicity suite."""
+        if self.suite == "monotonicity":
+            return max(4000, self.samples // 4)
         return max(self.samples, SAMPLES_FLOOR) if self.suite in FLOORED_SUITES else self.samples
 
     def floats(self, key: str, default: list[float]) -> list[float]:
@@ -211,7 +214,7 @@ def _suite_monotonicity(cfg: SuiteConfig) -> list[dict]:
     boxes = [scaled_box(0.0, r, 1) for r in r_values]
     for name, spec in batteries.monotone_sheets().items():
         res = rho_m_limit(spec, 1, boxes, seed=cfg.seed,
-                          n_samples=max(4000, cfg.samples // 4), n_eta=48)
+                          n_samples=cfg.drawn_samples, n_eta=48)
         series = {"columns": ["r", "rho1_r", "sigma", "monotone"],
                   "rows": [[r, v, s, res.monotone]
                            for r, v, s in zip(r_values, res.values, res.errors)]}

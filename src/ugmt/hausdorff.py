@@ -22,7 +22,8 @@ from scipy.special import gammaln
 
 from .configuration import Configuration, MCEstimate, SetSpec, _draw, section_set
 from .geometry import BoxDomain, DomainError
-from .montecarlo import Strata, stratum_grid_points, uniform_tuples
+from .montecarlo import (StratifiedSum, Strata, poisson_k_cutoff, stratum_grid_points,
+                         uniform_tuples)
 from .productspace import stratum_indicator
 from .rng import mean_and_stderr, stream_rng
 
@@ -33,6 +34,7 @@ __all__ = [
     "dimensional_constant",
     "hausdorff_covering_upper",
     "rho_m_on_box",
+    "sheet_integrals",
     "rho_m_localized",
     "rho_m_limit",
     "scaled_box",
@@ -44,13 +46,6 @@ MIN_GRADIENT = 1e-3
 
 class CriticalLevelError(RuntimeError):
     """The defining function has near-vanishing gradient on the level band."""
-
-
-def surface_quad_orders(dim: int) -> dict[int, int]:
-    """Per-count tensor orders for the deterministic sheet quadrature."""
-    if dim == 1:
-        return {1: 192, 2: 96}
-    return {1: 32}
 
 
 def dimensional_constant(d: int) -> float:
@@ -80,13 +75,18 @@ class CodimMeasureResult:
     """Codim-m measure with its per-count breakdown: per_k[k] is (1/k!) times
     the content of the k-section, so total = e^{-vol} * sum(per_k)."""
 
-    m: int
     per_k: dict[int, float]
     k_truncation: int
-    window: BoxDomain
     total: float
     total_err: float
-    flags: tuple[str, ...] = ()
+
+    @classmethod
+    def of(cls, res: StratifiedSum, window: BoxDomain, K_max: int | None):
+        """From a sum over counts up to K_max (default: the window's Poisson cutoff)."""
+        scale = float(np.exp(window.volume))
+        return cls({k: scale * v for k, v in res.per_k.items()},
+                   poisson_k_cutoff(window.volume) if K_max is None else K_max,
+                   res.value, res.error)
 
 
 # ---------------------------------------------------------------------------
@@ -278,6 +278,35 @@ def surface_functional_auto(g, level: float, weights: dict, window: BoxDomain, k
                               quad_order=None)
 
 
+def sheet_integrals(g, level: float, weights: dict, window: BoxDomain, *,
+                    streams: tuple[int, int], eps: float | None = None,
+                    n_samples: int, seed: int, K_max: int | None = None,
+                    count_equals: int | None = None) -> dict[str, StratifiedSum]:
+    """Poisson integrals of surface weights over the level sheet {g = level}.
+
+    The codim-1 stratum loop: per count k, one ``surface_functional_auto``
+    call serves every weight (``weights`` as in ``surface_functional``), by
+    quadrature on counts 1 and 2 of a 1-d window (orders 192, 96) or count 1
+    otherwise (order 32), else by ``n_samples`` band draws on stream
+    (seed, base + stride k) for ``streams`` = (base, stride).  ``eps``
+    defaults to 1e-2 of the largest side.  Returns name -> StratifiedSum.
+    """
+    if eps is None:
+        eps = 1e-2 * float(np.max(window.sides))
+    base, stride = streams
+    strata = Strata(window, orders={1: 192, 2: 96} if window.dim == 1 else {1: 32},
+                    K_max=K_max, count_equals=count_equals)
+    per_stratum = {}
+    for s in strata:
+        est = surface_functional_auto(g, level, weights, window, s.k, eps=eps,
+                                      n_samples=n_samples, seed=seed,
+                                      stream=base + stride * s.k, quad_order=s.order)
+        volk = window.volume ** s.k
+        per_stratum[s.k] = {name: (val / volk, err / volk) for name, (val, err, _) in est.items()}
+    return {name: strata.integrate(lambda s, name=name: [per_stratum[s.k][name]])
+            for name in weights}
+
+
 # ---------------------------------------------------------------------------
 # greedy covering upper bound
 
@@ -347,15 +376,14 @@ def _stratum_fraction_exact(A: SetSpec, k: int, window: BoxDomain) -> float | No
 
 
 def rho_m_on_box(A: SetSpec, m: int, window: BoxDomain, *, K_max: int | None = None,
-                 n_samples: int = 20_000, seed: int = 0,
-                 eps: float | None = None) -> CodimMeasureResult:
+                 n_samples: int = 20_000, seed: int = 0) -> CodimMeasureResult:
     """Codimension-m Poisson measure of A on the configuration space over a box.
 
     m = 0 reduces to the Poisson probability of A (count-stratified).  m = 1
     requires A to be a level-set description; the measured object is the
     defining level sheet {F = level}, i.e. the reduced boundary of the strict
-    super-level set.  Other variants fall back to covering upper bounds and
-    are flagged.
+    super-level set, measured by ``sheet_integrals`` on streams 80 + k.  Other
+    variants raise; ``hausdorff_covering_upper`` bounds them.
     """
     if m not in (0, 1):
         raise DomainError("only m in {0, 1} is computed; use covering bounds beyond")
@@ -371,29 +399,20 @@ def rho_m_on_box(A: SetSpec, m: int, window: BoxDomain, *, K_max: int | None = N
         # vacuum stratum: membership of the empty configuration
         empty = Configuration(window=window, points=np.zeros((0, window.dim)))
         res = strata.integrate(term, empty=1.0 if A.contains(empty) else 0.0)
-    else:
-        if A.variant not in ("level_set", "level_sheet"):
-            raise DomainError("m = 1 requires a level-set description "
-                              "(covering upper bounds available separately)")
-        g, level = A.function, float(A.level)
-        if eps is None:
-            eps = 1e-2 * float(np.max(window.sides))
-        strata = Strata(window, orders=surface_quad_orders(window.dim), mc_n=n_samples,
-                        seed=seed, stream_base=80, K_max=K_max, count_equals=A.count_equals)
-
-        def term(s):
-            val, err, _ = surface_functional_auto(g, level, {"surface": None}, window, s.k,
-                                                  eps=eps, n_samples=s.mc_n, seed=s.seed,
-                                                  stream=s.stream,
-                                                  quad_order=s.order)["surface"]
-            volk = window.volume ** s.k
-            return [(max(val, 0.0) / volk, err / volk)]
-
-        res = strata.integrate(term)
-    scale = float(np.exp(window.volume))
-    return CodimMeasureResult(m=m, per_k={k: scale * v for k, v in res.per_k.items()},
-                              k_truncation=strata.K_max, window=window,
-                              total=res.value, total_err=res.error)
+        return CodimMeasureResult.of(res, window, K_max)
+    if A.variant not in ("level_set", "level_sheet"):
+        raise DomainError("m = 1 requires a level-set description "
+                          "(covering upper bounds available separately)")
+    res = sheet_integrals(A.function, float(A.level), {"surface": None}, window,
+                          streams=(80, 1), n_samples=n_samples, seed=seed,
+                          K_max=K_max, count_equals=A.count_equals)["surface"]
+    # a stratum whose band value came out negative counts as empty; the
+    # Poisson weight is positive, so clamping its share clamps the value
+    per_k = {k: max(v, 0.0) for k, v in res.per_k.items()}
+    total = 0.0
+    for v in per_k.values():  # in count order, as the unclamped sum was made
+        total += v
+    return CodimMeasureResult.of(StratifiedSum(total, res.error, per_k), window, K_max)
 
 
 def scaled_box(center, r: float, dim: int) -> BoxDomain:

@@ -31,7 +31,6 @@ __all__ = [
     "lift_semigroup",
     "lifted_gradient_norm",
     "check_intertwining",
-    "check_bakry_emery",
     "regularization_slope",
     "bessel_apply",
     "capacity_upper_bound",
@@ -485,13 +484,6 @@ def bakry_emery_battery(battery: Mapping[str, CylinderFunction], ps, ts,
                                    tolerance=tolerance)
                    for i, p in enumerate(ps) for ti, t in enumerate(ts)]
             for name in battery}
-
-
-def check_bakry_emery(F: CylinderFunction, p: float, t: float,
-                      op: LiftedHeatOperator, plan: MCPlan,
-                      tolerance: float = 1e-8) -> ViolationReport:
-    """Single (p, t) pointwise Bakry-Emery check; see bakry_emery_battery."""
-    return bakry_emery_battery({"F": F}, [p], [t], op, plan, tolerance)["F"][0]
 
 
 def regularization_slope(op: LiftedHeatOperator, t_grid, modes=range(1, 9),

@@ -10,15 +10,14 @@ from ugmt.cylinder import (CylinderVectorField, cyl_compose, cyl_from_star, cons
                            normalize_field, tanh_of)
 from ugmt.geometry import DomainError, SmoothFunction, SmoothVectorField, interval
 from ugmt.heat import LiftedHeatOperator, lifted_gradient_norm
-from ugmt.bv import (_REFINE_STEPS, _THETA_GRID, _VariationalObjective, _alignment_cosines,
-                     _coordinate_ascent,
-                     coarea_check, coarea_family,
+from ugmt.bv import (_REFINE_STEPS, _SHEET_STREAMS, _THETA_GRID, _VariationalObjective,
+                     _alignment_cosines, _coordinate_ascent, coarea_family,
                      gauss_green_residual, levelset_expectation, perimeter_measure,
-                     surface_battery, tv_bracket, tv_relaxation,
+                     tv_bracket_battery, tv_relaxation,
                      tv_semigroup, tv_variational, tv_variational_battery)
 from ugmt.montecarlo import Strata, poisson_k_cutoff
 from ugmt.hausdorff import (CriticalLevelError, rho_m_limit, rho_m_on_box, scaled_box,
-                            surface_functional)
+                            sheet_integrals, surface_functional)
 from ugmt.rng import mean_and_stderr, stream_rng
 
 UNIT = interval(0.0, 1.0)
@@ -299,7 +298,8 @@ def test_tv_relaxation_smooth_and_indicator():
 
 def test_bracket_halfspace():
     fam = batteries.field_family()
-    br = tv_bracket(HALF, OP, fam, [0.001, 0.002, 0.004, 0.006], [0.002, 0.004], seed=4)
+    br = tv_bracket_battery({"F": (HALF, [0.001, 0.002, 0.004, 0.006], [0.002, 0.004])},
+                            OP, fam, seed=4)["F"]
     assert br.consistent()
     assert br.relative_width() <= 0.15
 
@@ -349,14 +349,16 @@ def test_gauss_green_zero_field_and_pair():
 def test_coarea_constant_and_smooth():
     f = SmoothFunction.bump(0.5, 0.3, 1.0, window=UNIT)
     Fc = cyl_compose(lambda r: mul_n(const(0.0), r) + const(1.0), cyl_from_star(f))
-    rep = coarea_check(Fc, 1.0, [0.2, 0.4, 0.6, 0.8], UNIT, seed=11, n_samples=4000)
+    rep = coarea_family({"F": (Fc, [0.2, 0.4, 0.6, 0.8])}, {"G": 1.0}, UNIT, seed=11,
+                        n_samples=4000)["F"]["G"]
     assert rep.lhs == pytest.approx(0.0, abs=1e-9)
     assert rep.rhs == pytest.approx(0.0, abs=1e-9)
 
     a = 0.35
     F = batteries.tanh_sum_function(a)
     us = np.concatenate([np.linspace(0.02, 2.0, 12), np.linspace(2.4, 6.0, 5)])
-    rep2 = coarea_check(F, 1.0, np.tanh(a * us), UNIT, seed=12, n_samples=30_000)
+    rep2 = coarea_family({"F": (F, np.tanh(a * us))}, {"G": 1.0}, UNIT, seed=12,
+                         n_samples=30_000)["F"]["G"]
     assert rep2.deviation < 0.05
     assert rep2.gap_fraction <= 0.1
 
@@ -365,8 +367,8 @@ def test_coarea_numeric_G_scales_both_sides():
     F = cyl_compose(lambda r: tanh_of(r), cyl_from_star(
         SmoothFunction.bump(0.5, 0.3, 1.0, window=UNIT)))
     ts = [0.2, 0.4, 0.6]
-    one = coarea_check(F, 1.0, ts, UNIT, seed=11, n_samples=2_000)
-    two = coarea_check(F, 2.0, ts, UNIT, seed=11, n_samples=2_000)
+    one = coarea_family({"F": (F, ts)}, {"G": 1.0}, UNIT, seed=11, n_samples=2_000)["F"]["G"]
+    two = coarea_family({"F": (F, ts)}, {"G": 2.0}, UNIT, seed=11, n_samples=2_000)["F"]["G"]
     assert one.lhs > 0.0 and one.rhs > 0.0
     assert (two.lhs, two.rhs) == (2.0 * one.lhs, 2.0 * one.rhs)
     assert (two.lhs_err, two.rhs_err) == (2.0 * one.lhs_err, 2.0 * one.rhs_err)
@@ -426,7 +428,7 @@ def _surface_weights():
 
 
 @pytest.mark.parametrize("case", ["quadrature-and-mc", "fallback"])
-def test_surface_battery_matches_weight_by_weight(case):
+def test_sheet_integrals_match_weight_by_weight(case):
     # strata 1 and 2 take the quadrature route, 3 and 4 the Monte Carlo one;
     # on the plateau the wide profile meets the flat top, so every quadrature
     # stratum falls back to Monte Carlo
@@ -436,11 +438,14 @@ def test_surface_battery_matches_weight_by_weight(case):
     else:
         E = HALF
     weights = _surface_weights()
-    together = surface_battery(E, UNIT, weights, eps=0.01, n_samples=2_000, seed=3, K_max=4)
+
+    def run(battery):
+        return sheet_integrals(E.function, E.level, battery, UNIT, streams=_SHEET_STREAMS,
+                               eps=0.01, n_samples=2_000, seed=3, K_max=4)
+
+    together = run(weights)
     for name, weight in weights.items():
-        alone = surface_battery(E, UNIT, {name: weight}, eps=0.01, n_samples=2_000, seed=3,
-                                K_max=4)
-        assert together[name] == alone[name], name
+        assert together[name] == run({name: weight})[name], name
     if case == "fallback":
         g = E.function
         with pytest.raises(CriticalLevelError):
@@ -459,7 +464,7 @@ def test_coarea_family_matches_G_by_G():
     assert list(reps) == list(battery)
     assert reps["unit"].gap_fraction == 0.25
     for name, G in battery.items():
-        one = coarea_check(F, G, ts, UNIT, seed=11, n_samples=2_000)
+        one = coarea_family({"F": (F, ts)}, {"G": G}, UNIT, seed=11, n_samples=2_000)["F"]["G"]
         assert repr(reps[name]) == repr(one), name  # repr: nan != nan in per_t
 
 

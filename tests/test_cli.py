@@ -110,7 +110,8 @@ def test_main_exit_codes(tmp_path, monkeypatch):
     assert main(["run", "campbell", "--out", str(tmp_path / "f")]) == 1
 
 
-def test_reports_record_the_sample_count_drawn(tmp_path):
+def test_reports_record_the_sample_count_drawn(tmp_path, monkeypatch):
+    import ugmt.cli as cli_mod
     # de-giorgi draws at least the floor, and its report says so
     reports = {}
     for samples in ("2000", "20000"):
@@ -121,6 +122,22 @@ def test_reports_record_the_sample_count_drawn(tmp_path):
     assert reports["2000"]["records"] == reports["20000"]["records"]
     # a suite without the floor draws the count asked for
     assert SuiteConfig(suite="campbell", samples=1000).drawn_samples == 1000
+    # monotonicity's localized measures draw a quarter of it, at least 4,000,
+    # and its report records that count
+    drawn = []
+    real = cli_mod.rho_m_limit
+
+    def spy(*args, **kwargs):
+        drawn.append(kwargs["n_samples"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli_mod, "rho_m_limit", spy)
+    out = str(tmp_path / "monotonicity")
+    assert main(["run", "monotonicity", "--out", out]) == 0
+    report = json.load(open(os.path.join(out, "monotonicity.json")))
+    assert report["environment"]["samples"] == 5000
+    assert drawn == [5000] * len(batteries.monotone_sheets())
+    assert SuiteConfig(suite="monotonicity", samples=2000).drawn_samples == 4000
 
 
 def test_plot_data_emission(tmp_path):

@@ -9,11 +9,11 @@ a refactor may reorder floating-point arithmetic and so move them by at most
 import numpy as np
 import pytest
 
-from ugmt.bv import _VariationalObjective, levelset_expectation, surface_battery
+from ugmt.bv import _SHEET_STREAMS, _VariationalObjective, levelset_expectation
 from ugmt.configuration import SetSpec
 from ugmt.cylinder import CylinderVectorField, cyl_compose, cyl_from_star, tanh_of
 from ugmt.geometry import SmoothFunction, SmoothVectorField, interval
-from ugmt.hausdorff import rho_m_on_box
+from ugmt.hausdorff import rho_m_on_box, sheet_integrals
 from ugmt.heat import LiftedHeatOperator, lifted_gradient_norm
 from ugmt.montecarlo import MCPlan, integrate, poisson_stratified, sample_values
 from ugmt.rng import mean_and_stderr
@@ -45,8 +45,8 @@ def _variational():
 
 
 def _surface_quadrature():
-    res = surface_battery(SUM_SET, W, {"s": None}, eps=0.01, n_samples=2_000, seed=13,
-                          K_max=3)
+    res = sheet_integrals(SUM_SET.function, SUM_SET.level, {"s": None}, W,
+                          streams=_SHEET_STREAMS, eps=0.01, n_samples=2_000, seed=13, K_max=3)
     return res["s"][:2]
 
 
@@ -54,9 +54,8 @@ def _surface_fallback():
     # the wide quadrature profile reaches the flat top of the plateau, a
     # critical level, so every stratum drops to the hard-band Monte Carlo route
     top = SmoothFunction.plateau(interval(0.15, 0.35), 0.01, window=W)
-    sheet = SetSpec.level_set(cyl_from_star(top), 0.97)
-    res = surface_battery(sheet, W, {"s": None}, eps=0.005, n_samples=2_000, seed=17,
-                          K_max=2)
+    res = sheet_integrals(cyl_from_star(top), 0.97, {"s": None}, W, streams=_SHEET_STREAMS,
+                          eps=0.005, n_samples=2_000, seed=17, K_max=2)
     return res["s"][:2]
 
 

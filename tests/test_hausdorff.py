@@ -2,18 +2,19 @@ import numpy as np
 import pytest
 
 from ugmt import batteries
-from ugmt.bv import perimeter_measure
-from ugmt.configuration import Configuration, SetSpec, section_set
+from ugmt.bv import _SHEET_STREAMS, perimeter_measure
+from ugmt.configuration import Configuration, SetSpec, _draw, section_set
 from ugmt.cylinder import cyl_compose, cyl_from_star, tanh_of
 from ugmt.geometry import (BoxDomain, DomainError, SmoothFunction, _legendre_rule,
                            gauss_legendre, interval)
 from ugmt.hausdorff import (CriticalLevelError, RhoLimitResult, _LevelCache,
                             dimensional_constant, hausdorff_covering_upper, rho_m_limit,
-                            rho_m_localized, rho_m_on_box, scaled_box, surface_functional,
-                            surface_functional_auto)
+                            rho_m_localized, rho_m_on_box, scaled_box, sheet_integrals,
+                            surface_functional, surface_functional_auto)
 from ugmt.montecarlo import (MCPlan, StratumGrid, measure_of_set, stratum_grid_points,
                              uniform_tuples)
 from ugmt.productspace import stratum_indicator
+from ugmt.rng import stream_rng
 
 UNIT = interval(0.0, 1.0)
 
@@ -123,6 +124,47 @@ def test_rho1_halfspace_sheet():
     assert res.per_k[1] == pytest.approx(1.0, abs=1e-3)
     # k! weight: the quotient contribution times k! is the product-space content
     assert res.per_k[1] * 1 == pytest.approx(1.0, abs=1e-3)
+
+
+def test_perimeter_and_rho1_are_one_call_of_the_sheet_loop():
+    # the same sheet on two stream rules: each result is the loop's sum, the
+    # per-count shares scaled by e^{vol}; no stratum is clamped here
+    E = batteries.stack_set()
+    pm = perimeter_measure(E, UNIT, n_samples=3_000, seed=5)
+    r1 = rho_m_on_box(E.boundary_sheet(), 1, UNIT, n_samples=3_000, seed=5)
+    scale = np.exp(UNIT.volume)
+    for got, streams in ((pm, _SHEET_STREAMS), (r1, (80, 1))):
+        res = sheet_integrals(E.function, E.level, {"s": None}, UNIT, streams=streams,
+                              n_samples=3_000, seed=5)["s"]
+        assert min(res.per_k.values()) >= 0.0
+        assert (got.total, got.total_err) == (res.value, res.error)
+        assert got.per_k == {k: scale * v for k, v in res.per_k.items()}
+    assert pm.total != r1.total  # Monte Carlo strata on different streams
+
+
+def test_rho1_clamps_a_negative_stratum_at_zero():
+    # sheet-scale-1.3 sectioned on [-0.5, 0.5] by the outside pattern that
+    # rho_m_limit(..., seed=7) draws 22nd: the extrapolated band value of the
+    # k = 2 stratum (quadrature order 96) comes out negative
+    spec = batteries.monotone_sheets()["sheet-scale-1.3"]
+    inner = scaled_box(0.0, 1.0, 1)
+    rng = stream_rng(7, 7)
+    for _ in range(22):
+        pts = _draw(spec.locality, rng)
+    sec = section_set(spec, Configuration(window=spec.locality,
+                                          points=pts[~inner.contains(pts)]), inner)
+    raw = sheet_integrals(sec.function, sec.level, {"s": None}, inner, streams=(80, 1),
+                          n_samples=2_000, seed=29, count_equals=sec.count_equals)["s"]
+    got = rho_m_on_box(sec, 1, inner, n_samples=2_000, seed=29)
+    assert raw.per_k[2] < 0.0 and min(v for k, v in raw.per_k.items() if k != 2) >= 0.0
+    scale = np.exp(inner.volume)
+    assert got.per_k == {k: scale * max(v, 0.0) for k, v in raw.per_k.items()}
+    total = 0.0
+    for v in raw.per_k.values():  # in count order, as the loop adds its shares
+        total += max(v, 0.0)
+    assert got.total == total
+    assert got.total > raw.value
+    assert got.total_err == raw.error
 
 
 def test_rho1_rejects_bad_inputs():

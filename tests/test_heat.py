@@ -9,7 +9,7 @@ from ugmt.geometry import (DomainError, QuadratureError, SmoothFunction, gauss_l
                            interval)
 from ugmt.heat import (BesselOperator, LiftedHeatOperator, _semigroup_at,
                        bakry_emery_battery, bessel_apply, capacity_upper_bound,
-                       check_bakry_emery, check_intertwining, lift_semigroup,
+                       check_intertwining, lift_semigroup,
                        lifted_gradient_norm, regularization_slope)
 from ugmt.montecarlo import MCPlan, integrate
 
@@ -200,10 +200,11 @@ def test_bakry_emery_constant_and_linear():
     f = SmoothFunction.bump(0.5, 0.3, 1.0, window=UNIT)
     Fc = cyl_compose(lambda r: mul_n(const(0.0), r) + const(2.0), cyl_from_star(f))
     plan = MCPlan(n_samples=500, seed=5, window=UNIT)
-    rep = check_bakry_emery(Fc, 2.0, 0.05, OP, plan)
+    rep = bakry_emery_battery({"F": Fc}, [2.0], [0.05], OP, plan)["F"][0]
     assert rep.max_violation <= 0.0 + 1e-12
     F = cyl_from_star(f)
-    rep2 = check_bakry_emery(F, 2.0, 0.01, OP, MCPlan(n_samples=2000, seed=6, window=UNIT))
+    rep2 = bakry_emery_battery({"F": F}, [2.0], [0.01], OP,
+                               MCPlan(n_samples=2000, seed=6, window=UNIT))["F"][0]
     assert rep2.violation_fraction == 0.0
 
 

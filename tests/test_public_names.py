@@ -27,9 +27,6 @@ SECOND_ROUTES = {
     "integrate_disintegrated": "disintegrated Poisson integral against the stratified one",
     "lift_semigroup": "tensor-grid semigroup against the closed-form ExponentialCylinderFunction",
     "hausdorff_covering_upper": "covering upper bound against the band oracle",
-    "check_bakry_emery": "per-configuration form of bakry_emery_battery",
-    "coarea_check": "one-member, single-G form of coarea_family",
-    "tv_bracket": "one-member form of tv_bracket_battery",
     "sample_poisson": "per-configuration draws against draw_by_count",
     "sample_poisson_batch": "per-configuration draws against draw_by_count",
     "directional_derivative_fd": "finite differences against the exact gradient",

@@ -64,3 +64,22 @@ def test_tracer_layers_are_loaded_modules():
     import ugmt.cli  # noqa: F401  (the traced runs import the package through the CLI)
     for layer in _tracer_layers():
         assert f"ugmt.{layer}" in sys.modules, layer
+
+
+def test_sheet_loop_passes_quad_order_by_keyword(monkeypatch):
+    # the tracer counts a fallback when a call with kwargs["quad_order"] set
+    # runs a Monte Carlo band; a positional order would leave
+    # hausdorff.fallbacks at 0 without failing any run
+    from ugmt import batteries
+    calls = []
+    real = hausdorff.surface_functional_auto
+
+    def spy(*args, **kwargs):
+        calls.append((len(args), kwargs))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(hausdorff, "surface_functional_auto", spy)
+    bv.perimeter_measure(batteries.stack_set(), batteries.UNIT, n_samples=500, seed=1,
+                         K_max=3)
+    assert [n for n, _ in calls] == [5, 5, 5]  # g, level, weights, window, k
+    assert [kwargs["quad_order"] for _, kwargs in calls] == [192, 96, None]
