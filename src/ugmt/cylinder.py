@@ -613,10 +613,6 @@ class ExponentialCylinderFunction:
 # cylinder vector fields
 
 
-def _coeff_value(coeff, gamma: Configuration) -> float:
-    return float(coeff) if isinstance(coeff, (int, float)) else coeff.value(gamma)
-
-
 @dataclass(frozen=True)
 class CylinderVectorField:
     """V(gamma, x) = sum_i F_i(gamma) v_i(x)."""
@@ -639,9 +635,6 @@ class CylinderVectorField:
         return all(v.components[0].window is None
                    or v.components[0].window.contains_box(v.support) for _, v in self.terms)
 
-    def coefficients(self, gamma: Configuration) -> np.ndarray:
-        return np.array([_coeff_value(c, gamma) for c, _ in self.terms])
-
     def at_particles(self, x) -> np.ndarray:
         """V(gamma, x_j) at every particle x_j, (..., k, n)."""
         X = _tuples(x)
@@ -652,15 +645,6 @@ class CylinderVectorField:
             cv = float(c) if isinstance(c, (int, float)) else c.value(X)[..., None, None]
             out += cv * v.value(X)
         return out
-
-    def tangent_norm_sq(self, gamma: Configuration) -> float:
-        """Gram-form |V|^2_T(gamma) = sum_ij F_i F_j (v_i . v_j) star gamma."""
-        if gamma.count == 0:
-            return 0.0
-        co = self.coefficients(gamma)
-        vals = np.stack([v.value(gamma.points) for _, v in self.terms])  # (m, k, n)
-        gram = np.einsum("akn,bkn->ab", vals, vals)
-        return float(co @ gram @ co)
 
     def divergence(self, x):
         """Adjoint divergence div* V; see the module docstring for the sign.

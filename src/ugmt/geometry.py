@@ -99,9 +99,6 @@ class BoxDomain:
         hi = np.minimum(self.upper, other.upper)
         return bool(np.any(lo >= hi - 1e-15))
 
-    def sample_uniform(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        return rng.uniform(self.lower, self.upper, size=(size, self.dim))
-
 
 def interval(lo: float, hi: float) -> BoxDomain:
     return BoxDomain((lo,), (hi,))
@@ -617,9 +614,6 @@ class HeatKernel1D:
             raise DomainError("need t > 0 and L > 0")
         if self.M < 1:
             object.__setattr__(self, "M", auto_image_order(self.t, self.L, self.tol))
-
-    def tail_bound(self) -> float:
-        return neumann_kernel_tail_bound(self.t, self.L, self.M)
 
     def kernel(self, a, b) -> np.ndarray:
         return neumann_kernel(a, b, self.t, self.L, self.M)

@@ -15,10 +15,10 @@ All spherical Hausdorff values carry the dimensional constant c(d) =
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .configuration import Configuration, MCEstimate, SetSpec, _draw, section_set
 from .geometry import BoxDomain, DomainError
@@ -54,7 +54,7 @@ def dimensional_constant(d: int) -> float:
         raise ValueError("dimension must be nonnegative")
     if d == 0:
         return 1.0
-    log_alpha = (d / 2.0) * np.log(np.pi) - gammaln(d / 2.0 + 1.0)
+    log_alpha = (d / 2.0) * np.log(np.pi) - math.lgamma(d / 2.0 + 1.0)
     return float(np.exp(log_alpha - d * np.log(2.0)))
 
 

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
-from scipy import special
 
 from .configuration import Configuration, SetSpec
 from .cylinder import CylinderFunction, ExponentialCylinderFunction
@@ -534,7 +533,14 @@ class BesselOperator:
 
     B F = (1/Gamma(alpha/2)) * integral of e^{-t} t^{alpha/2-1} T_t F dt,
     realized by 48-node generalized Gauss-Laguerre quadrature; exact on
-    constants.
+    constants.  The rule comes from the Jacobi matrix of the Laguerre
+    polynomials L^(a), a = alpha/2 - 1 (Golub and Welsch, Math. Comp. 23,
+    1969): its eigenvalues, polished by one Newton step, are the nodes, and
+    the weight of the normalized measure at a node x is the squared first
+    component of the unit eigenvector, 1 / sum_j p_j(x)^2 over the orthonormal
+    polynomials p_j.  The recurrence gives the tiny weights of the far nodes
+    to full relative precision; eigenvector components from ``eigh`` carry
+    only an absolute error, which puts the moments of t^20 1e-11 off.
     """
 
     alpha: float
@@ -545,10 +551,28 @@ class BesselOperator:
             raise DomainError("need alpha > 0 and p in [1, inf)")
 
     def nodes_weights(self) -> tuple[np.ndarray, np.ndarray]:
-        a = self.alpha / 2.0 - 1.0
-        x, w = special.roots_genlaguerre(48, a)
-        w = w / special.gamma(self.alpha / 2.0)
-        return x, w
+        a, n = self.alpha / 2.0 - 1.0, 48
+        j = np.arange(n + 1.0)
+        diag, off = 2.0 * j + a + 1.0, np.sqrt(j * (j + a))  # off[j] couples j - 1 and j
+        x = np.linalg.eigvalsh(np.diag(diag[:n]) + np.diag(off[1:n], 1) + np.diag(off[1:n], -1))
+        p, dp, _ = _orthonormal_laguerre(x, diag, off)
+        x = x - p / dp
+        return x, 1.0 / _orthonormal_laguerre(x, diag, off)[2]
+
+
+def _orthonormal_laguerre(x: np.ndarray, diag: np.ndarray, off: np.ndarray):
+    """p_n(x), p_n'(x) and sum_{j<n} p_j(x)^2 for the orthonormal polynomials of
+    the Jacobi matrix (``diag``, ``off``), n = len(diag) - 1, by the three-term
+    recurrence off[j+1] p_{j+1} = (x - diag[j]) p_j - off[j] p_{j-1}."""
+    prev, cur = np.zeros_like(x), np.ones_like(x)
+    dprev, dcur = np.zeros_like(x), np.zeros_like(x)
+    norm_sq = np.zeros_like(x)
+    for k in range(len(diag) - 1):
+        norm_sq += cur * cur
+        prev, cur, dprev, dcur = (
+            cur, ((x - diag[k]) * cur - off[k] * prev) / off[k + 1],
+            dcur, (cur + (x - diag[k]) * dcur - off[k] * dprev) / off[k + 1])
+    return cur, dcur, norm_sq
 
 
 def bessel_apply(F, B: BesselOperator, op: LiftedHeatOperator,

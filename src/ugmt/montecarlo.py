@@ -17,6 +17,11 @@ Two integration routes are provided and used as mutual oracles throughout:
   for larger k.  ``poisson_stratified_battery`` evaluates a battery once per
   stratum and integrates each member.
 
+The count weights need no scipy: ``poisson_pmf`` reproduces the bits of
+``scipy.stats.poisson.pmf`` from ``math`` (log k! as cephes ``lgam`` computes
+it), and the tail mass beyond a count, which sets ``poisson_k_cutoff`` and the
+stratified error bar's truncation charge, is the sum of the pmf terms.
+
 Uniform k-tuples on a Monte Carlo stratum come from ``uniform_tuples``, one
 bulk draw on the counter-based stream (seed, stream).  Inside a
 ``shared_draws`` scope a repeated (window, k, n, seed, stream) key returns the
@@ -27,13 +32,13 @@ several functions on the same strata draw each stratum once.
 from __future__ import annotations
 
 import functools
+import math
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 import numpy as np
-from scipy import special
 
 from .configuration import Configuration, MCEstimate, SetSpec, _draw
 from .geometry import BoxDomain, gauss_legendre
@@ -80,9 +85,6 @@ class MCPlan:
             raise ValueError(f"n_samples must be at least {MIN_SAMPLES}")
         if self.streams < 1:
             raise ValueError("streams must be >= 1")
-
-    def with_seed(self, seed: int) -> "MCPlan":
-        return MCPlan(self.n_samples, seed, self.window, self.streams)
 
 
 def draw_by_count(plan: MCPlan) -> dict[int, tuple[np.ndarray, np.ndarray]]:
@@ -197,17 +199,79 @@ def measure_of_set(A: SetSpec, plan: MCPlan, name: str = "") -> MCEstimate:
 # particle-count stratification
 
 
+# Stirling's series of cephes ``lgam`` (scipy's ``gammaln``) for x >= 13
+_LOG_SQRT_2PI = 0.91893853320467274178
+_STIRLING = (8.11614167470508450300e-4, -5.95061904284301438324e-4,
+             7.93650340457716943945e-4, -2.77777777730099687205e-3,
+             8.33333333333331927722e-2)
+
+
+def _log_factorial(k: int) -> float:
+    """log k! by the branch of cephes ``lgam`` taken at x = k + 1, bit for bit:
+    the log of the exact k! below 13, Stirling's series from there (three
+    terms from 1000 on, none beyond 1e8)."""
+    x = float(k + 1)
+    if x < 13.0:
+        return math.log(math.factorial(k))
+    q = (x - 0.5) * math.log(x) - x + _LOG_SQRT_2PI
+    if x > 1e8:
+        return q
+    p = 1.0 / (x * x)
+    if x >= 1000.0:
+        return q + ((7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p
+                    + 0.0833333333333333333333) / x
+    s = _STIRLING[0]
+    for c in _STIRLING[1:]:
+        s = s * p + c
+    return q + s / x
+
+
 def poisson_pmf(k, lam: float):
-    """Poisson(lam) probability of k, elementwise over an array of counts (the
-    formula of ``scipy.stats.poisson.pmf``, without importing scipy.stats)."""
-    pmf = np.exp(special.xlogy(k, lam) - special.gammaln(np.add(k, 1)) - lam)
-    return float(pmf) if np.ndim(pmf) == 0 else pmf
+    """Poisson(lam) probability of k, elementwise over an array of counts.
+
+    exp(k log lam - log k! - lam) with ``_log_factorial``: the same bits as
+    ``scipy.stats.poisson.pmf``, without importing scipy.  A negative count has
+    probability 0.
+    """
+    log_lam = math.log(lam)
+
+    def log_pmf(j: int) -> float:
+        if j < 0:
+            return -math.inf
+        return j * log_lam - _log_factorial(j) - lam
+
+    if np.ndim(k) == 0:
+        return float(np.exp(log_pmf(int(k))))
+    return np.exp(np.array([log_pmf(int(j)) for j in np.ravel(k)]).reshape(np.shape(k)))
+
+
+def _poisson_tail(k: int, lam: float) -> float:
+    """Poisson(lam) mass beyond the count k, the sum of pmf(j) over j > k.
+
+    The terms are summed by the ratio pmf(j) / pmf(j - 1) = lam / j from the
+    largest one, j0 = max(k + 1, floor lam): upward until they no longer change
+    the sum, then downward to j = k + 1.  Every term is positive, so nothing
+    cancels as in 1 - cdf.
+    """
+    j0 = max(k + 1, int(lam))
+    top = poisson_pmf(j0, lam)
+    total, term, j = 0.0, top, j0
+    while total + term != total:
+        total += term
+        j += 1
+        term *= lam / j
+    term, j = top, j0
+    while j > k + 1:
+        term *= j / lam
+        j -= 1
+        total += term
+    return total
 
 
 def poisson_k_cutoff(volume: float, tol: float = 1e-10) -> int:
     """Smallest K with Poisson(volume) tail mass beyond K below tol."""
     k = 0
-    while float(special.pdtrc(k, volume)) > tol and k < 10_000:
+    while _poisson_tail(k, volume) > tol and k < 10_000:
         k += 1
     return k
 
@@ -444,7 +508,7 @@ class Strata:
                 per_k[s.k] += s.weight * mean
                 err_sq += (s.weight * err) ** 2
         if sup_bound is not None:
-            err_sq += (float(special.pdtrc(self.K_max, lam)) * sup_bound) ** 2
+            err_sq += (_poisson_tail(self.K_max, lam) * sup_bound) ** 2
         return StratifiedSum(total, float(np.sqrt(err_sq)), per_k)
 
 

@@ -7,6 +7,7 @@ lines.  Tolerances are fixed here, not calibrated at runtime.
 import itertools
 import json
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -89,8 +90,8 @@ def test_03_disintegration():
         f = SmoothFunction.bump(rng.uniform(0.3, 0.7), rng.uniform(0.2, 0.3), 1.0,
                                 window=UNIT)
         F = cyl_compose(lambda r: tanh_of(r), cyl_from_star(f))
-        direct = integrate(F.value, plan.with_seed(100 + i))
-        nested = integrate_disintegrated(F.value, (M, N), plan.with_seed(200 + i))
+        direct = integrate(F.value, replace(plan, seed=100 + i))
+        nested = integrate_disintegrated(F.value, (M, N), replace(plan, seed=200 + i))
         comb = np.sqrt(direct.std_err**2 + nested.std_err**2)
         if abs(direct.mean - nested.mean) > 3 * comb:
             fails += 1

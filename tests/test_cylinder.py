@@ -10,7 +10,8 @@ from ugmt.cylinder import (CylinderFunction, CylinderVectorField,
                            ExponentialCylinderFunction, OuterFunction, add_n, const,
                            coord, cyl_compose, cyl_from_star, cyl_mul,
                            directional_derivative_fd, eval_star, exp_neg, mul_n,
-                           normalize_field, smoothstep, square, tanh_of)
+                           normalize_field, smoothstep, square, tangent_norm_sq_cylinder,
+                           tanh_of)
 from ugmt.geometry import DomainError, SmoothFunction, SmoothVectorField, interval
 from ugmt.montecarlo import MCPlan, integrate, shared_draws
 from ugmt.productspace import stratum_indicator
@@ -174,16 +175,17 @@ def test_integration_by_parts_adjoint():
 def test_tangent_norm_evaluations():
     v = SmoothVectorField((SmoothFunction.bump(0.5, 0.3, 0.8, window=UNIT),))
     V = CylinderVectorField(((1.0, v),))
+    Q = tangent_norm_sq_cylinder(V)
     x0 = 0.55
     g = conf([x0])
-    assert np.sqrt(V.tangent_norm_sq(g)) == pytest.approx(
+    assert np.sqrt(Q.value(g)) == pytest.approx(
         abs(float(v.value(np.array([[x0]]))[0, 0])))
-    assert V.tangent_norm_sq(EMPTY) == 0.0
+    assert Q.value(EMPTY) == 0.0
     rng = np.random.default_rng(23)
     for _ in range(50):
         g = Configuration(window=UNIT, points=rng.uniform(0, 1, (rng.integers(1, 5), 1)))
         direct = float(np.sum(V.at_particles(g) ** 2))
-        assert V.tangent_norm_sq(g) == pytest.approx(direct, abs=1e-12)
+        assert Q.value(g) == pytest.approx(direct, abs=1e-12)
 
 
 @settings(max_examples=40, deadline=None)
@@ -194,7 +196,8 @@ def test_cauchy_schwarz(seed):
     W = random_field(rng)
     g = Configuration(window=UNIT, points=rng.uniform(0, 1, (rng.integers(0, 5), 1)))
     lhs = np.sum(V.at_particles(g) * W.at_particles(g)) ** 2
-    assert lhs <= V.tangent_norm_sq(g) * W.tangent_norm_sq(g) + 1e-12
+    assert lhs <= (tangent_norm_sq_cylinder(V).value(g)
+                   * tangent_norm_sq_cylinder(W).value(g) + 1e-12)
 
 
 def test_normalize_field_properties():
@@ -202,11 +205,12 @@ def test_normalize_field_properties():
     V = random_field(rng)
     eps = 0.05
     W = normalize_field(V, eps)
+    QV, QW = tangent_norm_sq_cylinder(V), tangent_norm_sq_cylinder(W)
     cap = 1.0 / (2.0 * np.sqrt(eps))
     worst_cubic = 0.0
     for g in sample_poisson_batch(UNIT, seed=41, n=2000):
-        nv = np.sqrt(V.tangent_norm_sq(g))
-        nw = np.sqrt(W.tangent_norm_sq(g))
+        nv = np.sqrt(QV.value(g))
+        nw = np.sqrt(QW.value(g))
         assert nw <= cap + 1e-9
         if nv == 0.0:
             assert nw == pytest.approx(0.0, abs=1e-12)

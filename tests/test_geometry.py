@@ -107,7 +107,7 @@ def test_kernel_mass_symmetry_positivity(t):
     assert np.all(K >= 0)
     assert np.allclose(K, K.T)
     mass = (K * w[None, :]).sum(axis=1)
-    assert np.max(np.abs(mass - 1.0)) <= ker.tail_bound() + 1e-10
+    assert np.max(np.abs(mass - 1.0)) <= neumann_kernel_tail_bound(ker.t, ker.L, ker.M) + 1e-10
 
 
 def test_kernel_domain_errors():
@@ -198,7 +198,7 @@ def test_dirichlet_kernel_dominated_and_absorbing(t):
     assert np.all(np.abs(kD) <= kN * (1.0 + 1e-12))
     # the odd image sum vanishes on the boundary up to its truncated images
     edges = ker.dirichlet(np.array([[0.0], [1.0]]), nodes[None, :])
-    assert np.max(np.abs(edges)) <= ker.tail_bound() + 1e-12
+    assert np.max(np.abs(edges)) <= neumann_kernel_tail_bound(ker.t, ker.L, ker.M) + 1e-12
 
 
 def test_approximate_identity():

@@ -226,6 +226,23 @@ def test_bessel_normalization_and_positivity():
     assert np.all(bessel_apply(Fpos, B, OP, gams) >= 0.0)
 
 
+@pytest.mark.parametrize("alpha", [0.6, 1.0, 1.5, 2.0, 3.0])
+def test_laguerre_rule_matches_scipy(alpha):
+    from scipy import special
+    a = alpha / 2.0 - 1.0
+    x, w = BesselOperator(alpha=alpha, p=2.0).nodes_weights()
+    x_ref, w_ref = special.roots_genlaguerre(48, a)
+    w_ref = w_ref / special.gamma(alpha / 2.0)
+    assert np.max(np.abs(x - x_ref) / x_ref) <= 1e-12
+    assert np.max(np.abs(w - w_ref)) <= 1e-13
+    assert abs(np.sum(w) - 1.0) <= 1e-14
+    # moments of the normalized Gamma(a + 1) law: the rising factorial (a + 1)_j
+    rising = 1.0
+    for j in range(21):
+        assert np.sum(w * x**j) == pytest.approx(rising, rel=1e-12)
+        rising *= a + 1.0 + j
+
+
 def test_bessel_eigen_closed_form():
     # B applied to a mode statistic: (1 + lambda)^(-alpha/2) decay
     amp = 0.3

@@ -142,7 +142,7 @@ def _reference_draw(window, rng):
     the sorted collision check, as ``configuration._draw`` had it."""
     k = rng.poisson(window.volume)
     for _ in range(10):
-        pts = window.sample_uniform(rng, k)
+        pts = rng.uniform(window.lower, window.upper, size=(k, window.dim))
         if k < 2:
             return pts
         canon = pts[np.lexsort(pts.T[::-1])]
@@ -304,6 +304,69 @@ def test_poisson_pmf_and_tail_equal_scipy_stats(lam):
     while float(stats.poisson.sf(k, lam)) > 1e-10:
         k += 1
     assert poisson_k_cutoff(lam) == k
+
+
+_PMF_LAMS = [0.25, 0.5, 1.0, 1.5, 2.0, 2.25, 3.0, 4.0, 6.0, 12.0]
+
+
+@pytest.mark.parametrize("lam", _PMF_LAMS)
+def test_poisson_pmf_equals_the_scipy_formula_bit_for_bit(lam):
+    # k + 1 runs through all three branches of cephes lgam: below 13, the
+    # five-term series below 1000 and the three-term series from 1000 on
+    ks = np.arange(1201)
+    ref = np.exp(special.xlogy(ks, lam) - special.gammaln(ks + 1) - lam)
+    assert np.array_equal(poisson_pmf(ks, lam), ref)
+    for k in ks:
+        assert poisson_pmf(int(k), lam) == float(ref[k])
+    assert poisson_pmf(-1, lam) == 0.0
+    assert poisson_pmf(-3, lam) == 0.0
+    assert np.array_equal(poisson_pmf(np.array([-2, -1]), lam), [0.0, 0.0])
+
+
+def _pdtrc_cutoff(volume, tol=1e-10):
+    k = 0
+    while float(special.pdtrc(k, volume)) > tol and k < 10_000:
+        k += 1
+    return k
+
+
+def test_k_cutoff_equals_the_pdtrc_rule():
+    volumes = np.concatenate([np.linspace(0.0, 60.0, 501)[1:],
+                              [w.volume for w in _DRAW_WINDOWS.values()]])
+    for volume in volumes:
+        assert poisson_k_cutoff(float(volume)) == _pdtrc_cutoff(volume)
+
+
+@pytest.mark.parametrize("lam", _PMF_LAMS)
+def test_poisson_tail_matches_pdtrc(lam):
+    # k < 60 holds every count cutoff and sup-bound charge of the lab.  Far
+    # deeper (log k! of several hundred) the exp of the rounded exponent leaves
+    # both this sum and pdtrc a few 1e-13 off the exact tail.
+    for k in range(60):
+        ref = float(special.pdtrc(k, lam))
+        if ref > 1e-300:
+            assert montecarlo._poisson_tail(k, lam) == pytest.approx(ref, rel=1e-13, abs=0.0)
+    assert montecarlo._poisson_tail(-1, lam) == pytest.approx(1.0, rel=1e-15)
+
+
+def test_count_weights_load_no_scipy():
+    import ugmt
+    src = os.path.dirname(os.path.dirname(ugmt.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = (
+        "import sys, ugmt.cli\n"
+        "def loaded(): return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "print(loaded())\n"
+        "from ugmt.geometry import interval\n"
+        "from ugmt.heat import BesselOperator\n"
+        "from ugmt.montecarlo import Strata, poisson_k_cutoff\n"
+        "BesselOperator(alpha=0.6, p=2.0).nodes_weights()\n"
+        "poisson_k_cutoff(3.0)\n"
+        "Strata(interval(0.0, 2.0)).integrate(lambda s: [(1.0, 0.0)], sup_bound=1.0)\n"
+        "print(loaded())\n")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.split("\n")[:2] == ["[]", "[]"]
 
 
 def test_cli_import_leaves_out_scipy_stats_and_optimize():
