@@ -225,13 +225,23 @@ class _VariationalObjective:
         T(d) = V^2 V' + d (2 V U V' + V^2 U') + d^2 (U^2 V' + 2 V U U') + d^3 U^2 U'
                + sum_c (theta_c + d [c = a]) (P_c + d p_c) (R_c + d r_c),
 
-    and theta . S gains d S_a.  ``_batch_div`` computes these coefficients
-    in one O(A m k) pass over a batch and scores every step d at O(m).
+    and theta . S gains d S_a.  Per batch, the d^0 state at theta (V_theta,
+    V_theta', the pairs P and R, q0 = |V_theta|^2, t0 = T(0), s0 = theta . S;
+    ``_state``) gives coordinate a's line coefficients q1, q2 and t1..t3 at
+    O(m k) (``_line``), and every step d is scored at O(m) (``_rows``);
+    ``_batch_div`` is the three from a fresh theta.
     ``value(theta, i, a, steps)`` is member i's objective at theta + d e_a
     for each step, in one pass over the batches, which it builds on first use
-    and keeps.  ``value_with_error`` is the final estimate of every member at
-    its own theta (the step 0), made once: it builds each stratum's batches,
-    scores every member on them and drops them, so no basis is stored.
+    and keeps.  The search carries one state per kept batch: once a step d is
+    chosen, ``_advance`` moves it in place by the polynomial just scored
+    (V += d U, V' += d U', P, R += d p, d r, q0 <- q(d), t0 <- T(d),
+    s0 += d S_a), so a search call contracts no family row but the moving
+    one.  A theta other than the carried one (a new member, a test's line)
+    rebuilds the state, after freeing the old one.  ``value_with_error`` is
+    the final estimate of every member at its own theta, made once: it
+    builds each stratum's batches, scores each member's d^0 state on them,
+    D (D t0 / 2 - s0), freeing it before the next member's, and drops the
+    batches, so no basis is stored.
     One-dimensional windows only.
     """
 
@@ -249,6 +259,9 @@ class _VariationalObjective:
         self.n_band = n_band
         self.mc_n = mc_n
         self._cyl = [a for a, (c, _) in enumerate(family) if not isinstance(c, (int, float))]
+        # the search's carried theta, its state per kept batch, and the
+        # coordinate and per-batch coefficients of the line scored last
+        self._theta = self._states = self._scored = None
 
     def _stream(self):
         """The batches (kind, n, prefactor times F-weights, basis), stratum by stratum."""
@@ -323,29 +336,35 @@ class _VariationalObjective:
         Vd *= C[..., None]
         return Vv, Vd, S, VCg, None
 
-    def _batch_div(self, theta, a, steps, basis):
-        """div* W at the batch's tuples for theta + d e_a, one row per step d: (G, m)."""
+    def _state(self, theta, basis) -> list:
+        """The d^0 state of one batch at theta: [V_theta, V_theta', the pairs
+        (B, m) <V_theta, v_c> and <V_theta, grad c_c>, q0 = |V_theta|^2,
+        t0 = T(0), s0 = theta . S]."""
         CVv, CVd, S, VCg, UVCg = basis
         A, m, k = CVv.shape
         n, cyl = len(self._cyl), self._cyl
         th = theta[None]
-        # the d^0 coefficients, from V_theta, its derivative and the pairs
-        # <V_theta, v_c>, <V_theta, grad c_c> at the particles
         Vt = (th @ CVv.reshape(A, -1)).reshape(-1, m, k)
         dVt = (th @ CVd.reshape(A, -1)).reshape(-1, m, k)
         if UVCg is None:   # a streamed batch contracts with the fields here
             pair = np.einsum("gmk,bmk->gbm", Vt, VCg, optimize=True)
-            line = np.einsum("mk,bmk->bm", CVv[a], VCg)
         else:
             pair = (th @ UVCg.reshape(A, -1)).reshape(1, -1, m)
-            line = UVCg[a]
         q0 = np.einsum("gmk,gmk->gm", Vt, Vt)[0]
         t0 = (np.einsum("gmk,gmk,gmk->gm", Vt, Vt, dVt)
               + np.einsum("ga,gam,gam->gm", th[:, cyl], pair[:, :n], pair[:, n:]))[0]
-        # the higher ones, from the moving term U = c_a v_a: the pairs gain
-        # d <U, v_c> and d <U, grad c_c>
-        Vt, dVt, U, dU = Vt[0], dVt[0], CVv[a], CVd[a]
-        (P, R), (p, r) = np.split(pair[0], 2), np.split(line, 2)
+        return [Vt[0], dVt[0], pair[0], q0, t0, (th @ S)[0]]
+
+    def _line(self, theta, state, a, basis) -> tuple:
+        """Coordinate a's line coefficients (q1, q2, t1, t2, t3) at theta, from
+        its state: the moving term U = c_a v_a adds d <U, v_c> and
+        d <U, grad c_c> to the pairs."""
+        CVv, CVd, _, VCg, UVCg = basis
+        cyl = self._cyl
+        Vt, dVt, pair = state[:3]
+        U, dU = CVv[a], CVd[a]
+        line = np.einsum("mk,bmk->bm", U, VCg) if UVCg is None else UVCg[a]
+        (P, R), (p, r) = np.split(pair, 2), np.split(line, 2)
         VtU, UU = Vt * U, U * U
         q1 = 2.0 * np.einsum("mk->m", VtU)
         q2 = np.einsum("mk->m", UU)
@@ -359,34 +378,85 @@ class _VariationalObjective:
             t1 += P[j] * R[j]
             t2 += P[j] * r[j] + p[j] * R[j]
             t3 += p[j] * r[j]
-        # every step at O(m), by Horner's rule in place; the step 0 reproduces
-        # D (D T / 2 - theta . S) operation for operation
-        s0, out = (th @ S)[0], np.empty((len(steps), m))
-        for D, d in zip(out, steps):
-            np.multiply(q2, d, out=D)
-            D += q1
-            D *= d
-            D += q0
+        return q1, q2, t1, t2, t3
+
+    @staticmethod
+    def _at(state, coefs, d, q, T):
+        """The line's q(d) = |V|^2 and T(d) at step d, by Horner's rule in
+        place into the buffers q and T."""
+        q1, q2, t1, t2, t3 = coefs
+        np.multiply(q2, d, out=q)
+        q += q1
+        q *= d
+        q += state[3]
+        np.multiply(t3, d, out=T)
+        T += t2
+        for t in (t1, state[4]):
+            T *= d
+            T += t
+        return q, T
+
+    def _rows(self, state, coefs, S_a, steps):
+        """div* W at each step d in turn, at O(m); each row is yielded in one
+        buffer that the next step overwrites.  The step 0 reproduces
+        D (D T / 2 - theta . S) operation for operation."""
+        s0 = state[5]
+        D, T = np.empty_like(s0), np.empty_like(s0)
+        for d in steps:
+            self._at(state, coefs, d, D, T)
             D *= 0.25
             D += 1.0
             np.reciprocal(D, out=D)
-            T = t3 * d + t2
-            for t in (t1, t0):
-                T *= d
-                T += t
             T *= D
             T *= 0.5
-            T -= s0 + d * S[a]
+            T -= s0 + d * S_a
             D *= T
+            yield D
+
+    def _batch_div(self, theta, a, steps, basis):
+        """div* W at the batch's tuples for theta + d e_a, one row per step d: (G, m)."""
+        state = self._state(theta, basis)
+        out = np.empty((len(steps), state[3].size))
+        for D, row in zip(out, self._rows(state, self._line(theta, state, a, basis),
+                                          basis[2][a], steps)):
+            D[:] = row
         return out
 
     def value(self, theta: np.ndarray, i: int, a: int, steps) -> np.ndarray:
-        """Member i's objective at theta + d e_a for each step d, shape (G,)."""
+        """Member i's objective at theta + d e_a for each step d, shape (G,).
+
+        Scores the carried state when theta is the carried theta, and
+        otherwise rebuilds it at theta (the old state is freed first); the
+        line coefficients are kept for ``_advance``."""
         th = np.asarray(theta, dtype=float)
+        if self._theta is None or not np.array_equal(th, self._theta):
+            self._theta = self._states = self._scored = None
+            self._states = [self._state(th, basis) for *_, basis in self.batches]
+            self._theta = th.copy()
+        self._scored = a, []
         total = np.zeros(len(steps))
-        for _, _, pw, basis in self.batches:
-            total += self._batch_div(th, a, steps, basis) @ pw[i]
+        for (_, _, pw, basis), state in zip(self.batches, self._states):
+            coefs = self._line(th, state, a, basis)
+            total += [D @ pw[i] for D in self._rows(state, coefs, basis[2][a], steps)]
+            self._scored[1].append(coefs)
         return total
+
+    def _advance(self, d: float) -> None:
+        """Move the carried state to theta + d e_a along the line just scored,
+        in place: V += d U, V' += d U', the pairs by d <U, .>, q0 and t0 to
+        the line's polynomials at d, s0 by d S_a."""
+        a, coefs = self._scored
+        self._scored = None
+        if d == 0.0:
+            return
+        for (*_, (CVv, CVd, S, _, UVCg)), state, line in zip(self.batches, self._states, coefs):
+            Vt, dVt, pair, q0, t0, s0 = state
+            Vt += d * CVv[a]
+            dVt += d * CVd[a]
+            pair += d * UVCg[a]
+            state[3:5] = self._at(state, line, d, np.empty_like(q0), np.empty_like(t0))
+            s0 += d * S[a]
+        self._theta[a] += d
 
     def value_with_error(self, thetas: np.ndarray) -> list[tuple[float, float]]:
         """(value, error) of every member, member i at row i of thetas (M, A)."""
@@ -395,7 +465,9 @@ class _VariationalObjective:
         err_sq = [0.0] * len(self.Fs)
         for kind, n, pw, basis in self._stream():
             for i in range(len(self.Fs)):
-                contrib = pw[i] * self._batch_div(th[i], 0, (0.0,), basis)[0]
+                # member i's state lives for this statement only
+                D = next(self._rows(self._state(th[i], basis), (0.0,) * 5, 0.0, (0.0,)))
+                contrib = pw[i] * D
                 totals[i] += float(np.sum(contrib))
                 if kind == "mc":
                     # band batches keep only their in-band samples; the rest add zero
@@ -430,7 +502,9 @@ def _coordinate_ascent(obj: _VariationalObjective, i: int, iterations: int) -> n
     for sweep in range(iterations):
         steps = _THETA_GRID if sweep == 0 else _REFINE_STEPS
         for a in range(len(theta)):
-            theta[a] += steps[int(np.argmax(obj.value(theta, i, a, steps)))]
+            d = steps[int(np.argmax(obj.value(theta, i, a, steps)))]
+            obj._advance(d)
+            theta[a] += d
     return theta
 
 

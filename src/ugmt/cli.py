@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import batteries
+from . import __version__, batteries
 from .configuration import SetSpec
 from .geometry import SmoothFunction
 from .heat import (BesselOperator, LiftedHeatOperator, bakry_emery_battery,
@@ -126,7 +126,7 @@ class Report:
         return {
             "schema_version": SCHEMA_VERSION,
             "suite": self.suite,
-            "environment": {"package_version": _version(), "seed": self.seed,
+            "environment": {"package_version": __version__, "seed": self.seed,
                             "samples": self.samples},
             "records": self.records,
             "all_pass": self.passed,
@@ -147,14 +147,6 @@ class Report:
                 wr.writerow([r["name"], r["anchor"], r["value"], r["target"],
                              r["sigma"], r["pass"]])
         return jpath, cpath
-
-
-def _version() -> str:
-    try:
-        from importlib.metadata import version
-        return version("ugmt")
-    except Exception:
-        return "unknown"
 
 
 def validate_report_schema(payload: dict) -> list[str]:

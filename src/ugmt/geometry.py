@@ -521,8 +521,12 @@ def neumann_kernel_tail_bound(t: float, L: float, M: int) -> float:
 
 
 def auto_image_order(t: float, L: float, tol: float = 1e-12) -> int:
-    """Smallest image order whose stated tail bound is below tol (floor 3)."""
-    M = 3
+    """Smallest image order whose stated tail bound is below tol.
+
+    The bound at M = 1 is 2 / sqrt(4 pi t), never below tol, so the search
+    starts at M = 2.
+    """
+    M = 2
     while neumann_kernel_tail_bound(t, L, M) > tol and M < 10_000:
         M += 1
     return M

@@ -168,11 +168,20 @@ class LiftedHeatOperator:
 
         Returns (grid, G) with G of shape (axes, *grid.shape()); works for
         indicator-type F as well since only the kernel is differentiated.
+        A configuration functional is symmetric in its particles and the grid
+        has the same nodes for every particle, so only particle 0's n
+        components are kernel applications: particle j's are the same arrays
+        with the particle blocks 0 and j swapped (k n -> n ``tensor_apply``).
         """
         grid = self.grid(k, order)
         vals = _eval_on_grid(F, grid)
+        n = self.window.dim
         comps = [self.tensor_apply(vals, t, grid, special_axis=ax, special_kind="dx")
-                 for ax in range(grid.axes)]
+                 for ax in range(n)]
+        for j in range(1, k):
+            swap = list(range(grid.axes))
+            swap[:n], swap[j * n:(j + 1) * n] = swap[j * n:(j + 1) * n], swap[:n]
+            comps += [np.transpose(g, swap) for g in comps[:n]]
         return grid, np.stack(comps, axis=0)
 
 

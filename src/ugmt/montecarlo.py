@@ -268,8 +268,10 @@ def _poisson_tail(k: int, lam: float) -> float:
     return total
 
 
+@functools.lru_cache(maxsize=128)
 def poisson_k_cutoff(volume: float, tol: float = 1e-10) -> int:
-    """Smallest K with Poisson(volume) tail mass beyond K below tol."""
+    """Smallest K with Poisson(volume) tail mass beyond K below tol; the tail
+    is summed once per (volume, tol)."""
     k = 0
     while _poisson_tail(k, volume) > tol and k < 10_000:
         k += 1

@@ -189,6 +189,72 @@ def test_search_picks_the_brute_force_theta(name):
         assert np.array_equal(_coordinate_ascent(obj, i, 2), theta)
 
 
+@pytest.mark.parametrize("name", sorted(_OBJECTIVE_CASES))
+def test_search_state_matches_fresh_lines(name, monkeypatch):
+    # every line the search scores on its carried state, against the same
+    # line from a fresh theta; the chosen steps are the fresh line's
+    Fs = _OBJECTIVE_CASES[name]
+    obj = _VariationalObjective(Fs, _FAMILY, W_HALF, seed=11, n_band=2_000, mc_n=1_000)
+    lines, built = [], []
+    value, state = _VariationalObjective.value, _VariationalObjective._state
+
+    def recording_value(self, theta, i, a, steps):
+        got = value(self, theta, i, a, steps)
+        lines.append((np.array(theta), i, a, steps, got))
+        return got
+
+    def counting_state(self, theta, basis):
+        built.append(theta.copy())
+        return state(self, theta, basis)
+
+    monkeypatch.setattr(_VariationalObjective, "value", recording_value)
+    monkeypatch.setattr(_VariationalObjective, "_state", counting_state)
+    thetas = [_coordinate_ascent(obj, i, 2) for i in range(len(Fs))]
+    monkeypatch.undo()
+    # one state per batch and member, built at the member's start
+    assert len(built) == len(Fs) * len(obj.batches)
+    assert not any(np.any(th) for th in built)
+    replay = [np.zeros(len(_FAMILY)) for _ in Fs]
+    moved = 0
+    for theta, i, a, steps, got in lines:
+        assert np.array_equal(theta, replay[i])
+        want = sum(obj._batch_div(theta, a, steps, basis) @ pw[i]
+                   for _, _, pw, basis in obj.batches)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.max(np.abs(want)))
+        d = steps[int(np.argmax(want))]
+        assert d == steps[int(np.argmax(got))]
+        replay[i][a] += d
+        moved += d != 0.0
+    assert moved >= 4   # the states were advanced, not only rebuilt
+    for theta, want in zip(thetas, replay):
+        assert np.array_equal(theta, want)
+
+
+@pytest.mark.parametrize("name", sorted(_OBJECTIVE_CASES))
+def test_search_holds_one_state_at_a_time(name):
+    # the search adds at most two states of one member to the kept batches:
+    # one member's state is alive at a time, advanced in place
+    import tracemalloc
+
+    Fs = _OBJECTIVE_CASES[name]
+    obj = _VariationalObjective(Fs, _FAMILY, W_HALF, seed=11, n_band=2_000, mc_n=1_000)
+    zero = np.zeros(len(_FAMILY))
+    tracemalloc.start()
+    try:
+        kept = sum(arr.nbytes for _, _, pw, basis in obj.batches
+                   for arr in (pw, *basis) if arr is not None)
+        state = sum(arr.nbytes for *_, basis in obj.batches for arr in obj._state(zero, basis))
+        tracemalloc.reset_peak()
+        before, _ = tracemalloc.get_traced_memory()
+        for i in range(len(Fs)):
+            _coordinate_ascent(obj, i, 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert before >= kept
+    assert peak - before <= 2 * state, f"{(peak - before) / state:.2f} states"
+
+
 def test_basis_evaluates_each_inner_function_once(monkeypatch):
     # the three count selectors' counters are equal, and a coefficient's stars
     # serve its value and its gradient

@@ -72,6 +72,16 @@ def test_catalog_and_round_trip():
     assert all(name in text for name in cat)
 
 
+def test_version_is_the_project_version():
+    import pathlib
+
+    tomllib = pytest.importorskip("tomllib")
+    with open(pathlib.Path(__file__).parents[1] / "pyproject.toml", "rb") as fh:
+        version = tomllib.load(fh)["project"]["version"]
+    report = Report(suite="demo", records=[], seed=0, samples=0).to_json()
+    assert report["environment"]["package_version"] == version
+
+
 def test_run_suite_report_and_determinism(tmp_path):
     cfg = SuiteConfig(suite="campbell", seed=5, samples=2000, out_dir=str(tmp_path / "a"))
     rep = run_suite(cfg)

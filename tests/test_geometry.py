@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 
 from ugmt.geometry import (BoxDomain, DomainError, HeatKernel1D, QuadratureError,
                            SmoothFunction, SmoothVectorField, _dirichlet_kernel,
-                           _neumann_dirichlet_kernels, _neumann_kernel_dx, gauss_legendre,
-                           interval, neumann_kernel, neumann_kernel_tail_bound)
+                           _neumann_dirichlet_kernels, _neumann_kernel_dx, auto_image_order,
+                           gauss_legendre, interval, neumann_kernel, neumann_kernel_tail_bound)
 
 RNG = np.random.default_rng(20240901)
 
@@ -169,6 +169,25 @@ def test_kernel_pair_equals_each_kernel(t):
     assert kn.shape == kd.shape == (7, 3, 12)
     assert np.array_equal(kn, _KERNELS["neumann"](a, b, t, L, ker.M))
     assert np.array_equal(kd, _KERNELS["dirichlet"](a, b, t, L, ker.M))
+
+
+@pytest.mark.parametrize("L", [1.0, 1.5])
+@pytest.mark.parametrize("t", [0.001, 0.005, 0.01, 0.02, 0.03])
+def test_auto_image_order_drops_only_negligible_images(t, L):
+    # the smallest order whose bound is below tol, with no floor: the |m| = 3
+    # images it drops against order 3 change no kernel on node grids by a bit
+    M = auto_image_order(t, L)
+    assert neumann_kernel_tail_bound(t, L, M) <= 1e-12 < neumann_kernel_tail_bound(t, L, M - 1)
+    assert M == 2
+    for order in (12, 24, 40, 63, 80):
+        nodes = gauss_legendre(0.0, L, order)[0]
+        a, b = nodes[:, None], nodes[None, :]
+        for kind, kernel in _KERNELS.items():
+            assert np.array_equal(kernel(a, b, t, L, M), kernel(a, b, t, L, 3)), (kind, order)
+        for auto, floor in zip(_neumann_dirichlet_kernels(a, b, t, L, M),
+                               _neumann_dirichlet_kernels(a, b, t, L, 3)):
+            assert np.array_equal(auto, floor), order
+    assert np.array_equal(neumann_kernel(a, b, t, L), neumann_kernel(a, b, t, L, 3))
 
 
 def test_kernel_pair_domain_errors():

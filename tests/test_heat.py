@@ -5,9 +5,9 @@ from ugmt.configuration import Configuration, SetSpec
 from ugmt.cylinder import (CylinderFunction, ExponentialCylinderFunction,
                            OuterFunction, add_n, const, coord, cyl_compose,
                            cyl_from_star, cyl_mul, mul_n, smoothstep, tanh_of)
-from ugmt.geometry import (DomainError, QuadratureError, SmoothFunction, gauss_legendre,
-                           interval)
-from ugmt.heat import (BesselOperator, LiftedHeatOperator, _semigroup_at,
+from ugmt.geometry import (BoxDomain, DomainError, QuadratureError, SmoothFunction,
+                           gauss_legendre, interval)
+from ugmt.heat import (BesselOperator, LiftedHeatOperator, _eval_on_grid, _semigroup_at,
                        bakry_emery_battery, bessel_apply, capacity_upper_bound,
                        check_intertwining, lift_semigroup,
                        lifted_gradient_norm, regularization_slope)
@@ -150,6 +150,53 @@ def test_kernel_matrix_cache_is_transparent():
         warm.tensor_apply(np.ones(warm.grid(1).shape()), t, warm.grid(1))
 
 
+_SQUARE_ISH = BoxDomain((0.0, 0.0), (1.0, 0.8))
+
+
+def _symmetric_functionals(window):
+    """A tanh-sum cylinder function and a level set of a bump statistic."""
+    lin = SmoothFunction.linear(window) if window.dim == 1 else \
+        SmoothFunction.bump((0.5, 0.4), 0.38, 1.0, window=window)
+    bump = SmoothFunction.bump((0.45, 0.35)[:window.dim], 0.3, 1.0, window=window)
+    return {"tanh-sum": cyl_compose(lambda r: tanh_of(mul_n(const(0.35), r)), cyl_from_star(lin)),
+            "level-set": SetSpec.level_set(cyl_from_star(bump), 0.6)}
+
+
+@pytest.mark.parametrize("window, ks, t", [(UNIT, (1, 2, 3, 4), 0.006), (UNIT, (1, 2, 3, 4), 0.02),
+                                           (_SQUARE_ISH, (1, 2), 0.05)],
+                         ids=["unit-0.006", "unit-0.02", "2d-0.05"])
+def test_semigroup_gradient_by_particle_symmetry(window, ks, t):
+    # particle j's components are particle 0's with the particle blocks
+    # swapped; against one differentiated kernel application per axis
+    op = LiftedHeatOperator(window=window)
+    for name, F in _symmetric_functionals(window).items():
+        for k in ks:
+            grid, G = op.gradient_of_semigroup(F, t, k)
+            assert G.shape == (grid.axes, *grid.shape())
+            vals = _eval_on_grid(F, grid)
+            for ax in range(grid.axes):
+                want = op.tensor_apply(vals, t, grid, special_axis=ax, special_kind="dx")
+                scale = np.max(np.abs(want))
+                assert scale > 0.0, (name, k, ax)
+                assert np.max(np.abs(G[ax] - want)) <= 1e-13 * scale, (name, k, ax)
+
+
+def test_semigroup_gradient_applies_n_kernels_per_stratum(monkeypatch):
+    calls = []
+    apply = LiftedHeatOperator.tensor_apply
+
+    def counting(self, *args, **kwargs):
+        calls.append(kwargs.get("special_axis"))
+        return apply(self, *args, **kwargs)
+
+    monkeypatch.setattr(LiftedHeatOperator, "tensor_apply", counting)
+    for window, k in ((UNIT, 4), (_SQUARE_ISH, 2)):
+        calls.clear()
+        LiftedHeatOperator(window=window).gradient_of_semigroup(
+            _symmetric_functionals(window)["tanh-sum"], 0.05, k)
+        assert calls == list(range(window.dim))
+
+
 def test_pi_symmetry_on_grids():
     f = SmoothFunction.bump(0.45, 0.3, 1.0, window=UNIT)
     g = SmoothFunction.bump(0.55, 0.3, 0.8, window=UNIT)
@@ -158,7 +205,6 @@ def test_pi_symmetry_on_grids():
     t = 0.05
     for k in (1, 2):
         grid, TF = lift_semigroup(F, t, OP, k)
-        from ugmt.heat import _eval_on_grid
         Fv = _eval_on_grid(F, grid)
         Gv = _eval_on_grid(G, grid)
         TG = OP.tensor_apply(Gv, t, grid)

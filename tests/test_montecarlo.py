@@ -337,6 +337,22 @@ def test_k_cutoff_equals_the_pdtrc_rule():
         assert poisson_k_cutoff(float(volume)) == _pdtrc_cutoff(volume)
 
 
+def test_k_cutoff_sums_the_tail_once_per_volume(monkeypatch):
+    calls = []
+    tail = montecarlo._poisson_tail
+
+    def spy(k, lam):
+        calls.append(lam)
+        return tail(k, lam)
+
+    monkeypatch.setattr(montecarlo, "_poisson_tail", spy)
+    volume = 2.0 ** 0.5   # a volume no other caller asks for
+    K = poisson_k_cutoff(volume)
+    assert len(calls) == K + 1 and set(calls) == {volume}
+    assert poisson_k_cutoff(volume) == K == _pdtrc_cutoff(volume)
+    assert len(calls) == K + 1
+
+
 @pytest.mark.parametrize("lam", _PMF_LAMS)
 def test_poisson_tail_matches_pdtrc(lam):
     # k < 60 holds every count cutoff and sup-bound charge of the lab.  Far
