@@ -2,7 +2,8 @@
 
 Every entry names the identity it probes, so reports and the catalog listing
 stay self-describing.  Entries are plain builders over the shared standard
-windows; configs reference them by name.
+windows; the suites call the builders directly, and the catalog table gives
+each one a name that ``build`` resolves and ``ugmt list-batteries`` prints.
 """
 
 from __future__ import annotations
@@ -260,67 +261,50 @@ def capacity_family(beta: float = 6.0):
 # the catalog
 
 
-def catalog() -> dict[str, dict]:
-    """Name -> {anchor, kind, description} for every built-in battery entry."""
-    entries = {
-        "bumps-1d": ("Laplace functional", "inner functions",
-                     "three mollifier bumps on the unit interval"),
-        "bumps-2d": ("Laplace functional", "inner functions",
-                     "three mollifier bumps on the unit square"),
-        "half-space": ("De Giorgi identity", "set",
-                       "single particle right of the midpoint"),
-        "two-stack": ("De Giorgi identity", "set",
-                      "bump statistic above a two-particle level"),
-        "tanh-sum-set": ("De Giorgi identity", "set",
-                         "super-level set of a saturated coordinate sum"),
-        "tanh-sum-035": ("coarea formula", "function",
-                         "saturated coordinate sum, gentle slope"),
-        "tanh-sum-050": ("coarea formula", "function",
-                         "saturated coordinate sum, steeper slope"),
-        "tanh-cos": ("total variation equivalence", "function",
-                     "saturated first cosine mode statistic"),
-        "be-battery": ("Bakry-Emery p-inequality", "functions",
-                       "three cylinder functions for the pointwise domination"),
-        "exp-cyl": ("product semigroup identity", "inner functions",
-                    "admissible nonpositive statistics for product form"),
-        "field-family": ("variational total variation", "fields",
-                         "even/odd bump fields with one cylinder coefficient"),
-        "gg-fields": ("Gauss-Green formula", "fields",
-                      "test fields for boundary-normal pairing"),
-        "monotone-sheets": ("monotone localization", "sets",
-                            "sheet statistics at five locality scales"),
-        "rho0-sets": ("Poisson consistency", "sets",
-                      "count, void, predicate and level sets"),
-        "capacity-family": ("capacity-measure comparison", "sets",
-                            "sheet-with-void shrinking family"),
-        "intertwine-bumps": ("gradient intertwining", "inner functions",
-                             "three bumps for the two-route gradient"),
-    }
-    return {name: {"anchor": a, "kind": k, "description": d}
-            for name, (a, k, d) in entries.items()}
-
-
-_BUILDERS = {
-    "bumps-1d": bump_family_1d,
-    "bumps-2d": bump_family_2d,
-    "half-space": half_space_set,
-    "two-stack": stack_set,
-    "tanh-sum-set": tanh_sum_set,
-    "tanh-sum-035": lambda: tanh_sum_function(0.35, "tanh-sum-035"),
-    "tanh-sum-050": lambda: tanh_sum_function(0.50, "tanh-sum-050"),
-    "tanh-cos": tanh_cos_function,
-    "be-battery": be_battery,
-    "exp-cyl": exp_cyl_inners,
-    "field-family": field_family,
-    "gg-fields": gg_fields,
-    "monotone-sheets": monotone_sheets,
-    "rho0-sets": rho0_sets,
-    "capacity-family": capacity_family,
-    "intertwine-bumps": intertwine_bumps,
+# name -> (builder, anchor, kind, description)
+_ENTRIES = {
+    "bumps-1d": (bump_family_1d, "Laplace functional", "inner functions",
+                 "three mollifier bumps on the unit interval"),
+    "bumps-2d": (bump_family_2d, "Laplace functional", "inner functions",
+                 "three mollifier bumps on the unit square"),
+    "half-space": (half_space_set, "De Giorgi identity", "set",
+                   "single particle right of the midpoint"),
+    "two-stack": (stack_set, "De Giorgi identity", "set",
+                  "bump statistic above a two-particle level"),
+    "tanh-sum-set": (tanh_sum_set, "De Giorgi identity", "set",
+                     "super-level set of a saturated coordinate sum"),
+    "tanh-sum-035": (lambda: tanh_sum_function(0.35, "tanh-sum-035"), "coarea formula",
+                     "function", "saturated coordinate sum, gentle slope"),
+    "tanh-sum-050": (lambda: tanh_sum_function(0.50, "tanh-sum-050"), "coarea formula",
+                     "function", "saturated coordinate sum, steeper slope"),
+    "tanh-cos": (tanh_cos_function, "total variation equivalence", "function",
+                 "saturated first cosine mode statistic"),
+    "be-battery": (be_battery, "Bakry-Emery p-inequality", "functions",
+                   "three cylinder functions for the pointwise domination"),
+    "exp-cyl": (exp_cyl_inners, "product semigroup identity", "inner functions",
+                "admissible nonpositive statistics for product form"),
+    "field-family": (field_family, "variational total variation", "fields",
+                     "even/odd bump fields with one cylinder coefficient"),
+    "gg-fields": (gg_fields, "Gauss-Green formula", "fields",
+                  "test fields for boundary-normal pairing"),
+    "monotone-sheets": (monotone_sheets, "monotone localization", "sets",
+                        "sheet statistics at five locality scales"),
+    "rho0-sets": (rho0_sets, "Poisson consistency", "sets",
+                  "count, void, predicate and level sets"),
+    "capacity-family": (capacity_family, "capacity-measure comparison", "sets",
+                        "sheet-with-void shrinking family"),
+    "intertwine-bumps": (intertwine_bumps, "gradient intertwining", "inner functions",
+                         "three bumps for the two-route gradient"),
 }
 
 
+def catalog() -> dict[str, dict]:
+    """Name -> {anchor, kind, description} for every built-in battery entry."""
+    return {name: {"anchor": a, "kind": k, "description": d}
+            for name, (_, a, k, d) in _ENTRIES.items()}
+
+
 def build(name: str):
-    if name not in _BUILDERS:
+    if name not in _ENTRIES:
         raise KeyError(f"unknown battery {name!r}")
-    return _BUILDERS[name]()
+    return _ENTRIES[name][0]()

@@ -622,19 +622,23 @@ def tv_bracket_battery(members: dict, op: LiftedHeatOperator, family: list, *,
     ``members`` maps names to (F, t_schedule, eps_schedule): the semigroup
     route runs on the t schedule and the relaxation route on the eps schedule
     of each F, and the variational route scores the whole battery through one
-    ``tv_variational_battery`` call.  Returns name -> TVBracket.
+    ``tv_variational_battery`` call.  The semigroup and relaxation routes
+    share one ``shared_draws`` scope, so each inner function is evaluated
+    once per stratum grid for every schedule and member.  Returns
+    name -> TVBracket.
     """
     variational = tv_variational_battery({name: F for name, (F, _, _) in members.items()},
                                          family, op.window, seed=seed)
     out = {}
-    for name, (F, t_schedule, eps_schedule) in members.items():
-        sg = tv_semigroup(F, op, t_schedule)
-        rel = tv_relaxation(F, op, eps_schedule)
-        var = variational[name]
-        out[name] = TVBracket(variational_lower=var.value, lower_err=var.error,
-                              relaxation_upper=rel.value, upper_err=rel.error,
-                              semigroup_value=sg.value, semigroup_err=sg.error,
-                              smoothing_gap=rel.smoothing_gap)
+    with shared_draws():
+        for name, (F, t_schedule, eps_schedule) in members.items():
+            sg = tv_semigroup(F, op, t_schedule)
+            rel = tv_relaxation(F, op, eps_schedule)
+            var = variational[name]
+            out[name] = TVBracket(variational_lower=var.value, lower_err=var.error,
+                                  relaxation_upper=rel.value, upper_err=rel.error,
+                                  semigroup_value=sg.value, semigroup_err=sg.error,
+                                  smoothing_gap=rel.smoothing_gap)
     return out
 
 

@@ -467,11 +467,7 @@ class SmoothFunction:
 
 @dataclass(frozen=True)
 class SmoothVectorField:
-    """Vector field with one SmoothFunction per component.
-
-    ``adjoint_divergence`` evaluates nabla* v = -div v, the L2 adjoint of the
-    gradient on compactly supported fields.
-    """
+    """Vector field with one SmoothFunction per component."""
 
     components: tuple[SmoothFunction, ...]
 
@@ -503,9 +499,6 @@ class SmoothVectorField:
         for a, c in enumerate(self.components):
             out += c.gradient(pts)[..., a]
         return out
-
-    def adjoint_divergence(self, points) -> np.ndarray:
-        return -self.divergence(points)
 
 
 # ---------------------------------------------------------------------------

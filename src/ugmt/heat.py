@@ -5,7 +5,10 @@ acts stratum by stratum as the k-fold tensor Neumann semigroup on the product
 box, so every operator here reduces to 1-d kernel matrices applied along
 tensor-grid axes.  Gradients of semigroup outputs are computed through the
 differentiated kernel (equivalently, the absorbing-boundary kernel applied to
-the differentiated integrand), never by finite differences.
+the differentiated integrand), never by finite differences.  A stratum grid
+is one batch of ordered tuples: functionals and their gradients on it come
+from the same ``value``/``gradient`` and ``productspace.stratum_indicator``
+that evaluate every other batch.
 """
 
 from __future__ import annotations
@@ -22,7 +25,8 @@ from .cylinder import CylinderFunction, ExponentialCylinderFunction
 from .geometry import (BoxDomain, DomainError, HeatKernel1D, QuadratureError,
                        gauss_legendre, required_order)
 from .montecarlo import (MCPlan, Strata, StratumGrid, draw_by_count, poisson_k_cutoff,
-                         poisson_stratified)
+                         stratum_grid_points)
+from .productspace import stratum_indicator
 
 __all__ = [
     "LiftedHeatOperator",
@@ -39,55 +43,25 @@ __all__ = [
 
 
 def _eval_on_grid(F, grid: StratumGrid) -> np.ndarray:
-    """Evaluate a configuration functional on the grid without materializing tuples.
+    """F on the grid, shaped like it.
 
-    Works for cylinder functions (sums of per-particle statistics feed the
-    outer), product statistics, and level-set indicators.
+    The grid's points are one batch of ordered tuples (the cached read-only
+    ``stratum_grid_points``), evaluated by the evaluator every other route
+    uses: ``value`` for cylinder functions and product statistics,
+    ``productspace.stratum_indicator`` for level-set specs.  Inside a
+    ``shared_draws`` scope each inner function's statistic is computed once
+    per grid.
     """
-    if isinstance(F, CylinderFunction):
-        return F.outer.value(_stars(F, grid))
-    if isinstance(F, ExponentialCylinderFunction):
-        out = np.ones(grid.shape())
-        for pm in _particle_mesh(F.f, grid):
-            out = out * (1.0 + pm)
-        return out
+    X = stratum_grid_points(grid.window, grid.k, grid.order)[0]
     if isinstance(F, SetSpec):
-        if F.variant in ("level_set", "level_sheet"):
-            if F.count_equals is not None and grid.k != F.count_equals:
-                return np.zeros(grid.shape())
-            vals = _eval_on_grid(F.function, grid)
-            if F.variant == "level_sheet":
-                return (vals == F.level).astype(float)
-            return F.above_level(vals).astype(float)
-        raise DomainError("grid path supports level-set specs only")
-    raise TypeError(f"no grid evaluation for {type(F)}")
-
-
-def _particle_mesh(f, grid: StratumGrid) -> list[np.ndarray]:
-    """f evaluated per particle, each broadcastable over the grid shape."""
-    out = []
-    for j in range(grid.k):
-        pts, shape = grid.particle_points(j)
-        out.append(f.value(pts).reshape(shape))
-    return out
-
-
-def _particle_mesh_grad(f, grid: StratumGrid, j: int) -> list[np.ndarray]:
-    """Components of grad f at particle j, broadcastable over the grid shape."""
-    pts, shape = grid.particle_points(j)
-    g = f.gradient(pts)
-    return [g[..., c].reshape(shape) for c in range(grid.window.dim)]
-
-
-def _stars(F: CylinderFunction, grid: StratumGrid) -> np.ndarray:
-    """The linear statistics of F on the grid, stacked along a last axis."""
-    stars = []
-    for f in F.inners:
-        acc = np.zeros(grid.shape())
-        for pm in _particle_mesh(f, grid):
-            acc = acc + pm
-        stars.append(acc)
-    return np.stack(stars, axis=-1)
+        if F.variant not in ("level_set", "level_sheet"):
+            raise DomainError("grid path supports level-set specs only")
+        vals = stratum_indicator(F, grid.k, X, grid.window)
+    elif isinstance(F, (CylinderFunction, ExponentialCylinderFunction)):
+        vals = F.value(X)
+    else:
+        raise TypeError(f"no grid evaluation for {type(F)}")
+    return vals.reshape(grid.shape())
 
 
 @dataclass
@@ -212,7 +186,7 @@ def lifted_gradient_norm(F, t: float | None, op: LiftedHeatOperator,
         if t is None:
             grid = op.grid(s.k, s.order)
             sq = np.zeros(grid.shape())
-            for c in _grad_grid(F, op, grid):
+            for c in _grad_grid(F, grid):
                 sq += c * c
         else:
             grid, G = op.gradient_of_semigroup(F, t, s.k, s.order)
@@ -224,20 +198,15 @@ def lifted_gradient_norm(F, t: float | None, op: LiftedHeatOperator,
     return res.value, tail_err
 
 
-def _grad_grid(F, op: LiftedHeatOperator, grid: StratumGrid) -> list[np.ndarray]:
-    """Components of the product-space gradient of F itself on the grid."""
-    if isinstance(F, CylinderFunction):
-        u = _stars(F, grid)
-        comps = [np.zeros(grid.shape()) for _ in range(grid.axes)]
-        n = grid.window.dim
-        for i, f in enumerate(F.inners):
-            dphi = F.outer.partial(i).eval(u)
-            for j in range(grid.k):
-                gcomps = _particle_mesh_grad(f, grid, j)
-                for c in range(n):
-                    comps[j * n + c] = comps[j * n + c] + dphi * gcomps[c]
-        return comps
-    raise DomainError("direct gradients on grids need a cylinder function")
+def _grad_grid(F, grid: StratumGrid) -> list[np.ndarray]:
+    """Components of the product-space gradient of F itself on the grid, from
+    ``F.gradient`` on the grid's tuples; component j n + c is coordinate c of
+    particle j."""
+    if not isinstance(F, CylinderFunction):
+        raise DomainError("direct gradients on grids need a cylinder function")
+    X = stratum_grid_points(grid.window, grid.k, grid.order)[0]
+    G = F.gradient(X).reshape(-1, grid.axes)
+    return [G[:, a].reshape(grid.shape()) for a in range(grid.axes)]
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +239,7 @@ def check_intertwining(f, t: float, op: LiftedHeatOperator, k: int = 1,
         grid = op.grid(k, order_)
         vals = _eval_on_grid(F, grid)
         worst = 0.0
-        dvals = _grad_grid(F, op, grid)
+        dvals = _grad_grid(F, grid)
         for ax in range(grid.axes):
             lhs = op.tensor_apply(vals, t, grid, special_axis=ax, special_kind="dx")
             rhs = op.tensor_apply(dvals[ax], t, grid, special_axis=ax, special_kind="dirichlet")
@@ -508,21 +477,15 @@ def regularization_slope(op: LiftedHeatOperator, t_grid, modes=range(1, 9),
 
     if op.window.dim != 1:
         raise DomainError("the regularization probe is 1-d")
-    lo = op.window.lower[0]
-    L = float(op.window.sides[0])
-    nodes, w = gauss_legendre(0.0, L, order)
-    pts = (nodes + lo)[:, None]
+    grid = op.grid(1, order)
+    w = grid.weights[0]
+    fvs = [SmoothFunction.neumann_mode((j,), op.window).value(grid.nodes[0][:, None])
+           for j in modes]
     pairs = []
     for t in t_grid:
-        ker = op._axis_kernel(t, 0)
-        if required_order(t, L) > order:
-            raise QuadratureError(f"order {order} cannot resolve t={t}")
-        Dx = ker.kernel_dx(nodes[:, None], nodes[None, :]) * w[None, :]
         best = 0.0
-        for j in modes:
-            f = SmoothFunction.neumann_mode((j,), op.window)
-            fv = f.value(pts)
-            dTf = Dx @ fv
+        for fv in fvs:
+            dTf = op.tensor_apply(fv, t, grid, special_axis=0, special_kind="dx")
             num = np.sqrt(np.sum(w * dTf * dTf))
             den = np.sqrt(np.sum(w * fv * fv))
             best = max(best, num / den)
@@ -630,11 +593,6 @@ def _semigroup_at(F, gamma: Configuration, t: float, op: LiftedHeatOperator) -> 
         nodes, w = gauss_legendre(a, b, q)
         rows_A.append(ker.kernel(np.full(q, x), nodes) * w)
         rows_pts.append(nodes + lo)
-    if isinstance(F, ExponentialCylinderFunction):
-        out = 1.0
-        for A, pts in zip(rows_A, rows_pts):
-            out *= float(A @ (1.0 + F.f.value(pts[:, None])))
-        return out
     if isinstance(F, CylinderFunction):
         shape = (q,) * k
         u = np.zeros(shape + (F.arity,))
@@ -646,44 +604,34 @@ def _semigroup_at(F, gamma: Configuration, t: float, op: LiftedHeatOperator) -> 
         for j in range(k):
             out = np.tensordot(rows_A[j], out, axes=([0], [0]))
         return float(out)
-    raise DomainError("per-sample semigroup needs a cylinder-type functional")
+    raise DomainError("per-sample semigroup needs a cylinder function")
 
 
-def capacity_upper_bound(E_sieve: list[Configuration], alpha: float, p: float,
-                         candidates: list, B: BesselOperator | None,
-                         op: LiftedHeatOperator) -> tuple[float, dict]:
-    """Upper bound on the (alpha, p) capacity of the set represented by the sieve.
+def capacity_upper_bound(E_sieve: list[Configuration], candidates: list,
+                         B: BesselOperator, op: LiftedHeatOperator) -> tuple[float, dict]:
+    """Upper bound on the (B.alpha, B.p) capacity of the set represented by the sieve.
 
-    Each nonnegative candidate F is scaled so that B F >= 1 on the sieve
-    configurations; the bound is the smallest ||F / min_sieve(B F)||_p^p.
-    Candidates are either cylinder functions (the p-norm is then computed by
-    count stratification) or pairs (F, norm_fn) with a caller-supplied exact
-    norm routine (e.g. factorized over independent regions).  An empty sieve
-    encodes the empty set (capacity zero).  Returns (bound, diagnostics); the
-    bound is +inf when no candidate has a positive sieve minimum.
+    Each candidate is a pair (F, norm_fn) of a nonnegative F and its exact
+    p-norm routine (e.g. factorized over independent regions); F is scaled so
+    that B F >= 1 on the sieve configurations, and the bound is the smallest
+    ||F / min_sieve(B F)||_p^p.  An empty sieve encodes the empty set
+    (capacity zero).  Returns (bound, diagnostics); the bound is +inf when no
+    candidate has a positive sieve minimum.
     """
-    if B is None:
-        B = BesselOperator(alpha=alpha, p=p)
     if not candidates:
         raise DomainError("candidate list must be nonempty")
     if not E_sieve:
         return 0.0, {"note": "empty set"}
+    p = B.p
     best = float("inf")
     diag = {"candidates": []}
-    for cand in candidates:
-        F, norm_fn = cand if isinstance(cand, tuple) else (cand, None)
+    for F, norm_fn in candidates:
         bf = bessel_apply(F, B, op, E_sieve)
         m = float(np.min(bf))
         if m <= 0:
             diag["candidates"].append({"sieve_min": m, "norm": None})
             continue
-        if norm_fn is not None:
-            norm_p = float(norm_fn(p))
-        else:
-            def Hk(k, X):
-                return np.abs(F.value(X)) ** p
-
-            norm_p, _ = poisson_stratified(Hk, op.window, quad_k=4)
+        norm_p = float(norm_fn(p))
         bound = norm_p / m**p
         diag["candidates"].append({"sieve_min": m, "norm": norm_p, "bound": bound})
         best = min(best, bound)

@@ -320,13 +320,6 @@ class StratumGrid:
         mesh = np.meshgrid(*self.nodes, indexing="ij")
         return np.stack([m.ravel() for m in mesh], axis=-1).reshape(-1, self.k, self.window.dim)
 
-    def particle_points(self, j: int) -> tuple[np.ndarray, list[int]]:
-        """Nodes of particle j, shape (order,)*n + (n,), and the shape that
-        broadcasts values there over the full grid."""
-        axes = range(j * self.window.dim, (j + 1) * self.window.dim)
-        pts = np.stack(np.meshgrid(*[self.nodes[a] for a in axes], indexing="ij"), axis=-1)
-        return pts, [self.order if a in axes else 1 for a in range(self.axes)]
-
 
 @functools.lru_cache(maxsize=32)
 def stratum_grid_points(window: BoxDomain, k: int, order: int

@@ -96,7 +96,6 @@ def test_vector_field_divergence_matches_differences():
     div = v.divergence(pts)
     scale = np.abs(div).max() + 1e-9
     assert np.max(np.abs(fd - div)) <= 1e-6 * scale
-    assert np.allclose(v.adjoint_divergence(pts), -div)
 
 
 @pytest.mark.parametrize("t", [1e-3, 1e-2, 0.1, 1.0, 10.0])

@@ -211,6 +211,35 @@ def test_pi_symmetry_on_grids():
         assert grid.integrate(TF * Gv) == pytest.approx(grid.integrate(Fv * TG), abs=1e-10)
 
 
+def test_grid_route_guards():
+    bump = SmoothFunction.bump(0.45, 0.3, 1.0, window=UNIT)
+    with pytest.raises(DomainError):
+        lift_semigroup(SetSpec.count_at_least(interval(0.2, 0.6), 1), 0.05, OP, 1)
+    with pytest.raises(TypeError):
+        lift_semigroup(bump, 0.05, OP, 1)
+    with pytest.raises(DomainError):
+        lifted_gradient_norm(SetSpec.level_set(cyl_from_star(bump), 0.6), None, OP)
+    gamma = Configuration(window=UNIT, points=np.array([[0.3], [0.7]]))
+    with pytest.raises(DomainError):
+        _semigroup_at(ExponentialCylinderFunction(f=shifted_mode(-0.25)), gamma, 0.05, OP)
+
+
+def test_level_set_on_grids_is_stratum_membership():
+    bump = SmoothFunction.bump(0.45, 0.3, 1.0, window=UNIT)
+    E = SetSpec.level_set(cyl_from_star(bump), 0.6, count_equals=2)
+    for k in (1, 3):
+        assert not np.any(_eval_on_grid(E, OP.grid(k)))
+    grid = OP.grid(2)
+    vals = _eval_on_grid(E, grid)
+    x, y = grid.nodes
+    for i in range(len(x)):
+        for j in range(len(y)):
+            if i != j:
+                gamma = Configuration(window=UNIT, points=np.array([[x[i]], [y[j]]]))
+                assert vals[i, j] == float(E.contains(gamma)), (i, j)
+    assert 0.0 < vals.mean() < 1.0
+
+
 def test_lp_contraction():
     f = SmoothFunction.bump(0.5, 0.3, 1.0, window=UNIT)
     F = cyl_compose(lambda r: tanh_of(r), cyl_from_star(f))
@@ -308,11 +337,11 @@ def test_capacity_conventions():
     f = SmoothFunction.bump(0.5, 0.3, 1.0, window=UNIT)
     Fc = cyl_compose(lambda r: mul_n(const(0.0), r) + const(1.0), cyl_from_star(f))
     # empty set
-    bound, diag = capacity_upper_bound([], 0.6, 2.0, [Fc], B, OP)
+    bound, diag = capacity_upper_bound([], [(Fc, lambda p: 1.0)], B, OP)
     assert bound == 0.0
     # full space with the constant candidate: B1 = 1 and ||1||_p = 1
     sieve = [Configuration(window=UNIT, points=np.array([[x]])) for x in (0.2, 0.8)]
-    bound2, _ = capacity_upper_bound(sieve, 0.6, 2.0, [(Fc, lambda p: 1.0)], B, OP)
+    bound2, _ = capacity_upper_bound(sieve, [(Fc, lambda p: 1.0)], B, OP)
     assert bound2 == pytest.approx(1.0, rel=1e-4)
 
 

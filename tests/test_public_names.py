@@ -1,4 +1,4 @@
-"""Every public name of the package has a caller in the program.
+"""Every public name and every function of the package has a reader in the program.
 
 A name in a module's ``__all__`` that only tests call is code no suite runs:
 it drifts from the program and can carry claims no report checks.  The scan
@@ -8,6 +8,11 @@ or, inside the module, a read of the name that no local binding shadows
 (Python's own scoping, through ``symtable``).  So a method call
 (``F.gradient``) does not use a module function of the same name, and a
 definition or an assignment is not a use.
+
+Every other function or method (dunders aside) is checked by name only: some
+module must read its name as a name, an attribute or an import, or hold it as
+a string constant (the tracer names its hooks by string).  A name no module
+reads at all is code nothing calls.
 
 Second-route references are exempt.  The program computes each of their
 quantities another way, and tests set the two routes against each other.
@@ -23,6 +28,7 @@ MODULES = {path.stem for path in PACKAGE.glob("*.py")}
 
 SECOND_ROUTES = {
     "quotient_distance": "assignment distance, checked against brute_force_distance",
+    "brute_force_distance": "permutation brute force that quotient_distance is checked against",
     "measure_of_set": "plain Monte Carlo probability against rho_0 on strata",
     "integrate_disintegrated": "disintegrated Poisson integral against the stratified one",
     "lift_semigroup": "tensor-grid semigroup against the closed-form ExponentialCylinderFunction",
@@ -71,7 +77,7 @@ def _global_reads(table: symtable.SymbolTable) -> set[str]:
 
 def _program_uses() -> set[tuple[str, str]]:
     used = set()
-    for path in [*PACKAGE.glob("*.py"), *(ROOT / "perfbench").glob("*.py")]:
+    for path in _program_files():
         text = path.read_text()
         tree = ast.parse(text)
         modules = {}  # local name -> package module imported as a module
@@ -91,6 +97,46 @@ def _program_uses() -> set[tuple[str, str]]:
     return used
 
 
+def _program_files() -> list[pathlib.Path]:
+    return [*PACKAGE.glob("*.py"), *(ROOT / "perfbench").glob("*.py")]
+
+
+def _functions() -> list[tuple[str, str]]:
+    """(module, name) for every function and method defined in the package,
+    at any depth, dunders excluded."""
+    out = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and not (node.name.startswith("__") and node.name.endswith("__"))):
+                out.append((path.stem, node.name))
+    return out
+
+
+def _read_names() -> set[str]:
+    """Names the program reads as a name, an attribute or an import, and its
+    string constants."""
+    names = set()
+    for path in _program_files():
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.name.rpartition(".")[2])
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                names.add(node.value)
+    return names
+
+
+def test_every_function_is_read_by_the_program():
+    reads = _read_names()
+    unread = sorted({f"{module}.{name}" for module, name in _functions()
+                     if name not in reads and name not in SECOND_ROUTES})
+    assert not unread, f"functions no module reads: {unread}"
+
+
 def test_every_public_name_has_a_program_caller():
     used = _program_uses()
     test_only = [f"{module}.{name}" for module, name in _public_names()
@@ -99,9 +145,12 @@ def test_every_public_name_has_a_program_caller():
 
 
 def test_second_route_exemptions_are_public_and_still_test_only():
-    # an exemption that gains a program caller, or leaves __all__, is dropped
+    # an exemption that gains a program reader, or leaves the package, is
+    # dropped; one in __all__ is judged by its uses, any other by its reads
     public = {name: module for module, name in _public_names()}
-    used = _program_uses()
+    functions = {name for _, name in _functions()}
+    used, reads = _program_uses(), _read_names()
     stale = sorted(name for name in SECOND_ROUTES
-                   if name not in public or (public[name], name) in used)
+                   if ((public[name], name) in used if name in public
+                       else name not in functions or name in reads))
     assert not stale, f"exemptions to drop: {stale}"
