@@ -85,7 +85,9 @@ def levelset_expectation(E: SetSpec, h, window: BoxDomain, *, K_max: int | None 
                          seed: int = 0) -> tuple[float, float]:
     """E_pi[ chi_E * h ] for a level-set spec E and vectorized integrand h.
 
-    ``h(k, X)`` maps ordered tuples (m, k, n) to values (m,).  Returns
+    ``h(k, X)`` maps ordered tuples (m, k, n) to values (m,) and must be
+    symmetric in the particles: grid strata evaluate it on the rows of the
+    multiset rule (``montecarlo.stratum_grid_points``).  Returns
     (value, error); the error combines band Monte Carlo noise, a refinement
     estimate of the smooth-part quadrature error, per-stratum Monte Carlo
     beyond the grid strata, and the analytic smooth-step tail.

@@ -15,6 +15,7 @@ All spherical Hausdorff values carry the dimensional constant c(d) =
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -22,8 +23,8 @@ import numpy as np
 
 from .configuration import Configuration, MCEstimate, SetSpec, _draw, section_set
 from .geometry import BoxDomain, DomainError
-from .montecarlo import (StratifiedSum, Strata, poisson_k_cutoff, stratum_grid_points,
-                         uniform_tuples)
+from .montecarlo import (StratifiedSum, Strata, StratumGrid, poisson_k_cutoff,
+                         stratum_grid_points, uniform_tuples)
 from .productspace import stratum_indicator
 from .rng import mean_and_stderr, stream_rng
 
@@ -110,9 +111,24 @@ def band_integral_mc(h, window: BoxDomain, k: int, n_samples: int, seed: int,
 
 
 def band_integral_quad(h, window: BoxDomain, k: int, order: int) -> dict[str, float]:
-    """Tensor quadrature over window^k of each density h returns (see band_integral_mc)."""
-    pts, w = stratum_grid_points(window, k, order)
-    return {name: float(np.sum(w * hv)) for name, hv in h(pts).items()}
+    """Tensor quadrature over window^k of each density h returns (see band_integral_mc).
+
+    h runs on the multiset rule's rows; the sum stays the ordered tensor
+    rule's, term for term, as the Richardson extrapolation in the profile
+    width amplifies any change of summation order.
+    """
+    grid, w = _ordered_weights(window, k, order)
+    return {name: float(np.sum(w * grid.ordered(hv).ravel()))
+            for name, hv in h(stratum_grid_points(window, k, order)[0]).items()}
+
+
+@functools.lru_cache(maxsize=8)
+def _ordered_weights(window: BoxDomain, k: int, order: int) -> tuple[StratumGrid, np.ndarray]:
+    """The grid on window^k and its tensor weights on the ordered tuples, built once."""
+    grid = StratumGrid.on(window, k, order)
+    w = functools.reduce(np.multiply.outer, grid.weights).ravel()
+    w.setflags(write=False)
+    return grid, w
 
 
 class _LevelCache:
@@ -176,11 +192,12 @@ def surface_functional(g, level: float, weights: dict, window: BoxDomain, k: int
     do.  ``weights`` maps names to surface densities: ``weight(X, grad, gn)``
     returns the density against H^{nk-1} with the |grad g| factor already
     multiplied in, gn being |grad g| at the rows of X; ``None`` measures the
-    surface itself.  The whole battery shares one band pass: the Monte Carlo
-    tuples are drawn (or the grid is built) once, g is evaluated once on them
-    and its gradient (with its norm) once per row that any band needs (across
-    every profile width of the quadrature route), and every weight is applied
-    per width and reduced on its own.
+    surface itself; weights must be symmetric in the particles.  The whole
+    battery shares one band pass: the Monte Carlo tuples are drawn (or the
+    grid is built) once, g is evaluated once on them and its gradient (with
+    its norm) once per row that any band needs (across every profile width
+    of the quadrature route), and every weight is applied per width and
+    reduced on its own.
 
     Two modes share the coarea identity: the hard band chi/(2 eps) with Monte
     Carlo (any k), and, when ``quad_order`` is given, a smooth Gaussian level

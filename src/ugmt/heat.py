@@ -5,16 +5,14 @@ acts stratum by stratum as the k-fold tensor Neumann semigroup on the product
 box, so every operator here reduces to 1-d kernel matrices applied along
 tensor-grid axes.  Gradients of semigroup outputs are computed through the
 differentiated kernel (equivalently, the absorbing-boundary kernel applied to
-the differentiated integrand), never by finite differences.  A stratum grid
-is one batch of ordered tuples: functionals and their gradients on it come
-from the same ``value``/``gradient`` and ``productspace.stratum_indicator``
-that evaluate every other batch.
+the differentiated integrand), never by finite differences.  Functionals
+on a stratum grid come from the same ``value``/``gradient`` and
+``productspace.stratum_indicator`` that evaluate every other batch, on the
+node multisets of ``montecarlo.stratum_grid_points``, gathered onto the grid.
 """
 
 from __future__ import annotations
 
-import functools
-import itertools
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -24,8 +22,8 @@ from .configuration import Configuration, SetSpec
 from .cylinder import CylinderFunction, ExponentialCylinderFunction
 from .geometry import (BoxDomain, DomainError, HeatKernel1D, QuadratureError,
                        gauss_legendre, required_order)
-from .montecarlo import (MCPlan, Strata, StratumGrid, draw_by_count, poisson_k_cutoff,
-                         stratum_grid_points)
+from .montecarlo import (MCPlan, Strata, StratumGrid, _fold, _multisets, _tuple_index,
+                         draw_by_count, poisson_k_cutoff, stratum_grid_points)
 from .productspace import stratum_indicator
 
 __all__ = [
@@ -45,12 +43,12 @@ __all__ = [
 def _eval_on_grid(F, grid: StratumGrid) -> np.ndarray:
     """F on the grid, shaped like it.
 
-    The grid's points are one batch of ordered tuples (the cached read-only
-    ``stratum_grid_points``), evaluated by the evaluator every other route
-    uses: ``value`` for cylinder functions and product statistics,
-    ``productspace.stratum_indicator`` for level-set specs.  Inside a
-    ``shared_draws`` scope each inner function's statistic is computed once
-    per grid.
+    F is symmetric in its particles, so it is evaluated on the rows of the
+    multiset rule (the cached read-only ``stratum_grid_points``) by the
+    evaluator every other route uses: ``value`` for cylinder functions and
+    product statistics, ``productspace.stratum_indicator`` for level-set specs.
+    Inside a ``shared_draws`` scope each inner function's statistic is
+    computed once per grid.
     """
     X = stratum_grid_points(grid.window, grid.k, grid.order)[0]
     if isinstance(F, SetSpec):
@@ -61,7 +59,19 @@ def _eval_on_grid(F, grid: StratumGrid) -> np.ndarray:
         vals = F.value(X)
     else:
         raise TypeError(f"no grid evaluation for {type(F)}")
-    return vals.reshape(grid.shape())
+    return grid.ordered(vals)
+
+
+def _all_particles(comps: list[np.ndarray], k: int, n: int) -> list[np.ndarray]:
+    """The k n gradient components on the grid from particle 0's n: F is
+    symmetric and every particle has the same nodes, so particle j's are
+    particle 0's with the particle blocks 0 and j swapped."""
+    out = list(comps)
+    for j in range(1, k):
+        swap = list(range(k * n))
+        swap[:n], swap[j * n:(j + 1) * n] = swap[j * n:(j + 1) * n], swap[:n]
+        out += [np.transpose(g, swap) for g in comps]
+    return out
 
 
 @dataclass
@@ -142,21 +152,15 @@ class LiftedHeatOperator:
 
         Returns (grid, G) with G of shape (axes, *grid.shape()); works for
         indicator-type F as well since only the kernel is differentiated.
-        A configuration functional is symmetric in its particles and the grid
-        has the same nodes for every particle, so only particle 0's n
-        components are kernel applications: particle j's are the same arrays
-        with the particle blocks 0 and j swapped (k n -> n ``tensor_apply``).
+        Only particle 0's n components are kernel applications; the others
+        come by ``_all_particles`` (k n -> n ``tensor_apply``).
         """
         grid = self.grid(k, order)
         vals = _eval_on_grid(F, grid)
         n = self.window.dim
         comps = [self.tensor_apply(vals, t, grid, special_axis=ax, special_kind="dx")
                  for ax in range(n)]
-        for j in range(1, k):
-            swap = list(range(grid.axes))
-            swap[:n], swap[j * n:(j + 1) * n] = swap[j * n:(j + 1) * n], swap[:n]
-            comps += [np.transpose(g, swap) for g in comps[:n]]
-        return grid, np.stack(comps, axis=0)
+        return grid, np.stack(_all_particles(comps, k, n), axis=0)
 
 
 def lift_semigroup(F, t: float, op: LiftedHeatOperator, k: int,
@@ -178,19 +182,17 @@ def lifted_gradient_norm(F, t: float | None, op: LiftedHeatOperator,
     contribution is charged to the error bar as a conservative proxy for the
     truncated tail (no charge when F lives on a single stratum).
     """
+    if t is None and not isinstance(F, CylinderFunction):
+        raise DomainError("direct gradients on grids need a cylinder function")
     single = isinstance(F, SetSpec) and F.count_equals is not None
     strata = Strata(op.window, orders=op.grid_orders, K_max=op.grid_k_max,
                     count_equals=F.count_equals if single else None)
 
     def term(s):
         if t is None:
-            grid = op.grid(s.k, s.order)
-            sq = np.zeros(grid.shape())
-            for c in _grad_grid(F, grid):
-                sq += c * c
-        else:
-            grid, G = op.gradient_of_semigroup(F, t, s.k, s.order)
-            sq = np.einsum("a...,a...->...", G, G)
+            return [s.average(lambda X: np.sum(F.gradient(X) ** 2, axis=(-2, -1)) ** (p / 2.0))]
+        grid, G = op.gradient_of_semigroup(F, t, s.k, s.order)
+        sq = np.einsum("a...,a...->...", G, G)
         return [(grid.integrate(sq ** (p / 2.0)) / op.window.volume ** s.k, 0.0)]
 
     res = strata.integrate(term)
@@ -199,14 +201,17 @@ def lifted_gradient_norm(F, t: float | None, op: LiftedHeatOperator,
 
 
 def _grad_grid(F, grid: StratumGrid) -> list[np.ndarray]:
-    """Components of the product-space gradient of F itself on the grid, from
-    ``F.gradient`` on the grid's tuples; component j n + c is coordinate c of
-    particle j."""
+    """Components of the product-space gradient of F itself on the grid;
+    component j n + c is coordinate c of particle j.  Particle 0's come from
+    ``F.gradient`` at its Q nodes by the multisets of the others' nodes."""
     if not isinstance(F, CylinderFunction):
         raise DomainError("direct gradients on grids need a cylinder function")
-    X = stratum_grid_points(grid.window, grid.k, grid.order)[0]
-    G = F.gradient(X).reshape(-1, grid.axes)
-    return [G[:, a].reshape(grid.shape()) for a in range(grid.axes)]
+    k, n = grid.k, grid.window.dim
+    nodes = stratum_grid_points(grid.window, 1, grid.order)[0][:, 0]      # (Q, n)
+    Q, rest = len(nodes), _multisets(len(nodes), k - 1)[0]
+    rows = np.column_stack([np.repeat(np.arange(Q), len(rest)), np.tile(rest, (Q, 1))])
+    G0 = F.gradient(nodes[rows])[:, 0].reshape(Q, len(rest), n)[:, _tuple_index(Q, k - 1)]
+    return _all_particles([G0[..., c].reshape(grid.shape()) for c in range(n)], k, n)
 
 
 # ---------------------------------------------------------------------------
@@ -285,42 +290,6 @@ def _draw_configurations(plan: MCPlan) -> dict[int, np.ndarray]:
     """The plan's samples as (m_k, k, n) tuple stacks by particle count k, from
     one draw of the plan (``montecarlo.draw_by_count``)."""
     return {k: X for k, (_, X) in draw_by_count(plan).items()}
-
-
-@functools.lru_cache(maxsize=None)
-def _multisets(q: int, r: int) -> tuple[np.ndarray, np.ndarray]:
-    """The R = C(q + r - 1, r) multisets of r nodes out of q as sorted rows
-    (R, r), and ``up`` (q, R_{r-1}): ``up[x, i]`` is the row of multiset i of
-    r - 1 nodes with node x added (empty when r = 0).  Cached; read-only."""
-    combos = list(itertools.combinations_with_replacement(range(q), r))
-    rows = np.array(combos, dtype=np.intp).reshape(len(combos), r)
-    up = np.empty((q, 0), dtype=np.intp)
-    if r:
-        index = {row: i for i, row in enumerate(map(tuple, rows.tolist()))}
-        smaller = _multisets(q, r - 1)[0].tolist()
-        up = np.array([[index[tuple(sorted(M + [x]))] for M in smaller] for x in range(q)],
-                      dtype=np.intp)
-    rows.setflags(write=False)
-    up.setflags(write=False)
-    return rows, up
-
-
-def _fold(vecs: np.ndarray) -> np.ndarray:
-    """W (R, n): W[M] sums prod_s vecs[s, a_s] over the ordered node tuples
-    (a_1, ..., a_r) with multiset M, for n rows of r slots of q node weights.
-
-    Slot by slot, W_{s+1}[M] = sum over the distinct x in M of
-    W_s[M - x] vecs[s, x], so no array of q^r entries per row is made.
-    """
-    r, q, n = vecs.shape
-    W = np.ones((1, n))
-    for s in range(r):
-        rows, up = _multisets(q, s + 1)
-        grown = np.zeros((rows.shape[0], n))
-        for x in range(q):
-            grown[up[x]] += W * vecs[s, x]
-        W = grown
-    return W
 
 
 def _bilinear(left: np.ndarray, table: np.ndarray, W: np.ndarray) -> np.ndarray:
@@ -412,7 +381,8 @@ def bakry_emery_battery(battery: Mapping[str, CylinderFunction], ps, ts,
     Configurations are unordered, so the grid is the quotient of the q^k
     ordered node tuples by particle swaps: q nodes of particle 0 by the
     R = C(q + k - 2, k - 1) multisets of the others' nodes.  Per k, every
-    sample's vectors are folded onto those multisets once (``_be_weights``);
+    sample's vectors are folded onto those multisets once (``_be_weights``,
+    by ``montecarlo._fold``, which also weights the stratum rules);
     per (F, k), both integrands are evaluated on the q x R table and
     contracted with the folds by two matrix products, so memory is
     O(b k R + P q R) for b samples and times.  One-dimensional windows

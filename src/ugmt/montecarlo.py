@@ -315,27 +315,86 @@ class StratumGrid:
             out = np.tensordot(out, w, axes=([-1], [0]))
         return float(out)
 
-    def tuples(self) -> np.ndarray:
-        """All grid points as ordered tuples, shape (order^(nk), k, n)."""
-        mesh = np.meshgrid(*self.nodes, indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=-1).reshape(-1, self.k, self.window.dim)
+    def ordered(self, values: np.ndarray) -> np.ndarray:
+        """Values at the rows of ``stratum_grid_points`` gathered onto the grid."""
+        idx = _tuple_index(self.order ** self.window.dim, self.k)
+        return np.asarray(values)[idx].reshape(self.shape())
+
+
+@functools.lru_cache(maxsize=None)
+def _multisets(q: int, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """The R = C(q + r - 1, r) multisets of r nodes out of q as sorted rows
+    (R, r) in lexicographic order, and ``up`` (q, R_{r-1}): ``up[x, i]`` is
+    the row of multiset i of r - 1 nodes with node x added (empty when
+    r = 0).  Each smaller row is extended by every x from its last entry up,
+    and ``up`` is found by the rows' base-q keys.  Cached; read-only."""
+    if r == 0:
+        rows, up = np.zeros((1, 0), dtype=np.intp), np.zeros((q, 0), dtype=np.intp)
+    elif q ** r > np.iinfo(np.int64).max:
+        raise ValueError(f"base-{q} keys of {r} nodes overflow int64")
+    else:
+        smaller = _multisets(q, r - 1)[0]
+        reps = q - (smaller[:, -1] if r > 1 else 0)
+        parent = np.repeat(np.arange(len(smaller)), reps)
+        rows = np.column_stack([smaller[parent],
+                                np.arange(parent.size) - (np.cumsum(reps) - q)[parent]])
+        grown = np.column_stack([np.tile(smaller, (q, 1)), np.repeat(np.arange(q), len(smaller))])
+        place = q ** np.arange(r - 1, -1, -1)
+        up = np.searchsorted(rows @ place, np.sort(grown, axis=1) @ place).reshape(q, -1)
+    rows.setflags(write=False)
+    up.setflags(write=False)
+    return rows, up
+
+
+@functools.lru_cache(maxsize=32)
+def _tuple_index(q: int, k: int) -> np.ndarray:
+    """The row in ``_multisets(q, k)`` of every ordered k-tuple of q nodes,
+    shape (q,) * k.  Cached; read-only."""
+    idx = np.zeros((), dtype=np.intp)
+    for r in range(1, k + 1):
+        idx = np.moveaxis(_multisets(q, r)[1][:, idx], 0, -1)
+    idx.setflags(write=False)
+    return idx
+
+
+def _fold(vecs: np.ndarray) -> np.ndarray:
+    """W (R, n): W[M] sums prod_s vecs[s, a_s] over the ordered node tuples
+    (a_1, ..., a_r) with multiset M, for n rows of r slots of q node weights.
+
+    Slot by slot, W_{s+1}[M] = sum over the distinct x in M of
+    W_s[M - x] vecs[s, x], so no array of q^r entries per row is made.
+    """
+    r, q, n = vecs.shape
+    W = vecs[0] if r else np.ones((1, n))
+    for s in range(1, r):
+        rows, up = _multisets(q, s + 1)
+        grown = np.zeros((rows.shape[0], n))
+        for x in range(q):
+            grown[up[x]] += W * vecs[s, x]
+        W = grown
+    return W
 
 
 @functools.lru_cache(maxsize=32)
 def stratum_grid_points(window: BoxDomain, k: int, order: int
                         ) -> tuple[np.ndarray, np.ndarray]:
-    """Flattened tensor Gauss-Legendre rule on window^k.
+    """Gauss-Legendre rule on window^k modulo particle order.
 
-    Returns (points, weights) with points of shape (order^(n k), k, n).  The
-    rule is built once per (window, k, order) and shared: both arrays are
+    The points (R, k, n) are the R = C(Q + k - 1, k) multisets of the
+    Q = order^n nodes of one particle, each weighted by its node-weight
+    product times its number of orderings, so the rule integrates functions
+    symmetric in the particles as the tensor rule on the Q^k ordered tuples
+    does.  Built once per (window, k, order) and shared: both arrays are
     read-only.
     """
-    grid = StratumGrid.on(window, k, order)
-    pts = grid.tuples()
-    w = functools.reduce(np.multiply.outer, grid.weights).ravel()
+    one = StratumGrid.on(window, 1, order)
+    nodes = np.stack([m.ravel() for m in np.meshgrid(*one.nodes, indexing="ij")], axis=-1)
+    w = functools.reduce(np.multiply.outer, one.weights).ravel()
+    pts = nodes[_multisets(w.size, k)[0]]
+    W = _fold(np.broadcast_to(w[:, None], (k, w.size, 1))).ravel()
     pts.setflags(write=False)
-    w.setflags(write=False)
-    return pts, w
+    W.setflags(write=False)
+    return pts, W
 
 
 def _box_tuples(rng: np.random.Generator, window: BoxDomain, k: int, n: int) -> np.ndarray:
@@ -430,7 +489,9 @@ class Stratum:
 
         H maps tuples (m, k, n) to name -> (m,) values and runs once on the
         stratum's grid or draw; each member is reduced on its own: exact on
-        grid strata, mean and standard error on Monte Carlo ones.
+        grid strata, mean and standard error on Monte Carlo ones.  The grid
+        is the multiset rule of ``stratum_grid_points``, so every member must
+        be symmetric in the particles.
         """
         if self.order is not None:
             pts, w = self.grid()

@@ -638,3 +638,54 @@ def test_sobolev_suite_is_one_coarea_pass(monkeypatch):
                  if r["name"].startswith("sobolev-")}
     assert densities == {f"sobolev-{fname}-{gname}": (rep.lhs, rep.rhs, rep.combined_sigma)
                          for fname, reps in calls[0].items() for gname, rep in reps.items()}
+
+
+def test_suite_integrands_are_symmetric_in_the_particles(monkeypatch):
+    # grid strata integrate on node multisets, so the surface weights and the
+    # h functions the suites hand to the stratum rules must not depend on the
+    # order of the particles
+    from collections import defaultdict
+
+    weights, hs = [], []
+
+    def sheets(g, level, ws, window, **kwargs):
+        weights.extend((g, w) for w in ws.values() if w is not None)
+        return {name: montecarlo.StratifiedSum(0.0, 0.0, {}) for name in ws}
+
+    def levelset(E, h, window, **kwargs):
+        hs.append(h)
+        return 0.0, 0.0
+
+    def stratified(Hk, window, **kwargs):
+        hs.append(Hk)
+        return defaultdict(lambda: (0.0, 0.0))
+
+    monkeypatch.setattr(bv, "sheet_integrals", sheets)
+    monkeypatch.setattr(bv, "levelset_expectation", levelset)
+    monkeypatch.setattr(bv, "poisson_stratified_battery", stratified)
+    for _, E in cli._degiorgi_sets():
+        for V in batteries.gg_fields():
+            gauss_green_residual(E, V, UNIT)
+    coarea_family(batteries.tanh_sum_members(np.array([0.5, 1.5])),
+                  batteries.coarea_weights(), UNIT)
+    # 9 gauss-green weights and left sides; coarea's 2 G by 3 members by 2
+    # levels, and its one right side
+    assert len(weights) == 9 + 12 and len(hs) == 9 + 1
+
+    def same(a, b):
+        a, b = np.asarray(a), np.asarray(b)
+        assert np.max(np.abs(a - b)) <= 1e-13 * max(np.max(np.abs(a)), 1e-300)
+
+    for k in (1, 2, 3, 5):
+        X = montecarlo.uniform_tuples(UNIT, k, 400, seed=21, stream=k)
+        Xp = X[:, np.roll(np.arange(k), 1)]
+        for g, weight in weights:
+            grads = [g.gradient(Y) for Y in (X, Xp)]
+            same(*[weight(Y, G, np.sqrt(np.sum(G * G, axis=(-2, -1))))
+                   for Y, G in zip((X, Xp), grads)])
+        for h in hs:
+            a, b = h(k, X), h(k, Xp)
+            if not isinstance(a, dict):
+                a, b = {"": a}, {"": b}
+            for name in a:
+                same(a[name], b[name])

@@ -1,3 +1,6 @@
+import functools
+from math import comb
+
 import numpy as np
 import pytest
 
@@ -270,17 +273,51 @@ def test_cached_rule_is_fresh_leggauss_and_read_only(order):
     assert np.array_equal(_legendre_rule(order)[0], x)
 
 
+def _ordered_rule(window, k, order):
+    """The tensor Gauss-Legendre rule on window^k over ordered node tuples:
+    points (order^(n k), k, n) and weights."""
+    grid = StratumGrid.on(window, k, order)
+    pts = np.stack(np.meshgrid(*grid.nodes, indexing="ij"), axis=-1)
+    w = functools.reduce(np.multiply.outer, grid.weights).ravel()
+    return pts.reshape(-1, k, window.dim), w
+
+
+@pytest.mark.parametrize("dim, k", [(1, 1), (1, 2), (1, 3), (1, 4), (2, 1), (2, 2)])
+def test_multiset_rule_integrates_symmetric_functions_as_the_ordered_rule(dim, k):
+    window = interval(0.2, 1.1) if dim == 1 else BoxDomain((0.0, -0.5), (1.0, 1.5))
+    pts, w = stratum_grid_points(window, k, 6)
+    ordered, wo = _ordered_rule(window, k, 6)
+    assert abs(np.sum(w) - window.volume ** k) <= 1e-13 * window.volume ** k
+
+    def symmetric(X):
+        e1 = np.sum(X[..., 0], axis=1)
+        p2 = np.sum(X * X, axis=(1, 2))
+        return [e1 ** 3 * p2, np.prod(1.0 + X[..., -1] - 0.3 * X[..., 0] ** 2, axis=1),
+                np.exp(-e1) * np.cos(p2)]
+
+    for got, ref in zip(symmetric(pts), symmetric(ordered)):
+        exact = np.sum(wo * ref)
+        assert abs(np.sum(w * got) - exact) <= 1e-13 * abs(exact)
+
+
 @pytest.mark.parametrize("window, k, order", [
     (UNIT, 1, 192), (UNIT, 2, 96), (interval(0.0, 0.5), 3, 12),
     (BoxDomain((0.0, 0.0), (1.0, 2.0)), 2, 5)])
 def test_stratum_grid_is_memoized_read_only_and_fresh(window, k, order):
     grid = StratumGrid.on(window, k, order)
-    w = grid.weights[0]
-    for wa in grid.weights[1:]:
-        w = np.multiply.outer(w, wa)
+    ordered, w = _ordered_rule(window, k, order)
     pts, weights = stratum_grid_points(window, k, order)
-    assert np.array_equal(pts, grid.tuples())
-    assert np.array_equal(weights, w.ravel())
+    Q = order ** window.dim
+    assert pts.shape == (comb(Q + k - 1, k), k, window.dim)
+    # each ordered tuple's row holds its particles sorted by node index
+    rows = grid.ordered(np.arange(len(pts))).ravel()
+    node = np.indices((Q,) * k).reshape(k, -1).T
+    by_node = np.argsort(node, axis=1, kind="stable")
+    assert np.array_equal(pts[rows], ordered[np.arange(len(ordered))[:, None], by_node])
+    # a row's weight is the sum of its tuples' weights, and every row is hit
+    assert np.all(np.bincount(rows, minlength=len(pts)) > 0)
+    assert np.allclose(np.bincount(rows, weights=w, minlength=len(pts)), weights,
+                       rtol=1e-14, atol=0.0)
     again = stratum_grid_points(window, k, order)
     assert again[0] is pts and again[1] is weights
     with pytest.raises(ValueError):
@@ -314,7 +351,7 @@ def _reference_quad_route(g, level, weights, window, k, eps, quad_order):
     """The quadrature route of surface_functional with g evaluated afresh for
     every profile width: g.value on the whole grid, g.gradient on the band."""
     state = {"min_grad": np.inf, "max_grad": 0.0}
-    pts, w = stratum_grid_points(window, k, quad_order)
+    pts, w = _ordered_rule(window, k, quad_order)
     spacing = float(np.max(window.sides)) / quad_order
 
     def run(sig):
@@ -388,7 +425,8 @@ def test_quadrature_route_evaluates_g_once_per_grid(name):
     G = cyl_from_star(SmoothFunction.bump((0.45,) * window.dim, 0.3, 1.0, window=window))
     weights = {"surface": None,
                "G": lambda X, grad, gn: G.value(X) * gn,
-               "tilt": lambda X, grad, gn: X[:, 0, 0] * np.sum(grad, axis=(-2, -1))}
+               "tilt": lambda X, grad, gn: (np.sum(X[:, :, 0], axis=1)
+                                            * np.sum(grad, axis=(-2, -1)))}
     spy = _Spy(g)
     try:
         ref = _reference_quad_route(g, level, weights, window, k, 0.01, order)
@@ -412,7 +450,7 @@ def test_quadrature_route_evaluates_g_once_per_grid(name):
     assert len(np.unique(rows, axis=0)) == len(rows)
     # the wider profiles needed rows of their own, unless the first band held
     # the whole grid
-    assert len(spy.rows) > 1 or len(rows) == order ** (k * window.dim)
+    assert len(spy.rows) > 1 or len(rows) == len(stratum_grid_points(window, k, order)[0])
 
 
 @pytest.mark.parametrize("k, order", [(1, 192), (2, 48)])

@@ -7,11 +7,12 @@ from ugmt.cylinder import (CylinderFunction, ExponentialCylinderFunction,
                            cyl_from_star, cyl_mul, mul_n, smoothstep, tanh_of)
 from ugmt.geometry import (BoxDomain, DomainError, QuadratureError, SmoothFunction,
                            gauss_legendre, interval)
-from ugmt.heat import (BesselOperator, LiftedHeatOperator, _eval_on_grid, _semigroup_at,
-                       bakry_emery_battery, bessel_apply, capacity_upper_bound,
+from ugmt.heat import (BesselOperator, LiftedHeatOperator, _eval_on_grid, _grad_grid,
+                       _semigroup_at, bakry_emery_battery, bessel_apply, capacity_upper_bound,
                        check_intertwining, lift_semigroup,
                        lifted_gradient_norm, regularization_slope)
 from ugmt.montecarlo import MCPlan, integrate
+from ugmt.productspace import stratum_indicator
 
 UNIT = interval(0.0, 1.0)
 OP = LiftedHeatOperator(window=UNIT)
@@ -514,7 +515,7 @@ def test_multisets_count_and_cover_the_ordered_tuples(q):
     import itertools
     from math import comb
 
-    from ugmt.heat import _multisets
+    from ugmt.montecarlo import _multisets
 
     for r in range(6):
         rows, up = _multisets(q, r)
@@ -536,7 +537,7 @@ def test_multisets_count_and_cover_the_ordered_tuples(q):
 def test_fold_equals_the_sum_over_ordered_tuples(q, r):
     import itertools
 
-    from ugmt.heat import _fold, _multisets
+    from ugmt.montecarlo import _fold, _multisets
 
     n = 7
     vecs = np.random.default_rng(10 * q + r).uniform(0.1, 1.0, size=(r, q, n))
@@ -548,6 +549,40 @@ def test_fold_equals_the_sum_over_ordered_tuples(q, r):
     got = _fold(vecs)
     assert got.shape == ref.shape
     assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-13
+
+
+@pytest.mark.parametrize("dim, k", [(1, 1), (1, 2), (1, 3), (1, 4), (2, 1), (2, 2)])
+def test_grid_gathers_match_the_ordered_tuples(dim, k):
+    # values, gradients and stratum indicators gathered from the multiset rows
+    # equal a fresh evaluation on every ordered node tuple of the grid
+    window = interval(0.1, 0.9) if dim == 1 else BoxDomain((0.0, 0.0), (1.0, 1.5))
+    op = LiftedHeatOperator(window=window, grid_orders={1: 9, 2: 7, 3: 5, 4: 4})
+    grid = op.grid(k)
+    X = np.stack(np.meshgrid(*grid.nodes, indexing="ij"), axis=-1).reshape(-1, k, dim)
+    bump = SmoothFunction.bump((0.45,) * dim, 0.3, 1.0, window=window)
+    F = cyl_compose(lambda r: tanh_of(r), cyl_from_star(bump))
+
+    def close(got, ref):
+        assert got.shape == grid.shape()
+        assert np.max(np.abs(got - ref.reshape(grid.shape()))) <= 1e-15 * np.max(np.abs(ref))
+
+    vals = F.value(X)
+    close(_eval_on_grid(F, grid), vals)
+    G = F.gradient(X).reshape(len(X), -1)
+    for a, comp in enumerate(_grad_grid(F, grid)):
+        close(comp, G[:, a])
+    E = SetSpec.level_set(F, 0.5 * (np.min(vals) + np.max(vals)), count_equals=k)
+    ref = stratum_indicator(E, k, X, window)
+    assert 0.0 < ref.mean() < 1.0
+    close(_eval_on_grid(E, grid), ref)
+
+
+def test_multisets_refuse_keys_beyond_int64():
+    from ugmt.montecarlo import _multisets
+
+    assert _multisets(2, 62)[0].shape == (63, 62)
+    with pytest.raises(ValueError):
+        _multisets(2 ** 32, 2)
 
 
 def _ordered_grid_sides(F, nodes, ps, A, D):
