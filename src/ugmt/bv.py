@@ -87,10 +87,11 @@ def levelset_expectation(E: SetSpec, h, window: BoxDomain, *, K_max: int | None 
 
     ``h(k, X)`` maps ordered tuples (m, k, n) to values (m,) and must be
     symmetric in the particles: grid strata evaluate it on the rows of the
-    multiset rule (``montecarlo.stratum_grid_points``).  Returns
-    (value, error); the error combines band Monte Carlo noise, a refinement
-    estimate of the smooth-part quadrature error, per-stratum Monte Carlo
-    beyond the grid strata, and the analytic smooth-step tail.
+    multiset rule (``montecarlo.stratum_grid_points``).  Monte Carlo draws
+    (nominally 20,000 per count, 60,000 band samples) follow ``Stratum.draws``.
+    Returns (value, error); the error combines band Monte Carlo noise, a
+    refinement estimate of the smooth-part quadrature error, per-stratum Monte
+    Carlo beyond the grid strata, and the analytic smooth-step tail.
     """
     if E.variant != "level_set":
         raise DomainError("levelset_expectation needs a level-set spec")
@@ -213,10 +214,12 @@ class _VariationalObjective:
     each batch of quadrature tuples or band samples assembles them once
     (``_basis``) for every member.  A batch is (kind, n, pw, basis): pw (M, m)
     holds one row per member, F's value (or level-set weight) at the tuples
-    times the quadrature or Monte Carlo prefactor.  Cylinder functions share
-    the strata, so any number of them share one objective; a level-set spec
-    needs one of its own, because its strata and band samples depend on its
-    sheet.
+    times the quadrature or Monte Carlo prefactor.  A Monte Carlo batch holds
+    ``Stratum.draws(mc_n)`` tuples, or ``Stratum.draws(n_band)`` band samples
+    on a level set's grid stratum; its n is the rows drawn, its prefactor the
+    Poisson weight over n.  Cylinder functions share the strata, so any number
+    of them share one objective; a level-set spec needs one of its own,
+    because its strata and band samples depend on its sheet.
 
     A coordinate search moves theta along a line theta + d e_a, on which
     V_theta gains d U with U = c_a v_a.  Per tuple, with V = V_theta,
@@ -275,10 +278,11 @@ class _VariationalObjective:
         for s in strata:
             if s.order is None:
                 X = s.draw()
-                pre = np.full(self.mc_n, s.weight / self.mc_n)
+                n = X.shape[0]
+                pre = np.full(n, s.weight / n)
                 weights = [stratum_indicator(E, s.k, X, window)] if is_set else \
                     [F.value(X) for F in Fs]
-                yield "mc", self.mc_n, np.stack([pre * w for w in weights]), self._basis(X)
+                yield "mc", n, np.stack([pre * w for w in weights]), self._basis(X)
                 continue
             pts, w = s.grid()
             pre = s.weight * w / window.volume ** s.k
@@ -289,18 +293,27 @@ class _VariationalObjective:
                 continue
             # band correction samples
             X = s.draw(self.n_band)
+            n = X.shape[0]
             inband, corr = _band_split(E, X)
             if np.any(inband):
-                yield "mc", self.n_band, (np.full(corr.size, s.weight / self.n_band) * corr)[None], \
+                yield "mc", n, (np.full(corr.size, s.weight / n) * corr)[None], \
                     self._basis(X[inband])
 
     @functools.cached_property
     def batches(self) -> list:
         """The search batches, kept: each carries the theta-independent
-        contractions <c_a v_a, v_c> and <c_a v_a, grad c_c> (A, B, m) in place
-        of the stacked fields, so that a search step reads no field twice."""
-        return [(kind, n, pw, (CVv, CVd, S, None, np.einsum("amk,bmk->abm", CVv, VCg)))
+        contractions <c_a v_a, v_c> and <c_a v_a, grad c_c> (A, B, m) and every
+        coordinate's line coefficients (q2, t3) (A, 2, m) in place of the
+        stacked fields, so that a search step reads no field twice."""
+        return [(kind, n, pw, (CVv, CVd, S, np.array([self._squares(U * U, dU)
+                                                      for U, dU in zip(CVv, CVd)]),
+                               np.einsum("amk,bmk->abm", CVv, VCg)))
                 for kind, n, pw, (CVv, CVd, S, VCg, _) in self._stream()]
+
+    @staticmethod
+    def _squares(UU, dU) -> tuple:
+        """The line coefficients free of theta, q2 = sum U^2 and t3 = sum U^2 U'."""
+        return np.einsum("mk->m", UU), np.einsum("mk,mk->m", UU, dU)
 
     def _basis(self, X: np.ndarray):
         """(c_a v_a, c_a v_a', S_a) of every member a and the stacked v_a and
@@ -365,21 +378,22 @@ class _VariationalObjective:
         cyl = self._cyl
         Vt, dVt, pair = state[:3]
         U, dU = CVv[a], CVd[a]
-        line = np.einsum("mk,bmk->bm", U, VCg) if UVCg is None else UVCg[a]
-        (P, R), (p, r) = np.split(pair, 2), np.split(line, 2)
         VtU, UU = Vt * U, U * U
+        if UVCg is None:   # a streamed batch
+            line, (q2, t3) = np.einsum("mk,bmk->bm", U, VCg), self._squares(UU, dU)
+        else:              # a kept batch, its (q2, t3) in the fields' slot
+            line, (q2, t3) = UVCg[a], VCg[a]
+        (P, R), (p, r) = np.split(pair, 2), np.split(line, 2)
         q1 = 2.0 * np.einsum("mk->m", VtU)
-        q2 = np.einsum("mk->m", UU)
         t1 = 2.0 * np.einsum("mk,mk->m", VtU, dVt) + np.einsum("mk,mk,mk->m", Vt, Vt, dU) \
             + theta[cyl] @ (P * r + p * R)
         t2 = np.einsum("mk,mk->m", UU, dVt) + 2.0 * np.einsum("mk,mk->m", VtU, dU) \
             + theta[cyl] @ (p * r)
-        t3 = np.einsum("mk,mk->m", UU, dU)
         if a in cyl:   # theta_a itself moves in its pair term
             j = cyl.index(a)
             t1 += P[j] * R[j]
             t2 += P[j] * r[j] + p[j] * R[j]
-            t3 += p[j] * r[j]
+            t3 = t3 + p[j] * r[j]   # not in place: a kept batch's t3 is cached
         return q1, q2, t1, t2, t3
 
     @staticmethod

@@ -29,7 +29,7 @@ from .geometry import SmoothFunction
 from .heat import (BesselOperator, LiftedHeatOperator, bakry_emery_battery,
                    capacity_upper_bound, check_intertwining, regularization_slope)
 from .hausdorff import rho_m_limit, rho_m_on_box, scaled_box
-from .montecarlo import MCPlan, integrate_battery, stratum_grid_points
+from .montecarlo import MASS_RATIO, MIN_SAMPLES, MCPlan, integrate_battery, stratum_grid_points
 from .bv import (coarea_family, gauss_green_residual, perimeter_measure,
                  sobolev_alignment, tv_bracket_battery)
 
@@ -127,7 +127,8 @@ class Report:
             "schema_version": SCHEMA_VERSION,
             "suite": self.suite,
             "environment": {"package_version": __version__, "seed": self.seed,
-                            "samples": self.samples},
+                            "samples": self.samples,
+                            "stratum_draws": {"floor": MIN_SAMPLES, "mass_ratio": MASS_RATIO}},
             "records": self.records,
             "all_pass": self.passed,
             "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),

@@ -199,12 +199,14 @@ def surface_functional(g, level: float, weights: dict, window: BoxDomain, k: int
     of the quadrature route), and every weight is applied per width and
     reduced on its own.
 
-    Two modes share the coarea identity: the hard band chi/(2 eps) with Monte
-    Carlo (any k), and, when ``quad_order`` is given, a smooth Gaussian level
-    profile with tensor quadrature (deterministic; the error bar is the move
-    under halving the profile width, a curvature-bias proxy).  The critical
-    level check and the profile width depend on g only, never on a weight.
-    Returns name -> (value, err, min |grad g| seen near the sheet).
+    Two modes share the coarea identity: the hard band chi/(2 eps) with
+    ``n_samples`` Monte Carlo draws, as given (any k; ``sheet_integrals``
+    sizes them by ``Stratum.draws``), and, when ``quad_order`` is given, a
+    smooth Gaussian level profile with tensor quadrature (deterministic; the
+    error bar is the move under halving the profile width, a curvature-bias
+    proxy).  The critical level check and the profile width depend on g
+    only, never on a weight.  Returns name -> (value, err, min |grad g| seen
+    near the sheet).
     """
     state = {"min_grad": np.inf, "max_grad": 0.0}
     level_at = _LevelCache(g)
@@ -304,9 +306,10 @@ def sheet_integrals(g, level: float, weights: dict, window: BoxDomain, *,
     The codim-1 stratum loop: per count k, one ``surface_functional_auto``
     call serves every weight (``weights`` as in ``surface_functional``), by
     quadrature on counts 1 and 2 of a 1-d window (orders 192, 96) or count 1
-    otherwise (order 32), else by ``n_samples`` band draws on stream
-    (seed, base + stride k) for ``streams`` = (base, stride).  ``eps``
-    defaults to 1e-2 of the largest side.  Returns name -> StratifiedSum.
+    otherwise (order 32), else by ``Stratum.draws(n_samples)`` band draws on
+    stream (seed, base + stride k) for ``streams`` = (base, stride), as many
+    as the quadrature's fallback draws.  ``eps`` defaults to 1e-2 of the
+    largest side.  Returns name -> StratifiedSum.
     """
     if eps is None:
         eps = 1e-2 * float(np.max(window.sides))
@@ -316,7 +319,7 @@ def sheet_integrals(g, level: float, weights: dict, window: BoxDomain, *,
     per_stratum = {}
     for s in strata:
         est = surface_functional_auto(g, level, weights, window, s.k, eps=eps,
-                                      n_samples=n_samples, seed=seed,
+                                      n_samples=s.draws(n_samples), seed=seed,
                                       stream=base + stride * s.k, quad_order=s.order)
         volk = window.volume ** s.k
         per_stratum[s.k] = {name: (val / volk, err / volk) for name, (val, err, _) in est.items()}

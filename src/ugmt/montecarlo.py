@@ -66,6 +66,7 @@ __all__ = [
 ]
 
 MIN_SAMPLES = 100
+MASS_RATIO = 0.01   # a Monte Carlo stratum of Poisson weight w draws n w / (MASS_RATIO w_top)
 
 
 @dataclass(frozen=True)
@@ -460,12 +461,14 @@ class Stratum:
     """The k-particle stratum: its Poisson weight and its integration route.
 
     ``order`` is the per-axis Gauss-Legendre order of a grid stratum; ``None``
-    routes the stratum to ``mc_n`` uniform draws on stream (seed, stream).
+    routes the stratum to ``draws(mc_n)`` uniform draws on stream (seed,
+    stream).  ``top`` is the largest Poisson weight among its ``Strata``' counts.
     """
 
     window: BoxDomain
     k: int
     weight: float
+    top: float
     order: int | None
     mc_n: int
     seed: int
@@ -475,8 +478,17 @@ class Stratum:
         return stratum_grid_points(self.window, self.k,
                                    self.order if order is None else order)
 
+    def draws(self, n: int) -> int:
+        """The Monte Carlo draws for a nominal n, in proportion to the Poisson
+        weight: n while the weight is at least ``MASS_RATIO`` of the top one,
+        fewer below, never under ``MIN_SAMPLES`` nor over n.  The one place a
+        stratum's sample count is decided."""
+        return min(n, max(MIN_SAMPLES, math.ceil(n * self.weight / (MASS_RATIO * self.top))))
+
     def draw(self, n: int | None = None) -> np.ndarray:
-        return uniform_tuples(self.window, self.k, self.mc_n if n is None else n,
+        """``draws(n)`` uniform tuples (n defaults to ``mc_n``): on a stream
+        counted from its start, the first rows of the n-row draw."""
+        return uniform_tuples(self.window, self.k, self.draws(self.mc_n if n is None else n),
                               self.seed, self.stream)
 
     def grid_mean(self, values: np.ndarray, w: np.ndarray) -> float:
@@ -517,7 +529,9 @@ class Strata:
     Counts run from 1 to ``K_max`` (default: tail mass beyond it below 1e-10)
     or are just ``count_equals``; counts of zero Poisson weight are skipped.
     Stratum k is a grid stratum of order ``orders[k]`` when given, else a Monte
-    Carlo stratum of ``mc_n`` draws on stream (seed, stream_base + k).
+    Carlo stratum on stream (seed, stream_base + k) that draws in proportion to
+    its Poisson mass: ``Stratum.draws(mc_n)``, all mc_n on counts of at least
+    ``MASS_RATIO`` of the largest weight among the counts.
     """
 
     window: BoxDomain
@@ -535,11 +549,12 @@ class Strata:
     def __iter__(self) -> Iterator[Stratum]:
         lam = self.window.volume
         counts = range(1, self.K_max + 1) if self.count_equals is None else (self.count_equals,)
-        for k in counts:
-            pk = poisson_pmf(k, lam)
+        weights = {k: poisson_pmf(k, lam) for k in counts}
+        top = max(weights.values(), default=0.0)
+        for k, pk in weights.items():
             if pk == 0.0:
                 continue
-            yield Stratum(window=self.window, k=k, weight=pk, order=self.orders.get(k),
+            yield Stratum(window=self.window, k=k, weight=pk, top=top, order=self.orders.get(k),
                           mc_n=self.mc_n, seed=self.seed, stream=self.stream_base + k)
 
     def integrate(self, term: Callable[[Stratum], Iterable[tuple[float, float]]], *,

@@ -689,3 +689,49 @@ def test_suite_integrands_are_symmetric_in_the_particles(monkeypatch):
                 a, b = {"": a}, {"": b}
             for name in a:
                 same(a[name], b[name])
+
+
+def _fresh_line(obj, theta, state, a, basis):
+    """``_line`` on a kept batch with q2 = sum U^2 and t3 = sum U^2 U'
+    contracted afresh from U on every call."""
+    CVv, CVd, _, _, UVCg = basis
+    cyl = obj._cyl
+    Vt, dVt, pair = state[:3]
+    U, dU = CVv[a], CVd[a]
+    (P, R), (p, r) = np.split(pair, 2), np.split(UVCg[a], 2)
+    VtU, UU = Vt * U, U * U
+    q1 = 2.0 * np.einsum("mk->m", VtU)
+    q2 = np.einsum("mk->m", UU)
+    t1 = 2.0 * np.einsum("mk,mk->m", VtU, dVt) + np.einsum("mk,mk,mk->m", Vt, Vt, dU) \
+        + theta[cyl] @ (P * r + p * R)
+    t2 = np.einsum("mk,mk->m", UU, dVt) + 2.0 * np.einsum("mk,mk->m", VtU, dU) \
+        + theta[cyl] @ (p * r)
+    t3 = np.einsum("mk,mk->m", UU, dU)
+    if a in cyl:
+        j = cyl.index(a)
+        t1 += P[j] * R[j]
+        t2 += P[j] * r[j] + p[j] * R[j]
+        t3 += p[j] * r[j]
+    return q1, q2, t1, t2, t3
+
+
+@pytest.mark.parametrize("name", sorted(_OBJECTIVE_CASES))
+def test_kept_line_coefficients_equal_fresh_ones(name, monkeypatch):
+    Fs = _OBJECTIVE_CASES[name]
+    obj = _VariationalObjective(Fs, _FAMILY, W_HALF, seed=11, n_band=2_000, mc_n=1_000)
+    kept = [basis[3].copy() for *_, basis in obj.batches]
+    theta = np.random.default_rng(9).uniform(-2.0, 2.0, size=len(_FAMILY))
+    for *_, basis in obj.batches:
+        state = obj._state(theta, basis)
+        for a in range(len(_FAMILY)):
+            got = obj._line(theta, state, a, basis)
+            for x, y in zip(got, _fresh_line(obj, theta, state, a, basis)):
+                assert x.tobytes() == y.tobytes()
+    # scoring lines leaves the kept coefficients as they were built
+    for want, (*_, basis) in zip(kept, obj.batches):
+        assert want.tobytes() == basis[3].tobytes()
+    thetas = [_coordinate_ascent(obj, i, 2) for i in range(len(Fs))]
+    fresh = _VariationalObjective(Fs, _FAMILY, W_HALF, seed=11, n_band=2_000, mc_n=1_000)
+    monkeypatch.setattr(_VariationalObjective, "_line", _fresh_line)
+    for i, theta in enumerate(thetas):
+        assert np.array_equal(_coordinate_ascent(fresh, i, 2), theta)

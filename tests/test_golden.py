@@ -88,19 +88,19 @@ CASES = {
 }
 
 GOLDEN = {
-    'levelset_expectation': (0.0908895436494699, 0.00013847767863333445),
+    'levelset_expectation': (0.09088978006564534, 0.00013849180661345024),
     'lifted_gradient_norm_direct': (1.0785949227695693, 0.07731709064326125),
     'lifted_gradient_norm_semigroup': (0.6343948158816499, 0.034878101026504474),
-    'poisson_stratified': (0.18129926680055916, 6.585679711359281e-05),
-    'poisson_stratified_sup': (0.18129926680055916, 6.587499184572952e-05),
-    'rho0_on_box': (0.20541466718641632, 0.0034238855086726706),
+    'poisson_stratified': (0.1812944747483668, 6.619778636664228e-05),
+    'poisson_stratified_sup': (0.1812944747483668, 6.621588740217574e-05),
+    'rho0_on_box': (0.20541046860840814, 0.003423886965360237),
     'rho0_on_box_exact': (0.036936313106031474, 0.0),
-    'rho1_on_box': (0.7486319901042919, 0.003786966549587311),
+    'rho1_on_box': (0.74861925703502, 0.003792512991910712),
     'rho1_on_box_one_count': (0.12865368197213412, 5.406541593690078e-06),
     'surface_battery_fallback': (1.4292030931622615, 0.3569827826681413),
     'surface_battery_quadrature': (0.7455803024717058, 0.002374247147784345),
     # the error is the n - 1 standard error of mean_and_stderr on each batch
-    'variational_value_with_error': (0.40227075662520717, 0.002598406223409711),
+    'variational_value_with_error': (0.40273913900725966, 0.002615904781194304),
 }
 
 

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -15,7 +16,10 @@ from ugmt.montecarlo import (MCPlan, _box_tuples, draw_by_count, integrate, inte
                              integrate_disintegrated, measure_of_set, poisson_k_cutoff,
                              poisson_pmf, poisson_stratified, poisson_stratified_battery,
                              shared_draws, uniform_tuples)
+from ugmt.montecarlo import MASS_RATIO, MIN_SAMPLES, Strata
 from ugmt.rng import mean_and_stderr, stream_rng
+from ugmt import bv, hausdorff
+from ugmt.cylinder import const, mul_n
 
 UNIT = interval(0.0, 1.0)
 PLAN = MCPlan(n_samples=20_000, seed=90, window=UNIT)
@@ -446,3 +450,123 @@ def test_shared_draws_scope_returns_one_read_only_draw_per_key():
     assert montecarlo._SHARED_DRAWS.get() is None
     after = uniform_tuples(UNIT, 3, 200, seed=5, stream=2)
     assert after is not X and after.flags.writeable and np.array_equal(after, fresh)
+
+
+# ---------------------------------------------------------------------------
+# Monte Carlo strata draw in proportion to their Poisson mass
+
+_RULE_WINDOWS = {"unit": batteries.UNIT, "mono": batteries.MONO_WINDOW,
+                 "cap": batteries.CAP_WINDOW, "unit2": batteries.UNIT2}
+
+
+@pytest.mark.parametrize("n", [2_000, 20_000])
+@pytest.mark.parametrize("name", list(_RULE_WINDOWS))
+def test_stratum_draws_follow_the_poisson_mass(name, n):
+    window = _RULE_WINDOWS[name]
+    strata = list(Strata(window, mc_n=n))
+    top = max(s.weight for s in strata)
+    assert MIN_SAMPLES == 100 and MASS_RATIO == 0.01
+    cut = 0
+    for s in strata:
+        assert s.top == top
+        got = s.draws(n)
+        assert got == min(n, max(100, math.ceil(n * s.weight / (0.01 * top))))
+        assert MIN_SAMPLES <= got <= n
+        if s.weight >= 0.01 * top:
+            assert got == n
+        cut += got < n
+        assert s.draws(50) == 50   # never more than the nominal count
+    assert cut > 0   # every window has counts below 1% of the top weight
+    # the error bar of equal per-stratum variances grows by at most 1%
+    w = np.array([s.weight for s in strata])
+    drawn = np.array([s.draws(n) for s in strata])
+    assert np.sum(w ** 2 / drawn) / np.sum(w ** 2 / n) <= 1.02
+    assert list(Strata(window, mc_n=n, K_max=0)) == []   # no counts, no top weight
+    # a stratum conditioned on its count is the top of its own Strata
+    for k in (1, 3, 12):
+        (s,) = Strata(window, mc_n=n, count_equals=k)
+        assert s.top == s.weight and s.draws(n) == n
+
+
+@pytest.mark.parametrize("k", [1, 3, 7])
+@pytest.mark.parametrize("name", list(_DRAW_WINDOWS))
+def test_fewer_draws_are_the_first_rows_of_the_full_draw(name, k):
+    # streams are counter-based: m rows are the first m of the n-row draw
+    window = _DRAW_WINDOWS[name]
+    full = uniform_tuples(window, k, 2_000, seed=23, stream=700 + k)
+    for m in (100, 137, 1_999):
+        assert uniform_tuples(window, k, m, seed=23, stream=700 + k).tobytes() == \
+            full[:m].tobytes()
+    for s in Strata(window, mc_n=2_000, seed=23, stream_base=700, K_max=k):
+        X = s.draw()
+        assert X.shape[0] == s.draws(2_000)
+        assert X.tobytes() == uniform_tuples(window, s.k, 2_000, 23, 700 + s.k)[:len(X)].tobytes()
+
+
+def test_every_stratum_draw_has_the_rule_count(monkeypatch):
+    drawn = []
+    real = montecarlo.uniform_tuples
+
+    def spy(window, k, n, seed, stream):
+        drawn.append((window, k, n, seed, stream))
+        return real(window, k, n, seed, stream)
+
+    monkeypatch.setattr(montecarlo, "uniform_tuples", spy)
+    monkeypatch.setattr(hausdorff, "uniform_tuples", spy)
+
+    def rule(window, k, nominal):
+        return next(s for s in Strata(window) if s.k == k).draws(nominal)
+
+    def check(nominal):
+        assert drawn
+        for window, k, n, seed, stream in drawn:
+            assert n == rule(window, k, nominal(k, seed, stream)), (k, seed, stream)
+        reduced = sum(n < nominal(k, seed, stream) for _, k, n, seed, stream in drawn)
+        drawn.clear()
+        return reduced
+
+    stack = batteries.stack_set()
+    bv.perimeter_measure(stack, UNIT, n_samples=2_000, seed=5)
+    assert check(lambda k, seed, stream: 2_000) > 0
+    bv.levelset_expectation(stack, lambda k, X: np.ones(X.shape[0]), UNIT, seed=3)
+    # band samples on the grid strata k <= 3, count draws beyond them
+    assert check(lambda k, seed, stream: 60_000 if k <= 3 else 20_000) > 0
+    bump = cyl_from_star(SmoothFunction.bump(0.5, 0.3, 1.0, window=UNIT))
+    bv.tv_variational(bump, batteries.field_family()[:2], UNIT, seed=1, iterations=1)
+    # the search on seed 1, the final estimate on seed 1 + 7919
+    assert check(lambda k, seed, stream: 4_000 if seed == 1 else 20_000) > 0
+
+
+def test_variational_prefactors_divide_by_the_rows_drawn():
+    f = SmoothFunction.bump(0.5, 0.3, 1.0, window=UNIT)
+    one = cyl_compose(lambda r: mul_n(const(0.0), r) + const(1.0), cyl_from_star(f))
+    obj = bv._VariationalObjective([one], batteries.field_family()[:1], UNIT, seed=3,
+                                   n_band=2_000, mc_n=2_000)
+    mc = [(n, pw) for kind, n, pw, _ in obj._stream() if kind == "mc"]
+    strata = [s for s in Strata(UNIT, orders={1: 64, 2: 48, 3: 28}) if s.order is None]
+    assert len(mc) == len(strata)
+    for (n, pw), s in zip(mc, strata):
+        # F = 1: the prefactors of a stratum's rows sum to its Poisson weight
+        assert n == pw.shape[1] == s.draws(2_000)
+        assert np.sum(pw[0]) == pytest.approx(s.weight, rel=1e-12)
+    assert min(n for n, _ in mc) < 2_000
+
+
+def test_band_prefactors_divide_by_the_rows_drawn(monkeypatch):
+    # on a wide window the light grid strata draw fewer band samples; with
+    # every sample in the band and chi - smooth step = 1, a band batch's
+    # prefactors sum to its stratum's Poisson weight
+    wide = interval(0.0, 10.0)
+    E = SetSpec.level_set(cyl_from_star(SmoothFunction.linear(wide)), 5.0)
+    monkeypatch.setattr(bv, "_band_split", lambda E, X: (np.ones(len(X), dtype=bool),
+                                                          np.ones(len(X))))
+    obj = bv._VariationalObjective([E], batteries.field_family()[:1], wide, seed=3,
+                                   n_band=2_000, mc_n=100)
+    # the count strata beyond the grid draw the floor, mc_n = 100, each
+    band = [(n, pw) for kind, n, pw, _ in obj._stream() if kind == "mc" and n != 100]
+    strata = [s for s in Strata(wide, orders=bv._LEVELSET_ORDERS) if s.order is not None]
+    assert len(band) == len(strata) == 3
+    for (n, pw), s in zip(band, strata):
+        assert n == pw.shape[1] == s.draws(2_000)
+        assert np.sum(pw[0]) == pytest.approx(s.weight, rel=1e-12)
+    assert band[0][0] < 2_000   # k = 1 carries under 1% of the top weight
