@@ -8,7 +8,10 @@ which ``montecarlo.Strata`` assembles as the Poisson-weighted average of the
 section content over the product box.
 For m = 0 this reduces to the Poisson probability of the set.  For m = 1 the
 sections must be smooth level sets; their surface content is estimated by the
-coarea band estimator (1/2 eps) * integral of |grad g| over {|g - c| < eps}.
+coarea identity, integral of |grad g| times a level profile of unit mass:
+the hard band chi{|g - c| < eps} / (2 eps) on Monte Carlo tuples, or, on a
+quadrature grid, Gaussian profiles of three widths scored in one pass and
+extrapolated to width 0.
 All spherical Hausdorff values carry the dimensional constant c(d) =
 (unit-ball volume)/2^d, so that the full-dimensional measure is Lebesgue.
 """
@@ -110,16 +113,16 @@ def band_integral_mc(h, window: BoxDomain, k: int, n_samples: int, seed: int,
     return out
 
 
-def band_integral_quad(h, window: BoxDomain, k: int, order: int) -> dict[str, float]:
-    """Tensor quadrature over window^k of each density h returns (see band_integral_mc).
+def band_integral_quad(densities: dict, window: BoxDomain, k: int, order: int) -> dict:
+    """Tensor quadrature over window^k of each density, given on the rows of
+    ``stratum_grid_points(window, k, order)``.
 
-    h runs on the multiset rule's rows; the sum stays the ordered tensor
-    rule's, term for term, as the Richardson extrapolation in the profile
-    width amplifies any change of summation order.
+    The sum stays the ordered tensor rule's, term for term, as the
+    Richardson extrapolation in the profile width amplifies any change of
+    summation order.
     """
     grid, w = _ordered_weights(window, k, order)
-    return {name: float(np.sum(w * grid.ordered(hv).ravel()))
-            for name, hv in h(stratum_grid_points(window, k, order)[0]).items()}
+    return {key: float(np.sum(w * grid.ordered(hv).ravel())) for key, hv in densities.items()}
 
 
 @functools.lru_cache(maxsize=8)
@@ -131,55 +134,22 @@ def _ordered_weights(window: BoxDomain, k: int, order: int) -> tuple[StratumGrid
     return grid, w
 
 
-class _LevelCache:
-    """g on one set of tuples: its values once, each gradient row at most once.
+def _gradient(g, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """grad g and |grad g| at X, read-only: every weight and width shares them."""
+    grad = g.gradient(X)
+    gn = np.sqrt(np.sum(grad * grad, axis=(-2, -1)))
+    grad.setflags(write=False)
+    gn.setflags(write=False)
+    return grad, gn
 
-    The quadrature route integrates the same grid under 3-4 profile widths;
-    each width evaluates the gradient only on the band rows no earlier width
-    needed.  Rows are evaluated independently, so the values equal a
-    per-width evaluation bit for bit.  The first band's gradients are kept
-    as they are; a second band (quadrature only, never a Monte Carlo draw)
-    moves them into buffers over the whole grid, with a mask of the rows
-    already evaluated.
-    """
 
-    def __init__(self, g):
-        self.g = g
-        self.X = None
-
-    def values(self, X: np.ndarray) -> np.ndarray:
-        if self.X is not X:
-            self.X, self.vals = X, self.g.value(X)
-            self.grad = self.gn = self.done = None
-        return self.vals
-
-    def gradient(self, rows: np.ndarray, Xm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(grad g, |grad g|) at the sorted rows of the last tuples, Xm being
-        those rows' tuples; the first band's are read-only, as later widths
-        reuse them."""
-        if self.grad is None:  # the first band, and the only one on Monte Carlo draws
-            self.grad, self.gn = self._of(Xm)
-            self.rows = rows
-            return self.grad, self.gn
-        if self.done is None:
-            self.done = np.zeros(self.X.shape[0], dtype=bool)
-            self.done[self.rows] = True
-            grad, gn = self.grad, self.gn
-            self.grad = np.empty(self.X.shape)
-            self.gn = np.empty(self.X.shape[0])
-            self.grad[self.rows], self.gn[self.rows] = grad, gn
-        new = rows[~self.done[rows]]
-        if new.size:
-            self.grad[new], self.gn[new] = self._of(self.X[new])
-            self.done[new] = True
-        return self.grad[rows], self.gn[rows]
-
-    def _of(self, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        grad = self.g.gradient(Y)
-        gn = np.sqrt(np.sum(grad * grad, axis=(-2, -1)))
-        grad.setflags(write=False)
-        gn.setflags(write=False)
-        return grad, gn
+def _checked_min(gn: np.ndarray) -> float:
+    """min |grad g| over rows near the sheet (inf for none); raises at a critical level."""
+    min_grad = float(np.min(gn, initial=np.inf))
+    if min_grad < MIN_GRADIENT:
+        raise CriticalLevelError(f"gradient {min_grad:.2e} below {MIN_GRADIENT} on the "
+                                 "level band; perturb the level")
+    return min_grad
 
 
 def surface_functional(g, level: float, weights: dict, window: BoxDomain, k: int, *,
@@ -192,86 +162,78 @@ def surface_functional(g, level: float, weights: dict, window: BoxDomain, k: int
     do.  ``weights`` maps names to surface densities: ``weight(X, grad, gn)``
     returns the density against H^{nk-1} with the |grad g| factor already
     multiplied in, gn being |grad g| at the rows of X; ``None`` measures the
-    surface itself; weights must be symmetric in the particles.  The whole
-    battery shares one band pass: the Monte Carlo tuples are drawn (or the
-    grid is built) once, g is evaluated once on them and its gradient (with
-    its norm) once per row that any band needs (across every profile width
-    of the quadrature route), and every weight is applied per width and
-    reduced on its own.
+    surface itself; weights must be symmetric in the particles, and must not
+    write to the arrays they receive.  One pass serves the whole battery: g,
+    its gradient (with its norm) and each weight are evaluated once per call.
 
-    Two modes share the coarea identity: the hard band chi/(2 eps) with
-    ``n_samples`` Monte Carlo draws, as given (any k; ``sheet_integrals``
-    sizes them by ``Stratum.draws``), and, when ``quad_order`` is given, a
-    smooth Gaussian level profile with tensor quadrature (deterministic; the
-    error bar is the move under halving the profile width, a curvature-bias
-    proxy).  The critical level check and the profile width depend on g
-    only, never on a weight.  Returns name -> (value, err, min |grad g| seen
-    near the sheet).
+    Two modes share the coarea identity.  By default, the hard band
+    chi/(2 eps) on ``n_samples`` Monte Carlo tuples (any k; ``sheet_integrals``
+    sizes them by ``Stratum.draws``), with gradients and weights taken on
+    the band rows only.  When ``quad_order`` is given, a smooth Gaussian level
+    profile under tensor quadrature (deterministic): gradients and weights
+    are taken on the whole grid, scored under three profile widths at once,
+    and extrapolated to width 0 by a quadratic fit; the error bar is half the
+    gap between that value and the linear extrapolation from the two
+    narrowest widths, plus 1e-10 relative.  Out of each band the density is
+    exactly 0, whatever the weight returns there.  The critical level check
+    and the profile widths depend on g only, never on a weight.  Returns
+    name -> (value, err, min |grad g| seen near the sheet).
     """
-    state = {"min_grad": np.inf, "max_grad": 0.0}
-    level_at = _LevelCache(g)
+    if quad_order is None:
+        min_grad = np.inf
 
-    def density(X, profile, cut, core):
-        vals = level_at.values(X)
-        rows = np.flatnonzero(np.abs(vals - level) < cut)
-        out = {name: np.zeros(X.shape[0]) for name in weights}
-        if rows.size:
-            Xm, band = X[rows], vals[rows]
-            grad, gn = level_at.gradient(rows, Xm)
-            incore = np.abs(band - level) < core
-            if np.any(incore):
-                state["min_grad"] = min(state["min_grad"], float(np.min(gn[incore])))
-                state["max_grad"] = max(state["max_grad"], float(np.max(gn[incore])))
-            prof = profile(band)
-            for name, weight in weights.items():
-                w = gn if weight is None else weight(Xm, grad, gn)
-                out[name][rows] = w * prof
-        return out
+        def band(X):  # the hard band on one draw
+            nonlocal min_grad
+            vals = g.value(X)
+            rows = np.flatnonzero(np.abs(vals - level) < eps)
+            out = {name: np.zeros(X.shape[0]) for name in weights}
+            if rows.size:
+                Xm = X[rows]
+                grad, gn = _gradient(g, Xm)
+                min_grad = _checked_min(gn)
+                prof = 1.0 / (2.0 * eps)
+                for name, weight in weights.items():
+                    out[name][rows] = (gn if weight is None else weight(Xm, grad, gn)) * prof
+            return out
 
-    if quad_order is not None:
-        # smooth Gaussian level profile, wide enough in base-space units for
-        # the grid to resolve; truncated at five standard deviations
-        spacing = float(np.max(window.sides)) / quad_order
+        est = band_integral_mc(band, window, k, n_samples, seed, stream)
+        return {name: (val, err, min_grad) for name, (val, err) in est.items()}
 
-        def run(sig):
-            def profile(vals):
-                z = (vals - level) / sig
-                return np.exp(-0.5 * z * z) / (sig * np.sqrt(2.0 * np.pi))
-
-            return band_integral_quad(lambda X: density(X, profile, 5.0 * sig, 2.0 * sig),
-                                      window, k, quad_order)
-
-        sig0 = max(eps, 4.0 * spacing)
-        v1 = run(sig0)
-        gscale = state["max_grad"]
-        sig = max(sig0, 4.0 * spacing * min(gscale, 3.0))
-        if sig > 1.01 * sig0:
-            v1 = run(sig)
-        sigs = np.array([sig, sig * np.sqrt(2.0), sig * 2.0])
-        runs = (v1, run(sigs[1]), run(sigs[2]))
-        # Richardson in the profile width: sheets meeting the product-box
-        # boundary bias the smeared estimate linearly in the width, smooth
-        # weights quadratically; eliminate both orders and report the gap to
-        # the linear extrapolation as the error proxy
-        M = np.stack([np.ones(3), sigs, sigs ** 2], axis=1)
-        est = {}
-        for name in weights:
-            vals = np.array([r[name] for r in runs])
-            coef = np.linalg.solve(M, vals)
-            r_quad = float(coef[0])
-            r_lin = float(vals[0] + (vals[0] - vals[1]) / (np.sqrt(2.0) - 1.0))
-            est[name] = (r_quad, abs(r_quad - r_lin) * 0.5 + 1e-10 * abs(r_quad))
-    else:
-        def profile(vals):
-            return (np.abs(vals - level) < eps) / (2.0 * eps)
-
-        est = band_integral_mc(lambda X: density(X, profile, eps, eps), window, k,
-                               n_samples, seed, stream)
-    if np.isfinite(state["min_grad"]) and state["min_grad"] < MIN_GRADIENT:
-        raise CriticalLevelError(
-            f"gradient {state['min_grad']:.2e} below {MIN_GRADIENT} on the level band; "
-            "perturb the level")
-    return {name: (val, err, state["min_grad"]) for name, (val, err) in est.items()}
+    X = stratum_grid_points(window, k, quad_order)[0]
+    dev = g.value(X) - level
+    dist = np.abs(dev)
+    grad, gn = _gradient(g, X)
+    # Gaussian profiles wide enough in base-space units for the grid to
+    # resolve, steeper g asking for wider ones; each truncated at five
+    # standard deviations, its core at two
+    spacing = float(np.max(window.sides)) / quad_order
+    sig0 = max(eps, 4.0 * spacing)
+    gscale = float(np.max(gn[dist < 2.0 * sig0], initial=0.0))
+    sig = max(sig0, 4.0 * spacing * min(gscale, 3.0))
+    sigs = np.array([sig, sig * np.sqrt(2.0), sig * 2.0])
+    min_grad = _checked_min(gn[dist < 2.0 * sigs[2]])
+    dens = {name: gn if weight is None else weight(X, grad, gn)
+            for name, weight in weights.items()}
+    scored = {}
+    # a first width within 1% of sig0 is scored at sig0 itself
+    for j, s in enumerate((sig if sig > 1.01 * sig0 else sig0, sigs[1], sigs[2])):
+        z = dev / s
+        prof = np.exp(-0.5 * z * z) / (s * np.sqrt(2.0 * np.pi))
+        for name, d in dens.items():
+            scored[name, j] = np.where(dist < 5.0 * s, d * prof, 0.0)
+    sums = band_integral_quad(scored, window, k, quad_order)
+    # Richardson in the profile width: sheets meeting the product-box
+    # boundary bias the smeared estimate linearly in the width, smooth
+    # weights quadratically; eliminate both orders and report the gap to
+    # the linear extrapolation as the error proxy
+    M = np.stack([np.ones(3), sigs, sigs ** 2], axis=1)
+    est = {}
+    for name in weights:
+        v = np.array([sums[name, j] for j in range(3)])
+        r_quad = float(np.linalg.solve(M, v)[0])
+        r_lin = float(v[0] + (v[0] - v[1]) / (np.sqrt(2.0) - 1.0))
+        est[name] = (r_quad, abs(r_quad - r_lin) * 0.5 + 1e-10 * abs(r_quad), min_grad)
+    return est
 
 
 def surface_functional_auto(g, level: float, weights: dict, window: BoxDomain, k: int, *,

@@ -10,10 +10,10 @@ from ugmt.configuration import Configuration, SetSpec, _draw, section_set
 from ugmt.cylinder import cyl_compose, cyl_from_star, tanh_of
 from ugmt.geometry import (BoxDomain, DomainError, SmoothFunction, _legendre_rule,
                            gauss_legendre, interval)
-from ugmt.hausdorff import (CriticalLevelError, RhoLimitResult, _LevelCache,
-                            dimensional_constant, hausdorff_covering_upper, rho_m_limit,
-                            rho_m_localized, rho_m_on_box, scaled_box, sheet_integrals,
-                            surface_functional, surface_functional_auto)
+from ugmt.hausdorff import (CriticalLevelError, RhoLimitResult, dimensional_constant,
+                            hausdorff_covering_upper, rho_m_limit, rho_m_localized,
+                            rho_m_on_box, scaled_box, sheet_integrals, surface_functional,
+                            surface_functional_auto)
 from ugmt.montecarlo import (MCPlan, StratumGrid, measure_of_set, stratum_grid_points,
                              uniform_tuples)
 from ugmt.productspace import stratum_indicator
@@ -56,13 +56,35 @@ def test_level_set_segment_and_antidiagonal():
     assert abs(v2 - np.sqrt(2.0)) <= 3 * e2 + 0.02
 
 
-def test_level_set_quadrature_route():
-    v, e, _ = surface_functional(CoordinateSum(), 1.0, {"s": None}, UNIT, 2,
-                                 eps=0.01, quad_order=96)["s"]
-    assert v == pytest.approx(np.sqrt(2.0), abs=1e-4)
-    v1, e1, _ = surface_functional(CoordinateSum(), 0.5, {"s": None}, UNIT, 1,
-                                   eps=0.01, quad_order=192)["s"]
-    assert v1 == pytest.approx(1.0, abs=1e-4)
+# the k = 2 smooth-profile quadrature misses the sheet's length next to a face
+# of the product box, and on the two-stack sheet, by more than its error
+# proxy; ROADMAP item 2 (the sheet oracle with no band) is to mend this
+_PROXY_MISS = pytest.mark.xfail(strict=True, reason="ROADMAP item 2: the k = 2 quadrature "
+                                "is biased beyond its error proxy")
+
+
+@pytest.mark.parametrize("c, k, order, tol", [
+    pytest.param(0.5, 1, 192, 1e-5, id="point"),
+    pytest.param(0.5, 2, 96, 1e-5, id="segment-0.5"),
+    pytest.param(1.0, 2, 96, 1e-5, id="antidiagonal"),
+    # these read 1.405912 +- 0.000928 against 1.385929, 0.018292 +- 0.000464
+    # against 0.028284, and 1.57703 +- 0.00114 against 1.59609
+    pytest.param(1.02, 2, 96, None, id="segment-1.02", marks=_PROXY_MISS),
+    pytest.param(1.98, 2, 96, None, id="segment-1.98", marks=_PROXY_MISS),
+    pytest.param("two-stack", 2, 96, None, id="two-stack", marks=_PROXY_MISS),
+])
+def test_level_set_quadrature_route(c, k, order, tol):
+    # {sum x_i = c} on the unit window is a point at k = 1 and a segment of
+    # length sqrt(2) min(c, 2 - c) at k = 2; the two-stack sheet is measured
+    # against its order-192 value; tol None means within 3 error proxies
+    if c == "two-stack":
+        S = batteries.stack_set()
+        g, c = S.function, S.level
+        exact = surface_functional(g, c, {"s": None}, UNIT, k, eps=0.01, quad_order=192)["s"][0]
+    else:
+        g, exact = CoordinateSum(), (1.0 if k == 1 else np.sqrt(2.0) * min(c, 2.0 - c))
+    v, e, _ = surface_functional(g, c, {"s": None}, UNIT, k, eps=0.01, quad_order=order)["s"]
+    assert abs(v - exact) <= (tol or 3.0 * e)
 
 
 def test_critical_level_detected():
@@ -406,6 +428,17 @@ class _Spy:
         return self.g.gradient(X)
 
 
+def _counted(weights: dict, calls: dict) -> dict:
+    """The weights, each counting its calls in ``calls``."""
+    def count(name, weight):
+        def counted(X, grad, gn):
+            calls[name] = calls.get(name, 0) + 1
+            return weight(X, grad, gn)
+        return counted
+
+    return {name: w if w is None else count(name, w) for name, w in weights.items()}
+
+
 def _quad_case(name):
     if name == "plateau-fallback":
         top = SmoothFunction.plateau(interval(0.3, 0.7), 0.02, window=UNIT)
@@ -421,13 +454,16 @@ def _quad_case(name):
 @pytest.mark.parametrize("name", ["tanh-sum-k1", "tanh-sum-k2", "tilted-2d",
                                   "plateau-fallback"])
 def test_quadrature_route_evaluates_g_once_per_grid(name):
+    # one value and one gradient call on the whole grid and one call per
+    # weight score every profile width; a Monte Carlo draw takes gradients
+    # on its band rows only
     g, level, window, k, order = _quad_case(name)
     G = cyl_from_star(SmoothFunction.bump((0.45,) * window.dim, 0.3, 1.0, window=window))
     weights = {"surface": None,
                "G": lambda X, grad, gn: G.value(X) * gn,
                "tilt": lambda X, grad, gn: (np.sum(X[:, :, 0], axis=1)
                                             * np.sum(grad, axis=(-2, -1)))}
-    spy = _Spy(g)
+    spy, calls = _Spy(g), {}
     try:
         ref = _reference_quad_route(g, level, weights, window, k, 0.01, order)
     except CriticalLevelError as exc:
@@ -435,44 +471,65 @@ def test_quadrature_route_evaluates_g_once_per_grid(name):
     if isinstance(ref, CriticalLevelError):
         assert name == "plateau-fallback"
         with pytest.raises(CriticalLevelError, match=str(ref)):
-            surface_functional(spy, level, weights, window, k, eps=0.01, quad_order=order)
+            surface_functional(spy, level, _counted(weights, calls), window, k, eps=0.01,
+                               quad_order=order)
+        assert calls == {}  # a critical level is found before any weight runs
         mc = surface_functional(g, level, weights, window, k, eps=0.01, n_samples=3_000,
                                 seed=4, stream=9)
         assert surface_functional_auto(g, level, weights, window, k, eps=0.01,
                                        n_samples=3_000, seed=4, stream=9,
                                        quad_order=order) == mc
     else:
-        got = surface_functional(spy, level, weights, window, k, eps=0.01, quad_order=order)
+        got = surface_functional(spy, level, _counted(weights, calls), window, k, eps=0.01,
+                                 quad_order=order)
         assert got == ref
         assert got["surface"][0] > 0.1
+        assert calls == {"G": 1, "tilt": 1}
     assert spy.value_calls == 1
-    rows = np.concatenate(spy.rows).reshape(-1, k * window.dim)
-    assert len(np.unique(rows, axis=0)) == len(rows)
-    # the wider profiles needed rows of their own, unless the first band held
-    # the whole grid
-    assert len(spy.rows) > 1 or len(rows) == len(stratum_grid_points(window, k, order)[0])
+    assert len(spy.rows) == 1
+    assert np.array_equal(spy.rows[0], stratum_grid_points(window, k, order)[0])
+
+    spy, calls = _Spy(g), {}
+    surface_functional(spy, level, _counted(weights, calls), window, k, eps=0.01,
+                       n_samples=3_000, seed=4, stream=9)
+    X = uniform_tuples(window, k, 3_000, 4, 9)
+    band = X[np.abs(g.value(X) - level) < 0.01]
+    assert len(band) > 0
+    assert spy.value_calls == 1 and calls == {"G": 1, "tilt": 1}
+    assert len(spy.rows) == 1 and np.array_equal(spy.rows[0], band)
 
 
-@pytest.mark.parametrize("k, order", [(1, 192), (2, 48)])
-def test_level_cache_gradients_equal_fresh_evaluations(k, order):
-    # bands that grow and then shrink: every width's gradients equal a fresh
-    # evaluation on its rows, and no row is evaluated twice
-    g = batteries.tanh_sum_function(0.35)
-    spy = _Spy(g)
-    pts, _ = stratum_grid_points(UNIT, k, order)
-    cache = _LevelCache(spy)
-    vals = cache.values(pts)
-    for i, cut in enumerate((0.02, 0.1, 0.3, 0.05, 0.2, 0.01, 0.3)):
-        rows = np.flatnonzero(np.abs(vals - 0.3) < cut)
-        grad, gn = cache.gradient(rows, pts[rows])
-        ref = g.gradient(pts[rows])
-        assert grad.tobytes() == ref.tobytes()
-        assert gn.tobytes() == np.sqrt(np.sum(ref * ref, axis=(-2, -1))).tobytes()
-        # the whole-grid buffers come with the second band, never the first
-        assert (cache.done is None) == (i == 0)
-    assert spy.value_calls == 1
-    evaluated = np.concatenate(spy.rows).reshape(-1, k)
-    assert len(np.unique(evaluated, axis=0)) == len(evaluated) == len(rows)
+def _linear_sheet(name):
+    """g, level, window, k, order (None: Monte Carlo) and a distance from the
+    level beyond every profile's band, reached on the grid or the draw."""
+    if name == "tilted-2d":
+        f = SmoothFunction.linear(batteries.UNIT2, axis=1, amplitude=10.0, offset=0.1)
+        return cyl_from_star(f), 5.0, batteries.UNIT2, 1, 32, 4.0
+    g = cyl_from_star(SmoothFunction.linear(UNIT))
+    return {"k1": (g, 0.05, UNIT, 1, 192, 0.9), "k2": (g, 0.5, UNIT, 2, 96, 0.9),
+            "monte-carlo": (g, 0.5, UNIT, 2, None, 0.9)}[name]
+
+
+@pytest.mark.parametrize("name", ["k1", "k2", "tilted-2d", "monte-carlo"])
+def test_out_of_band_densities_are_exactly_zero(name):
+    # a weight undefined away from the sheet: its NaNs there never reach the
+    # sum, and the values equal the finite weight's bit for bit
+    g, level, window, k, order, far = _linear_sheet(name)
+
+    def finite(X, grad, gn):
+        return (1.0 + np.sum(X[:, :, 0], axis=1)) * gn
+
+    def undefined_far(X, grad, gn):
+        return np.where(np.abs(g.value(X) - level) >= far, np.nan, finite(X, grad, gn))
+
+    X = (uniform_tuples(window, k, 3_000, 4, 9) if order is None
+         else stratum_grid_points(window, k, order)[0])
+    assert np.any(np.abs(g.value(X) - level) >= far)
+    got = [surface_functional(g, level, {"w": w}, window, k, eps=0.01, n_samples=3_000,
+                              seed=4, stream=9, quad_order=order)["w"]
+           for w in (finite, undefined_far)]
+    assert got[0] == got[1]
+    assert np.all(np.isfinite(got[0])) and got[0][0] > 0.1
 
 
 def test_band_gradients_are_read_only_for_weights():
