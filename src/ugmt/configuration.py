@@ -82,10 +82,6 @@ class Configuration:
     def count(self) -> int:
         return self.points.shape[0]
 
-    @property
-    def dim(self) -> int:
-        return self.window.dim
-
     def count_in(self, region: BoxDomain) -> int:
         if self.count == 0:
             return 0
@@ -117,10 +113,6 @@ class MCEstimate:
 
     def within(self, target: float, k_sigma: float = 3.0, atol: float = 0.0) -> bool:
         return abs(self.mean - target) <= k_sigma * self.std_err + atol
-
-    def to_json(self) -> dict:
-        return {"name": self.name, "mean": self.mean, "std_err": self.std_err,
-                "n": self.n_samples, "seed": self.seed}
 
 
 # ---------------------------------------------------------------------------

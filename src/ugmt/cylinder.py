@@ -587,8 +587,7 @@ class ExponentialCylinderFunction:
     name: str = ""
 
     def __post_init__(self):
-        bounds = self.f.sup_bounds()
-        if bounds[0] >= 1.0 - 1e-12:
+        if self.f.sup_norm() >= 1.0 - 1e-12:
             raise DomainError("need -1 < f <= 0 for the product statistic")
 
     def value(self, x):
@@ -619,16 +618,6 @@ class CylinderVectorField:
 
     terms: tuple  # ((coeff, SmoothVectorField), ...)
     name: str = ""
-
-    @property
-    def dim(self) -> int:
-        return self.terms[0][1].dim
-
-    def support(self) -> BoxDomain:
-        box = self.terms[0][1].support
-        for _, v in self.terms[1:]:
-            box = box.hull(v.support)
-        return box
 
     @cached_property
     def _support_in_window(self) -> bool:

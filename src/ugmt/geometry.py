@@ -3,8 +3,8 @@
 Base domains are axis-aligned boxes: nested boxes play the role of the compact
 exhaustion, and the Neumann heat kernel on a box tensorizes exactly over axes.
 Inner functions come from parametric families (mollifier bumps, coordinate
-bumps, constants, Neumann cosine modes) whose gradients and Laplacians are
-exact closed forms, not numerical derivatives.
+bumps, constants, Neumann cosine modes) whose gradients are exact closed
+forms, not numerical derivatives.
 """
 
 from __future__ import annotations
@@ -108,9 +108,8 @@ def interval(lo: float, hi: float) -> BoxDomain:
 # smooth compactly supported function families
 #
 # The mollifier profile phi(u) = exp(1 - 1/(1-u)) on u = |x-c|^2/w^2 < 1 gives
-# exact gradients and Laplacians:
+# exact gradients:
 #   grad f = f * h(u) * 2(x-c)/w^2,          h(u)  = -(1-u)^{-2}
-#   lap  f = f * [4u (h^2 + h')/w^2 + 2 n h / w^2],  h'(u) = -2 (1-u)^{-3}
 
 _U_CLIP = 1.0 - 1e-12
 
@@ -133,10 +132,10 @@ def _profile_of_gap(t: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SmoothFunction:
-    """Smooth function on a box with exact value/gradient/Laplacian evaluators.
+    """Smooth function on a box with exact value and gradient evaluators.
 
     Kinds: ``bump`` (mollifier ball bump), ``coordinate_bump`` (odd coordinate
-    factor times a bump), ``constant`` (constant on the box, Laplacian zero),
+    factor times a bump), ``constant`` (constant on the box),
     ``neumann_mode`` (product of cosine modes, a Neumann Laplacian
     eigenfunction), ``product`` (pointwise product of two members).
     """
@@ -338,54 +337,6 @@ class SmoothFunction:
             return out
         raise ValueError(f"unknown kind {self.kind}")
 
-    def laplacian(self, points) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        n = self.dim
-        if self.kind == "bump":
-            u = self._u(pts)
-            val = self.amplitude * _profile(u)
-            um = np.minimum(u, _U_CLIP)
-            h = -1.0 / (1.0 - um) ** 2
-            hp = -2.0 / (1.0 - um) ** 3
-            return val * (4.0 * u * (h * h + hp) + 2.0 * n * h) / self.width**2
-        if self.kind == "coordinate_bump":
-            # lap(s * B) = s * lap(B) + 2 dB/dx_axis / w  with s = (x_a - c_a)/w
-            u = self._u(pts)
-            val = self.amplitude * _profile(u)
-            um = np.minimum(u, _U_CLIP)
-            h = -1.0 / (1.0 - um) ** 2
-            hp = -2.0 / (1.0 - um) ** 3
-            d = pts - np.array(self.center)
-            s = d[..., self.axis] / self.width
-            lap_b = val * (4.0 * u * (h * h + hp) + 2.0 * n * h) / self.width**2
-            db_axis = val * h * 2.0 * d[..., self.axis] / self.width**2
-            return s * lap_b + 2.0 * db_axis / self.width
-        if self.kind in ("constant", "linear"):
-            return np.zeros(pts.shape[:-1])
-        if self.kind == "neumann_mode":
-            lam = sum((j * np.pi / s) ** 2 for j, s in zip(self.modes, self.support.sides))
-            return -lam * self.value(pts)
-        if self.kind == "plateau":
-            shoulders = [self._shoulder(pts[..., a], a) for a in range(self.dim)]
-            d2 = [self._shoulder_d2(pts[..., a], a) for a in range(self.dim)]
-            out = np.zeros(pts.shape[:-1])
-            for a in range(self.dim):
-                term = np.full(pts.shape[:-1], self.amplitude)
-                for b in range(self.dim):
-                    term = term * (d2[b] if b == a else shoulders[b])
-                out = out + term
-            return out
-        if self.kind == "product":
-            f, g = self.factors
-            cross = np.sum(f.gradient(pts) * g.gradient(pts), axis=-1)
-            return f.value(pts) * g.laplacian(pts) + 2.0 * cross + g.value(pts) * f.laplacian(pts)
-        if self.kind == "sum":
-            out = self.factors[0].laplacian(pts)
-            for g in self.factors[1:]:
-                out = out + g.laplacian(pts)
-            return out
-        raise ValueError(f"unknown kind {self.kind}")
-
     def _shoulder(self, x, a):
         lo, hi = self.region.lower[a], self.region.upper[a]
         t = self.width
@@ -398,71 +349,28 @@ class SmoothFunction:
         v = np.tanh((hi - x) / t)
         return 0.25 * ((1.0 - u * u) * (1.0 + v) - (1.0 + u) * (1.0 - v * v)) / t
 
-    def _shoulder_d2(self, x, a):
-        lo, hi = self.region.lower[a], self.region.upper[a]
-        t = self.width
-        u = np.tanh((x - lo) / t)
-        v = np.tanh((hi - x) / t)
-        du = (1.0 - u * u) / t
-        dv = -(1.0 - v * v) / t
-        ddu = -2.0 * u * du / t
-        ddv = 2.0 * v * dv / t
-        return 0.25 * (ddu * (1.0 + v) + 2.0 * du * dv + (1.0 + u) * ddv)
+    # -- sup-norm bound ------------------------------------------------------
 
-    # -- sup-norm bounds ----------------------------------------------------
-
-    def sup_bounds(self) -> tuple[float, float, float]:
-        """Dominating bounds (|f|, |grad f|, |lap f|) over the support."""
-        if self.kind == "constant":
-            return abs(self.amplitude), 0.0, 0.0
+    def sup_norm(self) -> float:
+        """A dominating bound on |f| over the support."""
+        a = abs(self.amplitude)
+        if self.kind in ("constant", "neumann_mode", "plateau"):
+            return a
         if self.kind == "linear":
-            lo = np.array(self.support.lower)
-            hi = np.array(self.support.upper)
-            span = max(abs(lo[self.axis] - self.center[self.axis]),
-                       abs(hi[self.axis] - self.center[self.axis]))
-            return abs(self.amplitude) * span, abs(self.amplitude), 0.0
-        if self.kind == "neumann_mode":
-            lam = sum((j * np.pi / s) ** 2 for j, s in zip(self.modes, self.support.sides))
-            gnorm = np.sqrt(sum((j * np.pi / s) ** 2 for j, s in zip(self.modes, self.support.sides)))
-            a = abs(self.amplitude)
-            return a, a * gnorm, a * lam
+            lo, hi, c = self.support.lower, self.support.upper, self.center
+            return a * max(abs(lo[self.axis] - c[self.axis]), abs(hi[self.axis] - c[self.axis]))
         if self.kind == "product":
             f, g = self.factors
-            bf, bg = f.sup_bounds(), g.sup_bounds()
-            return (
-                bf[0] * bg[0],
-                bf[0] * bg[1] + bf[1] * bg[0],
-                bf[0] * bg[2] + 2 * bf[1] * bg[1] + bf[2] * bg[0],
-            )
+            return f.sup_norm() * g.sup_norm()
         if self.kind == "sum":
-            bounds = [g.sup_bounds() for g in self.factors]
-            return tuple(float(sum(b[i] for b in bounds)) for i in range(3))
-        if self.kind == "plateau":
-            a = abs(self.amplitude)
-            tau = self.width
-            return a, a * self.dim * 0.5 / tau, a * self.dim * 0.77 / tau**2
-        # radial profile maxima on a fine grid, with a small safety margin
-        rho = np.linspace(0.0, 1.0 - 1e-9, 200_001)
-        u = rho * rho
-        prof = _profile(u)
-        um = np.minimum(u, _U_CLIP)
-        h = -1.0 / (1.0 - um) ** 2
-        hp = -2.0 / (1.0 - um) ** 3
-        dprof = np.abs(prof * h * 2.0 * rho)  # |d/d rho| scale (width 1)
-        lapn = np.abs(prof * (4.0 * u * (h * h + hp) + 2.0 * self.dim * h))
-        a = abs(self.amplitude)
+            return float(sum(g.sup_norm() for g in self.factors))
         margin = 1.0 + 1e-9
         if self.kind == "bump":
-            return (
-                a * margin,
-                a / self.width * float(dprof.max()) * margin,
-                a / self.width**2 * float(lapn.max()) * margin,
-            )
-        # coordinate_bump: |f| <= a * max(rho * prof); conservative chain bounds
-        val_b = a * float((rho * prof).max()) * margin
-        grad_b = a / self.width * (float(prof.max()) + float((rho * dprof).max())) * margin
-        lap_b = a / self.width**2 * (float((rho * lapn).max()) + 2.0 * float(dprof.max())) * margin
-        return val_b, grad_b, lap_b
+            return a * margin
+        # coordinate_bump: |f| <= a * max(rho * phi(rho^2)), the maximum taken
+        # on a fine radial grid, with a small safety margin
+        rho = np.linspace(0.0, 1.0 - 1e-9, 200_001)
+        return a * float((rho * _profile(rho * rho)).max()) * margin
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Codimension-m Poisson surface measures via level-set and covering estimators.
+"""Codimension-m Poisson measures: count probabilities and level-sheet estimators.
 
 The k-particle stratum over a box is a quotient of the product box, so the
 codimension-m content of a set section splits as a sum over particle counts:
@@ -12,14 +12,11 @@ coarea identity, integral of |grad g| times a level profile of unit mass:
 the hard band chi{|g - c| < eps} / (2 eps) on Monte Carlo tuples, or, on a
 quadrature grid, Gaussian profiles of three widths scored in one pass and
 extrapolated to width 0.
-All spherical Hausdorff values carry the dimensional constant c(d) =
-(unit-ball volume)/2^d, so that the full-dimensional measure is Lebesgue.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,11 +29,8 @@ from .productspace import stratum_indicator
 from .rng import mean_and_stderr, stream_rng
 
 __all__ = [
-    "HausdorffEstimate",
     "CodimMeasureResult",
     "RhoLimitResult",
-    "dimensional_constant",
-    "hausdorff_covering_upper",
     "rho_m_on_box",
     "sheet_integrals",
     "rho_m_localized",
@@ -50,28 +44,6 @@ MIN_GRADIENT = 1e-3
 
 class CriticalLevelError(RuntimeError):
     """The defining function has near-vanishing gradient on the level band."""
-
-
-def dimensional_constant(d: int) -> float:
-    """c(d) = alpha(d) / 2^d with alpha(d) the unit-ball volume; c(0) = 1."""
-    if d < 0:
-        raise ValueError("dimension must be nonnegative")
-    if d == 0:
-        return 1.0
-    log_alpha = (d / 2.0) * np.log(np.pi) - math.lgamma(d / 2.0 + 1.0)
-    return float(np.exp(log_alpha - d * np.log(2.0)))
-
-
-@dataclass(frozen=True)
-class HausdorffEstimate:
-    value: float
-    method: str  # covering_upper_bound | counting
-    error_bar: float = 0.0
-    flags: tuple[str, ...] = ()
-
-    def __post_init__(self):
-        if self.value < -1e-12:
-            raise ValueError("Hausdorff estimates are nonnegative")
 
 
 @dataclass(frozen=True)
@@ -174,7 +146,9 @@ def surface_functional(g, level: float, weights: dict, window: BoxDomain, k: int
     are taken on the whole grid, scored under three profile widths at once,
     and extrapolated to width 0 by a quadratic fit; the error bar is half the
     gap between that value and the linear extrapolation from the two
-    narrowest widths, plus 1e-10 relative.  Out of each band the density is
+    narrowest widths, plus 1e-10 relative.  A grid with no row in the widest
+    band gives (0, 0, inf), with no gradient or weight evaluated.  Out of
+    each band the density is
     exactly 0, whatever the weight returns there.  The critical level check
     and the profile widths depend on g only, never on a weight.  Returns
     name -> (value, err, min |grad g| seen near the sheet).
@@ -202,12 +176,16 @@ def surface_functional(g, level: float, weights: dict, window: BoxDomain, k: int
     X = stratum_grid_points(window, k, quad_order)[0]
     dev = g.value(X) - level
     dist = np.abs(dev)
-    grad, gn = _gradient(g, X)
     # Gaussian profiles wide enough in base-space units for the grid to
     # resolve, steeper g asking for wider ones; each truncated at five
     # standard deviations, its core at two
     spacing = float(np.max(window.sides)) / quad_order
     sig0 = max(eps, 4.0 * spacing)
+    if not np.any(dist < 10.0 * sig0):
+        # no row near the sheet: no core, so the widths are sig0, sqrt(2) sig0
+        # and 2 sig0, and every band is empty
+        return {name: (0.0, 0.0, np.inf) for name in weights}
+    grad, gn = _gradient(g, X)
     gscale = float(np.max(gn[dist < 2.0 * sig0], initial=0.0))
     sig = max(sig0, 4.0 * spacing * min(gscale, 3.0))
     sigs = np.array([sig, sig * np.sqrt(2.0), sig * 2.0])
@@ -290,56 +268,6 @@ def sheet_integrals(g, level: float, weights: dict, window: BoxDomain, *,
 
 
 # ---------------------------------------------------------------------------
-# greedy covering upper bound
-
-
-def hausdorff_covering_upper(sampler, m: int, eps: float, ambient_dim: int, *,
-                             n_points: int = 100_000) -> HausdorffEstimate:
-    """Greedy ball-cover upper bound for the codim-m spherical content.
-
-    ``sampler(n)`` returns up to n points of the target set in the ambient
-    product space R^{ambient_dim}.  Balls of diameter eps are centered
-    greedily at uncovered sample points; the bound is c(d) * N * eps^d with
-    d = ambient_dim - m.  Monotone nonincreasing in eps for dense samples.
-    """
-    d = ambient_dim - m
-    if d < 0:
-        raise DomainError("codimension exceeds the ambient dimension")
-    pts = np.atleast_2d(np.asarray(sampler(n_points), dtype=float))
-    flags: list[str] = []
-    if pts.shape[0] == 0:
-        return HausdorffEstimate(0.0, "covering_upper_bound", 0.0, ())
-    if pts.shape[0] < n_points:
-        flags.append("low_confidence_sampler_exhausted")
-    alive = np.ones(pts.shape[0], dtype=bool)
-    centers = 0
-    radius = eps / 2.0
-    while np.any(alive):
-        p = pts[int(np.argmax(alive))]
-        # drift the center toward the centroid of the uncovered cluster so a
-        # ball advances a full diameter along rectifiable sets; always keep
-        # the seed point covered so the greedy makes progress
-        c = p
-        for _ in range(8):
-            close = alive & (np.sum((pts - c) ** 2, axis=1) <= radius * radius)
-            if not np.any(close):
-                break
-            cand = np.mean(pts[close], axis=0)
-            gap = np.linalg.norm(cand - p)
-            if gap > radius:
-                cand = p + (cand - p) * (radius * (1 - 1e-9) / gap)
-            if np.linalg.norm(cand - c) < 1e-12 * (1.0 + eps):
-                c = cand
-                break
-            c = cand
-        centers += 1
-        alive &= np.sum((pts - c) ** 2, axis=1) > radius * radius
-    method = "counting" if d == 0 else "covering_upper_bound"
-    value = dimensional_constant(d) * centers * eps**d
-    return HausdorffEstimate(value=value, method=method, error_bar=0.0, flags=tuple(flags))
-
-
-# ---------------------------------------------------------------------------
 # codimension-m Poisson measures
 
 
@@ -365,10 +293,10 @@ def rho_m_on_box(A: SetSpec, m: int, window: BoxDomain, *, K_max: int | None = N
     requires A to be a level-set description; the measured object is the
     defining level sheet {F = level}, i.e. the reduced boundary of the strict
     super-level set, measured by ``sheet_integrals`` on streams 80 + k.  Other
-    variants raise; ``hausdorff_covering_upper`` bounds them.
+    codimensions, and m = 1 on other variants, raise.
     """
     if m not in (0, 1):
-        raise DomainError("only m in {0, 1} is computed; use covering bounds beyond")
+        raise DomainError("only m in {0, 1} is computed")
     if m == 0:
         strata = Strata(window, mc_n=n_samples, seed=seed, stream_base=60, K_max=K_max)
 
@@ -383,8 +311,7 @@ def rho_m_on_box(A: SetSpec, m: int, window: BoxDomain, *, K_max: int | None = N
         res = strata.integrate(term, empty=1.0 if A.contains(empty) else 0.0)
         return CodimMeasureResult.of(res, window, K_max)
     if A.variant not in ("level_set", "level_sheet"):
-        raise DomainError("m = 1 requires a level-set description "
-                          "(covering upper bounds available separately)")
+        raise DomainError("m = 1 requires a level-set description")
     res = sheet_integrals(A.function, float(A.level), {"surface": None}, window,
                           streams=(80, 1), n_samples=n_samples, seed=seed,
                           K_max=K_max, count_equals=A.count_equals)["surface"]

@@ -270,16 +270,6 @@ class ViolationReport:
     violation_fraction: float
     tolerance: float = 1e-8
 
-    @property
-    def passed(self) -> bool:
-        return self.violation_fraction == 0.0
-
-    def to_json(self) -> dict:
-        return {"p": self.p, "t": self.t, "n": self.n_samples,
-                "max_violation": self.max_violation,
-                "violation_fraction": self.violation_fraction,
-                "tolerance": self.tolerance}
-
 
 # nodes per particle on the k-particle stratum; the battery's grid is q nodes of
 # particle 0 by the R = C(q + k - 2, k - 1) multisets of the others' nodes

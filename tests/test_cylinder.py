@@ -228,6 +228,23 @@ def test_exponential_cylinder_product_statistic():
         assert E.value(g) == pytest.approx(0.7**k, abs=1e-14)
 
 
+def test_exponential_cylinder_rejects_f_reaching_minus_one():
+    # the domain check reads f's value bound; a coordinate bump's is its
+    # amplitude times max rho phi(rho^2) over a radial grid, about 0.359 a
+    near = SmoothFunction.coordinate_bump(0.5, 0.3, 2.7, window=UNIT)
+    over = SmoothFunction.coordinate_bump(0.5, 0.3, 2.8, window=UNIT)
+    assert near.sup_norm() == pytest.approx(0.969, abs=5e-4)
+    assert over.sup_norm() == pytest.approx(1.005, abs=5e-4)
+    ExponentialCylinderFunction(near)
+    mode = SmoothFunction.neumann_mode((1,), UNIT, amplitude=-0.4)
+    shifted = SmoothFunction(kind="sum", support=UNIT, window=UNIT,
+                             factors=(SmoothFunction.constant(-0.6, UNIT), mode))
+    assert shifted.sup_norm() == 1.0
+    for f in (over, SmoothFunction.constant(-1.0, UNIT), shifted):
+        with pytest.raises(DomainError):
+            ExponentialCylinderFunction(f)
+
+
 # ---------------------------------------------------------------------------
 # a configuration is the batch of one
 

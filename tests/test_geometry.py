@@ -49,31 +49,13 @@ def test_gradient_matches_central_differences(f):
 
 
 @pytest.mark.parametrize("f", FAMILY, ids=lambda f: f.kind)
-def test_laplacian_matches_second_differences(f):
-    pts = probe_points(f)
-    h = 1e-4
-    lap = f.laplacian(pts)
-    fd = np.zeros(len(pts))
-    for a in range(f.dim):
-        e = np.zeros(f.dim)
-        e[a] = h
-        fd += (f.value(pts + e) - 2 * f.value(pts) + f.value(pts - e)) / h**2
-    scale = np.abs(lap).max() + 1e-6
-    # 1e-7 absolute floor covers second-difference roundoff on flat functions
-    assert np.max(np.abs(fd - lap)) <= 1e-4 * scale + 1e-7
-
-
-@pytest.mark.parametrize("f", FAMILY, ids=lambda f: f.kind)
 def test_sup_bounds_dominate_probe_grid(f):
     lo, hi = np.array(f.support.lower), np.array(f.support.upper)
     n = 10_000 if f.dim == 1 else 100
     axes = [np.linspace(lo[a], hi[a], n if f.dim == 1 else 100) for a in range(f.dim)]
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=-1)
-    vb, gb, lb = f.sup_bounds()
-    assert np.abs(f.value(pts)).max() <= vb + 1e-12
-    assert np.linalg.norm(f.gradient(pts), axis=-1).max() <= gb + 1e-12
-    assert np.abs(f.laplacian(pts)).max() <= lb + 1e-9
+    assert np.abs(f.value(pts)).max() <= f.sup_norm() + 1e-12
 
 
 def test_bump_vanishes_outside_support():

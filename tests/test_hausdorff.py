@@ -10,8 +10,7 @@ from ugmt.configuration import Configuration, SetSpec, _draw, section_set
 from ugmt.cylinder import cyl_compose, cyl_from_star, tanh_of
 from ugmt.geometry import (BoxDomain, DomainError, SmoothFunction, _legendre_rule,
                            gauss_legendre, interval)
-from ugmt.hausdorff import (CriticalLevelError, RhoLimitResult, dimensional_constant,
-                            hausdorff_covering_upper, rho_m_limit, rho_m_localized,
+from ugmt.hausdorff import (CriticalLevelError, RhoLimitResult, rho_m_limit, rho_m_localized,
                             rho_m_on_box, scaled_box, sheet_integrals, surface_functional,
                             surface_functional_auto)
 from ugmt.montecarlo import (MCPlan, StratumGrid, measure_of_set, stratum_grid_points,
@@ -32,12 +31,6 @@ class CoordinateSum:
         g = np.zeros_like(X)
         g[:, :, 0] = 1.0
         return g
-
-
-def test_dimensional_constants():
-    assert dimensional_constant(0) == 1.0
-    assert dimensional_constant(1) == pytest.approx(1.0)
-    assert dimensional_constant(2) == pytest.approx(np.pi / 4.0)
 
 
 def test_level_set_point_slice():
@@ -97,27 +90,6 @@ def test_critical_level_detected():
 
     with pytest.raises(CriticalLevelError):
         surface_functional(Flat(), 0.3, {"s": None}, UNIT, 1, eps=0.05, n_samples=10_000)
-
-
-def test_covering_counting_and_empty():
-    pts = np.array([[0.1, 0.1], [0.5, 0.5], [0.9, 0.2]])
-    est = hausdorff_covering_upper(lambda n: pts, 2, 0.01, 2)
-    assert est.value == 3.0 and est.method == "counting"
-    assert hausdorff_covering_upper(lambda n: np.zeros((0, 2)), 1, 0.01, 2).value == 0.0
-
-
-def test_covering_segment_upper_bound():
-    def seg(n):
-        t = np.linspace(0.0, 1.0, n)
-        return np.stack([t, np.full_like(t, 0.3)], axis=1)
-
-    vals = []
-    for eps in (0.05, 0.02, 0.01):
-        est = hausdorff_covering_upper(seg, 1, eps, 2, n_points=60_000)
-        vals.append(est.value)
-        if eps <= 0.01:
-            assert 1.0 <= est.value <= 1.2
-    assert all(b <= a + 1e-12 for a, b in zip(vals, vals[1:]))
 
 
 def test_rho0_matches_direct_probability():
@@ -440,6 +412,11 @@ def _counted(weights: dict, calls: dict) -> dict:
 
 
 def _quad_case(name):
+    if name == "empty-band":
+        # one particle's bump statistic stays at most 1, 0.37 below the
+        # level: no grid row lies in the widest band, 10 sig0 = 0.21 wide
+        S = batteries.stack_set()
+        return S.function, S.level, UNIT, 1, 192
     if name == "plateau-fallback":
         top = SmoothFunction.plateau(interval(0.3, 0.7), 0.02, window=UNIT)
         return cyl_from_star(top), 0.97, UNIT, 1, 192
@@ -452,11 +429,12 @@ def _quad_case(name):
 
 
 @pytest.mark.parametrize("name", ["tanh-sum-k1", "tanh-sum-k2", "tilted-2d",
-                                  "plateau-fallback"])
+                                  "plateau-fallback", "empty-band"])
 def test_quadrature_route_evaluates_g_once_per_grid(name):
     # one value and one gradient call on the whole grid and one call per
-    # weight score every profile width; a Monte Carlo draw takes gradients
-    # on its band rows only
+    # weight score every profile width, and an empty band needs neither the
+    # gradient nor a weight; a Monte Carlo draw takes gradients on its band
+    # rows only
     g, level, window, k, order = _quad_case(name)
     G = cyl_from_star(SmoothFunction.bump((0.45,) * window.dim, 0.3, 1.0, window=window))
     weights = {"surface": None,
@@ -479,6 +457,13 @@ def test_quadrature_route_evaluates_g_once_per_grid(name):
         assert surface_functional_auto(g, level, weights, window, k, eps=0.01,
                                        n_samples=3_000, seed=4, stream=9,
                                        quad_order=order) == mc
+    elif name == "empty-band":
+        got = surface_functional(spy, level, _counted(weights, calls), window, k, eps=0.01,
+                                 quad_order=order)
+        assert got == ref
+        assert set(got.values()) == {(0.0, 0.0, np.inf)}
+        assert spy.value_calls == 1 and spy.rows == [] and calls == {}
+        return
     else:
         got = surface_functional(spy, level, _counted(weights, calls), window, k, eps=0.01,
                                  quad_order=order)

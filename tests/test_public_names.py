@@ -10,9 +10,11 @@ or, inside the module, a read of the name that no local binding shadows
 definition or an assignment is not a use.
 
 Every other function or method (dunders aside) is checked by name only: some
-module must read its name as a name, an attribute or an import, or hold it as
-a string constant (the tracer names its hooks by string).  A name no module
-reads at all is code nothing calls.
+module must read its name as a name, an attribute or an import outside the
+function's own definition (a recursive call is not a caller).  A string
+constant counts only where it names a hook that ``perfbench/tracer.py``
+wraps by name (its ``_EXTRA`` entry points and ``_KERNEL_FNS``).  A name no
+module reads at all is code nothing calls.
 
 Second-route references are exempt.  The program computes each of their
 quantities another way, and tests set the two routes against each other.
@@ -21,6 +23,7 @@ quantities another way, and tests set the two routes against each other.
 import ast
 import pathlib
 import symtable
+from collections import Counter
 
 ROOT = pathlib.Path(__file__).parents[1]
 PACKAGE = ROOT / "src" / "ugmt"
@@ -32,7 +35,6 @@ SECOND_ROUTES = {
     "measure_of_set": "plain Monte Carlo probability against rho_0 on strata",
     "integrate_disintegrated": "disintegrated Poisson integral against the stratified one",
     "lift_semigroup": "tensor-grid semigroup against the closed-form ExponentialCylinderFunction",
-    "hausdorff_covering_upper": "covering upper bound against the band oracle",
     "sample_poisson": "per-configuration draws against draw_by_count",
     "sample_poisson_batch": "per-configuration draws against draw_by_count",
     "directional_derivative_fd": "finite differences against the exact gradient",
@@ -101,39 +103,56 @@ def _program_files() -> list[pathlib.Path]:
     return [*PACKAGE.glob("*.py"), *(ROOT / "perfbench").glob("*.py")]
 
 
-def _functions() -> list[tuple[str, str]]:
-    """(module, name) for every function and method defined in the package,
-    at any depth, dunders excluded."""
+def _functions() -> list[tuple[str, ast.FunctionDef]]:
+    """(module, definition) for every function and method defined in the
+    package, at any depth, dunders excluded."""
     out = []
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
                     and not (node.name.startswith("__") and node.name.endswith("__"))):
-                out.append((path.stem, node.name))
+                out.append((path.stem, node))
     return out
 
 
-def _read_names() -> set[str]:
-    """Names the program reads as a name, an attribute or an import, and its
-    string constants."""
-    names = set()
-    for path in _program_files():
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                names.add(node.id)
-            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                names.add(node.attr)
-            elif isinstance(node, ast.alias):
-                names.add(node.name.rpartition(".")[2])
-            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                names.add(node.value)
+def _tracer_hooks() -> set[str]:
+    """The private entry points and kernel functions the tracer wraps by name."""
+    tree = ast.parse((ROOT / "perfbench" / "tracer.py").read_text())
+    tables = {target.id: node.value for node in tree.body if isinstance(node, ast.Assign)
+              for target in node.targets if isinstance(target, ast.Name)}
+    return set().union(*ast.literal_eval(tables["_EXTRA"]).values(),
+                       ast.literal_eval(tables["_KERNEL_FNS"]))
+
+
+def _reads(tree: ast.AST, hooks: set[str]) -> Counter:
+    """Names a syntax tree reads as a name, an attribute or an import, and
+    its string constants that name a tracer hook, with their counts."""
+    names = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names[node.id] += 1
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            names[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            names[node.name.rpartition(".")[2]] += 1
+        elif isinstance(node, ast.Constant) and node.value in hooks:
+            names[node.value] += 1
     return names
 
 
+def _unread_functions() -> set[tuple[str, str]]:
+    """(module, name) of each package function whose name no module reads
+    outside the function's own definition."""
+    hooks = _tracer_hooks()
+    reads = sum((_reads(ast.parse(path.read_text()), hooks) for path in _program_files()),
+                Counter())
+    return {(module, node.name) for module, node in _functions()
+            if reads[node.name] == _reads(node, hooks)[node.name]}
+
+
 def test_every_function_is_read_by_the_program():
-    reads = _read_names()
-    unread = sorted({f"{module}.{name}" for module, name in _functions()
-                     if name not in reads and name not in SECOND_ROUTES})
+    unread = sorted(f"{module}.{name}" for module, name in _unread_functions()
+                    if name not in SECOND_ROUTES)
     assert not unread, f"functions no module reads: {unread}"
 
 
@@ -148,9 +167,9 @@ def test_second_route_exemptions_are_public_and_still_test_only():
     # an exemption that gains a program reader, or leaves the package, is
     # dropped; one in __all__ is judged by its uses, any other by its reads
     public = {name: module for module, name in _public_names()}
-    functions = {name for _, name in _functions()}
-    used, reads = _program_uses(), _read_names()
+    functions = {node.name for _, node in _functions()}
+    used, unread = _program_uses(), {name for _, name in _unread_functions()}
     stale = sorted(name for name in SECOND_ROUTES
                    if ((public[name], name) in used if name in public
-                       else name not in functions or name in reads))
+                       else name not in functions or name not in unread))
     assert not stale, f"exemptions to drop: {stale}"

@@ -32,7 +32,7 @@ HOOKED = [
 HOOKED_METHODS = [
     (bv._VariationalObjective, ("value", "value_with_error", "_batch_div")),
     (heat.LiftedHeatOperator, ("tensor_apply",)),
-    (geometry.SmoothFunction, ("value", "gradient", "laplacian")),
+    (geometry.SmoothFunction, ("value", "gradient")),
 ]
 
 
