@@ -51,14 +51,14 @@ def intertwine_bumps() -> list[SmoothFunction]:
     ]
 
 
-def count_selector(m: int, window: BoxDomain = UNIT, sharpness: float = 2.0) -> CylinderFunction:
-    """Smooth exp(-s (N - m)^2) coefficient, N the (smoothed) particle count.
+def count_selector(m: int, window: BoxDomain = UNIT) -> CylinderFunction:
+    """Smooth exp(-2 (N - m)^2) coefficient, N the (smoothed) particle count.
 
     Lets the variational search tune the field amplitude per particle count,
     which is what the tangent-norm constraint demands of near-optimal fields.
     """
     counter = SmoothFunction.plateau(window, 0.01, window=window)
-    root = exp_neg(mul_n(const(-sharpness), square(add_n(coord(0), const(-float(m))))))
+    root = exp_neg(mul_n(const(-2.0), square(add_n(coord(0), const(-float(m))))))
     return CylinderFunction(OuterFunction(root, 1), (counter,), name=f"count~{m}")
 
 
@@ -102,10 +102,10 @@ def half_space_set() -> SetSpec:
                              count_equals=1, name="half-space")
 
 
-def stack_set(level: float = 1.37) -> SetSpec:
-    """Super-level set of a bump statistic; active from two particles up."""
+def stack_set() -> SetSpec:
+    """Super-level set {bump statistic > 1.37}; active from two particles up."""
     f = SmoothFunction.bump(0.5, 0.35, 1.0, window=UNIT)
-    return SetSpec.level_set(cyl_from_star(f, name="bump-stat"), level, name="two-stack")
+    return SetSpec.level_set(cyl_from_star(f, name="bump-stat"), 1.37, name="two-stack")
 
 
 def tanh_sum_function(a: float = 0.35, name: str = "tanh-sum") -> CylinderFunction:
@@ -129,8 +129,8 @@ def coarea_weights() -> dict:
     return {"unit": 1.0, "bump-cyl": G_bump}
 
 
-def tanh_sum_set(a: float = 0.35, level: float = 0.45) -> SetSpec:
-    return SetSpec.level_set(tanh_sum_function(a), level, name="tanh-sum-set")
+def tanh_sum_set() -> SetSpec:
+    return SetSpec.level_set(tanh_sum_function(0.35), 0.45, name="tanh-sum-set")
 
 
 def tanh_cos_function(amp: float = 0.8) -> CylinderFunction:
@@ -205,7 +205,7 @@ def rho0_sets() -> dict[str, SetSpec]:
 # capacity battery: sheet-with-void shrinking family
 
 
-def capacity_family(beta: float = 6.0):
+def capacity_family():
     """Shrinking sets A_l = {bump-stat = 1/2} with a void on [0, l].
 
     Returns (window, support box, sheet spec, members) where each member
@@ -218,6 +218,7 @@ def capacity_family(beta: float = 6.0):
     Fs = cyl_from_star(fsheet)
     S_box = interval(16.3, 17.3)
     c_level = 0.5
+    beta = 6.0  # the void factor is exp(-beta * plateau statistic)
     sheet = SetSpec.level_sheet(Fs, c_level)
     u0 = 1.0 - 1.0 / (1.0 - np.log(c_level))
     roots = [16.8 - 0.38 * np.sqrt(u0), 16.8 + 0.38 * np.sqrt(u0)]
@@ -302,9 +303,3 @@ def catalog() -> dict[str, dict]:
     """Name -> {anchor, kind, description} for every built-in battery entry."""
     return {name: {"anchor": a, "kind": k, "description": d}
             for name, (_, a, k, d) in _ENTRIES.items()}
-
-
-def build(name: str):
-    if name not in _ENTRIES:
-        raise KeyError(f"unknown battery {name!r}")
-    return _ENTRIES[name][0]()

@@ -27,8 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .configuration import Configuration, SetSpec, _draw
-from .cylinder import (CylinderFunction, CylinderVectorField, normalize_field,
-                       cyl_compose, mul_n, const)
+from .cylinder import CylinderFunction, CylinderVectorField, cyl_compose, mul_n, const
 from .geometry import BoxDomain, DomainError
 from .hausdorff import CodimMeasureResult, CriticalLevelError, sheet_integrals
 from .heat import LiftedHeatOperator, lifted_gradient_norm
@@ -81,7 +80,7 @@ def _band_split(E: SetSpec, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return inband, E.above_level(gb).astype(float) - _smoothstep_vals(gb, E.level)
 
 
-def levelset_expectation(E: SetSpec, h, window: BoxDomain, *, K_max: int | None = None,
+def levelset_expectation(E: SetSpec, h, window: BoxDomain, *,
                          seed: int = 0) -> tuple[float, float]:
     """E_pi[ chi_E * h ] for a level-set spec E and vectorized integrand h.
 
@@ -119,8 +118,7 @@ def levelset_expectation(E: SetSpec, h, window: BoxDomain, *, K_max: int | None 
         return [(v_hi, abs(v_hi - v_lo)), mean_and_stderr(corr), (0.0, tailstep * hb)]
 
     strata = Strata(window, orders=_LEVELSET_ORDERS if window.dim == 1 else {1: 48, 2: 16},
-                    mc_n=20_000, seed=seed, stream_base=500, K_max=K_max,
-                    count_equals=E.count_equals)
+                    mc_n=20_000, seed=seed, stream_base=500, count_equals=E.count_equals)
     empty = Configuration(window=window, points=np.zeros((0, window.dim)))
     vacuum = (float(np.asarray(h(0, np.zeros((1, 0, window.dim))))[0])
               if E.contains(empty) else None)
@@ -189,10 +187,13 @@ def tv_semigroup(F, op: LiftedHeatOperator, t_schedule) -> SemigroupTV:
 
 @dataclass(frozen=True)
 class VariationalLower:
+    """E_pi[F div* W] at the searched field W = V_theta / (1 + |V_theta|^2/4),
+    V_theta = sum_a theta_a c_a v_a over the family terms (c_a, v_a), with its
+    error; ``theta`` is the coordinate-ascent optimum."""
+
     value: float
     error: float
     theta: tuple[float, ...]
-    field: CylinderVectorField
 
 
 class _VariationalObjective:
@@ -493,20 +494,6 @@ class _VariationalObjective:
         return [(total, float(np.sqrt(e))) for total, e in zip(totals, err_sq)]
 
 
-def _build_normalized(family: list, theta) -> CylinderVectorField:
-    terms = []
-    for a, (c, v) in enumerate(family):
-        if theta[a] == 0.0:
-            continue
-        if isinstance(c, (int, float)):
-            terms.append((float(c) * theta[a], v))
-        else:
-            terms.append((cyl_compose(lambda r, s=theta[a]: mul_n(const(s), r), c), v))
-    if not terms:
-        terms = [(0.0, family[0][1])]
-    return normalize_field(CylinderVectorField(tuple(terms)), 0.25)
-
-
 _THETA_GRID = (-4.0, -2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0, 4.0)
 _REFINE_STEPS = (-0.6, -0.3, -0.15, 0.0, 0.15, 0.3, 0.6)
 
@@ -537,7 +524,8 @@ def tv_variational_battery(Fs: dict, family: list, window: BoxDomain, *, iterati
     on the independent seed ``seed + 7919``, and that value (with its error)
     is what is reported.  The cylinder members share one objective in both
     passes, so the field family is evaluated once per batch for all of them;
-    each level-set spec has its own.  Returns name -> VariationalLower.
+    each level-set spec has its own.  Returns name -> VariationalLower: the
+    value and error at the optimum, and the optimum theta.
     """
     if not family:
         raise DomainError("need a nonempty field family")
@@ -556,8 +544,7 @@ def tv_variational_battery(Fs: dict, family: list, window: BoxDomain, *, iterati
         accurate = _VariationalObjective(members, family, window, seed=seed + 7919,
                                          n_band=60_000, mc_n=20_000)
         for name, theta, (value, err) in zip(names, thetas, accurate.value_with_error(thetas)):
-            out[name] = VariationalLower(value=value, error=err, theta=tuple(theta),
-                                         field=_build_normalized(family, theta))
+            out[name] = VariationalLower(value=value, error=err, theta=tuple(theta))
     return {name: out[name] for name in Fs}
 
 
@@ -619,11 +606,12 @@ class TVBracket:
     semigroup_err: float
     smoothing_gap: float
 
-    def consistent(self, k_sigma: float = 3.0) -> bool:
-        lo = self.variational_lower - k_sigma * self.lower_err
-        hi = self.relaxation_upper + k_sigma * self.upper_err + self.smoothing_gap
-        mid_lo = self.semigroup_value - self.semigroup_err - k_sigma * self.lower_err
-        mid_hi = self.semigroup_value + self.semigroup_err + k_sigma * self.upper_err
+    def consistent(self) -> bool:
+        """The three routes agree within three error bars of each bound."""
+        lo = self.variational_lower - 3.0 * self.lower_err
+        hi = self.relaxation_upper + 3.0 * self.upper_err + self.smoothing_gap
+        mid_lo = self.semigroup_value - self.semigroup_err - 3.0 * self.lower_err
+        mid_hi = self.semigroup_value + self.semigroup_err + 3.0 * self.upper_err
         return lo <= hi + 1e-12 and lo <= mid_hi and mid_lo <= hi
 
     def relative_width(self) -> float:
@@ -701,13 +689,12 @@ class GaussGreenReport:
     def combined_sigma(self) -> float:
         return float(np.sqrt(self.lhs_err ** 2 + self.rhs_err ** 2))
 
-    def passed(self, k_sigma: float = 3.0, atol: float = 1e-4) -> bool:
-        return self.residual <= k_sigma * self.combined_sigma + atol
+    def passed(self) -> bool:
+        return self.residual <= 3.0 * self.combined_sigma + 1e-4
 
 
 def gauss_green_residual(E: SetSpec, V: CylinderVectorField, window: BoxDomain, *,
-                         n_samples: int = 60_000, seed: int = 0,
-                         K_max: int | None = None) -> GaussGreenReport:
+                         n_samples: int = 60_000, seed: int = 0) -> GaussGreenReport:
     """Both sides of int_E div* V dpi = int <V, sigma> d||E||.
 
     The left side integrates the adjoint divergence over the super-level set
@@ -715,14 +702,13 @@ def gauss_green_residual(E: SetSpec, V: CylinderVectorField, window: BoxDomain, 
     integral of <V, grad g>/|grad g| with an independent seed.  With the
     adjoint convention the normal is sigma = grad g / |grad g|.
     """
-    lhs, lhs_err = levelset_expectation(E, lambda k, X: V.divergence(X), window, seed=seed,
-                                        K_max=K_max)
+    lhs, lhs_err = levelset_expectation(E, lambda k, X: V.divergence(X), window, seed=seed)
 
     def weight(X, grad, gn):
         return np.sum(V.at_particles(X) * grad, axis=(-2, -1))
 
     rhs = sheet_integrals(E.function, E.level, {"gg": weight}, window, streams=_SHEET_STREAMS,
-                          n_samples=n_samples, seed=seed + 4099, K_max=K_max,
+                          n_samples=n_samples, seed=seed + 4099,
                           count_equals=E.count_equals)["gg"]
     return GaussGreenReport(lhs=lhs, lhs_err=lhs_err, rhs=rhs.value, rhs_err=rhs.error)
 
@@ -769,8 +755,7 @@ def _trapezoid_report(ts, levels, name, rhs) -> CoareaReport:
 
 
 def coarea_family(members: dict, G_battery: dict, window: BoxDomain, *,
-                  n_samples: int = 40_000, seed: int = 0,
-                  K_max: int | None = None) -> dict[str, dict[str, CoareaReport]]:
+                  n_samples: int = 40_000, seed: int = 0) -> dict[str, dict[str, CoareaReport]]:
     """Coarea checks of several F against one G battery, sharing every draw.
 
     ``members`` maps names to (F, t_grid), and ``G_battery`` maps names to
@@ -817,7 +802,7 @@ def coarea_family(members: dict, G_battery: dict, window: BoxDomain, *,
                 try:
                     res = sheet_integrals(F, grids[fname][i], weights, window,
                                           streams=_SHEET_STREAMS, n_samples=n_samples,
-                                          seed=seed + 17 * i, K_max=K_max)
+                                          seed=seed + 17 * i)
                 except CriticalLevelError:
                     res = None
                 levels[fname].append(res)
@@ -827,11 +812,11 @@ def coarea_family(members: dict, G_battery: dict, window: BoxDomain, *,
             for fname in members}
 
 
-def _alignment_cosines(F: CylinderFunction, W: CylinderVectorField, window: BoxDomain,
+def _alignment_cosines(F: CylinderFunction, V: CylinderVectorField, window: BoxDomain,
                        seed: int) -> np.ndarray:
-    """Cosines between grad F and W over 400 Poisson configurations drawn in
+    """Cosines between grad F and V over 400 Poisson configurations drawn in
     order on stream (seed, 77), in draw order, skipping those with
-    |grad F| <= 0.1 or |W| < 1e-12.  The configurations are grouped by count
+    |grad F| <= 0.1 or |V| < 1e-12.  The configurations are grouped by count
     and each stack is evaluated at once; rows are independent, so every
     cosine equals its one-configuration value bit for bit."""
     rng = stream_rng(seed, 77)
@@ -842,7 +827,7 @@ def _alignment_cosines(F: CylinderFunction, W: CylinderVectorField, window: BoxD
         idx = np.array([i for i, pts in enumerate(draws) if pts.shape[0] == k])
         X = np.stack([draws[i] for i in idx])
         g = F.gradient(X).reshape(len(idx), -1)
-        wv = W.at_particles(X).reshape(len(idx), -1)
+        wv = V.at_particles(X).reshape(len(idx), -1)
         gn = np.sqrt(np.sum(g * g, axis=-1))
         wn = np.sqrt(np.sum(wv * wv, axis=-1))
         keep = (gn > 0.1) & (wn >= 1e-12)
@@ -855,10 +840,17 @@ def sobolev_alignment(F: CylinderFunction, family: list, window: BoxDomain, *,
                       seed: int = 0) -> tuple[float, float]:
     """Direction half of |DF| = |grad F| pi for smooth cylinder F.
 
-    The optimized variational field (``tv_variational``) is compared to
-    grad F / |grad F| on the configurations of ``_alignment_cosines``.
-    Returns the mean cosine and its standard error.  The density half is the
-    coarea check: ``coarea_family`` with the same G battery.
+    The optimized variational field W = V_theta / (1 + |V_theta|^2/4) of
+    ``tv_variational`` is, at each configuration, a positive multiple of
+    V_theta = sum_a theta_a c_a v_a, so both have the same cosine with grad F.
+    V_theta is compared to grad F / |grad F| on the configurations of
+    ``_alignment_cosines``.  Returns the mean cosine and its standard error.
+    The density half is the coarea check: ``coarea_family`` with the same G
+    battery.
     """
-    var = tv_variational(F, family, window, seed=seed)
-    return mean_and_stderr(_alignment_cosines(F, var.field, window, seed))
+    theta = tv_variational(F, family, window, seed=seed).theta
+    V = CylinderVectorField(tuple(
+        (float(c) * s if isinstance(c, (int, float))
+         else cyl_compose(lambda r, s=s: mul_n(const(s), r), c), v)
+        for s, (c, v) in zip(theta, family)))
+    return mean_and_stderr(_alignment_cosines(F, V, window, seed))

@@ -21,7 +21,6 @@ __all__ = [
     "MCEstimate",
     "SetSpec",
     "CollisionError",
-    "sample_poisson",
     "sample_poisson_batch",
     "quotient_distance",
     "section_set",
@@ -111,8 +110,8 @@ class MCEstimate:
         if self.std_err < 0:
             raise ValueError("std_err must be nonnegative")
 
-    def within(self, target: float, k_sigma: float = 3.0, atol: float = 0.0) -> bool:
-        return abs(self.mean - target) <= k_sigma * self.std_err + atol
+    def within(self, target: float, k_sigma: float = 3.0) -> bool:
+        return abs(self.mean - target) <= k_sigma * self.std_err
 
 
 # ---------------------------------------------------------------------------
@@ -147,12 +146,6 @@ def _draw(window: BoxDomain, rng: np.random.Generator) -> np.ndarray:
         if k < 2 or len(set(map(tuple, pts.tolist()))) == k:
             return pts
     raise CollisionError("exact point collision persisted; broken RNG?")
-
-
-def sample_poisson(window: BoxDomain, seed: int, stream: int = 0) -> Configuration:
-    """One Poisson configuration: N ~ Poisson(volume), points i.i.d. uniform."""
-    rng = stream_rng(seed, stream)
-    return Configuration(window=window, points=_draw(window, rng))
 
 
 def sample_poisson_batch(window: BoxDomain, seed: int, n: int,

@@ -2,10 +2,9 @@
 
 Outer functions are expression trees over a closed set of smooth primitives
 (constants, coordinates, sums, products, tanh, exponentials of certified
-nonpositive arguments, squares, and reciprocals 1/(1+x) of certified
-nonnegative arguments), so first partials are exact symbolic trees rather
-than numerical derivatives, and boundedness can be certified by interval
-propagation.
+nonpositive arguments, and squares), so first partials are exact symbolic
+trees rather than numerical derivatives, and boundedness can be certified by
+interval propagation.
 
 Sign convention: the divergence is the L2 adjoint of the lifted gradient,
     int <V, grad F> dpi = int F (div* V) dpi,
@@ -27,12 +26,11 @@ from .montecarlo import scope_memo
 
 __all__ = [
     "Node", "const", "coord", "add_n", "mul_n", "tanh_of", "exp_neg", "square",
-    "inv_one_plus", "smoothstep",
+    "smoothstep",
     "nonneg_hint",
     "OuterFunction", "CylinderFunction", "ExponentialCylinderFunction",
     "CylinderVectorField",
-    "eval_star",
-    "normalize_field", "cyl_from_star", "cyl_compose", "cyl_mul",
+    "cyl_from_star", "cyl_compose",
     "flow_map", "directional_derivative_fd",
 ]
 
@@ -281,37 +279,6 @@ class Sq(Node):
         return self.arg.max_coord()
 
 
-@dataclass(frozen=True)
-class Inv1p(Node):
-    """1/(1+x) for certified nonnegative x; bounded in (0, 1]."""
-
-    arg: Node
-
-    def __post_init__(self):
-        lo, _ = self.arg.bound()
-        if lo < -1e-12:
-            raise DomainError("inv_one_plus argument must be certified nonnegative")
-
-    def eval(self, u):
-        return 1.0 / (1.0 + self.arg.eval(u))
-
-    def diff(self, i):
-        da = self.arg.diff(i)
-        if isinstance(da, Const) and da.c == 0.0:
-            return Const(0.0)
-        return mul_n(Const(-1.0), Sq(self), da)
-
-    def bound(self):
-        lo, hi = self.arg.bound()
-        return (0.0 if np.isinf(hi) else 1.0 / (1.0 + hi), 1.0 / (1.0 + max(lo, 0.0)))
-
-    def shift(self, offsets):
-        return Inv1p(self.arg.shift(offsets))
-
-    def max_coord(self):
-        return self.arg.max_coord()
-
-
 def const(c: float) -> Node:
     return Const(float(c))
 
@@ -367,10 +334,6 @@ def square(x: Node) -> Node:
     return Sq(_as_node(x))
 
 
-def inv_one_plus(x: Node) -> Node:
-    return Inv1p(_as_node(x))
-
-
 def smoothstep(x: Node, center: float, width: float) -> Node:
     """0.5 (1 + tanh((x - center)/width)); smooth plateau transition."""
     return add_n(const(0.5), mul_n(const(0.5), tanh_of(mul_n(const(1.0 / width),
@@ -406,10 +369,6 @@ class OuterFunction:
     def grad(self, u) -> np.ndarray:
         u = np.asarray(u, dtype=float)
         return np.stack([d.eval(u) for d in self.partials], axis=-1)
-
-    def sup_bound(self) -> float:
-        lo, hi = self.root.bound()
-        return max(abs(lo), abs(hi))
 
 
 # ---------------------------------------------------------------------------
@@ -526,9 +485,6 @@ class CylinderFunction:
             box = box.hull(f.support)
         return box
 
-    def sup_bound(self) -> float:
-        return self.outer.sup_bound()
-
     def shift_by(self, eta: Configuration) -> "CylinderFunction":
         """Section at an outside pattern: offsets each linear statistic by f_i star eta."""
         offsets = self.stars(eta)
@@ -537,7 +493,7 @@ class CylinderFunction:
 
 
 def cyl_from_star(f: SmoothFunction, name: str = "") -> CylinderFunction:
-    """The linear statistic F = f star (identity outer; unbounded sup bound)."""
+    """The linear statistic F = f star (identity outer, unbounded)."""
     return CylinderFunction(OuterFunction(coord(0), 1), (f,), name=name or "star")
 
 
@@ -545,34 +501,6 @@ def cyl_compose(builder, F: CylinderFunction, name: str = "") -> CylinderFunctio
     """Apply a scalar expression builder to F's outer tree (same inners)."""
     return CylinderFunction(OuterFunction(builder(F.outer.root), F.arity), F.inners,
                             name=name or F.name)
-
-
-def _remap(node: Node, offset: int) -> Node:
-    if isinstance(node, Const):
-        return node
-    if isinstance(node, Coord):
-        return Coord(node.i + offset)
-    if isinstance(node, Add):
-        return Add(tuple(_remap(t, offset) for t in node.terms))
-    if isinstance(node, Mul):
-        return Mul(tuple(_remap(f, offset) for f in node.factors))
-    if isinstance(node, Tanh):
-        return Tanh(_remap(node.arg, offset))
-    if isinstance(node, Exp):
-        return Exp(_remap(node.arg, offset))
-    if isinstance(node, Sq):
-        return Sq(_remap(node.arg, offset))
-    if isinstance(node, Inv1p):
-        return Inv1p(_remap(node.arg, offset))
-    if isinstance(node, _NonnegWrap):
-        return _NonnegWrap(_remap(node.inner, offset))
-    raise TypeError(f"unknown node {type(node)}")
-
-
-def cyl_mul(F: CylinderFunction, G: CylinderFunction, name: str = "") -> CylinderFunction:
-    root = mul_n(F.outer.root, _remap(G.outer.root, F.arity))
-    return CylinderFunction(OuterFunction(root, F.arity + G.arity), F.inners + G.inners,
-                            name=name)
 
 
 @dataclass(frozen=True)
@@ -657,45 +585,9 @@ class CylinderVectorField:
         return _per_tuple(x, out)
 
 
-def eval_star(f: SmoothFunction, gamma: Configuration) -> float:
-    """The linear statistic f star gamma = sum over particles of f."""
-    if gamma.count == 0:
-        return 0.0
-    return float(np.sum(f.value(gamma.points)))
-
-
-def tangent_norm_sq_cylinder(V: CylinderVectorField) -> CylinderFunction:
-    """|V|^2_T as a cylinder function (quadratic in the coefficient outers)."""
-    inners: list[SmoothFunction] = []
-    coeff_roots = []
-    for c, _ in V.terms:
-        if isinstance(c, (int, float)):
-            coeff_roots.append(const(float(c)))
-        else:
-            coeff_roots.append(_remap(c.outer.root, len(inners)))
-            inners.extend(c.inners)
-    dots = []
-    m = len(V.terms)
-    for a in range(m):
-        for b in range(m):
-            va, vb = V.terms[a][1], V.terms[b][1]
-            dot = SmoothFunction.product_of(va.components[0], vb.components[0])
-            for ax in range(1, va.dim):
-                comp = SmoothFunction.product_of(va.components[ax], vb.components[ax])
-                dot = SmoothFunction(kind="sum", support=dot.support.hull(comp.support),
-                                     factors=(dot, comp))
-            dots.append(((a, b), dot))
-    terms = []
-    for (a, b), dot in dots:
-        idx = len(inners)
-        inners.append(dot)
-        terms.append(mul_n(coeff_roots[a], coeff_roots[b], coord(idx)))
-    root = add_n(*terms)
-    return CylinderFunction(OuterFunction(root, len(inners)), tuple(inners), name="|V|^2")
-
-
 class _NonnegWrap(Node):
-    """Marks a subtree as nonnegative by construction (Gram quadratic forms)."""
+    """The node ``nonneg_hint`` makes: a subtree nonnegative by construction,
+    clipped at zero on evaluation and bounded below by zero."""
 
     def __init__(self, inner: Node):
         self.inner = inner
@@ -734,35 +626,17 @@ def nonneg_hint(x: Node) -> Node:
     return _NonnegWrap(_as_node(x))
 
 
-def normalize_field(V: CylinderVectorField, eps: float) -> CylinderVectorField:
-    """V / (1 + eps |V|^2_T): tangent norm bounded by 1/(2 sqrt(eps))."""
-    if eps <= 0:
-        raise DomainError("eps must be positive")
-    Q = tangent_norm_sq_cylinder(V)
-    damp_root = inv_one_plus(_NonnegWrap(mul_n(const(eps), Q.outer.root)))
-    damp = CylinderFunction(OuterFunction(damp_root, Q.arity), Q.inners, name="damp")
-    new_terms = []
-    for c, v in V.terms:
-        if isinstance(c, (int, float)):
-            scaled = cyl_compose(lambda r: mul_n(const(float(c)), r), damp)
-        else:
-            scaled = cyl_mul(c, damp)
-        new_terms.append((scaled, v))
-    return CylinderVectorField(tuple(new_terms), name=f"norm({V.name})" if V.name else "")
-
-
 # ---------------------------------------------------------------------------
 # flow oracle for directional derivatives
 
 
-def flow_map(v: SmoothVectorField, points: np.ndarray, s: float,
-             step: float = 1e-3) -> np.ndarray:
-    """RK4 integration of dx/dt = v(x) from 0 to s (fields are compactly
-    supported, so the flow is globally defined)."""
+def flow_map(v: SmoothVectorField, points: np.ndarray, s: float) -> np.ndarray:
+    """RK4 integration of dx/dt = v(x) from 0 to s in steps of at most 1e-3
+    (fields are compactly supported, so the flow is globally defined)."""
     pts = np.array(np.atleast_2d(points), dtype=float)
     if s == 0.0 or pts.size == 0:
         return pts
-    nsteps = max(1, int(np.ceil(abs(s) / step)))
+    nsteps = max(1, int(np.ceil(abs(s) / 1e-3)))
     h = s / nsteps
     for _ in range(nsteps):
         k1 = v.value(pts)

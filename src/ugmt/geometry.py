@@ -135,9 +135,11 @@ class SmoothFunction:
     """Smooth function on a box with exact value and gradient evaluators.
 
     Kinds: ``bump`` (mollifier ball bump), ``coordinate_bump`` (odd coordinate
-    factor times a bump), ``constant`` (constant on the box),
-    ``neumann_mode`` (product of cosine modes, a Neumann Laplacian
-    eigenfunction), ``product`` (pointwise product of two members).
+    factor times a bump), ``constant`` (constant on the box), ``linear``
+    (an affine function of one coordinate), ``neumann_mode`` (product of
+    cosine modes, a Neumann Laplacian eigenfunction), ``plateau`` (a smooth
+    region indicator) and ``sum`` (pointwise sum of the members in
+    ``factors``).
     """
 
     kind: str
@@ -193,24 +195,14 @@ class SmoothFunction:
                               amplitude=float(amplitude), axis=int(axis), window=box)
 
     @staticmethod
-    def plateau(region: BoxDomain, sharpness: float = 0.02, amplitude: float = 1.0,
+    def plateau(region: BoxDomain, sharpness: float = 0.02,
                 window: BoxDomain | None = None) -> "SmoothFunction":
         """Smooth approximation of the region indicator: a product over axes of
-        sigmoid shoulders of the given sharpness.  Nonnegative, bounded by the
-        amplitude."""
+        sigmoid shoulders of the given sharpness.  Nonnegative, bounded by 1."""
         if sharpness <= 0:
             raise DomainError("sharpness must be positive")
         return SmoothFunction(kind="plateau", support=window or region, region=region,
-                              width=float(sharpness), amplitude=float(amplitude),
-                              window=window)
-
-    @staticmethod
-    def product_of(f: "SmoothFunction", g: "SmoothFunction") -> "SmoothFunction":
-        box = f.support.intersect(g.support)
-        if box is None:
-            # disjoint supports: the zero function on a degenerate stand-in box
-            box = f.support
-        return SmoothFunction(kind="product", support=box, factors=(f, g), window=f.window or g.window)
+                              width=float(sharpness), window=window)
 
     @property
     def dim(self) -> int:
@@ -259,9 +251,6 @@ class SmoothFunction:
             out = np.full(pts.shape[:-1], self.amplitude)
             for a in range(self.dim):
                 out = out * self._shoulder(pts[..., a], a)
-        elif self.kind == "product":
-            f, g = self.factors
-            out = f.value(pts) * g.value(pts)
         elif self.kind == "sum":
             out = self.factors[0].value(pts)
             for g in self.factors[1:]:
@@ -327,9 +316,6 @@ class SmoothFunction:
                     term = term * (dshoulders[b] if b == a else shoulders[b])
                 grad[..., a] = term
             return grad
-        if self.kind == "product":
-            f, g = self.factors
-            return f.value(pts)[..., None] * g.gradient(pts) + g.value(pts)[..., None] * f.gradient(pts)
         if self.kind == "sum":
             out = self.factors[0].gradient(pts)
             for g in self.factors[1:]:
@@ -359,9 +345,6 @@ class SmoothFunction:
         if self.kind == "linear":
             lo, hi, c = self.support.lower, self.support.upper, self.center
             return a * max(abs(lo[self.axis] - c[self.axis]), abs(hi[self.axis] - c[self.axis]))
-        if self.kind == "product":
-            f, g = self.factors
-            return f.sup_norm() * g.sup_norm()
         if self.kind == "sum":
             return float(sum(g.sup_norm() for g in self.factors))
         margin = 1.0 + 1e-9

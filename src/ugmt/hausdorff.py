@@ -285,7 +285,7 @@ def _stratum_fraction_exact(A: SetSpec, k: int, window: BoxDomain) -> float | No
     return float(stats.binom.sf(A.threshold - 1, k, p))
 
 
-def rho_m_on_box(A: SetSpec, m: int, window: BoxDomain, *, K_max: int | None = None,
+def rho_m_on_box(A: SetSpec, m: int, window: BoxDomain, *,
                  n_samples: int = 20_000, seed: int = 0) -> CodimMeasureResult:
     """Codimension-m Poisson measure of A on the configuration space over a box.
 
@@ -298,7 +298,7 @@ def rho_m_on_box(A: SetSpec, m: int, window: BoxDomain, *, K_max: int | None = N
     if m not in (0, 1):
         raise DomainError("only m in {0, 1} is computed")
     if m == 0:
-        strata = Strata(window, mc_n=n_samples, seed=seed, stream_base=60, K_max=K_max)
+        strata = Strata(window, mc_n=n_samples, seed=seed, stream_base=60)
 
         def term(s):
             exact = _stratum_fraction_exact(A, s.k, window)
@@ -309,19 +309,19 @@ def rho_m_on_box(A: SetSpec, m: int, window: BoxDomain, *, K_max: int | None = N
         # vacuum stratum: membership of the empty configuration
         empty = Configuration(window=window, points=np.zeros((0, window.dim)))
         res = strata.integrate(term, empty=1.0 if A.contains(empty) else 0.0)
-        return CodimMeasureResult.of(res, window, K_max)
+        return CodimMeasureResult.of(res, window, None)
     if A.variant not in ("level_set", "level_sheet"):
         raise DomainError("m = 1 requires a level-set description")
     res = sheet_integrals(A.function, float(A.level), {"surface": None}, window,
                           streams=(80, 1), n_samples=n_samples, seed=seed,
-                          K_max=K_max, count_equals=A.count_equals)["surface"]
+                          count_equals=A.count_equals)["surface"]
     # a stratum whose band value came out negative counts as empty; the
     # Poisson weight is positive, so clamping its share clamps the value
     per_k = {k: max(v, 0.0) for k, v in res.per_k.items()}
     total = 0.0
     for v in per_k.values():  # in count order, as the unclamped sum was made
         total += v
-    return CodimMeasureResult.of(StratifiedSum(total, res.error, per_k), window, K_max)
+    return CodimMeasureResult.of(StratifiedSum(total, res.error, per_k), window, None)
 
 
 def scaled_box(center, r: float, dim: int) -> BoxDomain:
@@ -376,8 +376,7 @@ class RhoLimitResult:
 
 
 def rho_m_localized(A: SetSpec, m: int, inner: BoxDomain, outer: BoxDomain, *,
-                    n_eta: int = 64, n_samples: int = 20_000, seed: int = 0,
-                    K_max: int | None = None) -> MCEstimate:
+                    n_eta: int = 64, n_samples: int = 20_000, seed: int = 0) -> MCEstimate:
     """Localized codim-m measure: average over outside patterns eta of the
     codim-m measure of the eta-section on the inner box.
 
@@ -393,7 +392,7 @@ def rho_m_localized(A: SetSpec, m: int, inner: BoxDomain, outer: BoxDomain, *,
     if inner.contains_box(A.locality):
         empty = Configuration(window=outer, points=np.zeros((0, inner.dim)))
         sec = section_set(A, empty, inner)
-        res = rho_m_on_box(sec, m, inner, n_samples=n_samples, seed=seed, K_max=K_max)
+        res = rho_m_on_box(sec, m, inner, n_samples=n_samples, seed=seed)
         return MCEstimate(mean=res.total, std_err=res.total_err, n_samples=n_samples,
                           seed=seed, name=A.name and f"rho{m}_loc({A.name})")
     # Poisson patterns eta on the locality outside the inner box; the error
@@ -404,7 +403,7 @@ def rho_m_localized(A: SetSpec, m: int, inner: BoxDomain, outer: BoxDomain, *,
         pts = _draw(A.locality, rng)
         eta = Configuration(window=A.locality, points=pts[~inner.contains(pts)])
         res = rho_m_on_box(section_set(A, eta, inner), m, inner,
-                           n_samples=max(2000, n_samples // 8), seed=seed + 1 + i, K_max=K_max)
+                           n_samples=max(2000, n_samples // 8), seed=seed + 1 + i)
         vals[i], errs[i] = res.total, res.total_err
     mean, spread = mean_and_stderr(vals)
     err = float(np.sqrt(spread * spread + np.sum(errs**2) / n_eta**2))

@@ -163,14 +163,14 @@ class LiftedHeatOperator:
         return grid, np.stack(_all_particles(comps, k, n), axis=0)
 
 
-def lift_semigroup(F, t: float, op: LiftedHeatOperator, k: int,
-                   order: int | None = None) -> tuple[StratumGrid, np.ndarray]:
+def lift_semigroup(F, t: float, op: LiftedHeatOperator,
+                   k: int) -> tuple[StratumGrid, np.ndarray]:
     """T_t F on the k-particle stratum grid (tensor kernel quadrature)."""
     if t <= 0:
         raise DomainError("t must be positive")
     if k > op.K_max:
         raise DomainError(f"stratum {k} exceeds the count truncation {op.K_max}")
-    grid = op.grid(k, order)
+    grid = op.grid(k)
     return grid, op.tensor_apply(_eval_on_grid(F, grid), t, grid)
 
 
@@ -423,13 +423,13 @@ def bakry_emery_battery(battery: Mapping[str, CylinderFunction], ps, ts,
             for name in battery}
 
 
-def regularization_slope(op: LiftedHeatOperator, t_grid, modes=range(1, 9),
-                         order: int = 96) -> tuple[float, list[tuple[float, float]]]:
+def regularization_slope(op: LiftedHeatOperator,
+                         t_grid) -> tuple[float, list[tuple[float, float]]]:
     """Log-log slope of the heat regularization envelope (p = 2).
 
     The mode statistics factor over particles, so the envelope of
-    ||grad T_t F_j|| / ||F_j|| over cosine modes is computed on the
-    single-particle stratum with a high-order grid and the differentiated
+    ||grad T_t F_j|| / ||F_j|| over the cosine modes j = 1..8 is computed on
+    the single-particle stratum with an order-96 grid and the differentiated
     kernel; the fitted slope probes the discretized semigroup, not a closed
     form.  The sharp regularization exponent is -1/2.
     """
@@ -437,10 +437,10 @@ def regularization_slope(op: LiftedHeatOperator, t_grid, modes=range(1, 9),
 
     if op.window.dim != 1:
         raise DomainError("the regularization probe is 1-d")
-    grid = op.grid(1, order)
+    grid = op.grid(1, 96)
     w = grid.weights[0]
     fvs = [SmoothFunction.neumann_mode((j,), op.window).value(grid.nodes[0][:, None])
-           for j in modes]
+           for j in range(1, 9)]
     pairs = []
     for t in t_grid:
         best = 0.0

@@ -15,7 +15,7 @@ import pytest
 from ugmt import batteries
 from ugmt.cli import SuiteConfig, laplace_target, run_suite
 from ugmt.configuration import (Configuration, SetSpec, brute_force_distance,
-                                quotient_distance, sample_poisson_batch)
+                                quotient_distance)
 from ugmt.cylinder import CylinderVectorField, cyl_compose, cyl_from_star, smoothstep, tanh_of
 from ugmt.geometry import BoxDomain, SmoothFunction, SmoothVectorField, interval
 from ugmt.heat import (BesselOperator, LiftedHeatOperator, bakry_emery_battery,

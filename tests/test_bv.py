@@ -7,13 +7,13 @@ import pytest
 from ugmt import batteries, bv, cli, montecarlo
 from ugmt.configuration import Configuration, SetSpec, _draw
 from ugmt.cylinder import (CylinderVectorField, cyl_compose, cyl_from_star, const, mul_n,
-                           normalize_field, tanh_of)
+                           tanh_of)
 from ugmt.geometry import DomainError, SmoothFunction, SmoothVectorField, interval
 from ugmt.heat import LiftedHeatOperator, lifted_gradient_norm
-from ugmt.bv import (_REFINE_STEPS, _SHEET_STREAMS, _THETA_GRID, _VariationalObjective,
-                     _alignment_cosines, _coordinate_ascent, coarea_family,
-                     gauss_green_residual, levelset_expectation, perimeter_measure,
-                     tv_bracket_battery, tv_relaxation,
+from ugmt.bv import (_REFINE_STEPS, _SHEET_STREAMS, _THETA_GRID, VariationalLower,
+                     _VariationalObjective, _alignment_cosines, _coordinate_ascent,
+                     coarea_family, gauss_green_residual, levelset_expectation,
+                     perimeter_measure, sobolev_alignment, tv_bracket_battery, tv_relaxation,
                      tv_semigroup, tv_variational, tv_variational_battery)
 from ugmt.montecarlo import Strata, poisson_k_cutoff
 from ugmt.hausdorff import (CriticalLevelError, rho_m_limit, rho_m_on_box, scaled_box,
@@ -440,7 +440,7 @@ def test_coarea_numeric_G_scales_both_sides():
     assert (two.lhs_err, two.rhs_err) == (2.0 * one.lhs_err, 2.0 * one.rhs_err)
 
 
-def _reference_cosines(F, W, window, seed):
+def _reference_cosines(F, V, window, seed):
     """The alignment loop, one Configuration at a time."""
     rng = stream_rng(seed, 77)
     cosines = []
@@ -450,7 +450,7 @@ def _reference_cosines(F, W, window, seed):
         gn = float(np.sqrt(np.sum(g * g)))
         if gn <= 0.1:
             continue
-        wv = W.at_particles(gamma)
+        wv = V.at_particles(gamma)
         wn = float(np.sqrt(np.sum(wv * wv)))
         if wn < 1e-12:
             continue
@@ -464,13 +464,42 @@ def test_alignment_cosines_equal_configuration_loop(seed):
     F = batteries.tanh_sum_function(0.35)
     coeff = cyl_compose(lambda r: tanh_of(r), cyl_from_star(
         SmoothFunction.bump(1.5, 0.9, 1.0, window=window)))
-    W = normalize_field(CylinderVectorField((
+    V = CylinderVectorField((
         (1.0, SmoothVectorField((SmoothFunction.coordinate_bump(1.4, 1.2, 0.8, window=window),))),
-        (coeff, SmoothVectorField((SmoothFunction.bump(1.6, 1.3, -0.6, window=window),))))),
-        0.25)
-    got = _alignment_cosines(F, W, window, seed)
-    ref = _reference_cosines(F, W, window, seed)
+        (coeff, SmoothVectorField((SmoothFunction.bump(1.6, 1.3, -0.6, window=window),)))))
+    got = _alignment_cosines(F, V, window, seed)
+    ref = _reference_cosines(F, V, window, seed)
     assert len(ref) > 150 and got.tobytes() == np.array(ref).tobytes()
+
+
+class _Normalized:
+    """W = V / (1 + |V|^2_T / 4) at each configuration, the field whose
+    divergence the variational objective integrates."""
+
+    def __init__(self, V):
+        self.V = V
+
+    def at_particles(self, gamma):
+        v = self.V.at_particles(gamma)
+        return v / (1.0 + np.sum(v * v) / 4.0)
+
+
+def test_sobolev_alignment_scores_the_searched_field(monkeypatch):
+    # the alignment reads V_theta = sum_a theta_a c_a v_a at the searched
+    # theta; W is a positive multiple of it, so the cosines agree with W's
+    family = batteries.field_family()
+    theta = (1.0, -0.5, 2.0, 0.0, 0.5, 0.15, -0.3, 0.6)
+    monkeypatch.setattr(bv, "tv_variational", lambda F, fam, window, seed:
+                        VariationalLower(value=0.0, error=0.0, theta=theta))
+    F = batteries.tanh_sum_function(0.35)
+    V = CylinderVectorField(tuple(
+        (s * c if isinstance(c, float) else cyl_compose(lambda r, s=s: mul_n(const(s), r), c), v)
+        for s, (c, v) in zip(theta, family)))
+    cosines = _alignment_cosines(F, V, UNIT, 20240901)
+    assert sobolev_alignment(F, family, UNIT, seed=20240901) == mean_and_stderr(cosines)
+    assert len(cosines) > 150
+    np.testing.assert_allclose(_reference_cosines(F, _Normalized(V), UNIT, 20240901), cosines,
+                               rtol=0.0, atol=1e-12)
 
 
 def test_sobolev_consistency_density():

@@ -6,8 +6,7 @@ from scipy import stats
 
 from ugmt.configuration import (CollisionError, Configuration, MCEstimate, SetSpec,
                                 brute_force_distance, hungarian,
-                                quotient_distance, sample_poisson,
-                                sample_poisson_batch, section_set)
+                                quotient_distance, sample_poisson_batch, section_set)
 from ugmt.geometry import BoxDomain, DomainError, interval
 
 UNIT = interval(0.0, 1.0)
@@ -45,10 +44,10 @@ def test_poisson_void_probability():
 
 
 def test_sampler_reproducible():
-    a = sample_poisson(UNIT, seed=42, stream=3)
-    b = sample_poisson(UNIT, seed=42, stream=3)
+    a, = sample_poisson_batch(UNIT, seed=42, n=1, stream=3)
+    b, = sample_poisson_batch(UNIT, seed=42, n=1, stream=3)
     assert a == b
-    assert a != sample_poisson(UNIT, seed=42, stream=4) or a.count == 0
+    assert a != sample_poisson_batch(UNIT, seed=42, n=1, stream=4)[0] or a.count == 0
 
 
 def test_quotient_distance_examples():

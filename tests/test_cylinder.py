@@ -2,16 +2,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from ugmt.configuration import Configuration, SetSpec, sample_poisson_batch
 from ugmt.cylinder import (CylinderFunction, CylinderVectorField,
                            ExponentialCylinderFunction, OuterFunction, add_n, const,
-                           coord, cyl_compose, cyl_from_star, cyl_mul,
-                           directional_derivative_fd, eval_star, exp_neg, mul_n,
-                           normalize_field, smoothstep, square, tangent_norm_sq_cylinder,
-                           tanh_of)
+                           coord, cyl_compose, cyl_from_star, directional_derivative_fd,
+                           exp_neg, mul_n, square, tanh_of)
 from ugmt.geometry import DomainError, SmoothFunction, SmoothVectorField, interval
 from ugmt.montecarlo import MCPlan, integrate, shared_draws
 from ugmt.productspace import stratum_indicator
@@ -63,10 +59,9 @@ def test_outer_partials_match_finite_differences():
 
 def test_outer_bounds_certify():
     bounded = tanh_of(add_n(coord(0), coord(1)))
-    phi = OuterFunction(bounded, 2)
-    assert np.isfinite(phi.sup_bound()) and phi.sup_bound() <= 1.0
-    unbounded = OuterFunction(coord(0), 1)
-    assert not np.isfinite(unbounded.sup_bound())
+    lo, hi = OuterFunction(bounded, 2).root.bound()
+    assert -1.0 <= lo <= hi <= 1.0
+    assert not np.isfinite(OuterFunction(coord(0), 1).root.bound()[1])
     with pytest.raises(DomainError):
         exp_neg(coord(0))           # not certified nonpositive
     with pytest.raises(DomainError):
@@ -74,10 +69,11 @@ def test_outer_bounds_certify():
 
 
 def test_sup_bound_dominates_samples():
+    # the interval bound of the outer tree dominates every value
     F = random_cylinder(np.random.default_rng(1))
-    bound = F.sup_bound()
+    lo, hi = F.outer.root.bound()
     for g in sample_poisson_batch(UNIT, seed=13, n=200):
-        assert abs(F.value(g)) <= bound + 1e-12
+        assert lo - 1e-12 <= F.value(g) <= hi + 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -86,15 +82,15 @@ def test_sup_bound_dominates_samples():
 
 def test_eval_star_basics():
     f = SmoothFunction.bump(0.5, 0.3, 1.0, window=UNIT)
-    assert eval_star(f, EMPTY) == 0.0
+    assert cyl_from_star(f).value(EMPTY) == 0.0
     c = SmoothFunction.constant(2.5, UNIT)
-    assert eval_star(c, conf([0.1], [0.5], [0.9])) == pytest.approx(7.5)
+    assert cyl_from_star(c).value(conf([0.1], [0.5], [0.9])) == pytest.approx(7.5)
 
 
 def test_star_campbell_mean():
     f = SmoothFunction.bump(0.5, 0.3, 1.0, window=UNIT)
     plan = MCPlan(n_samples=20_000, seed=3, window=UNIT)
-    est = integrate(lambda g: eval_star(f, g), plan)
+    est = integrate(cyl_from_star(f).value, plan)
     from ugmt.geometry import gauss_legendre
     nodes, w = gauss_legendre(0, 1, 64)
     target = float(np.sum(w * f.value(nodes[:, None])))
@@ -170,54 +166,6 @@ def test_integration_by_parts_adjoint():
         mean = diffs.mean()
         se = diffs.std(ddof=1) / np.sqrt(len(diffs))
         assert abs(mean) <= 3 * se + 1e-6
-
-
-def test_tangent_norm_evaluations():
-    v = SmoothVectorField((SmoothFunction.bump(0.5, 0.3, 0.8, window=UNIT),))
-    V = CylinderVectorField(((1.0, v),))
-    Q = tangent_norm_sq_cylinder(V)
-    x0 = 0.55
-    g = conf([x0])
-    assert np.sqrt(Q.value(g)) == pytest.approx(
-        abs(float(v.value(np.array([[x0]]))[0, 0])))
-    assert Q.value(EMPTY) == 0.0
-    rng = np.random.default_rng(23)
-    for _ in range(50):
-        g = Configuration(window=UNIT, points=rng.uniform(0, 1, (rng.integers(1, 5), 1)))
-        direct = float(np.sum(V.at_particles(g) ** 2))
-        assert Q.value(g) == pytest.approx(direct, abs=1e-12)
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.integers(0, 2**32 - 1))
-def test_cauchy_schwarz(seed):
-    rng = np.random.default_rng(seed)
-    V = random_field(rng)
-    W = random_field(rng)
-    g = Configuration(window=UNIT, points=rng.uniform(0, 1, (rng.integers(0, 5), 1)))
-    lhs = np.sum(V.at_particles(g) * W.at_particles(g)) ** 2
-    assert lhs <= (tangent_norm_sq_cylinder(V).value(g)
-                   * tangent_norm_sq_cylinder(W).value(g) + 1e-12)
-
-
-def test_normalize_field_properties():
-    rng = np.random.default_rng(31)
-    V = random_field(rng)
-    eps = 0.05
-    W = normalize_field(V, eps)
-    QV, QW = tangent_norm_sq_cylinder(V), tangent_norm_sq_cylinder(W)
-    cap = 1.0 / (2.0 * np.sqrt(eps))
-    worst_cubic = 0.0
-    for g in sample_poisson_batch(UNIT, seed=41, n=2000):
-        nv = np.sqrt(QV.value(g))
-        nw = np.sqrt(QW.value(g))
-        assert nw <= cap + 1e-9
-        if nv == 0.0:
-            assert nw == pytest.approx(0.0, abs=1e-12)
-        diff = np.sqrt(np.sum((V.at_particles(g) - W.at_particles(g)) ** 2))
-        assert diff <= eps * nv**3 + 1e-10
-        worst_cubic = max(worst_cubic, diff - eps * nv**3)
-    assert worst_cubic <= 1e-10
 
 
 def test_exponential_cylinder_product_statistic():

@@ -4,7 +4,7 @@ import pytest
 from ugmt.configuration import Configuration, SetSpec
 from ugmt.cylinder import (CylinderFunction, ExponentialCylinderFunction,
                            OuterFunction, add_n, const, coord, cyl_compose,
-                           cyl_from_star, cyl_mul, mul_n, smoothstep, tanh_of)
+                           cyl_from_star, mul_n, smoothstep, tanh_of)
 from ugmt.geometry import (BoxDomain, DomainError, QuadratureError, SmoothFunction,
                            gauss_legendre, interval)
 from ugmt.heat import (BesselOperator, LiftedHeatOperator, _eval_on_grid, _grad_grid,
@@ -457,7 +457,8 @@ def _be_members():
     f2 = SmoothFunction.neumann_mode((2,), UNIT, amplitude=0.6)
     tanh_bump = cyl_compose(lambda r: tanh_of(r), cyl_from_star(f1))
     return {"tanh-bump": tanh_bump,
-            "product": cyl_mul(tanh_bump, cyl_from_star(f2))}   # arity 2
+            "product": CylinderFunction(OuterFunction(mul_n(tanh_of(coord(0)), coord(1)), 2),
+                                        (f1, f2))}   # arity 2
 
 
 def test_battery_matches_per_F_einsum_reference():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy import special
 
-from ugmt.configuration import CollisionError, Configuration, SetSpec
+from ugmt.configuration import CollisionError, Configuration, SetSpec, sample_poisson_batch
 from ugmt.cylinder import cyl_compose, cyl_from_star, tanh_of
 from ugmt.geometry import BoxDomain, SmoothFunction, gauss_legendre, interval
 from ugmt import batteries, montecarlo
@@ -192,6 +192,12 @@ def test_draw_by_count_reproduces_per_configuration_draws(window):
     assert seen == set(range(plan.n_samples))
     if window.volume > 10:
         assert max(draws) >= 8
+    # sample_poisson_batch draws each plan stream's configurations in order
+    rows = {int(i): pts for idx, X in draws.values() for i, pts in zip(idx, X)}
+    for j in range(plan.streams):
+        ids = range(j, plan.n_samples, plan.streams)
+        batch = sample_poisson_batch(window, plan.seed, len(ids), stream=j)
+        assert batch == [Configuration(window=window, points=rows[i]) for i in ids]
 
 
 class _RepeatOnce:

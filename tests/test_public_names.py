@@ -11,10 +11,13 @@ definition or an assignment is not a use.
 
 Every other function or method (dunders aside) is checked by name only: some
 module must read its name as a name, an attribute or an import outside the
-function's own definition (a recursive call is not a caller).  A string
-constant counts only where it names a hook that ``perfbench/tracer.py``
-wraps by name (its ``_EXTRA`` entry points and ``_KERNEL_FNS``).  A name no
-module reads at all is code nothing calls.
+function's own definition (a recursive call is not a caller).  A read of a
+name that the reading function binds itself, other than by a nested ``def``
+or ``class``, or takes from an enclosing function's such binding, reads that
+local (``symtable`` again), so a local ``build = ...`` does not call a module
+function ``build``.  A string constant counts only where it names a hook that
+``perfbench/tracer.py`` wraps by name (its ``_EXTRA`` entry points and
+``_KERNEL_FNS``).  A name no module reads at all is code nothing calls.
 
 Second-route references are exempt.  The program computes each of their
 quantities another way, and tests set the two routes against each other.
@@ -33,12 +36,10 @@ SECOND_ROUTES = {
     "quotient_distance": "assignment distance, checked against brute_force_distance",
     "brute_force_distance": "permutation brute force that quotient_distance is checked against",
     "measure_of_set": "plain Monte Carlo probability against rho_0 on strata",
-    "integrate_disintegrated": "disintegrated Poisson integral against the stratified one",
+    "integrate_disintegrated": "disintegrated Poisson integral against plain integrate",
     "lift_semigroup": "tensor-grid semigroup against the closed-form ExponentialCylinderFunction",
-    "sample_poisson": "per-configuration draws against draw_by_count",
-    "sample_poisson_batch": "per-configuration draws against draw_by_count",
+    "sample_poisson_batch": "each plan stream's configurations against draw_by_count",
     "directional_derivative_fd": "finite differences against the exact gradient",
-    "eval_star": "unbatched star statistic against CylinderFunction",
 }
 
 
@@ -115,6 +116,30 @@ def _functions() -> list[tuple[str, ast.FunctionDef]]:
     return out
 
 
+def _function_tables(path: pathlib.Path) -> dict[tuple[str, int], symtable.SymbolTable]:
+    """The symbol table of each function in a file, by (name, line of its def)."""
+    out, tables = {}, [symtable.symtable(path.read_text(), str(path), "exec")]
+    while tables:
+        t = tables.pop()
+        if t.get_type() == "function":
+            out[(t.get_name(), t.get_lineno())] = t
+        tables.extend(t.get_children())
+    return out
+
+
+def _local_read(name: str, scopes: list[symtable.SymbolTable]) -> bool:
+    """Whether a read of ``name`` inside the innermost of the nested function
+    ``scopes`` reads a local binding other than a nested definition."""
+    for table in reversed(scopes):
+        if name not in table.get_identifiers():
+            continue
+        sym = table.lookup(name)
+        if sym.is_free():
+            continue
+        return sym.is_local() and not sym.is_namespace()
+    return False
+
+
 def _tracer_hooks() -> set[str]:
     """The private entry points and kernel functions the tracer wraps by name."""
     tree = ast.parse((ROOT / "perfbench" / "tracer.py").read_text())
@@ -124,19 +149,29 @@ def _tracer_hooks() -> set[str]:
                        ast.literal_eval(tables["_KERNEL_FNS"]))
 
 
-def _reads(tree: ast.AST, hooks: set[str]) -> Counter:
+def _reads(tree: ast.AST, hooks: set[str], tables: dict) -> Counter:
     """Names a syntax tree reads as a name, an attribute or an import, and
-    its string constants that name a tracer hook, with their counts."""
+    its string constants that name a tracer hook, with their counts; a name
+    read as a local (``_local_read``) is left out.  ``tables`` are the
+    function symbol tables of the tree's file."""
     names = Counter()
-    for node in ast.walk(tree):
+
+    def visit(node, scopes):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scopes = scopes + [tables[(node.name, node.lineno)]]
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            names[node.id] += 1
+            if not _local_read(node.id, scopes):
+                names[node.id] += 1
         elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
             names[node.attr] += 1
         elif isinstance(node, ast.alias):
             names[node.name.rpartition(".")[2]] += 1
         elif isinstance(node, ast.Constant) and node.value in hooks:
             names[node.value] += 1
+        for child in ast.iter_child_nodes(node):
+            visit(child, scopes)
+
+    visit(tree, [])
     return names
 
 
@@ -144,10 +179,12 @@ def _unread_functions() -> set[tuple[str, str]]:
     """(module, name) of each package function whose name no module reads
     outside the function's own definition."""
     hooks = _tracer_hooks()
-    reads = sum((_reads(ast.parse(path.read_text()), hooks) for path in _program_files()),
-                Counter())
+    tables = {path: _function_tables(path) for path in _program_files()}
+    reads = sum((_reads(ast.parse(path.read_text()), hooks, tables[path])
+                 for path in _program_files()), Counter())
     return {(module, node.name) for module, node in _functions()
-            if reads[node.name] == _reads(node, hooks)[node.name]}
+            if reads[node.name]
+            == _reads(node, hooks, tables[PACKAGE / f"{module}.py"])[node.name]}
 
 
 def test_every_function_is_read_by_the_program():
