@@ -1,4 +1,4 @@
-"""Finite point configurations, Poisson sampling, and the quotient transport metric.
+"""Finite point configurations, Poisson sampling, and Borel set descriptions.
 
 A configuration is a finite multiplicity-one point pattern in a box window.
 Configurations are canonicalized by lexicographic point order so that equality
@@ -8,26 +8,20 @@ and hashing are well defined on the quotient by particle relabeling.
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .geometry import BoxDomain, DomainError
-from .rng import stream_rng
 
 __all__ = [
     "Configuration",
     "MCEstimate",
     "SetSpec",
     "CollisionError",
-    "sample_poisson_batch",
-    "quotient_distance",
     "section_set",
-    "hungarian",
 ]
 
-MAX_ASSIGNMENT_SIZE = 12
 _SAMPLE_RETRIES = 10
 
 
@@ -148,13 +142,6 @@ def _draw(window: BoxDomain, rng: np.random.Generator) -> np.ndarray:
     raise CollisionError("exact point collision persisted; broken RNG?")
 
 
-def sample_poisson_batch(window: BoxDomain, seed: int, n: int,
-                         stream: int = 0) -> list[Configuration]:
-    """n i.i.d. Poisson configurations from one stream, in draw order."""
-    rng = stream_rng(seed, stream)
-    return [Configuration(window=window, points=_draw(window, rng)) for _ in range(n)]
-
-
 # ---------------------------------------------------------------------------
 # sums and sections
 
@@ -167,52 +154,6 @@ def _merge(gamma: Configuration, eta: Configuration) -> Configuration:
         if np.any(np.all(np.diff(canon, axis=0) == 0.0, axis=1)):
             raise CollisionError("superposition collides: multiplicity one violated")
     return Configuration(window=window, points=pts)
-
-
-# ---------------------------------------------------------------------------
-# quotient transport distance: min over particle relabelings
-
-
-def hungarian(cost: np.ndarray) -> np.ndarray:
-    """Exact minimum-cost assignment of a square cost matrix.
-
-    Returns col[i] = column assigned to row i.
-    """
-    cost = np.asarray(cost, dtype=float)
-    n = cost.shape[0]
-    if cost.shape != (n, n):
-        raise ValueError("cost matrix must be square")
-    from scipy.optimize import linear_sum_assignment  # scipy.optimize is slow to import
-    return linear_sum_assignment(cost)[1]
-
-
-def quotient_distance(gamma: Configuration, eta: Configuration) -> float:
-    """L2 transport distance between equal-count patterns; inf otherwise."""
-    if gamma.count != eta.count:
-        return float("inf")
-    k = gamma.count
-    if k == 0:
-        return 0.0
-    if k > MAX_ASSIGNMENT_SIZE:
-        raise DomainError(f"assignment capped at {MAX_ASSIGNMENT_SIZE} particles")
-    diff = gamma.points[:, None, :] - eta.points[None, :, :]
-    cost = np.sum(diff * diff, axis=-1)
-    col = hungarian(cost)
-    return float(np.sqrt(cost[np.arange(k), col].sum()))
-
-
-def brute_force_distance(gamma: Configuration, eta: Configuration) -> float:
-    """Reference minimum over explicit permutations (k <= 8)."""
-    if gamma.count != eta.count:
-        return float("inf")
-    k = gamma.count
-    if k == 0:
-        return 0.0
-    best = float("inf")
-    for perm in itertools.permutations(range(k)):
-        d = gamma.points[list(perm)] - eta.points
-        best = min(best, float(np.sum(d * d)))
-    return float(np.sqrt(best))
 
 
 # ---------------------------------------------------------------------------
@@ -294,9 +235,6 @@ class SetSpec:
         """The super-level test of a level variant: values > level, or >= when
         the set is not strict."""
         return (values > self.level) if self.strict else (values >= self.level)
-
-    def indicator(self, gamma: Configuration) -> float:
-        return 1.0 if self.contains(gamma) else 0.0
 
 
 def section_set(spec: SetSpec, eta: Configuration, box: BoxDomain) -> SetSpec:

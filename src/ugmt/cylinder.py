@@ -21,7 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from .configuration import Configuration
-from .geometry import BoxDomain, DomainError, SmoothFunction, SmoothVectorField
+from .geometry import BoxDomain, DomainError, SmoothFunction
 from .montecarlo import scope_memo
 
 __all__ = [
@@ -31,7 +31,6 @@ __all__ = [
     "OuterFunction", "CylinderFunction", "ExponentialCylinderFunction",
     "CylinderVectorField",
     "cyl_from_star", "cyl_compose",
-    "flow_map", "directional_derivative_fd",
 ]
 
 _INF = float("inf")
@@ -624,35 +623,3 @@ def nonneg_hint(x: Node) -> Node:
     roundoff produces a tiny negative value.
     """
     return _NonnegWrap(_as_node(x))
-
-
-# ---------------------------------------------------------------------------
-# flow oracle for directional derivatives
-
-
-def flow_map(v: SmoothVectorField, points: np.ndarray, s: float) -> np.ndarray:
-    """RK4 integration of dx/dt = v(x) from 0 to s in steps of at most 1e-3
-    (fields are compactly supported, so the flow is globally defined)."""
-    pts = np.array(np.atleast_2d(points), dtype=float)
-    if s == 0.0 or pts.size == 0:
-        return pts
-    nsteps = max(1, int(np.ceil(abs(s) / 1e-3)))
-    h = s / nsteps
-    for _ in range(nsteps):
-        k1 = v.value(pts)
-        k2 = v.value(pts + 0.5 * h * k1)
-        k3 = v.value(pts + 0.5 * h * k2)
-        k4 = v.value(pts + h * k3)
-        pts = pts + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-    return pts
-
-
-def directional_derivative_fd(F: CylinderFunction, v: SmoothVectorField,
-                              gamma: Configuration, s: float = 1e-5) -> float:
-    """Central difference of F along the flow of v; oracle for <grad F, v>_T."""
-    if gamma.count == 0:
-        return 0.0
-    plus = Configuration(window=gamma.window, points=flow_map(v, gamma.points, s))
-    minus = Configuration(window=gamma.window, points=flow_map(v, gamma.points, -s))
-    return (F.value(plus) - F.value(minus)) / (2.0 * s)
-

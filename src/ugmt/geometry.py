@@ -94,11 +94,6 @@ class BoxDomain:
             and np.all(np.array(self.upper) >= np.array(other.upper) - 1e-12)
         )
 
-    def disjoint_interior(self, other: "BoxDomain") -> bool:
-        lo = np.maximum(self.lower, other.lower)
-        hi = np.minimum(self.upper, other.upper)
-        return bool(np.any(lo >= hi - 1e-15))
-
 
 def interval(lo: float, hi: float) -> BoxDomain:
     return BoxDomain((lo,), (hi,))

@@ -17,6 +17,7 @@ extrapolated to width 0.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -276,13 +277,15 @@ def _stratum_fraction_exact(A: SetSpec, k: int, window: BoxDomain) -> float | No
 
     Count specs admit the exact binomial tail: conditioned on k uniform
     points, the count in the region is Binomial(k, vol(region)/vol(window)).
+    The tail is the sum of its terms from the threshold up, every one of them
+    nonnegative, so nothing cancels as in 1 - cdf.
     """
     if A.variant != "count_at_least":
         return None
     inter = A.region.intersect(window)
     p = (inter.volume / window.volume) if inter is not None else 0.0
-    from scipy import stats  # scipy.stats is slow to import
-    return float(stats.binom.sf(A.threshold - 1, k, p))
+    return sum(math.comb(k, j) * p ** j * (1.0 - p) ** (k - j)
+               for j in range(max(A.threshold, 0), k + 1))
 
 
 def rho_m_on_box(A: SetSpec, m: int, window: BoxDomain, *,

@@ -23,13 +23,12 @@ from .cylinder import CylinderFunction, ExponentialCylinderFunction
 from .geometry import (BoxDomain, DomainError, HeatKernel1D, QuadratureError,
                        gauss_legendre, required_order)
 from .montecarlo import (MCPlan, Strata, StratumGrid, _fold, _multisets, _tuple_index,
-                         draw_by_count, poisson_k_cutoff, stratum_grid_points)
+                         draw_by_count, stratum_grid_points)
 from .productspace import stratum_indicator
 
 __all__ = [
     "LiftedHeatOperator",
     "BesselOperator",
-    "lift_semigroup",
     "lifted_gradient_norm",
     "check_intertwining",
     "regularization_slope",
@@ -79,13 +78,11 @@ class LiftedHeatOperator:
     """Stratum-wise tensor Neumann semigroup over a box window.
 
     Grid-based operations are available for small particle counts (per-axis
-    orders shrink as k grows); the Poisson count truncation K_max leaves a
-    tail mass below 1e-10.
+    orders shrink as k grows).
     """
 
     window: BoxDomain
     grid_orders: dict[int, int] = field(default_factory=dict)
-    K_max: int = field(init=False)
 
     def __post_init__(self):
         if not self.grid_orders:
@@ -93,7 +90,6 @@ class LiftedHeatOperator:
                 self.grid_orders = {1: 80, 2: 64, 3: 40, 4: 24}
             else:
                 self.grid_orders = {1: 24, 2: 10}
-        self.K_max = poisson_k_cutoff(self.window.volume)
         self._kernels: dict = {}
         self._kernel_matrices: dict = {}
 
@@ -161,17 +157,6 @@ class LiftedHeatOperator:
         comps = [self.tensor_apply(vals, t, grid, special_axis=ax, special_kind="dx")
                  for ax in range(n)]
         return grid, np.stack(_all_particles(comps, k, n), axis=0)
-
-
-def lift_semigroup(F, t: float, op: LiftedHeatOperator,
-                   k: int) -> tuple[StratumGrid, np.ndarray]:
-    """T_t F on the k-particle stratum grid (tensor kernel quadrature)."""
-    if t <= 0:
-        raise DomainError("t must be positive")
-    if k > op.K_max:
-        raise DomainError(f"stratum {k} exceeds the count truncation {op.K_max}")
-    grid = op.grid(k)
-    return grid, op.tensor_apply(_eval_on_grid(F, grid), t, grid)
 
 
 def lifted_gradient_norm(F, t: float | None, op: LiftedHeatOperator,

@@ -8,8 +8,7 @@ Two integration routes are provided and used as mutual oracles throughout:
   stacks that keep their sample indices.  ``integrate_battery`` evaluates
   every member of a battery of stratum functions ``Hk(k, X)`` on those
   stacks, puts the values back in sample order and reduces each member with
-  ``mean_and_stderr``; ``integrate`` is the same route for one functional of
-  a ``Configuration``, evaluated per configuration; and
+  ``mean_and_stderr``; and
 * particle-count stratification (``Strata``, the one particle-count loop of
   the package): condition on k points, weight by the Poisson probability of
   k, and integrate over the k-fold product box by tensor Gauss-Legendre
@@ -40,17 +39,14 @@ from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
-from .configuration import Configuration, MCEstimate, SetSpec, _draw
+from .configuration import MCEstimate, _draw
 from .geometry import BoxDomain, gauss_legendre
 from .rng import mean_and_stderr, stream_rng
 
 __all__ = [
     "MCPlan",
     "draw_by_count",
-    "integrate",
     "integrate_battery",
-    "integrate_disintegrated",
-    "measure_of_set",
     "poisson_k_cutoff",
     "poisson_pmf",
     "poisson_stratified",
@@ -110,90 +106,26 @@ def draw_by_count(plan: MCPlan) -> dict[int, tuple[np.ndarray, np.ndarray]]:
     return {k: (np.array(idx), np.stack(tuples)) for k, (idx, tuples) in sorted(groups.items())}
 
 
-def _in_sample_order(Hk, draws: dict, plan: MCPlan) -> np.ndarray:
-    """Values of the stratum function Hk at the drawn samples, in sample order."""
-    values = np.empty(plan.n_samples)
-    for k, (idx, X) in draws.items():
-        values[idx] = np.asarray(Hk(k, X), dtype=float)
-    if not np.all(np.isfinite(values)):
-        raise ValueError("non-finite integrand value encountered")
-    return values
-
-
-def _per_configuration(G, window: BoxDomain):
-    """The stratum function of a functional G of one Configuration."""
-    def Hk(k, X):
-        return [G(Configuration._unsafe(window, pts)) for pts in X]
-    return Hk
-
-
-def _estimate(values: np.ndarray, plan: MCPlan, name: str) -> MCEstimate:
-    mean, std_err = mean_and_stderr(values)
-    return MCEstimate(mean=mean, std_err=std_err, n_samples=values.size,
-                      seed=plan.seed, name=name)
-
-
-def sample_values(G, plan: MCPlan) -> np.ndarray:
-    """Per-sample values of G under the plan, in sample order."""
-    return _in_sample_order(_per_configuration(G, plan.window), draw_by_count(plan), plan)
-
-
-def integrate(G, plan: MCPlan, name: str = "") -> MCEstimate:
-    """Sample mean and standard error of G under the Poisson measure."""
-    return _estimate(sample_values(G, plan), plan, name)
-
-
 def integrate_battery(battery: Mapping[str, Callable], plan: MCPlan) -> dict[str, MCEstimate]:
     """Sample mean and standard error of every member, from one draw of the plan.
 
     Members follow the ``Hk(k, X)`` convention of ``poisson_stratified``: X
     holds the plan's k-particle configurations as tuples (m_k, k, n) and Hk
-    returns their (m_k,) values.  Each member's estimate equals ``integrate``
-    of the same functional bit for bit.  Returns name -> MCEstimate.
+    returns their (m_k,) values, which are put back in sample order.  Returns
+    name -> MCEstimate.
     """
     draws = draw_by_count(plan)
-    return {name: _estimate(_in_sample_order(Hk, draws, plan), plan, name)
-            for name, Hk in battery.items()}
-
-
-INNER_SAMPLES = 32
-
-
-def integrate_disintegrated(G, split: tuple[BoxDomain, BoxDomain], plan: MCPlan,
-                            name: str = "") -> MCEstimate:
-    """Nested estimate over a window partition: outer on N, inner on M.
-
-    For each outer pattern zeta on N, averages G(zeta + xi) over
-    ``INNER_SAMPLES`` inner Poisson patterns xi on M; the standard error is
-    taken across outer samples, which accounts for the inner noise as well.
-    """
-    M, N = split
-    if not M.disjoint_interior(N):
-        raise ValueError("split boxes must have disjoint interiors")
-    if abs(M.volume + N.volume - plan.window.volume) > 1e-9 * plan.window.volume:
-        raise ValueError("split must partition the window")
-    n_outer = max(plan.n_samples // INNER_SAMPLES, MIN_SAMPLES)
-    rng_o = stream_rng(plan.seed, 1)
-    rng_i = stream_rng(plan.seed, 2)
-    means = np.empty(n_outer)
-    for i in range(n_outer):
-        zeta = _draw(N, rng_o)
-        acc = np.empty(INNER_SAMPLES)
-        for j in range(INNER_SAMPLES):
-            xi = _draw(M, rng_i)
-            merged = Configuration._unsafe(plan.window, np.vstack([zeta, xi]))
-            acc[j] = G(merged)
-        means[i] = np.sum(acc) / INNER_SAMPLES
-    if not np.all(np.isfinite(means)):
-        raise ValueError("non-finite integrand value encountered")
-    mean, std_err = mean_and_stderr(means)
-    return MCEstimate(mean=mean, std_err=std_err, n_samples=n_outer * INNER_SAMPLES,
-                      seed=plan.seed, name=name)
-
-
-def measure_of_set(A: SetSpec, plan: MCPlan, name: str = "") -> MCEstimate:
-    """Probability of A under the Poisson measure on the plan window."""
-    return integrate(A.indicator, plan, name=name or (A.name and f"pi({A.name})"))
+    out = {}
+    for name, Hk in battery.items():
+        values = np.empty(plan.n_samples)
+        for k, (idx, X) in draws.items():
+            values[idx] = np.asarray(Hk(k, X), dtype=float)
+        if not np.all(np.isfinite(values)):
+            raise ValueError("non-finite integrand value encountered")
+        mean, std_err = mean_and_stderr(values)
+        out[name] = MCEstimate(mean=mean, std_err=std_err, n_samples=values.size,
+                               seed=plan.seed, name=name)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,16 @@
 import json
 import os
+import subprocess
+import sys
+import time
 
 import pytest
 
 from ugmt import batteries
-from ugmt.cli import (ConfigError, Report, SuiteConfig, emit_plot_data,
+from ugmt.cli import (SUITES, ConfigError, Report, SuiteConfig, emit_plot_data,
                       laplace_target, list_batteries_text, main, run_suite,
                       validate_report_schema)
-from ugmt.geometry import SmoothFunction, gauss_legendre, interval
+from ugmt.geometry import SmoothFunction, interval
 import numpy as np
 
 
@@ -176,3 +179,46 @@ def test_list_batteries_cli(capsys):
     assert main(["list-batteries"]) == 0
     out = capsys.readouterr().out
     assert "battery entries" in out
+
+
+_REFUSE_SCIPY = """
+import json, sys
+
+class RefuseScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "scipy":
+            raise ImportError(f"{name} is refused")
+
+sys.meta_path.insert(0, RefuseScipy())
+try:
+    import scipy
+except ImportError:
+    pass
+else:
+    sys.exit("scipy was imported")
+
+from ugmt import batteries, cli
+from ugmt.hausdorff import rho_m_on_box
+
+codes = {suite: cli.main(["run", suite, "--seed", "20240901", "--out", f"{sys.argv[1]}/{suite}"])
+         for suite in cli.SUITES}
+rho0 = {name: rho_m_on_box(A, 0, batteries.UNIT).total
+        for name, A in batteries.rho0_sets().items()}
+print(json.dumps({"codes": codes, "rho0": rho0}))
+"""
+
+
+def test_suites_run_with_scipy_refused(tmp_path):
+    # numpy is the one runtime dependency: every suite, and rho_0 on the
+    # closed-form count strata, runs where an import of scipy fails
+    import ugmt
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(ugmt.__file__)))
+    t0 = time.time()
+    out = subprocess.run([sys.executable, "-c", _REFUSE_SCIPY, str(tmp_path)], env=env,
+                         capture_output=True, text=True)
+    assert time.time() - t0 < 30.0
+    assert out.returncode == 0, out.stderr
+    got = json.loads(out.stdout.splitlines()[-1])
+    assert got["codes"] == {suite: 0 for suite in SUITES}
+    assert list(got["rho0"]) == list(batteries.rho0_sets())
+    assert all(0.0 <= p <= 1.0 + 1e-12 for p in got["rho0"].values())

@@ -1,13 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from scipy import stats
 
-from ugmt.configuration import (CollisionError, Configuration, MCEstimate, SetSpec,
-                                brute_force_distance, hungarian,
-                                quotient_distance, sample_poisson_batch, section_set)
+from ugmt.configuration import Configuration, MCEstimate, SetSpec, _draw, section_set
 from ugmt.geometry import BoxDomain, DomainError, interval
+from ugmt.rng import stream_rng
 
 UNIT = interval(0.0, 1.0)
 
@@ -29,7 +26,8 @@ def test_configuration_invariants():
 
 def test_poisson_count_intensity():
     window = interval(0.0, 2.0)
-    counts = [g.count for g in sample_poisson_batch(window, seed=11, n=20_000)]
+    rng = stream_rng(11, 0)
+    counts = [_draw(window, rng).shape[0] for _ in range(20_000)]
     mean = np.mean(counts)
     se = np.std(counts, ddof=1) / np.sqrt(len(counts))
     assert abs(mean - 2.0) <= 3 * se
@@ -37,60 +35,27 @@ def test_poisson_count_intensity():
 
 def test_poisson_void_probability():
     window = BoxDomain((0.0, 0.0), (1.0, 1.0))
-    gams = sample_poisson_batch(window, seed=5, n=20_000)
-    p0 = np.mean([g.count == 0 for g in gams])
-    se = np.sqrt(p0 * (1 - p0) / len(gams))
+    rng = stream_rng(5, 0)
+    voids = [_draw(window, rng).shape[0] == 0 for _ in range(20_000)]
+    p0 = np.mean(voids)
+    se = np.sqrt(p0 * (1 - p0) / len(voids))
     assert abs(p0 - np.exp(-1)) <= 3 * se + 1e-9
 
 
 def test_sampler_reproducible():
-    a, = sample_poisson_batch(UNIT, seed=42, n=1, stream=3)
-    b, = sample_poisson_batch(UNIT, seed=42, n=1, stream=3)
+    a, b, c = (Configuration(window=UNIT, points=_draw(UNIT, stream_rng(42, stream)))
+               for stream in (3, 3, 4))
     assert a == b
-    assert a != sample_poisson_batch(UNIT, seed=42, n=1, stream=4)[0] or a.count == 0
-
-
-def test_quotient_distance_examples():
-    g = conf(interval(0.0, 2.0), [0.0], [1.0])
-    h = conf(interval(0.0, 2.0), [0.5], [1.5])
-    assert quotient_distance(g, h) == pytest.approx(np.sqrt(0.5), abs=1e-12)
-    assert quotient_distance(g, g) == 0.0
-    assert quotient_distance(g, conf(interval(0.0, 2.0), [0.1], [0.2], [0.3])) == np.inf
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.integers(1, 5), st.integers(0, 2**32 - 1))
-def test_distance_matches_brute_force(k, seed):
-    rng = np.random.default_rng(seed)
-    w = BoxDomain((0.0, 0.0), (1.0, 1.0))
-    a = Configuration(window=w, points=rng.uniform(0, 1, (k, 2)))
-    b = Configuration(window=w, points=rng.uniform(0, 1, (k, 2)))
-    assert quotient_distance(a, b) == pytest.approx(brute_force_distance(a, b), abs=1e-12)
-
-
-def test_triangle_inequality():
-    rng = np.random.default_rng(3)
-    w = interval(0.0, 1.0)
-    for _ in range(300):
-        k = rng.integers(1, 7)
-        a, b, c = (Configuration(window=w, points=rng.uniform(0, 1, (k, 1)))
-                   for _ in range(3))
-        assert quotient_distance(a, c) <= (quotient_distance(a, b)
-                                           + quotient_distance(b, c) + 1e-10)
-
-
-def test_hungarian_against_known():
-    cost = np.array([[4.0, 1.0, 3.0], [2.0, 0.0, 5.0], [3.0, 2.0, 2.0]])
-    col = hungarian(cost)
-    assert cost[np.arange(3), col].sum() == pytest.approx(5.0)
+    assert a != c or a.count == 0
 
 
 def test_restricted_sampling_law():
     # restriction of the window sampler has the law of the sub-window sampler
     window = interval(0.0, 2.0)
     sub = interval(0.0, 0.75)
-    a = [g.count_in(sub) for g in sample_poisson_batch(window, seed=1, n=4000)]
-    b = [g.count for g in sample_poisson_batch(sub, seed=2, n=4000)]
+    rng_a, rng_b = stream_rng(1, 0), stream_rng(2, 0)
+    a = [int(np.sum(sub.contains(_draw(window, rng_a)))) for _ in range(4000)]
+    b = [_draw(sub, rng_b).shape[0] for _ in range(4000)]
     assert stats.ks_2samp(a, b).pvalue > 1e-3
 
 

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ugmt.geometry import (BoxDomain, DomainError, HeatKernel1D, QuadratureError,
+from ugmt.geometry import (BoxDomain, DomainError, HeatKernel1D,
                            SmoothFunction, SmoothVectorField, _dirichlet_kernel,
                            _neumann_dirichlet_kernels, _neumann_kernel_dx, auto_image_order,
                            gauss_legendre, interval, neumann_kernel, neumann_kernel_tail_bound)

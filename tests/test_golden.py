@@ -10,12 +10,12 @@ import numpy as np
 import pytest
 
 from ugmt.bv import _SHEET_STREAMS, _VariationalObjective, levelset_expectation
-from ugmt.configuration import SetSpec
-from ugmt.cylinder import CylinderVectorField, cyl_compose, cyl_from_star, tanh_of
+from ugmt.configuration import Configuration, SetSpec
+from ugmt.cylinder import cyl_compose, cyl_from_star, tanh_of
 from ugmt.geometry import SmoothFunction, SmoothVectorField, interval
 from ugmt.hausdorff import rho_m_on_box, sheet_integrals
 from ugmt.heat import LiftedHeatOperator, lifted_gradient_norm
-from ugmt.montecarlo import MCPlan, integrate, poisson_stratified, sample_values
+from ugmt.montecarlo import MCPlan, draw_by_count, integrate_battery, poisson_stratified
 from ugmt.rng import mean_and_stderr
 
 W = interval(0.0, 0.5)
@@ -113,6 +113,11 @@ def test_golden_value(name):
 
 
 def test_integrate_is_mean_and_stderr_of_samples():
+    # integrate_battery against a loop over the plan's configurations, one by one
     plan = MCPlan(n_samples=500, seed=23, window=W)
-    est = integrate(TANH_BUMP.value, plan)
-    assert (est.mean, est.std_err) == mean_and_stderr(sample_values(TANH_BUMP.value, plan))
+    est = integrate_battery({"F": lambda k, X: TANH_BUMP.value(X)}, plan)["F"]
+    values = np.empty(plan.n_samples)
+    for idx, X in draw_by_count(plan).values():
+        for i, pts in zip(idx, X):
+            values[i] = TANH_BUMP.value(Configuration._unsafe(W, pts))
+    assert (est.mean, est.std_err) == mean_and_stderr(values)

@@ -10,15 +10,21 @@ from ugmt.configuration import Configuration, SetSpec, _draw, section_set
 from ugmt.cylinder import cyl_compose, cyl_from_star, tanh_of
 from ugmt.geometry import (BoxDomain, DomainError, SmoothFunction, _legendre_rule,
                            gauss_legendre, interval)
-from ugmt.hausdorff import (CriticalLevelError, RhoLimitResult, rho_m_limit, rho_m_localized,
-                            rho_m_on_box, scaled_box, sheet_integrals, surface_functional,
-                            surface_functional_auto)
-from ugmt.montecarlo import (MCPlan, StratumGrid, measure_of_set, stratum_grid_points,
+from ugmt.hausdorff import (CriticalLevelError, RhoLimitResult, _stratum_fraction_exact,
+                            rho_m_limit, rho_m_localized, rho_m_on_box, scaled_box,
+                            sheet_integrals, surface_functional, surface_functional_auto)
+from ugmt.montecarlo import (MCPlan, StratumGrid, integrate_battery, stratum_grid_points,
                              uniform_tuples)
 from ugmt.productspace import stratum_indicator
 from ugmt.rng import stream_rng
 
 UNIT = interval(0.0, 1.0)
+
+
+def _probabilities(sets, plan):
+    """Plain Monte Carlo probability of each set, from one draw of the plan."""
+    return integrate_battery({i: lambda k, X, A=A: stratum_indicator(A, k, X, plan.window)
+                              for i, A in enumerate(sets)}, plan)
 
 
 class CoordinateSum:
@@ -103,14 +109,26 @@ def test_rho0_matches_direct_probability():
                           locality=interval(0.3, 0.7)),
         SetSpec.count_at_least(interval(0.2, 0.9), 2),
     ]
-    for A in sets:
+    for A, direct in zip(sets, _probabilities(sets, plan).values()):
         res = rho_m_on_box(A, 0, UNIT, seed=21)
-        direct = measure_of_set(A, plan)
         comb = 3 * direct.std_err + 3 * res.total_err + 1e-4
         assert abs(res.total - direct.mean) <= comb
     # the count spec with threshold 1: closed form 1 - e^{-vol}
     res = rho_m_on_box(sets[1], 0, UNIT, seed=2)
     assert res.total == pytest.approx(1 - np.exp(-0.5), abs=1e-9)
+
+
+@pytest.mark.parametrize("p", [0.0, 1e-3, 0.1, 0.3, 0.5, 0.55, 0.6, 0.7, 0.9, 1.0])
+def test_count_fraction_is_the_binomial_tail(p):
+    # every count k <= 60 and every threshold from below 0 to above k
+    from scipy import stats
+    region = interval(0.0, p) if p > 0.0 else interval(2.0, 3.0)
+    for k in range(61):
+        thresholds = np.arange(-1, k + 2)
+        want = stats.binom.sf(thresholds - 1, k, p)
+        got = [_stratum_fraction_exact(SetSpec.count_at_least(region, t), k, UNIT)
+               for t in thresholds]
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
 
 
 def test_rho1_halfspace_sheet():
@@ -183,7 +201,7 @@ def test_rho_localized_constant_when_local():
     A = SetSpec.level_set(cyl_from_star(f), 0.55)
     est0 = rho_m_localized(A, 0, scaled_box(0.0, 1.0, 1), outer, seed=4)
     plan = MCPlan(n_samples=30_000, seed=5, window=outer)
-    direct = measure_of_set(A, plan)
+    direct = _probabilities([A], plan)[0]
     assert abs(est0.mean - direct.mean) <= 3 * (est0.std_err + direct.std_err) + 1e-3
 
 

@@ -1,21 +1,27 @@
 import numpy as np
 import pytest
 
-from ugmt.configuration import Configuration, SetSpec
+from ugmt.configuration import Configuration, SetSpec, _draw
 from ugmt.cylinder import (CylinderFunction, ExponentialCylinderFunction,
-                           OuterFunction, add_n, const, coord, cyl_compose,
+                           OuterFunction, const, coord, cyl_compose,
                            cyl_from_star, mul_n, smoothstep, tanh_of)
 from ugmt.geometry import (BoxDomain, DomainError, QuadratureError, SmoothFunction,
                            gauss_legendre, interval)
 from ugmt.heat import (BesselOperator, LiftedHeatOperator, _eval_on_grid, _grad_grid,
                        _semigroup_at, bakry_emery_battery, bessel_apply, capacity_upper_bound,
-                       check_intertwining, lift_semigroup,
-                       lifted_gradient_norm, regularization_slope)
-from ugmt.montecarlo import MCPlan, integrate
+                       check_intertwining, lifted_gradient_norm, regularization_slope)
+from ugmt.montecarlo import MCPlan
 from ugmt.productspace import stratum_indicator
+from ugmt.rng import stream_rng
 
 UNIT = interval(0.0, 1.0)
 OP = LiftedHeatOperator(window=UNIT)
+
+
+def _lift(F, t, k):
+    """T_t F on OP's k-particle stratum grid: the tensor kernel on F's grid values."""
+    grid = OP.grid(k)
+    return grid, OP.tensor_apply(_eval_on_grid(F, grid), t, grid)
 
 
 def shifted_mode(amp=-0.2):
@@ -78,7 +84,7 @@ def test_conservative_on_constants():
     Fc = cyl_compose(lambda r: mul_n(const(0.0), r) + const(1.0), cyl_from_star(f))
     for k in (1, 2, 3):
         for t in (2e-3, 0.1, 10.0):
-            grid, out = lift_semigroup(Fc, t, OP, k)
+            grid, out = _lift(Fc, t, k)
             assert np.max(np.abs(out - 1.0)) < 1e-9
 
 
@@ -87,7 +93,7 @@ def test_tensor_product_structure():
     f = SmoothFunction.bump(0.5, 0.3, 0.6, window=UNIT)
     E = ExponentialCylinderFunction(f=shifted_mode(-0.25))
     t, k = 0.05, 2
-    grid, lhs = lift_semigroup(E, t, OP, k)
+    grid, lhs = _lift(E, t, k)
     ker = OP._axis_kernel(t, 0)
     nodes, w = grid.nodes[0], grid.weights[0]
     K = ker.kernel(nodes[:, None], nodes[None, :]) * w[None, :]
@@ -100,7 +106,7 @@ def test_tensor_product_structure():
 def test_exponential_cylinder_identity(t):
     E = ExponentialCylinderFunction(f=shifted_mode(-0.2))
     for k in (1, 2, 3):
-        grid, lhs = lift_semigroup(E, t, OP, k)
+        grid, lhs = _lift(E, t, k)
         ker = OP._axis_kernel(t, 0)
         nodes, w = grid.nodes[0], grid.weights[0]
         K = ker.kernel(nodes[:, None], nodes[None, :]) * w[None, :]
@@ -116,10 +122,10 @@ def test_exponential_cylinder_identity(t):
 def test_semigroup_law_on_exponentials():
     E = ExponentialCylinderFunction(f=shifted_mode(-0.3))
     s, t = 0.04, 0.07
-    grid, two_step = lift_semigroup(E, s, OP, 2)
+    grid, two_step = _lift(E, s, 2)
     # apply the second step on the grid output
     two_step = OP.tensor_apply(two_step, t, grid)
-    _, direct = lift_semigroup(E, s + t, OP, 2)
+    _, direct = _lift(E, s + t, 2)
     assert np.max(np.abs(two_step - direct)) < 1e-6
 
 
@@ -205,7 +211,7 @@ def test_pi_symmetry_on_grids():
     G = cyl_compose(lambda r: tanh_of(r), cyl_from_star(g))
     t = 0.05
     for k in (1, 2):
-        grid, TF = lift_semigroup(F, t, OP, k)
+        grid, TF = _lift(F, t, k)
         Fv = _eval_on_grid(F, grid)
         Gv = _eval_on_grid(G, grid)
         TG = OP.tensor_apply(Gv, t, grid)
@@ -215,9 +221,9 @@ def test_pi_symmetry_on_grids():
 def test_grid_route_guards():
     bump = SmoothFunction.bump(0.45, 0.3, 1.0, window=UNIT)
     with pytest.raises(DomainError):
-        lift_semigroup(SetSpec.count_at_least(interval(0.2, 0.6), 1), 0.05, OP, 1)
+        _eval_on_grid(SetSpec.count_at_least(interval(0.2, 0.6), 1), OP.grid(1))
     with pytest.raises(TypeError):
-        lift_semigroup(bump, 0.05, OP, 1)
+        _eval_on_grid(bump, OP.grid(1))
     with pytest.raises(DomainError):
         lifted_gradient_norm(SetSpec.level_set(cyl_from_star(bump), 0.6), None, OP)
     gamma = Configuration(window=UNIT, points=np.array([[0.3], [0.7]]))
@@ -244,8 +250,8 @@ def test_level_set_on_grids_is_stratum_membership():
 def test_lp_contraction():
     f = SmoothFunction.bump(0.5, 0.3, 1.0, window=UNIT)
     F = cyl_compose(lambda r: tanh_of(r), cyl_from_star(f))
-    from ugmt.configuration import sample_poisson_batch
-    gams = sample_poisson_batch(UNIT, seed=3, n=3000)
+    rng = stream_rng(3, 0)
+    gams = [Configuration(window=UNIT, points=_draw(UNIT, rng)) for _ in range(3000)]
     tf = np.array([_semigroup_at(F, g, 0.05, OP) for g in gams])
     fv = np.array([F.value(g) for g in gams])
     for p in (1.0, 2.0, 4.0):

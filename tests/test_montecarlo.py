@@ -1,22 +1,19 @@
 import math
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 from scipy import special
 
-from ugmt.configuration import CollisionError, Configuration, SetSpec, sample_poisson_batch
+from ugmt.configuration import CollisionError, Configuration, MCEstimate, SetSpec
 from ugmt.cylinder import cyl_compose, cyl_from_star, tanh_of
 from ugmt.geometry import BoxDomain, SmoothFunction, gauss_legendre, interval
 from ugmt import batteries, montecarlo
 from ugmt.hausdorff import scaled_box
-from ugmt.montecarlo import (MCPlan, _box_tuples, draw_by_count, integrate, integrate_battery,
-                             integrate_disintegrated, measure_of_set, poisson_k_cutoff,
-                             poisson_pmf, poisson_stratified, poisson_stratified_battery,
-                             shared_draws, uniform_tuples)
+from ugmt.montecarlo import (MCPlan, _box_tuples, draw_by_count, integrate_battery,
+                             poisson_k_cutoff, poisson_pmf, poisson_stratified,
+                             poisson_stratified_battery, shared_draws, uniform_tuples)
 from ugmt.montecarlo import MASS_RATIO, MIN_SAMPLES, Strata
+from ugmt.productspace import stratum_indicator
 from ugmt.rng import mean_and_stderr, stream_rng
 from ugmt import bv, hausdorff
 from ugmt.cylinder import const, mul_n
@@ -30,13 +27,22 @@ def test_plan_minimum_samples():
         MCPlan(n_samples=10, seed=1, window=UNIT)
 
 
+def _mean(Hk, plan=PLAN):
+    """integrate_battery's estimate of the one stratum function Hk."""
+    return integrate_battery({"": Hk}, plan)[""]
+
+
+def _count(k, X):
+    return np.full(X.shape[0], float(k))
+
+
 def test_constant_is_exact():
-    est = integrate(lambda g: 1.0, PLAN)
+    est = _mean(lambda k, X: np.ones(X.shape[0]))
     assert est.mean == 1.0 and est.std_err == 0.0
 
 
 def test_intensity():
-    est = integrate(lambda g: float(g.count), PLAN)
+    est = _mean(_count)
     assert est.within(UNIT.volume, 3.0)
 
 
@@ -44,68 +50,41 @@ def test_laplace_functional():
     f = SmoothFunction.bump(0.5, 0.3, 1.0, window=UNIT)
     nodes, w = gauss_legendre(0.0, 1.0, 64)
     target = float(np.exp(np.sum(w * (np.exp(f.value(nodes[:, None])) - 1.0))))
-
-    def G(g):
-        return float(np.exp(np.sum(f.value(g.points)))) if g.count else 1.0
-
-    est = integrate(G, PLAN)
+    est = _mean(lambda k, X: np.exp(np.sum(f.value(X), axis=-1)))
     assert est.within(target, 3.0)
 
 
 def test_linearity_for_fixed_plan():
     f = SmoothFunction.bump(0.5, 0.3, 1.0, window=UNIT)
 
-    def G(g):
-        return float(np.sum(f.value(g.points))) if g.count else 0.0
-
-    def H(g):
-        return float(g.count)
+    def G(k, X):
+        return np.sum(f.value(X), axis=-1)
 
     a, b = 2.5, -0.75
-    combo = integrate(lambda g: a * G(g) + b * H(g), PLAN)
-    eg = integrate(G, PLAN)
-    eh = integrate(H, PLAN)
-    assert combo.mean == pytest.approx(a * eg.mean + b * eh.mean, rel=1e-13)
+    got = integrate_battery({"combo": lambda k, X: a * G(k, X) + b * _count(k, X),
+                             "G": G, "H": _count}, PLAN)
+    assert got["combo"].mean == pytest.approx(a * got["G"].mean + b * got["H"].mean, rel=1e-13)
 
 
 def test_determinism():
-    est1 = integrate(lambda g: float(g.count), PLAN)
-    est2 = integrate(lambda g: float(g.count), PLAN)
+    est1 = _mean(_count)
+    est2 = _mean(_count)
     assert est1.mean == est2.mean and est1.std_err == est2.std_err
 
 
 def test_non_finite_detected():
     with pytest.raises(ValueError):
-        integrate(lambda g: float("nan"), MCPlan(n_samples=100, seed=1, window=UNIT))
-
-
-def test_disintegration_constant_and_count():
-    M, N = interval(0.0, 0.4), interval(0.4, 1.0)
-    est = integrate_disintegrated(lambda g: 1.0, (M, N), PLAN)
-    assert est.mean == 1.0
-    est2 = integrate_disintegrated(lambda g: float(g.count_in(M)), (M, N), PLAN)
-    assert est2.within(M.volume, 3.0)
-    with pytest.raises(ValueError):
-        integrate_disintegrated(lambda g: 1.0, (interval(0, 0.5), interval(0.4, 1.0)), PLAN)
-
-
-def test_disintegration_vs_direct():
-    f = SmoothFunction.bump(0.5, 0.35, 1.0, window=UNIT)
-    F = cyl_compose(lambda r: tanh_of(r), cyl_from_star(f))
-    M, N = interval(0.0, 0.5), interval(0.5, 1.0)
-    direct = integrate(F.value, PLAN)
-    nested = integrate_disintegrated(F.value, (M, N), PLAN)
-    comb = np.sqrt(direct.std_err**2 + nested.std_err**2)
-    assert abs(direct.mean - nested.mean) <= 3 * comb
+        _mean(lambda k, X: np.full(X.shape[0], np.nan),
+              MCPlan(n_samples=100, seed=1, window=UNIT))
 
 
 def test_measure_of_set_void():
     Q = interval(0.2, 0.7)
     A = SetSpec.predicate(lambda g: g.count_in(Q) == 0, locality=Q)
-    est = measure_of_set(A, PLAN)
+    est = _mean(lambda k, X: stratum_indicator(A, k, X, UNIT))
     assert est.within(np.exp(-Q.volume), 3.0)
     full = SetSpec.count_at_least(UNIT, 0)
-    assert measure_of_set(full, PLAN).mean == 1.0
+    assert _mean(lambda k, X: stratum_indicator(full, k, X, UNIT)).mean == 1.0
 
 
 def test_stratified_against_mc():
@@ -115,7 +94,7 @@ def test_stratified_against_mc():
         return F.value(X)
 
     val, err = poisson_stratified(Hk, UNIT, seed=4, sup_bound=1.0)
-    mc = integrate(F.value, PLAN)
+    mc = _mean(Hk)
     assert abs(val - mc.mean) <= 3 * mc.std_err + err + 1e-4
 
 
@@ -131,7 +110,7 @@ def test_chebyshev_sanity():
     hits = 0
     for seed in range(100):
         plan = MCPlan(n_samples=400, seed=seed, window=UNIT)
-        est = integrate(lambda g: float(g.count), plan)
+        est = _mean(_count, plan)
         if abs(est.mean - 1.0) <= 3 * est.std_err:
             hits += 1
     assert hits >= 95
@@ -192,12 +171,6 @@ def test_draw_by_count_reproduces_per_configuration_draws(window):
     assert seen == set(range(plan.n_samples))
     if window.volume > 10:
         assert max(draws) >= 8
-    # sample_poisson_batch draws each plan stream's configurations in order
-    rows = {int(i): pts for idx, X in draws.values() for i, pts in zip(idx, X)}
-    for j in range(plan.streams):
-        ids = range(j, plan.n_samples, plan.streams)
-        batch = sample_poisson_batch(window, plan.seed, len(ids), stream=j)
-        assert batch == [Configuration(window=window, points=rows[i]) for i in ids]
 
 
 class _RepeatOnce:
@@ -281,10 +254,9 @@ def test_integrate_battery_equals_integrate(window):
     got = integrate_battery({name: Hk for name, (_, Hk) in pairs.items()}, plan)
     assert list(got) == list(pairs)
     for name, (G, _) in pairs.items():
-        est = integrate(G, plan, name=name)
-        assert (est.mean, est.std_err) == _reference_integrate(G, plan)
-        assert (got[name].mean, got[name].std_err) == (est.mean, est.std_err)
-        assert got[name] == est
+        mean, std_err = _reference_integrate(G, plan)
+        assert got[name] == MCEstimate(mean=mean, std_err=std_err, n_samples=plan.n_samples,
+                                       seed=plan.seed, name=name)
     with pytest.raises(ValueError):
         integrate_battery({"nan": lambda k, X: np.full(X.shape[0], np.nan)}, plan)
 
@@ -373,37 +345,6 @@ def test_poisson_tail_matches_pdtrc(lam):
         if ref > 1e-300:
             assert montecarlo._poisson_tail(k, lam) == pytest.approx(ref, rel=1e-13, abs=0.0)
     assert montecarlo._poisson_tail(-1, lam) == pytest.approx(1.0, rel=1e-15)
-
-
-def test_count_weights_load_no_scipy():
-    import ugmt
-    src = os.path.dirname(os.path.dirname(ugmt.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    code = (
-        "import sys, ugmt.cli\n"
-        "def loaded(): return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
-        "print(loaded())\n"
-        "from ugmt.geometry import interval\n"
-        "from ugmt.heat import BesselOperator\n"
-        "from ugmt.montecarlo import Strata, poisson_k_cutoff\n"
-        "BesselOperator(alpha=0.6, p=2.0).nodes_weights()\n"
-        "poisson_k_cutoff(3.0)\n"
-        "Strata(interval(0.0, 2.0)).integrate(lambda s: [(1.0, 0.0)], sup_bound=1.0)\n"
-        "print(loaded())\n")
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True)
-    assert out.stdout.split("\n")[:2] == ["[]", "[]"]
-
-
-def test_cli_import_leaves_out_scipy_stats_and_optimize():
-    import ugmt
-    src = os.path.dirname(os.path.dirname(ugmt.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run(
-        [sys.executable, "-c", "import sys, ugmt.cli; "
-         "print(sorted(m for m in ('scipy.stats', 'scipy.optimize') if m in sys.modules))"],
-        env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
 
 
 _DRAW_WINDOWS = {

@@ -18,9 +18,6 @@ local (``symtable`` again), so a local ``build = ...`` does not call a module
 function ``build``.  A string constant counts only where it names a hook that
 ``perfbench/tracer.py`` wraps by name (its ``_EXTRA`` entry points and
 ``_KERNEL_FNS``).  A name no module reads at all is code nothing calls.
-
-Second-route references are exempt.  The program computes each of their
-quantities another way, and tests set the two routes against each other.
 """
 
 import ast
@@ -31,16 +28,6 @@ from collections import Counter
 ROOT = pathlib.Path(__file__).parents[1]
 PACKAGE = ROOT / "src" / "ugmt"
 MODULES = {path.stem for path in PACKAGE.glob("*.py")}
-
-SECOND_ROUTES = {
-    "quotient_distance": "assignment distance, checked against brute_force_distance",
-    "brute_force_distance": "permutation brute force that quotient_distance is checked against",
-    "measure_of_set": "plain Monte Carlo probability against rho_0 on strata",
-    "integrate_disintegrated": "disintegrated Poisson integral against plain integrate",
-    "lift_semigroup": "tensor-grid semigroup against the closed-form ExponentialCylinderFunction",
-    "sample_poisson_batch": "each plan stream's configurations against draw_by_count",
-    "directional_derivative_fd": "finite differences against the exact gradient",
-}
 
 
 def _public_names() -> list[tuple[str, str]]:
@@ -188,25 +175,12 @@ def _unread_functions() -> set[tuple[str, str]]:
 
 
 def test_every_function_is_read_by_the_program():
-    unread = sorted(f"{module}.{name}" for module, name in _unread_functions()
-                    if name not in SECOND_ROUTES)
+    unread = sorted(f"{module}.{name}" for module, name in _unread_functions())
     assert not unread, f"functions no module reads: {unread}"
 
 
 def test_every_public_name_has_a_program_caller():
     used = _program_uses()
     test_only = [f"{module}.{name}" for module, name in _public_names()
-                 if (module, name) not in used and name not in SECOND_ROUTES]
+                 if (module, name) not in used]
     assert not test_only, f"public names that only tests call: {test_only}"
-
-
-def test_second_route_exemptions_are_public_and_still_test_only():
-    # an exemption that gains a program reader, or leaves the package, is
-    # dropped; one in __all__ is judged by its uses, any other by its reads
-    public = {name: module for module, name in _public_names()}
-    functions = {node.name for _, node in _functions()}
-    used, unread = _program_uses(), {name for _, name in _unread_functions()}
-    stale = sorted(name for name in SECOND_ROUTES
-                   if ((public[name], name) in used if name in public
-                       else name not in functions or name not in unread))
-    assert not stale, f"exemptions to drop: {stale}"
