@@ -26,7 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .configuration import Configuration, SetSpec, _draw
+from .configuration import (Configuration, SetSpec, _in_point_order, by_count,
+                            poisson_configurations)
 from .cylinder import CylinderFunction, CylinderVectorField, cyl_compose, mul_n, const
 from .geometry import BoxDomain, DomainError
 from .hausdorff import CodimMeasureResult, CriticalLevelError, sheet_integrals
@@ -816,16 +817,13 @@ def _alignment_cosines(F: CylinderFunction, V: CylinderVectorField, window: BoxD
                        seed: int) -> np.ndarray:
     """Cosines between grad F and V over 400 Poisson configurations drawn in
     order on stream (seed, 77), in draw order, skipping those with
-    |grad F| <= 0.1 or |V| < 1e-12.  The configurations are grouped by count
-    and each stack is evaluated at once; rows are independent, so every
-    cosine equals its one-configuration value bit for bit."""
-    rng = stream_rng(seed, 77)
-    draws = [Configuration(window=window, points=_draw(window, rng)).points
-             for _ in range(400)]
-    cosines, kept = np.empty(len(draws)), np.zeros(len(draws), dtype=bool)
-    for k in sorted({pts.shape[0] for pts in draws}):
-        idx = np.array([i for i, pts in enumerate(draws) if pts.shape[0] == k])
-        X = np.stack([draws[i] for i in idx])
+    |grad F| <= 0.1 or |V| < 1e-12.  Each configuration's points are in
+    ``Configuration``'s order, the configurations are grouped by count and
+    each stack is evaluated at once; rows are independent, so every cosine
+    equals its one-configuration value bit for bit."""
+    counts, points = poisson_configurations(window, stream_rng(seed, 77), 400)
+    cosines, kept = np.empty(counts.size), np.zeros(counts.size, dtype=bool)
+    for idx, X in by_count(counts, _in_point_order(counts, points)).values():
         g = F.gradient(X).reshape(len(idx), -1)
         wv = V.at_particles(X).reshape(len(idx), -1)
         gn = np.sqrt(np.sum(g * g, axis=-1))

@@ -22,7 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .configuration import Configuration, MCEstimate, SetSpec, _draw, section_set
+from .configuration import (Configuration, MCEstimate, SetSpec, poisson_configurations,
+                            section_set)
 from .geometry import BoxDomain, DomainError
 from .montecarlo import (StratifiedSum, Strata, StratumGrid, poisson_k_cutoff,
                          stratum_grid_points, uniform_tuples)
@@ -400,10 +401,11 @@ def rho_m_localized(A: SetSpec, m: int, inner: BoxDomain, outer: BoxDomain, *,
                           seed=seed, name=A.name and f"rho{m}_loc({A.name})")
     # Poisson patterns eta on the locality outside the inner box; the error
     # adds the spread over patterns and the per-pattern errors in quadrature
-    rng = stream_rng(seed, 7)
+    counts, points = poisson_configurations(A.locality, stream_rng(seed, 7), n_eta)
+    ends = np.cumsum(counts)
     vals, errs = np.empty(n_eta), np.empty(n_eta)
     for i in range(n_eta):
-        pts = _draw(A.locality, rng)
+        pts = points[ends[i] - counts[i]:ends[i]]
         eta = Configuration(window=A.locality, points=pts[~inner.contains(pts)])
         res = rho_m_on_box(section_set(A, eta, inner), m, inner,
                            n_samples=max(2000, n_samples // 8), seed=seed + 1 + i)

@@ -3,9 +3,9 @@
 Two integration routes are provided and used as mutual oracles throughout:
 
 * plain Monte Carlo over sampled configurations.  ``draw_by_count`` draws
-  each sample of an ``MCPlan`` once, per configuration and on the plan's
-  streams, and groups the draws by particle count into ``(m_k, k, n)`` tuple
-  stacks that keep their sample indices.  ``integrate_battery`` evaluates
+  each sample of an ``MCPlan`` once, one ``poisson_configurations`` walk per
+  plan stream, and groups the draws by particle count into ``(m_k, k, n)``
+  tuple stacks that keep their sample indices.  ``integrate_battery`` evaluates
   every member of a battery of stratum functions ``Hk(k, X)`` on those
   stacks, puts the values back in sample order and reduces each member with
   ``mean_and_stderr``; and
@@ -39,7 +39,7 @@ from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
-from .configuration import MCEstimate, _draw
+from .configuration import MCEstimate, by_count, poisson_configurations
 from .geometry import BoxDomain, gauss_legendre
 from .rng import mean_and_stderr, stream_rng
 
@@ -88,22 +88,18 @@ def draw_by_count(plan: MCPlan) -> dict[int, tuple[np.ndarray, np.ndarray]]:
     """Every configuration of the plan, drawn once and grouped by particle count.
 
     Stream j of the plan's ``streams`` S draws samples j, j + S, j + 2S,
-    ... in that order on the random stream (seed, j), one ``_draw`` per
-    configuration, so the points and the collision retries do not depend on
-    the grouping.  Streams are drawn j = 0, ..., S - 1 in order.  Returns
-    k -> (sample indices, tuples) for every count drawn, k ascending: the
-    tuples have shape (m_k, k, n) and are in stream order.
+    ... in that order on the random stream (seed, j), all of them by one
+    ``poisson_configurations`` walk, so the points and the collision redraws
+    are those of one ``_draw`` per configuration and do not depend on the
+    grouping.  Returns k -> (sample indices, tuples) for every count drawn,
+    k ascending: the tuples have shape (m_k, k, n) and are in stream order.
     """
     S, n = plan.streams, plan.n_samples
-    groups: dict[int, tuple[list, list]] = {}
-    for j in range(S):
-        rng = stream_rng(plan.seed, j)
-        for i in range(j, n, S):
-            pts = _draw(plan.window, rng)
-            idx, tuples = groups.setdefault(pts.shape[0], ([], []))
-            idx.append(i)
-            tuples.append(pts)
-    return {k: (np.array(idx), np.stack(tuples)) for k, (idx, tuples) in sorted(groups.items())}
+    walks = [poisson_configurations(plan.window, stream_rng(plan.seed, j), len(range(j, n, S)))
+             for j in range(S)]
+    sample = np.concatenate([np.arange(j, n, S) for j in range(S)])
+    groups = by_count(np.concatenate([c for c, _ in walks]), np.concatenate([p for _, p in walks]))
+    return {k: (sample[pos], X) for k, (pos, X) in groups.items()}
 
 
 def integrate_battery(battery: Mapping[str, Callable], plan: MCPlan) -> dict[str, MCEstimate]:

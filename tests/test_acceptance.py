@@ -13,7 +13,7 @@ import numpy as np
 
 from ugmt import batteries
 from ugmt.cli import SuiteConfig, laplace_target, run_suite
-from ugmt.configuration import _draw
+from ugmt.configuration import poisson_configurations
 from ugmt.cylinder import cyl_compose, cyl_from_star, smoothstep, tanh_of
 from ugmt.geometry import BoxDomain, SmoothFunction, interval
 from ugmt.heat import (BesselOperator, LiftedHeatOperator, _eval_on_grid, bakry_emery_battery,
@@ -61,16 +61,20 @@ def _nested_estimate(F, split, plan, inner=32):
     """(mean, std_err) of the nested Poisson integral over a window partition.
 
     Each of max(n / inner, 100) outer patterns zeta on N (stream (seed, 1))
-    is merged with ``inner`` inner patterns xi on M (stream (seed, 2)), drawn
-    in that order, and F is averaged over the merged patterns; the standard
+    is merged with ``inner`` inner patterns xi on M (stream (seed, 2)), each
+    stream drawn in order by one walk, and F is averaged over the merged patterns; the standard
     error is taken across outer samples, so it covers the inner noise as
     well.  F is evaluated on the merged tuples, batched by particle count.
     """
     M, N = split
     n_outer = max(plan.n_samples // inner, 100)
-    rng_o, rng_i = stream_rng(plan.seed, 1), stream_rng(plan.seed, 2)
-    merged = [np.vstack([zeta, _draw(M, rng_i)])
-              for zeta in (_draw(N, rng_o) for _ in range(n_outer)) for _ in range(inner)]
+
+    def patterns(window, stream, m):
+        counts, pts = poisson_configurations(window, stream_rng(plan.seed, stream), m)
+        return np.split(pts, np.cumsum(counts)[:-1])
+
+    outer, xis = patterns(N, 1, n_outer), patterns(M, 2, n_outer * inner)
+    merged = [np.vstack([outer[i // inner], xi]) for i, xi in enumerate(xis)]
     counts = np.array([pts.shape[0] for pts in merged])
     values = np.empty(len(merged))
     for k in np.unique(counts):

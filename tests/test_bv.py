@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from ugmt import batteries, bv, cli, montecarlo
-from ugmt.configuration import Configuration, SetSpec, _draw
+from ugmt.configuration import Configuration, SetSpec, poisson_configurations
 from ugmt.cylinder import (CylinderVectorField, cyl_compose, cyl_from_star, const, mul_n,
                            tanh_of)
 from ugmt.geometry import DomainError, SmoothFunction, SmoothVectorField, interval
@@ -442,10 +442,10 @@ def test_coarea_numeric_G_scales_both_sides():
 
 def _reference_cosines(F, V, window, seed):
     """The alignment loop, one Configuration at a time."""
-    rng = stream_rng(seed, 77)
+    counts, points = poisson_configurations(window, stream_rng(seed, 77), 400)
     cosines = []
-    for _ in range(400):
-        gamma = Configuration(window=window, points=_draw(window, rng))
+    for pts in np.split(points, np.cumsum(counts)[:-1]):
+        gamma = Configuration(window=window, points=pts)
         g = F.gradient(gamma)
         gn = float(np.sqrt(np.sum(g * g)))
         if gn <= 0.1:

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from ugmt.configuration import Configuration, MCEstimate, SetSpec, _draw, section_set
+from ugmt.configuration import (Configuration, MCEstimate, SetSpec, _draw, by_count,
+                                poisson_configurations, section_set)
 from ugmt.geometry import BoxDomain, DomainError, interval
 from ugmt.rng import stream_rng
 
@@ -26,8 +27,7 @@ def test_configuration_invariants():
 
 def test_poisson_count_intensity():
     window = interval(0.0, 2.0)
-    rng = stream_rng(11, 0)
-    counts = [_draw(window, rng).shape[0] for _ in range(20_000)]
+    counts, _ = poisson_configurations(window, stream_rng(11, 0), 20_000)
     mean = np.mean(counts)
     se = np.std(counts, ddof=1) / np.sqrt(len(counts))
     assert abs(mean - 2.0) <= 3 * se
@@ -35,10 +35,9 @@ def test_poisson_count_intensity():
 
 def test_poisson_void_probability():
     window = BoxDomain((0.0, 0.0), (1.0, 1.0))
-    rng = stream_rng(5, 0)
-    voids = [_draw(window, rng).shape[0] == 0 for _ in range(20_000)]
-    p0 = np.mean(voids)
-    se = np.sqrt(p0 * (1 - p0) / len(voids))
+    counts, _ = poisson_configurations(window, stream_rng(5, 0), 20_000)
+    p0 = np.mean(counts == 0)
+    se = np.sqrt(p0 * (1 - p0) / len(counts))
     assert abs(p0 - np.exp(-1)) <= 3 * se + 1e-9
 
 
@@ -53,10 +52,80 @@ def test_restricted_sampling_law():
     # restriction of the window sampler has the law of the sub-window sampler
     window = interval(0.0, 2.0)
     sub = interval(0.0, 0.75)
-    rng_a, rng_b = stream_rng(1, 0), stream_rng(2, 0)
-    a = [int(np.sum(sub.contains(_draw(window, rng_a)))) for _ in range(4000)]
-    b = [_draw(sub, rng_b).shape[0] for _ in range(4000)]
+    counts, points = poisson_configurations(window, stream_rng(1, 0), 4000)
+    owner = np.repeat(np.arange(counts.size), counts)
+    a = np.bincount(owner[sub.contains(points)], minlength=counts.size)
+    b, _ = poisson_configurations(sub, stream_rng(2, 0), 4000)
     assert stats.ks_2samp(a, b).pvalue > 1e-3
+
+
+# ---------------------------------------------------------------------------
+# the block walk against the per-configuration draw
+
+WALK_WINDOWS = {
+    "unit": UNIT,
+    "unit2": BoxDomain((0.0, 0.0), (1.0, 1.0)),
+    "interval-2": interval(0.0, 2.0),
+    "box-3": BoxDomain((0.0, -1.0, 0.5), (2.0, 0.5, 1.5)),
+    "volume-9.5": interval(-4.75, 4.75),
+    "volume-12": BoxDomain((0.0, -1.0), (4.0, 2.0)),
+}
+
+
+def _sequential(window, rng, m):
+    return [_draw(window, rng) for _ in range(m)]
+
+
+def _assert_walk_is(counts, points, draws):
+    assert counts.dtype.kind == "i"
+    assert counts.tolist() == [pts.shape[0] for pts in draws]
+    assert points.shape[0] == sum(counts)
+    ends = np.cumsum(counts)
+    for i, pts in enumerate(draws):
+        assert np.array_equal(points[ends[i] - counts[i]:ends[i]], pts)
+
+
+@pytest.mark.parametrize("m", [0, 1, 7, 5000])
+@pytest.mark.parametrize("window", WALK_WINDOWS.values(), ids=list(WALK_WINDOWS))
+def test_walk_reproduces_sequential_draws(window, m):
+    # also the guard against a numpy release that changes its Poisson rule
+    for seed in (0, 1, 23, 20240901):
+        counts, points = poisson_configurations(window, stream_rng(seed, 5), m)
+        assert points.shape[1] == window.dim
+        _assert_walk_is(counts, points, _sequential(window, stream_rng(seed, 5), m))
+
+
+class _RandomSpy:
+    """A generator that offers the walk only ``random`` and records each size."""
+
+    def __init__(self, rng):
+        self.rng, self.sizes = rng, []
+
+    def random(self, size):
+        self.sizes.append(size)
+        return self.rng.random(size)
+
+
+def test_walk_extends_a_short_block():
+    # on stream (1750, 0) seven configurations on the unit square outrun the
+    # first block's three standard deviations
+    window, m = WALK_WINDOWS["unit2"], 7
+    spy = _RandomSpy(stream_rng(1750, 0))
+    counts, points = poisson_configurations(window, spy, m)
+    assert len(spy.sizes) >= 2
+    _assert_walk_is(counts, points, _sequential(window, stream_rng(1750, 0), m))
+
+
+def test_by_count_groups_in_draw_order():
+    counts, points = poisson_configurations(UNIT, stream_rng(3, 1), 500)
+    groups = by_count(counts, points)
+    assert list(groups) == sorted(set(counts.tolist()))
+    ends = np.cumsum(counts)
+    for k, (pos, X) in groups.items():
+        assert pos.tolist() == np.flatnonzero(counts == k).tolist()
+        assert X.shape == (pos.size, k, 1)
+        for i, pts in zip(pos, X):
+            assert np.array_equal(pts, points[ends[i] - k:ends[i]])
 
 
 def test_section_set_basics():

@@ -10,13 +10,12 @@ import numpy as np
 import pytest
 
 from ugmt.bv import _SHEET_STREAMS, _VariationalObjective, levelset_expectation
-from ugmt.configuration import Configuration, SetSpec
+from ugmt.configuration import SetSpec
 from ugmt.cylinder import cyl_compose, cyl_from_star, tanh_of
 from ugmt.geometry import SmoothFunction, SmoothVectorField, interval
 from ugmt.hausdorff import rho_m_on_box, sheet_integrals
 from ugmt.heat import LiftedHeatOperator, lifted_gradient_norm
-from ugmt.montecarlo import MCPlan, draw_by_count, integrate_battery, poisson_stratified
-from ugmt.rng import mean_and_stderr
+from ugmt.montecarlo import poisson_stratified
 
 W = interval(0.0, 0.5)
 BUMP = SmoothFunction.bump(0.25, 0.2, 1.0, window=W)
@@ -111,13 +110,3 @@ def test_golden_value(name):
     assert value == pytest.approx(want_value, rel=1e-12, abs=0.0)
     assert error == pytest.approx(want_error, rel=1e-12, abs=0.0)
 
-
-def test_integrate_is_mean_and_stderr_of_samples():
-    # integrate_battery against a loop over the plan's configurations, one by one
-    plan = MCPlan(n_samples=500, seed=23, window=W)
-    est = integrate_battery({"F": lambda k, X: TANH_BUMP.value(X)}, plan)["F"]
-    values = np.empty(plan.n_samples)
-    for idx, X in draw_by_count(plan).values():
-        for i, pts in zip(idx, X):
-            values[i] = TANH_BUMP.value(Configuration._unsafe(W, pts))
-    assert (est.mean, est.std_err) == mean_and_stderr(values)

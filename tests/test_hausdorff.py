@@ -6,7 +6,7 @@ import pytest
 
 from ugmt import batteries
 from ugmt.bv import _SHEET_STREAMS, perimeter_measure
-from ugmt.configuration import Configuration, SetSpec, _draw, section_set
+from ugmt.configuration import Configuration, SetSpec, poisson_configurations, section_set
 from ugmt.cylinder import cyl_compose, cyl_from_star, tanh_of
 from ugmt.geometry import (BoxDomain, DomainError, SmoothFunction, _legendre_rule,
                            gauss_legendre, interval)
@@ -163,9 +163,8 @@ def test_rho1_clamps_a_negative_stratum_at_zero():
     # k = 2 stratum (quadrature order 96) comes out negative
     spec = batteries.monotone_sheets()["sheet-scale-1.3"]
     inner = scaled_box(0.0, 1.0, 1)
-    rng = stream_rng(7, 7)
-    for _ in range(22):
-        pts = _draw(spec.locality, rng)
+    counts, points = poisson_configurations(spec.locality, stream_rng(7, 7), 22)
+    pts = points[points.shape[0] - counts[-1]:]
     sec = section_set(spec, Configuration(window=spec.locality,
                                           points=pts[~inner.contains(pts)]), inner)
     raw = sheet_integrals(sec.function, sec.level, {"s": None}, inner, streams=(80, 1),

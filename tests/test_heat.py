@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ugmt.configuration import Configuration, SetSpec, _draw
+from ugmt.configuration import Configuration, SetSpec, poisson_configurations
 from ugmt.cylinder import (CylinderFunction, ExponentialCylinderFunction,
                            OuterFunction, const, coord, cyl_compose,
                            cyl_from_star, mul_n, smoothstep, tanh_of)
@@ -250,8 +250,9 @@ def test_level_set_on_grids_is_stratum_membership():
 def test_lp_contraction():
     f = SmoothFunction.bump(0.5, 0.3, 1.0, window=UNIT)
     F = cyl_compose(lambda r: tanh_of(r), cyl_from_star(f))
-    rng = stream_rng(3, 0)
-    gams = [Configuration(window=UNIT, points=_draw(UNIT, rng)) for _ in range(3000)]
+    counts, points = poisson_configurations(UNIT, stream_rng(3, 0), 3000)
+    gams = [Configuration(window=UNIT, points=pts)
+            for pts in np.split(points, np.cumsum(counts)[:-1])]
     tf = np.array([_semigroup_at(F, g, 0.05, OP) for g in gams])
     fv = np.array([F.value(g) for g in gams])
     for p in (1.0, 2.0, 4.0):
@@ -382,23 +383,21 @@ _REFERENCE_CHUNK_FLOATS = 6_000_000   # floats of one chunk's broadcast grid ten
 def _einsum_battery_reference(F, ps, ts, op, plan):
     """The per-F loop the battery form replaced, kept as the reference.
 
-    It draws the plan per configuration, builds every particle's gradient
+    It draws the plan stream by stream, builds every particle's gradient
     component and |grad F|^p per (k, t), the kernel vectors per chunk, and
     contracts each particle axis with an einsum over the grid tensor
     broadcast to every sample.  Returns the per-sample gaps
     |grad T_t F|^p - T_t |grad F|^p of the samples with k > 0, per (p, t),
     and the sample count.
     """
-    from ugmt.configuration import _draw
     from ugmt.heat import _BE_ORDERS
-    from ugmt.rng import stream_rng
 
     points = []
     S = plan.streams
     for j in range(S):
-        rng = stream_rng(plan.seed, j)
-        for _ in range(len(range(j, plan.n_samples, S))):
-            points.append(_draw(plan.window, rng))
+        counts, pts = poisson_configurations(plan.window, stream_rng(plan.seed, j),
+                                             len(range(j, plan.n_samples, S)))
+        points.extend(np.split(pts, np.cumsum(counts)[:-1]))
     by_k = {}
     for pts in points:
         by_k.setdefault(pts.shape[0], []).append(pts)

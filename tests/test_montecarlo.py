@@ -173,12 +173,20 @@ def test_draw_by_count_reproduces_per_configuration_draws(window):
         assert max(draws) >= 8
 
 
+def _doubles_drawn(rng):
+    """Doubles a Philox stream has handed out: four per counter step, less
+    those still in its buffer."""
+    state = rng.bit_generator.state
+    return 4 * int(state["state"]["counter"][0]) - 4 + state["buffer_pos"]
+
+
 class _RepeatOnce:
-    """A generator whose first multi-point uniform draw repeats a point."""
+    """A generator whose first multi-point uniform draw repeats a point; ``at``
+    is the stream position of that draw's first double."""
 
     def __init__(self, seed, stream):
         self.rng = stream_rng(seed, stream)
-        self.repeated = False
+        self.at = None
         self.uniform_calls = 0
 
     def poisson(self, lam):
@@ -186,40 +194,68 @@ class _RepeatOnce:
 
     def uniform(self, low, high, size):
         self.uniform_calls += 1
+        at = _doubles_drawn(self.rng)
         pts = self.rng.uniform(low, high, size=size)
-        if not self.repeated and size[0] >= 2:
-            self.repeated = True
+        if self.at is None and size[0] >= 2:
+            self.at = at
             pts[1] = pts[0]
         return pts
 
 
+class _RepeatAt:
+    """The walk's surface of a stream, ``random``, with the doubles of point 1
+    of the configuration whose points start at position ``at`` replaced by
+    those of its point 0: the repeat of ``_RepeatOnce``."""
+
+    def __init__(self, seed, stream, at, dim):
+        self.rng = stream_rng(seed, stream)
+        self.head = self.rng.random(at + 2 * dim)
+        self.head[at + dim:] = self.head[at:at + dim]
+        self.served = 0
+
+    def random(self, size):
+        head = self.head[self.served:self.served + size]
+        self.served += size
+        return np.concatenate([head, self.rng.random(size - head.size)])
+
+
 def test_draw_takes_the_collision_retry_path(monkeypatch):
-    from ugmt import montecarlo
-
     plan = MCPlan(n_samples=200, seed=4, window=UNIT, streams=3)
-    ref_rngs, new_rngs = [], []
+    refs, walks = [], []
 
-    def factory(store):
-        def make(seed, stream):
-            store.append(_RepeatOnce(seed, stream))
-            return store[-1]
-        return make
+    def reference(seed, stream):
+        refs.append(_RepeatOnce(seed, stream))
+        return refs[-1]
 
-    ref = _reference_plan_draws(plan, factory(ref_rngs))
-    monkeypatch.setattr(montecarlo, "stream_rng", factory(new_rngs))
+    def walk(seed, stream):
+        walks.append(_RepeatAt(seed, stream, refs[stream].at, plan.window.dim))
+        return walks[-1]
+
+    ref = _reference_plan_draws(plan, reference)
+    assert all(r.at is not None for r in refs)
+    # one redraw per stream
+    assert ([r.uniform_calls for r in refs]
+            == [len(range(j, plan.n_samples, plan.streams)) + 1 for j in range(plan.streams)])
+    monkeypatch.setattr(montecarlo, "stream_rng", walk)
     draws = draw_by_count(plan)
-    assert all(r.repeated for r in new_rngs)
-    assert [r.uniform_calls for r in new_rngs] == [r.uniform_calls for r in ref_rngs]
-    assert sum(r.uniform_calls for r in new_rngs) == plan.n_samples + len(new_rngs)
+    assert len(walks) == plan.streams
+    # each walk read its stream through the repeat and the redraw, as far as
+    # the reference drew
+    assert all(w.served >= _doubles_drawn(r.rng) for w, r in zip(walks, refs))
     for idx, X in draws.values():
         for i, pts in zip(idx, X):
             assert np.array_equal(pts, ref[i])
             assert len(set(map(tuple, pts.tolist()))) == pts.shape[0]
 
-    class Stuck(_RepeatOnce):
-        def uniform(self, low, high, size):
-            self.repeated = False
-            return super().uniform(low, high, size)
+    class Stuck:
+        """Every double is 1/2: at volume 5 the count walk reads 7 points,
+        all equal, on every redraw."""
+
+        def __init__(self, seed, stream):
+            pass
+
+        def random(self, size):
+            return np.full(size, 0.5)
 
     monkeypatch.setattr(montecarlo, "stream_rng", Stuck)
     with pytest.raises(CollisionError):
@@ -243,14 +279,33 @@ def _reference_integrate(G, plan):
     return mean_and_stderr(values)
 
 
-@pytest.mark.parametrize("window", [UNIT, BoxDomain((0.0, 0.0), (1.0, 1.0))],
-                         ids=["unit", "unit2"])
-def test_integrate_battery_equals_integrate(window):
+def _laplace_battery(window):
     fs = [SmoothFunction.bump((0.5,) * window.dim, 0.3, 1.0, window=window),
           SmoothFunction.bump((0.4,) * window.dim, 0.35, -0.7, window=window)]
-    plan = MCPlan(n_samples=3000, seed=71, window=window)
     pairs = {f"f{i}": _laplace_pair(f) for i, f in enumerate(fs)}
     pairs["count"] = (lambda g: float(g.count), lambda k, X: np.full(X.shape[0], float(k)))
+    return pairs
+
+
+def _tanh_bump_battery(window):
+    F = cyl_compose(lambda r: tanh_of(r),
+                    cyl_from_star(SmoothFunction.bump(0.25, 0.2, 1.0, window=window)))
+    return {"F": (F.value, lambda k, X: F.value(X))}
+
+
+# (plan, battery of (per-configuration G, stratum function Hk) pairs)
+INTEGRATE_CASES = {
+    "unit": (MCPlan(n_samples=3000, seed=71, window=UNIT), _laplace_battery),
+    "unit2": (MCPlan(n_samples=3000, seed=71, window=BoxDomain((0.0, 0.0), (1.0, 1.0))),
+              _laplace_battery),
+    "tanh-bump": (MCPlan(n_samples=500, seed=23, window=interval(0.0, 0.5)), _tanh_bump_battery),
+}
+
+
+@pytest.mark.parametrize("plan, battery", INTEGRATE_CASES.values(), ids=list(INTEGRATE_CASES))
+def test_integrate_battery_equals_integrate(plan, battery):
+    # integrate_battery against a loop over the plan's configurations, one by one
+    pairs = battery(plan.window)
     got = integrate_battery({name: Hk for name, (_, Hk) in pairs.items()}, plan)
     assert list(got) == list(pairs)
     for name, (G, _) in pairs.items():
