@@ -15,7 +15,7 @@ from .cylinder import (CylinderFunction, CylinderVectorField, OuterFunction,
                        add_n, const, coord, cyl_compose, cyl_from_star, exp_neg,
                        mul_n, nonneg_hint, smoothstep, square, tanh_of)
 from .geometry import BoxDomain, SmoothFunction, SmoothVectorField, interval
-from .montecarlo import poisson_pmf, poisson_stratified
+from .montecarlo import poisson_pmf, poisson_stratified_battery
 
 UNIT = interval(0.0, 1.0)
 UNIT2 = BoxDomain((0.0, 0.0), (1.0, 1.0))
@@ -114,16 +114,16 @@ def tanh_sum_function(a: float = 0.35, name: str = "tanh-sum") -> CylinderFuncti
 
 
 def tanh_sum_members(us) -> dict[str, tuple[CylinderFunction, np.ndarray]]:
-    """Coarea and Sobolev members: name -> (tanh(a sum x), levels tanh(a us))
-    for three slopes a."""
+    """Coarea members: name -> (tanh(a sum x), levels tanh(a us)) for three
+    slopes a."""
     return {name: (tanh_sum_function(a, name), np.tanh(a * us))
             for name, a in (("tanh-sum-035", 0.35), ("tanh-sum-050", 0.50),
                             ("tanh-sum-028", 0.28))}
 
 
 def coarea_weights() -> dict:
-    """The G battery of the coarea and Sobolev checks: the bare gradient mass
-    and a bump-statistic weight with values in (0.1, 1.1)."""
+    """The G battery of the coarea check: the bare gradient mass and a
+    bump-statistic weight with values in (0.1, 1.1)."""
     G_bump = cyl_compose(lambda r: add_n(const(0.6), mul_n(const(0.5), tanh_of(r))),
                          cyl_from_star(SmoothFunction.bump(0.45, 0.3, 1.0, window=UNIT)))
     return {"unit": 1.0, "bump-cyl": G_bump}
@@ -190,12 +190,10 @@ def monotone_sheets() -> dict[str, SetSpec]:
 
 def rho0_sets() -> dict[str, SetSpec]:
     f = SmoothFunction.bump(0.5, 0.3, 1.0, window=UNIT)
-    mid = interval(0.3, 0.7)
     return {
         "whole-space": SetSpec.count_at_least(UNIT, 0),
         "occupied-left": SetSpec.count_at_least(interval(0.0, 0.5), 1),
-        "void-mid": SetSpec.predicate(lambda g: g.count_in(mid) == 0,
-                                      locality=mid, name="void-mid"),
+        "void-mid": SetSpec.count_at_most(interval(0.3, 0.7), 0, name="void-mid"),
         "bump-level": SetSpec.level_set(cyl_from_star(f), 0.8),
         "pair": SetSpec.count_at_least(interval(0.2, 0.9), 2),
     }
@@ -226,9 +224,8 @@ def capacity_family():
     def step_norm(pp: float) -> float:
         def Hk(k, X):
             vals = np.sum(fsheet.value(X), axis=-1)
-            return (0.5 * (1.0 + np.tanh((vals - (c_level - 0.25)) / 0.08))) ** pp
-        v, _ = poisson_stratified(Hk, S_box, quad_k=3, seed=5)
-        return v
+            return {"step": (0.5 * (1.0 + np.tanh((vals - (c_level - 0.25)) / 0.08))) ** pp}
+        return poisson_stratified_battery(Hk, S_box, quad_k=3, seed=5)["step"][0]
 
     members = []
     for ell in (0.0, 2.0, 4.0, 7.0, 10.0, 15.5):
@@ -291,7 +288,7 @@ _ENTRIES = {
     "monotone-sheets": (monotone_sheets, "monotone localization", "sets",
                         "sheet statistics at five locality scales"),
     "rho0-sets": (rho0_sets, "Poisson consistency", "sets",
-                  "count, void, predicate and level sets"),
+                  "count (at least, at most) and level sets"),
     "capacity-family": (capacity_family, "capacity-measure comparison", "sets",
                         "sheet-with-void shrinking family"),
     "intertwine-bumps": (intertwine_bumps, "gradient intertwining", "inner functions",

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .configuration import (Configuration, SetSpec, _in_point_order, by_count,
+from .configuration import (SetSpec, _in_point_order, by_count,
                             poisson_configurations)
 from .cylinder import CylinderFunction, CylinderVectorField, cyl_compose, mul_n, const
 from .geometry import BoxDomain, DomainError
@@ -100,7 +100,7 @@ def levelset_expectation(E: SetSpec, h, window: BoxDomain, *,
     def term(s):
         k = s.k
         if s.order is None:
-            return [s.average(lambda X: stratum_indicator(E, k, X, window) * np.asarray(h(k, X)))]
+            return [s.average(lambda X: stratum_indicator(E, k, X) * np.asarray(h(k, X)))]
 
         def smooth_part(order):
             pts, w = s.grid(order)
@@ -120,9 +120,8 @@ def levelset_expectation(E: SetSpec, h, window: BoxDomain, *,
 
     strata = Strata(window, orders=_LEVELSET_ORDERS if window.dim == 1 else {1: 48, 2: 16},
                     mc_n=20_000, seed=seed, stream_base=500, count_equals=E.count_equals)
-    empty = Configuration(window=window, points=np.zeros((0, window.dim)))
-    vacuum = (float(np.asarray(h(0, np.zeros((1, 0, window.dim))))[0])
-              if E.contains(empty) else None)
+    empty = np.zeros((1, 0, window.dim))
+    vacuum = float(np.asarray(h(0, empty))[0]) if stratum_indicator(E, 0, empty)[0] else None
     res = strata.integrate(term, empty=vacuum)
     return res.value, res.error
 
@@ -282,7 +281,7 @@ class _VariationalObjective:
                 X = s.draw()
                 n = X.shape[0]
                 pre = np.full(n, s.weight / n)
-                weights = [stratum_indicator(E, s.k, X, window)] if is_set else \
+                weights = [stratum_indicator(E, s.k, X)] if is_set else \
                     [F.value(X) for F in Fs]
                 yield "mc", n, np.stack([pre * w for w in weights]), self._basis(X)
                 continue

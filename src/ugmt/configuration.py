@@ -2,7 +2,10 @@
 
 A configuration is a finite multiplicity-one point pattern in a box window.
 Configurations are canonicalized by lexicographic point order so that equality
-and hashing are well defined on the quotient by particle relabeling.
+and hashing are well defined on the quotient by particle relabeling.  A
+``Configuration`` is one pattern on its own: a configuration of the capacity
+sieve, or the outside pattern eta of a section.  Batches of configurations are
+tuple stacks (m, k, n), not ``Configuration`` objects.
 
 Poisson configurations are drawn by ``poisson_configurations``, one walk over
 a block of uniform doubles for all the configurations a stream gives, bit for
@@ -10,13 +13,19 @@ bit the sequence of per-configuration ``_draw`` calls: numpy's count rule
 below mean 10 (Knuth's multiplication method) and the uniform coordinates are
 both read off the block.  ``by_count`` groups the walk's ragged output into
 (m_k, k, n) stacks by particle count.
+
+A set description (``SetSpec``) is a count condition {lo <= N(region) <= hi}
+or a level condition on a cylinder function, so its membership on a tuple
+stack is one array expression (``productspace.stratum_indicator``), and its
+section at an outside pattern (``section_set``) is a set description of the
+same variant.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -68,27 +77,9 @@ class Configuration:
         object.__setattr__(self, "points", pts)
         self.points.setflags(write=False)
 
-    @staticmethod
-    def _unsafe(window: BoxDomain, points: np.ndarray) -> "Configuration":
-        """Constructor without validation or canonicalization.
-
-        Only for sampler-produced points (already inside the window, distinct
-        almost surely); equality/hashing contracts require the public
-        constructor.
-        """
-        self = object.__new__(Configuration)
-        object.__setattr__(self, "window", window)
-        object.__setattr__(self, "points", points)
-        return self
-
     @property
     def count(self) -> int:
         return self.points.shape[0]
-
-    def count_in(self, region: BoxDomain) -> int:
-        if self.count == 0:
-            return 0
-        return int(np.sum(region.contains(self.points)))
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Configuration)
@@ -301,20 +292,6 @@ def by_count(counts: np.ndarray, points: np.ndarray) -> dict[int, tuple[np.ndarr
 
 
 # ---------------------------------------------------------------------------
-# sums and sections
-
-
-def _merge(gamma: Configuration, eta: Configuration) -> Configuration:
-    window = gamma.window.hull(eta.window)
-    pts = np.vstack([gamma.points, eta.points])
-    if pts.shape[0] > 1:
-        canon = _canonical(pts)
-        if np.any(np.all(np.diff(canon, axis=0) == 0.0, axis=1)):
-            raise CollisionError("superposition collides: multiplicity one violated")
-    return Configuration(window=window, points=pts)
-
-
-# ---------------------------------------------------------------------------
 # Borel set descriptions with declared locality
 
 
@@ -322,10 +299,12 @@ def _merge(gamma: Configuration, eta: Configuration) -> Configuration:
 class SetSpec:
     """Membership description of a Borel subset of the configuration space.
 
-    Variants: ``predicate`` (arbitrary membership oracle), ``count_at_least``
-    (at least ``threshold`` points in ``region``), ``level_set`` (super-level
-    set {F > t} or {F >= t} of a cylinder function), ``level_sheet``
-    ({F = t}, the reduced boundary of the strict super-level set).
+    Variants: ``count`` ({at_least <= N(region) <= at_most}, the point count
+    in ``region``; ``at_most`` None bounds it from below only), ``level_set``
+    (super-level set {F > t} or {F >= t} of a cylinder function),
+    ``level_sheet`` ({F = t}, the reduced boundary of the strict super-level
+    set).  ``productspace.stratum_indicator`` evaluates membership on tuple
+    stacks.
 
     ``locality``, when set, declares a box outside of which membership does
     not depend on the configuration; it is caller-declared and spot-checked,
@@ -335,23 +314,24 @@ class SetSpec:
     variant: str
     locality: BoxDomain | None = None
     region: BoxDomain | None = None
-    threshold: int = 0
+    at_least: int = 0
+    at_most: int | None = None
     function: object = None   # CylinderFunction for level variants
     level: float = 0.0
     strict: bool = True
-    oracle: object = None
     count_equals: int | None = None  # restrict level variants to one stratum
     name: str = ""
 
     # -- constructors -------------------------------------------------------
 
     @staticmethod
-    def predicate(oracle, locality: BoxDomain | None = None, name: str = "") -> "SetSpec":
-        return SetSpec(variant="predicate", oracle=oracle, locality=locality, name=name)
+    def count_at_least(region: BoxDomain, threshold: int, name: str = "") -> "SetSpec":
+        return SetSpec(variant="count", region=region, at_least=int(threshold),
+                       locality=region, name=name)
 
     @staticmethod
-    def count_at_least(region: BoxDomain, threshold: int, name: str = "") -> "SetSpec":
-        return SetSpec(variant="count_at_least", region=region, threshold=int(threshold),
+    def count_at_most(region: BoxDomain, threshold: int, name: str = "") -> "SetSpec":
+        return SetSpec(variant="count", region=region, at_most=int(threshold),
                        locality=region, name=name)
 
     @staticmethod
@@ -374,21 +354,6 @@ class SetSpec:
         return SetSpec.level_sheet(self.function, self.level, self.count_equals,
                                    name=self.name and f"bd({self.name})")
 
-    # -- membership ---------------------------------------------------------
-
-    def contains(self, gamma: Configuration) -> bool:
-        if self.variant == "predicate":
-            return bool(self.oracle(gamma))
-        if self.variant == "count_at_least":
-            return gamma.count_in(self.region) >= self.threshold
-        if self.count_equals is not None and gamma.count != self.count_equals:
-            return False
-        if self.variant == "level_set":
-            return bool(self.above_level(self.function.value(gamma)))
-        if self.variant == "level_sheet":
-            return bool(self.function.value(gamma) == self.level)
-        raise ValueError(f"unknown variant {self.variant}")
-
     def above_level(self, values):
         """The super-level test of a level variant: values > level, or >= when
         the set is not strict."""
@@ -396,36 +361,29 @@ class SetSpec:
 
 
 def section_set(spec: SetSpec, eta: Configuration, box: BoxDomain) -> SetSpec:
-    """Section of a set at the outside pattern eta: gamma -> member(gamma + eta).
+    """Section of a set at the outside pattern eta: the configurations gamma
+    in ``box`` with gamma + eta in the set.
 
-    gamma ranges over configurations in ``box``; eta must be supported outside
-    it.  When the declared locality sits inside ``box`` the section does not
-    depend on eta at all.
+    eta must be supported outside ``box``.  eta's points use up part of a
+    count: a count set's section lowers both bounds by eta's count in the
+    region, which is 0 when the region sits inside ``box``, and a level
+    variant's lowers ``count_equals`` by eta's count.  Once a lowered bound
+    is negative the section is empty (upper bound) or holds every count
+    (lower bound); a negative ``count_equals`` is a stratum of zero Poisson
+    weight, so that section and its sheet are empty on every route.
     """
     if eta.count and np.any(box.contains(eta.points)):
         raise DomainError("eta must be supported outside the section box")
     locality = spec.locality.intersect(box) if spec.locality is not None else None
-
-    if spec.locality is not None and box.contains_box(spec.locality):
-        base = spec
-
-        def member(gamma: Configuration) -> bool:
-            return base.contains(gamma)
-    else:
-        def member(gamma: Configuration) -> bool:
-            return spec.contains(_merge(gamma, eta))
-
-    if spec.variant in ("level_set", "level_sheet") and spec.function is not None:
-        # shifting the outside pattern only offsets the linear statistics
-        shifted = spec.function.shift_by(eta)
-        # eta's points use up a count constraint; once they exceed it the
-        # count is negative, a stratum of zero Poisson weight: the section and
-        # its sheet are empty on every route
-        count_eq = spec.count_equals
-        if count_eq is not None:
-            count_eq = count_eq - eta.count
-        return SetSpec(variant=spec.variant, function=shifted, level=spec.level,
-                       strict=spec.strict, locality=locality, count_equals=count_eq,
-                       name=f"{spec.name}|section" if spec.name else "")
-    return SetSpec.predicate(member, locality=locality,
-                             name=f"{spec.name}|section" if spec.name else "")
+    name = f"{spec.name}|section" if spec.name else ""
+    if spec.variant == "count":
+        used = int(np.sum(spec.region.contains(eta.points)))
+        return replace(spec, at_least=spec.at_least - used,
+                       at_most=None if spec.at_most is None else spec.at_most - used,
+                       locality=locality, name=name)
+    # shifting the outside pattern only offsets the linear statistics
+    count_eq = spec.count_equals
+    if count_eq is not None:
+        count_eq = count_eq - eta.count
+    return replace(spec, function=spec.function.shift_by(eta), locality=locality,
+                   count_equals=count_eq, name=name)

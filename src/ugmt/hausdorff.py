@@ -276,17 +276,19 @@ def sheet_integrals(g, level: float, weights: dict, window: BoxDomain, *,
 def _stratum_fraction_exact(A: SetSpec, k: int, window: BoxDomain) -> float | None:
     """Closed-form uniform fraction of the k-stratum section, when available.
 
-    Count specs admit the exact binomial tail: conditioned on k uniform
+    Count specs admit the exact binomial sum: conditioned on k uniform
     points, the count in the region is Binomial(k, vol(region)/vol(window)).
-    The tail is the sum of its terms from the threshold up, every one of them
-    nonnegative, so nothing cancels as in 1 - cdf.
+    The fraction is the sum of its terms from the lower bound to the upper
+    bound (or k), every one of them nonnegative, so nothing cancels as in a
+    difference of cdfs.
     """
-    if A.variant != "count_at_least":
+    if A.variant != "count":
         return None
     inter = A.region.intersect(window)
     p = (inter.volume / window.volume) if inter is not None else 0.0
+    hi = k if A.at_most is None else min(A.at_most, k)
     return sum(math.comb(k, j) * p ** j * (1.0 - p) ** (k - j)
-               for j in range(max(A.threshold, 0), k + 1))
+               for j in range(max(A.at_least, 0), hi + 1))
 
 
 def rho_m_on_box(A: SetSpec, m: int, window: BoxDomain, *,
@@ -308,11 +310,11 @@ def rho_m_on_box(A: SetSpec, m: int, window: BoxDomain, *,
             exact = _stratum_fraction_exact(A, s.k, window)
             if exact is not None:
                 return [(exact, 0.0)]
-            return [s.average(lambda X: stratum_indicator(A, s.k, X, window))]
+            return [s.average(lambda X: stratum_indicator(A, s.k, X))]
 
         # vacuum stratum: membership of the empty configuration
-        empty = Configuration(window=window, points=np.zeros((0, window.dim)))
-        res = strata.integrate(term, empty=1.0 if A.contains(empty) else 0.0)
+        empty = float(stratum_indicator(A, 0, np.zeros((1, 0, window.dim)))[0])
+        res = strata.integrate(term, empty=empty)
         return CodimMeasureResult.of(res, window, None)
     if A.variant not in ("level_set", "level_sheet"):
         raise DomainError("m = 1 requires a level-set description")

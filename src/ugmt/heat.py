@@ -53,7 +53,7 @@ def _eval_on_grid(F, grid: StratumGrid) -> np.ndarray:
     if isinstance(F, SetSpec):
         if F.variant not in ("level_set", "level_sheet"):
             raise DomainError("grid path supports level-set specs only")
-        vals = stratum_indicator(F, grid.k, X, grid.window)
+        vals = stratum_indicator(F, grid.k, X)
     elif isinstance(F, (CylinderFunction, ExponentialCylinderFunction)):
         vals = F.value(X)
     else:

@@ -49,7 +49,6 @@ __all__ = [
     "integrate_battery",
     "poisson_k_cutoff",
     "poisson_pmf",
-    "poisson_stratified",
     "poisson_stratified_battery",
     "stratum_grid_points",
     "default_stratum_orders",
@@ -105,9 +104,10 @@ def draw_by_count(plan: MCPlan) -> dict[int, tuple[np.ndarray, np.ndarray]]:
 def integrate_battery(battery: Mapping[str, Callable], plan: MCPlan) -> dict[str, MCEstimate]:
     """Sample mean and standard error of every member, from one draw of the plan.
 
-    Members follow the ``Hk(k, X)`` convention of ``poisson_stratified``: X
-    holds the plan's k-particle configurations as tuples (m_k, k, n) and Hk
-    returns their (m_k,) values, which are put back in sample order.  Returns
+    Each member is one stratum function ``Hk(k, X)`` of the convention of
+    ``poisson_stratified_battery``, taken alone: X holds the plan's
+    k-particle configurations as tuples (m_k, k, n) and Hk returns their
+    (m_k,) values, which are put back in sample order.  Returns
     name -> MCEstimate.
     """
     draws = draw_by_count(plan)
@@ -540,14 +540,3 @@ def poisson_stratified_battery(Hk, window: BoxDomain, *, quad_k: int = 3,
         out[name] = (res.value, res.error)
     return out
 
-
-def poisson_stratified(Hk, window: BoxDomain, *, quad_k: int = 3, mc_n: int = 20_000,
-                       seed: int = 0, sup_bound: float | None = None) -> tuple[float, float]:
-    """E_pi[H] by conditioning on the particle count.
-
-    ``Hk(k, X)`` evaluates the symmetric stratum function on ordered tuples,
-    X of shape (m, k, n) -> (m,).  The one-member call of
-    ``poisson_stratified_battery``; returns (value, error).
-    """
-    return poisson_stratified_battery(lambda k, X: {"": Hk(k, X)}, window, quad_k=quad_k,
-                                      mc_n=mc_n, seed=seed, sup_bound=sup_bound)[""]

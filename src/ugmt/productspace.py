@@ -3,45 +3,33 @@
 The k-particle stratum of the configuration space over a box is the quotient
 of the k-fold product box by permutations.  Cylinder objects evaluate on
 ordered tuples X of shape (m, k, n) themselves; this module gives the
-matching membership of the k-stratum sections of a SetSpec.
+matching membership of the k-stratum sections of a SetSpec, the one
+membership evaluator of the package.  Every SetSpec is a count or a level
+condition, so membership is one array expression over the whole stack, and
+the empty configuration is the one row of ``np.zeros((1, 0, n))``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .configuration import Configuration, SetSpec, _canonical
-from .geometry import BoxDomain, DomainError
+from .configuration import SetSpec
 
 __all__ = ["stratum_indicator"]
 
 
-def stratum_indicator(A: SetSpec, k: int, X: np.ndarray, window: BoxDomain) -> np.ndarray:
-    """Vectorized membership of the k-stratum sections of A on ordered tuples."""
-    m = X.shape[0]
-    if A.variant == "count_at_least":
-        if k == 0:
-            counts = np.zeros(m)
-        else:
-            counts = np.sum(A.region.contains(X), axis=-1)
-        return (counts >= A.threshold).astype(float)
-    if A.variant in ("level_set", "level_sheet"):
-        if A.count_equals is not None and k != A.count_equals:
-            return np.zeros(m)
-        vals = A.function.value(X)
-        if A.variant == "level_sheet":
-            return (vals == A.level).astype(float)
-        return A.above_level(vals).astype(float)
-    # generic predicate: validate the whole batch as the Configuration
-    # constructor would, then ask the predicate tuple by tuple
-    if k and not np.all(window.contains(X.reshape(-1, window.dim), tol=1e-12)):
-        raise DomainError("points must lie in the window")
-    if k > 1:
-        same = np.all(X[:, :, None, :] == X[:, None, :, :], axis=-1)
-        if np.any(same & ~np.eye(k, dtype=bool)):
-            raise DomainError("multiplicity one violated: duplicate point")
-    out = np.empty(m)
-    for i in range(m):
-        gamma = Configuration._unsafe(window, _canonical(X[i]))
-        out[i] = 1.0 if A.contains(gamma) else 0.0
-    return out
+def stratum_indicator(A: SetSpec, k: int, X: np.ndarray) -> np.ndarray:
+    """Membership (0 or 1) of the k-stratum section of A on ordered tuples
+    X (m, k, n), shape (m,)."""
+    if A.variant == "count":
+        counts = np.sum(A.region.contains(X), axis=-1)
+        inside = counts >= A.at_least
+        if A.at_most is not None:
+            inside &= counts <= A.at_most
+        return inside.astype(float)
+    if A.count_equals is not None and k != A.count_equals:
+        return np.zeros(X.shape[0])
+    vals = A.function.value(X)
+    if A.variant == "level_sheet":
+        return (vals == A.level).astype(float)
+    return A.above_level(vals).astype(float)

@@ -109,7 +109,7 @@ def test_04_rho0_equals_pi():
     plan = MCPlan(n_samples=30_000, seed=9, window=UNIT)
     sets = batteries.rho0_sets()
     probabilities = integrate_battery(
-        {name: lambda k, X, A=A: stratum_indicator(A, k, X, UNIT) for name, A in sets.items()},
+        {name: lambda k, X, A=A: stratum_indicator(A, k, X) for name, A in sets.items()},
         plan)
     fails = 0
     for name, A in sets.items():

@@ -647,28 +647,6 @@ def test_coarea_family_equals_member_calls_and_draws_once(monkeypatch):
     assert max(size for _, size in draws if size is not None) < poisson_k_cutoff(UNIT.volume)
 
 
-def test_sobolev_suite_is_one_coarea_pass(monkeypatch):
-    calls, real = [], bv.coarea_family
-
-    def spy(*args, **kwargs):
-        calls.append(real(*args, **kwargs))
-        return calls[-1]
-
-    monkeypatch.setattr(bv, "coarea_family", spy)
-    monkeypatch.setattr(cli, "coarea_family", spy)
-    draws = _spy_draws(monkeypatch)
-    records = cli.run_suite(cli.SuiteConfig("sobolev", samples=2000)).records
-    # one pass for the three members: every (window, k, n, seed, stream) key,
-    # the band draws of each level index included, is drawn once
-    assert len(calls) == 1
-    keys = [key for key, _ in draws]
-    assert len(set(keys)) == len(keys)
-    densities = {r["name"]: (r["value"], r["target"], r["sigma"]) for r in records
-                 if r["name"].startswith("sobolev-")}
-    assert densities == {f"sobolev-{fname}-{gname}": (rep.lhs, rep.rhs, rep.combined_sigma)
-                         for fname, reps in calls[0].items() for gname, rep in reps.items()}
-
-
 def test_suite_integrands_are_symmetric_in_the_particles(monkeypatch):
     # grid strata integrate on node multisets, so the surface weights and the
     # h functions the suites hand to the stratum rules must not depend on the

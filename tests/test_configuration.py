@@ -5,6 +5,7 @@ from scipy import stats
 from ugmt.configuration import (Configuration, MCEstimate, SetSpec, _draw, by_count,
                                 poisson_configurations, section_set)
 from ugmt.geometry import BoxDomain, DomainError, interval
+from ugmt.productspace import stratum_indicator
 from ugmt.rng import stream_rng
 
 UNIT = interval(0.0, 1.0)
@@ -128,12 +129,12 @@ def test_by_count_groups_in_draw_order():
             assert np.array_equal(pts, points[ends[i] - k:ends[i]])
 
 
-def test_section_set_basics():
+def test_section_set_basics(member):
     A = SetSpec.count_at_least(UNIT, 1)
     empty_out = Configuration(window=interval(1.0, 2.0), points=np.zeros((0, 1)))
     sec = section_set(A, empty_out, UNIT)
-    assert sec.contains(conf(UNIT, [0.4]))
-    assert not sec.contains(Configuration(window=UNIT, points=np.zeros((0, 1))))
+    assert member(sec, conf(UNIT, [0.4]))
+    assert not member(sec, Configuration(window=UNIT, points=np.zeros((0, 1))))
 
     # locality inside the box: section independent of the outside pattern
     Aloc = SetSpec.count_at_least(interval(0.2, 0.4), 1)
@@ -141,34 +142,56 @@ def test_section_set_basics():
     sec2 = section_set(Aloc, eta, interval(0.0, 0.45))
     sec3 = section_set(Aloc, Configuration(window=interval(0.5, 1.0),
                                            points=np.zeros((0, 1))), interval(0.0, 0.45))
+    assert sec2 == sec3 == Aloc
     for x in (0.25, 0.35, 0.1):
         g = conf(interval(0.0, 0.45), [x])
-        assert sec2.contains(g) == sec3.contains(g)
+        assert member(sec2, g) == member(sec3, g)
 
     # region not contained in the box, outside pattern already fills it
     Q = interval(0.5, 0.9)
     Afull = SetSpec.count_at_least(Q, 1)
     eta2 = conf(interval(0.45, 1.0), [0.7])
     sec4 = section_set(Afull, eta2, interval(0.0, 0.4))
-    assert sec4.contains(Configuration(window=interval(0.0, 0.4), points=np.zeros((0, 1))))
+    assert member(sec4, Configuration(window=interval(0.0, 0.4), points=np.zeros((0, 1))))
 
     with pytest.raises(DomainError):
         section_set(A, conf(UNIT, [0.2]), UNIT)
 
+    # a region that straddles the box: the section at eta holds gamma iff
+    # gamma + eta lies in the set, on every bound the outside count can move
+    box, Q = interval(0.0, 0.5), interval(0.3, 0.8)
+    specs = [SetSpec.count_at_least(Q, 2), SetSpec.count_at_most(Q, 1),
+             SetSpec.count_at_most(Q, 0)]
+    rng = np.random.default_rng(40)
+    for k in range(4):
+        X = rng.uniform(0.0, 0.5, (40, k, 1))
+        for _ in range(12):
+            eta = Configuration(window=interval(0.5, 1.0),
+                                points=rng.uniform(0.5 + 1e-9, 1.0, (rng.integers(0, 4), 1)))
+            for A in specs:
+                sec = section_set(A, eta, box)
+                ref = [float(member(A, Configuration(window=UNIT,
+                                                     points=np.vstack([x, eta.points]))))
+                       for x in X]
+                assert np.array_equal(stratum_indicator(sec, k, X), ref)
+                assert [float(member(sec, Configuration(window=box, points=x)))
+                        for x in X] == ref
+
 
 def test_locality_spot_check():
-    # membership must not depend on points outside the declared locality
+    # count membership does not depend on points outside the region it counts
     loc = interval(0.3, 0.7)
-    A = SetSpec.predicate(lambda g: g.count_in(loc) >= 1, locality=loc)
+    specs = [SetSpec.count_at_least(loc, 1), SetSpec.count_at_most(loc, 1)]
     rng = np.random.default_rng(0)
     for _ in range(1000):
         k_in = rng.integers(0, 3)
         inside = rng.uniform(0.3, 0.7, (k_in, 1))
         out1 = rng.uniform(0.0, 0.29, (rng.integers(0, 3), 1))
         out2 = rng.uniform(0.71, 1.0, (rng.integers(0, 3), 1))
-        g1 = Configuration(window=UNIT, points=np.vstack([inside, out1]))
-        g2 = Configuration(window=UNIT, points=np.vstack([inside, out2]))
-        assert A.contains(g1) == A.contains(g2)
+        g1, g2 = np.vstack([inside, out1]), np.vstack([inside, out2])
+        for A in specs:
+            assert (stratum_indicator(A, len(g1), g1[None])
+                    == stratum_indicator(A, len(g2), g2[None]))
 
 
 def test_mc_estimate_contract():

@@ -230,12 +230,13 @@ def _stacked_cases(rng):
     V_cyl = CylinderVectorField((random_field(rng).terms[0], (-0.5, SmoothVectorField((
         SmoothFunction.bump(0.45, 0.3, 0.7, window=UNIT),)))))
     specs = [SetSpec.level_set(F, 0.4), SetSpec.level_set(E, 0.8, strict=False),
-             SetSpec.count_at_least(interval(0.2, 0.6), 2)]
+             SetSpec.count_at_least(interval(0.2, 0.6), 2),
+             SetSpec.count_at_most(interval(0.2, 0.6), 1)]
     return (F, E), (V_const, V_cyl), specs
 
 
 @pytest.mark.parametrize("k", [0, 1, 2, 4])
-def test_tuple_batches_match_configurations(k):
+def test_tuple_batches_match_configurations(k, member):
     rng = np.random.default_rng(100 + k)
     functions, fields, specs = _stacked_cases(rng)
     gams = [Configuration(window=UNIT, points=rng.uniform(0.0, 1.0, (k, 1)))
@@ -258,9 +259,9 @@ def test_tuple_batches_match_configurations(k):
         np.testing.assert_allclose(V.at_particles(Xp), at[:, perm], rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(V.divergence(Xp), div, rtol=1e-12, atol=1e-12)
     for A in specs:
-        ind = stratum_indicator(A, k, X, UNIT)
-        assert np.array_equal(ind, [float(A.contains(g)) for g in gams])
-        assert np.array_equal(stratum_indicator(A, k, Xp, UNIT), ind)
+        ind = stratum_indicator(A, k, X)
+        assert np.array_equal(ind, [float(member(A, g)) for g in gams])
+        assert np.array_equal(stratum_indicator(A, k, Xp), ind)
 
 
 def test_divergence_rejects_support_outside_window():

@@ -15,7 +15,7 @@ from ugmt.cylinder import cyl_compose, cyl_from_star, tanh_of
 from ugmt.geometry import SmoothFunction, SmoothVectorField, interval
 from ugmt.hausdorff import rho_m_on_box, sheet_integrals
 from ugmt.heat import LiftedHeatOperator, lifted_gradient_norm
-from ugmt.montecarlo import poisson_stratified
+from ugmt.montecarlo import poisson_stratified_battery
 
 W = interval(0.0, 0.5)
 BUMP = SmoothFunction.bump(0.25, 0.2, 1.0, window=W)
@@ -25,8 +25,8 @@ SUM_SET = SetSpec.level_set(cyl_from_star(LIN), 0.3)
 
 
 def _poisson_stratified(sup_bound):
-    return poisson_stratified(lambda k, X: TANH_BUMP.value(X), W, quad_k=2, mc_n=2_000,
-                              seed=3, sup_bound=sup_bound)
+    return poisson_stratified_battery(lambda k, X: {"": TANH_BUMP.value(X)}, W, quad_k=2,
+                                      mc_n=2_000, seed=3, sup_bound=sup_bound)[""]
 
 
 def _levelset_expectation():

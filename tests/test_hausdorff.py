@@ -1,4 +1,6 @@
 import functools
+from dataclasses import replace
+from fractions import Fraction
 from math import comb
 
 import numpy as np
@@ -23,7 +25,7 @@ UNIT = interval(0.0, 1.0)
 
 def _probabilities(sets, plan):
     """Plain Monte Carlo probability of each set, from one draw of the plan."""
-    return integrate_battery({i: lambda k, X, A=A: stratum_indicator(A, k, X, plan.window)
+    return integrate_battery({i: lambda k, X, A=A: stratum_indicator(A, k, X)
                               for i, A in enumerate(sets)}, plan)
 
 
@@ -105,8 +107,7 @@ def test_rho0_matches_direct_probability():
         SetSpec.count_at_least(UNIT, 0),
         SetSpec.count_at_least(interval(0.0, 0.5), 1),
         SetSpec.level_set(cyl_from_star(f), 0.8),
-        SetSpec.predicate(lambda g: g.count_in(interval(0.3, 0.7)) == 0,
-                          locality=interval(0.3, 0.7)),
+        SetSpec.count_at_most(interval(0.3, 0.7), 0),
         SetSpec.count_at_least(interval(0.2, 0.9), 2),
     ]
     for A, direct in zip(sets, _probabilities(sets, plan).values()):
@@ -118,9 +119,17 @@ def test_rho0_matches_direct_probability():
     assert res.total == pytest.approx(1 - np.exp(-0.5), abs=1e-9)
 
 
+def test_rho0_of_the_void_set_is_exact():
+    # {N((0.3, 0.7)) = 0} takes the binomial route of the count sets: its
+    # Poisson probability e^{-0.4}, with no Monte Carlo error
+    res = rho_m_on_box(batteries.rho0_sets()["void-mid"], 0, UNIT)
+    assert abs(res.total - np.exp(-0.4)) <= 1e-10
+    assert res.total_err == 0.0
+
+
 @pytest.mark.parametrize("p", [0.0, 1e-3, 0.1, 0.3, 0.5, 0.55, 0.6, 0.7, 0.9, 1.0])
 def test_count_fraction_is_the_binomial_tail(p):
-    # every count k <= 60 and every threshold from below 0 to above k
+    # every count k <= 60 and every bound from below 0 to above k
     from scipy import stats
     region = interval(0.0, p) if p > 0.0 else interval(2.0, 3.0)
     for k in range(61):
@@ -129,6 +138,20 @@ def test_count_fraction_is_the_binomial_tail(p):
         got = [_stratum_fraction_exact(SetSpec.count_at_least(region, t), k, UNIT)
                for t in thresholds]
         np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+        # at most t: the terms from 0 to t (a sum of binom.pmf terms is itself
+        # off by up to 1.4e-14 relative here; binom.cdf by 8e-15)
+        want = stats.binom.cdf(thresholds, k, p)
+        got = [_stratum_fraction_exact(SetSpec.count_at_most(region, t), k, UNIT)
+               for t in thresholds]
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+        # at least lo and at most k - 1: the terms from lo to k - 1, summed in
+        # exact rational arithmetic on the float p and rounded once
+        P, Q = Fraction(p), Fraction(1.0 - p)
+        for lo in (1, k // 2):
+            both = replace(SetSpec.count_at_most(region, k - 1), at_least=lo)
+            want = float(sum(comb(k, j) * P**j * Q**(k - j) for j in range(lo, k)))
+            np.testing.assert_allclose(_stratum_fraction_exact(both, k, UNIT), want,
+                                       rtol=1e-14, atol=0.0)
 
 
 def test_rho1_halfspace_sheet():
@@ -338,24 +361,11 @@ def test_stratum_grid_is_memoized_read_only_and_fresh(window, k, order):
 
 
 @pytest.mark.parametrize("k", [0, 1, 2, 4])
-def test_stratum_indicator_matches_configuration_reference(k):
+def test_stratum_indicator_matches_configuration_reference(k, member):
     X = uniform_tuples(UNIT, k, 3_000, seed=5, stream=k)
     for name, A in batteries.rho0_sets().items():
-        ref = [1.0 if A.contains(Configuration(window=UNIT, points=x)) else 0.0 for x in X]
-        assert np.array_equal(stratum_indicator(A, k, X, UNIT), ref), name
-
-
-def test_stratum_indicator_rejects_invalid_tuples():
-    void = batteries.rho0_sets()["void-mid"]
-    X = uniform_tuples(UNIT, 2, 50, seed=6, stream=0)
-    out = X.copy()
-    out[17, 1, 0] = 1.5
-    with pytest.raises(DomainError):
-        stratum_indicator(void, 2, out, UNIT)
-    dup = X.copy()
-    dup[3, 1] = dup[3, 0]
-    with pytest.raises(DomainError):
-        stratum_indicator(void, 2, dup, UNIT)
+        ref = [1.0 if member(A, Configuration(window=UNIT, points=x)) else 0.0 for x in X]
+        assert np.array_equal(stratum_indicator(A, k, X), ref), name
 
 
 def _reference_quad_route(g, level, weights, window, k, eps, quad_order):

@@ -231,7 +231,7 @@ def test_grid_route_guards():
         _semigroup_at(ExponentialCylinderFunction(f=shifted_mode(-0.25)), gamma, 0.05, OP)
 
 
-def test_level_set_on_grids_is_stratum_membership():
+def test_level_set_on_grids_is_stratum_membership(member):
     bump = SmoothFunction.bump(0.45, 0.3, 1.0, window=UNIT)
     E = SetSpec.level_set(cyl_from_star(bump), 0.6, count_equals=2)
     for k in (1, 3):
@@ -243,7 +243,7 @@ def test_level_set_on_grids_is_stratum_membership():
         for j in range(len(y)):
             if i != j:
                 gamma = Configuration(window=UNIT, points=np.array([[x[i]], [y[j]]]))
-                assert vals[i, j] == float(E.contains(gamma)), (i, j)
+                assert vals[i, j] == float(member(E, gamma)), (i, j)
     assert 0.0 < vals.mean() < 1.0
 
 
@@ -578,7 +578,7 @@ def test_grid_gathers_match_the_ordered_tuples(dim, k):
     for a, comp in enumerate(_grad_grid(F, grid)):
         close(comp, G[:, a])
     E = SetSpec.level_set(F, 0.5 * (np.min(vals) + np.max(vals)), count_equals=k)
-    ref = stratum_indicator(E, k, X, window)
+    ref = stratum_indicator(E, k, X)
     assert 0.0 < ref.mean() < 1.0
     close(_eval_on_grid(E, grid), ref)
 

@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 from scipy import special
 
-from ugmt.configuration import CollisionError, Configuration, MCEstimate, SetSpec
+from ugmt.configuration import CollisionError, MCEstimate, SetSpec
 from ugmt.cylinder import cyl_compose, cyl_from_star, tanh_of
 from ugmt.geometry import BoxDomain, SmoothFunction, gauss_legendre, interval
 from ugmt import batteries, montecarlo
 from ugmt.hausdorff import scaled_box
 from ugmt.montecarlo import (MCPlan, _box_tuples, draw_by_count, integrate_battery,
-                             poisson_k_cutoff, poisson_pmf, poisson_stratified,
-                             poisson_stratified_battery, shared_draws, uniform_tuples)
+                             poisson_k_cutoff, poisson_pmf, poisson_stratified_battery, shared_draws, uniform_tuples)
 from ugmt.montecarlo import MASS_RATIO, MIN_SAMPLES, Strata
 from ugmt.productspace import stratum_indicator
 from ugmt.rng import mean_and_stderr, stream_rng
@@ -80,11 +79,11 @@ def test_non_finite_detected():
 
 def test_measure_of_set_void():
     Q = interval(0.2, 0.7)
-    A = SetSpec.predicate(lambda g: g.count_in(Q) == 0, locality=Q)
-    est = _mean(lambda k, X: stratum_indicator(A, k, X, UNIT))
+    A = SetSpec.count_at_most(Q, 0)
+    est = _mean(lambda k, X: stratum_indicator(A, k, X))
     assert est.within(np.exp(-Q.volume), 3.0)
     full = SetSpec.count_at_least(UNIT, 0)
-    assert _mean(lambda k, X: stratum_indicator(full, k, X, UNIT)).mean == 1.0
+    assert _mean(lambda k, X: stratum_indicator(full, k, X)).mean == 1.0
 
 
 def test_stratified_against_mc():
@@ -93,7 +92,8 @@ def test_stratified_against_mc():
     def Hk(k, X):
         return F.value(X)
 
-    val, err = poisson_stratified(Hk, UNIT, seed=4, sup_bound=1.0)
+    val, err = poisson_stratified_battery(lambda k, X: {"F": Hk(k, X)}, UNIT, seed=4,
+                                          sup_bound=1.0)["F"]
     mc = _mean(Hk)
     assert abs(val - mc.mean) <= 3 * mc.std_err + err + 1e-4
 
@@ -263,8 +263,8 @@ def test_draw_takes_the_collision_retry_path(monkeypatch):
 
 
 def _laplace_pair(f):
-    def G(g):
-        return float(np.exp(np.sum(f.value(g.points)))) if g.count else 1.0
+    def G(pts):
+        return float(np.exp(np.sum(f.value(pts)))) if len(pts) else 1.0
 
     def Hk(k, X):
         return np.exp(np.sum(f.value(X), axis=-1))
@@ -275,7 +275,7 @@ def _reference_integrate(G, plan):
     """(mean, std_err) of the per-configuration loop over the plan's draws."""
     values = np.empty(plan.n_samples)
     for i, pts in _reference_plan_draws(plan).items():
-        values[i] = G(Configuration._unsafe(plan.window, pts))
+        values[i] = G(pts)
     return mean_and_stderr(values)
 
 
@@ -283,7 +283,7 @@ def _laplace_battery(window):
     fs = [SmoothFunction.bump((0.5,) * window.dim, 0.3, 1.0, window=window),
           SmoothFunction.bump((0.4,) * window.dim, 0.35, -0.7, window=window)]
     pairs = {f"f{i}": _laplace_pair(f) for i, f in enumerate(fs)}
-    pairs["count"] = (lambda g: float(g.count), lambda k, X: np.full(X.shape[0], float(k)))
+    pairs["count"] = (lambda pts: float(len(pts)), lambda k, X: np.full(X.shape[0], float(k)))
     return pairs
 
 
@@ -293,7 +293,7 @@ def _tanh_bump_battery(window):
     return {"F": (F.value, lambda k, X: F.value(X))}
 
 
-# (plan, battery of (per-configuration G, stratum function Hk) pairs)
+# (plan, battery of (G on one configuration's (k, n) points, stratum function Hk) pairs)
 INTEGRATE_CASES = {
     "unit": (MCPlan(n_samples=3000, seed=71, window=UNIT), _laplace_battery),
     "unit2": (MCPlan(n_samples=3000, seed=71, window=BoxDomain((0.0, 0.0), (1.0, 1.0))),
@@ -324,8 +324,9 @@ def test_stratified_battery_equals_member_calls():
     got = poisson_stratified_battery(lambda k, X: {name: H(k, X) for name, H in members.items()},
                                      UNIT, quad_k=2, mc_n=3000, seed=8, sup_bound=1.0)
     for name, H in members.items():
-        assert got[name] == poisson_stratified(H, UNIT, quad_k=2, mc_n=3000, seed=8,
-                                               sup_bound=1.0)
+        one = poisson_stratified_battery(lambda k, X, H=H: {name: H(k, X)}, UNIT, quad_k=2,
+                                         mc_n=3000, seed=8, sup_bound=1.0)
+        assert got[name] == one[name]
 
 
 @pytest.mark.parametrize("lam", [0.25, 0.5, 1.0, 1.5, 2.0, 2.25, 3.0, 4.0, 6.0, 12.0])
