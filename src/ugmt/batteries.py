@@ -8,6 +8,8 @@ each one a name that ``build`` resolves and ``ugmt list-batteries`` prints.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .configuration import Configuration, SetSpec
@@ -221,7 +223,9 @@ def capacity_family():
     u0 = 1.0 - 1.0 / (1.0 - np.log(c_level))
     roots = [16.8 - 0.38 * np.sqrt(u0), 16.8 + 0.38 * np.sqrt(u0)]
 
+    @functools.cache
     def step_norm(pp: float) -> float:
+        """The statistic factor of every member's norm, once per p."""
         def Hk(k, X):
             vals = np.sum(fsheet.value(X), axis=-1)
             return {"step": (0.5 * (1.0 + np.tanh((vals - (c_level - 0.25)) / 0.08))) ** pp}

@@ -411,13 +411,13 @@ def auto_image_order(t: float, L: float, tol: float = 1e-12) -> int:
     return M
 
 
-def _image_sum(a, b, t: float, L: float, M: int, *terms) -> tuple[np.ndarray, ...]:
+def _image_sum(a, b, t, L: float, M: int, *terms) -> tuple[np.ndarray, ...]:
     """Truncated image sums on [0, L], one per kernel kind in ``terms``.
 
     Over |m| <= M, each ``out = term(out, z1, z2, e1, e2)`` accumulates the
     images z1 = a - b - 2mL and z2 = a + b - 2mL with Gaussian factors
     e = exp(-z^2 / 4t), which all terms share; each sum is scaled by
-    1/sqrt(4 pi t).
+    1/sqrt(4 pi t).  t is a float or an array broadcasting with a and b.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -440,8 +440,9 @@ def _dirichlet_term(out, z1, z2, e1, e2):
     return out + e1 - e2
 
 
-def _check_kernel_args(a: np.ndarray, b: np.ndarray, t: float, L: float) -> None:
-    if t <= 0:
+def _check_kernel_args(a: np.ndarray, b: np.ndarray, t, L: float) -> None:
+    """Every t positive (t may be an array) and every a, b in [0, L]."""
+    if np.any(t <= 0):
         raise DomainError("t must be positive")
     if np.any(a < -1e-12) or np.any(a > L + 1e-12) or np.any(b < -1e-12) or np.any(b > L + 1e-12):
         raise DomainError("kernel arguments must lie in [0, L]")

@@ -9,18 +9,25 @@ the differentiated integrand), never by finite differences.  Functionals
 on a stratum grid come from the same ``value``/``gradient`` and
 ``productspace.stratum_indicator`` that evaluate every other batch, on the
 node multisets of ``montecarlo.stratum_grid_points``, gathered onto the grid.
+
+The per-sample routes (the pointwise Bakry-Emery check and the Bessel
+operator) work on the (m, k, n) tuple stacks of one particle count at a
+time: B F takes one ``_semigroup_at`` pass per count over every configuration
+and Laguerre time, with one image sum per image order of the kernel.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping
 
 import numpy as np
 
-from .configuration import Configuration, SetSpec
+from .configuration import Configuration, SetSpec, by_count
 from .cylinder import CylinderFunction, ExponentialCylinderFunction
 from .geometry import (BoxDomain, DomainError, HeatKernel1D, QuadratureError,
+                       _check_kernel_args, _image_sum, _legendre_rule, _neumann_term,
                        gauss_legendre, required_order)
 from .montecarlo import (MCPlan, Strata, StratumGrid, _fold, _multisets, _tuple_index,
                          draw_by_count, stratum_grid_points)
@@ -468,13 +475,21 @@ class BesselOperator:
             raise DomainError("need alpha > 0 and p in [1, inf)")
 
     def nodes_weights(self) -> tuple[np.ndarray, np.ndarray]:
+        """The rule's nodes and weights, built once per operator; read-only."""
+        return self._rule
+
+    @cached_property
+    def _rule(self) -> tuple[np.ndarray, np.ndarray]:
         a, n = self.alpha / 2.0 - 1.0, 48
         j = np.arange(n + 1.0)
         diag, off = 2.0 * j + a + 1.0, np.sqrt(j * (j + a))  # off[j] couples j - 1 and j
         x = np.linalg.eigvalsh(np.diag(diag[:n]) + np.diag(off[1:n], 1) + np.diag(off[1:n], -1))
         p, dp, _ = _orthonormal_laguerre(x, diag, off)
         x = x - p / dp
-        return x, 1.0 / _orthonormal_laguerre(x, diag, off)[2]
+        w = 1.0 / _orthonormal_laguerre(x, diag, off)[2]
+        x.setflags(write=False)
+        w.setflags(write=False)
+        return x, w
 
 
 def _orthonormal_laguerre(x: np.ndarray, diag: np.ndarray, off: np.ndarray):
@@ -494,62 +509,85 @@ def _orthonormal_laguerre(x: np.ndarray, diag: np.ndarray, off: np.ndarray):
 
 def bessel_apply(F, B: BesselOperator, op: LiftedHeatOperator,
                  gammas: list[Configuration], t_floor: float = 5e-4) -> np.ndarray:
-    """B F at the given configurations (per-sample tensor quadrature).
+    """B F at the given configurations, batched by particle count.
 
-    Laguerre nodes below ``t_floor`` are evaluated at the floor; for bounded F
-    this perturbs the average by at most the weight mass below the floor times
-    the modulus of continuity of t -> T_t F, and keeps kernel quadrature well
-    posed.
+    The configurations are grouped by count (``configuration.by_count``);
+    each count takes one ``_semigroup_at`` call at every Laguerre time, and
+    B F is the Laguerre-weighted sum of its rows.  Laguerre nodes below
+    ``t_floor`` are evaluated at the floor; for bounded F this perturbs the
+    average by at most the weight mass below the floor times the modulus of
+    continuity of t -> T_t F, and keeps kernel quadrature well posed.
     """
     ts, ws = B.nodes_weights()
     ts = np.maximum(ts, t_floor)
+    counts = np.array([g.count for g in gammas], dtype=int)
+    points = np.concatenate([np.zeros((0, op.window.dim))] + [g.points for g in gammas])
     out = np.zeros(len(gammas))
-    for i, gamma in enumerate(gammas):
-        acc = 0.0
-        for t, w in zip(ts, ws):
-            acc += w * _semigroup_at(F, gamma, t, op)
-        out[i] = acc
+    for idx, X in by_count(counts, points).values():
+        out[idx] = ws @ _semigroup_at(F, X, ts, op)
     return out
 
 
-def _semigroup_at(F, gamma: Configuration, t: float, op: LiftedHeatOperator) -> float:
-    """T_t F(gamma) by per-particle kernel quadrature (1-d windows).
+def _kernel_rows(X: np.ndarray, ts: np.ndarray, op: LiftedHeatOperator,
+                 q: int) -> tuple[np.ndarray, np.ndarray]:
+    """Localized kernel quadrature of every particle at every time (1-d).
 
-    Each particle's kernel is integrated over a localized sub-interval
-    carrying all but ~1e-11 of its mass, so long windows stay resolvable at
-    small times.
+    For the configurations X (m, k, 1) and times ts (T,), returns the nodes
+    (T, m, k, q) and the kernel rows k_t(x, node) w (T, m, k, q): q
+    Gauss-Legendre nodes on the sub-interval within 7 sqrt(2 t) of the
+    particle x, which carries all but ~1e-11 of the kernel's mass, so long
+    windows stay resolvable at small times.  The times are grouped by the
+    image order of their kernel, and each group's rows come from one image
+    pass with t broadcast; every row equals ``HeatKernel1D(L, t).kernel``
+    times the ``gauss_legendre`` weights on its sub-interval bit for bit.
     """
-    k = gamma.count
+    L = float(op.window.sides[0])
+    xs = X[None, :, :, :1] - op.window.lower[0]                        # (1, m, k, 1)
+    t = ts[:, None, None, None]
+    reach = 7.0 * np.sqrt(2.0 * t)
+    lo, hi = np.maximum(0.0, xs - reach), np.minimum(L, xs + reach)
+    x, w = _legendre_rule(q)
+    half = 0.5 * (hi - lo)
+    nodes, weights = lo + half * (x + 1.0), half * w                    # gauss_legendre's rule
+    _check_kernel_args(xs, nodes, t, L)
+    orders = np.array([op._axis_kernel(s, 0).M for s in ts])
+    rows = np.empty(nodes.shape)
+    for M in np.unique(orders):
+        sel = orders == M
+        rows[sel] = _image_sum(xs, nodes[sel], t[sel], L, int(M), _neumann_term)[0] * weights[sel]
+    return nodes, rows
+
+
+def _semigroup_at(F, X: np.ndarray, ts, op: LiftedHeatOperator) -> np.ndarray:
+    """T_t F at the k-point configurations X (m, k, 1) for every time t in
+    ts, shape (T, m), by per-particle kernel quadrature (1-d windows).
+
+    One call serves every configuration and time: the inner functions are
+    evaluated once on the (T, m, k, q) nodes of ``_kernel_rows``, the outer
+    once on the (T, m, q, ..., q) tensor grid of their sums, and each
+    particle axis is contracted with its kernel rows by one einsum.  Memory
+    is O(T m q^k) for the q = ``_BE_ORDERS[k]`` nodes per particle.
+    """
+    ts = np.atleast_1d(np.asarray(ts, dtype=float))
+    T, (m, k) = len(ts), X.shape[:2]
     if k == 0:
-        return F.value(gamma)
+        return np.tile(F.value(X), (T, 1))
     if op.window.dim != 1:
         raise DomainError("per-sample semigroup evaluation is 1-d only")
-    L = float(op.window.sides[0])
-    lo = op.window.lower[0]
+    if not isinstance(F, CylinderFunction):
+        raise DomainError("per-sample semigroup needs a cylinder function")
     q = _BE_ORDERS.get(k, 8)
-    ker = op._axis_kernel(t, 0)
-    xs = gamma.points[:, 0] - lo
-    reach = 7.0 * np.sqrt(2.0 * t)
-    rows_A = []
-    rows_pts = []
-    for x in xs:
-        a = max(0.0, x - reach)
-        b = min(L, x + reach)
-        nodes, w = gauss_legendre(a, b, q)
-        rows_A.append(ker.kernel(np.full(q, x), nodes) * w)
-        rows_pts.append(nodes + lo)
-    if isinstance(F, CylinderFunction):
-        shape = (q,) * k
-        u = np.zeros(shape + (F.arity,))
-        for j in range(k):
-            fv = np.stack([f.value(rows_pts[j][:, None]) for f in F.inners], axis=-1)
-            u = u + fv.reshape([q if a == j else 1 for a in range(k)] + [F.arity])
-        vals = F.outer.value(u)
-        out = vals
-        for j in range(k):
-            out = np.tensordot(rows_A[j], out, axes=([0], [0]))
-        return float(out)
-    raise DomainError("per-sample semigroup needs a cylinder function")
+    nodes, rows = _kernel_rows(X, ts, op, q)
+    pts = (nodes + op.window.lower[0])[..., None]
+    fv = np.stack([f.value(pts) for f in F.inners], axis=-1)           # (T, m, k, q, l)
+    u = np.zeros((T, m) + (q,) * k + (F.arity,))
+    for j in range(k):
+        u = u + fv[:, :, j].reshape((T, m) + tuple(q if a == j else 1 for a in range(k))
+                                    + (F.arity,))
+    out = F.outer.value(u)
+    for j in range(k):
+        out = np.einsum("tmq,tmq...->tm...", rows[:, :, j], out)
+    return out
 
 
 def capacity_upper_bound(E_sieve: list[Configuration], candidates: list,

@@ -1,15 +1,18 @@
 import numpy as np
 import pytest
 
-from ugmt.configuration import Configuration, SetSpec, poisson_configurations
+from ugmt import batteries
+from ugmt.configuration import Configuration, SetSpec, by_count, poisson_configurations
 from ugmt.cylinder import (CylinderFunction, ExponentialCylinderFunction,
                            OuterFunction, const, coord, cyl_compose,
-                           cyl_from_star, mul_n, smoothstep, tanh_of)
+                           cyl_from_star, exp_neg, mul_n, nonneg_hint, smoothstep,
+                           tanh_of)
 from ugmt.geometry import (BoxDomain, DomainError, QuadratureError, SmoothFunction,
                            gauss_legendre, interval)
-from ugmt.heat import (BesselOperator, LiftedHeatOperator, _eval_on_grid, _grad_grid,
-                       _semigroup_at, bakry_emery_battery, bessel_apply, capacity_upper_bound,
-                       check_intertwining, lifted_gradient_norm, regularization_slope)
+from ugmt.heat import (_BE_ORDERS, BesselOperator, LiftedHeatOperator, _eval_on_grid,
+                       _grad_grid, _kernel_rows, _semigroup_at, bakry_emery_battery,
+                       bessel_apply, capacity_upper_bound, check_intertwining,
+                       lifted_gradient_norm, regularization_slope)
 from ugmt.montecarlo import MCPlan
 from ugmt.productspace import stratum_indicator
 from ugmt.rng import stream_rng
@@ -226,9 +229,9 @@ def test_grid_route_guards():
         _eval_on_grid(bump, OP.grid(1))
     with pytest.raises(DomainError):
         lifted_gradient_norm(SetSpec.level_set(cyl_from_star(bump), 0.6), None, OP)
-    gamma = Configuration(window=UNIT, points=np.array([[0.3], [0.7]]))
     with pytest.raises(DomainError):
-        _semigroup_at(ExponentialCylinderFunction(f=shifted_mode(-0.25)), gamma, 0.05, OP)
+        _semigroup_at(ExponentialCylinderFunction(f=shifted_mode(-0.25)),
+                      np.array([[[0.3], [0.7]]]), [0.05], OP)
 
 
 def test_level_set_on_grids_is_stratum_membership(member):
@@ -251,10 +254,10 @@ def test_lp_contraction():
     f = SmoothFunction.bump(0.5, 0.3, 1.0, window=UNIT)
     F = cyl_compose(lambda r: tanh_of(r), cyl_from_star(f))
     counts, points = poisson_configurations(UNIT, stream_rng(3, 0), 3000)
-    gams = [Configuration(window=UNIT, points=pts)
-            for pts in np.split(points, np.cumsum(counts)[:-1])]
-    tf = np.array([_semigroup_at(F, g, 0.05, OP) for g in gams])
-    fv = np.array([F.value(g) for g in gams])
+    tf, fv = np.zeros(len(counts)), np.zeros(len(counts))
+    for idx, X in by_count(counts, points).values():
+        tf[idx] = _semigroup_at(F, X, [0.05], OP)[0]
+        fv[idx] = F.value(X)
     for p in (1.0, 2.0, 4.0):
         lhs = np.abs(tf) ** p
         rhs = np.abs(fv) ** p
@@ -351,6 +354,120 @@ def test_capacity_conventions():
     sieve = [Configuration(window=UNIT, points=np.array([[x]])) for x in (0.2, 0.8)]
     bound2, _ = capacity_upper_bound(sieve, [(Fc, lambda p: 1.0)], B, OP)
     assert bound2 == pytest.approx(1.0, rel=1e-4)
+
+
+def _mixed_counts(window):
+    """Configurations with 0-3 particles in mixed order (some at the walls) on
+    a 1-d window, and a nonnegative arity-2 cylinder function there."""
+    if window == UNIT:
+        pts = [[0.3, 0.7], [], [0.5], [0.1, 0.4, 0.8], [0.0], [0.05, 1.0], [],
+               [0.2, 0.55, 0.9]]
+        inners = (SmoothFunction.bump(0.45, 0.3, 1.0, window=UNIT),
+                  SmoothFunction.plateau(interval(0.6, 1.0), 0.02, window=UNIT))
+        F = CylinderFunction(OuterFunction(mul_n(smoothstep(coord(0), 0.4, 0.1),
+                                                 exp_neg(mul_n(const(-2.0),
+                                                               nonneg_hint(coord(1))))), 2),
+                             inners)
+    else:
+        pts = [[16.6, 12.0], [16.95], [], [1.0, 9.0, 17.5], [0.0], [2.0, 16.8, 17.6],
+               [3.0, 16.7]]
+        F = batteries.capacity_family()[3][2]["candidate"][0]
+    return F, [Configuration(window=window, points=np.array(p).reshape(-1, 1)) for p in pts]
+
+
+def _times():
+    """The 48 Laguerre times at alpha = 0.6, floored at 5e-4 as bessel_apply
+    floors them, and one more time at the floor."""
+    ts = np.maximum(BesselOperator(alpha=0.6, p=2.0).nodes_weights()[0], 5e-4)
+    return np.append(ts, 5e-4)
+
+
+@pytest.mark.parametrize("window", [UNIT, batteries.CAP_WINDOW], ids=["unit", "cap"])
+def test_kernel_rows_equal_heat_kernel_rows(window, particle_rows):
+    # every (time, configuration, particle) row bit for bit against the
+    # per-particle gauss_legendre rule and HeatKernel1D(L, t).kernel
+    op = LiftedHeatOperator(window=window)
+    L = float(window.sides[0])
+    ts = _times()
+    _, gams = _mixed_counts(window)
+    counts = np.array([g.count for g in gams])
+    for idx, X in by_count(counts, np.concatenate([g.points for g in gams])).values():
+        k = X.shape[1]
+        if k == 0:
+            continue
+        nodes, rows = _kernel_rows(X, ts, op, _BE_ORDERS[k])
+        assert nodes.shape == rows.shape == (len(ts), len(idx), k, _BE_ORDERS[k])
+        for ti, t in enumerate(ts):
+            for i in range(len(idx)):
+                for j in range(k):
+                    ref_nodes, ref_row = particle_rows(X[i, j, 0], t, L, _BE_ORDERS[k])
+                    assert np.array_equal(nodes[ti, i, j], ref_nodes)
+                    assert np.array_equal(rows[ti, i, j], ref_row)
+
+
+@pytest.mark.parametrize("window", [UNIT, batteries.CAP_WINDOW], ids=["unit", "cap"])
+def test_batched_bessel_matches_configuration_loop(window, semigroup_one):
+    # T_t F at every Laguerre time and t_floor, and B F, against the loop over
+    # configurations, times and particles; only the contraction and the time
+    # sum are ordered differently
+    op = LiftedHeatOperator(window=window)
+    F, gams = _mixed_counts(window)
+    ts = _times()
+    ref = np.array([[semigroup_one(F, g, t, op) for g in gams] for t in ts])
+    counts = np.array([g.count for g in gams])
+    got = np.zeros_like(ref)
+    for idx, X in by_count(counts, np.concatenate([g.points for g in gams])).values():
+        got[:, idx] = _semigroup_at(F, X, ts, op)
+    assert np.all(ref > 0.0)
+    np.testing.assert_allclose(got, ref, rtol=1e-14, atol=0.0)
+    B = BesselOperator(alpha=0.6, p=2.0)
+    ws = B.nodes_weights()[1]
+    bf_ref = np.zeros(len(gams))
+    for ti, w in enumerate(ws):
+        bf_ref += w * ref[ti]
+    np.testing.assert_allclose(bessel_apply(F, B, op, gams), bf_ref, rtol=1e-14, atol=0.0)
+
+
+def test_batched_semigroup_guards():
+    F, _ = _mixed_counts(UNIT)
+    X = np.array([[[0.3], [0.7]]])
+    with pytest.raises(DomainError):
+        _semigroup_at(F, X, [0.05, 0.0], OP)              # a time that is not positive
+    with pytest.raises(DomainError):
+        _semigroup_at(F, np.array([[[0.3], [1.5]]]), [0.05], OP)   # a point off [0, L]
+    op2 = LiftedHeatOperator(window=BoxDomain((0.0, 0.0), (1.0, 1.0)))
+    with pytest.raises(DomainError):
+        _semigroup_at(F, np.array([[[0.3, 0.2]]]), [0.05], op2)
+    # the vacuum needs neither a 1-d window nor a cylinder function
+    G = ExponentialCylinderFunction(f=shifted_mode(-0.25))
+    assert np.array_equal(_semigroup_at(G, np.zeros((3, 0, 2)), [0.05, 0.1], op2),
+                          np.ones((2, 3)))
+
+
+def test_laguerre_rule_is_built_once():
+    B = BesselOperator(alpha=0.6, p=2.0)
+    x, w = B.nodes_weights()
+    assert B.nodes_weights()[0] is x and B.nodes_weights()[1] is w
+    assert not x.flags.writeable and not w.flags.writeable
+
+
+def test_capacity_step_norm_is_computed_once_per_p(monkeypatch):
+    calls = []
+    real = batteries.poisson_stratified_battery
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(batteries, "poisson_stratified_battery", spy)
+    members = batteries.capacity_family()[3]
+    norms = [mem["candidate"][1](2.0) for mem in members]
+    assert len(calls) == 1
+    assert [mem["candidate"][1](2.0) for mem in members] == norms
+    assert len(calls) == 1
+    for mem in members:
+        mem["candidate"][1](1.0)
+    assert len(calls) == 2
 
 
 def test_battery_runs_all_pairs():

@@ -7,6 +7,7 @@ layers.
 """
 
 import ast
+import importlib.util
 import inspect
 import pathlib
 import sys
@@ -83,3 +84,23 @@ def test_sheet_loop_passes_quad_order_by_keyword(monkeypatch):
                          K_max=3)
     assert [n for n, _ in calls] == [5, 5, 5]  # g, level, weights, window, k
     assert [kwargs["quad_order"] for _, kwargs in calls] == [192, 96, None]
+
+
+def test_traced_pathwise_suites_run(tmp_path):
+    # the tracer's kernel and rule hooks call float() on t and the interval
+    # bounds, so a batched route that passed them arrays would crash here
+    from ugmt import cli
+    path = pathlib.Path(__file__).parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    tracer = module.Tracer()
+    tracer.install()
+    try:
+        codes = {suite: tracer.suite(suite, lambda suite=suite: cli.main(
+                     ["run", suite, "--out", str(tmp_path / suite)]))
+                 for suite in ("capacity", "bakry-emery")}
+    finally:
+        tracer.uninstall()
+    assert codes == {"capacity": 0, "bakry-emery": 0}
+    assert tracer.metrics(list(codes))["heat.calls"] > 0
