@@ -234,8 +234,7 @@ class _VariationalObjective:
     and theta . S gains d S_a.  Per batch, the d^0 state at theta (V_theta,
     V_theta', the pairs P and R, q0 = |V_theta|^2, t0 = T(0), s0 = theta . S;
     ``_state``) gives coordinate a's line coefficients q1, q2 and t1..t3 at
-    O(m k) (``_line``), and every step d is scored at O(m) (``_rows``);
-    ``_batch_div`` is the three from a fresh theta.
+    O(m k) (``_line``), and every step d is scored at O(m) (``_rows``).
     ``value(theta, i, a, steps)`` is member i's objective at theta + d e_a
     for each step, in one pass over the batches, which it builds on first use
     and keeps.  The search carries one state per kept batch: once a step d is
@@ -373,17 +372,14 @@ class _VariationalObjective:
 
     def _line(self, theta, state, a, basis) -> tuple:
         """Coordinate a's line coefficients (q1, q2, t1, t2, t3) at theta, from
-        its state: the moving term U = c_a v_a adds d <U, v_c> and
-        d <U, grad c_c> to the pairs."""
+        its state on a kept batch: the moving term U = c_a v_a adds d <U, v_c>
+        and d <U, grad c_c> to the pairs."""
         CVv, CVd, _, VCg, UVCg = basis
         cyl = self._cyl
         Vt, dVt, pair = state[:3]
         U, dU = CVv[a], CVd[a]
         VtU, UU = Vt * U, U * U
-        if UVCg is None:   # a streamed batch
-            line, (q2, t3) = np.einsum("mk,bmk->bm", U, VCg), self._squares(UU, dU)
-        else:              # a kept batch, its (q2, t3) in the fields' slot
-            line, (q2, t3) = UVCg[a], VCg[a]
+        line, (q2, t3) = UVCg[a], VCg[a]   # (q2, t3) sit in the fields' slot
         (P, R), (p, r) = np.split(pair, 2), np.split(line, 2)
         q1 = 2.0 * np.einsum("mk->m", VtU)
         t1 = 2.0 * np.einsum("mk,mk->m", VtU, dVt) + np.einsum("mk,mk,mk->m", Vt, Vt, dU) \
@@ -429,15 +425,6 @@ class _VariationalObjective:
             T -= s0 + d * S_a
             D *= T
             yield D
-
-    def _batch_div(self, theta, a, steps, basis):
-        """div* W at the batch's tuples for theta + d e_a, one row per step d: (G, m)."""
-        state = self._state(theta, basis)
-        out = np.empty((len(steps), state[3].size))
-        for D, row in zip(out, self._rows(state, self._line(theta, state, a, basis),
-                                          basis[2][a], steps)):
-            D[:] = row
-        return out
 
     def value(self, theta: np.ndarray, i: int, a: int, steps) -> np.ndarray:
         """Member i's objective at theta + d e_a for each step d, shape (G,).

@@ -7,12 +7,10 @@ and hashing are well defined on the quotient by particle relabeling.  A
 sieve, or the outside pattern eta of a section.  Batches of configurations are
 tuple stacks (m, k, n), not ``Configuration`` objects.
 
-Poisson configurations are drawn by ``poisson_configurations``, one walk over
-a block of uniform doubles for all the configurations a stream gives, bit for
-bit the sequence of per-configuration ``_draw`` calls: numpy's count rule
-below mean 10 (Knuth's multiplication method) and the uniform coordinates are
-both read off the block.  ``by_count`` groups the walk's ragged output into
-(m_k, k, n) stacks by particle count.
+Poisson configurations are drawn by ``poisson_configurations`` in bulk: the
+counts of all the configurations a stream gives from one ``rng.poisson`` call,
+and all their points from one ``rng.random`` block.  ``by_count`` groups the
+ragged output into (m_k, k, n) stacks by particle count.
 
 A set description (``SetSpec``) is a count condition {lo <= N(region) <= hi}
 or a level condition on a cylinder function, so its membership on a tuple
@@ -23,8 +21,6 @@ same variant.
 
 from __future__ import annotations
 
-import functools
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -113,154 +109,42 @@ class MCEstimate:
 # Poisson sampling (intensity = Lebesgue measure on the window)
 
 
-@functools.lru_cache(maxsize=64)
-def _sampler(window: BoxDomain) -> tuple[float, object, object, int]:
-    """(volume, low, high, dim) of the uniform draws in a window, once per window.
-
-    A cube's bounds are scalars: ``rng.uniform`` then skips its broadcasting
-    path and computes the same ``low + (high - low) * u`` per coordinate, so
-    the stream is unchanged.  Other boxes keep read-only bound arrays.
-    """
-    lo, hi = window.lower, window.upper
-    if len(set(lo)) == 1 and len(set(hi)) == 1:
-        low, high = lo[0], hi[0]
-    else:
-        low, high = np.array(lo), np.array(hi)
-        low.setflags(write=False)
-        high.setflags(write=False)
-    return window.volume, low, high, window.dim
-
-
-def _draw(window: BoxDomain, rng: np.random.Generator) -> np.ndarray:
-    """Points of one Poisson configuration: N ~ Poisson(volume), then N uniform
-    points, redrawn while two of them coincide exactly."""
-    volume, low, high, dim = _sampler(window)
-    k = rng.poisson(volume)
-    for _ in range(_SAMPLE_RETRIES):
-        pts = rng.uniform(low, high, size=(k, dim))
-        if k < 2 or len(set(map(tuple, pts.tolist()))) == k:
-            return pts
-    raise CollisionError("exact point collision persisted; broken RNG?")
-
-
-# numpy draws a Poisson count by Knuth's multiplication rule below this mean
-# and by the PTRS rejection sampler from it on
-_MULTIPLICATION_MAX = 10.0
-
-
 def poisson_configurations(window: BoxDomain, rng: np.random.Generator, m: int
                            ) -> tuple[np.ndarray, np.ndarray]:
     """The next m Poisson configurations of rng, as counts (m,) and points
     (counts.sum(), n): configuration i is the counts[i] rows that follow the
     rows of configurations 0, ..., i - 1.
 
-    Bit for bit the points of m sequential ``_draw(window, rng)`` calls,
-    collision redraws included.  Below volume 10 numpy's count rule is
-    Knuth's: prod *= u while prod > exp(-volume), so a count X reads X + 1
-    doubles, and each coordinate of its points is low + (high - low) u of
-    one more.  The walk reads both off one ``rng.random`` block, extended
-    while it runs short, and finds exact duplicate points by one sort per
-    round; a configuration with a hit is redrawn from the doubles after it,
-    up to ``_SAMPLE_RETRIES`` times, as ``_draw`` does.  From volume 10 numpy
-    counts by rejection, whose consumption a block cannot tell, and each
-    configuration is one ``_draw``.
-
-    The block runs past the last configuration: rng is used up, and nothing
-    drawn from it afterwards continues the sequence of ``_draw`` calls.
+    The counts are one ``rng.poisson(volume, m)`` draw and the points one
+    ``rng.random`` block mapped to low + (high - low) u.  A configuration with
+    two equal points keeps its count and has its points redrawn from rng, up
+    to ``_SAMPLE_RETRIES`` draws in all; equal points are found by one sort
+    per round, with the configuration as the leading key.
     """
-    volume, _, _, n = _sampler(window)
-    if volume >= _MULTIPLICATION_MAX:
-        draws = [_draw(window, rng) for _ in range(m)]
-        return (np.array([d.shape[0] for d in draws], dtype=np.intp),
-                np.concatenate([np.zeros((0, n)), *draws]))
-    enlam = math.exp(-volume)
+    n = window.dim
     low, span = np.array(window.lower), np.subtract(window.upper, window.lower)
 
-    def points(v, first, k):
-        """The k points whose coordinates start at v[first], for each entry."""
-        size = k * n
-        idx = np.repeat(first - (np.cumsum(size) - size), size) + np.arange(size.sum())
-        pts = v[idx].reshape(-1, n)
+    def uniform(rows):
+        pts = rng.random((rows, n))
         pts *= span
         pts += low
         return pts
 
-    counts, rows, left = [], [], m
-    v = np.empty(0)   # the doubles not consumed yet
-    while left:
-        X = _knuth_counts(v, enlam)
-        end = np.arange(1, v.size + 1) + (n + 1) * X   # one past each configuration
-        end[(X < 0) | (end > v.size)] = 0              # not complete inside the block
-        starts = _chase(end.tolist(), left)
-        k = X[starts]
-        pts = points(v, starts + k + 1, k)
-        hit = _first_collision(pts, k)
-        ok = len(starts) if hit is None else hit
-        counts.append(k[:ok])
-        rows.append(pts[:k[:ok].sum()])
-        left -= ok
-        if hit is None:
-            v = v[end[starts[-1]]:] if ok else v
-            if left:
-                v = np.concatenate([v, rng.random(_block_size(left, volume, n))])
-            continue
-        # _draw's redraw rule: the next k n doubles, while the points collide
-        s, kh = starts[hit], k[hit]
-        first, size = s + kh + 1, kh * n
-        need = first + _SAMPLE_RETRIES * size
-        if need > v.size:
-            v = np.concatenate([v, rng.random(need - v.size)])
-        for t in range(1, _SAMPLE_RETRIES):
-            pts = points(v, np.array([first + t * size]), k[hit:hit + 1])
-            if _first_collision(pts, k[hit:hit + 1]) is None:
-                break
-        else:
-            raise CollisionError("exact point collision persisted; broken RNG?")
-        counts.append(k[hit:hit + 1])
-        rows.append(pts)
-        left -= 1
-        v = v[first + (t + 1) * size:]
-    return (np.concatenate([np.zeros(0, dtype=np.intp), *counts]),
-            np.concatenate([np.zeros((0, n)), *rows]))
-
-
-def _block_size(m: int, volume: float, n: int) -> int:
-    """Doubles for m configurations: their mean use 1 + (n + 1) volume each,
-    plus three standard deviations of the total."""
-    return int(m * (1.0 + (n + 1) * volume) + 3.0 * (n + 1) * math.sqrt(m * volume)) + 8
-
-
-def _knuth_counts(v: np.ndarray, enlam: float) -> np.ndarray:
-    """X[q]: the count of a walk from v[q], the number of factors of the
-    running product v[q] v[q + 1] ..., multiplied in that order, that keep it
-    above enlam; -1 where the walk runs past the end of v."""
-    X = np.zeros(v.size, dtype=np.intp)
-    q = np.flatnonzero(v > enlam)
-    prod = v[q]
-    x = 1
-    while q.size:
-        X[q] = x
-        nxt = q + x
-        inside = nxt < v.size
-        X[q[~inside]] = -1
-        q, prod = q[inside], prod[inside] * v[nxt[inside]]
-        above = prod > enlam
-        q, prod = q[above], prod[above]
-        x += 1
-    return X
-
-
-def _chase(end: list[int], m: int) -> np.ndarray:
-    """The starts 0, end[0], end[end[0]], ... of at most m configurations,
-    up to the first start whose end is 0 (not complete)."""
-    end.append(0)   # the start one past the block is not complete
-    starts, q = [], 0
-    for _ in range(m):
-        if not end[q]:
-            break
-        starts.append(q)
-        q = end[q]
-    return np.array(starts, dtype=np.intp)
+    counts = rng.poisson(window.volume, size=m)
+    points = uniform(int(counts.sum()))
+    owner = np.repeat(np.arange(m), counts)
+    rows = np.arange(points.shape[0])   # the rows of configurations not yet checked
+    for attempt in range(_SAMPLE_RETRIES):
+        if attempt:
+            points[rows] = uniform(rows.size)
+        own = owner[rows]
+        order = np.lexsort((*points[rows].T[::-1], own))
+        o, s = own[order], points[rows[order]]
+        same = (o[1:] == o[:-1]) & np.all(s[1:] == s[:-1], axis=1)
+        if not same.any():
+            return counts, points
+        rows = rows[np.isin(own, o[1:][same])]
+    raise CollisionError("exact point collision persisted; broken RNG?")
 
 
 def _in_point_order(counts: np.ndarray, points: np.ndarray) -> np.ndarray:
@@ -269,15 +153,6 @@ def _in_point_order(counts: np.ndarray, points: np.ndarray) -> np.ndarray:
     as the leading key."""
     owner = np.repeat(np.arange(counts.size), counts)
     return points[np.lexsort((*points.T[::-1], owner))]
-
-
-def _first_collision(pts: np.ndarray, k: np.ndarray) -> int | None:
-    """The first configuration with two equal points, None if there is none.
-    Equal points are neighbours in point order."""
-    owner = np.repeat(np.arange(k.size), k)
-    s = _in_point_order(k, pts)
-    same = (owner[1:] == owner[:-1]) & np.all(s[1:] == s[:-1], axis=1)
-    return int(owner[1:][same][0]) if same.any() else None
 
 
 def by_count(counts: np.ndarray, points: np.ndarray) -> dict[int, tuple[np.ndarray, np.ndarray]]:

@@ -3,8 +3,8 @@
 Two integration routes are provided and used as mutual oracles throughout:
 
 * plain Monte Carlo over sampled configurations.  ``draw_by_count`` draws
-  each sample of an ``MCPlan`` once, one ``poisson_configurations`` walk per
-  plan stream, and groups the draws by particle count into ``(m_k, k, n)``
+  each sample of an ``MCPlan`` once, one ``poisson_configurations`` bulk draw
+  per plan stream, and groups the draws by particle count into ``(m_k, k, n)``
   tuple stacks that keep their sample indices.  ``integrate_battery`` evaluates
   every member of a battery of stratum functions ``Hk(k, X)`` on those
   stacks, puts the values back in sample order and reduces each member with
@@ -88,16 +88,16 @@ def draw_by_count(plan: MCPlan) -> dict[int, tuple[np.ndarray, np.ndarray]]:
 
     Stream j of the plan's ``streams`` S draws samples j, j + S, j + 2S,
     ... in that order on the random stream (seed, j), all of them by one
-    ``poisson_configurations`` walk, so the points and the collision redraws
-    are those of one ``_draw`` per configuration and do not depend on the
-    grouping.  Returns k -> (sample indices, tuples) for every count drawn,
-    k ascending: the tuples have shape (m_k, k, n) and are in stream order.
+    ``poisson_configurations`` call, so the points and the collision redraws
+    do not depend on the grouping.  Returns k -> (sample indices, tuples)
+    for every count drawn, k ascending: the tuples have shape (m_k, k, n) and
+    are in stream order.
     """
     S, n = plan.streams, plan.n_samples
-    walks = [poisson_configurations(plan.window, stream_rng(plan.seed, j), len(range(j, n, S)))
+    draws = [poisson_configurations(plan.window, stream_rng(plan.seed, j), len(range(j, n, S)))
              for j in range(S)]
     sample = np.concatenate([np.arange(j, n, S) for j in range(S)])
-    groups = by_count(np.concatenate([c for c, _ in walks]), np.concatenate([p for _, p in walks]))
+    groups = by_count(np.concatenate([c for c, _ in draws]), np.concatenate([p for _, p in draws]))
     return {k: (sample[pos], X) for k, (pos, X) in groups.items()}
 
 

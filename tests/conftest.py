@@ -4,6 +4,7 @@ from hypothesis import settings
 
 from ugmt.geometry import HeatKernel1D, gauss_legendre
 from ugmt.heat import _BE_ORDERS
+from ugmt.rng import stream_rng
 
 settings.register_profile("lab", deadline=None, derandomize=True)
 settings.load_profile("lab")
@@ -65,3 +66,30 @@ def particle_rows():
 @pytest.fixture
 def semigroup_one():
     return _semigroup_one
+
+
+class _RepeatInFirstBlock:
+    """The Poisson stream (seed, stream) with one repeat in its first ``random``
+    block: point 1 of the first configuration of two or more points (``hit``)
+    is set to its point 0.  ``blocks`` counts the ``random`` calls."""
+
+    def __init__(self, seed, stream):
+        self.rng, self.hit, self.blocks = stream_rng(seed, stream), None, 0
+
+    def poisson(self, lam, size):
+        self.counts = self.rng.poisson(lam, size=size)
+        return self.counts
+
+    def random(self, size):
+        u = self.rng.random(size)
+        if not self.blocks and np.any(self.counts >= 2):
+            self.hit = int(np.argmax(self.counts >= 2))
+            first = int(self.counts[:self.hit].sum())
+            u[first + 1] = u[first]
+        self.blocks += 1
+        return u
+
+
+@pytest.fixture
+def repeat_stream():
+    return _RepeatInFirstBlock

@@ -62,7 +62,7 @@ def _nested_estimate(F, split, plan, inner=32):
 
     Each of max(n / inner, 100) outer patterns zeta on N (stream (seed, 1))
     is merged with ``inner`` inner patterns xi on M (stream (seed, 2)), each
-    stream drawn in order by one walk, and F is averaged over the merged patterns; the standard
+    stream drawn in order by one bulk draw, and F is averaged over the merged patterns; the standard
     error is taken across outer samples, so it covers the inner noise as
     well.  F is evaluated on the merged tuples, batched by particle count.
     """

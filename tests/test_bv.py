@@ -192,9 +192,11 @@ def test_search_picks_the_brute_force_theta(name):
 @pytest.mark.parametrize("name", sorted(_OBJECTIVE_CASES))
 def test_search_state_matches_fresh_lines(name, monkeypatch):
     # every line the search scores on its carried state, against the same
-    # line from a fresh theta; the chosen steps are the fresh line's
+    # line from a second objective that carries no search, so its state is
+    # built at theta; the chosen steps are the fresh line's
     Fs = _OBJECTIVE_CASES[name]
     obj = _VariationalObjective(Fs, _FAMILY, W_HALF, seed=11, n_band=2_000, mc_n=1_000)
+    fresh = _VariationalObjective(Fs, _FAMILY, W_HALF, seed=11, n_band=2_000, mc_n=1_000)
     lines, built = [], []
     value, state = _VariationalObjective.value, _VariationalObjective._state
 
@@ -218,8 +220,7 @@ def test_search_state_matches_fresh_lines(name, monkeypatch):
     moved = 0
     for theta, i, a, steps, got in lines:
         assert np.array_equal(theta, replay[i])
-        want = sum(obj._batch_div(theta, a, steps, basis) @ pw[i]
-                   for _, _, pw, basis in obj.batches)
+        want = fresh.value(theta, i, a, steps)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.max(np.abs(want)))
         d = steps[int(np.argmax(want))]
         assert d == steps[int(np.argmax(got))]
@@ -295,15 +296,17 @@ def test_objective_final_estimate_streams(name):
     got = obj.value_with_error(thetas)
     assert "batches" not in vars(obj)   # streamed: no basis kept
     assert len(got) == len(Fs)
+    ref = _LoopObjective(Fs, _FAMILY, W_HALF, seed=11, n_band=2_000, mc_n=1_000)
     for i, th in enumerate(thetas):
         total, err_sq = 0.0, 0.0
-        for kind, n, pw, basis in obj._stream():
-            contrib = pw[i] * obj._batch_div(th, 0, (0.0,), basis)[0]
+        for kind, n, pw, basis in ref.batches:
+            contrib = pw[i] * ref._batch_div(th, basis)
             total += float(np.sum(contrib))
             if kind == "mc":
                 _, se = mean_and_stderr(np.pad(contrib, (0, n - contrib.size)) * n)
                 err_sq += se * se
-        assert got[i] == (total, float(np.sqrt(err_sq)))
+        assert got[i][0] == pytest.approx(total, rel=1e-12)
+        assert got[i][1] == pytest.approx(np.sqrt(err_sq), rel=1e-12)
         # the kept search batches score the same theta within rounding
         assert obj.value(th, i, 0, (0.0,))[0] == pytest.approx(total, rel=1e-12)
 

@@ -1,14 +1,23 @@
+import functools
+
 import numpy as np
 import pytest
 from scipy import stats
 
-from ugmt.configuration import (Configuration, MCEstimate, SetSpec, _draw, by_count,
-                                poisson_configurations, section_set)
+from ugmt.configuration import (_SAMPLE_RETRIES, CollisionError, Configuration, MCEstimate,
+                                SetSpec, by_count, poisson_configurations, section_set)
 from ugmt.geometry import BoxDomain, DomainError, interval
 from ugmt.productspace import stratum_indicator
 from ugmt.rng import stream_rng
 
 UNIT = interval(0.0, 1.0)
+# volumes below and above 10, in 1-d and 2-d
+DRAW_WINDOWS = {
+    "interval-2": interval(0.0, 2.0),
+    "box-2.25": BoxDomain((0.0, -0.5), (1.5, 1.0)),
+    "interval-12": interval(0.0, 12.0),
+    "box-12": BoxDomain((0.0, 0.0), (4.0, 3.0)),
+}
 
 
 def conf(window, *pts):
@@ -43,10 +52,11 @@ def test_poisson_void_probability():
 
 
 def test_sampler_reproducible():
-    a, b, c = (Configuration(window=UNIT, points=_draw(UNIT, stream_rng(42, stream)))
-               for stream in (3, 3, 4))
-    assert a == b
-    assert a != c or a.count == 0
+    for window in DRAW_WINDOWS.values():
+        a, b, c = (poisson_configurations(window, stream_rng(42, stream), 50)
+                   for stream in (3, 3, 4))
+        assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+        assert not (np.array_equal(a[0], c[0]) and np.array_equal(a[1], c[1]))
 
 
 def test_restricted_sampling_law():
@@ -61,9 +71,61 @@ def test_restricted_sampling_law():
 
 
 # ---------------------------------------------------------------------------
-# the block walk against the per-configuration draw
+# the bulk draw: its law, and its stream bit for bit
 
-WALK_WINDOWS = {
+_LAW_M = 20_000
+
+
+@functools.lru_cache(maxsize=None)
+def _law_draw(name):
+    stream = list(DRAW_WINDOWS).index(name)
+    return poisson_configurations(DRAW_WINDOWS[name], stream_rng(2024, stream), _LAW_M)
+
+
+@pytest.mark.parametrize("name", DRAW_WINDOWS)
+def test_draw_count_law(name):
+    # N ~ Poisson(vol): mean, variance (Var s^2 = (vol + 2 vol^2) / m) and P(N = 0)
+    vol, m = DRAW_WINDOWS[name].volume, _LAW_M
+    counts, _ = _law_draw(name)
+    assert counts.shape == (m,) and counts.dtype.kind == "i"
+    assert abs(counts.mean() - vol) <= 3.0 * np.sqrt(vol / m)
+    assert abs(counts.var(ddof=1) - vol) <= 3.0 * np.sqrt((vol + 2.0 * vol * vol) / m)
+    p0 = np.exp(-vol)
+    assert abs(np.mean(counts == 0) - p0) <= 3.0 * np.sqrt(p0 * (1.0 - p0) / m)
+
+
+@pytest.mark.parametrize("name", DRAW_WINDOWS)
+def test_draw_points_are_uniform_per_axis(name):
+    window = DRAW_WINDOWS[name]
+    _, points = _law_draw(name)
+    for j, (lo, hi) in enumerate(zip(window.lower, window.upper)):
+        # p > 0.0027, the two-sided 3 sigma tail
+        assert stats.kstest(points[:, j], "uniform", args=(lo, hi - lo)).pvalue > 0.0027
+
+
+@pytest.mark.parametrize("name", DRAW_WINDOWS)
+def test_draw_points_lie_in_the_window_once(name):
+    window = DRAW_WINDOWS[name]
+    counts, points = _law_draw(name)
+    assert points.shape == (counts.sum(), window.dim)
+    assert np.all(window.contains(points))
+    owner = np.repeat(np.arange(counts.size), counts)
+    tagged = np.column_stack([owner, points])
+    assert np.unique(tagged, axis=0).shape[0] == points.shape[0]
+
+
+def _uniform(window, u):
+    return np.asarray(window.lower) + np.subtract(window.upper, window.lower) * u
+
+
+def _sequential(window, rng, m):
+    """The draw as two plain numpy calls in sequence: m counts, then every
+    coordinate of every point, low + (high - low) u."""
+    counts = rng.poisson(window.volume, size=m)
+    return counts, _uniform(window, rng.random((int(counts.sum()), window.dim)))
+
+
+STREAM_WINDOWS = {
     "unit": UNIT,
     "unit2": BoxDomain((0.0, 0.0), (1.0, 1.0)),
     "interval-2": interval(0.0, 2.0),
@@ -73,48 +135,59 @@ WALK_WINDOWS = {
 }
 
 
-def _sequential(window, rng, m):
-    return [_draw(window, rng) for _ in range(m)]
-
-
-def _assert_walk_is(counts, points, draws):
-    assert counts.dtype.kind == "i"
-    assert counts.tolist() == [pts.shape[0] for pts in draws]
-    assert points.shape[0] == sum(counts)
-    ends = np.cumsum(counts)
-    for i, pts in enumerate(draws):
-        assert np.array_equal(points[ends[i] - counts[i]:ends[i]], pts)
-
-
 @pytest.mark.parametrize("m", [0, 1, 7, 5000])
-@pytest.mark.parametrize("window", WALK_WINDOWS.values(), ids=list(WALK_WINDOWS))
+@pytest.mark.parametrize("window", STREAM_WINDOWS.values(), ids=list(STREAM_WINDOWS))
 def test_walk_reproduces_sequential_draws(window, m):
-    # also the guard against a numpy release that changes its Poisson rule
+    # the stream contract: counts first, then one block of coordinates, so a
+    # change in how the draw consumes random numbers (which re-rolls every
+    # fixed-seed Monte Carlo value) fails here
     for seed in (0, 1, 23, 20240901):
         counts, points = poisson_configurations(window, stream_rng(seed, 5), m)
-        assert points.shape[1] == window.dim
-        _assert_walk_is(counts, points, _sequential(window, stream_rng(seed, 5), m))
+        want_counts, want = _sequential(window, stream_rng(seed, 5), m)
+        assert counts.dtype.kind == "i"
+        assert np.array_equal(counts, want_counts)
+        assert np.array_equal(points, want)
 
 
-class _RandomSpy:
-    """A generator that offers the walk only ``random`` and records each size."""
+@pytest.mark.parametrize("name", DRAW_WINDOWS)
+def test_collision_redraws_only_the_hit_configuration(name, repeat_stream):
+    window, m = DRAW_WINDOWS[name], 40
+    fake = repeat_stream(8, 1)
+    counts, points = poisson_configurations(window, fake, m)
+    assert fake.hit is not None and fake.blocks == 2
+    # the hit keeps its count and takes the next k points of the stream; every
+    # other configuration is the plain draw's
+    rng = stream_rng(8, 1)
+    want_counts, want = _sequential(window, rng, m)
+    k, first = want_counts[fake.hit], int(want_counts[:fake.hit].sum())
+    want[first:first + k] = _uniform(window, rng.random((k, window.dim)))
+    assert np.array_equal(counts, want_counts)
+    assert np.array_equal(points, want)
+    assert np.unique(points[first:first + k], axis=0).shape[0] == k
 
-    def __init__(self, rng):
-        self.rng, self.sizes = rng, []
+    class Stuck:
+        """Every count k and every double 1/2."""
 
-    def random(self, size):
-        self.sizes.append(size)
-        return self.rng.random(size)
+        def __init__(self, k):
+            self.k, self.blocks = k, 0
 
+        def poisson(self, lam, size):
+            return np.full(size, self.k)
 
-def test_walk_extends_a_short_block():
-    # on stream (1750, 0) seven configurations on the unit square outrun the
-    # first block's three standard deviations
-    window, m = WALK_WINDOWS["unit2"], 7
-    spy = _RandomSpy(stream_rng(1750, 0))
-    counts, points = poisson_configurations(window, spy, m)
-    assert len(spy.sizes) >= 2
-    _assert_walk_is(counts, points, _sequential(window, stream_rng(1750, 0), m))
+        def random(self, size):
+            self.blocks += 1
+            return np.full(size, 0.5)
+
+    stuck = Stuck(3)   # every draw repeats a point
+    with pytest.raises(CollisionError):
+        poisson_configurations(window, stuck, 4)
+    assert stuck.blocks == _SAMPLE_RETRIES
+    # one point each, all at the same place: a point shared by two
+    # configurations is no collision
+    shared = Stuck(1)
+    counts, points = poisson_configurations(window, shared, 4)
+    assert shared.blocks == 1 and counts.tolist() == [1] * 4
+    assert np.array_equal(points, _uniform(window, np.full((4, window.dim), 0.5)))
 
 
 def test_by_count_groups_in_draw_order():

@@ -8,7 +8,7 @@ import pytest
 
 from ugmt import batteries
 from ugmt.bv import _SHEET_STREAMS, perimeter_measure
-from ugmt.configuration import Configuration, SetSpec, poisson_configurations, section_set
+from ugmt.configuration import Configuration, SetSpec, section_set
 from ugmt.cylinder import cyl_compose, cyl_from_star, tanh_of
 from ugmt.geometry import (BoxDomain, DomainError, SmoothFunction, _legendre_rule,
                            gauss_legendre, interval)
@@ -18,7 +18,6 @@ from ugmt.hausdorff import (CriticalLevelError, RhoLimitResult, _stratum_fractio
 from ugmt.montecarlo import (MCPlan, StratumGrid, integrate_battery, stratum_grid_points,
                              uniform_tuples)
 from ugmt.productspace import stratum_indicator
-from ugmt.rng import stream_rng
 
 UNIT = interval(0.0, 1.0)
 
@@ -181,15 +180,13 @@ def test_perimeter_and_rho1_are_one_call_of_the_sheet_loop():
 
 
 def test_rho1_clamps_a_negative_stratum_at_zero():
-    # sheet-scale-1.3 sectioned on [-0.5, 0.5] by the outside pattern that
-    # rho_m_limit(..., seed=7) draws 22nd: the extrapolated band value of the
-    # k = 2 stratum (quadrature order 96) comes out negative
+    # sheet-scale-1.3 sectioned on [-0.5, 0.5] by a one-point outside pattern
+    # at which the extrapolated band value of the k = 2 stratum (quadrature
+    # order 96) comes out negative
     spec = batteries.monotone_sheets()["sheet-scale-1.3"]
     inner = scaled_box(0.0, 1.0, 1)
-    counts, points = poisson_configurations(spec.locality, stream_rng(7, 7), 22)
-    pts = points[points.shape[0] - counts[-1]:]
-    sec = section_set(spec, Configuration(window=spec.locality,
-                                          points=pts[~inner.contains(pts)]), inner)
+    eta = Configuration(window=spec.locality, points=np.array([[0.5321212403346848]]))
+    sec = section_set(spec, eta, inner)
     raw = sheet_integrals(sec.function, sec.level, {"s": None}, inner, streams=(80, 1),
                           n_samples=2_000, seed=29, count_equals=sec.count_equals)["s"]
     got = rho_m_on_box(sec, 1, inner, n_samples=2_000, seed=29)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import special
 
-from ugmt.configuration import CollisionError, MCEstimate, SetSpec
+from ugmt.configuration import CollisionError, MCEstimate, SetSpec, poisson_configurations
 from ugmt.cylinder import cyl_compose, cyl_from_star, tanh_of
 from ugmt.geometry import BoxDomain, SmoothFunction, gauss_legendre, interval
 from ugmt import batteries, montecarlo
@@ -120,28 +120,17 @@ def test_chebyshev_sanity():
 # one draw per plan, grouped by particle count
 
 
-def _reference_draw(window, rng):
-    """The per-configuration draw with bound tuples, a fresh window volume and
-    the sorted collision check, as ``configuration._draw`` had it."""
-    k = rng.poisson(window.volume)
-    for _ in range(10):
-        pts = rng.uniform(window.lower, window.upper, size=(k, window.dim))
-        if k < 2:
-            return pts
-        canon = pts[np.lexsort(pts.T[::-1])]
-        if not np.any(np.all(np.diff(canon, axis=0) == 0.0, axis=1)):
-            return pts
-    raise CollisionError("exact point collision persisted")
-
-
 def _reference_plan_draws(plan, make_rng=stream_rng):
-    """Sample index -> points, drawn stream by stream in stream order."""
+    """Sample index -> points: one ``poisson_configurations`` call per stream,
+    split by hand into its configurations, in stream order."""
     S, n = plan.streams, plan.n_samples
     out = {}
     for j in range(S):
-        rng = make_rng(plan.seed, j)
-        for i in range(j, n, S):
-            out[i] = _reference_draw(plan.window, rng)
+        idx = range(j, n, S)
+        counts, points = poisson_configurations(plan.window, make_rng(plan.seed, j), len(idx))
+        ends = np.cumsum(counts)
+        for i, c, e in zip(idx, counts, ends):
+            out[i] = points[e - c:e]
     return out
 
 
@@ -173,86 +162,34 @@ def test_draw_by_count_reproduces_per_configuration_draws(window):
         assert max(draws) >= 8
 
 
-def _doubles_drawn(rng):
-    """Doubles a Philox stream has handed out: four per counter step, less
-    those still in its buffer."""
-    state = rng.bit_generator.state
-    return 4 * int(state["state"]["counter"][0]) - 4 + state["buffer_pos"]
-
-
-class _RepeatOnce:
-    """A generator whose first multi-point uniform draw repeats a point; ``at``
-    is the stream position of that draw's first double."""
-
-    def __init__(self, seed, stream):
-        self.rng = stream_rng(seed, stream)
-        self.at = None
-        self.uniform_calls = 0
-
-    def poisson(self, lam):
-        return self.rng.poisson(lam)
-
-    def uniform(self, low, high, size):
-        self.uniform_calls += 1
-        at = _doubles_drawn(self.rng)
-        pts = self.rng.uniform(low, high, size=size)
-        if self.at is None and size[0] >= 2:
-            self.at = at
-            pts[1] = pts[0]
-        return pts
-
-
-class _RepeatAt:
-    """The walk's surface of a stream, ``random``, with the doubles of point 1
-    of the configuration whose points start at position ``at`` replaced by
-    those of its point 0: the repeat of ``_RepeatOnce``."""
-
-    def __init__(self, seed, stream, at, dim):
-        self.rng = stream_rng(seed, stream)
-        self.head = self.rng.random(at + 2 * dim)
-        self.head[at + dim:] = self.head[at:at + dim]
-        self.served = 0
-
-    def random(self, size):
-        head = self.head[self.served:self.served + size]
-        self.served += size
-        return np.concatenate([head, self.rng.random(size - head.size)])
-
-
-def test_draw_takes_the_collision_retry_path(monkeypatch):
+def test_draw_takes_the_collision_retry_path(monkeypatch, repeat_stream):
+    # every stream's first block repeats a point once: draw_by_count groups
+    # what the per-stream draws give, the redraw included
     plan = MCPlan(n_samples=200, seed=4, window=UNIT, streams=3)
-    refs, walks = [], []
+    streams = []
 
-    def reference(seed, stream):
-        refs.append(_RepeatOnce(seed, stream))
-        return refs[-1]
+    def make(seed, stream):
+        streams.append(repeat_stream(seed, stream))
+        return streams[-1]
 
-    def walk(seed, stream):
-        walks.append(_RepeatAt(seed, stream, refs[stream].at, plan.window.dim))
-        return walks[-1]
-
-    ref = _reference_plan_draws(plan, reference)
-    assert all(r.at is not None for r in refs)
-    # one redraw per stream
-    assert ([r.uniform_calls for r in refs]
-            == [len(range(j, plan.n_samples, plan.streams)) + 1 for j in range(plan.streams)])
-    monkeypatch.setattr(montecarlo, "stream_rng", walk)
+    ref = _reference_plan_draws(plan, make)
+    monkeypatch.setattr(montecarlo, "stream_rng", make)
     draws = draw_by_count(plan)
-    assert len(walks) == plan.streams
-    # each walk read its stream through the repeat and the redraw, as far as
-    # the reference drew
-    assert all(w.served >= _doubles_drawn(r.rng) for w, r in zip(walks, refs))
+    assert len(streams) == 2 * plan.streams
+    assert all(s.hit is not None and s.blocks == 2 for s in streams)   # one redraw each
     for idx, X in draws.values():
         for i, pts in zip(idx, X):
             assert np.array_equal(pts, ref[i])
             assert len(set(map(tuple, pts.tolist()))) == pts.shape[0]
 
     class Stuck:
-        """Every double is 1/2: at volume 5 the count walk reads 7 points,
-        all equal, on every redraw."""
+        """Every count 7 and every double 1/2, on every redraw."""
 
         def __init__(self, seed, stream):
             pass
+
+        def poisson(self, lam, size):
+            return np.full(size, 7)
 
         def random(self, size):
             return np.full(size, 0.5)

@@ -14,10 +14,9 @@ import sys
 
 import pytest
 
-from ugmt import bv, configuration, geometry, hausdorff, heat, montecarlo
+from ugmt import bv, geometry, hausdorff, heat, montecarlo
 
 HOOKED = [
-    (configuration, "_draw", ("window", "rng")),
     (montecarlo, "stratum_grid_points", ()),
     (hausdorff, "band_integral_mc", ("h", "window", "k", "n_samples")),
     (hausdorff, "band_integral_quad", ()),
@@ -31,7 +30,7 @@ HOOKED = [
 ]
 
 HOOKED_METHODS = [
-    (bv._VariationalObjective, ("value", "value_with_error", "_batch_div")),
+    (bv._VariationalObjective, ("value", "value_with_error")),
     (heat.LiftedHeatOperator, ("tensor_apply",)),
     (geometry.SmoothFunction, ("value", "gradient")),
 ]
