@@ -8,7 +8,7 @@ and a verification harness that checks each theorem-level identity against
 independent Monte Carlo and quadrature oracles.
 """
 
-from .configuration import Configuration, MCEstimate, SetSpec
+from .configuration import MCEstimate, SetSpec
 from .geometry import (BoxDomain, HeatKernel1D, SmoothFunction, SmoothVectorField,
                        interval, neumann_kernel)
 from .cylinder import (CylinderFunction, CylinderVectorField,
@@ -16,7 +16,7 @@ from .cylinder import (CylinderFunction, CylinderVectorField,
 from .montecarlo import MCPlan
 
 __all__ = [
-    "BoxDomain", "Configuration", "CylinderFunction", "CylinderVectorField",
+    "BoxDomain", "CylinderFunction", "CylinderVectorField",
     "ExponentialCylinderFunction", "HeatKernel1D", "MCEstimate", "MCPlan",
     "OuterFunction", "SetSpec", "SmoothFunction", "SmoothVectorField",
     "interval", "neumann_kernel",

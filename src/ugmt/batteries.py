@@ -3,7 +3,7 @@
 Every entry names the identity it probes, so reports and the catalog listing
 stay self-describing.  Entries are plain builders over the shared standard
 windows; the suites call the builders directly, and the catalog table gives
-each one a name that ``build`` resolves and ``ugmt list-batteries`` prints.
+each one a name that ``ugmt list-batteries`` prints.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import functools
 
 import numpy as np
 
-from .configuration import Configuration, SetSpec
+from .configuration import SetSpec
 from .cylinder import (CylinderFunction, CylinderVectorField, OuterFunction,
                        add_n, const, coord, cyl_compose, cyl_from_star, exp_neg,
                        mul_n, nonneg_hint, smoothstep, square, tanh_of)
@@ -210,8 +210,9 @@ def capacity_family():
 
     Returns (window, support box, sheet spec, members) where each member
     carries the void length, the candidate (F, exact norm routine), and the
-    sieve configurations.  Norms factor exactly over the disjoint void and
-    statistic regions; the void factor uses the Poisson count distribution.
+    sieve configurations as sorted point arrays (k, 1).  Norms factor
+    exactly over the disjoint void and statistic regions; the void factor
+    uses the Poisson count distribution.
     """
     W = CAP_WINDOW
     fsheet = SmoothFunction.bump(16.8, 0.38, 1.0, window=W)
@@ -253,8 +254,8 @@ def capacity_family():
 
         ambient = max(ell + 0.4, 12.0)
         ambient = min(ambient, 16.1)
-        sieve = [Configuration(window=W, points=np.array([[r]])) for r in roots]
-        sieve.append(Configuration(window=W, points=np.array([[roots[0]], [ambient]])))
+        sieve = [np.array([[r]]) for r in roots]
+        sieve.append(np.sort([[roots[0]], [ambient]], axis=0))
         members.append({"ell": ell, "candidate": (F, norm_fn), "sieve": sieve})
     return W, S_box, sheet, members
 

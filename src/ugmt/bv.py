@@ -804,7 +804,7 @@ def _alignment_cosines(F: CylinderFunction, V: CylinderVectorField, window: BoxD
     """Cosines between grad F and V over 400 Poisson configurations drawn in
     order on stream (seed, 77), in draw order, skipping those with
     |grad F| <= 0.1 or |V| < 1e-12.  Each configuration's points are in
-    ``Configuration``'s order, the configurations are grouped by count and
+    lexicographic order, the configurations are grouped by count and
     each stack is evaluated at once; rows are independent, so every cosine
     equals its one-configuration value bit for bit."""
     counts, points = poisson_configurations(window, stream_rng(seed, 77), 400)

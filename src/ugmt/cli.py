@@ -343,7 +343,7 @@ def _suite_capacity(cfg: SuiteConfig) -> list[dict]:
     caps, rhos = [], []
     rows = []
     for mem in members:
-        bound, _ = capacity_upper_bound(mem["sieve"], [mem["candidate"]], B, op)
+        bound, _ = capacity_upper_bound(mem["sieve"], *mem["candidate"], B, op)
         rho = float(np.exp(-mem["ell"])) * base.total
         rho_sig = float(np.exp(-mem["ell"])) * base.total_err
         caps.append(bound)

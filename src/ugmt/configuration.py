@@ -1,11 +1,11 @@
 """Finite point configurations, Poisson sampling, and Borel set descriptions.
 
-A configuration is a finite multiplicity-one point pattern in a box window.
-Configurations are canonicalized by lexicographic point order so that equality
-and hashing are well defined on the quotient by particle relabeling.  A
-``Configuration`` is one pattern on its own: a configuration of the capacity
-sieve, or the outside pattern eta of a section.  Batches of configurations are
-tuple stacks (m, k, n), not ``Configuration`` objects.
+A configuration is a finite multiplicity-one point pattern in a box window,
+held as a point array (k, n); a batch of k-point configurations is a tuple
+stack (m, k, n).  Cylinder objects are symmetric in their particles, so the
+order of a pattern's rows matters only to the floating-point order of its
+sums; ``_in_point_order`` puts each configuration's points in lexicographic
+order where a fixed summation order is wanted.
 
 Poisson configurations are drawn by ``poisson_configurations`` in bulk: the
 counts of all the configurations a stream gives from one ``rng.poisson`` call,
@@ -16,7 +16,8 @@ A set description (``SetSpec``) is a count condition {lo <= N(region) <= hi}
 or a level condition on a cylinder function, so its membership on a tuple
 stack is one array expression (``productspace.stratum_indicator``), and its
 section at an outside pattern (``section_set``) is a set description of the
-same variant.
+same variant: a level condition's function takes the pattern's linear
+statistics as an offset.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ import numpy as np
 from .geometry import BoxDomain, DomainError
 
 __all__ = [
-    "Configuration",
     "MCEstimate",
     "SetSpec",
     "CollisionError",
@@ -42,49 +42,6 @@ _SAMPLE_RETRIES = 10
 
 class CollisionError(RuntimeError):
     """Exact point collision persisted through the retry cap."""
-
-
-def _canonical(points: np.ndarray) -> np.ndarray:
-    pts = np.asarray(points, dtype=float).reshape(-1, points.shape[-1] if points.ndim > 1 else 1)
-    if pts.shape[0] == 0:
-        return pts
-    order = np.lexsort(pts.T[::-1])
-    return pts[order]
-
-
-@dataclass(frozen=True)
-class Configuration:
-    """Finite multiplicity-one point pattern inside a box window."""
-
-    window: BoxDomain
-    points: np.ndarray
-
-    def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
-        if pts.size == 0:
-            pts = pts.reshape(0, self.window.dim)
-        if pts.ndim != 2 or pts.shape[1] != self.window.dim:
-            raise DomainError("points must have shape (k, n) matching the window")
-        pts = _canonical(pts)
-        if pts.shape[0] and not np.all(self.window.contains(pts, tol=1e-12)):
-            raise DomainError("points must lie in the window")
-        if pts.shape[0] > 1 and np.any(np.all(np.diff(pts, axis=0) == 0.0, axis=1)):
-            raise DomainError("multiplicity one violated: duplicate point")
-        object.__setattr__(self, "points", pts)
-        self.points.setflags(write=False)
-
-    @property
-    def count(self) -> int:
-        return self.points.shape[0]
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, Configuration)
-                and self.window == other.window
-                and self.points.shape == other.points.shape
-                and bool(np.all(self.points == other.points)))
-
-    def __hash__(self) -> int:
-        return hash((self.window, self.points.tobytes()))
 
 
 @dataclass(frozen=True)
@@ -148,9 +105,8 @@ def poisson_configurations(window: BoxDomain, rng: np.random.Generator, m: int
 
 
 def _in_point_order(counts: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Ragged points with each configuration's points in the lexicographic
-    order that ``Configuration`` keeps, from one sort with the configuration
-    as the leading key."""
+    """Ragged points with each configuration's points in lexicographic order,
+    from one sort with the configuration as the leading key."""
     owner = np.repeat(np.arange(counts.size), counts)
     return points[np.lexsort((*points.T[::-1], owner))]
 
@@ -235,9 +191,9 @@ class SetSpec:
         return (values > self.level) if self.strict else (values >= self.level)
 
 
-def section_set(spec: SetSpec, eta: Configuration, box: BoxDomain) -> SetSpec:
-    """Section of a set at the outside pattern eta: the configurations gamma
-    in ``box`` with gamma + eta in the set.
+def section_set(spec: SetSpec, eta: np.ndarray, box: BoxDomain) -> SetSpec:
+    """Section of a set at the outside pattern eta, a point array (k, n): the
+    configurations gamma in ``box`` with gamma + eta in the set.
 
     eta must be supported outside ``box``.  eta's points use up part of a
     count: a count set's section lowers both bounds by eta's count in the
@@ -247,18 +203,19 @@ def section_set(spec: SetSpec, eta: Configuration, box: BoxDomain) -> SetSpec:
     (lower bound); a negative ``count_equals`` is a stratum of zero Poisson
     weight, so that section and its sheet are empty on every route.
     """
-    if eta.count and np.any(box.contains(eta.points)):
+    if np.any(box.contains(eta)):
         raise DomainError("eta must be supported outside the section box")
     locality = spec.locality.intersect(box) if spec.locality is not None else None
     name = f"{spec.name}|section" if spec.name else ""
     if spec.variant == "count":
-        used = int(np.sum(spec.region.contains(eta.points)))
+        used = int(np.sum(spec.region.contains(eta)))
         return replace(spec, at_least=spec.at_least - used,
                        at_most=None if spec.at_most is None else spec.at_most - used,
                        locality=locality, name=name)
-    # shifting the outside pattern only offsets the linear statistics
+    # the outside pattern only offsets the linear statistics, by f_i star eta
     count_eq = spec.count_equals
     if count_eq is not None:
-        count_eq = count_eq - eta.count
-    return replace(spec, function=spec.function.shift_by(eta), locality=locality,
-                   count_equals=count_eq, name=name)
+        count_eq = count_eq - len(eta)
+    F = spec.function
+    return replace(spec, function=replace(F, offset=tuple(F.stars(eta).tolist())),
+                   locality=locality, count_equals=count_eq, name=name)

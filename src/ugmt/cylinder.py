@@ -20,7 +20,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .configuration import Configuration
 from .geometry import BoxDomain, DomainError, SmoothFunction
 from .montecarlo import scope_memo
 
@@ -67,29 +66,8 @@ class Node:
     def bound(self) -> tuple[float, float]:
         raise NotImplementedError
 
-    def shift(self, offsets: np.ndarray) -> "Node":
-        raise NotImplementedError
-
     def max_coord(self) -> int:
         raise NotImplementedError
-
-    def __add__(self, other):
-        return add_n(self, _as_node(other))
-
-    def __radd__(self, other):
-        return add_n(_as_node(other), self)
-
-    def __mul__(self, other):
-        return mul_n(self, _as_node(other))
-
-    def __rmul__(self, other):
-        return mul_n(_as_node(other), self)
-
-    def __neg__(self):
-        return mul_n(const(-1.0), self)
-
-    def __sub__(self, other):
-        return add_n(self, -_as_node(other))
 
 
 def _as_node(x) -> Node:
@@ -109,9 +87,6 @@ class Const(Node):
     def bound(self):
         return (self.c, self.c)
 
-    def shift(self, offsets):
-        return self
-
     def max_coord(self):
         return -1
 
@@ -128,10 +103,6 @@ class Coord(Node):
 
     def bound(self):
         return (-_INF, _INF)
-
-    def shift(self, offsets):
-        off = float(offsets[self.i])
-        return self if off == 0.0 else add_n(self, Const(off))
 
     def max_coord(self):
         return self.i
@@ -155,9 +126,6 @@ class Add(Node):
         for t in self.terms:
             b = _iv_add(b, t.bound())
         return b
-
-    def shift(self, offsets):
-        return add_n(*[t.shift(offsets) for t in self.terms])
 
     def max_coord(self):
         return max(t.max_coord() for t in self.terms)
@@ -189,9 +157,6 @@ class Mul(Node):
             b = _iv_mul(b, f.bound())
         return b
 
-    def shift(self, offsets):
-        return mul_n(*[f.shift(offsets) for f in self.factors])
-
     def max_coord(self):
         return max(f.max_coord() for f in self.factors)
 
@@ -213,9 +178,6 @@ class Tanh(Node):
         lo, hi = self.arg.bound()
         return (float(np.tanh(lo)) if np.isfinite(lo) else -1.0,
                 float(np.tanh(hi)) if np.isfinite(hi) else 1.0)
-
-    def shift(self, offsets):
-        return Tanh(self.arg.shift(offsets))
 
     def max_coord(self):
         return self.arg.max_coord()
@@ -245,9 +207,6 @@ class Exp(Node):
         lo, hi = self.arg.bound()
         return (float(np.exp(lo)) if np.isfinite(lo) else 0.0, float(np.exp(min(hi, 0.0))))
 
-    def shift(self, offsets):
-        return Exp(self.arg.shift(offsets))
-
     def max_coord(self):
         return self.arg.max_coord()
 
@@ -270,9 +229,6 @@ class Sq(Node):
         lo, hi = self.arg.bound()
         m = max(lo * lo, hi * hi) if np.isfinite(lo) and np.isfinite(hi) else _INF
         return (0.0 if lo <= 0.0 <= hi else min(lo * lo, hi * hi), m)
-
-    def shift(self, offsets):
-        return Sq(self.arg.shift(offsets))
 
     def max_coord(self):
         return self.arg.max_coord()
@@ -375,14 +331,10 @@ class OuterFunction:
 #
 # The evaluators take ordered tuples X of shape (..., k, n): the k-particle
 # stratum is the quotient of the product box by permutations, and cylinder
-# objects are symmetric, so one array formula serves every batch.  A
-# configuration is the batch of one: its (k, n) points run through the same
-# code, and scalar results come back as floats.  Empty tuples (k = 0) skip
-# the inner functions, whose values there are known.
-
-
-def _tuples(x) -> np.ndarray:
-    return x.points if isinstance(x, Configuration) else np.asarray(x, dtype=float)
+# objects are symmetric, so one array formula serves every batch.  A single
+# configuration is a point array (k, n), the batch of one, and its results
+# are 0-d arrays.  Empty tuples (k = 0) skip the inner functions, whose
+# values there are known.
 
 
 def _particle_sum(V: np.ndarray) -> np.ndarray:
@@ -413,17 +365,19 @@ def _star(f: SmoothFunction, X: np.ndarray, memo: dict | None) -> np.ndarray:
     return hit[1]
 
 
-def _per_tuple(x, values):
-    return float(values) if isinstance(x, Configuration) else values
-
-
 @dataclass(frozen=True)
 class CylinderFunction:
-    """F(gamma) = Phi(f_1 star gamma, ..., f_k star gamma)."""
+    """F(gamma) = Phi(f_1 star gamma + c_1, ..., f_k star gamma + c_k).
+
+    The offset c is empty (all zero) but on a section at an outside pattern
+    eta, where c_i = f_i star eta (``configuration.section_set``): a section
+    shares F's outer tree and its partials.
+    """
 
     outer: OuterFunction
     inners: tuple[SmoothFunction, ...]
     name: str = ""
+    offset: tuple[float, ...] = ()
 
     def __post_init__(self):
         if len(self.inners) != self.outer.arity:
@@ -434,26 +388,34 @@ class CylinderFunction:
         return self.outer.arity
 
     def stars(self, x) -> np.ndarray:
-        """The linear statistics f_i star gamma, stacked on a last axis.
+        """The linear statistics f_i star gamma + c_i, stacked on a last axis.
 
         Inside a ``montecarlo.shared_draws`` scope, f_i star X is computed
         once per inner function and read-only tuple array X (shared draws,
         quadrature grids), for every cylinder function of the scope.
         """
-        X = _tuples(x)
+        X = np.asarray(x, dtype=float)
         u = np.zeros(X.shape[:-2] + (self.arity,))
         if X.shape[-2]:
             memo = None if X.flags.writeable else scope_memo()
             for i, f in enumerate(self.inners):
                 u[..., i] = _star(f, X, memo)
+        return self.add_offset(u)
+
+    def add_offset(self, u: np.ndarray) -> np.ndarray:
+        """Adds the offset to the statistics u (..., arity) in place and
+        returns u; a zero entry adds nothing."""
+        for i, c in enumerate(self.offset):
+            if c:
+                u[..., i] += c
         return u
 
     def value(self, x):
-        return _per_tuple(x, self.outer.value(self.stars(x)))
+        return self.outer.value(self.stars(x))
 
     def gradient(self, x) -> np.ndarray:
         """Lifted gradient: one base-space vector per particle, (..., k, n)."""
-        X = _tuples(x)
+        X = np.asarray(x, dtype=float)
         out = np.zeros(X.shape)
         if X.shape[-2] == 0:
             return out
@@ -467,7 +429,7 @@ class CylinderFunction:
         out = np.zeros(X.shape)
         if X.shape[-2] == 0:
             return self.outer.value(self.stars(X)), out
-        u = np.stack([_particle_sum(inner(f)[0]) for f in self.inners], axis=-1)
+        u = self.add_offset(np.stack([_particle_sum(inner(f)[0]) for f in self.inners], axis=-1))
         return self.outer.value(u), self._lift(u, lambda f: inner(f)[1], out)
 
     def _lift(self, u, gradient, out) -> np.ndarray:
@@ -483,12 +445,6 @@ class CylinderFunction:
         for f in self.inners[1:]:
             box = box.hull(f.support)
         return box
-
-    def shift_by(self, eta: Configuration) -> "CylinderFunction":
-        """Section at an outside pattern: offsets each linear statistic by f_i star eta."""
-        offsets = self.stars(eta)
-        return CylinderFunction(OuterFunction(self.outer.root.shift(offsets), self.arity),
-                                self.inners, name=self.name)
 
 
 def cyl_from_star(f: SmoothFunction, name: str = "") -> CylinderFunction:
@@ -518,13 +474,13 @@ class ExponentialCylinderFunction:
             raise DomainError("need -1 < f <= 0 for the product statistic")
 
     def value(self, x):
-        X = _tuples(x)
+        X = np.asarray(x, dtype=float)
         if X.shape[-2] == 0:
-            return _per_tuple(x, np.ones(X.shape[:-2]))
-        return _per_tuple(x, np.prod(1.0 + self.f.value(X), axis=-1))
+            return np.ones(X.shape[:-2])
+        return np.prod(1.0 + self.f.value(X), axis=-1)
 
     def gradient(self, x) -> np.ndarray:
-        X = _tuples(x)
+        X = np.asarray(x, dtype=float)
         if X.shape[-2] == 0:
             return np.zeros(X.shape)
         vals = 1.0 + self.f.value(X)
@@ -553,7 +509,7 @@ class CylinderVectorField:
 
     def at_particles(self, x) -> np.ndarray:
         """V(gamma, x_j) at every particle x_j, (..., k, n)."""
-        X = _tuples(x)
+        X = np.asarray(x, dtype=float)
         out = np.zeros(X.shape)
         if X.shape[-2] == 0:
             return out
@@ -570,10 +526,10 @@ class CylinderVectorField:
         """
         if not self._support_in_window:
             raise DomainError("field support must stay inside the window interior")
-        X = _tuples(x)
+        X = np.asarray(x, dtype=float)
         out = np.zeros(X.shape[:-2])
         if X.shape[-2] == 0:
-            return _per_tuple(x, out)
+            return out
         for c, v in self.terms:
             divsum = np.sum(v.divergence(X), axis=-1)
             if isinstance(c, (int, float)):
@@ -581,7 +537,7 @@ class CylinderVectorField:
             else:
                 out += c.value(X) * (-divsum) - np.sum(c.gradient(X) * v.value(X),
                                                        axis=(-2, -1))
-        return _per_tuple(x, out)
+        return out
 
 
 class _NonnegWrap(Node):
@@ -600,9 +556,6 @@ class _NonnegWrap(Node):
     def bound(self):
         lo, hi = self.inner.bound()
         return (max(lo, 0.0), max(hi, 0.0))
-
-    def shift(self, offsets):
-        return _NonnegWrap(self.inner.shift(offsets))
 
     def max_coord(self):
         return self.inner.max_coord()

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .configuration import (Configuration, MCEstimate, SetSpec, poisson_configurations,
+from .configuration import (MCEstimate, SetSpec, _in_point_order, poisson_configurations,
                             section_set)
 from .geometry import BoxDomain, DomainError
 from .montecarlo import (StratifiedSum, Strata, StratumGrid, poisson_k_cutoff,
@@ -396,20 +396,21 @@ def rho_m_localized(A: SetSpec, m: int, inner: BoxDomain, outer: BoxDomain, *,
     if not outer.contains_box(A.locality):
         raise DomainError("locality exceeds the outer box")
     if inner.contains_box(A.locality):
-        empty = Configuration(window=outer, points=np.zeros((0, inner.dim)))
-        sec = section_set(A, empty, inner)
+        sec = section_set(A, np.zeros((0, inner.dim)), inner)
         res = rho_m_on_box(sec, m, inner, n_samples=n_samples, seed=seed)
         return MCEstimate(mean=res.total, std_err=res.total_err, n_samples=n_samples,
                           seed=seed, name=A.name and f"rho{m}_loc({A.name})")
-    # Poisson patterns eta on the locality outside the inner box; the error
-    # adds the spread over patterns and the per-pattern errors in quadrature
+    # Poisson patterns eta on the locality outside the inner box, each in
+    # lexicographic point order, which fixes the order its offset sums in;
+    # the error adds the spread over patterns and the per-pattern errors in
+    # quadrature
     counts, points = poisson_configurations(A.locality, stream_rng(seed, 7), n_eta)
+    points = _in_point_order(counts, points)
     ends = np.cumsum(counts)
     vals, errs = np.empty(n_eta), np.empty(n_eta)
     for i in range(n_eta):
         pts = points[ends[i] - counts[i]:ends[i]]
-        eta = Configuration(window=A.locality, points=pts[~inner.contains(pts)])
-        res = rho_m_on_box(section_set(A, eta, inner), m, inner,
+        res = rho_m_on_box(section_set(A, pts[~inner.contains(pts)], inner), m, inner,
                            n_samples=max(2000, n_samples // 8), seed=seed + 1 + i)
         vals[i], errs[i] = res.total, res.total_err
     mean, spread = mean_and_stderr(vals)

@@ -12,8 +12,9 @@ node multisets of ``montecarlo.stratum_grid_points``, gathered onto the grid.
 
 The per-sample routes (the pointwise Bakry-Emery check and the Bessel
 operator) work on the (m, k, n) tuple stacks of one particle count at a
-time: B F takes one ``_semigroup_at`` pass per count over every configuration
-and Laguerre time, with one image sum per image order of the kernel.
+time: B F at a list of (k, n) point arrays takes one ``_semigroup_at`` pass
+per count over every configuration and Laguerre time, with one image sum per
+image order of the kernel.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .configuration import Configuration, SetSpec, by_count
+from .configuration import SetSpec, by_count
 from .cylinder import CylinderFunction, ExponentialCylinderFunction
 from .geometry import (BoxDomain, DomainError, HeatKernel1D, QuadratureError,
                        _check_kernel_args, _image_sum, _legendre_rule, _neumann_term,
@@ -328,6 +329,7 @@ def _be_integrate(F: CylinderFunction, nodes: np.ndarray, lo: float, ps: list[fl
     u = np.repeat(fvals[:, None, :], rows.shape[0], axis=1)          # (q, R, l)
     for c in range(k - 1):
         u += fvals[rows[:, c]]
+    F.add_offset(u)
     dphi = [F.outer.partial(i).eval(u) for i in range(F.arity)]
 
     def along(fg):
@@ -508,8 +510,9 @@ def _orthonormal_laguerre(x: np.ndarray, diag: np.ndarray, off: np.ndarray):
 
 
 def bessel_apply(F, B: BesselOperator, op: LiftedHeatOperator,
-                 gammas: list[Configuration], t_floor: float = 5e-4) -> np.ndarray:
-    """B F at the given configurations, batched by particle count.
+                 gammas: list[np.ndarray], t_floor: float = 5e-4) -> np.ndarray:
+    """B F at the configurations ``gammas``, point arrays (k, n), batched by
+    particle count.
 
     The configurations are grouped by count (``configuration.by_count``);
     each count takes one ``_semigroup_at`` call at every Laguerre time, and
@@ -520,8 +523,8 @@ def bessel_apply(F, B: BesselOperator, op: LiftedHeatOperator,
     """
     ts, ws = B.nodes_weights()
     ts = np.maximum(ts, t_floor)
-    counts = np.array([g.count for g in gammas], dtype=int)
-    points = np.concatenate([np.zeros((0, op.window.dim))] + [g.points for g in gammas])
+    counts = np.array([len(g) for g in gammas], dtype=int)
+    points = np.concatenate([np.zeros((0, op.window.dim)), *gammas])
     out = np.zeros(len(gammas))
     for idx, X in by_count(counts, points).values():
         out[idx] = ws @ _semigroup_at(F, X, ts, op)
@@ -584,40 +587,26 @@ def _semigroup_at(F, X: np.ndarray, ts, op: LiftedHeatOperator) -> np.ndarray:
     for j in range(k):
         u = u + fv[:, :, j].reshape((T, m) + tuple(q if a == j else 1 for a in range(k))
                                     + (F.arity,))
-    out = F.outer.value(u)
+    out = F.outer.value(F.add_offset(u))
     for j in range(k):
         out = np.einsum("tmq,tmq...->tm...", rows[:, :, j], out)
     return out
 
 
-def capacity_upper_bound(E_sieve: list[Configuration], candidates: list,
-                         B: BesselOperator, op: LiftedHeatOperator) -> tuple[float, dict]:
-    """Upper bound on the (B.alpha, B.p) capacity of the set represented by the sieve.
+def capacity_upper_bound(sieve: list[np.ndarray], F, norm_fn, B: BesselOperator,
+                         op: LiftedHeatOperator) -> tuple[float, float]:
+    """Upper bound on the (B.alpha, B.p) capacity of the set represented by the
+    sieve, point arrays (k, n), and the lowest B F on the sieve.
 
-    Each candidate is a pair (F, norm_fn) of a nonnegative F and its exact
-    p-norm routine (e.g. factorized over independent regions); F is scaled so
-    that B F >= 1 on the sieve configurations, and the bound is the smallest
-    ||F / min_sieve(B F)||_p^p.  An empty sieve encodes the empty set
-    (capacity zero).  Returns (bound, diagnostics); the bound is +inf when no
-    candidate has a positive sieve minimum.
+    F is a nonnegative candidate and ``norm_fn(p)`` is ||F||_p^p exactly (e.g.
+    factorized over independent regions); F / min_sieve(B F) has B F >= 1 on
+    the sieve, so ||F||_p^p / min^p bounds the capacity.  An empty sieve
+    encodes the empty set: (0.0, inf).  A nonpositive minimum gives no
+    bound: (inf, minimum).
     """
-    if not candidates:
-        raise DomainError("candidate list must be nonempty")
-    if not E_sieve:
-        return 0.0, {"note": "empty set"}
-    p = B.p
-    best = float("inf")
-    diag = {"candidates": []}
-    for F, norm_fn in candidates:
-        bf = bessel_apply(F, B, op, E_sieve)
-        m = float(np.min(bf))
-        if m <= 0:
-            diag["candidates"].append({"sieve_min": m, "norm": None})
-            continue
-        norm_p = float(norm_fn(p))
-        bound = norm_p / m**p
-        diag["candidates"].append({"sieve_min": m, "norm": norm_p, "bound": bound})
-        best = min(best, bound)
-    if np.isinf(best):
-        diag["note"] = "no candidate reached a positive sieve minimum"
-    return best, diag
+    if not sieve:
+        return 0.0, float("inf")
+    low = float(np.min(bessel_apply(F, B, op, sieve)))
+    if low <= 0:
+        return float("inf"), low
+    return float(norm_fn(B.p)) / low**B.p, low

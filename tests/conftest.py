@@ -11,13 +11,14 @@ settings.load_profile("lab")
 
 
 def _member(A, gamma) -> bool:
-    """Whether the configuration gamma lies in the set A, read off the set's
-    definition one point at a time: the reference for ``stratum_indicator``."""
+    """Whether the configuration gamma, a point array (k, n), lies in the set
+    A, read off the set's definition one point at a time: the reference for
+    ``stratum_indicator``."""
     if A.variant == "count":
         n = sum(all(lo <= x <= hi for x, lo, hi in zip(p, A.region.lower, A.region.upper))
-                for p in gamma.points)
+                for p in gamma)
         return A.at_least <= n and (A.at_most is None or n <= A.at_most)
-    if A.count_equals is not None and gamma.count != A.count_equals:
+    if A.count_equals is not None and len(gamma) != A.count_equals:
         return False
     value = A.function.value(gamma)
     if A.variant == "level_sheet":
@@ -40,14 +41,15 @@ def _particle_rows(x: float, t: float, L: float, q: int):
 
 
 def _semigroup_one(F, gamma, t: float, op) -> float:
-    """T_t F(gamma) for one configuration and one time, one particle at a
-    time on a 1-d window: the reference for ``heat._semigroup_at``."""
-    k = gamma.count
+    """T_t F(gamma) for one configuration gamma, a point array (k, 1), and one
+    time, one particle at a time on a 1-d window: the reference for
+    ``heat._semigroup_at``."""
+    k = len(gamma)
     if k == 0:
-        return F.value(gamma)
+        return float(F.value(gamma))
     L, lo = float(op.window.sides[0]), op.window.lower[0]
     q = _BE_ORDERS.get(k, 8)
-    rows = [_particle_rows(x - lo, t, L, q) for x in gamma.points[:, 0]]
+    rows = [_particle_rows(x - lo, t, L, q) for x in gamma[:, 0]]
     u = np.zeros((q,) * k + (F.arity,))
     for j, (nodes, _) in enumerate(rows):
         fv = np.stack([f.value((nodes + lo)[:, None]) for f in F.inners], axis=-1)

@@ -332,7 +332,7 @@ def test_16_capacity_direction():
     base = rho_m_on_box(sheet, 1, S_box, n_samples=40_000, seed=71)
     caps, rhos = [], []
     for mem in members:
-        bound, _ = capacity_upper_bound(mem["sieve"], [mem["candidate"]], B, op)
+        bound, _ = capacity_upper_bound(mem["sieve"], *mem["candidate"], B, op)
         caps.append(bound)
         rhos.append(float(np.exp(-mem["ell"])) * base.total)
     mono = (all(b <= a * (1 + 1e-9) for a, b in zip(caps, caps[1:]))

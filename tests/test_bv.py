@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from ugmt import batteries, bv, cli, montecarlo
-from ugmt.configuration import Configuration, SetSpec, poisson_configurations
-from ugmt.cylinder import (CylinderVectorField, cyl_compose, cyl_from_star, const, mul_n,
+from ugmt.configuration import SetSpec, poisson_configurations
+from ugmt.cylinder import (CylinderVectorField, add_n, cyl_compose, cyl_from_star, const, mul_n,
                            tanh_of)
 from ugmt.geometry import DomainError, SmoothFunction, SmoothVectorField, interval
 from ugmt.heat import LiftedHeatOperator, lifted_gradient_norm
@@ -39,7 +39,7 @@ def test_tv_semigroup_halfspace_and_constant():
     sg = tv_semigroup(HALF, OP, [0.001, 0.002, 0.004, 0.006])
     assert abs(sg.value - E_INV) <= 5e-3
     f = SmoothFunction.bump(0.5, 0.3, 1.0, window=UNIT)
-    Fc = cyl_compose(lambda r: mul_n(const(0.0), r) + const(2.0), cyl_from_star(f))
+    Fc = cyl_compose(lambda r: add_n(mul_n(const(0.0), r), const(2.0)), cyl_from_star(f))
     sgc = tv_semigroup(Fc, OP, [0.004, 0.006, 0.01, 0.016])
     assert abs(sgc.value) < 1e-9
 
@@ -378,7 +378,7 @@ def test_perimeter_halfspace_and_full_space():
     assert pm.total == pytest.approx(E_INV, abs=1e-3)
     # the whole space has empty reduced boundary
     f = SmoothFunction.bump(0.5, 0.3, 1.0, window=UNIT)
-    Ffull = cyl_compose(lambda r: mul_n(const(0.0), r) + const(1.0), cyl_from_star(f))
+    Ffull = cyl_compose(lambda r: add_n(mul_n(const(0.0), r), const(1.0)), cyl_from_star(f))
     full = SetSpec.level_set(Ffull, 0.5)
     pm0 = perimeter_measure(full, UNIT, seed=6, n_samples=5000)
     assert pm0.total == pytest.approx(0.0, abs=1e-9)
@@ -417,7 +417,7 @@ def test_gauss_green_zero_field_and_pair():
 
 def test_coarea_constant_and_smooth():
     f = SmoothFunction.bump(0.5, 0.3, 1.0, window=UNIT)
-    Fc = cyl_compose(lambda r: mul_n(const(0.0), r) + const(1.0), cyl_from_star(f))
+    Fc = cyl_compose(lambda r: add_n(mul_n(const(0.0), r), const(1.0)), cyl_from_star(f))
     rep = coarea_family({"F": (Fc, [0.2, 0.4, 0.6, 0.8])}, {"G": 1.0}, UNIT, seed=11,
                         n_samples=4000)["F"]["G"]
     assert rep.lhs == pytest.approx(0.0, abs=1e-9)
@@ -444,11 +444,12 @@ def test_coarea_numeric_G_scales_both_sides():
 
 
 def _reference_cosines(F, V, window, seed):
-    """The alignment loop, one Configuration at a time."""
+    """The alignment loop, one configuration at a time, its points in
+    lexicographic order."""
     counts, points = poisson_configurations(window, stream_rng(seed, 77), 400)
     cosines = []
     for pts in np.split(points, np.cumsum(counts)[:-1]):
-        gamma = Configuration(window=window, points=pts)
+        gamma = pts[np.lexsort(pts.T[::-1])]
         g = F.gradient(gamma)
         gn = float(np.sqrt(np.sum(g * g)))
         if gn <= 0.1:
@@ -553,7 +554,7 @@ def test_sheet_integrals_match_weight_by_weight(case):
 def test_coarea_family_matches_G_by_G():
     F = cyl_compose(lambda r: tanh_of(r), cyl_from_star(
         SmoothFunction.bump(0.5, 0.3, 1.0, window=UNIT)))
-    G_bump = cyl_compose(lambda r: mul_n(const(0.5), tanh_of(r)) + const(0.6), cyl_from_star(
+    G_bump = cyl_compose(lambda r: add_n(mul_n(const(0.5), tanh_of(r)), const(0.6)), cyl_from_star(
         SmoothFunction.bump(0.45, 0.3, 1.0, window=UNIT)))
     battery = {"unit": 1.0, "two": 2.0, "bump": G_bump}
     # tanh(1) is a critical level: the k = 1 sheet passes the bump's peak
@@ -610,7 +611,7 @@ def _spy_whole_values(monkeypatch):
 
 def test_coarea_family_equals_member_calls_and_draws_once(monkeypatch):
     members = _coarea_members()
-    G_bump = cyl_compose(lambda r: mul_n(const(0.5), tanh_of(r)) + const(0.6), cyl_from_star(
+    G_bump = cyl_compose(lambda r: add_n(mul_n(const(0.5), tanh_of(r)), const(0.6)), cyl_from_star(
         SmoothFunction.bump(0.45, 0.3, 1.0, window=UNIT)))
     battery = {"unit": 1.0, "bump": G_bump}
     draws = _spy_draws(monkeypatch)

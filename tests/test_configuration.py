@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from ugmt.configuration import (_SAMPLE_RETRIES, CollisionError, Configuration, MCEstimate,
-                                SetSpec, by_count, poisson_configurations, section_set)
+from ugmt.configuration import (_SAMPLE_RETRIES, CollisionError, MCEstimate, SetSpec, by_count,
+                                poisson_configurations, section_set)
 from ugmt.geometry import BoxDomain, DomainError, interval
 from ugmt.productspace import stratum_indicator
 from ugmt.rng import stream_rng
@@ -20,19 +20,7 @@ DRAW_WINDOWS = {
 }
 
 
-def conf(window, *pts):
-    return Configuration(window=window, points=np.array(pts, dtype=float))
-
-
-def test_configuration_invariants():
-    with pytest.raises(DomainError):
-        conf(UNIT, [0.2], [0.2])
-    with pytest.raises(DomainError):
-        conf(UNIT, [1.5])
-    c = conf(UNIT, [0.8], [0.2])
-    assert np.allclose(c.points.ravel(), [0.2, 0.8])  # canonical order
-    assert c == conf(UNIT, [0.2], [0.8])
-    assert hash(c) == hash(conf(UNIT, [0.2], [0.8]))
+EMPTY = np.zeros((0, 1))
 
 
 def test_poisson_count_intensity():
@@ -204,31 +192,27 @@ def test_by_count_groups_in_draw_order():
 
 def test_section_set_basics(member):
     A = SetSpec.count_at_least(UNIT, 1)
-    empty_out = Configuration(window=interval(1.0, 2.0), points=np.zeros((0, 1)))
-    sec = section_set(A, empty_out, UNIT)
-    assert member(sec, conf(UNIT, [0.4]))
-    assert not member(sec, Configuration(window=UNIT, points=np.zeros((0, 1))))
+    sec = section_set(A, EMPTY, UNIT)
+    assert member(sec, np.array([[0.4]]))
+    assert not member(sec, EMPTY)
 
     # locality inside the box: section independent of the outside pattern
     Aloc = SetSpec.count_at_least(interval(0.2, 0.4), 1)
-    eta = conf(interval(0.5, 1.0), [0.7])
-    sec2 = section_set(Aloc, eta, interval(0.0, 0.45))
-    sec3 = section_set(Aloc, Configuration(window=interval(0.5, 1.0),
-                                           points=np.zeros((0, 1))), interval(0.0, 0.45))
+    sec2 = section_set(Aloc, np.array([[0.7]]), interval(0.0, 0.45))
+    sec3 = section_set(Aloc, EMPTY, interval(0.0, 0.45))
     assert sec2 == sec3 == Aloc
     for x in (0.25, 0.35, 0.1):
-        g = conf(interval(0.0, 0.45), [x])
+        g = np.array([[x]])
         assert member(sec2, g) == member(sec3, g)
 
     # region not contained in the box, outside pattern already fills it
     Q = interval(0.5, 0.9)
     Afull = SetSpec.count_at_least(Q, 1)
-    eta2 = conf(interval(0.45, 1.0), [0.7])
-    sec4 = section_set(Afull, eta2, interval(0.0, 0.4))
-    assert member(sec4, Configuration(window=interval(0.0, 0.4), points=np.zeros((0, 1))))
+    sec4 = section_set(Afull, np.array([[0.7]]), interval(0.0, 0.4))
+    assert member(sec4, EMPTY)
 
     with pytest.raises(DomainError):
-        section_set(A, conf(UNIT, [0.2]), UNIT)
+        section_set(A, np.array([[0.2]]), UNIT)
 
     # a region that straddles the box: the section at eta holds gamma iff
     # gamma + eta lies in the set, on every bound the outside count can move
@@ -239,16 +223,12 @@ def test_section_set_basics(member):
     for k in range(4):
         X = rng.uniform(0.0, 0.5, (40, k, 1))
         for _ in range(12):
-            eta = Configuration(window=interval(0.5, 1.0),
-                                points=rng.uniform(0.5 + 1e-9, 1.0, (rng.integers(0, 4), 1)))
+            eta = rng.uniform(0.5 + 1e-9, 1.0, (rng.integers(0, 4), 1))
             for A in specs:
                 sec = section_set(A, eta, box)
-                ref = [float(member(A, Configuration(window=UNIT,
-                                                     points=np.vstack([x, eta.points]))))
-                       for x in X]
+                ref = [float(member(A, np.vstack([x, eta]))) for x in X]
                 assert np.array_equal(stratum_indicator(sec, k, X), ref)
-                assert [float(member(sec, Configuration(window=box, points=x)))
-                        for x in X] == ref
+                assert [float(member(sec, x)) for x in X] == ref
 
 
 def test_locality_spot_check():

@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ugmt.configuration import Configuration, SetSpec
+from ugmt.configuration import SetSpec, section_set
 from ugmt.cylinder import (CylinderFunction, CylinderVectorField,
                            ExponentialCylinderFunction, OuterFunction, add_n, const,
                            coord, cyl_compose, cyl_from_star, exp_neg, mul_n, square, tanh_of)
@@ -16,10 +16,10 @@ RNG = np.random.default_rng(7)
 
 
 def conf(*pts):
-    return Configuration(window=UNIT, points=np.array(pts, dtype=float))
+    return np.array(pts, dtype=float).reshape(len(pts), 1)
 
 
-EMPTY = Configuration(window=UNIT, points=np.zeros((0, 1)))
+EMPTY = np.zeros((0, 1))
 
 
 def random_cylinder(rng):
@@ -101,8 +101,8 @@ def test_gradient_identity_and_constant():
     f = SmoothFunction.bump(0.5, 0.3, 1.0, window=UNIT)
     F = cyl_from_star(f)
     g = conf([0.45], [0.6])
-    assert np.allclose(F.gradient(g), f.gradient(g.points))
-    Fc = cyl_compose(lambda r: mul_n(const(0.0), r) + const(4.0), F)
+    assert np.allclose(F.gradient(g), f.gradient(g))
+    Fc = cyl_compose(lambda r: add_n(mul_n(const(0.0), r), const(4.0)), F)
     assert np.allclose(Fc.gradient(g), 0.0)
 
 
@@ -124,13 +124,11 @@ def flow_map(v: SmoothVectorField, points: np.ndarray, s: float) -> np.ndarray:
 
 
 def directional_derivative_fd(F: CylinderFunction, v: SmoothVectorField,
-                              gamma: Configuration, s: float = 1e-5) -> float:
+                              gamma: np.ndarray, s: float = 1e-5) -> float:
     """Central difference of F along the flow of v; oracle for <grad F, v>_T."""
-    if gamma.count == 0:
+    if len(gamma) == 0:
         return 0.0
-    plus = Configuration(window=gamma.window, points=flow_map(v, gamma.points, s))
-    minus = Configuration(window=gamma.window, points=flow_map(v, gamma.points, -s))
-    return (F.value(plus) - F.value(minus)) / (2.0 * s)
+    return float(F.value(flow_map(v, gamma, s)) - F.value(flow_map(v, gamma, -s))) / (2.0 * s)
 
 
 def test_gradient_matches_flow_derivative():
@@ -141,25 +139,48 @@ def test_gradient_matches_flow_derivative():
                                                    rng.uniform(0.2, 0.3), 0.7,
                                                    window=UNIT),))
         k = rng.integers(1, 4)
-        g = Configuration(window=UNIT, points=rng.uniform(0.05, 0.95, (k, 1)))
+        g = rng.uniform(0.05, 0.95, (k, 1))
         fd = directional_derivative_fd(F, v, g, s=1e-5)
-        inner = float(np.sum(F.gradient(g) * v.value(g.points)))
+        inner = float(np.sum(F.gradient(g) * v.value(g)))
         assert fd == pytest.approx(inner, abs=1e-4 * (1 + abs(inner)))
 
 
-def test_locality_and_shift():
-    F = random_cylinder(np.random.default_rng(2))
-    box = F.locality()
-    g_in = conf([0.45], [0.55])
-    extra = conf([0.02])  # outside every inner support
-    merged = Configuration(window=UNIT, points=np.vstack([g_in.points, extra.points]))
-    assert F.value(merged) == pytest.approx(F.value(g_in), abs=1e-12)
-    # sectioning: value of the sum equals the shifted statistic
-    eta = conf([0.48])
-    shifted = F.shift_by(eta)
-    probe = conf([0.52], [0.4])
-    union = Configuration(window=UNIT, points=np.vstack([probe.points, eta.points]))
-    assert shifted.value(probe) == pytest.approx(F.value(union), abs=1e-12)
+def test_locality_and_section_identity():
+    # points outside every inner support leave F unchanged, and a section at
+    # an outside pattern eta is F on X with eta appended as fixed particles:
+    # its value, and its gradient on the first k particles
+    rng = np.random.default_rng(2)
+    box = interval(0.0, 0.5)
+    for _ in range(6):
+        F = random_cylinder(rng)
+        g = conf([0.45], [0.55])
+        assert F.value(np.vstack([g, conf([0.02])])) == pytest.approx(F.value(g), abs=1e-12)
+        A = SetSpec.level_set(F, 0.3)
+        for k in range(4):
+            X = rng.uniform(0.0, 0.5, (20, k, 1))
+
+            def inner(f):
+                return f.value(X), f.gradient(X)
+
+            def appended(eta):
+                return np.concatenate([X, np.broadcast_to(eta, (20,) + eta.shape)], axis=1)
+
+            for j in range(4):
+                eta = rng.uniform(0.5 + 1e-9, 1.0, (j, 1))
+                sec = section_set(A, eta, box).function
+                full = appended(eta)
+                want, want_grad = F.value(full), F.gradient(full)[:, :k]
+                value, grad = sec.value_and_gradient(X, inner)
+                for got, ref in ((sec.value(X), want), (sec.gradient(X), want_grad),
+                                 (value, want), (grad, want_grad)):
+                    np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-12)
+                # a section of a section is the section at the union
+                eta2 = rng.uniform(0.5 + 1e-9, 1.0, (2, 1))
+                both = np.vstack([eta, eta2])
+                twice = section_set(section_set(A, eta, box), eta2, box).function
+                union = section_set(A, both, box).function
+                for ref in (union.value(X), F.value(appended(both))):
+                    np.testing.assert_allclose(twice.value(X), ref, rtol=0.0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +191,7 @@ def test_divergence_pure_field():
     v = SmoothVectorField((SmoothFunction.bump(0.5, 0.3, 0.8, window=UNIT),))
     V = CylinderVectorField(((1.0, v),))
     g = conf([0.42], [0.61])
-    assert V.divergence(g) == pytest.approx(float(np.sum(-v.divergence(g.points))))
+    assert V.divergence(g) == pytest.approx(float(np.sum(-v.divergence(g))))
     assert V.divergence(EMPTY) == 0.0
 
 
@@ -197,7 +218,7 @@ def test_exponential_cylinder_product_statistic():
     c = SmoothFunction.constant(-0.3, UNIT)
     E = ExponentialCylinderFunction(f=c)
     for k in range(4):
-        g = Configuration(window=UNIT, points=np.linspace(0.1, 0.9, k).reshape(k, 1))
+        g = np.linspace(0.1, 0.9, k).reshape(k, 1)
         assert E.value(g) == pytest.approx(0.7**k, abs=1e-14)
 
 
@@ -239,9 +260,8 @@ def _stacked_cases(rng):
 def test_tuple_batches_match_configurations(k, member):
     rng = np.random.default_rng(100 + k)
     functions, fields, specs = _stacked_cases(rng)
-    gams = [Configuration(window=UNIT, points=rng.uniform(0.0, 1.0, (k, 1)))
-            for _ in range(12)]
-    X = np.stack([g.points for g in gams])
+    gams = [rng.uniform(0.0, 1.0, (k, 1)) for _ in range(12)]
+    X = np.stack(gams)
     perm = rng.permutation(k)
     Xp = X[:, perm]
     for F in functions:
@@ -272,7 +292,7 @@ def test_divergence_rejects_support_outside_window():
     with pytest.raises(DomainError):
         V.divergence(g)
     with pytest.raises(DomainError):
-        V.divergence(np.stack([g.points, g.points]))
+        V.divergence(np.stack([g, g]))
     with pytest.raises(DomainError):
         V.divergence(g)
 
@@ -302,6 +322,6 @@ def test_stars_equal_numpy_particle_sums(k):
     with shared_draws():
         assert F.stars(X).tobytes() == ref.tobytes()
         assert F.stars(X).tobytes() == ref.tobytes()  # from the memo
-    gamma = Configuration(window=UNIT, points=np.sort(rng.uniform(0.0, 1.0, k))[:, None])
-    ref = np.array([f.value(gamma.points).sum(axis=-1) for f in inners])
+    gamma = np.sort(rng.uniform(0.0, 1.0, k))[:, None]
+    ref = np.array([f.value(gamma).sum(axis=-1) for f in inners])
     assert F.stars(gamma).tobytes() == ref.tobytes()

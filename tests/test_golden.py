@@ -9,12 +9,13 @@ a refactor may reorder floating-point arithmetic and so move them by at most
 import numpy as np
 import pytest
 
+from ugmt import batteries
 from ugmt.bv import _SHEET_STREAMS, _VariationalObjective, levelset_expectation
 from ugmt.configuration import SetSpec
 from ugmt.cylinder import cyl_compose, cyl_from_star, tanh_of
 from ugmt.geometry import SmoothFunction, SmoothVectorField, interval
-from ugmt.hausdorff import rho_m_on_box, sheet_integrals
-from ugmt.heat import LiftedHeatOperator, lifted_gradient_norm
+from ugmt.hausdorff import rho_m_localized, rho_m_on_box, sheet_integrals
+from ugmt.heat import BesselOperator, LiftedHeatOperator, bessel_apply, lifted_gradient_norm
 from ugmt.montecarlo import poisson_stratified_battery
 
 W = interval(0.0, 0.5)
@@ -70,6 +71,26 @@ def _lifted(t):
     return lifted_gradient_norm(F, t, op, p=1.0)
 
 
+def _rho1_localized():
+    # the inner box leaves part of the locality outside, so the patterns at
+    # this seed include an empty one, a one-point one and a two-point one
+    # drawn out of point order
+    sheet = batteries.monotone_sheets()["sheet-scale-1.8"]
+    res = rho_m_localized(sheet, 1, interval(-0.7, 0.7), batteries.MONO_WINDOW, n_eta=4,
+                          n_samples=2_000, seed=67)
+    return res.mean, res.std_err
+
+
+def _bessel_capacity():
+    # B F on the ell = 4 member's sieve: its first one-point configuration and
+    # its two-point configuration
+    window, _, _, members = batteries.capacity_family()
+    mem = members[2]
+    bf = bessel_apply(mem["candidate"][0], BesselOperator(alpha=0.6, p=2.0),
+                      LiftedHeatOperator(window=window), mem["sieve"])
+    return bf[0], bf[-1]
+
+
 CASES = {
     "poisson_stratified": lambda: _poisson_stratified(None),
     "poisson_stratified_sup": lambda: _poisson_stratified(2e5),
@@ -84,9 +105,12 @@ CASES = {
                                                                  count_equals=2)),
     "lifted_gradient_norm_direct": lambda: _lifted(None),
     "lifted_gradient_norm_semigroup": lambda: _lifted(0.01),
+    "rho1_localized": _rho1_localized,
+    "bessel_capacity": _bessel_capacity,
 }
 
 GOLDEN = {
+    'bessel_capacity': (0.46379428888851587, 0.4676862930549002),
     'levelset_expectation': (0.09088978006564534, 0.00013849180661345024),
     'lifted_gradient_norm_direct': (1.0785949227695693, 0.07731709064326125),
     'lifted_gradient_norm_semigroup': (0.6343948158816499, 0.034878101026504474),
@@ -95,6 +119,7 @@ GOLDEN = {
     'rho0_on_box': (0.20541046860840814, 0.003423886965360237),
     'rho0_on_box_exact': (0.036936313106031474, 0.0),
     'rho1_on_box': (0.74861925703502, 0.003792512991910712),
+    'rho1_localized': (0.5147429716733688, 0.004481914040833872),
     'rho1_on_box_one_count': (0.12865368197213412, 5.406541593690078e-06),
     'surface_battery_fallback': (1.4292030931622615, 0.3569827826681413),
     'surface_battery_quadrature': (0.7455803024717058, 0.002374247147784345),

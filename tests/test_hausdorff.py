@@ -8,7 +8,7 @@ import pytest
 
 from ugmt import batteries
 from ugmt.bv import _SHEET_STREAMS, perimeter_measure
-from ugmt.configuration import Configuration, SetSpec, section_set
+from ugmt.configuration import SetSpec, section_set
 from ugmt.cylinder import cyl_compose, cyl_from_star, tanh_of
 from ugmt.geometry import (BoxDomain, DomainError, SmoothFunction, _legendre_rule,
                            gauss_legendre, interval)
@@ -58,8 +58,8 @@ def test_level_set_segment_and_antidiagonal():
 
 # the k = 2 smooth-profile quadrature misses the sheet's length next to a face
 # of the product box, and on the two-stack sheet, by more than its error
-# proxy; ROADMAP item 2 (the sheet oracle with no band) is to mend this
-_PROXY_MISS = pytest.mark.xfail(strict=True, reason="ROADMAP item 2: the k = 2 quadrature "
+# proxy; ROADMAP item 1 (the sheet oracle with no band) is to mend this
+_PROXY_MISS = pytest.mark.xfail(strict=True, reason="ROADMAP item 1: the k = 2 quadrature "
                                 "is biased beyond its error proxy")
 
 
@@ -185,7 +185,7 @@ def test_rho1_clamps_a_negative_stratum_at_zero():
     # order 96) comes out negative
     spec = batteries.monotone_sheets()["sheet-scale-1.3"]
     inner = scaled_box(0.0, 1.0, 1)
-    eta = Configuration(window=spec.locality, points=np.array([[0.5321212403346848]]))
+    eta = np.array([[0.5321212403346848]])
     sec = section_set(spec, eta, inner)
     raw = sheet_integrals(sec.function, sec.level, {"s": None}, inner, streams=(80, 1),
                           n_samples=2_000, seed=29, count_equals=sec.count_equals)["s"]
@@ -273,7 +273,7 @@ def test_localized_sheet_of_a_count_constrained_set():
     # sections are empty and contribute (0, 0) instead of raising
     E = batteries.half_space_set()
     inner = scaled_box(0.5, 0.4, 1)
-    eta = Configuration(window=UNIT, points=np.array([[0.05], [0.95]]))
+    eta = np.array([[0.05], [0.95]])
     res = rho_m_on_box(section_set(E.boundary_sheet(), eta, inner), 1, inner)
     assert (res.total, res.total_err) == (0.0, 0.0)
     ests = [rho_m_localized(E.boundary_sheet(), 1, scaled_box(0.5, r, 1), UNIT, seed=7,
@@ -361,7 +361,7 @@ def test_stratum_grid_is_memoized_read_only_and_fresh(window, k, order):
 def test_stratum_indicator_matches_configuration_reference(k, member):
     X = uniform_tuples(UNIT, k, 3_000, seed=5, stream=k)
     for name, A in batteries.rho0_sets().items():
-        ref = [1.0 if member(A, Configuration(window=UNIT, points=x)) else 0.0 for x in X]
+        ref = [1.0 if member(A, x) else 0.0 for x in X]
         assert np.array_equal(stratum_indicator(A, k, X), ref), name
 
 

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from ugmt import batteries
-from ugmt.configuration import Configuration, SetSpec, by_count, poisson_configurations
+from ugmt.configuration import SetSpec, by_count, poisson_configurations
 from ugmt.cylinder import (CylinderFunction, ExponentialCylinderFunction,
-                           OuterFunction, const, coord, cyl_compose,
+                           OuterFunction, add_n, const, coord, cyl_compose,
                            cyl_from_star, exp_neg, mul_n, nonneg_hint, smoothstep,
                            tanh_of)
 from ugmt.geometry import (BoxDomain, DomainError, QuadratureError, SmoothFunction,
@@ -84,7 +84,7 @@ def test_semigroup_quadrature_guard():
 
 def test_conservative_on_constants():
     f = SmoothFunction.bump(0.5, 0.3, 1.0, window=UNIT)
-    Fc = cyl_compose(lambda r: mul_n(const(0.0), r) + const(1.0), cyl_from_star(f))
+    Fc = cyl_compose(lambda r: add_n(mul_n(const(0.0), r), const(1.0)), cyl_from_star(f))
     for k in (1, 2, 3):
         for t in (2e-3, 0.1, 10.0):
             grid, out = _lift(Fc, t, k)
@@ -245,7 +245,7 @@ def test_level_set_on_grids_is_stratum_membership(member):
     for i in range(len(x)):
         for j in range(len(y)):
             if i != j:
-                gamma = Configuration(window=UNIT, points=np.array([[x[i]], [y[j]]]))
+                gamma = np.array([[x[i]], [y[j]]])
                 assert vals[i, j] == float(member(E, gamma)), (i, j)
     assert 0.0 < vals.mean() < 1.0
 
@@ -284,7 +284,7 @@ def test_intertwining_eigenfunction_and_bumps():
 
 def test_bakry_emery_constant_and_linear():
     f = SmoothFunction.bump(0.5, 0.3, 1.0, window=UNIT)
-    Fc = cyl_compose(lambda r: mul_n(const(0.0), r) + const(2.0), cyl_from_star(f))
+    Fc = cyl_compose(lambda r: add_n(mul_n(const(0.0), r), const(2.0)), cyl_from_star(f))
     plan = MCPlan(n_samples=500, seed=5, window=UNIT)
     rep = bakry_emery_battery({"F": Fc}, [2.0], [0.05], OP, plan)["F"][0]
     assert rep.max_violation <= 0.0 + 1e-12
@@ -302,10 +302,9 @@ def test_regularization_slope_window():
 
 def test_bessel_normalization_and_positivity():
     f = SmoothFunction.bump(0.5, 0.3, 1.0, window=UNIT)
-    Fc = cyl_compose(lambda r: mul_n(const(0.0), r) + const(1.0), cyl_from_star(f))
+    Fc = cyl_compose(lambda r: add_n(mul_n(const(0.0), r), const(1.0)), cyl_from_star(f))
     B = BesselOperator(alpha=0.8, p=2.0)
-    gams = [Configuration(window=UNIT, points=np.array([[0.4]])),
-            Configuration(window=UNIT, points=np.array([[0.3], [0.7]]))]
+    gams = [np.array([[0.4]]), np.array([[0.3], [0.7]])]
     vals = bessel_apply(Fc, B, OP, gams)
     assert np.max(np.abs(vals - 1.0)) < 1e-6
     Fpos = cyl_compose(lambda r: smoothstep(r, 0.4, 0.1), cyl_from_star(f))
@@ -336,7 +335,7 @@ def test_bessel_eigen_closed_form():
     F = cyl_from_star(fcos)
     alpha = 1.2
     B = BesselOperator(alpha=alpha, p=2.0)
-    gam = Configuration(window=UNIT, points=np.array([[0.23]]))
+    gam = np.array([[0.23]])
     lam = np.pi**2
     expected = (1.0 + lam) ** (-alpha / 2.0) * F.value(gam)
     got = bessel_apply(F, B, OP, [gam], t_floor=1e-6)[0]
@@ -346,14 +345,16 @@ def test_bessel_eigen_closed_form():
 def test_capacity_conventions():
     B = BesselOperator(alpha=0.6, p=2.0)
     f = SmoothFunction.bump(0.5, 0.3, 1.0, window=UNIT)
-    Fc = cyl_compose(lambda r: mul_n(const(0.0), r) + const(1.0), cyl_from_star(f))
-    # empty set
-    bound, diag = capacity_upper_bound([], [(Fc, lambda p: 1.0)], B, OP)
-    assert bound == 0.0
+    Fc = cyl_compose(lambda r: add_n(mul_n(const(0.0), r), const(1.0)), cyl_from_star(f))
+    # the empty set
+    assert capacity_upper_bound([], Fc, lambda p: 1.0, B, OP) == (0.0, float("inf"))
     # full space with the constant candidate: B1 = 1 and ||1||_p = 1
-    sieve = [Configuration(window=UNIT, points=np.array([[x]])) for x in (0.2, 0.8)]
-    bound2, _ = capacity_upper_bound(sieve, [(Fc, lambda p: 1.0)], B, OP)
-    assert bound2 == pytest.approx(1.0, rel=1e-4)
+    sieve = [np.array([[x]]) for x in (0.2, 0.8)]
+    bound, low = capacity_upper_bound(sieve, Fc, lambda p: 1.0, B, OP)
+    assert bound == pytest.approx(1.0, rel=1e-4) and bound == 1.0 / low**2
+    # a candidate with no positive minimum on the sieve bounds nothing
+    F0 = cyl_compose(lambda r: mul_n(const(0.0), r), cyl_from_star(f))
+    assert capacity_upper_bound(sieve, F0, lambda p: 1.0, B, OP) == (float("inf"), 0.0)
 
 
 def _mixed_counts(window):
@@ -372,7 +373,7 @@ def _mixed_counts(window):
         pts = [[16.6, 12.0], [16.95], [], [1.0, 9.0, 17.5], [0.0], [2.0, 16.8, 17.6],
                [3.0, 16.7]]
         F = batteries.capacity_family()[3][2]["candidate"][0]
-    return F, [Configuration(window=window, points=np.array(p).reshape(-1, 1)) for p in pts]
+    return F, [np.array(p, dtype=float).reshape(-1, 1) for p in pts]
 
 
 def _times():
@@ -390,8 +391,8 @@ def test_kernel_rows_equal_heat_kernel_rows(window, particle_rows):
     L = float(window.sides[0])
     ts = _times()
     _, gams = _mixed_counts(window)
-    counts = np.array([g.count for g in gams])
-    for idx, X in by_count(counts, np.concatenate([g.points for g in gams])).values():
+    counts = np.array([len(g) for g in gams])
+    for idx, X in by_count(counts, np.concatenate(gams)).values():
         k = X.shape[1]
         if k == 0:
             continue
@@ -414,9 +415,9 @@ def test_batched_bessel_matches_configuration_loop(window, semigroup_one):
     F, gams = _mixed_counts(window)
     ts = _times()
     ref = np.array([[semigroup_one(F, g, t, op) for g in gams] for t in ts])
-    counts = np.array([g.count for g in gams])
+    counts = np.array([len(g) for g in gams])
     got = np.zeros_like(ref)
-    for idx, X in by_count(counts, np.concatenate([g.points for g in gams])).values():
+    for idx, X in by_count(counts, np.concatenate(gams)).values():
         got[:, idx] = _semigroup_at(F, X, ts, op)
     assert np.all(ref > 0.0)
     np.testing.assert_allclose(got, ref, rtol=1e-14, atol=0.0)
@@ -751,6 +752,25 @@ def test_quotient_grid_matches_the_ordered_grid_at_k7():
         assert np.max(np.abs(rhs - ref_rhs) / ref_rhs) <= 1e-12
         # the components cancel; compare them against T_t |grad F|
         assert np.max(np.abs(comps - ref_comps) / ref_rhs[:, :1]) <= 1e-12
+
+
+def test_per_sample_routes_read_the_offset():
+    # a cylinder function with an offset (a section) against the same outer
+    # tree with the offsets written in as constants
+    from ugmt.heat import _be_integrate, _be_weights
+
+    F = _be_members()["product"]
+    c0, c1 = 0.37, -0.21
+    sec = CylinderFunction(F.outer, F.inners, offset=(c0, c1))
+    ref = CylinderFunction(OuterFunction(mul_n(tanh_of(add_n(coord(0), const(c0))),
+                                               add_n(coord(1), const(c1))), 2), F.inners)
+    X, nodes, ts, A, D = _k7_setup()
+    np.testing.assert_allclose(_semigroup_at(sec, X[:, :3], ts, OP),
+                               _semigroup_at(ref, X[:, :3], ts, OP), rtol=1e-12, atol=0.0)
+    W = _be_weights(A)
+    for got, want in zip(_be_integrate(sec, nodes, 0.0, [1.0, 2.0], A, D, W),
+                         _be_integrate(ref, nodes, 0.0, [1.0, 2.0], A, D, W)):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
 
 
 def test_battery_matches_the_ordered_grid_at_k7(monkeypatch):

@@ -15,7 +15,7 @@ from ugmt.montecarlo import MASS_RATIO, MIN_SAMPLES, Strata
 from ugmt.productspace import stratum_indicator
 from ugmt.rng import mean_and_stderr, stream_rng
 from ugmt import bv, hausdorff
-from ugmt.cylinder import const, mul_n
+from ugmt.cylinder import add_n, const, mul_n
 
 UNIT = interval(0.0, 1.0)
 PLAN = MCPlan(n_samples=20_000, seed=90, window=UNIT)
@@ -479,7 +479,7 @@ def test_every_stratum_draw_has_the_rule_count(monkeypatch):
 
 def test_variational_prefactors_divide_by_the_rows_drawn():
     f = SmoothFunction.bump(0.5, 0.3, 1.0, window=UNIT)
-    one = cyl_compose(lambda r: mul_n(const(0.0), r) + const(1.0), cyl_from_star(f))
+    one = cyl_compose(lambda r: add_n(mul_n(const(0.0), r), const(1.0)), cyl_from_star(f))
     obj = bv._VariationalObjective([one], batteries.field_family()[:1], UNIT, seed=3,
                                    n_band=2_000, mc_n=2_000)
     mc = [(n, pw) for kind, n, pw, _ in obj._stream() if kind == "mc"]
