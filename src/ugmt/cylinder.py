@@ -352,6 +352,14 @@ def _particle_sum(V: np.ndarray) -> np.ndarray:
     return out
 
 
+def _add_offset(u: np.ndarray, offset) -> np.ndarray:
+    """Adds offset, one row (arity,) or one row per statistic, to the
+    statistics u (..., arity) in place and returns u; a zero entry adds
+    nothing."""
+    c = np.asarray(offset, dtype=float)
+    return np.add(u, c, out=u, where=c != 0.0)
+
+
 def _star(f: SmoothFunction, X: np.ndarray, memo: dict | None) -> np.ndarray:
     """f star X over the particle axis; once per (f, X) when memoized.  The
     memo maps (f, id(X)) -> (X, f star X): the entry holds X, so no other
@@ -405,10 +413,7 @@ class CylinderFunction:
     def add_offset(self, u: np.ndarray) -> np.ndarray:
         """Adds the offset to the statistics u (..., arity) in place and
         returns u; a zero entry adds nothing."""
-        for i, c in enumerate(self.offset):
-            if c:
-                u[..., i] += c
-        return u
+        return _add_offset(u, self.offset) if self.offset else u
 
     def value(self, x):
         return self.outer.value(self.stars(x))

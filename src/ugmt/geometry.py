@@ -61,13 +61,17 @@ class BoxDomain:
     def dim(self) -> int:
         return len(self.lower)
 
-    @property
+    @functools.cached_property
     def volume(self) -> float:
-        return float(np.prod(np.array(self.upper) - np.array(self.lower)))
+        """The product of the sides, computed once per box."""
+        return float(np.prod(self.sides))
 
-    @property
+    @functools.cached_property
     def sides(self) -> np.ndarray:
-        return np.array(self.upper) - np.array(self.lower)
+        """upper - lower, computed once per box; read-only."""
+        sides = np.subtract(self.upper, self.lower)
+        sides.setflags(write=False)
+        return sides
 
     def contains(self, points: np.ndarray, tol: float = 0.0) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))

@@ -12,18 +12,26 @@ coarea identity, integral of |grad g| times a level profile of unit mass:
 the hard band chi{|g - c| < eps} / (2 eps) on Monte Carlo tuples, or, on a
 quadrature grid, Gaussian profiles of three widths scored in one pass and
 extrapolated to width 0.
+
+A localized measure averages the measure of the sections at outside patterns
+eta.  A section of a level set is F with the offset row F.stars(eta), so for
+m = 1 one stratum loop measures every section of a box: one quadrature run
+per distinct offset row, and Monte Carlo blocks of at most ``BLOCK_COORDS``
+coordinates in which each section draws its own rows on its own stream.  Each
+section's value and error keep the bits of a ``rho_m_on_box`` call of its own.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .configuration import (MCEstimate, SetSpec, _in_point_order, poisson_configurations,
-                            section_set)
+from .configuration import (MCEstimate, SetSpec, _in_point_order, by_count,
+                            poisson_configurations, section_set)
+from .cylinder import CylinderFunction, _add_offset
 from .geometry import BoxDomain, DomainError
 from .montecarlo import (StratifiedSum, Strata, StratumGrid, poisson_k_cutoff,
                          stratum_grid_points, uniform_tuples)
@@ -42,6 +50,7 @@ __all__ = [
 ]
 
 MIN_GRADIENT = 1e-3
+BLOCK_COORDS = 2 ** 17  # coordinates in one stacked Monte Carlo block: 1 MB of doubles
 
 
 class CriticalLevelError(RuntimeError):
@@ -71,20 +80,26 @@ class CodimMeasureResult:
 # level-set band estimator
 
 
-def band_integral_mc(h, window: BoxDomain, k: int, n_samples: int, seed: int,
-                     stream: int) -> dict[str, tuple[float, float]]:
-    """MC estimates of the integrals over window^k of the densities h returns.
+def band_integral_mc(h, window: BoxDomain, k: int, n_samples: int,
+                     seed: int | tuple[int, ...], stream: int
+                     ) -> dict[str, list[tuple[float, float]]]:
+    """MC estimates of the integrals over window^k of the densities h returns,
+    one per seed.
 
-    ``h`` maps tuples (m, k, n) to a dict name -> density (m,); one draw
-    serves every density.  Returns name -> (value, err).
+    The n_samples tuples are split evenly over the seeds (``seed`` is one
+    seed or a tuple of them), each seed's share drawn on stream (seed,
+    stream) into its own rows of one ``uniform_tuples`` block.  ``h`` maps
+    the block (m, k, n) to a dict name -> density (m,); one draw serves every
+    density, and each seed's rows are reduced on their own.  Returns
+    name -> [(value, err) per seed].
     """
-    densities = h(uniform_tuples(window, k, n_samples, seed, stream))
+    S = len(seed) if isinstance(seed, tuple) else 1
+    n = n_samples // S
+    densities = h(uniform_tuples(window, k, n, seed, stream))
     volk = window.volume ** k
-    out = {}
-    for name, hv in densities.items():
-        mean, err = mean_and_stderr(hv)
-        out[name] = (volk * mean, volk * err)
-    return out
+    return {name: [(volk * mean, volk * err)
+                   for mean, err in map(mean_and_stderr, hv.reshape(S, n))]
+            for name, hv in densities.items()}
 
 
 def band_integral_quad(densities: dict, window: BoxDomain, k: int, order: int) -> dict:
@@ -117,19 +132,76 @@ def _gradient(g, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return grad, gn
 
 
-def _checked_min(gn: np.ndarray) -> float:
-    """min |grad g| over rows near the sheet (inf for none); raises at a critical level."""
-    min_grad = float(np.min(gn, initial=np.inf))
-    if min_grad < MIN_GRADIENT:
-        raise CriticalLevelError(f"gradient {min_grad:.2e} below {MIN_GRADIENT} on the "
+def _checked_min(gn: np.ndarray, section, sections: int) -> np.ndarray:
+    """min |grad g| over each section's rows near the sheet, gn's rows
+    belonging to the sections ``section`` (inf for a section without any);
+    raises at a critical level, with the minimum of the first section below
+    ``MIN_GRADIENT``."""
+    mins = np.full(sections, np.inf)
+    np.minimum.at(mins, np.broadcast_to(section, gn.shape), gn)
+    low = np.flatnonzero(mins < MIN_GRADIENT)
+    if low.size:
+        raise CriticalLevelError(f"gradient {mins[low[0]]:.2e} below {MIN_GRADIENT} on the "
                                  "level band; perturb the level")
-    return min_grad
+    return mins
+
+
+@dataclass(frozen=True, eq=False)
+class _Sections:
+    """Sections of one offset-free cylinder function F at several offset rows.
+
+    On a batch of len(offsets) equal segments, segment j is evaluated as the
+    section ``replace(F, offset=tuple(offsets[j]))`` evaluates it: F's stars,
+    then the offset row added the way ``CylinderFunction.add_offset`` adds
+    it, a zero entry adding nothing.
+    """
+
+    F: CylinderFunction
+    offsets: np.ndarray  # (sections, arity)
+
+    def _stars(self, X: np.ndarray) -> np.ndarray:
+        rows = np.repeat(self.offsets, X.shape[0] // len(self.offsets), axis=0)
+        return _add_offset(self.F.stars(X), rows)
+
+    def value(self, X: np.ndarray) -> np.ndarray:
+        return self.F.outer.value(self._stars(X))
+
+    def gradient(self, X: np.ndarray) -> np.ndarray:
+        out = np.zeros(X.shape)
+        if X.shape[-2] == 0:
+            return out
+        return self.F._lift(self._stars(X), lambda f: f.gradient(X), out)
+
+
+def _hard_band(g, X: np.ndarray, level: float, eps: float, weights: dict, sections: int
+               ) -> tuple[dict[str, np.ndarray], np.ndarray]:
+    """The hard band chi{|g - level| < eps} / (2 eps) times each weight on the
+    rows of X, and min |grad g| over each section's band rows.
+
+    Rows [j m, (j + 1) m) of X are section j of ``sections``.  g is evaluated
+    on every row, its gradient and the weights on the band rows only, and the
+    critical level check runs per section.
+    """
+    vals = g.value(X)
+    rows = np.flatnonzero(np.abs(vals - level) < eps)
+    out = {name: np.zeros(X.shape[0]) for name in weights}
+    if not rows.size:
+        return out, np.full(sections, np.inf)
+    section = rows // (X.shape[0] // sections)
+    Xm = X[rows]
+    if isinstance(g, _Sections):  # each band row keeps its section's offset row
+        g = _Sections(g.F, g.offsets[section])
+    grad, gn = _gradient(g, Xm)
+    mins = _checked_min(gn, section, sections)
+    prof = 1.0 / (2.0 * eps)
+    for name, weight in weights.items():
+        out[name][rows] = (gn if weight is None else weight(Xm, grad, gn)) * prof
+    return out, mins
 
 
 def surface_functional(g, level: float, weights: dict, window: BoxDomain, k: int, *,
-                       eps: float, n_samples: int = 20_000, seed: int = 0,
-                       stream: int = 0, quad_order: int | None = None
-                       ) -> dict[str, tuple[float, float, float]]:
+                       eps: float, n_samples: int = 20_000, seed: int | tuple[int, ...] = 0,
+                       stream: int = 0, quad_order: int | None = None):
     """Band estimates of int_{ {g = level} cap window^k } weight dH^{nk-1}.
 
     ``g`` evaluates value/gradient on ordered tuples, as cylinder functions
@@ -154,27 +226,33 @@ def surface_functional(g, level: float, weights: dict, window: BoxDomain, k: int
     exactly 0, whatever the weight returns there.  The critical level check
     and the profile widths depend on g only, never on a weight.  Returns
     name -> (value, err, min |grad g| seen near the sheet).
+
+    A tuple of seeds measures one section per seed and returns a list of
+    such results: each seed's n_samples tuples fill its own rows of one
+    block, and its result has the bits of its own call.  A ``_Sections`` g
+    gives seed j its own offset row; the quadrature draws nothing, so one
+    run serves every seed.
     """
+    seeds = seed if isinstance(seed, tuple) else (seed,)
     if quad_order is None:
-        min_grad = np.inf
+        mins = []
 
-        def band(X):  # the hard band on one draw
-            nonlocal min_grad
-            vals = g.value(X)
-            rows = np.flatnonzero(np.abs(vals - level) < eps)
-            out = {name: np.zeros(X.shape[0]) for name in weights}
-            if rows.size:
-                Xm = X[rows]
-                grad, gn = _gradient(g, Xm)
-                min_grad = _checked_min(gn)
-                prof = 1.0 / (2.0 * eps)
-                for name, weight in weights.items():
-                    out[name][rows] = (gn if weight is None else weight(Xm, grad, gn)) * prof
-            return out
+        def band(X):
+            dens, section_mins = _hard_band(g, X, level, eps, weights, len(seeds))
+            mins.append(section_mins)
+            return dens
 
-        est = band_integral_mc(band, window, k, n_samples, seed, stream)
-        return {name: (val, err, min_grad) for name, (val, err) in est.items()}
+        est = band_integral_mc(band, window, k, n_samples * len(seeds), seed, stream)
+        out = [{name: (*est[name][j], float(mins[0][j])) for name in weights}
+               for j in range(len(seeds))]
+    else:
+        out = [_quadrature_band(g, level, weights, window, k, eps, quad_order)] * len(seeds)
+    return out if isinstance(seed, tuple) else out[0]
 
+
+def _quadrature_band(g, level: float, weights: dict, window: BoxDomain, k: int, eps: float,
+                     quad_order: int) -> dict[str, tuple[float, float, float]]:
+    """The smooth-profile quadrature route of ``surface_functional``."""
     X = stratum_grid_points(window, k, quad_order)[0]
     dev = g.value(X) - level
     dist = np.abs(dev)
@@ -191,7 +269,7 @@ def surface_functional(g, level: float, weights: dict, window: BoxDomain, k: int
     gscale = float(np.max(gn[dist < 2.0 * sig0], initial=0.0))
     sig = max(sig0, 4.0 * spacing * min(gscale, 3.0))
     sigs = np.array([sig, sig * np.sqrt(2.0), sig * 2.0])
-    min_grad = _checked_min(gn[dist < 2.0 * sigs[2]])
+    min_grad = float(_checked_min(gn[dist < 2.0 * sigs[2]], 0, 1)[0])
     dens = {name: gn if weight is None else weight(X, grad, gn)
             for name, weight in weights.items()}
     scored = {}
@@ -217,15 +295,15 @@ def surface_functional(g, level: float, weights: dict, window: BoxDomain, k: int
 
 
 def surface_functional_auto(g, level: float, weights: dict, window: BoxDomain, k: int, *,
-                            eps: float, n_samples: int = 20_000, seed: int = 0,
-                            stream: int = 0, quad_order: int | None = None
-                            ) -> dict[str, tuple[float, float, float]]:
+                            eps: float, n_samples: int = 20_000,
+                            seed: int | tuple[int, ...] = 0, stream: int = 0,
+                            quad_order: int | None = None):
     """surface_functional preferring the smooth-profile quadrature.
 
     The wide profile needed on coarse grids can sweep over critical points of
     steep level functions far from the sheet itself; in that case the whole
     battery falls back to the narrow hard-band Monte Carlo route, which
-    still detects genuine critical levels.
+    still detects genuine critical levels, on every seed's own stream.
     """
     if quad_order is not None:
         try:
@@ -245,28 +323,71 @@ def sheet_integrals(g, level: float, weights: dict, window: BoxDomain, *,
                     count_equals: int | None = None) -> dict[str, StratifiedSum]:
     """Poisson integrals of surface weights over the level sheet {g = level}.
 
-    The codim-1 stratum loop: per count k, one ``surface_functional_auto``
-    call serves every weight (``weights`` as in ``surface_functional``), by
-    quadrature on counts 1 and 2 of a 1-d window (orders 192, 96) or count 1
-    otherwise (order 32), else by ``Stratum.draws(n_samples)`` band draws on
-    stream (seed, base + stride k) for ``streams`` = (base, stride), as many
-    as the quadrature's fallback draws.  ``eps`` defaults to 1e-2 of the
-    largest side.  Returns name -> StratifiedSum.
+    The codim-1 stratum loop on one section: per count k, one
+    ``surface_functional_auto`` call serves every weight (``weights`` as in
+    ``surface_functional``), by quadrature on counts 1 and 2 of a 1-d window
+    (orders 192, 96) or count 1 otherwise (order 32), else by
+    ``Stratum.draws(n_samples)`` band draws on stream (seed, base + stride k)
+    for ``streams`` = (base, stride), as many as the quadrature's fallback
+    draws.  ``eps`` defaults to 1e-2 of the largest side.  Returns
+    name -> StratifiedSum.
+    """
+    return _sheet_loop(g, level, weights, window, (seed,), streams=streams, eps=eps,
+                       n_samples=n_samples, K_max=K_max, count_equals=count_equals)[0]
+
+
+def _sheet_loop(g, level: float, weights: dict, window: BoxDomain, seeds: tuple[int, ...],
+                offsets: np.ndarray | None = None, *, streams: tuple[int, int],
+                eps: float | None, n_samples: int, K_max: int | None,
+                count_equals: int | None) -> list[dict[str, StratifiedSum]]:
+    """``sheet_integrals`` of several sections of one sheet at once, one
+    result per seed.
+
+    With ``offsets`` None there is one seed, and its section is g itself.
+    Otherwise g is an offset-free cylinder function, and section j is g at
+    the offset row offsets[j], measured on the streams of seeds[j].  A
+    quadrature stratum draws nothing, so one ``surface_functional_auto`` call
+    per distinct offset row serves all its sections; a critical level there
+    falls back to each section's own draws.  A Monte Carlo stratum measures
+    the sections in blocks of at most ``BLOCK_COORDS`` coordinates, one
+    call per block: each section's tuples fill its own rows on its own
+    stream, so every section gets the bits of a call of its own.
     """
     if eps is None:
         eps = 1e-2 * float(np.max(window.sides))
     base, stride = streams
     strata = Strata(window, orders={1: 192, 2: 96} if window.dim == 1 else {1: 32},
                     K_max=K_max, count_equals=count_equals)
-    per_stratum = {}
+    if offsets is None:
+        groups = [(g, np.arange(1))]
+    else:
+        rows, which = np.unique(offsets, axis=0, return_inverse=True)
+        groups = [(replace(g, offset=tuple(row.tolist())), np.flatnonzero(which.ravel() == i))
+                  for i, row in enumerate(rows)]
+    S, per_stratum = len(seeds), {}
     for s in strata:
-        est = surface_functional_auto(g, level, weights, window, s.k, eps=eps,
-                                      n_samples=s.draws(n_samples), seed=seed,
-                                      stream=base + stride * s.k, quad_order=s.order)
+        n, stream = s.draws(n_samples), base + stride * s.k
+        if s.order is not None:
+            parts = groups
+        else:
+            size = max(1, BLOCK_COORDS // max(1, n * s.k * window.dim))
+            parts = [(g if offsets is None else _Sections(g, offsets[lo:lo + size]),
+                      range(lo, min(lo + size, S))) for lo in range(0, S, size)]
+        ests = [None] * S
+        for h, part in parts:
+            # one section keeps the one-seed call, and its one result
+            part_seeds = tuple(seeds[j] for j in part)
+            est = surface_functional_auto(h, level, weights, window, s.k, eps=eps, n_samples=n,
+                                          seed=part_seeds if len(part) > 1 else part_seeds[0],
+                                          stream=stream, quad_order=s.order)
+            for j, e in zip(part, est if len(part) > 1 else [est]):
+                ests[j] = e
         volk = window.volume ** s.k
-        per_stratum[s.k] = {name: (val / volk, err / volk) for name, (val, err, _) in est.items()}
-    return {name: strata.integrate(lambda s, name=name: [per_stratum[s.k][name]])
-            for name in weights}
+        per_stratum[s.k] = [{name: (val / volk, err / volk) for name, (val, err, _) in est.items()}
+                            for est in ests]
+    return [{name: strata.integrate(lambda s, name=name, j=j: [per_stratum[s.k][j][name]])
+             for name in weights}
+            for j in range(S)]
 
 
 # ---------------------------------------------------------------------------
@@ -298,8 +419,9 @@ def rho_m_on_box(A: SetSpec, m: int, window: BoxDomain, *,
     m = 0 reduces to the Poisson probability of A (count-stratified).  m = 1
     requires A to be a level-set description; the measured object is the
     defining level sheet {F = level}, i.e. the reduced boundary of the strict
-    super-level set, measured by ``sheet_integrals`` on streams 80 + k.  Other
-    codimensions, and m = 1 on other variants, raise.
+    super-level set, measured by the stratum loop of ``sheet_integrals`` on
+    streams (seed, 80 + k), a stratum of negative band value counting as
+    empty.  Other codimensions, and m = 1 on other variants, raise.
     """
     if m not in (0, 1):
         raise DomainError("only m in {0, 1} is computed")
@@ -316,18 +438,39 @@ def rho_m_on_box(A: SetSpec, m: int, window: BoxDomain, *,
         empty = float(stratum_indicator(A, 0, np.zeros((1, 0, window.dim)))[0])
         res = strata.integrate(term, empty=empty)
         return CodimMeasureResult.of(res, window, None)
+    return _rho1(A, window, (seed,), n_samples=n_samples)[0]
+
+
+def _sheet_function(A: SetSpec) -> CylinderFunction:
+    """The cylinder function whose level sheet rho_1 measures."""
     if A.variant not in ("level_set", "level_sheet"):
         raise DomainError("m = 1 requires a level-set description")
-    res = sheet_integrals(A.function, float(A.level), {"surface": None}, window,
-                          streams=(80, 1), n_samples=n_samples, seed=seed,
-                          count_equals=A.count_equals)["surface"]
-    # a stratum whose band value came out negative counts as empty; the
-    # Poisson weight is positive, so clamping its share clamps the value
-    per_k = {k: max(v, 0.0) for k, v in res.per_k.items()}
-    total = 0.0
-    for v in per_k.values():  # in count order, as the unclamped sum was made
-        total += v
-    return CodimMeasureResult.of(StratifiedSum(total, res.error, per_k), window, None)
+    return A.function
+
+
+def _rho1(A: SetSpec, window: BoxDomain, seeds: tuple[int, ...],
+          offsets: np.ndarray | None = None, *, n_samples: int) -> list[CodimMeasureResult]:
+    """rho_1 of the level sheet of A on the window, one result per seed: of A
+    itself for one seed and no ``offsets``, else of A's section at the
+    offset row offsets[j] (``section_set``'s F.stars(eta)) for seeds[j], every
+    section sharing A's ``count_equals``.  The sheet is measured by
+    ``_sheet_loop`` on streams (seed, 80 + k)."""
+    F = _sheet_function(A)
+    if offsets is not None:
+        F = replace(F, offset=())
+    out = []
+    for res in _sheet_loop(F, float(A.level), {"surface": None}, window, seeds, offsets,
+                           streams=(80, 1), eps=None, n_samples=n_samples, K_max=None,
+                           count_equals=A.count_equals):
+        res = res["surface"]
+        # a stratum whose band value came out negative counts as empty; the
+        # Poisson weight is positive, so clamping its share clamps the value
+        per_k = {k: max(v, 0.0) for k, v in res.per_k.items()}
+        total = 0.0
+        for v in per_k.values():  # in count order, as the unclamped sum was made
+            total += v
+        out.append(CodimMeasureResult.of(StratifiedSum(total, res.error, per_k), window, None))
+    return out
 
 
 def scaled_box(center, r: float, dim: int) -> BoxDomain:
@@ -389,7 +532,12 @@ def rho_m_localized(A: SetSpec, m: int, inner: BoxDomain, outer: BoxDomain, *,
     Membership may only depend on A.locality, which must sit inside ``outer``;
     the Poisson average over the rest of the complement is then exact.  When
     the locality sits inside ``inner`` the outer integral collapses and the
-    result is deterministic up to the inner estimator error.
+    result is deterministic up to the inner estimator error.  Otherwise the
+    n_eta patterns are drawn on stream (seed, 7), and pattern i's section is
+    measured by ``rho_m_on_box`` on seed + 1 + i with max(2000,
+    n_samples // 8) samples: for m = 1 all sections at once, in one stratum
+    loop, with the same bits as the calls one by one; for m = 0 one call
+    per pattern.
     """
     if A.locality is None:
         raise DomainError("localized measures need a declared locality")
@@ -406,17 +554,45 @@ def rho_m_localized(A: SetSpec, m: int, inner: BoxDomain, outer: BoxDomain, *,
     # quadrature
     counts, points = poisson_configurations(A.locality, stream_rng(seed, 7), n_eta)
     points = _in_point_order(counts, points)
-    ends = np.cumsum(counts)
-    vals, errs = np.empty(n_eta), np.empty(n_eta)
-    for i in range(n_eta):
-        pts = points[ends[i] - counts[i]:ends[i]]
-        res = rho_m_on_box(section_set(A, pts[~inner.contains(pts)], inner), m, inner,
-                           n_samples=max(2000, n_samples // 8), seed=seed + 1 + i)
-        vals[i], errs[i] = res.total, res.total_err
+    outside = ~inner.contains(points)
+    counts = np.bincount(np.repeat(np.arange(n_eta), counts)[outside], minlength=n_eta)
+    points = points[outside]
+    seeds = seed + 1 + np.arange(n_eta)
+    n_section = max(2000, n_samples // 8)
+    if m == 1:
+        res = _rho1_patterns(A, inner, counts, points, seeds, n_section)
+    else:
+        etas = np.split(points, np.cumsum(counts)[:-1])
+        res = [rho_m_on_box(section_set(A, eta, inner), m, inner, n_samples=n_section,
+                            seed=int(s)) for eta, s in zip(etas, seeds)]
+    vals = np.array([r.total for r in res])
+    errs = np.array([r.total_err for r in res])
     mean, spread = mean_and_stderr(vals)
     err = float(np.sqrt(spread * spread + np.sum(errs**2) / n_eta**2))
     return MCEstimate(mean=mean, std_err=err, n_samples=n_eta,
                       seed=seed, name=A.name and f"rho{m}_loc({A.name})")
+
+
+def _rho1_patterns(A: SetSpec, inner: BoxDomain, counts: np.ndarray, points: np.ndarray,
+                   seeds: np.ndarray, n_samples: int) -> list[CodimMeasureResult]:
+    """rho_1 on the inner box of A's section at every outside pattern (counts,
+    points), pattern i measured on seed seeds[i]: ``rho_m_on_box`` of its
+    ``section_set``, bit for bit.  The offsets are F's stars of the patterns,
+    one stack per count; the sections are measured together, grouped by
+    their lowered ``count_equals``."""
+    F = _sheet_function(A)
+    offsets = np.empty((counts.size, F.arity))
+    for pos, eta in by_count(counts, points).values():
+        offsets[pos] = F.stars(eta)
+    lowered = np.zeros(counts.size) if A.count_equals is None else A.count_equals - counts
+    res = [None] * counts.size
+    for c in np.unique(lowered):
+        part = np.flatnonzero(lowered == c)
+        spec = A if A.count_equals is None else replace(A, count_equals=int(c))
+        for i, r in zip(part, _rho1(spec, inner, tuple(int(s) for s in seeds[part]),
+                                     offsets[part], n_samples=n_samples)):
+            res[i] = r
+    return res
 
 
 def rho_m_limit(A: SetSpec, m: int, boxes: list[BoxDomain], *, n_eta: int = 64,

@@ -22,7 +22,8 @@ it), and the tail mass beyond a count, which sets ``poisson_k_cutoff`` and the
 stratified error bar's truncation charge, is the sum of the pmf terms.
 
 Uniform k-tuples on a Monte Carlo stratum come from ``uniform_tuples``, one
-bulk draw on the counter-based stream (seed, stream).  Inside a
+bulk draw on the counter-based stream (seed, stream), or for a tuple of seeds
+one such draw per seed stacked into one block.  Inside a
 ``shared_draws`` scope a repeated (window, k, n, seed, stream) key returns the
 first draw's array instead of drawing again, so callers that integrate
 several functions on the same strata draw each stratum once.
@@ -334,10 +335,25 @@ def _box_tuples(rng: np.random.Generator, window: BoxDomain, k: int, n: int) -> 
     order and combined by the same two roundings as ``rng.uniform`` on the
     window bounds tiled k times, without its broadcasting path.
     """
-    u = rng.random(size=(n, k, window.dim))
-    u *= np.subtract(window.upper, window.lower)
+    return _to_window(rng.random(size=(n, k, window.dim)), window)
+
+
+def _to_window(u: np.ndarray, window: BoxDomain) -> np.ndarray:
+    """Uniform doubles u (..., dim) mapped in place to lower + (upper - lower) u."""
+    u *= window.sides
     u += window.lower
     return u
+
+
+def _stacked_tuples(window: BoxDomain, k: int, n: int, seeds: tuple[int, ...],
+                    stream: int) -> np.ndarray:
+    """``_box_tuples`` of every seed's stream (seed, stream), stacked in seed
+    order into one block (len(seeds) n, k, dim): each stream writes its
+    doubles into its own rows, and the block is mapped to the window once."""
+    X = np.empty((len(seeds) * n, k, window.dim))
+    for j, seed in enumerate(seeds):
+        stream_rng(seed, stream).random(out=X[j * n:(j + 1) * n])
+    return _to_window(X, window)
 
 
 _SHARED_DRAWS: ContextVar[dict | None] = ContextVar("_SHARED_DRAWS", default=None)
@@ -369,18 +385,25 @@ def scope_memo() -> dict | None:
     return _SCOPE_MEMO.get()
 
 
-def uniform_tuples(window: BoxDomain, k: int, n: int, seed: int, stream: int) -> np.ndarray:
+def uniform_tuples(window: BoxDomain, k: int, n: int, seed: int | tuple[int, ...],
+                   stream: int) -> np.ndarray:
     """n uniform ordered k-tuples in the window, shape (n, k, dim), drawn on
     the random stream (seed, stream); read-only and shared inside a
-    ``shared_draws`` scope."""
+    ``shared_draws`` scope.
+
+    A tuple of seeds draws n tuples on each seed's stream into one block
+    (len(seed) n, k, dim), seed j's in rows [j n, (j + 1) n): each segment is
+    the one-seed draw, bit for bit.
+    """
     memo = _SHARED_DRAWS.get()
-    if memo is None:
-        return _box_tuples(stream_rng(seed, stream), window, k, n)
     key = (window, k, n, seed, stream)
-    X = memo.get(key)
+    X = None if memo is None else memo.get(key)
     if X is None:
-        X = memo[key] = _box_tuples(stream_rng(seed, stream), window, k, n)
-        X.setflags(write=False)
+        X = (_stacked_tuples(window, k, n, seed, stream) if isinstance(seed, tuple)
+             else _box_tuples(stream_rng(seed, stream), window, k, n))
+        if memo is not None:
+            X.setflags(write=False)
+            memo[key] = X
     return X
 
 
@@ -470,20 +493,23 @@ class Strata:
     K_max: int | None = None
     count_equals: int | None = None
 
+    _strata: tuple[Stratum, ...] = field(init=False, repr=False, compare=False)
+
     def __post_init__(self):
         if self.K_max is None:
             self.K_max = poisson_k_cutoff(self.window.volume)
-
-    def __iter__(self) -> Iterator[Stratum]:
         lam = self.window.volume
         counts = range(1, self.K_max + 1) if self.count_equals is None else (self.count_equals,)
         weights = {k: poisson_pmf(k, lam) for k in counts}
         top = max(weights.values(), default=0.0)
-        for k, pk in weights.items():
-            if pk == 0.0:
-                continue
-            yield Stratum(window=self.window, k=k, weight=pk, top=top, order=self.orders.get(k),
-                          mc_n=self.mc_n, seed=self.seed, stream=self.stream_base + k)
+        self._strata = tuple(
+            Stratum(window=self.window, k=k, weight=pk, top=top, order=self.orders.get(k),
+                    mc_n=self.mc_n, seed=self.seed, stream=self.stream_base + k)
+            for k, pk in weights.items() if pk != 0.0)
+
+    def __iter__(self) -> Iterator[Stratum]:
+        """The strata, with their Poisson weights computed once per ``Strata``."""
+        return iter(self._strata)
 
     def integrate(self, term: Callable[[Stratum], Iterable[tuple[float, float]]], *,
                   empty: float | None = None,

@@ -222,3 +222,12 @@ def test_suites_run_with_scipy_refused(tmp_path):
     assert got["codes"] == {suite: 0 for suite in SUITES}
     assert list(got["rho0"]) == list(batteries.rho0_sets())
     assert all(0.0 <= p <= 1.0 + 1e-12 for p in got["rho0"].values())
+
+
+def test_python_dash_m_runs_the_command_line(tmp_path):
+    import ugmt
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(ugmt.__file__)))
+    out = subprocess.run([sys.executable, "-m", "ugmt", "run", "campbell", "--samples", "100",
+                          "--out", str(tmp_path)], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert (tmp_path / "campbell.json").exists()

@@ -80,6 +80,21 @@ def test_vector_field_divergence_matches_differences():
     assert np.max(np.abs(fd - div)) <= 1e-6 * scale
 
 
+@pytest.mark.parametrize("lower, upper", [((0.0,), (1.0,)), ((-1.5,), (1.5,)),
+                                          ((0.3, -1.2), (1.7, 0.45))])
+def test_box_sides_and_volume_are_computed_once(lower, upper):
+    box = BoxDomain(lower, upper)
+    sides = box.sides
+    assert box.sides is sides and not sides.flags.writeable
+    assert sides.tobytes() == (np.array(upper) - np.array(lower)).tobytes()
+    assert box.volume == float(np.prod(np.array(upper) - np.array(lower)))
+    with pytest.raises(ValueError):
+        sides[0] = 0.0
+    # the cache is no field: equal boxes stay equal and hash alike
+    fresh = BoxDomain(lower, upper)
+    assert fresh == box and hash(fresh) == hash(box)
+
+
 @pytest.mark.parametrize("t", [1e-3, 1e-2, 0.1, 1.0, 10.0])
 def test_kernel_mass_symmetry_positivity(t):
     ker = HeatKernel1D(L=1.0, t=t)

@@ -6,9 +6,9 @@ from math import comb
 import numpy as np
 import pytest
 
-from ugmt import batteries
+from ugmt import batteries, hausdorff
 from ugmt.bv import _SHEET_STREAMS, perimeter_measure
-from ugmt.configuration import SetSpec, section_set
+from ugmt.configuration import SetSpec, poisson_configurations, section_set
 from ugmt.cylinder import cyl_compose, cyl_from_star, tanh_of
 from ugmt.geometry import (BoxDomain, DomainError, SmoothFunction, _legendre_rule,
                            gauss_legendre, interval)
@@ -18,6 +18,7 @@ from ugmt.hausdorff import (CriticalLevelError, RhoLimitResult, _stratum_fractio
 from ugmt.montecarlo import (MCPlan, StratumGrid, integrate_battery, stratum_grid_points,
                              uniform_tuples)
 from ugmt.productspace import stratum_indicator
+from ugmt.rng import mean_and_stderr, stream_rng
 
 UNIT = interval(0.0, 1.0)
 
@@ -282,6 +283,89 @@ def test_localized_sheet_of_a_count_constrained_set():
         assert est.mean == pytest.approx(np.exp(-1.0), abs=3 * est.std_err)
     # the box that holds the locality is the full-window perimeter, bit for bit
     assert ests[-1].mean == perimeter_measure(E, UNIT, seed=7, n_samples=20_000).total
+
+
+def _patterns(A, inner, n_eta, seed):
+    """The outside patterns of ``rho_m_localized``, each as drawn and as its
+    sorted part outside the inner box."""
+    counts, points = poisson_configurations(A.locality, stream_rng(seed, 7), n_eta)
+    drawn = np.split(points, np.cumsum(counts)[:-1])
+    return [(pts, pts[np.lexsort(pts.T[::-1])][~inner.contains(pts[np.lexsort(pts.T[::-1])])])
+            for pts in drawn]
+
+
+def _localized_reference(A, inner, n_eta, n_samples, seed):
+    """rho_1 localized as a loop over patterns: one ``rho_m_on_box`` call on
+    each pattern's section, on seed + 1 + i; with the calls' results."""
+    res = [rho_m_on_box(section_set(A, eta, inner), 1, inner,
+                        n_samples=max(2000, n_samples // 8), seed=seed + 1 + i)
+           for i, (_, eta) in enumerate(_patterns(A, inner, n_eta, seed))]
+    vals = np.array([r.total for r in res])
+    errs = np.array([r.total_err for r in res])
+    mean, spread = mean_and_stderr(vals)
+    return mean, float(np.sqrt(spread * spread + np.sum(errs**2) / n_eta**2)), res
+
+
+_SHEET = batteries.monotone_sheets()["sheet-scale-1.8"]
+_STACK_CASES = {
+    # sections at empty, one-point and two-point patterns, one of them drawn
+    # out of point order; 32 sections of 2,000 3-tuples fill two blocks
+    "sheet-scale-1.8": (_SHEET, interval(-0.8, 0.8), batteries.MONO_WINDOW, 32, 1),
+    # count_equals = 3 is lowered by each pattern's outside count: the
+    # sections form groups of counts 3, 2 and 1
+    "count-equals-3": (SetSpec.level_sheet(_SHEET.function, 0.55, count_equals=3),
+                       interval(-0.8, 0.8), batteries.MONO_WINDOW, 32, 1),
+    # the sheet through tanh: the gradient on a band row depends on the
+    # row's offset
+    "tanh-of-sheet": (SetSpec.level_sheet(cyl_compose(tanh_of, _SHEET.function), np.tanh(0.55)),
+                      interval(-0.8, 0.8), batteries.MONO_WINDOW, 32, 1),
+    # counts 1, 0 and below: the zero-particle stratum and empty sections
+    "half-space": (batteries.half_space_set().boundary_sheet(), scaled_box(0.5, 0.4, 1),
+                   UNIT, 24, 7),
+}
+
+
+@pytest.mark.parametrize("name", list(_STACK_CASES))
+def test_stacked_sections_equal_the_per_pattern_loop(name):
+    A, inner, outer, n_eta, seed = _STACK_CASES[name]
+    got = rho_m_localized(A, 1, inner, outer, n_eta=n_eta, n_samples=2_000, seed=seed)
+    mean, err, res = _localized_reference(A, inner, n_eta, 2_000, seed)
+    assert (got.mean, got.std_err) == (mean, err)
+    patterns = _patterns(A, inner, n_eta, seed)
+    assert {0, 1, 2} <= {len(eta) for _, eta in patterns}
+    if name != "half-space":
+        assert any(len(eta) == 2 and not np.array_equal(pts[~inner.contains(pts)], eta)
+                   for pts, eta in patterns)
+        # Monte Carlo band rows at k = 3, whose 2,000 tuples per section
+        # take more than one block
+        assert any(r.per_k.get(3, 0.0) > 0.0 for r in res)
+        assert hausdorff.BLOCK_COORDS // (2_000 * 3) < n_eta
+
+
+def test_sections_at_one_offset_share_quadrature_but_not_draws(monkeypatch):
+    # two sections at one offset on two seeds: each quadrature stratum runs
+    # once for both, and the Monte Carlo strata draw on each seed's streams
+    A = SetSpec.level_sheet(batteries.tanh_sum_function(0.35), 0.3)
+    offsets = np.array([[0.2], [0.2]])
+    quad = []
+    real = hausdorff.surface_functional_auto
+
+    def spy(*args, **kwargs):
+        if kwargs["quad_order"] is not None:
+            quad.append((args[4], kwargs["seed"]))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(hausdorff, "surface_functional_auto", spy)
+    both = hausdorff._rho1(A, UNIT, (5, 9), offsets, n_samples=2_000)
+    assert quad == [(1, (5, 9)), (2, (5, 9))]
+    section = replace(A, function=replace(A.function, offset=(0.2,)))
+    for got, seed in zip(both, (5, 9)):
+        ref = rho_m_on_box(section, 1, UNIT, n_samples=2_000, seed=seed)
+        assert (got.total, got.total_err, got.per_k) == (ref.total, ref.total_err, ref.per_k)
+    first, second = both
+    assert first.per_k[1] == second.per_k[1] > 0.0
+    assert first.per_k[2] == second.per_k[2] > 0.0
+    assert first.per_k[3] != second.per_k[3]
 
 
 @pytest.mark.parametrize("order", [1, 7, 32, 96, 192])

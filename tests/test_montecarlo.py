@@ -367,6 +367,37 @@ def test_uniform_tuples_equal_tiled_uniform(name, k):
     assert rng.random(7).tobytes() == rng_ref.random(7).tobytes()
 
 
+@pytest.mark.parametrize("k", [0, 1, 3, 7])
+@pytest.mark.parametrize("name", list(_DRAW_WINDOWS))
+def test_stacked_seeds_are_the_one_seed_draws(name, k):
+    # a tuple of seeds fills one block, seed by seed, with the one-seed draws
+    window = _DRAW_WINDOWS[name]
+    seeds, n = (17, 4, 17, 900), 150
+    got = uniform_tuples(window, k, n, seeds, stream=3 + k)
+    assert got.shape == (len(seeds) * n, k, window.dim)
+    ref = np.concatenate([uniform_tuples(window, k, n, s, stream=3 + k) for s in seeds])
+    assert got.tobytes() == ref.tobytes()
+    with shared_draws():
+        X = uniform_tuples(window, k, n, seeds, stream=3 + k)
+        assert X.tobytes() == ref.tobytes() and not X.flags.writeable
+        assert uniform_tuples(window, k, n, seeds, stream=3 + k) is X
+
+
+def test_strata_weigh_each_count_once(monkeypatch):
+    calls = []
+    real = montecarlo.poisson_pmf
+
+    def spy(k, lam):
+        calls.append(k)
+        return real(k, lam)
+
+    monkeypatch.setattr(montecarlo, "poisson_pmf", spy)
+    strata = Strata(scaled_box(0.0, 3.0, 1), mc_n=1_000)
+    first, again = list(strata), list(strata)
+    assert calls == list(range(1, strata.K_max + 1))
+    assert first == again and [s.k for s in first] == calls
+
+
 def test_shared_draws_scope_returns_one_read_only_draw_per_key():
     fresh = uniform_tuples(UNIT, 3, 200, seed=5, stream=2)
     assert fresh.flags.writeable
