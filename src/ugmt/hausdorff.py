@@ -14,11 +14,12 @@ quadrature grid, Gaussian profiles of three widths scored in one pass and
 extrapolated to width 0.
 
 A localized measure averages the measure of the sections at outside patterns
-eta.  A section of a level set is F with the offset row F.stars(eta), so for
-m = 1 one stratum loop measures every section of a box: one quadrature run
-per distinct offset row, and Monte Carlo blocks of at most ``BLOCK_COORDS``
-coordinates in which each section draws its own rows on its own stream.  Each
-section's value and error keep the bits of a ``rho_m_on_box`` call of its own.
+eta.  A section of a level set is F with the offset row F.stars(eta), and
+the codim-1 stratum loop has one form: an offset-free F, a stack of offset
+rows and a seed per row (one sheet is the stack of F's own offset).  It runs
+one quadrature run per distinct offset row, and Monte Carlo blocks of at
+most ``BLOCK_COORDS`` coordinates in which each section draws its own rows on
+its own stream, so each section keeps the bits of a call of its own.
 """
 
 from __future__ import annotations
@@ -80,25 +81,22 @@ class CodimMeasureResult:
 # level-set band estimator
 
 
-def band_integral_mc(h, window: BoxDomain, k: int, n_samples: int,
-                     seed: int | tuple[int, ...], stream: int
-                     ) -> dict[str, list[tuple[float, float]]]:
+def band_integral_mc(h, window: BoxDomain, k: int, n_samples: int, seeds: tuple[int, ...],
+                     stream: int) -> dict[str, list[tuple[float, float]]]:
     """MC estimates of the integrals over window^k of the densities h returns,
     one per seed.
 
-    The n_samples tuples are split evenly over the seeds (``seed`` is one
-    seed or a tuple of them), each seed's share drawn on stream (seed,
-    stream) into its own rows of one ``uniform_tuples`` block.  ``h`` maps
-    the block (m, k, n) to a dict name -> density (m,); one draw serves every
-    density, and each seed's rows are reduced on their own.  Returns
-    name -> [(value, err) per seed].
+    The n_samples tuples are split evenly over the seeds, each seed's share
+    drawn on stream (seed, stream) into its own rows of one ``uniform_tuples``
+    block.  ``h`` maps the block (m, k, n) to a dict name -> density (m,);
+    one draw serves every density, and each seed's rows are reduced on their
+    own.  Returns name -> [(value, err) per seed].
     """
-    S = len(seed) if isinstance(seed, tuple) else 1
-    n = n_samples // S
-    densities = h(uniform_tuples(window, k, n, seed, stream))
+    n = n_samples // len(seeds)
+    densities = h(uniform_tuples(window, k, n, seeds, stream))
     volk = window.volume ** k
     return {name: [(volk * mean, volk * err)
-                   for mean, err in map(mean_and_stderr, hv.reshape(S, n))]
+                   for mean, err in map(mean_and_stderr, hv.reshape(len(seeds), n))]
             for name, hv in densities.items()}
 
 
@@ -123,9 +121,8 @@ def _ordered_weights(window: BoxDomain, k: int, order: int) -> tuple[StratumGrid
     return grid, w
 
 
-def _gradient(g, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """grad g and |grad g| at X, read-only: every weight and width shares them."""
-    grad = g.gradient(X)
+def _with_norm(grad: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """grad g and |grad g| per row, read-only: every weight and width shares them."""
     gn = np.sqrt(np.sum(grad * grad, axis=(-2, -1)))
     grad.setflags(write=False)
     gn.setflags(write=False)
@@ -148,7 +145,8 @@ def _checked_min(gn: np.ndarray, section, sections: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class _Sections:
-    """Sections of one offset-free cylinder function F at several offset rows.
+    """Sections of one offset-free cylinder function F at several offset rows,
+    the one form in which the sheet loop evaluates a sheet.
 
     On a batch of len(offsets) equal segments, segment j is evaluated as the
     section ``replace(F, offset=tuple(offsets[j]))`` evaluates it: F's stars,
@@ -160,8 +158,10 @@ class _Sections:
     offsets: np.ndarray  # (sections, arity)
 
     def _stars(self, X: np.ndarray) -> np.ndarray:
-        rows = np.repeat(self.offsets, X.shape[0] // len(self.offsets), axis=0)
-        return _add_offset(self.F.stars(X), rows)
+        u = self.F.stars(X)
+        if not self.offsets.any():  # an all-zero stack adds nothing, as F's empty offset
+            return u
+        return _add_offset(u, np.repeat(self.offsets, X.shape[0] // len(self.offsets), axis=0))
 
     def value(self, X: np.ndarray) -> np.ndarray:
         return self.F.outer.value(self._stars(X))
@@ -180,18 +180,25 @@ def _hard_band(g, X: np.ndarray, level: float, eps: float, weights: dict, sectio
 
     Rows [j m, (j + 1) m) of X are section j of ``sections``.  g is evaluated
     on every row, its gradient and the weights on the band rows only, and the
-    critical level check runs per section.
+    critical level check runs per section.  g's gradient is taken in the
+    layout of X, so that a ``_Sections`` g gives each band row its section's
+    offset row: ``sections`` equal segments, segment j holding section j's
+    band rows and filled up with copies of section j's first row.
     """
     vals = g.value(X)
     rows = np.flatnonzero(np.abs(vals - level) < eps)
     out = {name: np.zeros(X.shape[0]) for name in weights}
     if not rows.size:
         return out, np.full(sections, np.inf)
-    section = rows // (X.shape[0] // sections)
+    m = X.shape[0] // sections
+    section = rows // m
+    place = np.arange(rows.size) - np.searchsorted(section, section)  # within its section
+    width = int(place.max()) + 1
+    slot = section * width + place
+    fill = np.repeat(np.arange(0, X.shape[0], m), width)
+    fill[slot] = rows
     Xm = X[rows]
-    if isinstance(g, _Sections):  # each band row keeps its section's offset row
-        g = _Sections(g.F, g.offsets[section])
-    grad, gn = _gradient(g, Xm)
+    grad, gn = _with_norm(g.gradient(X[fill])[slot])
     mins = _checked_min(gn, section, sections)
     prof = 1.0 / (2.0 * eps)
     for name, weight in weights.items():
@@ -200,9 +207,11 @@ def _hard_band(g, X: np.ndarray, level: float, eps: float, weights: dict, sectio
 
 
 def surface_functional(g, level: float, weights: dict, window: BoxDomain, k: int, *,
-                       eps: float, n_samples: int = 20_000, seed: int | tuple[int, ...] = 0,
-                       stream: int = 0, quad_order: int | None = None):
-    """Band estimates of int_{ {g = level} cap window^k } weight dH^{nk-1}.
+                       eps: float, n_samples: int = 20_000, seeds: tuple[int, ...] = (0,),
+                       stream: int = 0, quad_order: int | None = None
+                       ) -> list[dict[str, tuple[float, float, float]]]:
+    """Band estimates of int_{ {g = level} cap window^k } weight dH^{nk-1},
+    one per seed.
 
     ``g`` evaluates value/gradient on ordered tuples, as cylinder functions
     do.  ``weights`` maps names to surface densities: ``weight(X, grad, gn)``
@@ -225,15 +234,14 @@ def surface_functional(g, level: float, weights: dict, window: BoxDomain, k: int
     each band the density is
     exactly 0, whatever the weight returns there.  The critical level check
     and the profile widths depend on g only, never on a weight.  Returns
-    name -> (value, err, min |grad g| seen near the sheet).
+    [name -> (value, err, min |grad g| seen near the sheet)] per seed.
 
-    A tuple of seeds measures one section per seed and returns a list of
-    such results: each seed's n_samples tuples fill its own rows of one
-    block, and its result has the bits of its own call.  A ``_Sections`` g
-    gives seed j its own offset row; the quadrature draws nothing, so one
-    run serves every seed.
+    Each seed measures one section: its n_samples tuples fill its own rows
+    of one block, segment j of the block being section j of g (a
+    ``_Sections`` g gives segment j its own offset row), and its result has
+    the bits of a one-seed call.  The quadrature draws nothing, so one run
+    serves every seed.
     """
-    seeds = seed if isinstance(seed, tuple) else (seed,)
     if quad_order is None:
         mins = []
 
@@ -242,12 +250,10 @@ def surface_functional(g, level: float, weights: dict, window: BoxDomain, k: int
             mins.append(section_mins)
             return dens
 
-        est = band_integral_mc(band, window, k, n_samples * len(seeds), seed, stream)
-        out = [{name: (*est[name][j], float(mins[0][j])) for name in weights}
-               for j in range(len(seeds))]
-    else:
-        out = [_quadrature_band(g, level, weights, window, k, eps, quad_order)] * len(seeds)
-    return out if isinstance(seed, tuple) else out[0]
+        est = band_integral_mc(band, window, k, n_samples * len(seeds), seeds, stream)
+        return [{name: (*est[name][j], float(mins[0][j])) for name in weights}
+                for j in range(len(seeds))]
+    return [_quadrature_band(g, level, weights, window, k, eps, quad_order)] * len(seeds)
 
 
 def _quadrature_band(g, level: float, weights: dict, window: BoxDomain, k: int, eps: float,
@@ -265,7 +271,7 @@ def _quadrature_band(g, level: float, weights: dict, window: BoxDomain, k: int, 
         # no row near the sheet: no core, so the widths are sig0, sqrt(2) sig0
         # and 2 sig0, and every band is empty
         return {name: (0.0, 0.0, np.inf) for name in weights}
-    grad, gn = _gradient(g, X)
+    grad, gn = _with_norm(g.gradient(X))
     gscale = float(np.max(gn[dist < 2.0 * sig0], initial=0.0))
     sig = max(sig0, 4.0 * spacing * min(gscale, 3.0))
     sigs = np.array([sig, sig * np.sqrt(2.0), sig * 2.0])
@@ -296,8 +302,9 @@ def _quadrature_band(g, level: float, weights: dict, window: BoxDomain, k: int, 
 
 def surface_functional_auto(g, level: float, weights: dict, window: BoxDomain, k: int, *,
                             eps: float, n_samples: int = 20_000,
-                            seed: int | tuple[int, ...] = 0, stream: int = 0,
-                            quad_order: int | None = None):
+                            seeds: tuple[int, ...] = (0,), stream: int = 0,
+                            quad_order: int | None = None
+                            ) -> list[dict[str, tuple[float, float, float]]]:
     """surface_functional preferring the smooth-profile quadrature.
 
     The wide profile needed on coarse grids can sweep over critical points of
@@ -308,62 +315,66 @@ def surface_functional_auto(g, level: float, weights: dict, window: BoxDomain, k
     if quad_order is not None:
         try:
             return surface_functional(g, level, weights, window, k, eps=eps,
-                                      n_samples=n_samples, seed=seed, stream=stream,
+                                      n_samples=n_samples, seeds=seeds, stream=stream,
                                       quad_order=quad_order)
         except CriticalLevelError:
             pass
     return surface_functional(g, level, weights, window, k, eps=eps,
-                              n_samples=n_samples, seed=seed, stream=stream,
+                              n_samples=n_samples, seeds=seeds, stream=stream,
                               quad_order=None)
 
 
-def sheet_integrals(g, level: float, weights: dict, window: BoxDomain, *,
+def sheet_integrals(g: CylinderFunction, level: float, weights: dict, window: BoxDomain, *,
                     streams: tuple[int, int], eps: float | None = None,
                     n_samples: int, seed: int, K_max: int | None = None,
                     count_equals: int | None = None) -> dict[str, StratifiedSum]:
     """Poisson integrals of surface weights over the level sheet {g = level}.
 
-    The codim-1 stratum loop on one section: per count k, one
-    ``surface_functional_auto`` call serves every weight (``weights`` as in
-    ``surface_functional``), by quadrature on counts 1 and 2 of a 1-d window
-    (orders 192, 96) or count 1 otherwise (order 32), else by
-    ``Stratum.draws(n_samples)`` band draws on stream (seed, base + stride k)
-    for ``streams`` = (base, stride), as many as the quadrature's fallback
-    draws.  ``eps`` defaults to 1e-2 of the largest side.  Returns
-    name -> StratifiedSum.
+    The codim-1 stratum loop of ``_sheet_loop`` on one section, g's offset-free
+    function at g's offset row: per count k, one ``surface_functional_auto``
+    call serves every weight (``weights`` as in ``surface_functional``), by
+    quadrature on counts 1 and 2 of a 1-d window (orders 192, 96) or count 1
+    otherwise (order 32), else by ``Stratum.draws(n_samples)`` band draws on
+    stream (seed, base + stride k) for ``streams`` = (base, stride), as many
+    as the quadrature's fallback draws.  ``eps`` defaults to 1e-2 of the
+    largest side.  Returns name -> StratifiedSum.
     """
-    return _sheet_loop(g, level, weights, window, (seed,), streams=streams, eps=eps,
-                       n_samples=n_samples, K_max=K_max, count_equals=count_equals)[0]
+    return _sheet_loop(replace(g, offset=()), level, weights, window, (seed,), _offset_row(g),
+                       streams=streams, eps=eps, n_samples=n_samples, K_max=K_max,
+                       count_equals=count_equals)[0]
 
 
-def _sheet_loop(g, level: float, weights: dict, window: BoxDomain, seeds: tuple[int, ...],
-                offsets: np.ndarray | None = None, *, streams: tuple[int, int],
+def _offset_row(F: CylinderFunction) -> np.ndarray:
+    """F's offset as a one-row stack (1, arity), zeros when F has none; a
+    zero entry adds nothing, so the row measures F itself."""
+    return np.broadcast_to(np.asarray(F.offset or 0.0, dtype=float), (1, F.arity))
+
+
+def _sheet_loop(F: CylinderFunction, level: float, weights: dict, window: BoxDomain,
+                seeds: tuple[int, ...], offsets: np.ndarray, *, streams: tuple[int, int],
                 eps: float | None, n_samples: int, K_max: int | None,
                 count_equals: int | None) -> list[dict[str, StratifiedSum]]:
-    """``sheet_integrals`` of several sections of one sheet at once, one
-    result per seed.
+    """``sheet_integrals`` of the sections of one offset-free cylinder
+    function F at the offset rows ``offsets`` (S, arity), section j measured
+    on the streams of seeds[j]; one result per seed.
 
-    With ``offsets`` None there is one seed, and its section is g itself.
-    Otherwise g is an offset-free cylinder function, and section j is g at
-    the offset row offsets[j], measured on the streams of seeds[j].  A
-    quadrature stratum draws nothing, so one ``surface_functional_auto`` call
-    per distinct offset row serves all its sections; a critical level there
+    Every ``surface_functional_auto`` call measures a ``_Sections`` stack.
+    A quadrature stratum draws nothing, so one call on the one-row stack of
+    each distinct offset row serves all its sections; a critical level there
     falls back to each section's own draws.  A Monte Carlo stratum measures
-    the sections in blocks of at most ``BLOCK_COORDS`` coordinates, one
-    call per block: each section's tuples fill its own rows on its own
-    stream, so every section gets the bits of a call of its own.
+    the sections in blocks of at most ``BLOCK_COORDS`` coordinates, one call
+    per block: each section's tuples fill its own rows on its own stream, so
+    every section gets the bits of a call of its own.
     """
     if eps is None:
         eps = 1e-2 * float(np.max(window.sides))
     base, stride = streams
     strata = Strata(window, orders={1: 192, 2: 96} if window.dim == 1 else {1: 32},
                     K_max=K_max, count_equals=count_equals)
-    if offsets is None:
-        groups = [(g, np.arange(1))]
-    else:
-        rows, which = np.unique(offsets, axis=0, return_inverse=True)
-        groups = [(replace(g, offset=tuple(row.tolist())), np.flatnonzero(which.ravel() == i))
-                  for i, row in enumerate(rows)]
+    at_row = {}  # the sections at each distinct offset row
+    for j, row in enumerate(map(tuple, offsets.tolist())):
+        at_row.setdefault(row, []).append(j)
+    groups = [(_Sections(F, offsets[p[0]:p[0] + 1]), p) for p in at_row.values()]
     S, per_stratum = len(seeds), {}
     for s in strata:
         n, stream = s.draws(n_samples), base + stride * s.k
@@ -371,16 +382,14 @@ def _sheet_loop(g, level: float, weights: dict, window: BoxDomain, seeds: tuple[
             parts = groups
         else:
             size = max(1, BLOCK_COORDS // max(1, n * s.k * window.dim))
-            parts = [(g if offsets is None else _Sections(g, offsets[lo:lo + size]),
-                      range(lo, min(lo + size, S))) for lo in range(0, S, size)]
+            parts = [(_Sections(F, offsets[lo:lo + size]), range(lo, min(lo + size, S)))
+                     for lo in range(0, S, size)]
         ests = [None] * S
         for h, part in parts:
-            # one section keeps the one-seed call, and its one result
-            part_seeds = tuple(seeds[j] for j in part)
             est = surface_functional_auto(h, level, weights, window, s.k, eps=eps, n_samples=n,
-                                          seed=part_seeds if len(part) > 1 else part_seeds[0],
-                                          stream=stream, quad_order=s.order)
-            for j, e in zip(part, est if len(part) > 1 else [est]):
+                                          seeds=tuple(seeds[j] for j in part), stream=stream,
+                                          quad_order=s.order)
+            for j, e in zip(part, est):
                 ests[j] = e
         volk = window.volume ** s.k
         per_stratum[s.k] = [{name: (val / volk, err / volk) for name, (val, err, _) in est.items()}
@@ -438,7 +447,7 @@ def rho_m_on_box(A: SetSpec, m: int, window: BoxDomain, *,
         empty = float(stratum_indicator(A, 0, np.zeros((1, 0, window.dim)))[0])
         res = strata.integrate(term, empty=empty)
         return CodimMeasureResult.of(res, window, None)
-    return _rho1(A, window, (seed,), n_samples=n_samples)[0]
+    return _rho1(A, window, (seed,), _offset_row(_sheet_function(A)), n_samples=n_samples)[0]
 
 
 def _sheet_function(A: SetSpec) -> CylinderFunction:
@@ -448,16 +457,14 @@ def _sheet_function(A: SetSpec) -> CylinderFunction:
     return A.function
 
 
-def _rho1(A: SetSpec, window: BoxDomain, seeds: tuple[int, ...],
-          offsets: np.ndarray | None = None, *, n_samples: int) -> list[CodimMeasureResult]:
-    """rho_1 of the level sheet of A on the window, one result per seed: of A
-    itself for one seed and no ``offsets``, else of A's section at the
-    offset row offsets[j] (``section_set``'s F.stars(eta)) for seeds[j], every
-    section sharing A's ``count_equals``.  The sheet is measured by
-    ``_sheet_loop`` on streams (seed, 80 + k)."""
-    F = _sheet_function(A)
-    if offsets is not None:
-        F = replace(F, offset=())
+def _rho1(A: SetSpec, window: BoxDomain, seeds: tuple[int, ...], offsets: np.ndarray, *,
+          n_samples: int) -> list[CodimMeasureResult]:
+    """rho_1 on the window of the level sheets of A's offset-free function at
+    the offset rows ``offsets`` (S, arity), one result per seed: section j at
+    offsets[j] (``section_set``'s F.stars(eta), or A's own offset row) on
+    seeds[j], every section sharing A's ``count_equals``.  The sheets are
+    measured by ``_sheet_loop`` on streams (seed, 80 + k)."""
+    F = replace(_sheet_function(A), offset=())
     out = []
     for res in _sheet_loop(F, float(A.level), {"surface": None}, window, seeds, offsets,
                            streams=(80, 1), eps=None, n_samples=n_samples, K_max=None,

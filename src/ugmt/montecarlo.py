@@ -21,12 +21,13 @@ The count weights need no scipy: ``poisson_pmf`` reproduces the bits of
 it), and the tail mass beyond a count, which sets ``poisson_k_cutoff`` and the
 stratified error bar's truncation charge, is the sum of the pmf terms.
 
-Uniform k-tuples on a Monte Carlo stratum come from ``uniform_tuples``, one
-bulk draw on the counter-based stream (seed, stream), or for a tuple of seeds
-one such draw per seed stacked into one block.  Inside a
-``shared_draws`` scope a repeated (window, k, n, seed, stream) key returns the
-first draw's array instead of drawing again, so callers that integrate
-several functions on the same strata draw each stratum once.
+Uniform k-tuples on a Monte Carlo stratum come from ``uniform_tuples``: given
+a tuple of seeds, one bulk draw on the counter-based stream (seed, stream) of
+each seed, stacked into one block (a stratum's own draw is the one-seed
+block).  Inside a ``shared_draws`` scope a repeated (window, k, n, seeds,
+stream) key returns the first draw's array instead of drawing again, so
+callers that integrate several functions on the same strata draw each
+stratum once.
 """
 
 from __future__ import annotations
@@ -327,33 +328,19 @@ def stratum_grid_points(window: BoxDomain, k: int, order: int
     return pts, W
 
 
-def _box_tuples(rng: np.random.Generator, window: BoxDomain, k: int, n: int) -> np.ndarray:
-    """n uniform ordered k-tuples in the window, shape (n, k, dim), from rng.
-
-    One ``rng.random`` call for all n k dim coordinates, mapped in place to
-    ``lower + (upper - lower) u``: the same doubles, consumed in the same
-    order and combined by the same two roundings as ``rng.uniform`` on the
-    window bounds tiled k times, without its broadcasting path.
-    """
-    return _to_window(rng.random(size=(n, k, window.dim)), window)
-
-
-def _to_window(u: np.ndarray, window: BoxDomain) -> np.ndarray:
-    """Uniform doubles u (..., dim) mapped in place to lower + (upper - lower) u."""
-    u *= window.sides
-    u += window.lower
-    return u
-
-
 def _stacked_tuples(window: BoxDomain, k: int, n: int, seeds: tuple[int, ...],
                     stream: int) -> np.ndarray:
-    """``_box_tuples`` of every seed's stream (seed, stream), stacked in seed
-    order into one block (len(seeds) n, k, dim): each stream writes its
-    doubles into its own rows, and the block is mapped to the window once."""
+    """The draw of ``uniform_tuples``: each seed's stream writes ``rng.random``
+    doubles into its own rows, and the block is mapped in place to
+    lower + (upper - lower) u, each segment with the same doubles and the
+    same two roundings as ``rng.uniform`` on the window bounds tiled k times.
+    """
     X = np.empty((len(seeds) * n, k, window.dim))
     for j, seed in enumerate(seeds):
         stream_rng(seed, stream).random(out=X[j * n:(j + 1) * n])
-    return _to_window(X, window)
+    X *= window.sides
+    X += window.lower
+    return X
 
 
 _SHARED_DRAWS: ContextVar[dict | None] = ContextVar("_SHARED_DRAWS", default=None)
@@ -362,7 +349,7 @@ _SCOPE_MEMO: ContextVar[dict | None] = ContextVar("_SCOPE_MEMO", default=None)
 
 @contextmanager
 def shared_draws():
-    """Scope in which ``uniform_tuples`` draws each (window, k, n, seed,
+    """Scope in which ``uniform_tuples`` draws each (window, k, n, seeds,
     stream) key once, and ``scope_memo`` hands out one memo dict.
 
     Streams are counter-based, so a repeated key repeats the draw value for
@@ -385,22 +372,18 @@ def scope_memo() -> dict | None:
     return _SCOPE_MEMO.get()
 
 
-def uniform_tuples(window: BoxDomain, k: int, n: int, seed: int | tuple[int, ...],
+def uniform_tuples(window: BoxDomain, k: int, n: int, seeds: tuple[int, ...],
                    stream: int) -> np.ndarray:
-    """n uniform ordered k-tuples in the window, shape (n, k, dim), drawn on
-    the random stream (seed, stream); read-only and shared inside a
+    """n uniform ordered k-tuples in the window per seed, drawn on the random
+    stream (seed, stream) of each seed into one block (len(seeds) n, k, dim),
+    seed j's in rows [j n, (j + 1) n); read-only and shared inside a
     ``shared_draws`` scope.
-
-    A tuple of seeds draws n tuples on each seed's stream into one block
-    (len(seed) n, k, dim), seed j's in rows [j n, (j + 1) n): each segment is
-    the one-seed draw, bit for bit.
     """
     memo = _SHARED_DRAWS.get()
-    key = (window, k, n, seed, stream)
+    key = (window, k, n, seeds, stream)
     X = None if memo is None else memo.get(key)
     if X is None:
-        X = (_stacked_tuples(window, k, n, seed, stream) if isinstance(seed, tuple)
-             else _box_tuples(stream_rng(seed, stream), window, k, n))
+        X = _stacked_tuples(window, k, n, seeds, stream)
         if memo is not None:
             X.setflags(write=False)
             memo[key] = X
@@ -440,7 +423,7 @@ class Stratum:
         """``draws(n)`` uniform tuples (n defaults to ``mc_n``): on a stream
         counted from its start, the first rows of the n-row draw."""
         return uniform_tuples(self.window, self.k, self.draws(self.mc_n if n is None else n),
-                              self.seed, self.stream)
+                              (self.seed,), self.stream)
 
     def grid_mean(self, values: np.ndarray, w: np.ndarray) -> float:
         """Quadrature average over window^k of values at the grid points."""

@@ -579,17 +579,16 @@ def _coarea_members():
 
 
 def _spy_draws(monkeypatch):
-    """Record (window, k, n, stream key, memo size) for every bulk draw."""
+    """Record (window, k, n, seeds, stream, memo size) for every bulk draw."""
     draws = []
-    real = montecarlo._box_tuples
+    real = montecarlo._stacked_tuples
 
-    def spy(rng, window, k, n):
-        key = tuple(int(v) for v in rng.bit_generator.state["state"]["key"])
+    def spy(window, k, n, seeds, stream):
         memo = montecarlo._SHARED_DRAWS.get()
-        draws.append(((window, k, n, key), None if memo is None else len(memo)))
-        return real(rng, window, k, n)
+        draws.append(((window, k, n, seeds, stream), None if memo is None else len(memo)))
+        return real(window, k, n, seeds, stream)
 
-    monkeypatch.setattr(montecarlo, "_box_tuples", spy)
+    monkeypatch.setattr(montecarlo, "_stacked_tuples", spy)
     return draws
 
 
@@ -688,7 +687,7 @@ def test_suite_integrands_are_symmetric_in_the_particles(monkeypatch):
         assert np.max(np.abs(a - b)) <= 1e-13 * max(np.max(np.abs(a)), 1e-300)
 
     for k in (1, 2, 3, 5):
-        X = montecarlo.uniform_tuples(UNIT, k, 400, seed=21, stream=k)
+        X = montecarlo.uniform_tuples(UNIT, k, 400, (21,), stream=k)
         Xp = X[:, np.roll(np.arange(k), 1)]
         for g, weight in weights:
             grads = [g.gradient(Y) for Y in (X, Xp)]

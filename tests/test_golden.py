@@ -11,7 +11,7 @@ import pytest
 
 from ugmt import batteries
 from ugmt.bv import _SHEET_STREAMS, _VariationalObjective, levelset_expectation
-from ugmt.configuration import SetSpec
+from ugmt.configuration import SetSpec, section_set
 from ugmt.cylinder import cyl_compose, cyl_from_star, tanh_of
 from ugmt.geometry import SmoothFunction, SmoothVectorField, interval
 from ugmt.hausdorff import rho_m_localized, rho_m_on_box, sheet_integrals
@@ -23,6 +23,7 @@ BUMP = SmoothFunction.bump(0.25, 0.2, 1.0, window=W)
 LIN = SmoothFunction.linear(W)
 TANH_BUMP = cyl_compose(lambda r: tanh_of(r), cyl_from_star(BUMP))
 SUM_SET = SetSpec.level_set(cyl_from_star(LIN), 0.3)
+_MONO_SHEET = batteries.monotone_sheets()["sheet-scale-1.8"]
 
 
 def _poisson_stratified(sup_bound):
@@ -75,10 +76,25 @@ def _rho1_localized():
     # the inner box leaves part of the locality outside, so the patterns at
     # this seed include an empty one, a one-point one and a two-point one
     # drawn out of point order
-    sheet = batteries.monotone_sheets()["sheet-scale-1.8"]
-    res = rho_m_localized(sheet, 1, interval(-0.7, 0.7), batteries.MONO_WINDOW, n_eta=4,
+    res = rho_m_localized(_MONO_SHEET, 1, interval(-0.7, 0.7), batteries.MONO_WINDOW, n_eta=4,
                           n_samples=2_000, seed=67)
     return res.mean, res.std_err
+
+
+def _rho1_stacked(spec):
+    # eight patterns with outside counts 0, 0, 0, 0, 0, 1, 1, 2; for
+    # count_equals = 3 the sections fall in groups of counts 3, 2 and 1
+    res = rho_m_localized(spec, 1, interval(-0.8, 0.8), batteries.MONO_WINDOW, n_eta=8,
+                          n_samples=2_000, seed=5)
+    return res.mean, res.std_err
+
+
+def _rho1_section():
+    # a section whose function carries the offset row of a two-point pattern
+    inner = interval(-0.75, 0.75)
+    sec = section_set(_MONO_SHEET, np.array([[-0.79], [0.8]]), inner)
+    res = rho_m_on_box(sec, 1, inner, n_samples=2_000, seed=19)
+    return res.total, res.total_err
 
 
 def _bessel_capacity():
@@ -106,6 +122,11 @@ CASES = {
     "lifted_gradient_norm_direct": lambda: _lifted(None),
     "lifted_gradient_norm_semigroup": lambda: _lifted(0.01),
     "rho1_localized": _rho1_localized,
+    "rho1_localized_count_equals": lambda: _rho1_stacked(
+        SetSpec.level_sheet(_MONO_SHEET.function, 0.55, count_equals=3)),
+    "rho1_localized_tanh": lambda: _rho1_stacked(
+        SetSpec.level_sheet(cyl_compose(tanh_of, _MONO_SHEET.function), np.tanh(0.55))),
+    "rho1_on_box_section": _rho1_section,
     "bessel_capacity": _bessel_capacity,
 }
 
@@ -120,7 +141,10 @@ GOLDEN = {
     'rho0_on_box_exact': (0.036936313106031474, 0.0),
     'rho1_on_box': (0.74861925703502, 0.003792512991910712),
     'rho1_localized': (0.5147429716733688, 0.004481914040833872),
+    'rho1_localized_count_equals': (0.08550795496183212, 0.04813774561105435),
+    'rho1_localized_tanh': (0.5466111653469876, 0.007819826790817138),
     'rho1_on_box_one_count': (0.12865368197213412, 5.406541593690078e-06),
+    'rho1_on_box_section': (0.53012943699773, 0.013120153603344972),
     'surface_battery_fallback': (1.4292030931622615, 0.3569827826681413),
     'surface_battery_quadrature': (0.7455803024717058, 0.002374247147784345),
     # the error is the n - 1 standard error of mean_and_stderr on each batch

@@ -43,17 +43,17 @@ class CoordinateSum:
 
 def test_level_set_point_slice():
     v, e, _ = surface_functional(CoordinateSum(), 0.5, {"s": None}, UNIT, 1, eps=0.01,
-                                 n_samples=200_000, seed=3, quad_order=None)["s"]
+                                 n_samples=200_000, seeds=(3,), quad_order=None)[0]["s"]
     assert abs(v - 1.0) <= 3 * e + 5e-3
 
 
 def test_level_set_segment_and_antidiagonal():
     sq = BoxDomain((0.0, 0.0), (1.0, 1.0))
     v, e, _ = surface_functional(CoordinateSum(), 0.5, {"s": None}, sq, 1, eps=0.01,
-                                 n_samples=300_000, seed=5, quad_order=None)["s"]
+                                 n_samples=300_000, seeds=(5,), quad_order=None)[0]["s"]
     assert abs(v - 1.0) <= 3 * e + 0.01  # segment length
     v2, e2, _ = surface_functional(CoordinateSum(), 1.0, {"s": None}, UNIT, 2, eps=0.01,
-                                   n_samples=300_000, seed=6, quad_order=None)["s"]
+                                   n_samples=300_000, seeds=(6,), quad_order=None)[0]["s"]
     assert abs(v2 - np.sqrt(2.0)) <= 3 * e2 + 0.02
 
 
@@ -81,10 +81,11 @@ def test_level_set_quadrature_route(c, k, order, tol):
     if c == "two-stack":
         S = batteries.stack_set()
         g, c = S.function, S.level
-        exact = surface_functional(g, c, {"s": None}, UNIT, k, eps=0.01, quad_order=192)["s"][0]
+        exact = surface_functional(g, c, {"s": None}, UNIT, k, eps=0.01,
+                                   quad_order=192)[0]["s"][0]
     else:
         g, exact = CoordinateSum(), (1.0 if k == 1 else np.sqrt(2.0) * min(c, 2.0 - c))
-    v, e, _ = surface_functional(g, c, {"s": None}, UNIT, k, eps=0.01, quad_order=order)["s"]
+    v, e, _ = surface_functional(g, c, {"s": None}, UNIT, k, eps=0.01, quad_order=order)[0]["s"]
     assert abs(v - exact) <= (tol or 3.0 * e)
 
 
@@ -352,7 +353,7 @@ def test_sections_at_one_offset_share_quadrature_but_not_draws(monkeypatch):
 
     def spy(*args, **kwargs):
         if kwargs["quad_order"] is not None:
-            quad.append((args[4], kwargs["seed"]))
+            quad.append((args[4], kwargs["seeds"]))
         return real(*args, **kwargs)
 
     monkeypatch.setattr(hausdorff, "surface_functional_auto", spy)
@@ -443,7 +444,7 @@ def test_stratum_grid_is_memoized_read_only_and_fresh(window, k, order):
 
 @pytest.mark.parametrize("k", [0, 1, 2, 4])
 def test_stratum_indicator_matches_configuration_reference(k, member):
-    X = uniform_tuples(UNIT, k, 3_000, seed=5, stream=k)
+    X = uniform_tuples(UNIT, k, 3_000, (5,), stream=k)
     for name, A in batteries.rho0_sets().items():
         ref = [1.0 if member(A, x) else 0.0 for x in X]
         assert np.array_equal(stratum_indicator(A, k, X), ref), name
@@ -561,20 +562,20 @@ def test_quadrature_route_evaluates_g_once_per_grid(name):
                                quad_order=order)
         assert calls == {}  # a critical level is found before any weight runs
         mc = surface_functional(g, level, weights, window, k, eps=0.01, n_samples=3_000,
-                                seed=4, stream=9)
+                                seeds=(4,), stream=9)
         assert surface_functional_auto(g, level, weights, window, k, eps=0.01,
-                                       n_samples=3_000, seed=4, stream=9,
+                                       n_samples=3_000, seeds=(4,), stream=9,
                                        quad_order=order) == mc
     elif name == "empty-band":
-        got = surface_functional(spy, level, _counted(weights, calls), window, k, eps=0.01,
-                                 quad_order=order)
+        (got,) = surface_functional(spy, level, _counted(weights, calls), window, k, eps=0.01,
+                                    quad_order=order)
         assert got == ref
         assert set(got.values()) == {(0.0, 0.0, np.inf)}
         assert spy.value_calls == 1 and spy.rows == [] and calls == {}
         return
     else:
-        got = surface_functional(spy, level, _counted(weights, calls), window, k, eps=0.01,
-                                 quad_order=order)
+        (got,) = surface_functional(spy, level, _counted(weights, calls), window, k, eps=0.01,
+                                    quad_order=order)
         assert got == ref
         assert got["surface"][0] > 0.1
         assert calls == {"G": 1, "tilt": 1}
@@ -584,8 +585,8 @@ def test_quadrature_route_evaluates_g_once_per_grid(name):
 
     spy, calls = _Spy(g), {}
     surface_functional(spy, level, _counted(weights, calls), window, k, eps=0.01,
-                       n_samples=3_000, seed=4, stream=9)
-    X = uniform_tuples(window, k, 3_000, 4, 9)
+                       n_samples=3_000, seeds=(4,), stream=9)
+    X = uniform_tuples(window, k, 3_000, (4,), 9)
     band = X[np.abs(g.value(X) - level) < 0.01]
     assert len(band) > 0
     assert spy.value_calls == 1 and calls == {"G": 1, "tilt": 1}
@@ -615,11 +616,11 @@ def test_out_of_band_densities_are_exactly_zero(name):
     def undefined_far(X, grad, gn):
         return np.where(np.abs(g.value(X) - level) >= far, np.nan, finite(X, grad, gn))
 
-    X = (uniform_tuples(window, k, 3_000, 4, 9) if order is None
+    X = (uniform_tuples(window, k, 3_000, (4,), 9) if order is None
          else stratum_grid_points(window, k, order)[0])
     assert np.any(np.abs(g.value(X) - level) >= far)
     got = [surface_functional(g, level, {"w": w}, window, k, eps=0.01, n_samples=3_000,
-                              seed=4, stream=9, quad_order=order)["w"]
+                              seeds=(4,), stream=9, quad_order=order)[0]["w"]
            for w in (finite, undefined_far)]
     assert got[0] == got[1]
     assert np.all(np.isfinite(got[0])) and got[0][0] > 0.1

@@ -9,7 +9,7 @@ from ugmt.cylinder import cyl_compose, cyl_from_star, tanh_of
 from ugmt.geometry import BoxDomain, SmoothFunction, gauss_legendre, interval
 from ugmt import batteries, montecarlo
 from ugmt.hausdorff import scaled_box
-from ugmt.montecarlo import (MCPlan, _box_tuples, draw_by_count, integrate_battery,
+from ugmt.montecarlo import (MCPlan, _stacked_tuples, draw_by_count, integrate_battery,
                              poisson_k_cutoff, poisson_pmf, poisson_stratified_battery, shared_draws, uniform_tuples)
 from ugmt.montecarlo import MASS_RATIO, MIN_SAMPLES, Strata
 from ugmt.productspace import stratum_indicator
@@ -357,25 +357,27 @@ def test_uniform_tuples_equal_tiled_uniform(name, k):
         return rng.uniform(np.tile(window.lower, k), np.tile(window.upper, k),
                            size=(n, k * dim)).reshape(n, k, dim)
 
-    got = uniform_tuples(window, k, n, seed=17, stream=3 + k)
+    got = uniform_tuples(window, k, n, (17,), stream=3 + k)
     ref = reference(stream_rng(17, 3 + k))
     assert got.shape == ref.shape == (n, k, dim)
     assert got.tobytes() == ref.tobytes()
-    # the bulk kernel leaves the generator where the tiled draw does
-    rng, rng_ref = stream_rng(4, k), stream_rng(4, k)
-    assert _box_tuples(rng, window, k, n).tobytes() == reference(rng_ref).tobytes()
-    assert rng.random(7).tobytes() == rng_ref.random(7).tobytes()
+    # the one draw kernel, on two seeds, is the tiled draw of each
+    both = _stacked_tuples(window, k, n, (4, 17), k)
+    assert both.tobytes() == (reference(stream_rng(4, k)).tobytes()
+                              + reference(stream_rng(17, k)).tobytes())
 
 
 @pytest.mark.parametrize("k", [0, 1, 3, 7])
 @pytest.mark.parametrize("name", list(_DRAW_WINDOWS))
 def test_stacked_seeds_are_the_one_seed_draws(name, k):
-    # a tuple of seeds fills one block, seed by seed, with the one-seed draws
+    # a tuple of seeds fills one block, seed by seed, with each seed's own
+    # stream's doubles mapped to the window
     window = _DRAW_WINDOWS[name]
     seeds, n = (17, 4, 17, 900), 150
     got = uniform_tuples(window, k, n, seeds, stream=3 + k)
     assert got.shape == (len(seeds) * n, k, window.dim)
-    ref = np.concatenate([uniform_tuples(window, k, n, s, stream=3 + k) for s in seeds])
+    ref = np.concatenate([stream_rng(s, 3 + k).random((n, k, window.dim)) for s in seeds])
+    ref = window.lower + window.sides * ref
     assert got.tobytes() == ref.tobytes()
     with shared_draws():
         X = uniform_tuples(window, k, n, seeds, stream=3 + k)
@@ -399,27 +401,28 @@ def test_strata_weigh_each_count_once(monkeypatch):
 
 
 def test_shared_draws_scope_returns_one_read_only_draw_per_key():
-    fresh = uniform_tuples(UNIT, 3, 200, seed=5, stream=2)
+    fresh = uniform_tuples(UNIT, 3, 200, (5,), stream=2)
     assert fresh.flags.writeable
-    assert uniform_tuples(UNIT, 3, 200, seed=5, stream=2) is not fresh
+    assert uniform_tuples(UNIT, 3, 200, (5,), stream=2) is not fresh
     with shared_draws():
-        X = uniform_tuples(UNIT, 3, 200, seed=5, stream=2)
+        X = uniform_tuples(UNIT, 3, 200, (5,), stream=2)
         assert np.array_equal(X, fresh) and not X.flags.writeable
         with pytest.raises(ValueError):
             X[0, 0, 0] = 0.5
-        assert uniform_tuples(UNIT, 3, 200, seed=5, stream=2) is X
+        assert uniform_tuples(UNIT, 3, 200, (5,), stream=2) is X
         with shared_draws():  # a nested scope keeps a memo of its own
-            inner = uniform_tuples(UNIT, 3, 200, seed=5, stream=2)
+            inner = uniform_tuples(UNIT, 3, 200, (5,), stream=2)
             assert inner is not X and np.array_equal(inner, X)
-        assert uniform_tuples(UNIT, 3, 200, seed=5, stream=2) is X
+        assert uniform_tuples(UNIT, 3, 200, (5,), stream=2) is X
         # every part of the key counts
-        for other in [(interval(0.0, 2.0), 3, 200, 5, 2), (UNIT, 2, 200, 5, 2),
-                      (UNIT, 3, 100, 5, 2), (UNIT, 3, 200, 6, 2), (UNIT, 3, 200, 5, 3)]:
+        for other in [(interval(0.0, 2.0), 3, 200, (5,), 2), (UNIT, 2, 200, (5,), 2),
+                      (UNIT, 3, 100, (5,), 2), (UNIT, 3, 200, (6,), 2), (UNIT, 3, 200, (5,), 3),
+                      (UNIT, 3, 200, (5, 5), 2)]:
             Y = uniform_tuples(*other)
             assert Y is not X and Y.tobytes() == uniform_tuples(*other).tobytes()
             assert not np.array_equal(Y, X)
     assert montecarlo._SHARED_DRAWS.get() is None
-    after = uniform_tuples(UNIT, 3, 200, seed=5, stream=2)
+    after = uniform_tuples(UNIT, 3, 200, (5,), stream=2)
     assert after is not X and after.flags.writeable and np.array_equal(after, fresh)
 
 
@@ -464,23 +467,25 @@ def test_stratum_draws_follow_the_poisson_mass(name, n):
 def test_fewer_draws_are_the_first_rows_of_the_full_draw(name, k):
     # streams are counter-based: m rows are the first m of the n-row draw
     window = _DRAW_WINDOWS[name]
-    full = uniform_tuples(window, k, 2_000, seed=23, stream=700 + k)
+    full = uniform_tuples(window, k, 2_000, (23,), stream=700 + k)
     for m in (100, 137, 1_999):
-        assert uniform_tuples(window, k, m, seed=23, stream=700 + k).tobytes() == \
+        assert uniform_tuples(window, k, m, (23,), stream=700 + k).tobytes() == \
             full[:m].tobytes()
     for s in Strata(window, mc_n=2_000, seed=23, stream_base=700, K_max=k):
         X = s.draw()
         assert X.shape[0] == s.draws(2_000)
-        assert X.tobytes() == uniform_tuples(window, s.k, 2_000, 23, 700 + s.k)[:len(X)].tobytes()
+        ref = uniform_tuples(window, s.k, 2_000, (23,), 700 + s.k)
+        assert X.tobytes() == ref[:len(X)].tobytes()
 
 
 def test_every_stratum_draw_has_the_rule_count(monkeypatch):
     drawn = []
     real = montecarlo.uniform_tuples
 
-    def spy(window, k, n, seed, stream):
+    def spy(window, k, n, seeds, stream):
+        (seed,) = seeds
         drawn.append((window, k, n, seed, stream))
-        return real(window, k, n, seed, stream)
+        return real(window, k, n, seeds, stream)
 
     monkeypatch.setattr(montecarlo, "uniform_tuples", spy)
     monkeypatch.setattr(hausdorff, "uniform_tuples", spy)

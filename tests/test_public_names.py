@@ -184,3 +184,36 @@ def test_every_public_name_has_a_program_caller():
     test_only = [f"{module}.{name}" for module, name in _public_names()
                  if (module, name) not in used]
     assert not test_only, f"public names that only tests call: {test_only}"
+
+
+def _union_members(node: ast.AST) -> list[ast.AST]:
+    """The members of an ``a | b | ...`` annotation, or the annotation itself."""
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitOr):
+        return _union_members(node.left) + _union_members(node.right)
+    return [node]
+
+
+def _one_or_many(annotation: ast.AST) -> bool:
+    """Whether an annotation admits both T and tuple[T, ...]."""
+    members = {ast.unparse(m) for m in _union_members(annotation)}
+    return any(f"tuple[{t}, ...]" in members for t in members)
+
+
+def _one_or_many_parameters(package: pathlib.Path) -> list[str]:
+    """module.function(parameter) for each parameter annotated T | tuple[T, ...]."""
+    hits = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                a = node.args
+                hits.extend(f"{path.stem}.{node.name}({arg.arg})"
+                            for arg in [*a.posonlyargs, *a.args, *a.kwonlyargs,
+                                        *filter(None, (a.vararg, a.kwarg))]
+                            if arg.annotation is not None and _one_or_many(arg.annotation))
+    return hits
+
+
+def test_no_parameter_takes_one_or_a_tuple():
+    # a parameter that takes T or tuple[T, ...] lets its type choose the shape
+    # of what the function returns; a function takes one form
+    assert _one_or_many_parameters(PACKAGE) == []

@@ -12,9 +12,11 @@ import inspect
 import pathlib
 import sys
 
+import numpy as np
 import pytest
 
 from ugmt import bv, geometry, hausdorff, heat, montecarlo
+from ugmt.geometry import interval
 
 HOOKED = [
     (montecarlo, "stratum_grid_points", ()),
@@ -83,6 +85,42 @@ def test_sheet_loop_passes_quad_order_by_keyword(monkeypatch):
                          K_max=3)
     assert [n for n, _ in calls] == [5, 5, 5]  # g, level, weights, window, k
     assert [kwargs["quad_order"] for _, kwargs in calls] == [192, 96, None]
+    # the localized measure runs the same loop on stacks of sections
+    calls.clear()
+    sheet = batteries.monotone_sheets()["sheet-scale-1.8"]
+    hausdorff.rho_m_localized(sheet, 1, interval(-0.8, 0.8), batteries.MONO_WINDOW, n_eta=4,
+                              n_samples=2_000, seed=5)
+    assert calls and {n for n, _ in calls} == {5}
+    assert {192, 96, None} <= {kwargs["quad_order"] for _, kwargs in calls}
+    assert any(len(kwargs["seeds"]) > 1 for _, kwargs in calls)
+
+
+def test_band_samples_count_every_row_drawn(monkeypatch):
+    # the tracer adds band_integral_mc's n_samples to hausdorff.band_samples:
+    # on a stack of sections it must be the rows of the whole block, not one
+    # section's share
+    from ugmt import batteries
+    from ugmt.configuration import SetSpec
+    calls, drawn = [], []
+    real_mc, real_draw = hausdorff.band_integral_mc, hausdorff.uniform_tuples
+
+    def spy_mc(h, window, k, n_samples, *args, **kwargs):
+        calls.append((n_samples, len(drawn)))
+        return real_mc(h, window, k, n_samples, *args, **kwargs)
+
+    def spy_draw(*args):
+        X = real_draw(*args)
+        drawn.append(X.shape[0])
+        return X
+
+    monkeypatch.setattr(hausdorff, "band_integral_mc", spy_mc)
+    monkeypatch.setattr(hausdorff, "uniform_tuples", spy_draw)
+    A = SetSpec.level_sheet(batteries.tanh_sum_function(0.35), 0.3)
+    hausdorff._rho1(A, batteries.UNIT, (5, 9), np.array([[0.2], [0.0]]), n_samples=2_000)
+    assert calls and len(drawn) == len(calls)
+    for n_samples, i in calls:  # each call draws once, after its hook ran
+        assert n_samples == drawn[i]
+    assert max(drawn) == 2 * 2_000  # both sections' rows in one block
 
 
 def test_traced_pathwise_suites_run(tmp_path):
